@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 unexpected failure or a failed gradient check;
-2 configuration errors; 3 malformed input files; 4 training divergence.
+2 configuration errors; 3 malformed input files; 4 training divergence;
+5 an invalid pool operation (for example acquiring from an empty pool).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import parse_config, config_to_json, with_overrides
-from .errors import ConfigError, FormatError, TrainingDiverged
+from .errors import ConfigError, FormatError, PoolError, TrainingDiverged
 from .experiment import (
     compute_curves,
     load_dataset,
@@ -117,6 +118,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return 4
+    except PoolError as e:
+        print(f"pool error: {e}", file=sys.stderr)
+        return 5
     except KeyboardInterrupt:
         raise
     except Exception as e:  # anything else is a bug, not a user error

@@ -24,7 +24,7 @@ from .config import ExperimentConfig, config_to_json
 from .dataio import Dataset, load_csv, load_mnist, standardize, synth_blobs
 from .errors import ConfigError, FormatError
 from .model import ModelSpec
-from .pool import PoolState, evaluate, init_pool, label_points
+from .pool import PoolState, evaluate, init_pool, label_points, pool_point_count
 from .seeding import derive_int, derive_rng
 from .trainer import TrainConfig, train_round
 
@@ -175,6 +175,18 @@ def _dump_scores(score_dir: Path, result: AcquisitionResult, pool: PoolState, re
                 w.writerow([idx, s, 1])
 
 
+def _check_budget(dataset: Dataset, cfg: ExperimentConfig) -> None:
+    """Fail before any training when the acquisitions would exhaust the pool."""
+    available = pool_point_count(dataset, cfg.dataset.test_fraction, cfg.dataset.pool_size)
+    need = cfg.initial_count + cfg.budget * (cfg.rounds - 1)
+    if need > available:
+        raise ConfigError(
+            f"$.budget: initial_count {cfg.initial_count} + budget {cfg.budget} x "
+            f"{cfg.rounds - 1} acquisitions = {need} labels, but the pool has "
+            f"only {available} points"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1, progress=None) -> list[RoundLog]:
     """Run every (method, repeat) cell and return rows sorted by
     (method, repeat, round).  ``jobs`` > 1 fans cells out over threads; the
@@ -182,6 +194,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, progress=None) -> list[
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     dataset = load_dataset(cfg)
+    _check_budget(dataset, cfg)
     score_dir = Path(cfg.output_dir) if cfg.dump_scores else None
     cells = [(m, r) for m in cfg.methods for r in range(cfg.repeats)]
 

@@ -166,11 +166,12 @@ def _suite_composite(col: _Collector, seed: int):
         Z_p, _, cache_p = forward(params, X_p, train_mode=True)
         _, _, dlogits = softmax_cross_entropy(logits, y)
         dZ_l, dZ_p = mmd2_grad(Z_l, Z_p, spec)
-        g_l = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
-        g_p = backward(params, cache_p, np.zeros_like(logits), dZ=lam * dZ_p)
-        for li, ((dW, db), (dW2, db2)) in enumerate(zip(g_l, g_p)):
-            col.add("composite", f"{s}/W{li}", dW + dW2, central_diff(loss, params.layers[li][0]))
-            col.add("composite", f"{s}/b{li}", db + db2, central_diff(loss, params.layers[li][1]))
+        grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
+        g_p = backward(params, cache_p, None, dZ=lam * dZ_p)  # extractor layers only
+        grads[: len(g_p)] = [(dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, g_p)]
+        for li, (dW, db) in enumerate(grads):
+            col.add("composite", f"{s}/W{li}", dW, central_diff(loss, params.layers[li][0]))
+            col.add("composite", f"{s}/b{li}", db, central_diff(loss, params.layers[li][1]))
 
 
 def run_gradcheck(

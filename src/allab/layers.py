@@ -51,13 +51,17 @@ def affine_forward(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def affine_backward(
-    X: np.ndarray, W: np.ndarray, dY: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    X: np.ndarray, W: np.ndarray, dY: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of an affine layer given upstream dY = dL/dY.
 
         dX = dY @ W.T        (n, d)
         dW = X.T @ dY        (d, m)
         db = column sums of dY   (m,)
+
+    With ``input_grad`` false, dX is not computed and comes back as None
+    (a network's first layer has no use for it); the shapes are checked
+    either way.
     """
     X = _as_matrix("X", X)
     W = _as_matrix("W", W)
@@ -68,7 +72,7 @@ def affine_backward(
         raise DimensionError(
             f"affine_backward: dY {dY.shape} does not match X {X.shape} @ W {W.shape}"
         )
-    dX = dY @ W.T
+    dX = dY @ W.T if input_grad else None
     dW = X.T @ dY
     db = dY.sum(axis=0)
     return dX, dW, db

@@ -157,7 +157,7 @@ def forward(
 def backward(
     params: MlpParams,
     cache: ForwardCache,
-    dlogits: np.ndarray,
+    dlogits: np.ndarray | None,
     dZ: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Parameter gradients for one forward pass.
@@ -165,21 +165,30 @@ def backward(
     ``dlogits`` is the loss gradient at the output layer; ``dZ``, when given,
     is an extra loss gradient injected at the feature activation (used for the
     squared-MMD term, which attaches to Z rather than the logits).
+
+    With ``dlogits`` None the loss reaches the network only through ``dZ``:
+    the pass starts at layer ``split_index`` and returns the gradients of the
+    ``split_index`` extractor layers alone (the head's would be exact zeros).
     """
     n_layers = len(params.layers)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers  # type: ignore[list-item]
-    upstream = np.asarray(dlogits, dtype=np.float64)
-    for i in range(n_layers, 0, -1):
+    if dlogits is None:
+        if dZ is None:
+            raise ValueError("backward needs dlogits, dZ or both")
+        top, upstream = params.split_index, None
+    else:
+        top, upstream = n_layers, np.asarray(dlogits, dtype=np.float64)
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * top  # type: ignore[list-item]
+    for i in range(top, 0, -1):
         W, _ = params.layers[i - 1]
         if i < n_layers:
             mask = cache.dropout_masks[i - 1]
-            if mask is not None:
+            if mask is not None and upstream is not None:
                 upstream = upstream * mask
             if dZ is not None and i == params.split_index:
-                upstream = upstream + dZ
+                upstream = dZ if upstream is None else upstream + dZ
             pre = cache.pre_activations[i - 1]
             upstream = np.where(pre > 0, upstream, 0.0)
-        dX, dW, db = affine_backward(cache.inputs[i - 1], W, upstream)
+        dX, dW, db = affine_backward(cache.inputs[i - 1], W, upstream, input_grad=i > 1)
         grads[i - 1] = (dW, db)
         upstream = dX
     return grads

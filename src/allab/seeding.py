@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_int", "derive_rng", "derive_seed_words", "spawn"]
+__all__ = ["derive_int", "derive_rng", "derive_seed_words"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -58,8 +58,3 @@ def derive_int(master_seed: int, *path: str | int) -> int:
     seq = np.random.SeedSequence(derive_seed_words(master_seed, *path))
     return int(seq.generate_state(1, np.uint64)[0] >> np.uint64(1))
 
-
-def spawn(rng_seed_words: list[int], index: int) -> np.random.Generator:
-    """Generator for a numbered child stream of an already-derived word list."""
-    seq = np.random.SeedSequence(rng_seed_words + [int(index) & _MASK64])
-    return np.random.Generator(np.random.PCG64(seq))

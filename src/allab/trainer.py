@@ -19,6 +19,13 @@ is drawn even when ``mmd_weight`` is 0.  Dropout masks, when the model has a
 positive rate, come from the separate "dropout" stream, one draw per hidden
 layer per forward pass, labeled batch first.  Parameter initialization uses
 the "init" stream.  All three streams derive from ``TrainConfig.seed``.
+
+Only work that changes the parameters is done.  The pool batch is run
+through the network only when ``mmd_weight`` > 0 or the model has dropout
+(its forward pass then consumes the dropout stream, as the contract says);
+at ``mmd_weight`` 0 the kernel, the MMD^2 value and its gradient are never
+computed and the logged mean MMD^2 is 0.0.  The pool batch's backward pass
+starts at the feature layer, since the MMD^2 term does not reach the head.
 """
 
 from __future__ import annotations
@@ -238,10 +245,8 @@ def train_round(
     snap_at = set(snapshot_steps(config.epochs, spe, config.n_checkpoints))
 
     kernel: KernelSpec | None = None
-    if isinstance(config.kernel, tuple):
-        kernel = KernelSpec(config.kernel)
-
     features, labels = pool.features, pool.labels
+    lam = config.mmd_weight
     snaps: list[ParamSnapshot] = []
     history: list[EpochStats] = []
     writer = _HistoryWriter(history_csv)
@@ -254,28 +259,31 @@ def train_round(
         idx_p = _draw(rng_batch, both, config.batch_size)
 
         Z_l, logits, cache_l = forward(params, features[idx_l], train_mode=True, rng=rng_drop)
-        Z_p, _, cache_p = forward(params, features[idx_p], train_mode=True, rng=rng_drop)
-        if kernel is None:
-            kernel = _resolve_kernel(config, Z_p)
-
+        if lam > 0 or model_spec.dropout_rate > 0:  # at lam 0: keeps the dropout stream in step
+            Z_p, _, cache_p = forward(params, features[idx_p], train_mode=True, rng=rng_drop)
         ce, _, dlogits = softmax_cross_entropy(logits, labels[idx_l])
-        m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
-        if not np.isfinite(ce + config.mmd_weight * m2):
-            raise TrainingDiverged(f"non-finite loss at step {step}")
+        if not np.isfinite(ce):
+            raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
-        if config.mmd_weight > 0:
-            grads = backward(params, cache_l, dlogits, dZ=config.mmd_weight * dZ_l)
-            grads_p = backward(
-                params, cache_p, np.zeros_like(logits), dZ=config.mmd_weight * dZ_p
-            )
-            grads = [(dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)]
+        if lam > 0:
+            if kernel is None:
+                kernel = _resolve_kernel(config, Z_p)
+            m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
+            if not np.isfinite(lam * m2):
+                raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
+            grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
+            grads_p = backward(params, cache_p, None, dZ=lam * dZ_p)
+            grads[: len(grads_p)] = [
+                (dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)
+            ]
         else:
+            m2 = 0.0
             grads = backward(params, cache_l, dlogits)
 
         try:
             params = sgd_step(params, grads, lr, config.weight_decay)
         except TrainingDiverged:
-            raise TrainingDiverged(f"non-finite gradient at step {step}") from None
+            raise TrainingDiverged(f"non-finite gradient at step {step} (lr={lr:g})") from None
         if step in snap_at:
             snaps.append(snapshot(params))
 

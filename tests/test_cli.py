@@ -116,6 +116,36 @@ def test_run_divergence_exits_4(tmp_path, capsys):
     assert "training diverged" in capsys.readouterr().err
 
 
+def test_run_budget_exhausting_pool_exits_2_before_training(tmp_path, capsys):
+    # 40 points, 8 held out: 10 + 30 x 3 labels cannot come from 32 pool points
+    cfg = write_config(
+        tmp_path,
+        dataset={"kind": "synthetic", "class_count": 2, "per_class": 20, "dim": 2, "separation": 8.0},
+        initial_count=10,
+        budget=30,
+        rounds=4,
+        repeats=1,
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: $.budget:" in captured.err
+    assert "32 points" in captured.err
+    assert "round" not in captured.out  # no cell trained
+    assert not (tmp_path / "results" / "results.csv").exists()
+
+
+def test_run_pool_error_exits_5(tmp_path, capsys, monkeypatch):
+    import allab.cli
+    from allab.errors import PoolError
+
+    def empty_pool(*args, **kwargs):
+        raise PoolError("unlabeled pool is empty")
+
+    monkeypatch.setattr(allab.cli, "run_experiment", empty_pool)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 5
+    assert "pool error: unlabeled pool is empty" in capsys.readouterr().err
+
+
 def test_run_results_parse_back(tmp_path):
     from allab.experiment import read_results_csv
 

@@ -101,6 +101,26 @@ def test_affine_backward_matches_differences():
     assert rel_err(db, fd_grad(loss, b)) <= 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6), d=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**31)
+)
+def test_affine_backward_without_input_grad_same_weight_grads(n, d, m, seed):
+    rng = np.random.default_rng(seed)
+    X, W, dY = rng.standard_normal((n, d)), rng.standard_normal((d, m)), rng.standard_normal((n, m))
+    _, dW, db = affine_backward(X, W, dY)
+    no_dX, dW2, db2 = affine_backward(X, W, dY, input_grad=False)
+    assert no_dX is None
+    assert np.array_equal(dW, dW2) and np.array_equal(db, db2)
+
+
+def test_affine_backward_without_input_grad_checks_shapes():
+    with pytest.raises(DimensionError):
+        affine_backward(np.ones((2, 3)), np.ones((4, 2)), np.ones((2, 2)), input_grad=False)
+    with pytest.raises(DimensionError):
+        affine_backward(np.ones((2, 3)), np.ones((3, 2)), np.ones((2, 5)), input_grad=False)
+
+
 # ---- relu ------------------------------------------------------------------
 
 def test_relu_values_and_zero_convention():

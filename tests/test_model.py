@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allab.errors import DimensionError, FormatError
+from allab.layers import affine_backward
 from allab.model import (
     MlpParams,
     ModelSpec,
@@ -145,6 +148,69 @@ def test_backward_feature_gradient_injection():
     for li in range(len(params.layers)):
         assert rel_err(grads[li][0], fd_grad(loss, params.layers[li][0])) <= 1e-5
         assert rel_err(grads[li][1], fd_grad(loss, params.layers[li][1])) <= 1e-5
+
+
+def full_backward_reference(params, cache, dlogits, dZ=None):
+    """Backward through every layer, input-layer dX included, as a plain chain rule."""
+    n_layers = len(params.layers)
+    grads = [None] * n_layers
+    upstream = np.asarray(dlogits, dtype=np.float64)
+    for i in range(n_layers, 0, -1):
+        W, _ = params.layers[i - 1]
+        if i < n_layers:
+            mask = cache.dropout_masks[i - 1]
+            if mask is not None:
+                upstream = upstream * mask
+            if dZ is not None and i == params.split_index:
+                upstream = upstream + dZ
+            upstream = np.where(cache.pre_activations[i - 1] > 0, upstream, 0.0)
+        upstream, dW, db = affine_backward(cache.inputs[i - 1], W, upstream)
+        grads[i - 1] = (dW, db)
+    return grads
+
+
+@st.composite
+def nets(draw):
+    """A small random MLP (any depth >= 2, any split, optional dropout) and a forward pass."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5))
+    split = draw(st.integers(1, len(sizes) - 2))
+    rate = draw(st.sampled_from([0.0, 0.3, 0.5]))
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**31))
+    params = init_mlp(sizes, split, rate, derive_rng(seed, "init"))
+    rng = derive_rng(seed, "data")
+    X = rng.standard_normal((n, sizes[0]))
+    Z, logits, cache = forward(params, X, train_mode=True, rng=derive_rng(seed, "dropout"))
+    return params, cache, rng.standard_normal(logits.shape), rng.standard_normal(Z.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=nets())
+def test_feature_only_backward_equals_zero_dlogits_backward(net):
+    params, cache, _, dZ = net
+    got = backward(params, cache, None, dZ=dZ)
+    want = full_backward_reference(params, cache, np.zeros_like(cache.pre_activations[-1]), dZ)
+    assert len(got) == params.split_index
+    for (dW, db), (dW_ref, db_ref) in zip(got, want):
+        assert np.array_equal(dW, dW_ref) and np.array_equal(db, db_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=nets(), with_dZ=st.booleans())
+def test_backward_without_input_dX_equals_full_chain_rule(net, with_dZ):
+    params, cache, dlogits, dZ = net
+    dZ = dZ if with_dZ else None
+    got = backward(params, cache, dlogits, dZ=dZ)
+    want = full_backward_reference(params, cache, dlogits, dZ)
+    for (dW, db), (dW_ref, db_ref) in zip(got, want, strict=True):
+        assert np.array_equal(dW, dW_ref) and np.array_equal(db, db_ref)
+
+
+def test_backward_needs_some_upstream_gradient():
+    params = small_net()
+    _, _, cache = forward(params, np.ones((2, 3)), train_mode=True)
+    with pytest.raises(ValueError):
+        backward(params, cache, None)
 
 
 # ---- snapshot / restore ----------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from allab.dataio import Dataset, synth_blobs
 from allab.errors import PoolError
 from allab.model import MlpParams, init_mlp, snapshot
-from allab.pool import check_partition, evaluate, init_pool, label_points
+from allab.pool import check_partition, evaluate, init_pool, label_points, pool_point_count
 from allab.seeding import derive_rng
 from allab.trainer import CheckpointSet
 
@@ -69,6 +69,17 @@ def test_init_pool_biased_start_honors_class_restriction():
     assert set(ds.labels[pool.labeled_idx].tolist()) <= {0, 2}
     # the unlabeled side keeps every class in play
     assert set(ds.labels[pool.unlabeled_idx].tolist()) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "n, fraction, pool_size, designated",
+    [(60, 0.2, None, None), (61, 0.25, None, None), (60, 0.2, 30, None),
+     (60, 0.2, 100, None), (60, 0.9, None, np.arange(45, 60)), (60, 0.2, 20, np.arange(45, 60))],
+)
+def test_pool_point_count_matches_init_pool(n, fraction, pool_size, designated):
+    ds = toy_dataset(n=n, designated=designated)
+    pool = init_pool(ds, 5, fraction, derive_rng(4), pool_size=pool_size)
+    assert pool_point_count(ds, fraction, pool_size) == len(pool.labeled_idx) + len(pool.unlabeled_idx)
 
 
 def test_init_pool_rejects_oversized_initial_count():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allab.dataio import synth_blobs
 from allab.errors import PoolError, TrainingDiverged
 from allab.layers import softmax_cross_entropy
+from allab.mmd import KernelSpec, median_heuristic, mmd2_biased_with_grad
 from allab.model import ModelSpec, backward, forward, init_mlp
 from allab.pool import PoolState
 from allab.seeding import derive_rng
@@ -219,6 +222,40 @@ def test_train_round_divergence_names_step():
         train_round(pool, ModelSpec((2, 8, 2)), cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_non_finite_ce():
+    pool = blob_pool()
+    pool.features = pool.features.copy()
+    pool.features[pool.labeled_idx] = np.inf  # NaN would not do: ReLU maps it to 0
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=0.01, seed=0)
+    with pytest.raises(TrainingDiverged, match=r"^non-finite CE at step 0 \(lr=0\.01\)$"):
+        train_round(pool, ModelSpec((2, 8, 2)), cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_non_finite_mmd_term():
+    # finite labeled rows, infinite unlabeled rows: only the pool batch is poisoned
+    pool = blob_pool()
+    pool.features = np.concatenate([pool.features, np.full((60, 2), np.inf)])
+    pool.labels = np.concatenate([pool.labels, np.zeros(60, dtype=pool.labels.dtype)])
+    pool.unlabeled_idx = np.arange(len(pool.features) - 60, len(pool.features))
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel=(1.0,), seed=0)
+    with pytest.raises(TrainingDiverged, match=r"^non-finite MMD\^2 term at step 0 \(lr=0\.001\)$"):
+        train_round(pool, ModelSpec((2, 8, 2)), cfg)
+
+
+def test_divergence_names_non_finite_gradient(monkeypatch):
+    import allab.trainer as trainer
+
+    def nan_backward(*args, **kwargs):
+        return [(np.full_like(dW, np.nan), db) for dW, db in backward(*args, **kwargs)]
+
+    monkeypatch.setattr(trainer, "backward", nan_backward)
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=0.0, seed=0)
+    with pytest.raises(TrainingDiverged, match=r"^non-finite gradient at step 0 \(lr=0\.001\)$"):
+        train_round(blob_pool(), ModelSpec((2, 8, 2)), cfg)
+
+
 def ce_only_reference(pool, sizes, cfg):
     """Independent plain-CE loop following the documented stream contract:
     batches for the labeled and pool draws are taken in that order from the
@@ -251,7 +288,77 @@ def test_lambda_zero_bit_identical_to_plain_ce():
     for (W, b), (Wr, br) in zip(final.layers, ref.layers):
         assert np.array_equal(W, Wr)
         assert np.array_equal(b, br)
-    assert all(np.isfinite(h.mean_mmd2) for h in history)  # logged although unused
+    assert all(h.mean_mmd2 == 0.0 for h in history)  # the term is off, so never evaluated
+
+
+def full_step_reference(pool, spec, cfg):
+    """The training loop that runs every step in full: pool-batch forward,
+    kernel and MMD^2 at any weight, and a pool-batch backward through the
+    head with zero logit gradient.  Returns the final and snapshot weights."""
+    rng_init = derive_rng(cfg.seed, "init")
+    rng_batch = derive_rng(cfg.seed, "batch")
+    rng_drop = derive_rng(cfg.seed, "dropout")
+    params = init_mlp(spec.layer_sizes, spec.split_index, spec.dropout_rate, rng_init)
+    labeled = np.asarray(pool.labeled_idx)
+    both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
+    spe = steps_per_epoch(len(labeled), cfg.batch_size)
+    snap_at = set(snapshot_steps(cfg.epochs, spe, cfg.n_checkpoints))
+    kernel, snaps = None, []
+    for step in range(cfg.epochs * spe):
+        lr = cyclic_lr(step, spe, cfg)
+        idx_l = rng_batch.choice(labeled, size=cfg.batch_size, replace=len(labeled) < cfg.batch_size)
+        idx_p = rng_batch.choice(both, size=cfg.batch_size, replace=len(both) < cfg.batch_size)
+        Z_l, logits, cache_l = forward(params, pool.features[idx_l], train_mode=True, rng=rng_drop)
+        Z_p, _, cache_p = forward(params, pool.features[idx_p], train_mode=True, rng=rng_drop)
+        if kernel is None:
+            kernel = KernelSpec.single(median_heuristic(Z_p))
+        _, _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
+        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
+        if cfg.mmd_weight > 0:
+            grads = backward(params, cache_l, dlogits, dZ=cfg.mmd_weight * dZ_l)
+            grads_p = backward(params, cache_p, np.zeros_like(logits), dZ=cfg.mmd_weight * dZ_p)
+            grads = [(dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)]
+        else:
+            grads = backward(params, cache_l, dlogits)
+        for (W, b), (dW, db) in zip(params.layers, grads):
+            W -= lr * (dW + cfg.weight_decay * W)
+            b -= lr * (db + cfg.weight_decay * b)
+        if step in snap_at:
+            snaps.append([(W.copy(), b.copy()) for W, b in params.layers])
+    return params.layers, snaps
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+    split_at=st.integers(0, 1),
+    rate=st.sampled_from([0.0, 0.3, 0.5]),
+    lam=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**31),
+)
+def test_trimmed_step_bit_identical_to_full_step(sizes, split_at, rate, lam, seed):
+    # covers lam 0 with dropout, where the pool-batch forward only advances
+    # the dropout stream, and lam > 0, where the pool backward stops at Z
+    rng = derive_rng(seed, "data")
+    d, C = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    spec = ModelSpec((d, *sizes, C), split_index=min(1 + split_at, len(sizes)), dropout_rate=rate)
+    n = 60
+    pool = PoolState(
+        features=rng.standard_normal((n, d)),
+        labels=rng.integers(0, C, size=n),
+        class_count=C,
+        labeled_idx=np.arange(0, 20),
+        unlabeled_idx=np.arange(20, 50),
+        test_idx=np.arange(50, 60),
+    )
+    cfg = TrainConfig(
+        epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam, n_checkpoints=2, seed=seed
+    )
+    final, traj, _ = train_round(pool, spec, cfg)
+    ref_final, ref_snaps = full_step_reference(pool, spec, cfg)
+    for got, want in zip([final.layers, *[s.layers for s in traj.snapshots]], [ref_final, *ref_snaps]):
+        for (W, b), (W_ref, b_ref) in zip(got, want, strict=True):
+            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
 
 
 def skewed_pool(seed, per_class=300, n_lab_per_class=32):
