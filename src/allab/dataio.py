@@ -138,10 +138,10 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 def load_csv(path, label_column: str = "last") -> Dataset:
     """Parse a rectangular CSV with a header row.
 
-    Feature cells must be numeric.  Label values (any strings) are mapped to
-    0..C-1 in first-appearance order; the mapping is kept on the dataset as
-    ``label_names``.  Row/column positions in error messages are 1-based, with
-    the header as row 1.
+    Feature cells must be finite numbers (``nan`` and ``inf`` are rejected).
+    Label values (any strings) are mapped to 0..C-1 in first-appearance
+    order; the mapping is kept on the dataset as ``label_names``.  Row/column
+    positions in error messages are 1-based, with the header as row 1.
     """
     try:
         with open(path, newline="") as f:
@@ -186,6 +186,13 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         labels[r - 2] = mapping[raw_label]
     if features.shape[0] == 0:
         raise FormatError(f"{path}: no data rows after the header")
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        i, j = (int(k) for k in bad[0])
+        raise FormatError(
+            f"{path}: row {i + 2}, column {feature_pos[j] + 1}: "
+            f"non-finite feature cell {rows[i + 1][feature_pos[j]]!r}"
+        )
 
     return Dataset(
         name=f"csv:{path}",

@@ -77,21 +77,28 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     raise ConfigError(f"unknown dataset kind {d.kind!r}")
 
 
-def build_pool(dataset: Dataset, cfg: ExperimentConfig, repeat_seed: int) -> PoolState:
+def _start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat_seed: int) -> PoolState:
+    """The repeat's starting partition, before any standardization."""
+    return init_pool(
+        dataset,
+        cfg.initial_count,
+        cfg.dataset.test_fraction,
+        derive_rng(repeat_seed),
+        pool_size=cfg.dataset.pool_size,
+        restrict_classes=cfg.bias_classes,
+    )
+
+
+def build_pool(
+    dataset: Dataset, cfg: ExperimentConfig, repeat_seed: int, start: PoolState | None = None
+) -> PoolState:
     """The starting partition for one repeat; identical for every method.
 
     Standardization statistics, when enabled, are fitted inside the partition
     (pool rows or initial labeled rows) so the test set never leaks into them.
+    ``start`` is the partition when it has already been drawn.
     """
-    rng = derive_rng(repeat_seed)
-    pool = init_pool(
-        dataset,
-        cfg.initial_count,
-        cfg.dataset.test_fraction,
-        rng,
-        pool_size=cfg.dataset.pool_size,
-        restrict_classes=cfg.bias_classes,
-    )
+    pool = _start_partition(dataset, cfg, repeat_seed) if start is None else start
     mode = cfg.dataset.standardize
     if mode == "none":
         return pool
@@ -122,6 +129,7 @@ def run_cell(
     repeat: int,
     progress=None,
     score_dir=None,
+    start: PoolState | None = None,
 ) -> list[RoundLog]:
     """All rounds of one (method, repeat) cell.
 
@@ -129,9 +137,10 @@ def run_cell(
     the held-out test set, and then (except after the last round) acquires
     ``budget`` new labels.  The trajectory method is scored and evaluated with
     the checkpoint average; every other method uses the final model.
+    ``start`` is the cell's starting partition, when already drawn.
     """
     repeat_seed = derive_int(cfg.master_seed, "pool", repeat)
-    pool = build_pool(dataset, cfg, repeat_seed)
+    pool = build_pool(dataset, cfg, repeat_seed, start)
     spec = _cell_model_spec(cfg, dataset, method)
     logs: list[RoundLog] = []
     for t in range(cfg.rounds):
@@ -194,13 +203,19 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, progress=None) -> list[
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     dataset = load_dataset(cfg)
+    # every cell's partition is drawn before any cell trains, so a pool too
+    # small for the config fails as a ConfigError up front
+    cells = [
+        (m, r, _start_partition(dataset, cfg, derive_int(cfg.master_seed, "pool", r)))
+        for m in cfg.methods
+        for r in range(cfg.repeats)
+    ]
     _check_budget(dataset, cfg)
     score_dir = Path(cfg.output_dir) if cfg.dump_scores else None
-    cells = [(m, r) for m in cfg.methods for r in range(cfg.repeats)]
 
     def run(cell):
-        method, repeat = cell
-        return run_cell(dataset, cfg, method, repeat, progress, score_dir)
+        method, repeat, start = cell
+        return run_cell(dataset, cfg, method, repeat, progress, score_dir, start)
 
     if jobs == 1:
         per_cell = [run(c) for c in cells]

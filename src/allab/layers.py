@@ -13,8 +13,6 @@ Gradient conventions:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import DimensionError
@@ -23,6 +21,7 @@ __all__ = [
     "affine_forward",
     "affine_backward",
     "relu",
+    "relu_backward",
     "softmax_cross_entropy",
     "dropout",
 ]
@@ -78,19 +77,22 @@ def affine_backward(
     return dX, dW, db
 
 
-def relu(X: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Elementwise max(0, x).
+def relu(X: np.ndarray) -> np.ndarray:
+    """Elementwise max(x, 0).
 
-    Returns (Y, backward) where backward maps upstream dY to dX, passing
-    gradient only where the input was strictly positive.
+    NaN passes through (max(NaN, 0) is NaN), so bad inputs stay visible
+    downstream instead of being zeroed.
     """
-    X = np.asarray(X, dtype=np.float64)
-    mask = X > 0
+    return np.maximum(X, 0.0)
 
-    def backward(dY: np.ndarray) -> np.ndarray:
-        return np.where(mask, np.asarray(dY, dtype=np.float64), 0.0)
 
-    return np.where(mask, X, 0.0), backward
+def relu_backward(X: np.ndarray, dY: np.ndarray) -> np.ndarray:
+    """Upstream gradient dY passed only where the input X was strictly positive.
+
+    Equal in value to ``np.where(X > 0, dY, 0.0)``; a blocked entry of
+    negative dY comes out as -0.0 rather than 0.0.
+    """
+    return dY * (X > 0)
 
 
 def softmax_cross_entropy(
@@ -120,9 +122,10 @@ def softmax_cross_entropy(
     log_probs = shifted - log_norm
     probs = np.exp(log_probs)
 
-    loss = float(-log_probs[np.arange(n), labels].mean())
+    rows = np.arange(n)
+    loss = float(-log_probs[rows, labels].mean())
     dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
     return loss, probs, dlogits
 

@@ -14,7 +14,9 @@ float rounding:
     mmd2(A, B) = mean(K_AA) - 2 mean(K_AB) + mean(K_BB)
 
 Gradients flow to both sample batches, since during training both are produced
-by the same feature extractor.
+by the same feature extractor.  ``mmd2_biased_with_grad``, the per-step call of
+the trainer, does one pass of kernels per bandwidth over distance matrices
+built from each batch's row norms, computed once.
 """
 
 from __future__ import annotations
@@ -73,18 +75,26 @@ def _check_batches(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, B
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at 0 against rounding."""
-    aa = (A * A).sum(axis=1)[:, None]
-    bb = (B * B).sum(axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (A @ B.T)
-    return np.maximum(d2, 0.0)
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    return (A * A).sum(axis=1)
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clipped at 0 against rounding.
+
+    ``aa`` and ``bb`` are the rows' squared norms (:func:`_sq_norms`).
+    """
+    d2 = aa[:, None] + bb[None, :]
+    cross = A @ B.T
+    cross *= 2.0
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel matrix K[i, j] = mean_sigma exp(-||A_i - B_j||^2 / (2 sigma^2))."""
     A, B = _check_batches(A, B)
-    d2 = _sq_dists(A, B)
+    d2 = _sq_dists(A, B, _sq_norms(A), _sq_norms(B))
     K = np.zeros_like(d2)
     for sigma in spec.bandwidths:
         K += np.exp(-d2 / (2.0 * sigma * sigma))
@@ -111,34 +121,42 @@ def _grad_terms(
                +(2 / (a b s^2)) (rowsum(K_AB)_p A_p - (K_AB @ B)_p)
 
     and symmetrically for B with K_AB transposed.  Multi-bandwidth kernels
-    average the per-bandwidth values and gradients.
+    average the per-bandwidth values and gradients, summed in bandwidth
+    order; a single bandwidth needs neither the running sums nor the average.
+    Each batch's row norms are computed once for all three distance matrices.
     """
     a, b = A.shape[0], B.shape[0]
-    d2_aa = _sq_dists(A, A)
-    d2_ab = _sq_dists(A, B)
-    d2_bb = _sq_dists(B, B)
+    norms_a, norms_b = _sq_norms(A), _sq_norms(B)
+    d2_aa = _sq_dists(A, A, norms_a, norms_a)
+    d2_ab = _sq_dists(A, B, norms_a, norms_b)
+    d2_bb = _sq_dists(B, B, norms_b, norms_b)
 
-    value = 0.0
-    dA = np.zeros_like(A)
-    dB = np.zeros_like(B)
-    for sigma in spec.bandwidths:
-        inv2s2 = 1.0 / (2.0 * sigma * sigma)
-        K_aa = np.exp(-d2_aa * inv2s2)
-        K_ab = np.exp(-d2_ab * inv2s2)
-        K_bb = np.exp(-d2_bb * inv2s2)
-        value += K_aa.mean() - 2.0 * K_ab.mean() + K_bb.mean()
+    for k, sigma in enumerate(spec.bandwidths):
+        neg_inv2s2 = -1.0 / (2.0 * sigma * sigma)
+        K_aa = np.exp(d2_aa * neg_inv2s2)
+        K_ab = np.exp(d2_ab * neg_inv2s2)
+        K_bb = np.exp(d2_bb * neg_inv2s2)
+        v = K_aa.mean() - 2.0 * K_ab.mean() + K_bb.mean()
 
         inv_s2 = 1.0 / (sigma * sigma)
         row_aa = K_aa.sum(axis=1)
         row_ab = K_ab.sum(axis=1)
         col_ab = K_ab.sum(axis=0)
         row_bb = K_bb.sum(axis=1)
-        dA += (-2.0 / (a * a) * inv_s2) * (row_aa[:, None] * A - K_aa @ A)
+        gA = (-2.0 / (a * a) * inv_s2) * (row_aa[:, None] * A - K_aa @ A)
+        gB = (-2.0 / (b * b) * inv_s2) * (row_bb[:, None] * B - K_bb @ B)
+        if k == 0:
+            value, dA, dB = v, gA, gB
+        else:
+            value += v
+            dA += gA
+            dB += gB
         dA += (2.0 / (a * b) * inv_s2) * (row_ab[:, None] * A - K_ab @ B)
-        dB += (-2.0 / (b * b) * inv_s2) * (row_bb[:, None] * B - K_bb @ B)
         dB += (2.0 / (a * b) * inv_s2) * (col_ab[:, None] * B - K_ab.T @ A)
 
-    m = float(len(spec.bandwidths))
+    m = len(spec.bandwidths)
+    if m == 1:
+        return value, dA, dB
     return value / m, dA / m, dB / m
 
 
@@ -172,7 +190,8 @@ def median_heuristic(Z: np.ndarray) -> float:
     n = Z.shape[0]
     if n < 2:
         return 1.0
-    d2 = _sq_dists(Z, Z)
+    norms = _sq_norms(Z)
+    d2 = _sq_dists(Z, Z, norms, norms)
     iu = np.triu_indices(n, k=1)
     med = float(np.median(np.sqrt(d2[iu])))
     if med <= 0.0:

@@ -6,6 +6,12 @@ features Z are the post-ReLU activations after that layer (captured before any
 dropout).  Dropout, when enabled, is applied after each hidden activation in
 train mode only; eval mode is fully deterministic.
 
+The hidden activations are ``layers.relu`` and its gradient
+``layers.relu_backward``, the same pair the gradient audit checks.  ReLU is
+max(x, 0), so a NaN feature stays NaN through the network and shows up as a
+non-finite loss; it is not zeroed away.  Data files are checked for
+non-finite cells when they are loaded.
+
 Parameter snapshots are deep, read-only copies, so trajectory checkpoints are
 never affected by later training steps.
 """
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .layers import affine_backward, affine_forward, dropout
+from .layers import affine_backward, affine_forward, dropout, relu, relu_backward
 
 __all__ = [
     "ModelSpec",
@@ -144,7 +150,7 @@ def forward(
             logits = pre
             break
         cache.pre_activations.append(pre)
-        h = np.where(pre > 0, pre, 0.0)
+        h = relu(pre)
         if i == params.split_index:
             Z = h
         h, mask = dropout(h, params.dropout_rate, rng=rng, train_mode=train_mode)
@@ -186,8 +192,7 @@ def backward(
                 upstream = upstream * mask
             if dZ is not None and i == params.split_index:
                 upstream = dZ if upstream is None else upstream + dZ
-            pre = cache.pre_activations[i - 1]
-            upstream = np.where(pre > 0, upstream, 0.0)
+            upstream = relu_backward(cache.pre_activations[i - 1], upstream)
         dX, dW, db = affine_backward(cache.inputs[i - 1], W, upstream, input_grad=i > 1)
         grads[i - 1] = (dW, db)
         upstream = dX

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PoolError
+from .errors import ConfigError, PoolError
 from .model import MlpParams, predict_proba
 from .trainer import CheckpointSet
 
@@ -53,6 +53,10 @@ def init_pool(
     subsampled to ``pool_size``, then ``initial_count`` points are drawn
     uniformly (unstratified) as the initial labeled set.  ``restrict_classes``
     limits that initial draw to the given class ids (biased-start mode).
+
+    A split that leaves no test set or no pool, or fewer eligible pool points
+    than ``initial_count``, is a :class:`ConfigError` naming the config field
+    (``$.dataset.test_fraction`` or ``$.initial_count``).
     """
     n = dataset.features.shape[0]
     all_idx = np.arange(n)
@@ -62,7 +66,10 @@ def init_pool(
     else:
         n_test = int(round(n * test_fraction))
         if not 0 < n_test < n:
-            raise ValueError(f"test_fraction {test_fraction} leaves no pool or no test set")
+            raise ConfigError(
+                f"$.dataset.test_fraction: {test_fraction} of {n} points holds out "
+                f"{n_test}, which leaves no pool or no test set"
+            )
         test_idx = np.sort(rng.choice(all_idx, size=n_test, replace=False))
         pool_idx = np.setdiff1d(all_idx, test_idx)
 
@@ -74,8 +81,8 @@ def init_pool(
         allowed = set(int(c) for c in restrict_classes)
         candidates = pool_idx[np.isin(dataset.labels[pool_idx], sorted(allowed))]
     if initial_count > len(candidates):
-        raise ValueError(
-            f"initial_count {initial_count} exceeds the {len(candidates)} eligible pool points"
+        raise ConfigError(
+            f"$.initial_count: {initial_count} exceeds the {len(candidates)} eligible pool points"
         )
     labeled = np.sort(rng.choice(candidates, size=initial_count, replace=False))
     unlabeled = np.setdiff1d(pool_idx, labeled)

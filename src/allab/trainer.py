@@ -14,8 +14,9 @@ the last step of every run.
 
 RNG-consumption contract (what a bit-identical reference must reproduce):
 per step, first the labeled-batch indices are drawn, then the pool-batch
-indices, each as one ``choice`` call from the "batch" stream; the pool batch
-is drawn even when ``mmd_weight`` is 0.  Dropout masks, when the model has a
+indices, each from the "batch" stream exactly as
+``rng.choice(indices, batch_size, replace=len(indices) < batch_size)`` draws
+it; the pool batch is drawn even when ``mmd_weight`` is 0.  Dropout masks, when the model has a
 positive rate, come from the separate "dropout" stream, one draw per hidden
 layer per forward pass, labeled batch first.  Parameter initialization uses
 the "init" stream.  All three streams derive from ``TrainConfig.seed``.
@@ -53,6 +54,7 @@ __all__ = [
     "TrainConfig",
     "CheckpointSet",
     "EpochStats",
+    "lr_schedule",
     "cyclic_lr",
     "cycle_bounds",
     "snapshot_steps",
@@ -160,25 +162,32 @@ def snapshot_steps(epochs: int, spe: int, n_checkpoints: int) -> list[int]:
     return [end - 1 for _, end in cycle_bounds(epochs, spe, n_checkpoints)]
 
 
-def cyclic_lr(step: int, spe: int, config: TrainConfig) -> float:
-    """Learning rate at a given 0-based global step.
+def lr_schedule(spe: int, config: TrainConfig) -> list[float]:
+    """Learning rate at every 0-based global step of a round.
 
     Constant ``base_lr`` through the first half of the epochs; in the second
     half, linear decay from ``base_lr`` to ``base_lr * lr_floor_ratio`` within
-    each cycle, resetting at each cycle start.
+    each cycle, resetting at each cycle start.  A one-step cycle sits at the
+    floor.
     """
-    half = (config.epochs // 2) * spe
-    if step < half:
-        return config.base_lr
-    floor = config.base_lr * config.lr_floor_ratio
+    base = config.base_lr
+    floor = base * config.lr_floor_ratio
+    rates = [base] * ((config.epochs // 2) * spe)
     for start, end in cycle_bounds(config.epochs, spe, config.n_checkpoints):
-        if start <= step < end:
-            length = end - start
-            if length == 1:
-                return floor
-            frac = (step - start) / (length - 1)
-            return config.base_lr + (floor - config.base_lr) * frac
-    raise ValueError(f"step {step} beyond the schedule ({config.epochs} epochs x {spe} steps)")
+        length = end - start
+        if length == 1:
+            rates.append(floor)
+        else:
+            rates.extend(base + (floor - base) * (k / (length - 1)) for k in range(length))
+    return rates
+
+
+def cyclic_lr(step: int, spe: int, config: TrainConfig) -> float:
+    """The :func:`lr_schedule` rate at one step."""
+    rates = lr_schedule(spe, config)
+    if not 0 <= step < len(rates):
+        raise ValueError(f"step {step} beyond the schedule ({config.epochs} epochs x {spe} steps)")
+    return rates[step]
 
 
 def sgd_step(
@@ -199,8 +208,13 @@ def sgd_step(
 
 
 def _draw(rng: np.random.Generator, indices: np.ndarray, batch_size: int) -> np.ndarray:
-    replace = len(indices) < batch_size
-    return rng.choice(indices, size=batch_size, replace=replace)
+    """The draw ``rng.choice(indices, batch_size, replace=len(indices) < batch_size)``
+    makes, without its per-call conversion of ``indices``: the same indices from
+    the same consumption of the stream."""
+    n = len(indices)
+    if n < batch_size:
+        return indices[rng.integers(0, n, batch_size)]
+    return indices[rng.choice(n, batch_size, replace=False)]
 
 
 def _resolve_kernel(config: TrainConfig, first_pool_features: np.ndarray) -> KernelSpec:
@@ -241,7 +255,7 @@ def train_round(
     )
 
     spe = steps_per_epoch(len(labeled), config.batch_size)
-    total_steps = config.epochs * spe
+    rates = lr_schedule(spe, config)
     snap_at = set(snapshot_steps(config.epochs, spe, config.n_checkpoints))
 
     kernel: KernelSpec | None = None
@@ -251,53 +265,49 @@ def train_round(
     history: list[EpochStats] = []
     writer = _HistoryWriter(history_csv)
     ce_sum = mmd_sum = 0.0
-    last_lr = config.base_lr
+    try:
+        for step, lr in enumerate(rates):
+            idx_l = _draw(rng_batch, labeled, config.batch_size)
+            idx_p = _draw(rng_batch, both, config.batch_size)
 
-    for step in range(total_steps):
-        lr = cyclic_lr(step, spe, config)
-        idx_l = _draw(rng_batch, labeled, config.batch_size)
-        idx_p = _draw(rng_batch, both, config.batch_size)
+            Z_l, logits, cache_l = forward(params, features[idx_l], train_mode=True, rng=rng_drop)
+            if lam > 0 or model_spec.dropout_rate > 0:  # at lam 0: keeps the dropout stream in step
+                Z_p, _, cache_p = forward(params, features[idx_p], train_mode=True, rng=rng_drop)
+            ce, _, dlogits = softmax_cross_entropy(logits, labels[idx_l])
+            if not np.isfinite(ce):
+                raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
-        Z_l, logits, cache_l = forward(params, features[idx_l], train_mode=True, rng=rng_drop)
-        if lam > 0 or model_spec.dropout_rate > 0:  # at lam 0: keeps the dropout stream in step
-            Z_p, _, cache_p = forward(params, features[idx_p], train_mode=True, rng=rng_drop)
-        ce, _, dlogits = softmax_cross_entropy(logits, labels[idx_l])
-        if not np.isfinite(ce):
-            raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
+            if lam > 0:
+                if kernel is None:
+                    kernel = _resolve_kernel(config, Z_p)
+                m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
+                if not np.isfinite(lam * m2):
+                    raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
+                grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
+                grads_p = backward(params, cache_p, None, dZ=lam * dZ_p)
+                grads[: len(grads_p)] = [
+                    (dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)
+                ]
+            else:
+                m2 = 0.0
+                grads = backward(params, cache_l, dlogits)
 
-        if lam > 0:
-            if kernel is None:
-                kernel = _resolve_kernel(config, Z_p)
-            m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
-            if not np.isfinite(lam * m2):
-                raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
-            grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
-            grads_p = backward(params, cache_p, None, dZ=lam * dZ_p)
-            grads[: len(grads_p)] = [
-                (dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)
-            ]
-        else:
-            m2 = 0.0
-            grads = backward(params, cache_l, dlogits)
+            try:
+                params = sgd_step(params, grads, lr, config.weight_decay)
+            except TrainingDiverged:
+                raise TrainingDiverged(f"non-finite gradient at step {step} (lr={lr:g})") from None
+            if step in snap_at:
+                snaps.append(snapshot(params))
 
-        try:
-            params = sgd_step(params, grads, lr, config.weight_decay)
-        except TrainingDiverged:
-            raise TrainingDiverged(f"non-finite gradient at step {step} (lr={lr:g})") from None
-        if step in snap_at:
-            snaps.append(snapshot(params))
-
-        ce_sum += ce
-        mmd_sum += m2
-        last_lr = lr
-        if (step + 1) % spe == 0:
-            epoch = step // spe
-            stats = EpochStats(epoch, ce_sum / spe, mmd_sum / spe, last_lr)
-            history.append(stats)
-            writer.write(stats)
-            ce_sum = mmd_sum = 0.0
-
-    writer.close()
+            ce_sum += ce
+            mmd_sum += m2
+            if (step + 1) % spe == 0:
+                stats = EpochStats(step // spe, ce_sum / spe, mmd_sum / spe, lr)
+                history.append(stats)
+                writer.write(stats)
+                ce_sum = mmd_sum = 0.0
+    finally:
+        writer.close()
     return params, CheckpointSet(tuple(snaps)), history
 
 

@@ -134,6 +134,83 @@ def test_run_budget_exhausting_pool_exits_2_before_training(tmp_path, capsys):
     assert not (tmp_path / "results" / "results.csv").exists()
 
 
+def test_run_non_finite_csv_cell_exits_3(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    rows = [f"{i}.5,{'inf' if i == 7 else 1.0},{i % 2}" for i in range(40)]
+    data.write_text("\n".join(["x1,x2,y", *rows]) + "\n")
+    cfg = write_config(tmp_path, dataset={"kind": "csv", "path": str(data)}, repeats=1)
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "row 9, column 2: non-finite feature cell 'inf'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def forbid_training(monkeypatch):
+    import allab.experiment
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(allab.experiment, "train_round", no_training)
+
+
+@pytest.mark.parametrize(
+    "over, field",
+    [
+        # 2 x 20 blobs, 8 held out: class 0 keeps fewer than 20 pool points
+        ({"bias_classes": [0], "initial_count": 20}, "$.initial_count:"),
+        ({"dataset": {"kind": "synthetic", "class_count": 2, "per_class": 20, "dim": 2,
+                      "separation": 8.0, "test_fraction": 0.001}}, "$.dataset.test_fraction:"),
+    ],
+)
+def test_run_pool_too_small_exits_2_before_training(tmp_path, capsys, forbid_training, over, field):
+    doc = {
+        "dataset": {"kind": "synthetic", "class_count": 2, "per_class": 20, "dim": 2, "separation": 8.0},
+        "repeats": 1,
+        **over,
+    }
+    assert main(["run", "--config", str(write_config(tmp_path, **doc))]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}" in captured.err
+    assert "unexpected error" not in captured.err
+    assert not (tmp_path / "results" / "results.csv").exists()
+
+
+def test_run_pool_too_small_in_a_later_repeat_exits_2_before_training(tmp_path, capsys, forbid_training):
+    # class 0 keeps 20 minus its share of the 8 random test points, so
+    # initial_count 16 fits some repeats and not others; find a master seed
+    # whose first repeat fits and whose second does not
+    import allab.experiment
+    from allab.config import parse_config
+    from allab.errors import ConfigError
+    from allab.seeding import derive_int
+
+    over = {
+        "dataset": {"kind": "synthetic", "class_count": 2, "per_class": 20, "dim": 2, "separation": 8.0},
+        "bias_classes": [0],
+        "initial_count": 16,
+        "budget": 1,
+        "repeats": 2,
+    }
+
+    def fits(cfg, dataset, repeat):
+        try:
+            allab.experiment.build_pool(dataset, cfg, derive_int(cfg.master_seed, "pool", repeat))
+            return True
+        except ConfigError:
+            return False
+
+    for seed in range(100):
+        path = write_config(tmp_path, master_seed=seed, **over)
+        cfg = parse_config(path)
+        dataset = allab.experiment.load_dataset(cfg)
+        if fits(cfg, dataset, 0) and not fits(cfg, dataset, 1):
+            break
+    else:
+        pytest.fail("no seed splits the repeats")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error: $.initial_count: 16 exceeds" in capsys.readouterr().err
+
+
 def test_run_pool_error_exits_5(tmp_path, capsys, monkeypatch):
     import allab.cli
     from allab.errors import PoolError

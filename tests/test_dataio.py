@@ -185,6 +185,15 @@ def test_csv_non_numeric_cell_position(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_csv_non_finite_cell_position(tmp_path, cell):
+    # label first, so the reported column is the file's, not the feature index
+    p = tmp_path / "t.csv"
+    p.write_text(f"y,x1,x2\na,1.0,2.0\nb,3.0,{cell}\n")
+    with pytest.raises(FormatError, match=rf"t\.csv: row 3, column 3: non-finite feature cell '{cell}'"):
+        load_csv(p, label_column="y")
+
+
 # ---- synth_blobs -----------------------------------------------------------
 
 def test_blobs_same_seed_identical():

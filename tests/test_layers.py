@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from allab.errors import DimensionError
-from allab.layers import affine_backward, affine_forward, dropout, relu, softmax_cross_entropy
+from allab.layers import (
+    affine_backward,
+    affine_forward,
+    dropout,
+    relu,
+    relu_backward,
+    softmax_cross_entropy,
+)
 
 
 def fd_grad(f, x, h=1e-6):
@@ -124,15 +132,52 @@ def test_affine_backward_without_input_grad_checks_shapes():
 # ---- relu ------------------------------------------------------------------
 
 def test_relu_values_and_zero_convention():
-    Y, back = relu(np.array([[-1.0, 0.0, 2.0]]))
-    assert np.array_equal(Y, [[0.0, 0.0, 2.0]])
-    assert np.array_equal(back(np.array([[1.0, 1.0, 1.0]])), [[0.0, 0.0, 1.0]])
+    X = np.array([[-1.0, 0.0, 2.0]])
+    assert np.array_equal(relu(X), [[0.0, 0.0, 2.0]])
+    assert np.array_equal(relu_backward(X, np.array([[1.0, 1.0, 1.0]])), [[0.0, 0.0, 1.0]])
 
 
 def test_relu_all_negative():
-    Y, back = relu(np.full((2, 3), -4.0))
-    assert not Y.any()
-    assert not back(np.ones((2, 3))).any()
+    X = np.full((2, 3), -4.0)
+    assert not relu(X).any()
+    assert not relu_backward(X, np.ones((2, 3))).any()
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+relu_inputs = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(max_dims=2, max_side=12),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(X=relu_inputs, seed=st.integers(0, 2**31))
+def test_relu_bit_identical_to_where_form(X, seed):
+    # forward: every bit as np.where(X > 0, X, 0.0), -0.0 and exact 0 included
+    assert np.array_equal(bits(relu(X)), bits(np.where(X > 0, X, 0.0)))
+    # backward: finite upstream gives the same values; a blocked entry of a
+    # negative upstream is -0.0 where np.where wrote 0.0, so compare zeros by value
+    rng = np.random.default_rng(seed)
+    dY = rng.standard_normal(X.shape) * 10.0 ** rng.integers(-300, 300, X.shape)
+    dY[rng.random(X.shape) < 0.2] = -0.0
+    got, want = relu_backward(X, dY), np.where(X > 0, dY, 0.0)
+    assert np.array_equal(got, want)
+    nonzero = want != 0
+    assert np.array_equal(bits(got[nonzero]), bits(want[nonzero]))
+
+
+def test_relu_passes_nan_through():
+    # max(NaN, 0) is NaN, so bad data is not silently zeroed on the way to the loss
+    X = np.array([[np.nan, -1.0, 2.0]])
+    assert np.isnan(relu(X)[0, 0])
+    assert np.array_equal(relu(X)[0, 1:], [0.0, 2.0])
 
 
 # ---- softmax cross-entropy -------------------------------------------------

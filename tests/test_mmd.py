@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from allab.errors import DimensionError
 from allab.mmd import (
     KernelSpec,
+    _grad_terms,
     median_heuristic,
     mmd2_biased,
     mmd2_biased_with_grad,
@@ -195,6 +196,70 @@ def test_value_with_grad_consistent():
     assert val == pytest.approx(mmd2_biased(A, B, spec), abs=1e-15)
     dA2, dB2 = mmd2_grad(A, B, spec)
     assert np.array_equal(dA, dA2) and np.array_equal(dB, dB2)
+
+
+def old_sq_dists(A, B):
+    """The distance computation before norms were shared (kept as the reference)."""
+    aa = (A * A).sum(axis=1)[:, None]
+    bb = (B * B).sum(axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
+
+
+def old_grad_terms(A, B, spec):
+    """``_grad_terms`` as it was before its passes were trimmed."""
+    a, b = A.shape[0], B.shape[0]
+    d2_aa, d2_ab, d2_bb = old_sq_dists(A, A), old_sq_dists(A, B), old_sq_dists(B, B)
+    value, dA, dB = 0.0, np.zeros_like(A), np.zeros_like(B)
+    for sigma in spec.bandwidths:
+        inv2s2 = 1.0 / (2.0 * sigma * sigma)
+        K_aa = np.exp(-d2_aa * inv2s2)
+        K_ab = np.exp(-d2_ab * inv2s2)
+        K_bb = np.exp(-d2_bb * inv2s2)
+        value += K_aa.mean() - 2.0 * K_ab.mean() + K_bb.mean()
+        inv_s2 = 1.0 / (sigma * sigma)
+        row_aa, row_ab = K_aa.sum(axis=1), K_ab.sum(axis=1)
+        col_ab, row_bb = K_ab.sum(axis=0), K_bb.sum(axis=1)
+        dA += (-2.0 / (a * a) * inv_s2) * (row_aa[:, None] * A - K_aa @ A)
+        dA += (2.0 / (a * b) * inv_s2) * (row_ab[:, None] * A - K_ab @ B)
+        dB += (-2.0 / (b * b) * inv_s2) * (row_bb[:, None] * B - K_bb @ B)
+        dB += (2.0 / (a * b) * inv_s2) * (col_ab[:, None] * B - K_ab.T @ A)
+    m = float(len(spec.bandwidths))
+    return value / m, dA / m, dB / m
+
+
+def same_bits(x, y):
+    """Bit-for-bit equality, except that a zero may differ in sign: the old
+    code started its sums from +0.0, which turns an all-zero -0.0 sum into
+    +0.0.  Adding 0.0 maps -0.0 to +0.0 and leaves every other value as is."""
+    x = np.asarray(x, dtype=np.float64) + 0.0
+    y = np.asarray(y, dtype=np.float64) + 0.0
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.integers(1, 70),
+    b=st.integers(1, 70),
+    d=st.integers(1, 9),
+    relu_like=st.booleans(),
+    sigma=st.floats(0.05, 20.0),
+    three=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_grad_terms_bit_identical_to_untrimmed(a, b, d, relu_like, sigma, three, seed):
+    # unequal batch sizes, 1 or 3 bandwidths; relu_like batches carry the exact
+    # zeros (dead units, -0.0 pre-activations clipped) that feature batches have
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((a, d)) * rng.uniform(0.1, 3.0)
+    B = rng.standard_normal((b, d)) + rng.uniform(-1.0, 1.0)
+    if relu_like:
+        A, B = np.maximum(A, 0.0), np.maximum(B, 0.0)
+        A[:, rng.random(d) < 0.3] = 0.0
+        B[rng.random(B.shape) < 0.1] = -0.0
+    spec = KernelSpec.around(sigma) if three else KernelSpec.single(sigma)
+    got, want = _grad_terms(A, B, spec), old_grad_terms(A, B, spec)
+    for g, w in zip(got, want, strict=True):
+        assert same_bits(g, w)
 
 
 # ---- median heuristic ------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from allab.dataio import Dataset, synth_blobs
-from allab.errors import PoolError
+from allab.errors import ConfigError, PoolError
 from allab.model import MlpParams, init_mlp, snapshot
 from allab.pool import check_partition, evaluate, init_pool, label_points, pool_point_count
 from allab.seeding import derive_rng
@@ -84,15 +84,15 @@ def test_pool_point_count_matches_init_pool(n, fraction, pool_size, designated):
 
 def test_init_pool_rejects_oversized_initial_count():
     ds = toy_dataset(n=20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^\$\.initial_count: 17 exceeds the 16 eligible"):
         init_pool(ds, 17, 0.2, derive_rng(8))  # only 16 non-test points
 
 
 def test_init_pool_rejects_degenerate_fraction():
     ds = toy_dataset(n=20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^\$\.dataset\.test_fraction: 0\.0 of 20 points"):
         init_pool(ds, 1, 0.0, derive_rng(9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^\$\.dataset\.test_fraction: 1\.0 of 20 points"):
         init_pool(ds, 1, 1.0, derive_rng(9))
 
 

@@ -1,5 +1,8 @@
 """Schedule arithmetic, SGD semantics, and the training-loop RNG contract."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,9 @@ from allab.trainer import (
     CheckpointSet,
     TrainConfig,
     cycle_bounds,
+    _draw,
     cyclic_lr,
+    lr_schedule,
     sgd_step,
     snapshot_steps,
     steps_per_epoch,
@@ -134,6 +139,58 @@ def test_cyclic_lr_rejects_steps_beyond_schedule():
         cyclic_lr(100, 1, cfg)
 
 
+def old_cyclic_lr(step, spe, config):
+    """The per-step rate as it was computed before the round-wide table."""
+    half = (config.epochs // 2) * spe
+    if step < half:
+        return config.base_lr
+    floor = config.base_lr * config.lr_floor_ratio
+    for start, end in cycle_bounds(config.epochs, spe, config.n_checkpoints):
+        if start <= step < end:
+            length = end - start
+            if length == 1:
+                return floor
+            frac = (step - start) / (length - 1)
+            return config.base_lr + (floor - config.base_lr) * frac
+    raise ValueError(step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half_epochs=st.integers(1, 12),
+    spe=st.integers(1, 9),
+    n_checkpoints=st.integers(1, 12),
+    base_lr=st.floats(1e-6, 10.0),
+    floor_ratio=st.floats(1e-3, 1.0),
+)
+def test_lr_schedule_bit_identical_to_per_step_rate(half_epochs, spe, n_checkpoints, base_lr, floor_ratio):
+    epochs = 2 * max(half_epochs, n_checkpoints)
+    cfg = TrainConfig(
+        epochs=epochs, base_lr=base_lr, n_checkpoints=n_checkpoints, lr_floor_ratio=floor_ratio
+    )
+    rates = lr_schedule(spe, cfg)
+    assert len(rates) == epochs * spe
+    for step, lr in enumerate(rates):
+        assert lr == old_cyclic_lr(step, spe, cfg)
+        assert cyclic_lr(step, spe, cfg) == lr
+
+
+@pytest.mark.parametrize(
+    "n, batch",
+    [(1, 2), (5, 64), (63, 64), (64, 64), (65, 64), (500, 32), (10_001, 64), (25_000, 128)],
+)
+def test_draw_matches_choice_and_stream(n, batch):
+    # n < batch draws with replacement; numpy switches its no-replacement
+    # algorithm above 10,000 points
+    indices = np.sort(derive_rng(n, "idx").choice(10 * n, size=n, replace=False))
+    rng_a, rng_b = derive_rng(7, n), derive_rng(7, n)
+    for _ in range(5):
+        want = rng_a.choice(indices, size=batch, replace=n < batch)
+        got = _draw(rng_b, indices, batch)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()  # same stream position afterwards
+
+
 # ---- sgd -------------------------------------------------------------------
 
 def scalar_params(theta):
@@ -226,10 +283,11 @@ def test_train_round_divergence_names_step():
 def test_divergence_names_non_finite_ce():
     pool = blob_pool()
     pool.features = pool.features.copy()
-    pool.features[pool.labeled_idx] = np.inf  # NaN would not do: ReLU maps it to 0
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=0.01, seed=0)
-    with pytest.raises(TrainingDiverged, match=r"^non-finite CE at step 0 \(lr=0\.01\)$"):
-        train_round(pool, ModelSpec((2, 8, 2)), cfg)
+    for bad in (np.inf, np.nan):  # ReLU passes NaN through, so both reach the loss
+        pool.features[pool.labeled_idx] = bad
+        with pytest.raises(TrainingDiverged, match=r"^non-finite CE at step 0 \(lr=0\.01\)$"):
+            train_round(pool, ModelSpec((2, 8, 2)), cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -409,6 +467,19 @@ def test_history_csv_stream(tmp_path):
     other = tmp_path / "again.csv"
     write_history_csv(history, other)
     assert other.read_text() == path.read_text()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_history_csv_closed_when_round_diverges(tmp_path):
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=1e12, seed=0)
+    path = tmp_path / "history.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(TrainingDiverged):
+            train_round(blob_pool(), ModelSpec((2, 8, 2)), cfg, history_csv=path)
+        gc.collect()  # an unclosed file warns when its frames are collected
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+    assert path.read_text().startswith("epoch,mean_ce,mean_mmd2,lr\n")
 
 
 def test_median_kernel_frozen_at_first_batch():
