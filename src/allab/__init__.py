@@ -1,49 +1,12 @@
 """Pool-based active learning with kernel-regularized training and
 checkpoint-trajectory uncertainty.
 
-The package splits into a small numeric core (``layers``, ``mmd``, ``model``,
-``trainer``), acquisition strategies (``acquisition``), dataset plumbing
-(``dataio``, ``pool``), and the experiment harness (``config``, ``experiment``,
-``cli``).  Everything random flows through ``seeding``.
+The package splits into a core (``errors``, ``seeding``, ``layers``, ``mmd``,
+``dataio``, ``model``, ``trainer``, ``pool``), the acquisition strategies and
+method table (``acquisition``), and the experiment harness (``config``,
+``experiment``, ``gradcheck``, ``cli``).  Imports point one way, core ->
+acquisition -> harness.  Everything random flows through ``seeding``.  Import
+names from their modules; the package root re-exports nothing.
 """
-
-from .acquisition import (
-    METHODS,
-    AcquisitionResult,
-    acquire,
-    avg_predict,
-    bald_acquire,
-    coreset_acquire,
-    entropy_acquire,
-    entropy_scores,
-    mpts_acquire,
-    random_acquire,
-    select_top_k,
-)
-from .config import DatasetConfig, ExperimentConfig, ModelConfig, parse_config
-from .dataio import Dataset, load_csv, load_mnist, load_mnist_idx, standardize, synth_blobs
-from .errors import (
-    ConfigError,
-    DimensionError,
-    FormatError,
-    PoolError,
-    TrainingDiverged,
-)
-from .experiment import RoundLog, run_experiment, write_results_csv, write_results_json
-from .gradcheck import run_gradcheck
-from .mmd import KernelSpec, median_heuristic, mmd2_biased, mmd2_biased_with_grad, mmd2_grad
-from .model import (
-    MlpParams,
-    ModelSpec,
-    forward,
-    backward,
-    init_mlp,
-    load_params,
-    predict_proba,
-    save_params,
-)
-from .pool import PoolState, evaluate, init_pool, label_points
-from .seeding import derive_int, derive_rng, derive_seed_words
-from .trainer import CheckpointSet, TrainConfig, train_round
 
 __version__ = "0.1.0"

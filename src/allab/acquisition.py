@@ -1,4 +1,4 @@
-"""Scoring and selection of unlabeled examples.
+"""Scoring and selection of unlabeled examples, and the method table.
 
 Methods:
     mpts     - entropy of the trajectory-averaged prediction (the package's
@@ -9,23 +9,26 @@ Methods:
                estimated from T stochastic forward passes
     coreset  - greedy k-center in the final model's feature space
 
+``METHODS`` maps each name to its :class:`Method`: how it trains, what it is
+evaluated with, and how it picks.  It is the one place per-method rules live.
+
 All entropies are in nats.  Selection is pure top-k on the scores; ties break
 toward the lower pool index.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoolError
-from .model import MlpParams, forward, predict_proba, restore
-from .trainer import CheckpointSet
+from .layers import softmax
+from .model import CheckpointSet, MlpParams, avg_predict, forward, predict_proba
 
 __all__ = [
     "AcquisitionResult",
-    "avg_predict",
     "entropy_scores",
     "select_top_k",
     "mpts_acquire",
@@ -34,6 +37,7 @@ __all__ = [
     "bald_acquire",
     "coreset_acquire",
     "acquire",
+    "Method",
     "METHODS",
 ]
 
@@ -50,17 +54,6 @@ class AcquisitionResult:
     method: str
     scores: np.ndarray
     selected: np.ndarray
-
-
-def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
-    """Mean class probabilities over every checkpoint in the trajectory."""
-    if len(trajectory) == 0:
-        raise ValueError("empty trajectory")
-    acc = None
-    for snap in trajectory.snapshots:
-        P = predict_proba(restore(snap), X)
-        acc = P if acc is None else acc + P
-    return acc / len(trajectory)
 
 
 def entropy_scores(P: np.ndarray) -> np.ndarray:
@@ -136,13 +129,11 @@ def bald_acquire(
         raise ValueError(f"bald_acquire needs at least 2 passes, got {passes}")
     unlabeled = _require_unlabeled(pool)
     X = pool.features[unlabeled]
-    stack = np.empty((passes, len(unlabeled), final.layers[-1][0].shape[1]))
+    probs = []
     for t in range(passes):
         _, logits, _ = forward(final, X, train_mode=True, rng=rng)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        stack[t] = e / e.sum(axis=1, keepdims=True)
-    scores = bald_scores_from_probs(stack)
+        probs.append(softmax(logits))
+    scores = bald_scores_from_probs(np.stack(probs))
     picks = select_top_k(scores, budget)
     return AcquisitionResult("bald", scores, unlabeled[picks])
 
@@ -192,7 +183,33 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
     return AcquisitionResult("coreset", np.array(pick_dists), unlabeled[np.array(picked_pos)])
 
 
-METHODS = ("mpts", "random", "entropy", "bald", "coreset")
+@dataclass(frozen=True)
+class Method:
+    """The per-method rules of one experiment cell.
+
+    ``trains_with_mmd``: trains with the configured MMD^2 weight; otherwise
+    the weight is 0.  ``bald_dropout``: the model carries the configured
+    ``bald_dropout`` rate; otherwise it has no dropout.  ``on_trajectory``:
+    evaluated (and, through ``pick``, scored) with the checkpoint average
+    instead of the final model.  ``pick(pool, budget, final, trajectory, rng,
+    bald_passes)`` makes one round's acquisition.
+    """
+
+    trains_with_mmd: bool
+    bald_dropout: bool
+    on_trajectory: bool
+    pick: Callable[..., AcquisitionResult]
+
+
+METHODS: dict[str, Method] = {
+    # name: Method(trains_with_mmd, bald_dropout, on_trajectory,
+    #              pick(pool, budget, final, trajectory, rng, bald_passes))
+    "mpts": Method(True, False, True, lambda p, k, f, traj, rng, T: mpts_acquire(traj, p, k)),
+    "random": Method(False, False, False, lambda p, k, f, traj, rng, T: random_acquire(p, k, rng)),
+    "entropy": Method(False, False, False, lambda p, k, f, traj, rng, T: entropy_acquire(f, p, k)),
+    "bald": Method(False, True, False, lambda p, k, f, traj, rng, T: bald_acquire(f, p, k, T, rng)),
+    "coreset": Method(False, False, False, lambda p, k, f, traj, rng, T: coreset_acquire(f, p, k)),
+}
 
 
 def acquire(
@@ -204,15 +221,7 @@ def acquire(
     rng: np.random.Generator,
     bald_passes: int = 20,
 ) -> AcquisitionResult:
-    """Dispatch one acquisition round by method name."""
-    if method == "mpts":
-        return mpts_acquire(trajectory, pool, budget)
-    if method == "random":
-        return random_acquire(pool, budget, rng)
-    if method == "entropy":
-        return entropy_acquire(final, pool, budget)
-    if method == "bald":
-        return bald_acquire(final, pool, budget, bald_passes, rng)
-    if method == "coreset":
-        return coreset_acquire(final, pool, budget)
-    raise ValueError(f"unknown acquisition method: {method!r}")
+    """One acquisition round by the named method's ``pick``."""
+    if method not in METHODS:
+        raise ValueError(f"unknown acquisition method: {method!r}")
+    return METHODS[method].pick(pool, budget, final, trajectory, rng, bald_passes)

@@ -19,19 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import AcquisitionResult, acquire
+from .acquisition import METHODS, AcquisitionResult, acquire
 from .config import ExperimentConfig, config_to_json
 from .dataio import Dataset, load_csv, load_mnist, standardize, synth_blobs
 from .errors import ConfigError, FormatError
 from .model import ModelSpec
 from .pool import PoolState, evaluate, init_pool, label_points, pool_point_count
 from .seeding import derive_int, derive_rng
-from .trainer import TrainConfig, train_round
+from .trainer import train_round
 
 __all__ = [
     "RoundLog",
     "RESULTS_HEADER",
     "load_dataset",
+    "start_partition",
     "build_pool",
     "run_cell",
     "run_experiment",
@@ -77,49 +78,34 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     raise ConfigError(f"unknown dataset kind {d.kind!r}")
 
 
-def _start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat_seed: int) -> PoolState:
-    """The repeat's starting partition, before any standardization."""
+def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> PoolState:
+    """The repeat's starting partition, before any standardization; every
+    method's cell of the repeat starts from it."""
     return init_pool(
         dataset,
         cfg.initial_count,
         cfg.dataset.test_fraction,
-        derive_rng(repeat_seed),
+        derive_rng(derive_int(cfg.master_seed, "pool", repeat)),
         pool_size=cfg.dataset.pool_size,
         restrict_classes=cfg.bias_classes,
     )
 
 
-def build_pool(
-    dataset: Dataset, cfg: ExperimentConfig, repeat_seed: int, start: PoolState | None = None
-) -> PoolState:
-    """The starting partition for one repeat; identical for every method.
+def build_pool(dataset: Dataset, cfg: ExperimentConfig, start: PoolState) -> PoolState:
+    """One cell's pool: the repeat's starting partition, standardized if enabled.
 
-    Standardization statistics, when enabled, are fitted inside the partition
-    (pool rows or initial labeled rows) so the test set never leaks into them.
-    ``start`` is the partition when it has already been drawn.
+    Standardization statistics are fitted inside the partition (pool rows or
+    initial labeled rows) so the test set never leaks into them.
     """
-    pool = _start_partition(dataset, cfg, repeat_seed) if start is None else start
     mode = cfg.dataset.standardize
     if mode == "none":
-        return pool
+        return start
     if mode == "pool":
-        stats_rows = np.sort(np.concatenate([pool.labeled_idx, pool.unlabeled_idx]))
+        stats_rows = np.sort(np.concatenate([start.labeled_idx, start.unlabeled_idx]))
     else:  # labeled
-        stats_rows = pool.labeled_idx
+        stats_rows = start.labeled_idx
     scaled, _, _ = standardize(dataset, stats_rows)
-    return replace(pool, features=scaled.features)
-
-
-def _cell_train_config(cfg: ExperimentConfig, method: str, seed: int) -> TrainConfig:
-    # only the trajectory method trains with the distribution-matching term
-    weight = cfg.train.mmd_weight if method == "mpts" else 0.0
-    return replace(cfg.train, mmd_weight=weight, seed=seed)
-
-
-def _cell_model_spec(cfg: ExperimentConfig, dataset: Dataset, method: str) -> ModelSpec:
-    layer_sizes, split = cfg.model.resolve(dataset.features.shape[1], dataset.class_count)
-    rate = cfg.model.bald_dropout if method == "bald" else 0.0
-    return ModelSpec(layer_sizes, split_index=split, dropout_rate=rate)
+    return replace(start, features=scaled.features)
 
 
 def run_cell(
@@ -127,28 +113,31 @@ def run_cell(
     cfg: ExperimentConfig,
     method: str,
     repeat: int,
+    start: PoolState,
     progress=None,
     score_dir=None,
-    start: PoolState | None = None,
 ) -> list[RoundLog]:
-    """All rounds of one (method, repeat) cell.
+    """All rounds of one (method, repeat) cell, from the repeat's ``start``.
 
     Each round trains a fresh model on the current labeled set, evaluates on
     the held-out test set, and then (except after the last round) acquires
-    ``budget`` new labels.  The trajectory method is scored and evaluated with
-    the checkpoint average; every other method uses the final model.
-    ``start`` is the cell's starting partition, when already drawn.
+    ``budget`` new labels.  How the method trains and what it is evaluated
+    with come from its entry in ``acquisition.METHODS``.
     """
+    rules = METHODS[method]
     repeat_seed = derive_int(cfg.master_seed, "pool", repeat)
-    pool = build_pool(dataset, cfg, repeat_seed, start)
-    spec = _cell_model_spec(cfg, dataset, method)
+    pool = build_pool(dataset, cfg, start)
+    layer_sizes, split = cfg.model.resolve(dataset.features.shape[1], dataset.class_count)
+    spec = ModelSpec(layer_sizes, split, cfg.model.bald_dropout if rules.bald_dropout else 0.0)
+    mmd_weight = cfg.train.mmd_weight if rules.trains_with_mmd else 0.0
     logs: list[RoundLog] = []
     for t in range(cfg.rounds):
         started = time.monotonic()
-        tcfg = _cell_train_config(cfg, method, derive_int(cfg.master_seed, "train", method, repeat, t))
-        final, trajectory, _ = train_round(pool, spec, tcfg)
-        predictor = trajectory if method == "mpts" else final
-        accuracy = evaluate(predictor, pool)
+        seed = derive_int(cfg.master_seed, "train", method, repeat, t)
+        final, trajectory, _ = train_round(
+            pool, spec, replace(cfg.train, mmd_weight=mmd_weight, seed=seed)
+        )
+        accuracy = evaluate(trajectory if rules.on_trajectory else final, pool)
         logs.append(RoundLog(method, repeat, repeat_seed, t, len(pool.labeled_idx), accuracy))
         if progress is not None:
             progress(
@@ -203,19 +192,16 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, progress=None) -> list[
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     dataset = load_dataset(cfg)
-    # every cell's partition is drawn before any cell trains, so a pool too
-    # small for the config fails as a ConfigError up front
-    cells = [
-        (m, r, _start_partition(dataset, cfg, derive_int(cfg.master_seed, "pool", r)))
-        for m in cfg.methods
-        for r in range(cfg.repeats)
-    ]
+    # each repeat's partition is drawn once, before any cell trains, so a pool
+    # too small for the config fails as a ConfigError up front
+    starts = [start_partition(dataset, cfg, r) for r in range(cfg.repeats)]
     _check_budget(dataset, cfg)
     score_dir = Path(cfg.output_dir) if cfg.dump_scores else None
+    cells = [(m, r) for m in cfg.methods for r in range(cfg.repeats)]
 
     def run(cell):
-        method, repeat, start = cell
-        return run_cell(dataset, cfg, method, repeat, progress, score_dir, start)
+        method, repeat = cell
+        return run_cell(dataset, cfg, method, repeat, starts[repeat], progress, score_dir)
 
     if jobs == 1:
         per_cell = [run(c) for c in cells]

@@ -21,7 +21,7 @@ from .layers import (
     relu_backward,
     softmax_cross_entropy,
 )
-from .mmd import KernelSpec, mmd2_biased, mmd2_grad
+from .mmd import KernelSpec, mmd2_biased, mmd2_biased_with_grad
 from .model import ModelSpec, backward, forward, init_mlp
 from .seeding import derive_rng
 
@@ -132,7 +132,7 @@ def _suite_mmd(col: _Collector, rng: np.random.Generator):
             A = rng.standard_normal((a, d))
             B = rng.standard_normal((b, d)) + 0.5
             loss = lambda: mmd2_biased(A, B, spec)
-            dA, dB = mmd2_grad(A, B, spec)
+            _, dA, dB = mmd2_biased_with_grad(A, B, spec)
             col.add("mmd", f"{name}/{j}/dA", dA, central_diff(loss, A))
             col.add("mmd", f"{name}/{j}/dB", dB, central_diff(loss, B))
 
@@ -168,7 +168,7 @@ def _suite_composite(col: _Collector, seed: int):
         Z_l, logits, cache_l = forward(params, X_l, train_mode=True)
         Z_p, _, cache_p = forward(params, X_p, train_mode=True)
         _, _, dlogits = softmax_cross_entropy(logits, y)
-        dZ_l, dZ_p = mmd2_grad(Z_l, Z_p, spec)
+        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, spec)
         grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
         g_p = backward(params, cache_p, None, dZ=lam * dZ_p)  # extractor layers only
         grads[: len(g_p)] = [(dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, g_p)]

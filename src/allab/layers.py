@@ -22,6 +22,7 @@ __all__ = [
     "affine_backward",
     "relu",
     "relu_backward",
+    "softmax",
     "softmax_cross_entropy",
     "dropout",
 ]
@@ -95,6 +96,13 @@ def relu_backward(X: np.ndarray, dY: np.ndarray) -> np.ndarray:
     return dY * (X > 0)
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise class probabilities, each row shifted by its max so exp cannot overflow."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -104,7 +112,8 @@ def softmax_cross_entropy(
 
     Returns (loss, probs, dlogits) with
 
-        probs   = softmax(logits) computed via the log-sum-exp-stable form
+        probs   = exp of the log-sum-exp log-probabilities (equal in value to
+                  :func:`softmax`, not always in the last bit)
         loss    = -(1/n) sum_i log probs[i, labels[i]]
         dlogits = (probs - onehot(labels)) / n
     """

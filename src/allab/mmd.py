@@ -31,7 +31,6 @@ __all__ = [
     "KernelSpec",
     "rbf_kernel",
     "mmd2_biased",
-    "mmd2_grad",
     "mmd2_biased_with_grad",
     "median_heuristic",
 ]
@@ -160,19 +159,14 @@ def _grad_terms(
     return value / m, dA / m, dB / m
 
 
-def mmd2_grad(
-    Z_L: np.ndarray, Z_star: np.ndarray, spec: KernelSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic partials of mmd2_biased with respect to both batches."""
-    Z_L, Z_star = _check_batches(Z_L, Z_star)
-    _, dA, dB = _grad_terms(Z_L, Z_star, spec)
-    return dA, dB
-
-
 def mmd2_biased_with_grad(
     Z_L: np.ndarray, Z_star: np.ndarray, spec: KernelSpec
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value and both gradients in one pass (what the trainer uses per step)."""
+    """Value and the analytic partials with respect to both batches, in one pass.
+
+    The one gradient entry point: the trainer calls it every step, and the
+    gradient audit checks it against :func:`mmd2_biased`.
+    """
     Z_L, Z_star = _check_batches(Z_L, Z_star)
     return _grad_terms(Z_L, Z_star, spec)
 

@@ -12,8 +12,10 @@ max(x, 0), so a NaN feature stays NaN through the network and shows up as a
 non-finite loss; it is not zeroed away.  Data files are checked for
 non-finite cells when they are loaded.
 
-Parameter snapshots are deep, read-only copies, so trajectory checkpoints are
-never affected by later training steps.
+A checkpoint is an ``MlpParams`` whose arrays are read-only copies, so later
+training steps cannot reach it and anything that writes to it raises.  A
+``CheckpointSet`` is one training trajectory's checkpoints; ``avg_predict``
+predicts with their mean.
 """
 
 from __future__ import annotations
@@ -24,19 +26,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .layers import affine_backward, affine_forward, dropout, relu, relu_backward
+from .layers import affine_backward, affine_forward, dropout, relu, relu_backward, softmax
 
 __all__ = [
     "ModelSpec",
     "MlpParams",
-    "ParamSnapshot",
+    "CheckpointSet",
     "ForwardCache",
     "init_mlp",
     "forward",
     "backward",
     "predict_proba",
     "snapshot",
-    "restore",
+    "avg_predict",
     "save_params",
     "load_params",
 ]
@@ -71,28 +73,30 @@ class MlpParams:
     """Layer weights/biases plus the feature-extractor split.
 
     ``layers[i]`` is (W, b) with W of shape (d_i, d_{i+1}) and b of shape
-    (d_{i+1},).  Mutated in place only by the trainer.
+    (d_{i+1},).  Mutated in place only by the trainer; a :func:`snapshot`'s
+    arrays are read-only.
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     split_index: int
     dropout_rate: float = 0.0
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple([self.layers[0][0].shape[0]] + [W.shape[1] for W, _ in self.layers])
-
-    def spec(self) -> ModelSpec:
-        return ModelSpec(self.layer_sizes, self.split_index, self.dropout_rate)
-
 
 @dataclass(frozen=True)
-class ParamSnapshot:
-    """Immutable deep copy of an MlpParams at one training instant."""
+class CheckpointSet:
+    """Ordered parameter snapshots harvested along one training trajectory."""
 
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    split_index: int
-    dropout_rate: float
+    snapshots: tuple[MlpParams, ...]
+
+    def __post_init__(self):
+        if len(self.snapshots) == 0:
+            raise ValueError("CheckpointSet must be nonempty")
+        shapes = [tuple(W.shape for W, _ in s.layers) for s in self.snapshots]
+        if any(sh != shapes[0] for sh in shapes):
+            raise ValueError("snapshots are not structurally identical")
+
+    def __len__(self) -> int:
+        return len(self.snapshots)
 
 
 @dataclass
@@ -202,26 +206,29 @@ def backward(
 def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
     """Row-stochastic class probabilities (eval mode, no dropout)."""
     _, logits, _ = forward(params, X, train_mode=False)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(logits)
 
 
-def snapshot(params: MlpParams) -> ParamSnapshot:
-    """Deep, read-only copy of the current parameters."""
+def snapshot(params: MlpParams) -> MlpParams:
+    """Deep copy of the current parameters with read-only arrays."""
     copies = []
     for W, b in params.layers:
         Wc, bc = W.copy(), b.copy()
         Wc.flags.writeable = False
         bc.flags.writeable = False
         copies.append((Wc, bc))
-    return ParamSnapshot(tuple(copies), params.split_index, params.dropout_rate)
+    return MlpParams(copies, params.split_index, params.dropout_rate)
 
 
-def restore(snap: ParamSnapshot) -> MlpParams:
-    """Rebuild mutable parameters from a snapshot (bit-identical values)."""
-    layers = [(W.copy(), b.copy()) for W, b in snap.layers]
-    return MlpParams(layers, snap.split_index, snap.dropout_rate)
+def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
+    """Mean class probabilities over every checkpoint in the trajectory."""
+    if len(trajectory) == 0:
+        raise ValueError("empty trajectory")
+    acc = None
+    for snap in trajectory.snapshots:
+        P = predict_proba(snap, X)
+        acc = P if acc is None else acc + P
+    return acc / len(trajectory)
 
 
 # Checkpoint files: little-endian u64 header (layer count, then rows/cols per
@@ -232,7 +239,7 @@ def _format_error(path, offset: int, why: str) -> FormatError:
     return FormatError(f"{path}: byte {offset}: {why}")
 
 
-def save_params(params: MlpParams | ParamSnapshot, path) -> None:
+def save_params(params: MlpParams, path) -> None:
     with open(path, "wb") as f:
         f.write(struct.pack("<Q", len(params.layers)))
         for W, _ in params.layers:

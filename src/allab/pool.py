@@ -7,8 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, PoolError
-from .model import MlpParams, predict_proba
-from .trainer import CheckpointSet
+from .model import CheckpointSet, MlpParams, avg_predict, predict_proba
 
 __all__ = [
     "PoolState",
@@ -141,8 +140,6 @@ def evaluate(predictor, pool: PoolState) -> float:
         raise PoolError("empty test set")
     X = pool.features[pool.test_idx]
     if isinstance(predictor, CheckpointSet):
-        from .acquisition import avg_predict
-
         P = avg_predict(predictor, X)
     elif isinstance(predictor, MlpParams):
         P = predict_proba(predictor, X)

@@ -31,7 +31,6 @@ starts at the feature layer, since the MMD^2 term does not reach the head.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,29 +38,18 @@ import numpy as np
 from .errors import PoolError, TrainingDiverged
 from .layers import softmax_cross_entropy
 from .mmd import KernelSpec, median_heuristic, mmd2_biased_with_grad
-from .model import (
-    MlpParams,
-    ModelSpec,
-    ParamSnapshot,
-    backward,
-    forward,
-    init_mlp,
-    snapshot,
-)
+from .model import CheckpointSet, MlpParams, ModelSpec, backward, forward, init_mlp, snapshot
 from .seeding import derive_rng
 
 __all__ = [
     "TrainConfig",
-    "CheckpointSet",
     "EpochStats",
     "lr_schedule",
-    "cyclic_lr",
     "cycle_bounds",
     "snapshot_steps",
     "steps_per_epoch",
     "sgd_step",
     "train_round",
-    "write_history_csv",
 ]
 
 
@@ -105,23 +93,6 @@ class TrainConfig:
         else:
             object.__setattr__(self, "kernel", tuple(float(s) for s in self.kernel))
             KernelSpec(self.kernel)  # validates positivity
-
-
-@dataclass(frozen=True)
-class CheckpointSet:
-    """Ordered parameter snapshots harvested along one training trajectory."""
-
-    snapshots: tuple[ParamSnapshot, ...]
-
-    def __post_init__(self):
-        if len(self.snapshots) == 0:
-            raise ValueError("CheckpointSet must be nonempty")
-        shapes = [tuple(W.shape for W, _ in s.layers) for s in self.snapshots]
-        if any(sh != shapes[0] for sh in shapes):
-            raise ValueError("snapshots are not structurally identical")
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
 
 
 @dataclass
@@ -182,14 +153,6 @@ def lr_schedule(spe: int, config: TrainConfig) -> list[float]:
     return rates
 
 
-def cyclic_lr(step: int, spe: int, config: TrainConfig) -> float:
-    """The :func:`lr_schedule` rate at one step."""
-    rates = lr_schedule(spe, config)
-    if not 0 <= step < len(rates):
-        raise ValueError(f"step {step} beyond the schedule ({config.epochs} epochs x {spe} steps)")
-    return rates[step]
-
-
 def sgd_step(
     params: MlpParams,
     grads: list[tuple[np.ndarray, np.ndarray]],
@@ -230,7 +193,6 @@ def train_round(
     pool,
     model_spec: ModelSpec,
     config: TrainConfig,
-    history_csv=None,
 ) -> tuple[MlpParams, CheckpointSet, list[EpochStats]]:
     """Train a freshly initialized model on the pool's labeled set.
 
@@ -239,8 +201,6 @@ def train_round(
     per-epoch mean CE / mean MMD^2 / learning-rate history.  The kernel
     bandwidth, unless given explicitly, is the median heuristic on the
     features of the first pool batch, frozen for the whole round.
-
-    ``history_csv``: optional path; epoch rows are appended as they complete.
     """
     labeled = np.asarray(pool.labeled_idx)
     if len(labeled) == 0:
@@ -261,82 +221,45 @@ def train_round(
     kernel: KernelSpec | None = None
     features, labels = pool.features, pool.labels
     lam = config.mmd_weight
-    snaps: list[ParamSnapshot] = []
+    snaps: list[MlpParams] = []
     history: list[EpochStats] = []
-    writer = _HistoryWriter(history_csv)
     ce_sum = mmd_sum = 0.0
-    try:
-        for step, lr in enumerate(rates):
-            idx_l = _draw(rng_batch, labeled, config.batch_size)
-            idx_p = _draw(rng_batch, both, config.batch_size)
+    for step, lr in enumerate(rates):
+        idx_l = _draw(rng_batch, labeled, config.batch_size)
+        idx_p = _draw(rng_batch, both, config.batch_size)
 
-            Z_l, logits, cache_l = forward(params, features[idx_l], train_mode=True, rng=rng_drop)
-            if lam > 0 or model_spec.dropout_rate > 0:  # at lam 0: keeps the dropout stream in step
-                Z_p, _, cache_p = forward(params, features[idx_p], train_mode=True, rng=rng_drop)
-            ce, _, dlogits = softmax_cross_entropy(logits, labels[idx_l])
-            if not np.isfinite(ce):
-                raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
+        Z_l, logits, cache_l = forward(params, features[idx_l], train_mode=True, rng=rng_drop)
+        if lam > 0 or model_spec.dropout_rate > 0:  # at lam 0: keeps the dropout stream in step
+            Z_p, _, cache_p = forward(params, features[idx_p], train_mode=True, rng=rng_drop)
+        ce, _, dlogits = softmax_cross_entropy(logits, labels[idx_l])
+        if not np.isfinite(ce):
+            raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
-            if lam > 0:
-                if kernel is None:
-                    kernel = _resolve_kernel(config, Z_p)
-                m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
-                if not np.isfinite(lam * m2):
-                    raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
-                grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
-                grads_p = backward(params, cache_p, None, dZ=lam * dZ_p)
-                grads[: len(grads_p)] = [
-                    (dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)
-                ]
-            else:
-                m2 = 0.0
-                grads = backward(params, cache_l, dlogits)
+        if lam > 0:
+            if kernel is None:
+                kernel = _resolve_kernel(config, Z_p)
+            m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
+            if not np.isfinite(lam * m2):
+                raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
+            grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
+            grads_p = backward(params, cache_p, None, dZ=lam * dZ_p)
+            grads[: len(grads_p)] = [
+                (dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)
+            ]
+        else:
+            m2 = 0.0
+            grads = backward(params, cache_l, dlogits)
 
-            try:
-                params = sgd_step(params, grads, lr, config.weight_decay)
-            except TrainingDiverged:
-                raise TrainingDiverged(f"non-finite gradient at step {step} (lr={lr:g})") from None
-            if step in snap_at:
-                snaps.append(snapshot(params))
+        try:
+            params = sgd_step(params, grads, lr, config.weight_decay)
+        except TrainingDiverged:
+            raise TrainingDiverged(f"non-finite gradient at step {step} (lr={lr:g})") from None
+        if step in snap_at:
+            snaps.append(snapshot(params))
 
-            ce_sum += ce
-            mmd_sum += m2
-            if (step + 1) % spe == 0:
-                stats = EpochStats(step // spe, ce_sum / spe, mmd_sum / spe, lr)
-                history.append(stats)
-                writer.write(stats)
-                ce_sum = mmd_sum = 0.0
-    finally:
-        writer.close()
+        ce_sum += ce
+        mmd_sum += m2
+        if (step + 1) % spe == 0:
+            history.append(EpochStats(step // spe, ce_sum / spe, mmd_sum / spe, lr))
+            ce_sum = mmd_sum = 0.0
     return params, CheckpointSet(tuple(snaps)), history
-
-
-class _HistoryWriter:
-    """Streams per-epoch rows to a CSV as they complete; no-op without a path."""
-
-    def __init__(self, path):
-        self._file = None
-        self._writer = None
-        if path is not None:
-            self._file = open(path, "w", newline="")
-            self._writer = csv.writer(self._file)
-            self._writer.writerow(["epoch", "mean_ce", "mean_mmd2", "lr"])
-
-    def write(self, stats: EpochStats) -> None:
-        if self._writer is not None:
-            self._writer.writerow(
-                [stats.epoch, repr(stats.mean_ce), repr(stats.mean_mmd2), repr(stats.lr)]
-            )
-            self._file.flush()
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-
-
-def write_history_csv(history: list[EpochStats], path) -> None:
-    """Write a completed history to CSV in one go."""
-    w = _HistoryWriter(path)
-    for stats in history:
-        w.write(stats)
-    w.close()

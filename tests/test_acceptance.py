@@ -29,10 +29,10 @@ from allab.errors import FormatError
 from allab.experiment import run_experiment
 from allab.gradcheck import run_gradcheck
 from allab.mmd import KernelSpec, mmd2_biased
-from allab.model import ModelSpec, forward, init_mlp, snapshot
+from allab.model import CheckpointSet, ModelSpec, forward, init_mlp, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
-from allab.trainer import CheckpointSet, TrainConfig, snapshot_steps, train_round
+from allab.trainer import TrainConfig, snapshot_steps, train_round
 
 REPO = Path(__file__).resolve().parent.parent
 

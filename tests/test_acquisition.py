@@ -22,10 +22,9 @@ from allab.acquisition import (
     select_top_k,
 )
 from allab.errors import PoolError
-from allab.model import MlpParams, forward, init_mlp, predict_proba, snapshot
+from allab.model import CheckpointSet, MlpParams, forward, init_mlp, predict_proba, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
-from allab.trainer import CheckpointSet
 
 
 def logit_model(W2, dropout_rate=0.0):

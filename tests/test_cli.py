@@ -182,7 +182,6 @@ def test_run_pool_too_small_in_a_later_repeat_exits_2_before_training(tmp_path, 
     import allab.experiment
     from allab.config import parse_config
     from allab.errors import ConfigError
-    from allab.seeding import derive_int
 
     over = {
         "dataset": {"kind": "synthetic", "class_count": 2, "per_class": 20, "dim": 2, "separation": 8.0},
@@ -194,7 +193,7 @@ def test_run_pool_too_small_in_a_later_repeat_exits_2_before_training(tmp_path, 
 
     def fits(cfg, dataset, repeat):
         try:
-            allab.experiment.build_pool(dataset, cfg, derive_int(cfg.master_seed, "pool", repeat))
+            allab.experiment.start_partition(dataset, cfg, repeat)
             return True
         except ConfigError:
             return False

@@ -1,8 +1,12 @@
 """Harness behavior: pairing, determinism, parallel equivalence, curve math."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import allab.experiment as experiment
+from allab.acquisition import METHODS
 from allab.config import parse_config
 from allab.errors import ConfigError, FormatError
 from allab.experiment import (
@@ -12,12 +16,13 @@ from allab.experiment import (
     compute_curves,
     load_dataset,
     read_results_csv,
+    run_cell,
     run_experiment,
+    start_partition,
     write_curves_csv,
     write_results_csv,
     write_results_json,
 )
-from allab.seeding import derive_int
 
 
 def small_doc():
@@ -54,23 +59,69 @@ def test_build_pool_standardize_modes():
     doc = small_doc()
     cfg = parse_config(doc)
     dataset = load_dataset(cfg)
-    seed = derive_int(cfg.master_seed, "pool", 0)
+    start = start_partition(dataset, cfg, 0)
 
-    plain = build_pool(dataset, cfg, seed)
+    plain = build_pool(dataset, cfg, start)
     assert np.array_equal(plain.features, dataset.features)
 
-    from dataclasses import replace
-
-    pooled = build_pool(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="pool")), seed)
+    pooled = build_pool(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="pool")), start)
     rows = np.sort(np.concatenate([pooled.labeled_idx, pooled.unlabeled_idx]))
     assert np.abs(pooled.features[rows].mean(axis=0)).max() <= 1e-12
     assert np.abs(pooled.features[rows].std(axis=0) - 1.0).max() <= 1e-12
     # partition identical to the unstandardized build (same rng consumption)
     assert np.array_equal(pooled.labeled_idx, plain.labeled_idx)
 
-    lab = build_pool(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="labeled")), seed)
+    lab = build_pool(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="labeled")), start)
     assert np.abs(lab.features[lab.labeled_idx].mean(axis=0)).max() <= 1e-12
     assert np.abs(lab.features[lab.labeled_idx].std(axis=0) - 1.0).max() <= 1e-12
+    # the shared starting partition is left as it was
+    assert np.array_equal(start.features, dataset.features)
+
+
+def test_starting_partition_drawn_once_per_repeat(monkeypatch):
+    calls = []
+
+    def counting_init_pool(*args, **kwargs):
+        calls.append(1)
+        return real_init_pool(*args, **kwargs)
+
+    real_init_pool = experiment.init_pool
+    monkeypatch.setattr(experiment, "init_pool", counting_init_pool)
+    cfg = parse_config({**small_doc(), "methods": ["random", "entropy", "coreset"], "rounds": 1})
+    logs = run_experiment(cfg)
+    assert len(calls) == cfg.repeats
+    assert len(logs) == 3 * cfg.repeats
+
+
+def test_run_cell_takes_its_rules_from_the_method_table(monkeypatch):
+    # give "random" the trajectory method's training, BALD's dropout and
+    # trajectory evaluation; run_cell must follow the table, not the name
+    seen = []
+
+    def spy_train_round(pool, spec, config):
+        out = real_train_round(pool, spec, config)
+        seen.append((spec.dropout_rate, config.mmd_weight))
+        return out
+
+    def spy_evaluate(predictor, pool):
+        seen.append(type(predictor).__name__)
+        return real_evaluate(predictor, pool)
+
+    real_train_round, real_evaluate = experiment.train_round, experiment.evaluate
+    monkeypatch.setattr(experiment, "train_round", spy_train_round)
+    monkeypatch.setattr(experiment, "evaluate", spy_evaluate)
+    cfg = parse_config({**small_doc(), "rounds": 1, "train": {**small_doc()["train"], "lambda": 0.3}})
+    dataset = load_dataset(cfg)
+    start = start_partition(dataset, cfg, 0)
+
+    run_cell(dataset, cfg, "random", 0, start)
+    assert seen == [(0.0, 0.0), "MlpParams"]
+
+    seen.clear()
+    rules = replace(METHODS["random"], trains_with_mmd=True, bald_dropout=True, on_trajectory=True)
+    monkeypatch.setitem(METHODS, "random", rules)
+    run_cell(dataset, cfg, "random", 0, start)
+    assert seen == [(cfg.model.bald_dropout, 0.3), "CheckpointSet"]
 
 
 # ---- run_experiment --------------------------------------------------------

@@ -13,6 +13,7 @@ from allab.layers import (
     dropout,
     relu,
     relu_backward,
+    softmax,
     softmax_cross_entropy,
 )
 
@@ -180,7 +181,44 @@ def test_relu_passes_nan_through():
     assert np.array_equal(relu(X)[0, 1:], [0.0, 2.0])
 
 
-# ---- softmax cross-entropy -------------------------------------------------
+# ---- softmax and cross-entropy ---------------------------------------------
+
+def softmax_inline(logits):
+    """The softmax that predict_proba and bald_acquire each wrote out inline."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+logit_rows = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 8), st.integers(1, 6)),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1e300, -1e300, 709.0, -745.0, 1e-300]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # max - min may overflow to -inf
+@settings(max_examples=200, deadline=None)
+@given(logits=logit_rows)
+def test_softmax_bit_identical_to_inline_form(logits):
+    got = softmax(logits)
+    assert np.array_equal(bits(got), bits(softmax_inline(logits)))
+    assert np.isfinite(got).all()
+    assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e308 - -1e308 overflows to inf
+def test_softmax_extreme_rows():
+    logits = np.array([[1e308, -1e308, 0.0], [-1e308, -1e308, -1e308], [1000.0, 999.0, 0.0]])
+    P = softmax(logits)
+    assert np.array_equal(P[0], [1.0, 0.0, 0.0])
+    assert np.allclose(P[1], 1.0 / 3.0, rtol=0, atol=1e-15)
+    assert P[2, 0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), rel=1e-15)
+    assert np.array_equal(bits(P), bits(softmax_inline(logits)))
+
 
 def test_softmax_ce_symmetric_two_logits():
     loss, probs, dlogits = softmax_cross_entropy(np.zeros((1, 2)), [0])

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allab.errors import DimensionError, FormatError
-from allab.layers import affine_backward
+from allab.layers import affine_backward, softmax_cross_entropy
 from allab.model import (
+    CheckpointSet,
     MlpParams,
     ModelSpec,
+    avg_predict,
     backward,
     forward,
     init_mlp,
     load_params,
     predict_proba,
-    restore,
     save_params,
     snapshot,
 )
@@ -213,14 +214,19 @@ def test_backward_needs_some_upstream_gradient():
         backward(params, cache, None)
 
 
-# ---- snapshot / restore ----------------------------------------------------
+# ---- snapshots and avg_predict ---------------------------------------------
 
 def test_snapshot_restore_roundtrip():
-    params = small_net(15)
+    # a snapshot is MlpParams holding equal copies, and predicts the same bits
+    params = small_net(15, sizes=(3, 5, 4, 2), split=2, rate=0.25)
     X = derive_rng(16).standard_normal((5, 3))
-    before = predict_proba(params, X)
-    restored = restore(snapshot(params))
-    assert np.array_equal(predict_proba(restored, X), before)
+    snap = snapshot(params)
+    assert isinstance(snap, MlpParams)
+    assert (snap.split_index, snap.dropout_rate) == (2, 0.25)
+    for (W, b), (Ws, bs) in zip(params.layers, snap.layers, strict=True):
+        assert np.array_equal(W, Ws) and np.array_equal(b, bs)
+        assert not np.shares_memory(W, Ws) and not np.shares_memory(b, bs)
+    assert np.array_equal(predict_proba(snap, X), predict_proba(params, X))
 
 
 def test_snapshot_isolated_from_training():
@@ -229,14 +235,13 @@ def test_snapshot_isolated_from_training():
     y = derive_rng(19).integers(0, 2, 6)
     before = predict_proba(params, X)
     snap = snapshot(params)
-    from allab.layers import softmax_cross_entropy
 
     for _ in range(10):
         _, logits, cache = forward(params, X, train_mode=True)
         _, _, dlogits = softmax_cross_entropy(logits, y)
         sgd_step(params, backward(params, cache, dlogits), 0.5, 0.0)
     assert not np.array_equal(predict_proba(params, X), before)
-    assert np.array_equal(predict_proba(restore(snap), X), before)
+    assert np.array_equal(predict_proba(snap, X), before)
 
 
 def test_snapshots_differ_after_nonzero_step():
@@ -252,8 +257,61 @@ def test_snapshots_differ_after_nonzero_step():
 
 def test_snapshot_arrays_read_only():
     snap = snapshot(small_net(21))
-    with pytest.raises(ValueError):
-        snap.layers[0][0][0, 0] = 5.0
+    for W, b in snap.layers:
+        for target in (W, b):
+            before = target.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 5.0
+            with pytest.raises(ValueError, match="read-only"):
+                target += 1.0
+            assert np.array_equal(target, before)
+
+
+def test_sgd_step_on_snapshot_raises():
+    snap = snapshot(small_net(24))
+    kept = [(W.copy(), b.copy()) for W, b in snap.layers]
+    grads = [(np.ones_like(W), np.ones_like(b)) for W, b in snap.layers]
+    with pytest.raises(ValueError, match="read-only"):
+        sgd_step(snap, grads, 0.1, 0.0)
+    for (W, b), (Wk, bk) in zip(snap.layers, kept, strict=True):
+        assert np.array_equal(W, Wk) and np.array_equal(b, bk)
+
+
+def avg_predict_by_copies(trajectory, X):
+    """The old checkpoint average: each snapshot copied back into writable
+    parameters, then predicted from."""
+    acc = None
+    for snap in trajectory.snapshots:
+        params = MlpParams(
+            [(W.copy(), b.copy()) for W, b in snap.layers], snap.split_index, snap.dropout_rate
+        )
+        P = predict_proba(params, X)
+        acc = P if acc is None else acc + P
+    return acc / len(trajectory)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    n_snaps=st.integers(1, 5),
+    n=st.integers(1, 40),
+    scale=st.sampled_from([0.1, 1.0, 30.0]),
+    seed=st.integers(0, 2**31),
+)
+def test_avg_predict_on_read_only_snapshots_matches_copies(sizes, n_snaps, n, scale, seed):
+    rng = derive_rng(seed)
+    d, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    params = init_mlp((d, *sizes, C), int(rng.integers(1, len(sizes) + 1)), 0.0, rng)
+    snaps = []
+    for _ in range(n_snaps):
+        for W, b in params.layers:  # move the weights between checkpoints
+            W += scale * rng.standard_normal(W.shape)
+            b += scale * rng.standard_normal(b.shape)
+        snaps.append(snapshot(params))
+    traj = CheckpointSet(tuple(snaps))
+    X = scale * rng.standard_normal((n, d))
+    got, want = avg_predict(traj, X), avg_predict_by_copies(traj, X)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---- checkpoint files ------------------------------------------------------

@@ -5,10 +5,9 @@ import pytest
 
 from allab.dataio import Dataset, synth_blobs
 from allab.errors import ConfigError, PoolError
-from allab.model import MlpParams, init_mlp, snapshot
+from allab.model import CheckpointSet, MlpParams, init_mlp, snapshot
 from allab.pool import check_partition, evaluate, init_pool, label_points, pool_point_count
 from allab.seeding import derive_rng
-from allab.trainer import CheckpointSet
 
 
 def toy_dataset(n=60, d=3, class_count=3, seed=0, designated=None):

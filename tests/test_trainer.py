@@ -1,8 +1,5 @@
 """Schedule arithmetic, SGD semantics, and the training-loop RNG contract."""
 
-import gc
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,21 +9,18 @@ from allab.dataio import synth_blobs
 from allab.errors import PoolError, TrainingDiverged
 from allab.layers import softmax_cross_entropy
 from allab.mmd import KernelSpec, median_heuristic, mmd2_biased_with_grad
-from allab.model import ModelSpec, backward, forward, init_mlp
+from allab.model import CheckpointSet, ModelSpec, backward, forward, init_mlp, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
 from allab.trainer import (
-    CheckpointSet,
     TrainConfig,
     cycle_bounds,
     _draw,
-    cyclic_lr,
     lr_schedule,
     sgd_step,
     snapshot_steps,
     steps_per_epoch,
     train_round,
-    write_history_csv,
 )
 
 
@@ -69,8 +63,6 @@ def test_train_config_invariants():
 
 
 def test_checkpoint_set_invariants():
-    from allab.model import snapshot
-
     s = snapshot(init_mlp((3, 4, 2), 1, 0.0, derive_rng(0)))
     other = snapshot(init_mlp((3, 5, 2), 1, 0.0, derive_rng(0)))
     assert len(CheckpointSet((s, s))) == 2
@@ -106,21 +98,21 @@ def test_snapshot_steps_are_cycle_ends():
 
 def test_cyclic_lr_first_half_constant():
     cfg = TrainConfig(epochs=8, base_lr=1e-3, n_checkpoints=2)
-    for step in range(0, 4 * 5):  # spe = 5
-        assert cyclic_lr(step, 5, cfg) == 1e-3
+    assert lr_schedule(5, cfg)[: 4 * 5] == [1e-3] * 20  # spe = 5
 
 
 def test_cyclic_lr_cycle_ends_at_floor():
     cfg = TrainConfig(epochs=8, base_lr=1e-3, n_checkpoints=4, lr_floor_ratio=0.1)
+    rates = lr_schedule(5, cfg)
     for step in snapshot_steps(8, 5, 4):
-        assert cyclic_lr(step, 5, cfg) == pytest.approx(1e-4, abs=1e-12)
+        assert rates[step] == pytest.approx(1e-4, abs=1e-12)
 
 
 def test_cyclic_lr_two_identical_saw_teeth():
     cfg = TrainConfig(epochs=4, base_lr=1e-3, n_checkpoints=2, lr_floor_ratio=0.1)
     spe = 6
-    first = [cyclic_lr(s, spe, cfg) for s in range(2 * spe, 3 * spe)]
-    second = [cyclic_lr(s, spe, cfg) for s in range(3 * spe, 4 * spe)]
+    rates = lr_schedule(spe, cfg)
+    first, second = rates[2 * spe : 3 * spe], rates[3 * spe : 4 * spe]
     assert first == second
     assert first[0] == 1e-3 and first[-1] == pytest.approx(1e-4, abs=1e-12)
     diffs = np.diff(first)
@@ -129,14 +121,7 @@ def test_cyclic_lr_two_identical_saw_teeth():
 
 def test_cyclic_lr_single_step_cycle_is_floor():
     cfg = TrainConfig(epochs=4, base_lr=1.0, n_checkpoints=2, lr_floor_ratio=0.25)
-    assert cyclic_lr(2, 1, cfg) == 0.25
-    assert cyclic_lr(3, 1, cfg) == 0.25
-
-
-def test_cyclic_lr_rejects_steps_beyond_schedule():
-    cfg = TrainConfig(epochs=4, n_checkpoints=2)
-    with pytest.raises(ValueError):
-        cyclic_lr(100, 1, cfg)
+    assert lr_schedule(1, cfg)[2:] == [0.25, 0.25]
 
 
 def old_cyclic_lr(step, spe, config):
@@ -172,7 +157,6 @@ def test_lr_schedule_bit_identical_to_per_step_rate(half_epochs, spe, n_checkpoi
     assert len(rates) == epochs * spe
     for step, lr in enumerate(rates):
         assert lr == old_cyclic_lr(step, spe, cfg)
-        assert cyclic_lr(step, spe, cfg) == lr
 
 
 @pytest.mark.parametrize(
@@ -326,7 +310,7 @@ def ce_only_reference(pool, sizes, cfg):
     both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
     spe = steps_per_epoch(len(labeled), cfg.batch_size)
     for step in range(cfg.epochs * spe):
-        lr = cyclic_lr(step, spe, cfg)
+        lr = old_cyclic_lr(step, spe, cfg)
         idx_l = rng_batch.choice(labeled, size=cfg.batch_size, replace=len(labeled) < cfg.batch_size)
         rng_batch.choice(both, size=cfg.batch_size, replace=len(both) < cfg.batch_size)
         _, logits, cache = forward(params, pool.features[idx_l], train_mode=True)
@@ -363,7 +347,7 @@ def full_step_reference(pool, spec, cfg):
     snap_at = set(snapshot_steps(cfg.epochs, spe, cfg.n_checkpoints))
     kernel, snaps = None, []
     for step in range(cfg.epochs * spe):
-        lr = cyclic_lr(step, spe, cfg)
+        lr = old_cyclic_lr(step, spe, cfg)
         idx_l = rng_batch.choice(labeled, size=cfg.batch_size, replace=len(labeled) < cfg.batch_size)
         idx_p = rng_batch.choice(both, size=cfg.batch_size, replace=len(both) < cfg.batch_size)
         Z_l, logits, cache_l = forward(params, pool.features[idx_l], train_mode=True, rng=rng_drop)
@@ -450,36 +434,6 @@ def test_train_round_loss_decreases_with_regularizer():
         _, _, history = train_round(pool, ModelSpec((2, 8, 2)), cfg)
         assert history[-1].mean_ce < history[0].mean_ce, f"seed {seed}"
         assert history[-1].mean_mmd2 < history[0].mean_mmd2, f"seed {seed}"
-
-
-def test_history_csv_stream(tmp_path):
-    pool = blob_pool()
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, seed=1)
-    path = tmp_path / "history.csv"
-    _, _, history = train_round(pool, ModelSpec((2, 8, 2)), cfg, history_csv=path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "epoch,mean_ce,mean_mmd2,lr"
-    assert len(lines) == 1 + len(history)
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == history[0].mean_ce
-
-    other = tmp_path / "again.csv"
-    write_history_csv(history, other)
-    assert other.read_text() == path.read_text()
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_history_csv_closed_when_round_diverges(tmp_path):
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=1e12, seed=0)
-    path = tmp_path / "history.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        with pytest.raises(TrainingDiverged):
-            train_round(blob_pool(), ModelSpec((2, 8, 2)), cfg, history_csv=path)
-        gc.collect()  # an unclosed file warns when its frames are collected
-    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
-    assert path.read_text().startswith("epoch,mean_ce,mean_mmd2,lr\n")
 
 
 def test_median_kernel_frozen_at_first_batch():
