@@ -11,9 +11,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import parse_config, config_to_json, with_overrides
+from .config import parse_config, config_to_json
 from .errors import ConfigError, FormatError, PoolError, TrainingDiverged
 from .experiment import (
     compute_curves,
@@ -61,8 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, master_seed=args.seed)
     out_override = args.out if args.out is not None else os.environ.get(OUT_ENV)
-    cfg = with_overrides(cfg, master_seed=args.seed, output_dir=out_override)
+    if out_override is not None:
+        cfg = replace(cfg, output_dir=out_override)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,14 +1,16 @@
 """Experiment configuration: JSON schema, strict parsing, provenance echo.
 
-Unknown keys are rejected (typo safety) and every error names the JSON path
-of the offending value.  All defaults live here; ``describe_defaults`` in the
-README is generated from this module's dataclasses.
+The dataclasses are the schema: a field's name is its JSON key, its annotation
+is the JSON kind, and its default is the value used when the key is absent.
+Unknown keys are rejected (typo safety) and every error names the JSON path of
+the offending value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
 
 from .acquisition import METHODS
 from .errors import ConfigError
@@ -16,14 +18,18 @@ from .trainer import TrainConfig
 
 __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "config_to_json"]
 
-_REQUIRED = object()
+# TrainConfig fields whose JSON key is not their name: the MMD weight is keyed
+# "lambda", and the per-cell seed is derived, never configured (no key)
+_TRAIN_KEYS = {"mmd_weight": "lambda", "seed": None}
+
+_fields = cache(fields)  # dataclasses.fields rebuilds its tuple on every call
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "synthetic"
     pool_size: int | None = None
-    standardize: str = "none"  # "none" | "pool" | "labeled"
+    standardize: str = "none"  # "none" | "pool" | "labeled"; "pool" when kind is csv
     test_fraction: float = 0.2
     # synthetic
     class_count: int = 4
@@ -48,11 +54,20 @@ class ModelConfig:
     bald_passes: int = 20
 
     def resolve(self, input_dim: int, class_count: int) -> tuple[tuple[int, ...], int]:
-        """Concrete (layer_sizes, split_index) for a dataset's dimensions."""
+        """Concrete (layer_sizes, split_index) for a dataset's dimensions.
+
+        A split_index outside the resolved hidden layers is a ConfigError; with
+        ``hidden`` null those layers are known only once the data is loaded.
+        """
         hidden = self.hidden
         if hidden is None:
             hidden = (128,) if input_dim == 784 else (64, 64)
         split = self.split_index if self.split_index is not None else len(hidden)
+        if not 1 <= split <= len(hidden):
+            raise ConfigError(
+                f"$.model.split_index: must be in [1, {len(hidden)}] for the hidden "
+                f"sizes {list(hidden)} of {input_dim}-d input, got {split}"
+            )
         return (input_dim, *hidden, class_count), split
 
 
@@ -63,7 +78,7 @@ class ExperimentConfig:
     budget: int = 100
     rounds: int = 5
     repeats: int = 5
-    methods: tuple[str, ...] = ()
+    methods: tuple[str, ...] = field(kw_only=True)  # required
     train: TrainConfig = field(default_factory=TrainConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     bias_classes: tuple[int, ...] | None = None
@@ -84,130 +99,92 @@ class _Node:
     def child(self, key: str) -> "_Node":
         return _Node(self._data.pop(key, {}), f"{self._path}.{key}")
 
-    def take(self, key: str, kind, default=_REQUIRED):
-        if key not in self._data:
-            if default is _REQUIRED:
+    def build(self, cls, keys: dict | None = None, **given):
+        """One ``cls`` from this object's keys.
+
+        Fields in ``given`` are taken as passed.  Every other field is read
+        from its key (its name, or ``keys[name]``; None for a field that is
+        never configured) and coerced to its annotation; an absent key leaves
+        the field's default, and a field without one is required.  Invariants
+        that ``cls`` raises as ValueError get this object's path.
+        """
+        for f in _fields(cls):
+            key = keys.get(f.name, f.name) if keys else f.name
+            if key is None or f.name in given:
+                continue
+            if key in self._data:
+                given[f.name] = _coerce(self._data.pop(key), f.type, f"{self._path}.{key}")
+            elif f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{self._path}.{key}: required key missing")
-            return default
-        value = self._data.pop(key)
-        return _coerce(value, kind, f"{self._path}.{key}")
-
-    def finish(self) -> None:
         if self._data:
-            key = sorted(self._data)[0]
-            raise ConfigError(f"{self._path}.{key}: unknown key")
+            raise ConfigError(f"{self._path}.{min(self._data)}: unknown key")
+        try:
+            return cls(**given)
+        except ValueError as e:
+            raise ConfigError(f"{self._path}: {e}") from None
 
 
-def _coerce(value, kind, path: str):
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, got {value!r}")
-        return value
-    if kind == "int?":
-        return None if value is None else _coerce(value, "int", path)
-    if kind == "str?":
-        return None if value is None else _coerce(value, "str", path)
-    if kind == "int_list":
+# scalar annotation -> (accepts a JSON value, what the value must be, list noun)
+_SCALARS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number", "numbers"),
+    "str": (lambda v: isinstance(v, str), "a string", "strings"),
+    "bool": (lambda v: isinstance(v, bool), "true/false", None),
+}
+
+
+def _coerce(value, kind: str, path: str):
+    """``value`` checked against annotation ``kind``: a scalar from ``_SCALARS``,
+    ``X | None``, or ``tuple[X, ...]`` (a nonempty JSON list)."""
+    if kind.endswith(" | None"):
+        return None if value is None else _coerce(value, kind[: -len(" | None")], path)
+    if kind.startswith("tuple[") and kind.endswith(", ...]"):
+        item = kind[len("tuple[") : -len(", ...]")]
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a nonempty list of integers, got {value!r}")
-        return tuple(_coerce(v, "int", f"{path}[{i}]") for i, v in enumerate(value))
-    if kind == "int_list?":
-        return None if value is None else _coerce(value, "int_list", path)
-    if kind == "str_list":
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a nonempty list of strings, got {value!r}")
-        return tuple(_coerce(v, "str", f"{path}[{i}]") for i, v in enumerate(value))
-    raise AssertionError(f"unknown coercion kind {kind}")
+            raise ConfigError(f"{path}: expected a nonempty list of {_SCALARS[item][2]}, got {value!r}")
+        return tuple(_coerce(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    accepts, noun, _ = _SCALARS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
 def _parse_dataset(node: _Node) -> DatasetConfig:
-    d = DatasetConfig()
-    kind = node.take("kind", "str", d.kind)
-    if kind not in ("synthetic", "mnist", "csv"):
-        raise ConfigError(f"$.dataset.kind: must be synthetic, mnist or csv, got {kind!r}")
-    cfg = DatasetConfig(
-        kind=kind,
-        pool_size=node.take("pool_size", "int?", d.pool_size),
-        standardize=node.take("standardize", "str", "pool" if kind == "csv" else "none"),
-        test_fraction=node.take("test_fraction", "number", d.test_fraction),
-        class_count=node.take("class_count", "int", d.class_count),
-        per_class=node.take("per_class", "int", d.per_class),
-        dim=node.take("dim", "int", d.dim),
-        separation=node.take("separation", "number", d.separation),
-        images_path=node.take("images_path", "str?", None),
-        labels_path=node.take("labels_path", "str?", None),
-        test_images_path=node.take("test_images_path", "str?", None),
-        test_labels_path=node.take("test_labels_path", "str?", None),
-        path=node.take("path", "str?", None),
-        label_column=node.take("label_column", "str", d.label_column),
-    )
-    node.finish()
+    if node._data.get("kind") == "csv":
+        node._data.setdefault("standardize", "pool")
+    cfg = node.build(DatasetConfig)
+    if cfg.kind not in ("synthetic", "mnist", "csv"):
+        raise ConfigError(f"$.dataset.kind: must be synthetic, mnist or csv, got {cfg.kind!r}")
     if cfg.standardize not in ("none", "pool", "labeled"):
         raise ConfigError(
             f"$.dataset.standardize: must be none, pool or labeled, got {cfg.standardize!r}"
         )
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError(f"$.dataset.test_fraction: must be in (0, 1), got {cfg.test_fraction}")
-    if kind == "mnist" and (cfg.images_path is None or cfg.labels_path is None):
+    if cfg.kind == "mnist" and (cfg.images_path is None or cfg.labels_path is None):
         raise ConfigError("$.dataset: mnist needs images_path and labels_path")
-    if kind == "mnist" and (cfg.test_images_path is None) != (cfg.test_labels_path is None):
+    if cfg.kind == "mnist" and (cfg.test_images_path is None) != (cfg.test_labels_path is None):
         raise ConfigError("$.dataset: test_images_path and test_labels_path go together")
-    if kind == "csv" and cfg.path is None:
+    if cfg.kind == "csv" and cfg.path is None:
         raise ConfigError("$.dataset: csv needs path")
-    if cfg.pool_size is not None and cfg.pool_size < 1:
-        raise ConfigError(f"$.dataset.pool_size: must be >= 1, got {cfg.pool_size}")
+    for name in ("pool_size", "class_count", "per_class", "dim"):
+        value = getattr(cfg, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"$.dataset.{name}: must be >= 1, got {value}")
     return cfg
 
 
 def _parse_train(node: _Node) -> TrainConfig:
-    d = TrainConfig()
-    kernel_raw = node._data.pop("kernel", d.kernel)
-    if isinstance(kernel_raw, list):
-        kernel_raw = tuple(
-            _coerce(v, "number", f"$.train.kernel[{i}]") for i, v in enumerate(kernel_raw)
-        )
-    elif not isinstance(kernel_raw, str):
-        raise ConfigError(
-            f"$.train.kernel: expected a string or bandwidth list, got {kernel_raw!r}"
-        )
-    try:
-        cfg = TrainConfig(
-            epochs=node.take("epochs", "int", d.epochs),
-            base_lr=node.take("base_lr", "number", d.base_lr),
-            batch_size=node.take("batch_size", "int", d.batch_size),
-            mmd_weight=node.take("lambda", "number", d.mmd_weight),
-            weight_decay=node.take("weight_decay", "number", d.weight_decay),
-            n_checkpoints=node.take("n_checkpoints", "int", d.n_checkpoints),
-            lr_floor_ratio=node.take("lr_floor_ratio", "number", d.lr_floor_ratio),
-            kernel=kernel_raw,
-        )
-    except ValueError as e:
-        raise ConfigError(f"$.train: {e}") from None
-    node.finish()
-    return cfg
+    kernel = node._data.pop("kernel", TrainConfig.kernel)  # a name or a bandwidth list
+    if isinstance(kernel, list):
+        kernel = _coerce(kernel, "tuple[float, ...]", "$.train.kernel")
+    elif not isinstance(kernel, str):
+        raise ConfigError(f"$.train.kernel: expected a string or bandwidth list, got {kernel!r}")
+    return node.build(TrainConfig, _TRAIN_KEYS, kernel=kernel)
 
 
 def _parse_model(node: _Node) -> ModelConfig:
-    d = ModelConfig()
-    cfg = ModelConfig(
-        hidden=node.take("hidden", "int_list?", d.hidden),
-        split_index=node.take("split_index", "int?", d.split_index),
-        bald_dropout=node.take("bald_dropout", "number", d.bald_dropout),
-        bald_passes=node.take("bald_passes", "int", d.bald_passes),
-    )
-    node.finish()
+    cfg = node.build(ModelConfig)
     if cfg.hidden is not None and any(h < 1 for h in cfg.hidden):
         raise ConfigError(f"$.model.hidden: sizes must be >= 1, got {list(cfg.hidden)}")
     if cfg.split_index is not None and cfg.hidden is not None:
@@ -242,32 +219,14 @@ def parse_config(source) -> ExperimentConfig:
                 raise ConfigError(f"{source}: malformed JSON: {e}") from None
 
     root = _Node(data, "$")
-    defaults = ExperimentConfig()
-    dataset = _parse_dataset(root.child("dataset"))
-    train = _parse_train(root.child("train"))
-    model = _parse_model(root.child("model"))
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        initial_count=root.take("initial_count", "int", defaults.initial_count),
-        budget=root.take("budget", "int", defaults.budget),
-        rounds=root.take("rounds", "int", defaults.rounds),
-        repeats=root.take("repeats", "int", defaults.repeats),
-        methods=root.take("methods", "str_list"),
-        train=train,
-        model=model,
-        bias_classes=root.take("bias_classes", "int_list?", defaults.bias_classes),
-        master_seed=root.take("master_seed", "int", defaults.master_seed),
-        output_dir=root.take("output_dir", "str", defaults.output_dir),
-        dump_scores=root.take("dump_scores", "bool", defaults.dump_scores),
+    cfg = root.build(
+        ExperimentConfig,
+        dataset=_parse_dataset(root.child("dataset")),
+        train=_parse_train(root.child("train")),
+        model=_parse_model(root.child("model")),
     )
-    root.finish()
-
-    for name, value in [
-        ("initial_count", cfg.initial_count),
-        ("budget", cfg.budget),
-        ("rounds", cfg.rounds),
-        ("repeats", cfg.repeats),
-    ]:
+    for name in ("initial_count", "budget", "rounds", "repeats"):
+        value = getattr(cfg, name)
         if value < 1:
             raise ConfigError(f"$.{name}: must be >= 1, got {value}")
     seen = set()
@@ -283,17 +242,8 @@ def parse_config(source) -> ExperimentConfig:
 def config_to_json(cfg: ExperimentConfig) -> str:
     """Deterministic, fully-resolved JSON echo of a config."""
     data = asdict(cfg)
-    data["train"]["lambda"] = data["train"].pop("mmd_weight")
-    data["train"].pop("seed", None)  # per-cell seeds are derived, not configured
+    for name, key in _TRAIN_KEYS.items():
+        value = data["train"].pop(name)
+        if key is not None:
+            data["train"][key] = value
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def with_overrides(
-    cfg: ExperimentConfig, master_seed: int | None = None, output_dir: str | None = None
-) -> ExperimentConfig:
-    changes = {}
-    if master_seed is not None:
-        changes["master_seed"] = master_seed
-    if output_dir is not None:
-        changes["output_dir"] = output_dir
-    return replace(cfg, **changes) if changes else cfg

@@ -33,7 +33,6 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    name: str
     features: np.ndarray  # (n, d) float64, finite
     labels: np.ndarray  # (n,) int64 in [0, class_count)
     class_count: int
@@ -96,7 +95,6 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
 
     return Dataset(
-        name="mnist-idx",
         features=pixels.astype(np.float64) / 255.0,
         labels=labels,
         class_count=int(labels.max()) + 1 if count else 0,
@@ -111,7 +109,6 @@ def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path
     test = load_mnist_idx(test_images_path, test_labels_path)
     n_train = train.features.shape[0]
     return Dataset(
-        name="mnist-idx",
         features=np.vstack([train.features, test.features]),
         labels=np.concatenate([train.labels, test.labels]),
         class_count=max(train.class_count, test.class_count),
@@ -195,7 +192,6 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         )
 
     return Dataset(
-        name=f"csv:{path}",
         features=features,
         labels=labels,
         class_count=len(label_names),
@@ -233,7 +229,6 @@ def synth_blobs(
         features[block] = centers[c] + rng.standard_normal((per_class, dim))
         labels[block] = c
     return Dataset(
-        name=f"blobs-{class_count}x{per_class}d{dim}",
         features=features,
         labels=labels,
         class_count=class_count,
@@ -258,7 +253,6 @@ def standardize(
     use_std = np.where(constant, 1.0, std)
     scaled = (X - use_mean) / use_std
     out = Dataset(
-        name=dataset.name,
         features=scaled,
         labels=dataset.labels,
         class_count=dataset.class_count,

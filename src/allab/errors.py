@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes (see cli.EXIT_CODES).
+The CLI maps these onto distinct exit codes (listed in the ``cli`` module docstring).
 """
 
 

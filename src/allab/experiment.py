@@ -24,7 +24,7 @@ from .config import ExperimentConfig, config_to_json
 from .dataio import Dataset, load_csv, load_mnist, standardize, synth_blobs
 from .errors import ConfigError, FormatError
 from .model import ModelSpec
-from .pool import PoolState, evaluate, init_pool, label_points, pool_point_count
+from .pool import PoolState, evaluate, init_pool, label_points
 from .seeding import derive_int, derive_rng
 from .trainer import train_round
 
@@ -173,9 +173,10 @@ def _dump_scores(score_dir: Path, result: AcquisitionResult, pool: PoolState, re
                 w.writerow([idx, s, 1])
 
 
-def _check_budget(dataset: Dataset, cfg: ExperimentConfig) -> None:
-    """Fail before any training when the acquisitions would exhaust the pool."""
-    available = pool_point_count(dataset, cfg.dataset.test_fraction, cfg.dataset.pool_size)
+def _check_budget(cfg: ExperimentConfig, start: PoolState) -> None:
+    """Fail before any training when the acquisitions would exhaust the pool;
+    every repeat's ``start`` partition has the same pool size."""
+    available = len(start.labeled_idx) + len(start.unlabeled_idx)
     need = cfg.initial_count + cfg.budget * (cfg.rounds - 1)
     if need > available:
         raise ConfigError(
@@ -193,9 +194,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, progress=None) -> list[
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     dataset = load_dataset(cfg)
     # each repeat's partition is drawn once, before any cell trains, so a pool
-    # too small for the config fails as a ConfigError up front
+    # too small for the config or a feature split beyond the default hidden
+    # layers fails as a ConfigError up front
     starts = [start_partition(dataset, cfg, r) for r in range(cfg.repeats)]
-    _check_budget(dataset, cfg)
+    _check_budget(cfg, starts[0])
+    cfg.model.resolve(dataset.features.shape[1], dataset.class_count)
     score_dir = Path(cfg.output_dir) if cfg.dump_scores else None
     cells = [(m, r) for m in cfg.methods for r in range(cfg.repeats)]
 

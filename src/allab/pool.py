@@ -12,7 +12,6 @@ from .model import CheckpointSet, MlpParams, avg_predict, predict_proba
 __all__ = [
     "PoolState",
     "init_pool",
-    "pool_point_count",
     "label_points",
     "evaluate",
     "check_partition",
@@ -93,20 +92,6 @@ def init_pool(
         unlabeled_idx=unlabeled,
         test_idx=test_idx,
     )
-
-
-def pool_point_count(dataset, test_fraction: float, pool_size: int | None = None) -> int:
-    """How many points :func:`init_pool` puts in the labeled + unlabeled pool.
-
-    The count depends only on the dataset size and the split settings, not on
-    the seed, so it can be checked before any repeat is built.
-    """
-    n = dataset.features.shape[0]
-    if dataset.designated_test_idx is not None:
-        count = len(np.setdiff1d(np.arange(n), dataset.designated_test_idx))
-    else:
-        count = n - int(round(n * test_fraction))
-    return count if pool_size is None else min(count, pool_size)
 
 
 def label_points(pool: PoolState, indices) -> PoolState:

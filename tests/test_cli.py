@@ -175,6 +175,27 @@ def test_run_pool_too_small_exits_2_before_training(tmp_path, capsys, forbid_tra
     assert not (tmp_path / "results" / "results.csv").exists()
 
 
+def test_run_synthetic_size_below_one_exits_2(tmp_path, capsys, forbid_training):
+    cfg = write_config(tmp_path, dataset={"kind": "synthetic", "class_count": 0})
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: $.dataset.class_count: must be >= 1, got 0" in captured.err
+    assert "unexpected error" not in captured.err
+
+
+def test_run_split_index_beyond_default_hidden_exits_2_before_training(
+    tmp_path, capsys, forbid_training
+):
+    # hidden null on 2-d blobs resolves to [64, 64], known only once the data is loaded
+    cfg = write_config(tmp_path, model={"split_index": 3})
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: $.model.split_index:" in captured.err
+    assert "[64, 64]" in captured.err
+    assert "unexpected error" not in captured.err
+    assert not (tmp_path / "results" / "results.csv").exists()
+
+
 def test_run_pool_too_small_in_a_later_repeat_exits_2_before_training(tmp_path, capsys, forbid_training):
     # class 0 keeps 20 minus its share of the 8 random test points, so
     # initial_count 16 fits some repeats and not others; find a master seed

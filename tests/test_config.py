@@ -1,17 +1,19 @@
 """Strict JSON config parsing: defaults, path-addressed errors, echo."""
 
+import dataclasses
 import json
 
 import pytest
 
 from allab.config import (
+    DatasetConfig,
     ExperimentConfig,
     ModelConfig,
     config_to_json,
     parse_config,
-    with_overrides,
 )
 from allab.errors import ConfigError
+from allab.trainer import TrainConfig
 
 
 def test_minimal_config_gets_documented_defaults():
@@ -69,6 +71,11 @@ def test_kernel_accepts_name_or_bandwidth_list():
         parse_config({"methods": ["mpts"], "train": {"kernel": 7}})
 
 
+def test_empty_kernel_list_is_a_type_error():
+    with pytest.raises(ConfigError, match=r"^\$\.train\.kernel: expected a nonempty list of numbers"):
+        parse_config({"methods": ["mpts"], "train": {"kernel": []}})
+
+
 def test_train_invariant_errors_carry_path_prefix():
     with pytest.raises(ConfigError, match=r"\$\.train: epochs"):
         parse_config({"methods": ["random"], "train": {"epochs": 7}})
@@ -81,6 +88,12 @@ def test_dataset_kind_and_requirements():
         parse_config({"methods": ["random"], "dataset": {"kind": "mnist"}})
     with pytest.raises(ConfigError, match="csv needs path"):
         parse_config({"methods": ["random"], "dataset": {"kind": "csv"}})
+
+
+@pytest.mark.parametrize("name", ["class_count", "per_class", "dim"])
+def test_synthetic_sizes_below_one_are_rejected(name):
+    with pytest.raises(ConfigError, match=rf"^\$\.dataset\.{name}: must be >= 1, got 0$"):
+        parse_config({"methods": ["random"], "dataset": {name: 0}})
 
 
 def test_csv_defaults_to_pool_standardization():
@@ -129,6 +142,14 @@ def test_model_resolution_defaults():
     assert custom.resolve(5, 3) == ((5, 32, 16, 8, 3), 2)
 
 
+def test_model_resolution_rejects_split_beyond_default_hidden():
+    # the default hidden sizes depend on the input width, known only at load time
+    cfg = parse_config({"methods": ["random"], "model": {"split_index": 2}})
+    assert cfg.model.resolve(8, 4) == ((8, 64, 64, 4), 2)
+    with pytest.raises(ConfigError, match=r"^\$\.model\.split_index: .*\[128\].*got 2$"):
+        cfg.model.resolve(784, 10)
+
+
 def test_model_config_validation():
     with pytest.raises(ConfigError, match=r"\$\.model\.split_index"):
         parse_config(
@@ -158,17 +179,55 @@ def test_config_to_json_is_deterministic_and_renames_lambda():
     assert parse_config(data) == cfg
 
 
-def test_with_overrides():
-    cfg = parse_config({"methods": ["random"]})
-    assert with_overrides(cfg) is cfg
-    changed = with_overrides(cfg, master_seed=7, output_dir="elsewhere")
-    assert changed.master_seed == 7
-    assert changed.output_dir == "elsewhere"
-    assert changed.methods == cfg.methods
-
-
 def test_default_experiment_config_mirrors_parse_defaults():
     # the dataclass defaults and the parser defaults must agree
     parsed = parse_config({"methods": ["random"]})
     stock = ExperimentConfig(methods=("random",))
     assert parsed == stock
+
+
+# every configurable field set to a value other than its default
+EVERY_FIELD = {
+    "dataset": {
+        "kind": "mnist", "pool_size": 300, "standardize": "labeled", "test_fraction": 0.3,
+        "class_count": 3, "per_class": 50, "dim": 5, "separation": 2.5,
+        "images_path": "train-images", "labels_path": "train-labels",
+        "test_images_path": "test-images", "test_labels_path": "test-labels",
+        "path": "table.csv", "label_column": "y",
+    },
+    "initial_count": 10, "budget": 7, "rounds": 3, "repeats": 2,
+    "methods": ["mpts", "bald"],
+    "train": {
+        "epochs": 20, "base_lr": 0.01, "batch_size": 16, "lambda": 0.5, "weight_decay": 0.001,
+        "n_checkpoints": 2, "lr_floor_ratio": 0.5, "kernel": [0.5, 2.0],
+    },
+    "model": {"hidden": [32, 16], "split_index": 1, "bald_dropout": 0.25, "bald_passes": 5},
+    "bias_classes": [0, 2], "master_seed": 11, "output_dir": "elsewhere", "dump_scores": True,
+}
+
+
+def test_every_field_round_trips():
+    cfg = parse_config(EVERY_FIELD)
+    assert parse_config(json.loads(config_to_json(cfg))) == cfg
+
+
+def test_every_field_config_covers_every_field():
+    # a field whose annotation the parser has no kind for fails only when its
+    # key is set, so the round-trip config above must set every field
+    cfg = parse_config(EVERY_FIELD)
+    exempt = {(TrainConfig, "seed"), (ExperimentConfig, "dataset"),
+              (ExperimentConfig, "train"), (ExperimentConfig, "model")}
+    sections = [
+        (ExperimentConfig, EVERY_FIELD, cfg),
+        (DatasetConfig, EVERY_FIELD["dataset"], cfg.dataset),
+        (TrainConfig, EVERY_FIELD["train"], cfg.train),
+        (ModelConfig, EVERY_FIELD["model"], cfg.model),
+    ]
+    for cls, doc, parsed in sections:
+        for f in dataclasses.fields(cls):
+            if (cls, f.name) in exempt:
+                continue
+            key = "lambda" if f.name == "mmd_weight" else f.name
+            assert key in doc, f"{cls.__name__}.{f.name} is not set"
+            if f.default is not dataclasses.MISSING:
+                assert getattr(parsed, f.name) != f.default, f"{cls.__name__}.{f.name} is the default"

@@ -236,7 +236,7 @@ def _plain(features):
     from allab.dataio import Dataset
 
     features = np.asarray(features, dtype=np.float64)
-    return Dataset("t", features, np.zeros(len(features), dtype=np.int64), 1)
+    return Dataset(features, np.zeros(len(features), dtype=np.int64), 1)
 
 
 def test_standardize_hand_fixture_population_std():
