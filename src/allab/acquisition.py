@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoolError
-from .layers import softmax
-from .model import CheckpointSet, MlpParams, avg_predict, forward, predict_proba
+from .model import CheckpointSet, MlpParams, avg_predict, dropout_probs, forward, predict_proba
 
 __all__ = [
     "AcquisitionResult",
@@ -121,19 +120,16 @@ def bald_acquire(
     """Mutual-information scores from stochastic dropout passes.
 
     score = H(mean of the per-pass probabilities) - mean per-pass entropy,
-    which is nonnegative (Jensen) up to float noise.
+    which is nonnegative (Jensen) up to float noise.  The passes are
+    ``model.dropout_probs``: the same draws and probabilities as ``passes``
+    train-mode ``forward`` calls, with the first layer computed once.
     """
     if final.dropout_rate <= 0:
         raise ValueError("bald_acquire requires a model with dropout_rate > 0")
     if passes < 2:
         raise ValueError(f"bald_acquire needs at least 2 passes, got {passes}")
     unlabeled = _require_unlabeled(pool)
-    X = pool.features[unlabeled]
-    probs = []
-    for t in range(passes):
-        _, logits, _ = forward(final, X, train_mode=True, rng=rng)
-        probs.append(softmax(logits))
-    scores = bald_scores_from_probs(np.stack(probs))
+    scores = bald_scores_from_probs(dropout_probs(final, pool.features[unlabeled], passes, rng))
     picks = select_top_k(scores, budget)
     return AcquisitionResult("bald", scores, unlabeled[picks])
 
@@ -170,16 +166,18 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
     k = min(budget, len(unlabeled))
     picked_pos: list[int] = []
     pick_dists: list[float] = []
-    available = np.ones(len(unlabeled), dtype=bool)
+    # buffers reused by every pick
+    gap, dist_new, masked = np.empty_like(Z_u), np.empty(len(unlabeled)), np.empty(len(unlabeled))
     for _ in range(k):
-        masked = np.where(available, min_dist, -np.inf)
+        np.copyto(masked, min_dist)
+        masked[picked_pos] = -np.inf
         pos = int(np.argmax(masked))  # first max = lowest pool index on ties
         picked_pos.append(pos)
         pick_dists.append(float(min_dist[pos]))
-        available[pos] = False
-        gap = Z_u - Z_u[pos]
-        dist_new = np.sqrt((gap * gap).sum(axis=1))
-        min_dist = np.minimum(min_dist, dist_new)
+        np.subtract(Z_u, Z_u[pos], out=gap)
+        np.square(gap, out=gap)
+        np.sqrt(gap.sum(axis=1, out=dist_new), out=dist_new)
+        np.minimum(min_dist, dist_new, out=min_dist)
     return AcquisitionResult("coreset", np.array(pick_dists), unlabeled[np.array(picked_pos)])
 
 

@@ -70,16 +70,15 @@ def _cmd_run(args) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    logs = run_experiment(cfg, jobs=args.jobs, progress=print)
+    dataset = load_dataset(cfg)
+    logs = run_experiment(cfg, jobs=args.jobs, progress=print, dataset=dataset)
 
     write_results_csv(logs, out / "results.csv")
     write_results_json(logs, cfg, out / "results.json")
     (out / "resolved_config.json").write_text(config_to_json(cfg))
-    if cfg.dataset.kind == "csv":
-        names = load_dataset(cfg).label_names
-        if names:
-            mapping = {"class_ids": {name: i for i, name in enumerate(names)}}
-            (out / "label_names.json").write_text(json.dumps(mapping, indent=2) + "\n")
+    if dataset.label_names:
+        mapping = {"class_ids": {name: i for i, name in enumerate(dataset.label_names)}}
+        (out / "label_names.json").write_text(json.dumps(mapping, indent=2) + "\n")
     print(f"wrote {out / 'results.csv'} ({len(logs)} rows)")
     return 0
 

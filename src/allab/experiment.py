@@ -33,7 +33,6 @@ __all__ = [
     "RESULTS_HEADER",
     "load_dataset",
     "start_partition",
-    "build_pool",
     "run_cell",
     "run_experiment",
     "write_results_csv",
@@ -79,9 +78,13 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> PoolState:
-    """The repeat's starting partition, before any standardization; every
-    method's cell of the repeat starts from it."""
-    return init_pool(
+    """The repeat's starting partition, standardized if enabled; every
+    method's cell of the repeat starts from it and shares its features.
+
+    Standardization statistics are fitted inside the partition (pool rows or
+    initial labeled rows) so the test set never leaks into them.
+    """
+    start = init_pool(
         dataset,
         cfg.initial_count,
         cfg.dataset.test_fraction,
@@ -89,14 +92,6 @@ def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> Poo
         pool_size=cfg.dataset.pool_size,
         restrict_classes=cfg.bias_classes,
     )
-
-
-def build_pool(dataset: Dataset, cfg: ExperimentConfig, start: PoolState) -> PoolState:
-    """One cell's pool: the repeat's starting partition, standardized if enabled.
-
-    Standardization statistics are fitted inside the partition (pool rows or
-    initial labeled rows) so the test set never leaks into them.
-    """
     mode = cfg.dataset.standardize
     if mode == "none":
         return start
@@ -126,7 +121,7 @@ def run_cell(
     """
     rules = METHODS[method]
     repeat_seed = derive_int(cfg.master_seed, "pool", repeat)
-    pool = build_pool(dataset, cfg, start)
+    pool = start
     layer_sizes, split = cfg.model.resolve(dataset.features.shape[1], dataset.class_count)
     spec = ModelSpec(layer_sizes, split, cfg.model.bald_dropout if rules.bald_dropout else 0.0)
     mmd_weight = cfg.train.mmd_weight if rules.trains_with_mmd else 0.0
@@ -186,13 +181,17 @@ def _check_budget(cfg: ExperimentConfig, start: PoolState) -> None:
         )
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1, progress=None) -> list[RoundLog]:
+def run_experiment(
+    cfg: ExperimentConfig, jobs: int = 1, progress=None, dataset: Dataset | None = None
+) -> list[RoundLog]:
     """Run every (method, repeat) cell and return rows sorted by
     (method, repeat, round).  ``jobs`` > 1 fans cells out over threads; the
-    returned rows are identical either way."""
+    returned rows are identical either way.  ``dataset`` is the config's
+    already loaded dataset; without it the run loads its own."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    dataset = load_dataset(cfg)
+    if dataset is None:
+        dataset = load_dataset(cfg)
     # each repeat's partition is drawn once, before any cell trains, so a pool
     # too small for the config or a feature split beyond the default hidden
     # layers fails as a ConfigError up front

@@ -4,6 +4,8 @@ Matrices are row-major ``numpy`` arrays of 64-bit floats throughout; a batch
 of n examples with d features is an (n, d) array.  Every operation here is a
 pure function of its inputs (plus an explicitly passed generator for dropout),
 so the primitives are safe to call from multiple threads on disjoint data.
+``affine_forward``, ``relu`` and ``softmax`` take an optional ``out`` buffer,
+so a loop can reuse its arrays; the result is the same either way.
 
 Gradient conventions:
     - ReLU derivative at exactly 0 is 0.
@@ -35,10 +37,13 @@ def _as_matrix(name: str, a: np.ndarray, ndim: int = 2) -> np.ndarray:
     return a
 
 
-def affine_forward(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+def affine_forward(
+    X: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Fully-connected layer: Y = X @ W + b.
 
-    X: (n, d), W: (d, m), b: (m,).  Returns (n, m).
+    X: (n, d), W: (d, m), b: (m,).  Returns (n, m), written into ``out``
+    when one is given.
     """
     X = _as_matrix("X", X)
     W = _as_matrix("W", W)
@@ -47,7 +52,9 @@ def affine_forward(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(f"affine_forward: X {X.shape} does not chain with W {W.shape}")
     if b.shape[0] != W.shape[1]:
         raise DimensionError(f"affine_forward: b {b.shape} does not match W {W.shape}")
-    return X @ W + b
+    Y = np.matmul(X, W, out=out)
+    Y += b
+    return Y
 
 
 def affine_backward(
@@ -78,13 +85,13 @@ def affine_backward(
     return dX, dW, db
 
 
-def relu(X: np.ndarray) -> np.ndarray:
-    """Elementwise max(x, 0).
+def relu(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(x, 0), written into ``out`` when one is given (it may be X).
 
     NaN passes through (max(NaN, 0) is NaN), so bad inputs stay visible
     downstream instead of being zeroed.
     """
-    return np.maximum(X, 0.0)
+    return np.maximum(X, 0.0, out=out)
 
 
 def relu_backward(X: np.ndarray, dY: np.ndarray) -> np.ndarray:
@@ -96,11 +103,16 @@ def relu_backward(X: np.ndarray, dY: np.ndarray) -> np.ndarray:
     return dY * (X > 0)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise class probabilities, each row shifted by its max so exp cannot overflow."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise class probabilities, each row shifted by its max so exp cannot overflow.
+
+    Written into ``out`` when one is given (it may be ``logits``).
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax_cross_entropy(

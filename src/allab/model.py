@@ -4,7 +4,9 @@ The network is a stack of affine layers with ReLU after every layer except the
 last.  ``split_index`` counts the layers that form the feature extractor: the
 features Z are the post-ReLU activations after that layer (captured before any
 dropout).  Dropout, when enabled, is applied after each hidden activation in
-train mode only; eval mode is fully deterministic.
+train mode only; eval mode is fully deterministic.  ``dropout_probs`` runs
+many train-mode passes (BALD's) with the same results and random draws as
+that many ``forward`` calls, computing the dropout-free first layer once.
 
 The hidden activations are ``layers.relu`` and its gradient
 ``layers.relu_backward``, the same pair the gradient audit checks.  ReLU is
@@ -20,12 +22,11 @@ predicts with their mean.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError
 from .layers import affine_backward, affine_forward, dropout, relu, relu_backward, softmax
 
 __all__ = [
@@ -39,8 +40,7 @@ __all__ = [
     "predict_proba",
     "snapshot",
     "avg_predict",
-    "save_params",
-    "load_params",
+    "dropout_probs",
 ]
 
 
@@ -124,6 +124,15 @@ def init_mlp(
     return MlpParams(layers, spec.split_index, spec.dropout_rate)
 
 
+def _checked_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.layers[0][0].shape[0]:
+        raise DimensionError(
+            f"input {X.shape} does not match first layer {params.layers[0][0].shape}"
+        )
+    return X
+
+
 def forward(
     params: MlpParams,
     X: np.ndarray,
@@ -136,11 +145,7 @@ def forward(
     pre-dropout).  The cache supports :func:`backward`.  Only train-mode
     dropout consumes random numbers.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.layers[0][0].shape[0]:
-        raise DimensionError(
-            f"input {X.shape} does not match first layer {params.layers[0][0].shape}"
-        )
+    X = _checked_input(params, X)
     n_layers = len(params.layers)
     cache = ForwardCache()
     a = X
@@ -231,48 +236,39 @@ def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
     return acc / len(trajectory)
 
 
-# Checkpoint files: little-endian u64 header (layer count, then rows/cols per
-# layer), followed per layer by the W entries row-major and then the bias,
-# all as little-endian f64.
+def dropout_probs(
+    params: MlpParams, X: np.ndarray, passes: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(passes, n, C) class probabilities from train-mode dropout passes.
 
-def _format_error(path, offset: int, why: str) -> FormatError:
-    return FormatError(f"{path}: byte {offset}: {why}")
-
-
-def save_params(params: MlpParams, path) -> None:
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(params.layers)))
-        for W, _ in params.layers:
-            f.write(struct.pack("<QQ", W.shape[0], W.shape[1]))
-        for W, b in params.layers:
-            f.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-
-
-def load_params(path, split_index: int, dropout_rate: float = 0.0) -> MlpParams:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8:
-        raise _format_error(path, 0, "missing layer count")
-    (n_layers,) = struct.unpack_from("<Q", raw, 0)
-    offset = 8
-    shapes = []
-    for _ in range(n_layers):
-        if offset + 16 > len(raw):
-            raise _format_error(path, offset, "truncated shape header")
-        rows, cols = struct.unpack_from("<QQ", raw, offset)
-        shapes.append((rows, cols))
-        offset += 16
-    layers = []
-    for rows, cols in shapes:
-        need = (rows * cols + cols) * 8
-        if offset + need > len(raw):
-            raise _format_error(path, offset, "truncated weight data")
-        W = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
-        offset += rows * cols * 8
-        b = np.frombuffer(raw, dtype="<f8", count=cols, offset=offset)
-        offset += cols * 8
-        layers.append((W.astype(np.float64), b.astype(np.float64)))
-    if offset != len(raw):
-        raise _format_error(path, offset, f"{len(raw) - offset} trailing bytes")
-    return MlpParams(layers, split_index, dropout_rate)
+    Pass t is bit for bit ``softmax`` of the logits of
+    ``forward(params, X, train_mode=True, rng=rng)``, and the passes draw the
+    same numbers from ``rng`` in the same order, given ``dropout_rate`` > 0
+    (at rate 0 ``forward`` draws nothing).  Dropout acts only after each
+    hidden ReLU, so the first layer's ``relu(X @ W1 + b1)`` is the same in
+    every pass and is computed once.  Each later layer's dropout mask and
+    pre-activation buffers are allocated once per call; the passes write
+    into them and allocate no large array.
+    """
+    X = _checked_input(params, X)
+    n, n_layers = X.shape[0], len(params.layers)
+    rate = params.dropout_rate
+    W1, b1 = params.layers[0]
+    first = relu(affine_forward(X, W1, b1))
+    later = params.layers[1:]
+    buffers = [(np.empty((n, W.shape[0])), np.empty((n, W.shape[1]))) for W, _ in later]
+    probs = np.empty((passes, n, later[-1][0].shape[1]))
+    for t in range(passes):
+        a = first
+        for i, ((W, b), (mask, pre)) in enumerate(zip(later, buffers), start=2):
+            # layers.dropout's arithmetic in place: the draws of rng.random(a.shape),
+            # mask = keep / (1 - rate) (1.0 * (1 / (1 - rate)) is that exactly), a * mask
+            rng.random(out=mask)
+            np.greater_equal(mask, rate, out=mask)
+            mask *= 1.0 / (1.0 - rate)
+            np.multiply(a, mask, out=mask)
+            a = affine_forward(mask, W, b, out=pre)
+            if i < n_layers:
+                relu(a, out=a)
+        softmax(a, out=probs[t])
+    return probs

@@ -14,7 +14,6 @@ __all__ = [
     "init_pool",
     "label_points",
     "evaluate",
-    "check_partition",
 ]
 
 
@@ -52,9 +51,10 @@ def init_pool(
     uniformly (unstratified) as the initial labeled set.  ``restrict_classes``
     limits that initial draw to the given class ids (biased-start mode).
 
-    A split that leaves no test set or no pool, or fewer eligible pool points
-    than ``initial_count``, is a :class:`ConfigError` naming the config field
-    (``$.dataset.test_fraction`` or ``$.initial_count``).
+    A split that leaves no test set or no pool, a ``restrict_classes`` id
+    outside [0, class_count), or fewer eligible pool points than
+    ``initial_count``, is a :class:`ConfigError` naming the config field
+    (``$.dataset.test_fraction``, ``$.bias_classes`` or ``$.initial_count``).
     """
     n = dataset.features.shape[0]
     all_idx = np.arange(n)
@@ -77,6 +77,11 @@ def init_pool(
     candidates = pool_idx
     if restrict_classes is not None:
         allowed = set(int(c) for c in restrict_classes)
+        for c in sorted(allowed):
+            if not 0 <= c < dataset.class_count:
+                raise ConfigError(
+                    f"$.bias_classes: class id {c} not in [0, {dataset.class_count})"
+                )
         candidates = pool_idx[np.isin(dataset.labels[pool_idx], sorted(allowed))]
     if initial_count > len(candidates):
         raise ConfigError(
@@ -132,20 +137,3 @@ def evaluate(predictor, pool: PoolState) -> float:
         raise TypeError(f"cannot evaluate a {type(predictor).__name__}")
     pred = P.argmax(axis=1)
     return float((pred == pool.labels[pool.test_idx]).mean())
-
-
-def check_partition(pool: PoolState) -> None:
-    """Assert the partition invariants; used by tests after every round.
-
-    The three index sets must be disjoint and in bounds.  When their sizes sum
-    to the dataset size (no pool subsampling) they must also cover it exactly.
-    """
-    n = pool.features.shape[0]
-    parts = [pool.labeled_idx, pool.unlabeled_idx, pool.test_idx]
-    combined = np.concatenate(parts)
-    if len(np.unique(combined)) != len(combined):
-        raise AssertionError("index sets overlap")
-    if len(combined) and (combined.min() < 0 or combined.max() >= n):
-        raise AssertionError("index out of bounds")
-    if len(combined) == n and not np.array_equal(np.sort(combined), np.arange(n)):
-        raise AssertionError("index sets do not cover the dataset")

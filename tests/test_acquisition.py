@@ -7,6 +7,8 @@ closed forms or explicit loops rather than from the code under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allab.acquisition import (
     METHODS,
@@ -378,6 +380,50 @@ def test_coreset_matches_brute_force(n, seed):
     assert result.selected.tolist() == pool.unlabeled_idx[picks].tolist()
     assert np.allclose(result.scores, dists, atol=1e-10)
     assert np.all(np.diff(result.scores) <= 1e-12)  # max-min radii shrink
+
+
+def coreset_allocating(final, pool, budget):
+    """coreset_acquire as it was before its loop reused buffers: fresh arrays each pick."""
+    unlabeled, labeled = pool.unlabeled_idx, pool.labeled_idx
+    Z_u, _, _ = forward(final, pool.features[unlabeled])
+    if len(labeled):
+        Z_l, _, _ = forward(final, pool.features[labeled])
+        d2 = (Z_u * Z_u).sum(axis=1)[:, None] + (Z_l * Z_l).sum(axis=1)[None, :] - 2.0 * Z_u @ Z_l.T
+        min_dist = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
+    else:
+        min_dist = np.full(len(unlabeled), np.inf)
+    picked_pos, pick_dists = [], []
+    available = np.ones(len(unlabeled), dtype=bool)
+    for _ in range(min(budget, len(unlabeled))):
+        masked = np.where(available, min_dist, -np.inf)
+        pos = int(np.argmax(masked))
+        picked_pos.append(pos)
+        pick_dists.append(float(min_dist[pos]))
+        available[pos] = False
+        gap = Z_u - Z_u[pos]
+        min_dist = np.minimum(min_dist, np.sqrt((gap * gap).sum(axis=1)))
+    return np.array(pick_dists), unlabeled[np.array(picked_pos)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    n_labeled=st.integers(0, 5),
+    budget=st.integers(1, 45),
+    duplicates=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_coreset_bitwise_equal_to_allocating_loop(n, n_labeled, budget, duplicates, seed):
+    rng = derive_rng(seed)
+    X = rng.standard_normal((n + n_labeled, 3))
+    if duplicates:  # exact ties between points
+        X[rng.integers(0, len(X), len(X) // 2)] = X[0]
+    params = init_mlp([3, 6, 2], 1, 0.0, rng)
+    pool = make_pool(X, labeled=np.arange(n_labeled))
+    result = coreset_acquire(params, pool, budget)
+    dists, selected = coreset_allocating(params, pool, budget)
+    assert result.selected.tolist() == selected.tolist()
+    assert np.array_equal(result.scores.view(np.uint64), dists.view(np.uint64))
 
 
 def test_coreset_picks_farthest_point():

@@ -175,6 +175,17 @@ def test_run_pool_too_small_exits_2_before_training(tmp_path, capsys, forbid_tra
     assert not (tmp_path / "results" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+def test_run_bias_class_out_of_range_exits_2_before_training(tmp_path, capsys, forbid_training, bad):
+    dataset = {"kind": "synthetic", "class_count": 4, "per_class": 40, "dim": 2, "separation": 8.0}
+    cfg = write_config(tmp_path, dataset=dataset, bias_classes=[bad], repeats=1)
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: $.bias_classes: class id {bad} not in [0, 4)" in captured.err
+    assert "$.initial_count" not in captured.err
+    assert not (tmp_path / "results" / "results.csv").exists()
+
+
 def test_run_synthetic_size_below_one_exits_2(tmp_path, capsys, forbid_training):
     cfg = write_config(tmp_path, dataset={"kind": "synthetic", "class_count": 0})
     assert main(["run", "--config", str(cfg)]) == 2
@@ -269,6 +280,26 @@ def test_run_csv_dataset_emits_label_mapping(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 0
     mapping = json.loads((tmp_path / "results" / "label_names.json").read_text())
     assert mapping == {"class_ids": {"a": 0, "b": 1, "c": 2}}
+
+
+def test_run_parses_a_csv_once(tmp_path, monkeypatch):
+    import allab.experiment
+
+    calls = []
+
+    def counting_load_csv(*args, **kwargs):
+        calls.append(1)
+        return real_load_csv(*args, **kwargs)
+
+    real_load_csv = allab.experiment.load_csv
+    monkeypatch.setattr(allab.experiment, "load_csv", counting_load_csv)
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["x1,x2,y", *(f"{i % 7}.5,{i % 5},{'ab'[i % 2]}" for i in range(60))]) + "\n")
+    cfg = write_config(tmp_path, dataset={"kind": "csv", "path": str(data)}, initial_count=8, repeats=1)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+    mapping = json.loads((tmp_path / "results" / "label_names.json").read_text())
+    assert mapping == {"class_ids": {"a": 0, "b": 1}}
 
 
 # ---- gradcheck -------------------------------------------------------------

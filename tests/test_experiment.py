@@ -12,7 +12,6 @@ from allab.errors import ConfigError, FormatError
 from allab.experiment import (
     RESULTS_HEADER,
     RoundLog,
-    build_pool,
     compute_curves,
     load_dataset,
     read_results_csv,
@@ -59,23 +58,23 @@ def test_build_pool_standardize_modes():
     doc = small_doc()
     cfg = parse_config(doc)
     dataset = load_dataset(cfg)
-    start = start_partition(dataset, cfg, 0)
+    raw = dataset.features.copy()
 
-    plain = build_pool(dataset, cfg, start)
+    plain = start_partition(dataset, cfg, 0)
     assert np.array_equal(plain.features, dataset.features)
 
-    pooled = build_pool(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="pool")), start)
+    pooled = start_partition(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="pool")), 0)
     rows = np.sort(np.concatenate([pooled.labeled_idx, pooled.unlabeled_idx]))
     assert np.abs(pooled.features[rows].mean(axis=0)).max() <= 1e-12
     assert np.abs(pooled.features[rows].std(axis=0) - 1.0).max() <= 1e-12
     # partition identical to the unstandardized build (same rng consumption)
     assert np.array_equal(pooled.labeled_idx, plain.labeled_idx)
 
-    lab = build_pool(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="labeled")), start)
+    lab = start_partition(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="labeled")), 0)
     assert np.abs(lab.features[lab.labeled_idx].mean(axis=0)).max() <= 1e-12
     assert np.abs(lab.features[lab.labeled_idx].std(axis=0) - 1.0).max() <= 1e-12
-    # the shared starting partition is left as it was
-    assert np.array_equal(start.features, dataset.features)
+    # the dataset's own features are left as they were
+    assert np.array_equal(dataset.features, raw)
 
 
 def test_starting_partition_drawn_once_per_repeat(monkeypatch):
@@ -91,6 +90,23 @@ def test_starting_partition_drawn_once_per_repeat(monkeypatch):
     logs = run_experiment(cfg)
     assert len(calls) == cfg.repeats
     assert len(logs) == 3 * cfg.repeats
+
+
+def test_standardized_once_per_repeat(monkeypatch):
+    calls = []
+
+    def counting_standardize(*args, **kwargs):
+        calls.append(1)
+        return real_standardize(*args, **kwargs)
+
+    real_standardize = experiment.standardize
+    monkeypatch.setattr(experiment, "standardize", counting_standardize)
+    doc = small_doc()
+    cfg = parse_config({**doc, "methods": ["random", "entropy"], "rounds": 1,
+                        "dataset": {**doc["dataset"], "standardize": "pool"}})
+    logs = run_experiment(cfg)
+    assert len(calls) == cfg.repeats
+    assert len(logs) == 2 * cfg.repeats
 
 
 def test_run_cell_takes_its_rules_from_the_method_table(monkeypatch):

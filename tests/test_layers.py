@@ -210,6 +210,24 @@ def test_softmax_bit_identical_to_inline_form(logits):
     assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # max - min may overflow to -inf
+@settings(max_examples=100, deadline=None)
+@given(logits=logit_rows, seed=st.integers(0, 2**31))
+def test_out_buffers_give_the_allocating_bits(logits, seed):
+    rng = np.random.default_rng(seed)
+    n, m = logits.shape
+    X, W, b = rng.standard_normal((n, 3)), rng.standard_normal((3, m)), rng.standard_normal(m)
+    buf = np.empty((n, m))
+    assert affine_forward(X, W, b, out=buf) is buf
+    assert np.array_equal(bits(buf), bits(X @ W + b))
+    assert relu(buf, out=buf) is buf
+    assert np.array_equal(bits(buf), bits(np.maximum(X @ W + b, 0.0)))
+    assert np.array_equal(bits(softmax(logits, out=buf)), bits(softmax_inline(logits)))
+    in_place = logits.copy()
+    assert softmax(in_place, out=in_place) is in_place
+    assert np.array_equal(bits(in_place), bits(softmax_inline(logits)))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e308 - -1e308 overflows to inf
 def test_softmax_extreme_rows():
     logits = np.array([[1e308, -1e308, 0.0], [-1e308, -1e308, -1e308], [1000.0, 999.0, 0.0]])

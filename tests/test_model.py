@@ -1,23 +1,22 @@
-"""Network assembly, forward/backward, snapshots, checkpoint files."""
+"""Network assembly, forward/backward, snapshots, dropout passes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allab.errors import DimensionError, FormatError
-from allab.layers import affine_backward, softmax_cross_entropy
+from allab.errors import DimensionError
+from allab.layers import affine_backward, softmax, softmax_cross_entropy
 from allab.model import (
     CheckpointSet,
     MlpParams,
     ModelSpec,
     avg_predict,
     backward,
+    dropout_probs,
     forward,
     init_mlp,
-    load_params,
     predict_proba,
-    save_params,
     snapshot,
 )
 from allab.seeding import derive_rng
@@ -314,39 +313,51 @@ def test_avg_predict_on_read_only_snapshots_matches_copies(sizes, n_snaps, n, sc
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# ---- checkpoint files ------------------------------------------------------
+# ---- dropout passes --------------------------------------------------------
 
-def test_params_file_roundtrip(tmp_path):
-    params = small_net(22, sizes=(4, 7, 7, 3), split=2, rate=0.25)
-    path = tmp_path / "ckpt.bin"
-    save_params(params, path)
-    loaded = load_params(path, split_index=2, dropout_rate=0.25)
-    assert loaded.split_index == 2 and loaded.dropout_rate == 0.25
-    for (Wa, ba), (Wb, bb) in zip(params.layers, loaded.layers):
-        assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
+def dropout_probs_reference(params, X, passes, rng):
+    """One full train-mode forward and softmax per pass."""
+    return np.stack(
+        [softmax(forward(params, X, train_mode=True, rng=rng)[1]) for _ in range(passes)]
+    )
 
 
-def test_params_file_truncated(tmp_path):
-    params = small_net(23)
-    path = tmp_path / "ckpt.bin"
-    save_params(params, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-5])
-    with pytest.raises(FormatError, match=r"byte"):
-        load_params(path, split_index=1)
+@settings(max_examples=80, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+    rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n=st.integers(1, 12),
+    passes=st.integers(2, 5),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    special=st.sampled_from([None, 0.0, -0.0, np.nan, np.inf]),
+    seed=st.integers(0, 2**31),
+)
+def test_dropout_probs_equals_forward_per_pass(hidden, rate, n, passes, scale, special, seed):
+    rng = derive_rng(seed, "init")
+    d, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    params = init_mlp((d, *hidden, C), 1, rate, rng)
+    X = scale * rng.standard_normal((n, d))
+    if special is not None:  # signed zeros and non-finite values through the mask
+        X[rng.random(X.shape) < 0.3] = special
+    got_rng, want_rng = derive_rng(seed, "dropout"), derive_rng(seed, "dropout")
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = dropout_probs(params, X, passes, got_rng)
+        want = dropout_probs_reference(params, X, passes, want_rng)
+    assert got.shape == (passes, n, C)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_params_file_trailing_bytes(tmp_path):
-    params = small_net(24)
-    path = tmp_path / "ckpt.bin"
-    save_params(params, path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(FormatError, match=r"trailing"):
-        load_params(path, split_index=1)
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (64, 33)])
+def test_random_into_buffer_draws_as_random_of_shape(shape):
+    into, fresh = derive_rng(5), derive_rng(5)
+    buf = np.empty(shape)
+    for _ in range(3):
+        into.random(out=buf)
+        assert np.array_equal(buf.view(np.uint64), fresh.random(shape).view(np.uint64))
+    assert into.bit_generator.state == fresh.bit_generator.state
 
 
-def test_params_file_bad_header(tmp_path):
-    path = tmp_path / "ckpt.bin"
-    path.write_bytes(b"\x00" * 4)  # shorter than the layer-count word
-    with pytest.raises(FormatError):
-        load_params(path, split_index=1)
+def test_dropout_probs_input_width_checked():
+    with pytest.raises(DimensionError):
+        dropout_probs(small_net(rate=0.5), np.zeros((2, 5)), 2, derive_rng(0))

@@ -6,8 +6,24 @@ import pytest
 from allab.dataio import Dataset, synth_blobs
 from allab.errors import ConfigError, PoolError
 from allab.model import CheckpointSet, MlpParams, init_mlp, snapshot
-from allab.pool import check_partition, evaluate, init_pool, label_points
+from allab.pool import PoolState, evaluate, init_pool, label_points
 from allab.seeding import derive_rng
+
+
+def check_partition(pool: PoolState) -> None:
+    """Assert the partition invariants; used after every round.
+
+    The three index sets must be disjoint and in bounds.  When their sizes sum
+    to the dataset size (no pool subsampling) they must also cover it exactly.
+    """
+    n = pool.features.shape[0]
+    combined = np.concatenate([pool.labeled_idx, pool.unlabeled_idx, pool.test_idx])
+    if len(np.unique(combined)) != len(combined):
+        raise AssertionError("index sets overlap")
+    if len(combined) and (combined.min() < 0 or combined.max() >= n):
+        raise AssertionError("index out of bounds")
+    if len(combined) == n and not np.array_equal(np.sort(combined), np.arange(n)):
+        raise AssertionError("index sets do not cover the dataset")
 
 
 def toy_dataset(n=60, d=3, class_count=3, seed=0, designated=None):
@@ -67,6 +83,13 @@ def test_init_pool_biased_start_honors_class_restriction():
     assert set(ds.labels[pool.labeled_idx].tolist()) <= {0, 2}
     # the unlabeled side keeps every class in play
     assert set(ds.labels[pool.unlabeled_idx].tolist()) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_init_pool_rejects_bias_class_out_of_range(bad):
+    ds = toy_dataset(n=200, class_count=4, seed=6)
+    with pytest.raises(ConfigError, match=rf"^\$\.bias_classes: class id {bad} not in \[0, 4\)$"):
+        init_pool(ds, 20, 0.2, derive_rng(7), restrict_classes=[0, bad])
 
 
 def test_init_pool_rejects_oversized_initial_count():
@@ -182,8 +205,6 @@ def test_evaluate_rejects_unknown_predictor():
 
 
 def _eye_pool(n, labels, class_count):
-    from allab.pool import PoolState
-
     return PoolState(
         features=np.eye(n),
         labels=np.asarray(labels, dtype=np.int64),
