@@ -14,7 +14,7 @@ from functools import cache
 
 from .acquisition import METHODS
 from .errors import ConfigError
-from .trainer import TrainConfig
+from .trainer import KERNEL_NAMES, TrainConfig
 
 __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "config_to_json"]
 
@@ -178,8 +178,10 @@ def _parse_train(node: _Node) -> TrainConfig:
     kernel = node._data.pop("kernel", TrainConfig.kernel)  # a name or a bandwidth list
     if isinstance(kernel, list):
         kernel = _coerce(kernel, "tuple[float, ...]", "$.train.kernel")
-    elif not isinstance(kernel, str):
-        raise ConfigError(f"$.train.kernel: expected a string or bandwidth list, got {kernel!r}")
+    elif kernel not in KERNEL_NAMES:
+        raise ConfigError(
+            f"$.train.kernel: must be 'median', 'median3' or a bandwidth list, got {kernel!r}"
+        )
     return node.build(TrainConfig, _TRAIN_KEYS, kernel=kernel)
 
 

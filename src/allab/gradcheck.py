@@ -22,7 +22,7 @@ from .layers import (
     softmax_cross_entropy,
 )
 from .mmd import KernelSpec, mmd2_biased, mmd2_biased_with_grad
-from .model import ModelSpec, backward, forward, init_mlp
+from .model import ModelSpec, backward, forward, init_mlp, zeros_like
 from .seeding import derive_rng
 
 __all__ = ["CheckRecord", "central_diff", "rel_error", "run_gradcheck", "DEFAULT_TOL"]
@@ -169,9 +169,10 @@ def _suite_composite(col: _Collector, seed: int):
         Z_p, _, cache_p = forward(params, X_p, train_mode=True)
         _, _, dlogits = softmax_cross_entropy(logits, y)
         _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, spec)
-        grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
-        g_p = backward(params, cache_p, None, dZ=lam * dZ_p)  # extractor layers only
-        grads[: len(g_p)] = [(dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, g_p)]
+        # as in the trainer: the pool batch adds its extractor gradients to the same vector
+        grad = zeros_like(params)
+        grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l, out=grad)
+        backward(params, cache_p, None, dZ=lam * dZ_p, out=grad, add=True)
         for li, (dW, db) in enumerate(grads):
             col.add("composite", f"{s}/W{li}", dW, central_diff(loss, params.layers[li][0]))
             col.add("composite", f"{s}/b{li}", db, central_diff(loss, params.layers[li][1]))

@@ -7,6 +7,12 @@ so the primitives are safe to call from multiple threads on disjoint data.
 ``affine_forward``, ``relu`` and ``softmax`` take an optional ``out`` buffer,
 so a loop can reuse its arrays; the result is the same either way.
 
+Each checked primitive is its checks plus one unchecked body
+(``_affine_forward``, ``_affine_backward``, ``_softmax_cross_entropy``).
+``model`` and ``trainer`` call the bodies in their per-step loops: the
+parameter shapes are checked once when an ``MlpParams`` is built, and the
+labels and feature width once per training round.
+
 Gradient conventions:
     - ReLU derivative at exactly 0 is 0.
     - softmax_cross_entropy returns the mean loss over the batch, so its
@@ -26,6 +32,7 @@ __all__ = [
     "relu_backward",
     "softmax",
     "softmax_cross_entropy",
+    "check_labels",
     "dropout",
 ]
 
@@ -52,6 +59,11 @@ def affine_forward(
         raise DimensionError(f"affine_forward: X {X.shape} does not chain with W {W.shape}")
     if b.shape[0] != W.shape[1]:
         raise DimensionError(f"affine_forward: b {b.shape} does not match W {W.shape}")
+    return _affine_forward(X, W, b, out)
+
+
+def _affine_forward(X, W, b, out=None):
+    """:func:`affine_forward` without its checks: float64 operands that chain."""
     Y = np.matmul(X, W, out=out)
     Y += b
     return Y
@@ -79,9 +91,19 @@ def affine_backward(
         raise DimensionError(
             f"affine_backward: dY {dY.shape} does not match X {X.shape} @ W {W.shape}"
         )
+    return _affine_backward(X, W, dY, input_grad)
+
+
+def _affine_backward(X, W, dY, input_grad, out=None):
+    """:func:`affine_backward` without its checks: float64 operands that chain.
+
+    ``out``, when given, is a (dW, db) pair of buffers the two parameter
+    gradients are written into; the values are the same either way.
+    """
+    dW, db = (None, None) if out is None else out
     dX = dY @ W.T if input_grad else None
-    dW = X.T @ dY
-    db = dY.sum(axis=0)
+    dW = np.matmul(X.T, dY, out=dW)
+    db = dY.sum(axis=0, out=db)
     return dX, dW, db
 
 
@@ -134,10 +156,21 @@ def softmax_cross_entropy(
     n, C = logits.shape
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= C):
-        bad = labels[(labels < 0) | (labels >= C)][0]
-        raise IndexError(f"label {bad} out of range [0, {C})")
+    check_labels(labels, C)
+    return _softmax_cross_entropy(logits, labels)
 
+
+def check_labels(labels: np.ndarray, class_count: int) -> None:
+    """Raise IndexError naming the first label outside [0, class_count)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        bad = labels[(labels < 0) | (labels >= class_count)][0]
+        raise IndexError(f"label {bad} out of range [0, {class_count})")
+
+
+def _softmax_cross_entropy(logits, labels):
+    """:func:`softmax_cross_entropy` without its checks: (n, C) float64 logits
+    and n labels in [0, C)."""
+    n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm

@@ -14,7 +14,15 @@ max(x, 0), so a NaN feature stays NaN through the network and shows up as a
 non-finite loss; it is not zeroed away.  Data files are checked for
 non-finite cells when they are loaded.
 
-A checkpoint is an ``MlpParams`` whose arrays are read-only copies, so later
+An ``MlpParams`` keeps every weight and bias in one contiguous float64
+vector, ``flat``, and its ``layers`` are (W, b) views into it, so the trainer
+updates all of them in one vectorized step.  Its shapes are checked once,
+when it is built; ``forward``, ``backward`` and ``dropout_probs`` then run the
+per-layer math (the unchecked bodies of the ``layers`` primitives) without
+re-checking.  ``backward`` writes the gradients into an ``MlpParams`` of the
+same layout (see ``zeros_like``), or adds them to one.
+
+A checkpoint is an ``MlpParams`` whose vector is a read-only copy, so later
 training steps cannot reach it and anything that writes to it raises.  A
 ``CheckpointSet`` is one training trajectory's checkpoints; ``avg_predict``
 predicts with their mean.
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .layers import affine_backward, affine_forward, dropout, relu, relu_backward, softmax
+from .layers import _affine_backward, _affine_forward, dropout, relu, relu_backward, softmax
 
 __all__ = [
     "ModelSpec",
@@ -39,6 +47,7 @@ __all__ = [
     "backward",
     "predict_proba",
     "snapshot",
+    "zeros_like",
     "avg_predict",
     "dropout_probs",
 ]
@@ -68,18 +77,49 @@ class ModelSpec:
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
 
 
-@dataclass
 class MlpParams:
-    """Layer weights/biases plus the feature-extractor split.
+    """Layer weights and biases in one contiguous float64 vector, plus the feature split.
 
-    ``layers[i]`` is (W, b) with W of shape (d_i, d_{i+1}) and b of shape
-    (d_{i+1},).  Mutated in place only by the trainer; a :func:`snapshot`'s
-    arrays are read-only.
+    ``flat`` holds layer by layer each W (row-major) and then its b.
+    ``layers[i]`` is (W, b), views into ``flat`` with W of shape
+    (d_i, d_{i+1}) and b of shape (d_{i+1},); ``layer_sizes`` is
+    (d_0, ..., d_L).  Built from a list of (W, b) pairs, it copies them into
+    a new vector and raises DimensionError unless their shapes chain.
+    Mutated in place only by the trainer; a :func:`snapshot`'s vector and
+    views are read-only.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    split_index: int
-    dropout_rate: float = 0.0
+    def __init__(self, layers, split_index: int, dropout_rate: float = 0.0):
+        pairs = [(np.asarray(W, np.float64), np.asarray(b, np.float64)) for W, b in layers]
+        self.layer_sizes = _chained_sizes(pairs)
+        self.flat = np.concatenate([a.ravel() for pair in pairs for a in pair])
+        self.layers = _views(self.flat, self.layer_sizes)
+        self.split_index = split_index
+        self.dropout_rate = dropout_rate
+
+
+def _chained_sizes(pairs) -> tuple[int, ...]:
+    """(d_0, ..., d_L) of (W, b) pairs with W (d_i, d_{i+1}) and b (d_{i+1},),
+    or DimensionError."""
+    if pairs and all(W.ndim == 2 for W, _ in pairs):
+        sizes = (pairs[0][0].shape[0], *(W.shape[1] for W, _ in pairs))
+        if all(
+            W.shape == shape and b.shape == shape[1:]
+            for (W, b), shape in zip(pairs, zip(sizes[:-1], sizes[1:]))
+        ):
+            return sizes
+    raise DimensionError(f"layer shapes {[(W.shape, b.shape) for W, b in pairs]} do not chain")
+
+
+def _views(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (W, b) views of a vector laid out like ``MlpParams.flat``."""
+    views, at = [], 0
+    for d_in, d_out in zip(sizes[:-1], sizes[1:]):
+        W = flat[at : at + d_in * d_out].reshape(d_in, d_out)
+        at += d_in * d_out
+        views.append((W, flat[at : at + d_out]))
+        at += d_out
+    return views
 
 
 @dataclass(frozen=True)
@@ -152,7 +192,7 @@ def forward(
     Z = None
     for i, (W, b) in enumerate(params.layers, start=1):
         cache.inputs.append(a)
-        pre = affine_forward(a, W, b)
+        pre = _affine_forward(a, W, b)
         if i == n_layers:
             cache.pre_activations.append(pre)
             cache.dropout_masks.append(None)
@@ -174,8 +214,10 @@ def backward(
     cache: ForwardCache,
     dlogits: np.ndarray | None,
     dZ: np.ndarray | None = None,
+    out: MlpParams | None = None,
+    add: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Parameter gradients for one forward pass.
+    """Parameter gradients for one forward pass, as ``out.layers``.
 
     ``dlogits`` is the loss gradient at the output layer; ``dZ``, when given,
     is an extra loss gradient injected at the feature activation (used for the
@@ -184,6 +226,12 @@ def backward(
     With ``dlogits`` None the loss reaches the network only through ``dZ``:
     the pass starts at layer ``split_index`` and returns the gradients of the
     ``split_index`` extractor layers alone (the head's would be exact zeros).
+
+    ``out`` is laid out like ``params`` (``zeros_like(params)`` when None).
+    The gradients are written into its (W, b) views, or with ``add`` added to
+    what they hold: the trainer adds the pool batch's extractor gradients to
+    the labeled batch's this way, bit for bit ``dW + dW_pool``.  Layers the
+    pass does not reach are left as they are.
     """
     n_layers = len(params.layers)
     if dlogits is None:
@@ -192,7 +240,7 @@ def backward(
         top, upstream = params.split_index, None
     else:
         top, upstream = n_layers, np.asarray(dlogits, dtype=np.float64)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * top  # type: ignore[list-item]
+    grads = (zeros_like(params) if out is None else out).layers[:top]
     for i in range(top, 0, -1):
         W, _ = params.layers[i - 1]
         if i < n_layers:
@@ -202,8 +250,13 @@ def backward(
             if dZ is not None and i == params.split_index:
                 upstream = dZ if upstream is None else upstream + dZ
             upstream = relu_backward(cache.pre_activations[i - 1], upstream)
-        dX, dW, db = affine_backward(cache.inputs[i - 1], W, upstream, input_grad=i > 1)
-        grads[i - 1] = (dW, db)
+        if add:
+            dX, dW, db = _affine_backward(cache.inputs[i - 1], W, upstream, i > 1)
+            gW, gb = grads[i - 1]
+            gW += dW
+            gb += db
+        else:
+            dX, _, _ = _affine_backward(cache.inputs[i - 1], W, upstream, i > 1, out=grads[i - 1])
         upstream = dX
     return grads
 
@@ -215,14 +268,20 @@ def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
 
 
 def snapshot(params: MlpParams) -> MlpParams:
-    """Deep copy of the current parameters with read-only arrays."""
-    copies = []
-    for W, b in params.layers:
-        Wc, bc = W.copy(), b.copy()
-        Wc.flags.writeable = False
-        bc.flags.writeable = False
-        copies.append((Wc, bc))
-    return MlpParams(copies, params.split_index, params.dropout_rate)
+    """One copy of the parameter vector; it and its (W, b) views are read-only."""
+    snap = MlpParams(params.layers, params.split_index, params.dropout_rate)
+    for array in (snap.flat, *(a for pair in snap.layers for a in pair)):
+        array.flags.writeable = False
+    return snap
+
+
+def zeros_like(params: MlpParams) -> MlpParams:
+    """Zero parameters laid out like ``params``: a gradient buffer for :func:`backward`."""
+    return MlpParams(
+        [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.layers],
+        params.split_index,
+        params.dropout_rate,
+    )
 
 
 def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
@@ -254,7 +313,7 @@ def dropout_probs(
     n, n_layers = X.shape[0], len(params.layers)
     rate = params.dropout_rate
     W1, b1 = params.layers[0]
-    first = relu(affine_forward(X, W1, b1))
+    first = relu(_affine_forward(X, W1, b1))
     later = params.layers[1:]
     buffers = [(np.empty((n, W.shape[0])), np.empty((n, W.shape[1]))) for W, _ in later]
     probs = np.empty((passes, n, later[-1][0].shape[1]))
@@ -267,7 +326,7 @@ def dropout_probs(
             np.greater_equal(mask, rate, out=mask)
             mask *= 1.0 / (1.0 - rate)
             np.multiply(a, mask, out=mask)
-            a = affine_forward(mask, W, b, out=pre)
+            a = _affine_forward(mask, W, b, out=pre)
             if i < n_layers:
                 relu(a, out=a)
         softmax(a, out=probs[t])

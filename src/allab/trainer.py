@@ -27,6 +27,13 @@ through the network only when ``mmd_weight`` > 0 or the model has dropout
 at ``mmd_weight`` 0 the kernel, the MMD^2 value and its gradient are never
 computed and the logged mean MMD^2 is 0.0.  The pool batch's backward pass
 starts at the feature layer, since the MMD^2 term does not reach the head.
+
+The step works on vectors laid out like ``MlpParams.flat``.  Each round
+allocates one gradient buffer (``zeros_like``), which the labeled batch's
+backward pass writes and the pool batch's adds into, and one scratch vector
+for the update.  The labels of the labeled set and the feature width are checked once
+per round, before step 0; the step then runs the unchecked cross-entropy
+body.
 """
 
 from __future__ import annotations
@@ -35,13 +42,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoolError, TrainingDiverged
-from .layers import softmax_cross_entropy
+from .errors import DimensionError, PoolError, TrainingDiverged
+from .layers import _softmax_cross_entropy, check_labels
 from .mmd import KernelSpec, median_heuristic, mmd2_biased_with_grad
-from .model import CheckpointSet, MlpParams, ModelSpec, backward, forward, init_mlp, snapshot
+from .model import (
+    CheckpointSet,
+    MlpParams,
+    ModelSpec,
+    backward,
+    forward,
+    init_mlp,
+    snapshot,
+    zeros_like,
+)
 from .seeding import derive_rng
 
 __all__ = [
+    "KERNEL_NAMES",
     "TrainConfig",
     "EpochStats",
     "lr_schedule",
@@ -51,6 +68,9 @@ __all__ = [
     "sgd_step",
     "train_round",
 ]
+
+
+KERNEL_NAMES = ("median", "median3")
 
 
 @dataclass(frozen=True)
@@ -88,8 +108,10 @@ class TrainConfig:
         if not 0.0 < self.lr_floor_ratio <= 1.0:
             raise ValueError(f"lr_floor_ratio must be in (0, 1], got {self.lr_floor_ratio}")
         if isinstance(self.kernel, str):
-            if self.kernel not in ("median", "median3"):
-                raise ValueError(f"kernel must be 'median', 'median3' or a bandwidth list")
+            if self.kernel not in KERNEL_NAMES:
+                raise ValueError(
+                    f"kernel must be 'median', 'median3' or a bandwidth list, got {self.kernel!r}"
+                )
         else:
             object.__setattr__(self, "kernel", tuple(float(s) for s in self.kernel))
             KernelSpec(self.kernel)  # validates positivity
@@ -155,18 +177,28 @@ def lr_schedule(spe: int, config: TrainConfig) -> list[float]:
 
 def sgd_step(
     params: MlpParams,
-    grads: list[tuple[np.ndarray, np.ndarray]],
+    grad: np.ndarray,
     lr: float,
     weight_decay: float,
+    scratch: np.ndarray | None = None,
 ) -> MlpParams:
-    """In-place update theta <- theta - lr * (g + weight_decay * theta)."""
-    for (W, b), (dW, db) in zip(params.layers, grads):
-        if dW.shape != W.shape or db.shape != b.shape:
-            raise ValueError(f"gradient shape {dW.shape}/{db.shape} does not match parameters")
-        if not (np.isfinite(dW).all() and np.isfinite(db).all()):
-            raise TrainingDiverged("non-finite gradient in sgd_step")
-        W -= lr * (dW + weight_decay * W)
-        b -= lr * (db + weight_decay * b)
+    """In-place update theta <- theta - lr * (g + weight_decay * theta).
+
+    ``grad`` is laid out like ``params.flat``.  The whole vector is updated
+    at once, bit for bit as each tensor's ``W -= lr * (dW + weight_decay * W)``
+    (the same operations, each commutative); ``scratch``, a vector of the same
+    size, holds the step when given.  A non-finite gradient raises
+    TrainingDiverged and leaves the parameters as they were.
+    """
+    theta = params.flat
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
+    if not np.isfinite(grad).all():
+        raise TrainingDiverged("non-finite gradient in sgd_step")
+    step = np.multiply(theta, weight_decay, out=scratch)
+    step += grad
+    step *= lr
+    theta -= step
     return params
 
 
@@ -205,6 +237,13 @@ def train_round(
     labeled = np.asarray(pool.labeled_idx)
     if len(labeled) == 0:
         raise PoolError("cannot train with an empty labeled set")
+    features, labels = pool.features, pool.labels
+    if features.ndim != 2 or features.shape[1] != model_spec.layer_sizes[0]:
+        raise DimensionError(
+            f"pool features {features.shape} do not match the model's input width "
+            f"{model_spec.layer_sizes[0]}"
+        )
+    check_labels(labels[labeled], model_spec.layer_sizes[-1])
     both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
 
     rng_init = derive_rng(config.seed, "init")
@@ -213,13 +252,13 @@ def train_round(
     params = init_mlp(
         model_spec.layer_sizes, model_spec.split_index, model_spec.dropout_rate, rng_init
     )
+    grad, scratch = zeros_like(params), np.empty_like(params.flat)
 
     spe = steps_per_epoch(len(labeled), config.batch_size)
     rates = lr_schedule(spe, config)
     snap_at = set(snapshot_steps(config.epochs, spe, config.n_checkpoints))
 
     kernel: KernelSpec | None = None
-    features, labels = pool.features, pool.labels
     lam = config.mmd_weight
     snaps: list[MlpParams] = []
     history: list[EpochStats] = []
@@ -231,7 +270,7 @@ def train_round(
         Z_l, logits, cache_l = forward(params, features[idx_l], train_mode=True, rng=rng_drop)
         if lam > 0 or model_spec.dropout_rate > 0:  # at lam 0: keeps the dropout stream in step
             Z_p, _, cache_p = forward(params, features[idx_p], train_mode=True, rng=rng_drop)
-        ce, _, dlogits = softmax_cross_entropy(logits, labels[idx_l])
+        ce, _, dlogits = _softmax_cross_entropy(logits, labels[idx_l])
         if not np.isfinite(ce):
             raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
@@ -241,17 +280,14 @@ def train_round(
             m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
             if not np.isfinite(lam * m2):
                 raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
-            grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l)
-            grads_p = backward(params, cache_p, None, dZ=lam * dZ_p)
-            grads[: len(grads_p)] = [
-                (dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)
-            ]
+            backward(params, cache_l, dlogits, dZ=lam * dZ_l, out=grad)
+            backward(params, cache_p, None, dZ=lam * dZ_p, out=grad, add=True)
         else:
             m2 = 0.0
-            grads = backward(params, cache_l, dlogits)
+            backward(params, cache_l, dlogits, out=grad)
 
         try:
-            params = sgd_step(params, grads, lr, config.weight_decay)
+            params = sgd_step(params, grad.flat, lr, config.weight_decay, scratch)
         except TrainingDiverged:
             raise TrainingDiverged(f"non-finite gradient at step {step} (lr={lr:g})") from None
         if step in snap_at:

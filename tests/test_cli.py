@@ -186,6 +186,16 @@ def test_run_bias_class_out_of_range_exits_2_before_training(tmp_path, capsys, f
     assert not (tmp_path / "results" / "results.csv").exists()
 
 
+def test_run_unknown_kernel_name_exits_2(tmp_path, capsys, forbid_training):
+    cfg = write_config(tmp_path, train={"kernel": "gauss"})
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert (
+        "config error: $.train.kernel: must be 'median', 'median3' or a bandwidth list, got 'gauss'"
+        in captured.err
+    )
+
+
 def test_run_synthetic_size_below_one_exits_2(tmp_path, capsys, forbid_training):
     cfg = write_config(tmp_path, dataset={"kind": "synthetic", "class_count": 0})
     assert main(["run", "--config", str(cfg)]) == 2

@@ -71,6 +71,14 @@ def test_kernel_accepts_name_or_bandwidth_list():
         parse_config({"methods": ["mpts"], "train": {"kernel": 7}})
 
 
+def test_unknown_kernel_name_names_the_field_and_value():
+    with pytest.raises(
+        ConfigError,
+        match=r"^\$\.train\.kernel: must be 'median', 'median3' or a bandwidth list, got 'gauss'$",
+    ):
+        parse_config({"methods": ["mpts"], "train": {"kernel": "gauss"}})
+
+
 def test_empty_kernel_list_is_a_type_error():
     with pytest.raises(ConfigError, match=r"^\$\.train\.kernel: expected a nonempty list of numbers"):
         parse_config({"methods": ["mpts"], "train": {"kernel": []}})

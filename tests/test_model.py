@@ -18,6 +18,7 @@ from allab.model import (
     init_mlp,
     predict_proba,
     snapshot,
+    zeros_like,
 )
 from allab.seeding import derive_rng
 from allab.trainer import sgd_step
@@ -61,6 +62,75 @@ def test_init_weight_variance():
     target = 2.0 / 1000
     assert abs(W.var() - target) <= 0.1 * target
     assert not params.layers[0][1].any()  # zero biases
+
+
+# ---- the flat parameter vector ---------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=3, max_size=5), seed=st.integers(0, 2**31))
+def test_init_mlp_draws_as_per_layer_code(sizes, seed):
+    rng, ref_rng = derive_rng(seed, "init"), derive_rng(seed, "init")
+    params = init_mlp(sizes, 1, 0.0, rng)
+    for (W, b), fan_in, fan_out in zip(params.layers, sizes[:-1], sizes[1:], strict=True):
+        W_ref = ref_rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
+        assert np.array_equal(W.view(np.uint64), W_ref.view(np.uint64))
+        assert np.array_equal(b.view(np.uint64), np.zeros(fan_out).view(np.uint64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=3, max_size=5), seed=st.integers(0, 2**31))
+def test_layers_are_views_of_the_flat_vector(sizes, seed):
+    params = init_mlp(sizes, 1, 0.0, derive_rng(seed, "init"))
+    flat = params.flat
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    assert params.layer_sizes == tuple(sizes)
+    pieces = [a for pair in params.layers for a in pair]
+    assert all(a.base is flat for a in pieces)
+    assert sum(a.size for a in pieces) == flat.size
+    laid_out = np.concatenate([a.ravel() for a in pieces])
+    assert np.array_equal(laid_out.view(np.uint64), flat.view(np.uint64))
+    flat[:] = np.arange(flat.size)  # a write to the vector shows through every view, in layout order
+    assert np.array_equal(np.concatenate([a.ravel() for a in pieces]), np.arange(flat.size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=3, max_size=5), seed=st.integers(0, 2**31))
+def test_snapshot_is_a_read_only_copy_of_the_vector(sizes, seed):
+    params = init_mlp(sizes, 1, 0.0, derive_rng(seed, "init"))
+    snap = snapshot(params)
+    assert np.array_equal(snap.flat.view(np.uint64), params.flat.view(np.uint64))
+    assert snap.layer_sizes == params.layer_sizes
+    assert not np.shares_memory(snap.flat, params.flat)
+    for target in (snap.flat, *(a for pair in snap.layers for a in pair)):
+        assert target.base is snap.flat or target is snap.flat
+        assert not np.shares_memory(target, params.flat)
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 5.0
+    params.flat += 1.0  # training the source leaves the snapshot as it was
+    assert not np.array_equal(snap.flat, params.flat)
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        [],
+        [(np.zeros((4, 5)), np.zeros(5)), (np.zeros((4, 3)), np.zeros(3))],  # 5 -> 4
+        [(np.zeros((4, 5)), np.zeros(4)), (np.zeros((5, 3)), np.zeros(3))],  # bias of 4
+        [(np.zeros((4, 5)), np.zeros((1, 5))), (np.zeros((5, 3)), np.zeros(3))],
+        [(np.zeros(5), np.zeros(5)), (np.zeros((5, 3)), np.zeros(3))],  # 1-D weights
+    ],
+)
+def test_hand_built_params_must_chain(layers):
+    with pytest.raises(DimensionError, match="do not chain"):
+        MlpParams(layers, 1)
+
+
+def test_hand_built_params_are_copied_into_one_vector():
+    W1, b1, W2, b2 = np.ones((2, 3)), np.full(3, 2.0), np.full((3, 1), 3.0), np.full(1, 4.0)
+    params = MlpParams([(W1, b1), (W2, b2)], 1)
+    assert np.array_equal(params.flat, [1.0] * 6 + [2.0] * 3 + [3.0] * 3 + [4.0])
+    assert not any(np.shares_memory(params.flat, a) for a in (W1, b1, W2, b2))
 
 
 # ---- forward ---------------------------------------------------------------
@@ -206,6 +276,23 @@ def test_backward_without_input_dX_equals_full_chain_rule(net, with_dZ):
         assert np.array_equal(dW, dW_ref) and np.array_equal(db, db_ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(net=nets())
+def test_pool_backward_adds_into_the_labeled_gradients(net):
+    # the trainer's merge: one vector, written by one pass and added to by the feature-only pass
+    params, cache, dlogits, dZ = net
+    grad = zeros_like(params)
+    grad.flat[:] = np.nan  # the first pass must write every entry
+    backward(params, cache, dlogits, dZ=dZ, out=grad)
+    backward(params, cache, None, dZ=-0.5 * dZ, out=grad, add=True)
+    labeled = backward(params, cache, dlogits, dZ=dZ)
+    pool = backward(params, cache, None, dZ=-0.5 * dZ)
+    want = [(dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(labeled, pool)]
+    want += labeled[len(pool):]
+    assert np.array_equal(np.concatenate([a.ravel() for pair in want for a in pair]).view(np.uint64),
+                          grad.flat.view(np.uint64))
+
+
 def test_backward_needs_some_upstream_gradient():
     params = small_net()
     _, _, cache = forward(params, np.ones((2, 3)), train_mode=True)
@@ -238,7 +325,9 @@ def test_snapshot_isolated_from_training():
     for _ in range(10):
         _, logits, cache = forward(params, X, train_mode=True)
         _, _, dlogits = softmax_cross_entropy(logits, y)
-        sgd_step(params, backward(params, cache, dlogits), 0.5, 0.0)
+        grad = zeros_like(params)
+        backward(params, cache, dlogits, out=grad)
+        sgd_step(params, grad.flat, 0.5, 0.0)
     assert not np.array_equal(predict_proba(params, X), before)
     assert np.array_equal(predict_proba(snap, X), before)
 
@@ -246,8 +335,7 @@ def test_snapshot_isolated_from_training():
 def test_snapshots_differ_after_nonzero_step():
     params = small_net(20)
     s1 = snapshot(params)
-    grads = [(np.ones_like(W), np.ones_like(b)) for W, b in params.layers]
-    sgd_step(params, grads, 0.1, 0.0)
+    sgd_step(params, np.ones_like(params.flat), 0.1, 0.0)
     s2 = snapshot(params)
     assert not np.array_equal(s1.layers[0][0], s2.layers[0][0])
     # the recorded snapshot moved by exactly -lr * g
@@ -269,9 +357,8 @@ def test_snapshot_arrays_read_only():
 def test_sgd_step_on_snapshot_raises():
     snap = snapshot(small_net(24))
     kept = [(W.copy(), b.copy()) for W, b in snap.layers]
-    grads = [(np.ones_like(W), np.ones_like(b)) for W, b in snap.layers]
     with pytest.raises(ValueError, match="read-only"):
-        sgd_step(snap, grads, 0.1, 0.0)
+        sgd_step(snap, np.ones_like(snap.flat), 0.1, 0.0)
     for (W, b), (Wk, bk) in zip(snap.layers, kept, strict=True):
         assert np.array_equal(W, Wk) and np.array_equal(b, bk)
 

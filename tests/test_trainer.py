@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from allab.dataio import synth_blobs
-from allab.errors import PoolError, TrainingDiverged
+from allab.errors import DimensionError, PoolError, TrainingDiverged
 from allab.layers import softmax_cross_entropy
 from allab.mmd import KernelSpec, median_heuristic, mmd2_biased_with_grad
 from allab.model import CheckpointSet, ModelSpec, backward, forward, init_mlp, snapshot
@@ -177,15 +178,16 @@ def test_draw_matches_choice_and_stream(n, batch):
 
 # ---- sgd -------------------------------------------------------------------
 
-def scalar_params(theta):
-    return init_mlp((1, 1, 1), 1, 0.0, derive_rng(0)), theta
+def flat(grads):
+    """Per-layer (dW, db) pairs as one vector laid out like ``MlpParams.flat``."""
+    return np.concatenate([a.ravel() for pair in grads for a in pair])
 
 
 def test_sgd_zero_lr_no_change():
     params = init_mlp((3, 4, 2), 1, 0.0, derive_rng(1))
     before = [W.copy() for W, _ in params.layers]
     grads = [(np.ones_like(W), np.ones_like(b)) for W, b in params.layers]
-    sgd_step(params, grads, 0.0, 0.5)
+    sgd_step(params, flat(grads), 0.0, 0.5)
     assert all(np.array_equal(W, old) for (W, _), old in zip(params.layers, before))
 
 
@@ -194,7 +196,7 @@ def test_sgd_arithmetic():
     W = params.layers[0][0]
     W[0, 0] = 1.0
     grads = [(np.array([[2.0]]), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
-    sgd_step(params, grads, 0.1, 0.0)
+    sgd_step(params, flat(grads), 0.1, 0.0)
     assert W[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
@@ -203,7 +205,7 @@ def test_sgd_pure_decay():
     W = params.layers[0][0]
     W[0, 0] = 1.0
     grads = [(np.zeros((1, 1)), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
-    sgd_step(params, grads, 0.1, 0.5)
+    sgd_step(params, flat(grads), 0.1, 0.5)
     assert W[0, 0] == pytest.approx(0.95, abs=1e-15)
 
 
@@ -211,7 +213,7 @@ def test_sgd_decay_applies_to_biases():
     params = init_mlp((1, 1, 1), 1, 0.0, derive_rng(4))
     params.layers[0][1][0] = 2.0
     grads = [(np.zeros((1, 1)), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
-    sgd_step(params, grads, 0.1, 0.5)
+    sgd_step(params, flat(grads), 0.1, 0.5)
     assert params.layers[0][1][0] == pytest.approx(1.9, abs=1e-15)
 
 
@@ -219,7 +221,48 @@ def test_sgd_rejects_non_finite_gradient():
     params = init_mlp((2, 2, 2), 1, 0.0, derive_rng(5))
     grads = [(np.full((2, 2), np.nan), np.zeros(2)), (np.zeros((2, 2)), np.zeros(2))]
     with pytest.raises(TrainingDiverged):
-        sgd_step(params, grads, 0.1, 0.0)
+        sgd_step(params, flat(grads), 0.1, 0.0)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-3, -1.5, 3.0, 1e200, -1e300, 1.7e308]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=3, max_size=4),
+    data=st.data(),
+    lr=st.sampled_from([0.0, -0.0, 1e-3, 0.5, 1e300]),
+    weight_decay=st.sampled_from([0.0, 1e-4, 0.5, 1e300]),
+)
+def test_flat_sgd_step_equals_per_tensor_update(sizes, data, lr, weight_decay):
+    params = init_mlp(sizes, 1, 0.0, derive_rng(0))
+    values = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+
+    def draw(shape):
+        return data.draw(arrays(np.float64, shape, elements=values))
+
+    theta = [(draw(W.shape), draw(b.shape)) for W, b in params.layers]
+    grads = [(draw(W.shape), draw(b.shape)) for W, b in params.layers]
+    for (W, b), (W0, b0) in zip(params.layers, theta):
+        W[...], b[...] = W0, b0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (W, b), (dW, db) in zip(theta, grads):
+            W -= lr * (dW + weight_decay * W)
+            b -= lr * (db + weight_decay * b)
+        sgd_step(params, flat(grads), lr, weight_decay, np.empty_like(params.flat))
+    assert np.array_equal(params.flat.view(np.uint64), flat(theta).view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, -1])
+def test_non_finite_gradient_raises_and_leaves_params(bad, at):
+    params = init_mlp((3, 4, 2), 1, 0.0, derive_rng(6))
+    before = params.flat.copy()
+    grad = np.zeros_like(params.flat)
+    grad[at] = bad
+    with pytest.raises(TrainingDiverged, match=r"^non-finite gradient in sgd_step$"):
+        sgd_step(params, grad, 0.1, 0.5, np.empty_like(grad))
+    assert np.array_equal(params.flat.view(np.uint64), before.view(np.uint64))
 
 
 # ---- train_round -----------------------------------------------------------
@@ -245,6 +288,59 @@ def test_train_round_deterministic():
     for sa, sb in zip(a_traj.snapshots, b_traj.snapshots):
         assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(sa.layers, sb.layers))
     assert a_hist == b_hist
+
+
+@pytest.fixture
+def forbid_steps(monkeypatch):
+    import allab.trainer as trainer
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "forward", no_step)
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_out_of_range_label_raises_before_step_zero(forbid_steps, bad):
+    pool = blob_pool()
+    pool.labels = pool.labels.copy()
+    pool.labels[pool.labeled_idx[5]] = bad
+    with pytest.raises(IndexError, match=rf"^label {bad} out of range \[0, 2\)$"):
+        train_round(pool, ModelSpec((2, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1))
+
+
+def test_feature_width_checked_before_step_zero(forbid_steps):
+    with pytest.raises(DimensionError, match=r"pool features \(100, 2\) .* input width 3"):
+        train_round(blob_pool(), ModelSpec((3, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1))
+
+
+@pytest.mark.parametrize("lam, rate", [(0.0, 0.0), (0.0, 0.5), (0.1, 0.0), (0.1, 0.5)])
+def test_each_step_goes_through_the_traced_entry_points(monkeypatch, lam, rate):
+    # a benchmark tracer wraps these names in allab.trainer; each step must call them
+    import allab.trainer as trainer
+
+    calls = {"forward": 0, "backward": 0, "sgd_step": 0}
+
+    def counting(name):
+        original = getattr(trainer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(trainer, name, counting(name))
+    pool = blob_pool()
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=lam, seed=0)
+    train_round(pool, ModelSpec((2, 8, 8, 2), dropout_rate=rate), cfg)
+    steps = cfg.epochs * steps_per_epoch(len(pool.labeled_idx), cfg.batch_size)
+    assert calls == {
+        "forward": (2 if lam > 0 or rate > 0 else 1) * steps,
+        "backward": (2 if lam > 0 else 1) * steps,
+        "sgd_step": steps,
+    }
 
 
 def test_train_round_empty_labeled_errors():
@@ -289,8 +385,10 @@ def test_divergence_names_non_finite_mmd_term():
 def test_divergence_names_non_finite_gradient(monkeypatch):
     import allab.trainer as trainer
 
-    def nan_backward(*args, **kwargs):
-        return [(np.full_like(dW, np.nan), db) for dW, db in backward(*args, **kwargs)]
+    def nan_backward(*args, out, **kwargs):
+        grads = backward(*args, out=out, **kwargs)
+        out.flat[0] = np.nan  # poison the round's gradient buffer
+        return grads
 
     monkeypatch.setattr(trainer, "backward", nan_backward)
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=0.0, seed=0)
