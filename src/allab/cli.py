@@ -12,13 +12,13 @@ import json
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .config import parse_config, config_to_json
 from .errors import ConfigError, FormatError, PoolError, TrainingDiverged
 from .experiment import (
     compute_curves,
     load_dataset,
+    make_output_dir,
     read_results_csv,
     run_experiment,
     write_curves_csv,
@@ -43,7 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--out", default=None, help=f"output directory (default: ${OUT_ENV} or the config value)"
     )
-    run.add_argument("--jobs", type=int, default=1, help="worker threads over (method, repeat) cells")
+    run.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker threads over the cells that train alone; stacked cells run in the main thread",
+    )
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")
     grad.add_argument("--seed", type=int, default=0)
@@ -67,8 +72,7 @@ def _cmd_run(args) -> int:
     out_override = args.out if args.out is not None else os.environ.get(OUT_ENV)
     if out_override is not None:
         cfg = replace(cfg, output_dir=out_override)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(cfg)
 
     dataset = load_dataset(cfg)
     logs = run_experiment(cfg, jobs=args.jobs, progress=print, dataset=dataset)

@@ -6,6 +6,18 @@ method comparisons are paired.  Every random draw flows from the master seed
 through tagged streams (see ``seeding``), which makes the emitted result rows
 an exact function of (config, master_seed) regardless of worker count or
 execution order.
+
+The loop is round-major.  Cells whose methods' rules in
+``acquisition.METHODS`` give the same model (layer sizes, split, dropout
+rate) and the same MMD^2 weight form one stack; on ``configs/bias4.json``
+these are the 5 ``mpts`` cells and the 10 ``random`` and ``entropy`` cells.
+In each round every stack trains its cells in lockstep with
+``trainer.train_stack`` (bit for bit what training each cell alone gives),
+then each of its cells is evaluated, acquires its next labels and drops its
+trajectory before the next stack trains.  Stacks of several cells run one
+after another in the calling thread; ``jobs`` > 1 fans out only the
+one-cell stacks (for example a 784-d net whose GEMMs dominate) over that
+many threads.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +39,14 @@ from .errors import ConfigError, FormatError
 from .model import ModelSpec
 from .pool import PoolState, evaluate, init_pool, label_points
 from .seeding import derive_int, derive_rng
-from .trainer import train_round
+from .trainer import train_stack
 
 __all__ = [
     "RoundLog",
     "RESULTS_HEADER",
     "load_dataset",
     "start_partition",
-    "run_cell",
+    "make_output_dir",
     "run_experiment",
     "write_results_csv",
     "write_results_json",
@@ -103,57 +116,92 @@ def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> Poo
     return replace(start, features=scaled.features)
 
 
-def run_cell(
-    dataset: Dataset,
-    cfg: ExperimentConfig,
-    method: str,
-    repeat: int,
-    start: PoolState,
-    progress=None,
-    score_dir=None,
-) -> list[RoundLog]:
-    """All rounds of one (method, repeat) cell, from the repeat's ``start``.
+def make_output_dir(cfg: ExperimentConfig) -> Path:
+    """Create ``cfg.output_dir`` and its parents; a path that cannot be made a
+    directory is a ConfigError naming ``$.output_dir``."""
+    out = Path(cfg.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"$.output_dir: cannot make directory {str(out)!r}: {e.strerror or e}") from None
+    return out
 
-    Each round trains a fresh model on the current labeled set, evaluates on
-    the held-out test set, and then (except after the last round) acquires
-    ``budget`` new labels.  How the method trains and what it is evaluated
-    with come from its entry in ``acquisition.METHODS``.
-    """
-    rules = METHODS[method]
-    repeat_seed = derive_int(cfg.master_seed, "pool", repeat)
-    pool = start
+
+@dataclass
+class _Cell:
+    """One (method, repeat) cell: its current partition and its rows so far."""
+
+    method: str
+    repeat: int
+    repeat_seed: int
+    pool: PoolState
+    logs: list[RoundLog]
+
+
+@dataclass
+class _Stack:
+    """Cells that train with the same model and MMD^2 weight."""
+
+    spec: ModelSpec
+    mmd_weight: float
+    cells: list[_Cell]
+
+
+def _stacks(cfg: ExperimentConfig, dataset: Dataset, starts: list[PoolState]) -> list[_Stack]:
+    """Every (method, repeat) cell, grouped by the model and MMD^2 weight its
+    method's rules give."""
     layer_sizes, split = cfg.model.resolve(dataset.features.shape[1], dataset.class_count)
-    spec = ModelSpec(layer_sizes, split, cfg.model.bald_dropout if rules.bald_dropout else 0.0)
-    mmd_weight = cfg.train.mmd_weight if rules.trains_with_mmd else 0.0
-    logs: list[RoundLog] = []
-    for t in range(cfg.rounds):
-        started = time.monotonic()
-        seed = derive_int(cfg.master_seed, "train", method, repeat, t)
-        final, trajectory, _ = train_round(
-            pool, spec, replace(cfg.train, mmd_weight=mmd_weight, seed=seed)
+    stacks: dict[tuple[ModelSpec, float], _Stack] = {}
+    for method in cfg.methods:
+        rules = METHODS[method]
+        spec = ModelSpec(layer_sizes, split, cfg.model.bald_dropout if rules.bald_dropout else 0.0)
+        mmd_weight = cfg.train.mmd_weight if rules.trains_with_mmd else 0.0
+        group = stacks.setdefault((spec, mmd_weight), _Stack(spec, mmd_weight, []))
+        group.cells.extend(
+            _Cell(method, r, derive_int(cfg.master_seed, "pool", r), starts[r], [])
+            for r in range(cfg.repeats)
         )
-        accuracy = evaluate(trajectory if rules.on_trajectory else final, pool)
-        logs.append(RoundLog(method, repeat, repeat_seed, t, len(pool.labeled_idx), accuracy))
+    return list(stacks.values())
+
+
+def _run_round(
+    group: _Stack, t: int, cfg: ExperimentConfig, progress=None, score_dir: Path | None = None
+) -> None:
+    """Round t of every cell of the stack: train them together, then one by
+    one evaluate on the held-out test set and (except after the last round)
+    acquire ``budget`` new labels.  What each cell is evaluated and scored
+    with comes from its method's entry in ``acquisition.METHODS``."""
+    started = time.monotonic()
+    configs = [
+        replace(cfg.train, mmd_weight=group.mmd_weight,
+                seed=derive_int(cfg.master_seed, "train", c.method, c.repeat, t))
+        for c in group.cells
+    ]
+    trained = train_stack([c.pool for c in group.cells], group.spec, configs)
+    train_s = time.monotonic() - started
+    for c, (final, trajectory, _) in zip(group.cells, trained):
+        rules = METHODS[c.method]
+        evaluated = time.monotonic()
+        accuracy = evaluate(trajectory if rules.on_trajectory else final, c.pool)
+        c.logs.append(RoundLog(c.method, c.repeat, c.repeat_seed, t, len(c.pool.labeled_idx), accuracy))
         if progress is not None:
             progress(
-                f"[{method} rep {repeat} round {t}] labeled={len(pool.labeled_idx)} "
-                f"accuracy={accuracy:.4f} ({time.monotonic() - started:.1f}s)"
+                f"[{c.method} rep {c.repeat} round {t}] labeled={len(c.pool.labeled_idx)} "
+                f"accuracy={accuracy:.4f} ({train_s + time.monotonic() - evaluated:.1f}s)"
             )
         if t == cfg.rounds - 1:
-            break
-        rng = derive_rng(cfg.master_seed, "acquire", method, repeat, t)
+            continue
+        rng = derive_rng(cfg.master_seed, "acquire", c.method, c.repeat, t)
         result = acquire(
-            method, pool, cfg.budget, final, trajectory, rng, bald_passes=cfg.model.bald_passes
+            c.method, c.pool, cfg.budget, final, trajectory, rng, bald_passes=cfg.model.bald_passes
         )
         if score_dir is not None:
-            _dump_scores(Path(score_dir), result, pool, repeat, t)
-        pool = label_points(pool, result.selected)
-    return logs
+            _dump_scores(score_dir, result, c.pool, c.repeat, t)
+        c.pool = label_points(c.pool, result.selected)
 
 
 def _dump_scores(score_dir: Path, result: AcquisitionResult, pool: PoolState, repeat: int, t: int):
     """Per-round score trace: one row per scored point, selection flagged."""
-    score_dir.mkdir(parents=True, exist_ok=True)
     path = score_dir / f"scores_{result.method}_rep{repeat}_round{t}.csv"
     chosen = set(int(i) for i in result.selected)
     with open(path, "w", newline="") as f:
@@ -185,32 +233,36 @@ def run_experiment(
     cfg: ExperimentConfig, jobs: int = 1, progress=None, dataset: Dataset | None = None
 ) -> list[RoundLog]:
     """Run every (method, repeat) cell and return rows sorted by
-    (method, repeat, round).  ``jobs`` > 1 fans cells out over threads; the
-    returned rows are identical either way.  ``dataset`` is the config's
-    already loaded dataset; without it the run loads its own."""
+    (method, repeat, round).  ``jobs`` > 1 fans the one-cell stacks out over
+    threads; the returned rows are identical either way.  ``dataset`` is the
+    config's already loaded dataset; without it the run loads its own.
+
+    ``progress``, when given, gets one line per cell and round.  Its time
+    field is the wall time of training the cell's stack plus evaluating the
+    cell.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if dataset is None:
         dataset = load_dataset(cfg)
     # each repeat's partition is drawn once, before any cell trains, so a pool
-    # too small for the config or a feature split beyond the default hidden
-    # layers fails as a ConfigError up front
+    # too small for the config, a feature split beyond the default hidden
+    # layers or an output directory that cannot be made fails as a
+    # ConfigError up front
     starts = [start_partition(dataset, cfg, r) for r in range(cfg.repeats)]
     _check_budget(cfg, starts[0])
-    cfg.model.resolve(dataset.features.shape[1], dataset.class_count)
-    score_dir = Path(cfg.output_dir) if cfg.dump_scores else None
-    cells = [(m, r) for m in cfg.methods for r in range(cfg.repeats)]
-
-    def run(cell):
-        method, repeat = cell
-        return run_cell(dataset, cfg, method, repeat, starts[repeat], progress, score_dir)
-
-    if jobs == 1:
-        per_cell = [run(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            per_cell = list(pool_exec.map(run, cells))
-    logs = [log for cell_logs in per_cell for log in cell_logs]
+    stacks = _stacks(cfg, dataset, starts)
+    score_dir = make_output_dir(cfg) if cfg.dump_scores else None
+    alone = [g for g in stacks if len(g.cells) == 1]
+    together = [g for g in stacks if len(g.cells) > 1]
+    with ThreadPoolExecutor(max_workers=jobs) as threads:
+        fan_out = threads.map if jobs > 1 else map
+        for t in range(cfg.rounds):
+            run = partial(_run_round, t=t, cfg=cfg, progress=progress, score_dir=score_dir)
+            for group in together:
+                run(group)
+            list(fan_out(run, alone))
+    logs = [log for group in stacks for c in group.cells for log in c.logs]
     logs.sort(key=lambda g: (g.method, g.repeat, g.round))
     return logs
 

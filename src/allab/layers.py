@@ -4,6 +4,12 @@ Matrices are row-major ``numpy`` arrays of 64-bit floats throughout; a batch
 of n examples with d features is an (n, d) array.  Every operation here is a
 pure function of its inputs (plus an explicitly passed generator for dropout),
 so the primitives are safe to call from multiple threads on disjoint data.
+
+The unchecked bodies and ``relu``/``relu_backward``/``dropout`` also take a
+stack: R cells' batches as (R, n, d), with W (R, d, m) and b (R, m).  Each
+cell's slice of the result is bit for bit what the 2-D call on that slice
+gives (``np.matmul`` runs the same BLAS call per slice; every reduction runs
+along the same axis), so one body serves the single model and the stack.
 ``affine_forward``, ``relu`` and ``softmax`` take an optional ``out`` buffer,
 so a loop can reuse its arrays; the result is the same either way.
 
@@ -20,6 +26,8 @@ Gradient conventions:
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -63,9 +71,10 @@ def affine_forward(
 
 
 def _affine_forward(X, W, b, out=None):
-    """:func:`affine_forward` without its checks: float64 operands that chain."""
+    """:func:`affine_forward` without its checks: float64 operands that chain,
+    2-D or stacked."""
     Y = np.matmul(X, W, out=out)
-    Y += b
+    Y += b[..., None, :]
     return Y
 
 
@@ -95,15 +104,16 @@ def affine_backward(
 
 
 def _affine_backward(X, W, dY, input_grad, out=None):
-    """:func:`affine_backward` without its checks: float64 operands that chain.
+    """:func:`affine_backward` without its checks: float64 operands that chain,
+    2-D or stacked.
 
     ``out``, when given, is a (dW, db) pair of buffers the two parameter
     gradients are written into; the values are the same either way.
     """
     dW, db = (None, None) if out is None else out
-    dX = dY @ W.T if input_grad else None
-    dW = np.matmul(X.T, dY, out=dW)
-    db = dY.sum(axis=0, out=db)
+    dX = dY @ W.swapaxes(-1, -2) if input_grad else None
+    dW = np.matmul(X.swapaxes(-1, -2), dY, out=dW)
+    db = dY.sum(axis=-2, out=db)
     return dX, dW, db
 
 
@@ -157,7 +167,8 @@ def softmax_cross_entropy(
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     check_labels(labels, C)
-    return _softmax_cross_entropy(logits, labels)
+    loss, probs, dlogits = _softmax_cross_entropy(logits, labels)
+    return float(loss), probs, dlogits
 
 
 def check_labels(labels: np.ndarray, class_count: int) -> None:
@@ -169,17 +180,19 @@ def check_labels(labels: np.ndarray, class_count: int) -> None:
 
 def _softmax_cross_entropy(logits, labels):
     """:func:`softmax_cross_entropy` without its checks: (n, C) float64 logits
-    and n labels in [0, C)."""
-    n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    and n labels in [0, C), or a stack of them, (R, n, C) and (R, n).  The
+    loss is a 0-d array, or one loss per cell of a stack."""
+    n, C = logits.shape[-2:]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_norm
     probs = np.exp(log_probs)
 
-    rows = np.arange(n)
-    loss = float(-log_probs[rows, labels].mean())
+    # (row, label) pairs of every cell, addressed in the (R * n, C) view
+    rows, flat_labels = np.arange(labels.size), labels.reshape(-1)
+    loss = -log_probs.reshape(-1, C)[rows, flat_labels].reshape(labels.shape).mean(axis=-1)
     dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
+    dlogits.reshape(-1, C)[rows, flat_labels] -= 1.0
     dlogits /= n
     return loss, probs, dlogits
 
@@ -187,7 +200,7 @@ def _softmax_cross_entropy(logits, labels):
 def dropout(
     X: np.ndarray,
     rate: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     train_mode: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout.
@@ -196,6 +209,10 @@ def dropout(
     1/(1-rate); the returned mask already carries that scale, so the backward
     pass is ``dX = dY * mask``.  Eval mode (or rate 0) is the identity and
     consumes no random numbers; the mask is then None.
+
+    ``rng`` is a generator, or a sequence of one generator per cell: R for a
+    stack X of shape (R, n, m), one for a 2-D X.  Cell r's mask is then drawn
+    from ``rng[r]`` exactly as ``rng[r].random((n, m))`` would draw it.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -204,6 +221,11 @@ def dropout(
         return X, None
     if rng is None:
         raise ValueError("dropout in train mode with rate > 0 requires an rng")
-    keep = rng.random(X.shape) >= rate
-    mask = keep / (1.0 - rate)
+    if isinstance(rng, np.random.Generator):
+        uniform = rng.random(X.shape)
+    else:
+        uniform = np.empty(X.shape)
+        for g, cell in zip(rng, uniform.reshape(len(rng), *X.shape[-2:]), strict=True):
+            g.random(out=cell)
+    mask = (uniform >= rate) / (1.0 - rate)
     return X * mask, mask

@@ -16,11 +16,15 @@ float rounding:
 Gradients flow to both sample batches, since during training both are produced
 by the same feature extractor.  ``mmd2_biased_with_grad``, the per-step call of
 the trainer, does one pass of kernels per bandwidth over distance matrices
-built from each batch's row norms, computed once.
+built from each batch's row norms, computed once.  It also takes a stack of
+R cells' batch pairs, (R, a, h) and (R, b, h), with one ``KernelSpec`` per
+cell; each cell's value and gradients are bit for bit those of its own 2-D
+call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,31 +64,40 @@ class KernelSpec:
         return cls((sigma / 2.0, float(sigma), 2.0 * sigma))
 
 
-def _check_batches(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_batches(
+    A: np.ndarray, B: np.ndarray, stacked: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 batches (n, h), or with ``stacked`` stacks (R, n, h) of as many cells."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2:
-        raise DimensionError(f"batches must be 2-D, got {A.shape} and {B.shape}")
-    if A.shape[1] != B.shape[1]:
+    ndim = 3 if stacked else 2
+    if A.ndim != ndim or B.ndim != ndim or A.shape[:-2] != B.shape[:-2]:
+        raise DimensionError(
+            f"batches must be {'stacks of 2-D batches' if stacked else '2-D'}, "
+            f"got {A.shape} and {B.shape}"
+        )
+    if A.shape[-1] != B.shape[-1]:
         raise DimensionError(
             f"feature dimensions differ: {A.shape} vs {B.shape}"
         )
-    if A.shape[0] == 0 or B.shape[0] == 0:
+    if A.shape[-2] == 0 or B.shape[-2] == 0:
         raise ValueError("empty batch")
     return A, B
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
-    return (A * A).sum(axis=1)
+    return (A * A).sum(axis=-1)
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at 0 against rounding.
 
-    ``aa`` and ``bb`` are the rows' squared norms (:func:`_sq_norms`).
+    ``aa`` and ``bb`` are the rows' squared norms (:func:`_sq_norms`).  A and
+    B may be stacks; with B the same array as A, ``np.matmul`` computes the
+    Gram matrix with a symmetric rank-k update, per cell of a stack too.
     """
-    d2 = aa[:, None] + bb[None, :]
-    cross = A @ B.T
+    d2 = aa[..., :, None] + bb[..., None, :]
+    cross = A @ B.swapaxes(-1, -2)
     cross *= 2.0
     d2 -= cross
     return np.maximum(d2, 0.0, out=d2)
@@ -110,9 +123,14 @@ def mmd2_biased(Z_L: np.ndarray, Z_star: np.ndarray, spec: KernelSpec) -> float:
 
 
 def _grad_terms(
-    A: np.ndarray, B: np.ndarray, spec: KernelSpec
-) -> tuple[float, np.ndarray, np.ndarray]:
+    A: np.ndarray, B: np.ndarray, sigmas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared value + gradient computation; one pass of kernels per bandwidth.
+
+    A (..., a, h) and B (..., b, h) are float64 batches, 2-D or stacked.
+    ``sigmas`` holds the m bandwidths in order: floats for 2-D batches, or
+    for a stack (R, 1, 1) arrays, one bandwidth per cell.  The value is a
+    0-d array, or one value per cell.
 
     For a single bandwidth, differentiating the three V-statistic terms gives
 
@@ -124,51 +142,65 @@ def _grad_terms(
     order; a single bandwidth needs neither the running sums nor the average.
     Each batch's row norms are computed once for all three distance matrices.
     """
-    a, b = A.shape[0], B.shape[0]
+    a, b = A.shape[-2], B.shape[-2]
     norms_a, norms_b = _sq_norms(A), _sq_norms(B)
     d2_aa = _sq_dists(A, A, norms_a, norms_a)
     d2_ab = _sq_dists(A, B, norms_a, norms_b)
     d2_bb = _sq_dists(B, B, norms_b, norms_b)
 
-    for k, sigma in enumerate(spec.bandwidths):
+    matrix = (-2, -1)  # the mean over each cell's whole matrix
+    for k, sigma in enumerate(sigmas):
         neg_inv2s2 = -1.0 / (2.0 * sigma * sigma)
         K_aa = np.exp(d2_aa * neg_inv2s2)
         K_ab = np.exp(d2_ab * neg_inv2s2)
         K_bb = np.exp(d2_bb * neg_inv2s2)
-        v = K_aa.mean() - 2.0 * K_ab.mean() + K_bb.mean()
+        v = K_aa.mean(axis=matrix) - 2.0 * K_ab.mean(axis=matrix) + K_bb.mean(axis=matrix)
 
         inv_s2 = 1.0 / (sigma * sigma)
-        row_aa = K_aa.sum(axis=1)
-        row_ab = K_ab.sum(axis=1)
-        col_ab = K_ab.sum(axis=0)
-        row_bb = K_bb.sum(axis=1)
-        gA = (-2.0 / (a * a) * inv_s2) * (row_aa[:, None] * A - K_aa @ A)
-        gB = (-2.0 / (b * b) * inv_s2) * (row_bb[:, None] * B - K_bb @ B)
+        row_aa = K_aa.sum(axis=-1)
+        row_ab = K_ab.sum(axis=-1)
+        col_ab = K_ab.sum(axis=-2)
+        row_bb = K_bb.sum(axis=-1)
+        gA = (-2.0 / (a * a) * inv_s2) * (row_aa[..., None] * A - K_aa @ A)
+        gB = (-2.0 / (b * b) * inv_s2) * (row_bb[..., None] * B - K_bb @ B)
         if k == 0:
             value, dA, dB = v, gA, gB
         else:
             value += v
             dA += gA
             dB += gB
-        dA += (2.0 / (a * b) * inv_s2) * (row_ab[:, None] * A - K_ab @ B)
-        dB += (2.0 / (a * b) * inv_s2) * (col_ab[:, None] * B - K_ab.T @ A)
+        dA += (2.0 / (a * b) * inv_s2) * (row_ab[..., None] * A - K_ab @ B)
+        dB += (2.0 / (a * b) * inv_s2) * (col_ab[..., None] * B - K_ab.swapaxes(-1, -2) @ A)
 
-    m = len(spec.bandwidths)
+    m = len(sigmas)
     if m == 1:
         return value, dA, dB
     return value / m, dA / m, dB / m
 
 
 def mmd2_biased_with_grad(
-    Z_L: np.ndarray, Z_star: np.ndarray, spec: KernelSpec
-) -> tuple[float, np.ndarray, np.ndarray]:
+    Z_L: np.ndarray, Z_star: np.ndarray, spec: KernelSpec | Sequence[KernelSpec]
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Value and the analytic partials with respect to both batches, in one pass.
 
     The one gradient entry point: the trainer calls it every step, and the
-    gradient audit checks it against :func:`mmd2_biased`.
+    gradient audit checks it against :func:`mmd2_biased`.  For 2-D batches
+    ``spec`` is a KernelSpec and the value a float.  For stacks (R, a, h) and
+    (R, b, h), ``spec`` is a sequence of R KernelSpecs, one per cell, with
+    the same number of bandwidths, and the value is an (R,) array.
     """
-    Z_L, Z_star = _check_batches(Z_L, Z_star)
-    return _grad_terms(Z_L, Z_star, spec)
+    if isinstance(spec, KernelSpec):
+        Z_L, Z_star = _check_batches(Z_L, Z_star)
+        value, dA, dB = _grad_terms(Z_L, Z_star, spec.bandwidths)
+        return float(value), dA, dB
+    Z_L, Z_star = _check_batches(Z_L, Z_star, stacked=True)
+    if len(spec) != len(Z_L) or len({len(s.bandwidths) for s in spec}) != 1:
+        raise ValueError(
+            f"a stack of {len(Z_L)} cells needs {len(Z_L)} kernels with the same "
+            f"number of bandwidths"
+        )
+    per_cell = np.array([s.bandwidths for s in spec])  # (R, m)
+    return _grad_terms(Z_L, Z_star, list(per_cell.T[:, :, None, None]))
 
 
 def median_heuristic(Z: np.ndarray) -> float:

@@ -22,6 +22,14 @@ per-layer math (the unchecked bodies of the ``layers`` primitives) without
 re-checking.  ``backward`` writes the gradients into an ``MlpParams`` of the
 same layout (see ``zeros_like``), or adds them to one.
 
+A stack of R cells' parameters is an ``MlpParams`` whose ``flat`` is an
+(R, P) array, one row per cell; its views carry the leading R axis, W as
+(R, d_i, d_{i+1}) and b as (R, d_{i+1}).  ``forward`` and ``backward`` run a
+stack on (R, n, d) batches with the same code, since the ``layers`` bodies
+take a leading stack axis, and cell r's results are bit for bit those of
+running cell r alone.  ``stack`` builds one from single cells and ``cell``
+reads one back.
+
 A checkpoint is an ``MlpParams`` whose vector is a read-only copy, so later
 training steps cannot reach it and anything that writes to it raises.  A
 ``CheckpointSet`` is one training trajectory's checkpoints; ``avg_predict``
@@ -48,6 +56,8 @@ __all__ = [
     "predict_proba",
     "snapshot",
     "zeros_like",
+    "stack",
+    "cell",
     "avg_predict",
     "dropout_probs",
 ]
@@ -84,16 +94,30 @@ class MlpParams:
     ``layers[i]`` is (W, b), views into ``flat`` with W of shape
     (d_i, d_{i+1}) and b of shape (d_{i+1},); ``layer_sizes`` is
     (d_0, ..., d_L).  Built from a list of (W, b) pairs, it copies them into
-    a new vector and raises DimensionError unless their shapes chain.
+    a new vector and raises DimensionError unless their shapes chain;
+    :meth:`of_flat` wraps an existing vector, or an (R, P) stack of them.
     Mutated in place only by the trainer; a :func:`snapshot`'s vector and
     views are read-only.
     """
 
     def __init__(self, layers, split_index: int, dropout_rate: float = 0.0):
         pairs = [(np.asarray(W, np.float64), np.asarray(b, np.float64)) for W, b in layers]
-        self.layer_sizes = _chained_sizes(pairs)
-        self.flat = np.concatenate([a.ravel() for pair in pairs for a in pair])
-        self.layers = _views(self.flat, self.layer_sizes)
+        sizes = _chained_sizes(pairs)
+        flat = np.concatenate([a.ravel() for pair in pairs for a in pair])
+        self._wrap(flat, sizes, split_index, dropout_rate)
+
+    @classmethod
+    def of_flat(cls, flat, layer_sizes, split_index: int, dropout_rate: float = 0.0):
+        """Parameters whose vector is ``flat`` itself, not a copy: (P,) for one
+        model, (R, P) for a stack of R."""
+        params = cls.__new__(cls)
+        params._wrap(flat, tuple(layer_sizes), split_index, dropout_rate)
+        return params
+
+    def _wrap(self, flat, layer_sizes, split_index, dropout_rate):
+        self.layer_sizes = layer_sizes
+        self.flat = flat
+        self.layers = _views(flat, layer_sizes)
         self.split_index = split_index
         self.dropout_rate = dropout_rate
 
@@ -112,12 +136,13 @@ def _chained_sizes(pairs) -> tuple[int, ...]:
 
 
 def _views(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (W, b) views of a vector laid out like ``MlpParams.flat``."""
-    views, at = [], 0
+    """The (W, b) views of a vector laid out like ``MlpParams.flat``, or of
+    each row of a stack of them (the views then lead with the stack axis)."""
+    views, at, lead = [], 0, flat.shape[:-1]
     for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-        W = flat[at : at + d_in * d_out].reshape(d_in, d_out)
+        W = flat[..., at : at + d_in * d_out].reshape(*lead, d_in, d_out)
         at += d_in * d_out
-        views.append((W, flat[at : at + d_out]))
+        views.append((W, flat[..., at : at + d_out]))
         at += d_out
     return views
 
@@ -165,8 +190,10 @@ def init_mlp(
 
 
 def _checked_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    """X as float64: (n, d_0) for one model, (R, n, d_0) for a stack of R."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.layers[0][0].shape[0]:
+    lead = params.flat.shape[:-1]
+    if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != params.layer_sizes[0]:
         raise DimensionError(
             f"input {X.shape} does not match first layer {params.layers[0][0].shape}"
         )
@@ -183,7 +210,8 @@ def forward(
 
     Z is the feature activation after layer ``split_index`` (post-ReLU,
     pre-dropout).  The cache supports :func:`backward`.  Only train-mode
-    dropout consumes random numbers.
+    dropout consumes random numbers.  For a stack, X is (R, n, d_0) and
+    ``rng`` one generator per cell (see ``layers.dropout``).
     """
     X = _checked_input(params, X)
     n_layers = len(params.layers)
@@ -267,9 +295,13 @@ def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return softmax(logits)
 
 
+def _like(params: MlpParams, flat: np.ndarray) -> MlpParams:
+    return MlpParams.of_flat(flat, params.layer_sizes, params.split_index, params.dropout_rate)
+
+
 def snapshot(params: MlpParams) -> MlpParams:
     """One copy of the parameter vector; it and its (W, b) views are read-only."""
-    snap = MlpParams(params.layers, params.split_index, params.dropout_rate)
+    snap = _like(params, params.flat.copy())
     for array in (snap.flat, *(a for pair in snap.layers for a in pair)):
         array.flags.writeable = False
     return snap
@@ -277,11 +309,22 @@ def snapshot(params: MlpParams) -> MlpParams:
 
 def zeros_like(params: MlpParams) -> MlpParams:
     """Zero parameters laid out like ``params``: a gradient buffer for :func:`backward`."""
-    return MlpParams(
-        [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.layers],
-        params.split_index,
-        params.dropout_rate,
-    )
+    return _like(params, np.zeros_like(params.flat))
+
+
+def stack(cells) -> MlpParams:
+    """The stack of single models laid out alike: row r of ``flat`` is a copy of
+    ``cells[r].flat``."""
+    first = cells[0]
+    if any(c.layer_sizes != first.layer_sizes for c in cells):
+        raise DimensionError("the cells of a stack need the same layer sizes")
+    return _like(first, np.stack([c.flat for c in cells]))
+
+
+def cell(params: MlpParams, r: int) -> MlpParams:
+    """Cell r of a stack: its row of ``flat``, a view, not a copy.  A single
+    model is a stack of one."""
+    return _like(params, params.flat.reshape(-1, params.flat.shape[-1])[r])
 
 
 def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:

@@ -16,10 +16,19 @@ RNG-consumption contract (what a bit-identical reference must reproduce):
 per step, first the labeled-batch indices are drawn, then the pool-batch
 indices, each from the "batch" stream exactly as
 ``rng.choice(indices, batch_size, replace=len(indices) < batch_size)`` draws
-it; the pool batch is drawn even when ``mmd_weight`` is 0.  Dropout masks, when the model has a
-positive rate, come from the separate "dropout" stream, one draw per hidden
-layer per forward pass, labeled batch first.  Parameter initialization uses
-the "init" stream.  All three streams derive from ``TrainConfig.seed``.
+it; the pool batch is drawn even when ``mmd_weight`` is 0.  Dropout masks,
+when the model has a positive rate, come from the separate "dropout" stream,
+one draw per hidden layer per forward pass, labeled batch first.  Parameter
+initialization uses the "init" stream.  All three streams derive from
+``TrainConfig.seed``.
+
+``train_stack`` trains several such cells in lockstep, and ``train_round`` is
+its one-cell case.  Every cell keeps its own three streams and consumes each
+of them exactly as it would alone: per step, cell by cell, its labeled then
+its pool batch from its "batch" stream, and per hidden layer its mask of the
+labeled pass and, later, of the pool pass from its "dropout" stream.  The
+streams of different cells never mix, so the interleaving of cells changes
+no draw.
 
 Only work that changes the parameters is done.  The pool batch is run
 through the network only when ``mmd_weight`` > 0 or the model has dropout
@@ -28,17 +37,19 @@ at ``mmd_weight`` 0 the kernel, the MMD^2 value and its gradient are never
 computed and the logged mean MMD^2 is 0.0.  The pool batch's backward pass
 starts at the feature layer, since the MMD^2 term does not reach the head.
 
-The step works on vectors laid out like ``MlpParams.flat``.  Each round
-allocates one gradient buffer (``zeros_like``), which the labeled batch's
-backward pass writes and the pool batch's adds into, and one scratch vector
-for the update.  The labels of the labeled set and the feature width are checked once
-per round, before step 0; the step then runs the unchecked cross-entropy
-body.
+The step works on a stack of R cells' vectors laid out like
+``MlpParams.flat``, an (R, P) array, and on (R, batch, d) batches, so each
+numpy call of a step serves all R cells; a single cell needs no stack axis
+and runs on its (P,) vector and 2-D batches.  Each round allocates one gradient
+buffer (``zeros_like``), which the labeled batch's backward pass writes and
+the pool batch's adds into, one scratch array for the update and the batch
+buffers.  Every cell's labels and feature width are checked once per round,
+before step 0; the step then runs the unchecked cross-entropy body.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,9 +61,11 @@ from .model import (
     MlpParams,
     ModelSpec,
     backward,
+    cell,
     forward,
     init_mlp,
     snapshot,
+    stack,
     zeros_like,
 )
 from .seeding import derive_rng
@@ -67,6 +80,7 @@ __all__ = [
     "steps_per_epoch",
     "sgd_step",
     "train_round",
+    "train_stack",
 ]
 
 
@@ -232,58 +246,120 @@ def train_round(
     ``n_checkpoints`` snapshots at the documented cycle-end steps), and
     per-epoch mean CE / mean MMD^2 / learning-rate history.  The kernel
     bandwidth, unless given explicitly, is the median heuristic on the
-    features of the first pool batch, frozen for the whole round.
+    features of the first pool batch, frozen for the whole round.  This is
+    :func:`train_stack` with one cell.
     """
+    return train_stack([pool], model_spec, [config])[0]
+
+
+def _check_cell(pool, model_spec: ModelSpec) -> np.ndarray:
+    """The pool's labeled indices, once its labels and feature width fit the model."""
     labeled = np.asarray(pool.labeled_idx)
     if len(labeled) == 0:
         raise PoolError("cannot train with an empty labeled set")
-    features, labels = pool.features, pool.labels
+    features = pool.features
     if features.ndim != 2 or features.shape[1] != model_spec.layer_sizes[0]:
         raise DimensionError(
             f"pool features {features.shape} do not match the model's input width "
             f"{model_spec.layer_sizes[0]}"
         )
-    check_labels(labels[labeled], model_spec.layer_sizes[-1])
-    both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
+    check_labels(pool.labels[labeled], model_spec.layer_sizes[-1])
+    return labeled
 
-    rng_init = derive_rng(config.seed, "init")
-    rng_batch = derive_rng(config.seed, "batch")
-    rng_drop = derive_rng(config.seed, "dropout")
-    params = init_mlp(
-        model_spec.layer_sizes, model_spec.split_index, model_spec.dropout_rate, rng_init
-    )
+
+def train_stack(
+    pools,
+    model_spec: ModelSpec,
+    configs,
+) -> list[tuple[MlpParams, CheckpointSet, list[EpochStats]]]:
+    """Train one fresh model per (pool, config) cell, all cells in lockstep.
+
+    The configs may differ only in ``seed`` and the pools' labeled sets must
+    have one size, so every cell runs the same steps at the same rates.  Each
+    step draws every cell's batches from the cell's own streams, gathers them
+    into (R, batch, d) stacks and runs the forward pass, loss, MMD^2 term,
+    backward pass and SGD update once for all R cells, each with its own
+    kernel bandwidths.  Returns one :func:`train_round` result per cell, in
+    order, bit for bit what training that cell alone returns.  A cell whose
+    loss, MMD^2 term or gradient goes non-finite stops the whole stack.
+    """
+    if len(pools) != len(configs) or not pools:
+        raise ValueError(f"need one config per pool, got {len(pools)} pools and {len(configs)} configs")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("the cells of a stack may differ only in their seeds")
+    labeled = [_check_cell(pool, model_spec) for pool in pools]
+    if len({len(idx) for idx in labeled}) != 1:
+        raise ValueError(
+            f"the cells of a stack need labeled sets of one size, got {[len(i) for i in labeled]}"
+        )
+    both = [
+        np.sort(np.concatenate([idx, np.asarray(pool.unlabeled_idx)]))
+        for idx, pool in zip(labeled, pools)
+    ]
+    features = [np.asarray(pool.features, dtype=np.float64) for pool in pools]
+
+    R, B, d = len(pools), config.batch_size, model_spec.layer_sizes[0]
+    # several cells are stacked on a leading axis; one cell runs on plain 2-D
+    # arrays, since the stack axis adds a fixed cost to every numpy call
+    lead = (R,) if R > 1 else ()
+    rngs_batch = [derive_rng(c.seed, "batch") for c in configs]
+    rngs_drop = [derive_rng(c.seed, "dropout") for c in configs]
+    inits = [
+        init_mlp(model_spec.layer_sizes, model_spec.split_index, model_spec.dropout_rate,
+                 derive_rng(c.seed, "init"))
+        for c in configs
+    ]
+    params = stack(inits) if lead else inits[0]
+    cells = [cell(params, r) for r in range(R)]  # views that follow the in-place updates
     grad, scratch = zeros_like(params), np.empty_like(params.flat)
 
-    spe = steps_per_epoch(len(labeled), config.batch_size)
+    spe = steps_per_epoch(len(labeled[0]), B)
     rates = lr_schedule(spe, config)
     snap_at = set(snapshot_steps(config.epochs, spe, config.n_checkpoints))
 
-    kernel: KernelSpec | None = None
     lam = config.mmd_weight
-    snaps: list[MlpParams] = []
-    history: list[EpochStats] = []
-    ce_sum = mmd_sum = 0.0
+    pool_pass = lam > 0 or model_spec.dropout_rate > 0  # at lam 0: keeps the dropout stream in step
+    X_l, X_p = np.empty((2, *lead, B, d))  # the batches, gathered per step
+    y_l = np.empty((*lead, B), dtype=np.intp)
+    # what each cell's draws read and the rows of the batch buffers they fill
+    gather = list(zip(
+        rngs_batch, labeled, both, features, [pool.labels for pool in pools],
+        X_l.reshape(R, B, d), X_p.reshape(R, B, d), y_l.reshape(R, B),
+    ))
+    kernels = None
+    snaps: list[list[MlpParams]] = [[] for _ in range(R)]
+    history: list[list[EpochStats]] = [[] for _ in range(R)]
+    ce_sum, mmd_sum = np.zeros(lead), np.zeros(lead)
     for step, lr in enumerate(rates):
-        idx_l = _draw(rng_batch, labeled, config.batch_size)
-        idx_p = _draw(rng_batch, both, config.batch_size)
+        for rng, cell_labeled, cell_both, cell_features, cell_labels, x_l, x_p, y in gather:
+            idx_l = _draw(rng, cell_labeled, B)
+            idx_p = _draw(rng, cell_both, B)
+            # the drawn indices are in range, so "clip" changes none; unlike the
+            # default "raise" it writes straight into ``out`` with no staging copy
+            cell_features.take(idx_l, axis=0, out=x_l, mode="clip")
+            y[:] = cell_labels[idx_l]
+            if pool_pass:
+                cell_features.take(idx_p, axis=0, out=x_p, mode="clip")
 
-        Z_l, logits, cache_l = forward(params, features[idx_l], train_mode=True, rng=rng_drop)
-        if lam > 0 or model_spec.dropout_rate > 0:  # at lam 0: keeps the dropout stream in step
-            Z_p, _, cache_p = forward(params, features[idx_p], train_mode=True, rng=rng_drop)
-        ce, _, dlogits = _softmax_cross_entropy(logits, labels[idx_l])
-        if not np.isfinite(ce):
+        Z_l, logits, cache_l = forward(params, X_l, train_mode=True, rng=rngs_drop)
+        if pool_pass:
+            Z_p, _, cache_p = forward(params, X_p, train_mode=True, rng=rngs_drop)
+        ce, _, dlogits = _softmax_cross_entropy(logits, y_l)
+        if not np.isfinite(ce).all():
             raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
         if lam > 0:
-            if kernel is None:
-                kernel = _resolve_kernel(config, Z_p)
-            m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
-            if not np.isfinite(lam * m2):
+            if kernels is None:
+                kernels = [_resolve_kernel(config, Z) for Z in Z_p.reshape(R, B, -1)]
+                kernels = kernels if lead else kernels[0]
+            m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernels)
+            if not np.isfinite(lam * m2).all():
                 raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
             backward(params, cache_l, dlogits, dZ=lam * dZ_l, out=grad)
             backward(params, cache_p, None, dZ=lam * dZ_p, out=grad, add=True)
+            mmd_sum += m2
         else:
-            m2 = 0.0
             backward(params, cache_l, dlogits, out=grad)
 
         try:
@@ -291,11 +367,13 @@ def train_round(
         except TrainingDiverged:
             raise TrainingDiverged(f"non-finite gradient at step {step} (lr={lr:g})") from None
         if step in snap_at:
-            snaps.append(snapshot(params))
+            for r in range(R):
+                snaps[r].append(snapshot(cells[r]))
 
         ce_sum += ce
-        mmd_sum += m2
         if (step + 1) % spe == 0:
-            history.append(EpochStats(step // spe, ce_sum / spe, mmd_sum / spe, lr))
-            ce_sum = mmd_sum = 0.0
-    return params, CheckpointSet(tuple(snaps)), history
+            ce_mean, mmd_mean = (ce_sum / spe).reshape(R), (mmd_sum / spe).reshape(R)
+            for r in range(R):
+                history[r].append(EpochStats(step // spe, float(ce_mean[r]), float(mmd_mean[r]), lr))
+            ce_sum, mmd_sum = np.zeros(lead), np.zeros(lead)
+    return [(cells[r], CheckpointSet(tuple(snaps[r])), history[r]) for r in range(R)]

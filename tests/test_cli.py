@@ -150,7 +150,7 @@ def forbid_training(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a cell trained")
 
-    monkeypatch.setattr(allab.experiment, "train_round", no_training)
+    monkeypatch.setattr(allab.experiment, "train_stack", no_training)
 
 
 @pytest.mark.parametrize(
@@ -215,6 +215,21 @@ def test_run_split_index_beyond_default_hidden_exits_2_before_training(
     assert "[64, 64]" in captured.err
     assert "unexpected error" not in captured.err
     assert not (tmp_path / "results" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_run_output_directory_that_cannot_be_made_exits_2_before_training(
+    tmp_path, capsys, forbid_training, under_file
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if under_file else blocker
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: $.output_dir: cannot make directory {str(out)!r}" in captured.err
+    assert "unexpected error" not in captured.err
+    assert blocker.read_text() == ""
 
 
 def test_run_pool_too_small_in_a_later_repeat_exits_2_before_training(tmp_path, capsys, forbid_training):

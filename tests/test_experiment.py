@@ -9,13 +9,13 @@ import allab.experiment as experiment
 from allab.acquisition import METHODS
 from allab.config import parse_config
 from allab.errors import ConfigError, FormatError
+from allab.seeding import derive_int
 from allab.experiment import (
     RESULTS_HEADER,
     RoundLog,
     compute_curves,
     load_dataset,
     read_results_csv,
-    run_cell,
     run_experiment,
     start_partition,
     write_curves_csv,
@@ -109,34 +109,34 @@ def test_standardized_once_per_repeat(monkeypatch):
     assert len(logs) == 2 * cfg.repeats
 
 
-def test_run_cell_takes_its_rules_from_the_method_table(monkeypatch):
+def test_stacked_round_takes_its_rules_from_the_method_table(monkeypatch):
     # give "random" the trajectory method's training, BALD's dropout and
-    # trajectory evaluation; run_cell must follow the table, not the name
+    # trajectory evaluation; the harness must follow the table, not the name
     seen = []
 
-    def spy_train_round(pool, spec, config):
-        out = real_train_round(pool, spec, config)
-        seen.append((spec.dropout_rate, config.mmd_weight))
+    def spy_train_stack(pools, spec, configs):
+        out = real_train_stack(pools, spec, configs)
+        seen.extend((spec.dropout_rate, config.mmd_weight) for config in configs)
         return out
 
     def spy_evaluate(predictor, pool):
         seen.append(type(predictor).__name__)
         return real_evaluate(predictor, pool)
 
-    real_train_round, real_evaluate = experiment.train_round, experiment.evaluate
-    monkeypatch.setattr(experiment, "train_round", spy_train_round)
+    real_train_stack, real_evaluate = experiment.train_stack, experiment.evaluate
+    monkeypatch.setattr(experiment, "train_stack", spy_train_stack)
     monkeypatch.setattr(experiment, "evaluate", spy_evaluate)
-    cfg = parse_config({**small_doc(), "rounds": 1, "train": {**small_doc()["train"], "lambda": 0.3}})
-    dataset = load_dataset(cfg)
-    start = start_partition(dataset, cfg, 0)
+    cfg = parse_config(
+        {**small_doc(), "rounds": 1, "repeats": 1, "train": {**small_doc()["train"], "lambda": 0.3}}
+    )
 
-    run_cell(dataset, cfg, "random", 0, start)
+    run_experiment(cfg)
     assert seen == [(0.0, 0.0), "MlpParams"]
 
     seen.clear()
     rules = replace(METHODS["random"], trains_with_mmd=True, bald_dropout=True, on_trajectory=True)
     monkeypatch.setitem(METHODS, "random", rules)
-    run_cell(dataset, cfg, "random", 0, start)
+    run_experiment(cfg)
     assert seen == [(cfg.model.bald_dropout, 0.3), "CheckpointSet"]
 
 
@@ -233,6 +233,70 @@ def test_score_dumps_written_per_round(tmp_path):
     rnd = (tmp_path / "scores_random_rep0_round0.csv").read_text().splitlines()
     assert len(rnd) == 1 + 5  # only the picks, no scores
     assert all(line.endswith(",1") for line in rnd[1:])
+
+
+def test_score_directory_that_cannot_be_made_fails_before_training(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(experiment, "train_stack", no_training)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "scores"):  # a regular file, a path under one
+        cfg = parse_config({**small_doc(), "dump_scores": True, "output_dir": str(out)})
+        with pytest.raises(ConfigError, match=r"^\$\.output_dir: cannot make directory"):
+            run_experiment(cfg)
+
+
+def stack_spy(monkeypatch):
+    """Record, for every train_stack call, its cells' seeds, its model's
+    dropout rate, its MMD^2 weight and the thread it ran on."""
+    import threading
+
+    calls = []
+
+    def spy(pools, spec, configs):
+        calls.append(([c.seed for c in configs], spec.dropout_rate, configs[0].mmd_weight,
+                      threading.current_thread() is threading.main_thread()))
+        return real(pools, spec, configs)
+
+    real = experiment.train_stack
+    monkeypatch.setattr(experiment, "train_stack", spy)
+    return calls
+
+
+def test_cells_with_the_same_training_rules_train_as_one_stack(monkeypatch):
+    calls = stack_spy(monkeypatch)
+    doc = {**small_doc(), "methods": ["mpts", "random", "entropy", "bald", "coreset"],
+           "repeats": 2, "rounds": 2}
+    cfg = parse_config(doc)
+    logs = run_experiment(cfg, jobs=3)
+    seed = lambda method, r, t: derive_int(cfg.master_seed, "train", method, r, t)
+    for t in range(2):
+        want = [
+            # (cells, dropout, lambda): mpts alone trains with lambda, bald alone
+            # has dropout, the three others share a model and lambda 0
+            ([seed("mpts", r, t) for r in range(2)], 0.0, cfg.train.mmd_weight),
+            ([seed(m, r, t) for m in ("random", "entropy", "coreset") for r in range(2)], 0.0, 0.0),
+            ([seed("bald", r, t) for r in range(2)], cfg.model.bald_dropout, 0.0),
+        ]
+        # round-major: every stack of round 0 trains before any of round 1;
+        # stacks of several cells run in the calling thread at any --jobs
+        assert [c[:3] for c in calls[3 * t : 3 * t + 3]] == want
+        assert all(c[3] for c in calls[3 * t : 3 * t + 3])
+    assert logs == run_experiment(cfg, jobs=1)
+
+
+def test_jobs_fan_out_only_cells_that_train_alone(monkeypatch):
+    calls = stack_spy(monkeypatch)
+    doc = {**small_doc(), "methods": ["mpts", "random", "entropy"], "repeats": 1, "rounds": 1}
+    cfg = parse_config(doc)
+    logs = run_experiment(cfg, jobs=2)
+    by_size = sorted((len(seeds), main) for seeds, _, _, main in calls)
+    assert by_size == [(1, False), (2, True)]  # mpts on a worker; random + entropy stacked
+    calls.clear()
+    assert run_experiment(cfg, jobs=1) == logs
+    assert all(main for *_, main in calls)
 
 
 # ---- results serialization -------------------------------------------------

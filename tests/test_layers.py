@@ -8,6 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from allab.errors import DimensionError
 from allab.layers import (
+    _affine_backward,
+    _affine_forward,
+    _softmax_cross_entropy,
     affine_backward,
     affine_forward,
     dropout,
@@ -310,3 +313,76 @@ def test_dropout_bad_arguments():
         dropout(np.ones((2, 2)), -0.1)
     with pytest.raises(ValueError):
         dropout(np.ones((2, 2)), 0.5, rng=None, train_mode=True)
+
+
+# ---- stacks: one body serves one model and R cells --------------------------
+
+def param_views(flat, d, m, pad):
+    """(R, d, m) weights and (R, m) biases viewing an (R, P) array with ``pad``
+    other parameters on each side, as a stack of MlpParams lays them out."""
+    R = flat.shape[0]
+    return flat[:, pad : pad + d * m].reshape(R, d, m), flat[:, pad + d * m : pad + d * m + m]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    R=st.integers(1, 4),
+    n=st.integers(1, 40),
+    d=st.integers(1, 20),
+    m=st.integers(1, 12),
+    pad=st.integers(0, 3),
+    seed=st.integers(0, 2**31),
+)
+def test_stacked_bodies_equal_each_slice_alone(R, n, d, m, pad, seed):
+    rng = np.random.default_rng(seed)
+    P = 2 * pad + d * m + m
+    X = np.maximum(rng.standard_normal((R, n, d)), 0.0)  # exact zeros, as after a ReLU
+    W, b = param_views(rng.standard_normal((R, P)), d, m, pad)
+    dY = rng.standard_normal((R, n, m)) * 10.0 ** rng.integers(-5, 5, (R, n, m))
+    dY[rng.random(dY.shape) < 0.2] = -0.0
+    labels = rng.integers(0, m, (R, n))
+
+    Y = _affine_forward(X, W, b)
+    dX, dW, db = _affine_backward(X, W, dY, True)
+    written = param_views(np.full((R, P), np.nan), d, m, pad)
+    _affine_backward(X, W, dY, False, out=written)
+    before = rng.standard_normal((R, P))
+    added = param_views(before.copy(), d, m, pad)
+    added[0][...] += dW  # model.backward(add=True) adds into its buffer this way
+    added[1][...] += db
+    blocked = relu_backward(Y, dY)
+    loss, probs, dlogits = _softmax_cross_entropy(Y, labels)
+
+    W0, b0 = param_views(before, d, m, pad)
+    for r in range(R):
+        Xr, Wr, br, dYr = (a[r].copy() for a in (X, W, b, dY))
+        Yr = _affine_forward(Xr, Wr, br)
+        dXr, dWr, dbr = _affine_backward(Xr, Wr, dYr, True)
+        loss_r, probs_r, dlogits_r = _softmax_cross_entropy(Yr, labels[r].copy())
+        pairs = [
+            (Y[r], Yr), (dX[r], dXr), (dW[r], dWr), (db[r], dbr),
+            (written[0][r], dWr), (written[1][r], dbr),
+            (added[0][r], W0[r] + dWr), (added[1][r], b0[r] + dbr),
+            (blocked[r], relu_backward(Yr, dYr)),
+            (loss[r], loss_r), (probs[r], probs_r), (dlogits[r], dlogits_r),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(bits(got), bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(R=st.integers(1, 4), n=st.integers(1, 10), m=st.integers(1, 6), seed=st.integers(0, 2**31))
+def test_stacked_dropout_draws_each_cell_from_its_own_generator(R, n, m, seed):
+    X = np.random.default_rng(seed).standard_normal((R, n, m))
+    gens = [np.random.default_rng([seed, r]) for r in range(R)]
+    out, mask = dropout(X, 0.5, rng=gens)
+    twins = [np.random.default_rng([seed, r]) for r in range(R)]
+    for r, g in enumerate(twins):
+        want, want_mask = dropout(X[r].copy(), 0.5, rng=g)
+        assert np.array_equal(bits(out[r]), bits(want))
+        assert np.array_equal(bits(mask[r]), bits(want_mask))
+        assert gens[r].random() == g.random()  # the same amount was drawn
+    # a 2-D batch is one cell: a sequence of one generator draws as that generator
+    one, one_mask = dropout(X[0], 0.5, rng=[np.random.default_rng([seed, 0])])
+    want, want_mask = dropout(X[0], 0.5, rng=np.random.default_rng([seed, 0]))
+    assert np.array_equal(bits(one), bits(want)) and np.array_equal(bits(one_mask), bits(want_mask))

@@ -10,6 +10,7 @@ from allab.errors import DimensionError
 from allab.mmd import (
     KernelSpec,
     _grad_terms,
+    _sq_dists,
     median_heuristic,
     mmd2_biased,
     mmd2_biased_with_grad,
@@ -256,9 +257,60 @@ def test_grad_terms_bit_identical_to_untrimmed(a, b, d, relu_like, sigma, three,
         A[:, rng.random(d) < 0.3] = 0.0
         B[rng.random(B.shape) < 0.1] = -0.0
     spec = KernelSpec.around(sigma) if three else KernelSpec.single(sigma)
-    got, want = _grad_terms(A, B, spec), old_grad_terms(A, B, spec)
+    got, want = _grad_terms(A, B, spec.bandwidths), old_grad_terms(A, B, spec)
     for g, w in zip(got, want, strict=True):
         assert same_bits(g, w)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    R=st.integers(1, 4),
+    a=st.integers(1, 40),
+    b=st.integers(1, 40),
+    d=st.integers(1, 9),
+    bandwidths=st.sampled_from(["one", "three", "list"]),
+    seed=st.integers(0, 2**31),
+)
+def test_stacked_value_and_gradient_equal_each_cell_alone(R, a, b, d, bandwidths, seed):
+    # feature-like batches (exact zeros from the ReLU) and a different
+    # bandwidth set per cell, as the trainer's median heuristic gives
+    rng = np.random.default_rng(seed)
+    A = np.maximum(rng.standard_normal((R, a, d)) * rng.uniform(0.1, 3.0), 0.0)
+    B = np.maximum(rng.standard_normal((R, b, d)) + rng.uniform(-1.0, 1.0), 0.0)
+    sigmas = rng.uniform(0.05, 20.0, R)
+    specs = [
+        {"one": KernelSpec.single(s), "three": KernelSpec.around(s),
+         "list": KernelSpec((0.5, 2.0))}[bandwidths]
+        for s in sigmas
+    ]
+    value, dA, dB = mmd2_biased_with_grad(A, B, specs)
+    assert value.shape == (R,)
+    norms = (A * A).sum(axis=-1)
+    gram = _sq_dists(A, A, norms, norms)  # the symmetric A @ A.T product, per cell
+    for r in range(R):
+        Ar, Br = A[r].copy(), B[r].copy()
+        v, gA, gB = mmd2_biased_with_grad(Ar, Br, specs[r])
+        assert bits(value[r]) == bits(v)
+        assert np.array_equal(bits(dA[r]), bits(gA))
+        assert np.array_equal(bits(dB[r]), bits(gB))
+        norms_r = (Ar * Ar).sum(axis=-1)
+        assert np.array_equal(bits(gram[r]), bits(_sq_dists(Ar, Ar, norms_r, norms_r)))
+
+
+def test_stacked_call_checks_its_kernels_and_batches():
+    A, B = np.ones((2, 3, 4)), np.zeros((2, 5, 4))
+    with pytest.raises(ValueError, match="a stack of 2 cells needs 2 kernels"):
+        mmd2_biased_with_grad(A, B, [KernelSpec.single(1.0)])
+    with pytest.raises(ValueError, match="same number of bandwidths"):
+        mmd2_biased_with_grad(A, B, [KernelSpec.single(1.0), KernelSpec.around(1.0)])
+    with pytest.raises(DimensionError, match="stacks of 2-D batches"):
+        mmd2_biased_with_grad(A, B[:1], [KernelSpec.single(1.0)] * 2)
+    with pytest.raises(DimensionError, match="must be 2-D"):
+        mmd2_biased_with_grad(A, B, KernelSpec.single(1.0))
 
 
 # ---- median heuristic ------------------------------------------------------

@@ -13,11 +13,13 @@ from allab.model import (
     ModelSpec,
     avg_predict,
     backward,
+    cell,
     dropout_probs,
     forward,
     init_mlp,
     predict_proba,
     snapshot,
+    stack,
     zeros_like,
 )
 from allab.seeding import derive_rng
@@ -448,3 +450,23 @@ def test_random_into_buffer_draws_as_random_of_shape(shape):
 def test_dropout_probs_input_width_checked():
     with pytest.raises(DimensionError):
         dropout_probs(small_net(rate=0.5), np.zeros((2, 5)), 2, derive_rng(0))
+
+
+def test_a_stack_holds_copies_of_its_cells_and_views_them():
+    cells = [init_mlp((3, 4, 2), 1, 0.0, derive_rng(r)) for r in range(3)]
+    stacked = stack(cells)
+    assert stacked.flat.shape == (3, cells[0].flat.size)
+    for (W, b), sizes in zip(stacked.layers, [(3, 4), (4, 2)]):
+        assert W.shape == (3, *sizes) and b.shape == (3, sizes[1])
+        assert np.shares_memory(W, stacked.flat) and np.shares_memory(b, stacked.flat)
+    for r, c in enumerate(cells):
+        one = cell(stacked, r)
+        assert np.shares_memory(one.flat, stacked.flat)
+        assert not np.shares_memory(one.flat, c.flat)
+        assert np.array_equal(one.flat, c.flat)
+        for (W, b), (Wc, bc) in zip(one.layers, c.layers):
+            assert np.array_equal(W, Wc) and np.array_equal(b, bc)
+    with pytest.raises(DimensionError, match="same layer sizes"):
+        stack([cells[0], init_mlp((3, 5, 2), 1, 0.0, derive_rng(0))])
+    with pytest.raises(DimensionError, match="does not match first layer"):
+        forward(stacked, np.zeros((2, 5, 3)))  # a batch for 2 cells, not 3

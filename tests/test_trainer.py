@@ -1,5 +1,7 @@
 """Schedule arithmetic, SGD semantics, and the training-loop RNG contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from allab.trainer import (
     snapshot_steps,
     steps_per_epoch,
     train_round,
+    train_stack,
 )
 
 
@@ -561,3 +564,100 @@ def test_median_kernel_frozen_at_first_batch():
     assert hist_a == hist_b
     for (Wa, _), (Wb, _) in zip(final_a.layers, final_b.layers):
         assert np.array_equal(Wa, Wb)
+
+
+# ---- stacks ----------------------------------------------------------------
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class RecordedStreams:
+    """Patches ``trainer.derive_rng`` to keep every generator it makes, by its
+    (seed, tag) path."""
+
+    def __init__(self, monkeypatch):
+        import allab.trainer as trainer
+
+        self.made = {}
+        real = trainer.derive_rng
+
+        def recording(seed, *path):
+            self.made[(seed, *path)] = g = real(seed, *path)
+            return g
+
+        monkeypatch.setattr(trainer, "derive_rng", recording)
+
+    def take(self):
+        made, self.made = self.made, {}
+        return made
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    R=st.integers(1, 4),
+    hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    split_at=st.integers(0, 2),
+    lam=st.sampled_from([0.0, 0.1]),
+    rate=st.sampled_from([0.0, 0.5]),
+    kernel=st.sampled_from(["median", "median3", (0.7, 2.0)]),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, kernel, shared, seed):
+    # each cell has its own seed, labeled set and pool size; the features are
+    # one shared array or one standardized copy per cell (as per repeat)
+    rng = derive_rng(seed, "data")
+    d, C, n = int(rng.integers(1, 4)), int(rng.integers(2, 4)), 60
+    spec = ModelSpec((d, *hidden, C), split_index=min(1 + split_at, len(hidden)), dropout_rate=rate)
+    base, labels = rng.standard_normal((n, d)), rng.integers(0, C, size=n)
+    pools, configs = [], []
+    for r in range(R):
+        perm = rng.permutation(n)
+        features = base if shared else (base - rng.uniform(-1, 1, d)) * rng.uniform(0.5, 2.0, d)
+        pools.append(PoolState(
+            features=features, labels=labels, class_count=C, labeled_idx=perm[:20],
+            unlabeled_idx=np.sort(perm[20 : 30 + int(rng.integers(0, 21))]), test_idx=perm[50:],
+        ))
+        configs.append(TrainConfig(epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam,
+                                   n_checkpoints=2, kernel=kernel, seed=seed + r))
+
+    with pytest.MonkeyPatch.context() as mp:
+        streams = RecordedStreams(mp)
+        stacked = train_stack(pools, spec, configs)
+        stacked_streams = streams.take()
+        alone = [train_round(p, spec, c) for p, c in zip(pools, configs)]
+        alone_streams = streams.take()
+
+    for (final, traj, history), (final_a, traj_a, history_a) in zip(stacked, alone, strict=True):
+        assert np.array_equal(bits(final.flat), bits(final_a.flat))
+        assert len(traj) == len(traj_a) == 2
+        for snap, snap_a in zip(traj.snapshots, traj_a.snapshots):
+            assert np.array_equal(bits(snap.flat), bits(snap_a.flat))
+            assert not snap.flat.flags.writeable
+        assert history == history_a
+    # every stream was left where training the cell alone leaves it
+    assert stacked_streams.keys() == alone_streams.keys()
+    for path, g in stacked_streams.items():
+        assert g.bit_generator.state == alone_streams[path].bit_generator.state, path
+
+
+def test_stack_cells_must_share_everything_but_the_seed():
+    pool, spec = blob_pool(), ModelSpec((2, 8, 2))
+    cfg = TrainConfig(epochs=2, n_checkpoints=1)
+    train_stack([pool, pool], spec, [cfg, replace(cfg, seed=5)])  # seeds may differ
+    with pytest.raises(ValueError, match="differ only in their seeds"):
+        train_stack([pool, pool], spec, [cfg, replace(cfg, base_lr=0.5)])
+    with pytest.raises(ValueError, match="one config per pool"):
+        train_stack([pool, pool], spec, [cfg])
+    short = replace(pool, labeled_idx=pool.labeled_idx[:-1])
+    with pytest.raises(ValueError, match=r"labeled sets of one size, got \[80, 79\]"):
+        train_stack([pool, short], spec, [cfg, cfg])
+
+
+def test_stack_checks_every_cell_before_step_zero(forbid_steps):
+    pool = blob_pool()
+    bad = replace(pool, labels=pool.labels.copy())
+    bad.labels[bad.labeled_idx[3]] = 2
+    with pytest.raises(IndexError, match=r"^label 2 out of range \[0, 2\)$"):
+        train_stack([pool, bad], ModelSpec((2, 8, 2)), [TrainConfig(epochs=2, n_checkpoints=1)] * 2)
