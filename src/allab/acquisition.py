@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoolError
+from .mmd import sq_dists, sq_norms
 from .model import CheckpointSet, MlpParams, avg_predict, dropout_probs, forward, predict_proba
 
 __all__ = [
@@ -154,12 +155,7 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
     Z_u, _, _ = forward(final, pool.features[unlabeled])
     if len(labeled):
         Z_l, _, _ = forward(final, pool.features[labeled])
-        d2 = (
-            (Z_u * Z_u).sum(axis=1)[:, None]
-            + (Z_l * Z_l).sum(axis=1)[None, :]
-            - 2.0 * Z_u @ Z_l.T
-        )
-        min_dist = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
+        min_dist = np.sqrt(sq_dists(Z_u, Z_l, sq_norms(Z_u), sq_norms(Z_l)).min(axis=1))
     else:
         min_dist = np.full(len(unlabeled), np.inf)
 

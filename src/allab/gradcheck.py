@@ -3,7 +3,8 @@
 Central differences with step h=1e-6 against the closed-form backward passes,
 suite by suite: affine, relu, softmax cross-entropy, dropout (mask frozen),
 the kernel two-sample term, and the full composite objective through a small
-network.  ``perturb`` poisons the first analytic gradient entry and must make
+network.  Each suite calls the same functions the training step calls.
+``perturb`` poisons the first analytic gradient entry and must make
 the check fail; it exists so the failure path itself is testable.
 """
 
@@ -132,7 +133,7 @@ def _suite_mmd(col: _Collector, rng: np.random.Generator):
             A = rng.standard_normal((a, d))
             B = rng.standard_normal((b, d)) + 0.5
             loss = lambda: mmd2_biased(A, B, spec)
-            _, dA, dB = mmd2_biased_with_grad(A, B, spec)
+            _, dA, dB = mmd2_biased_with_grad(A, B, spec.bandwidths)
             col.add("mmd", f"{name}/{j}/dA", dA, central_diff(loss, A))
             col.add("mmd", f"{name}/{j}/dB", dB, central_diff(loss, B))
 
@@ -168,7 +169,7 @@ def _suite_composite(col: _Collector, seed: int):
         Z_l, logits, cache_l = forward(params, X_l, train_mode=True)
         Z_p, _, cache_p = forward(params, X_p, train_mode=True)
         _, _, dlogits = softmax_cross_entropy(logits, y)
-        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, spec)
+        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, spec.bandwidths)
         # as in the trainer: the pool batch adds its extractor gradients to the same vector
         grad = zeros_like(params)
         grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l, out=grad)

@@ -5,19 +5,20 @@ of n examples with d features is an (n, d) array.  Every operation here is a
 pure function of its inputs (plus an explicitly passed generator for dropout),
 so the primitives are safe to call from multiple threads on disjoint data.
 
-The unchecked bodies and ``relu``/``relu_backward``/``dropout`` also take a
-stack: R cells' batches as (R, n, d), with W (R, d, m) and b (R, m).  Each
-cell's slice of the result is bit for bit what the 2-D call on that slice
-gives (``np.matmul`` runs the same BLAS call per slice; every reduction runs
-along the same axis), so one body serves the single model and the stack.
-``affine_forward``, ``relu`` and ``softmax`` take an optional ``out`` buffer,
-so a loop can reuse its arrays; the result is the same either way.
+The primitives also take a stack: R cells' batches as (R, n, d), with W
+(R, d, m) and b (R, m).  Each cell's slice of the result is bit for bit what
+the 2-D call on that slice gives (``np.matmul`` runs the same BLAS call per
+slice; every reduction runs along the same axis), so one function serves the
+single model and the stack.  ``affine_forward``, ``relu`` and ``softmax`` take
+an optional ``out`` buffer, so a loop can reuse its arrays; the result is the
+same either way.
 
-Each checked primitive is its checks plus one unchecked body
-(``_affine_forward``, ``_affine_backward``, ``_softmax_cross_entropy``).
-``model`` and ``trainer`` call the bodies in their per-step loops: the
-parameter shapes are checked once when an ``MlpParams`` is built, and the
-labels and feature width once per training round.
+Each primitive has one implementation, and the training step, the prediction
+paths and the gradient audit all call it.  The primitives do not check their
+operands: float64 arrays whose shapes chain.  The shapes are checked where
+they enter the package, once: the parameter shapes when an ``MlpParams`` is
+built, a network's input in ``model.forward``, and each training cell's
+labels (:func:`check_labels`) and feature width once per round.
 
 Gradient conventions:
     - ReLU derivative at exactly 0 is 0.
@@ -31,8 +32,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DimensionError
-
 __all__ = [
     "affine_forward",
     "affine_backward",
@@ -42,14 +41,8 @@ __all__ = [
     "softmax_cross_entropy",
     "check_labels",
     "dropout",
+    "dropout_mask",
 ]
-
-
-def _as_matrix(name: str, a: np.ndarray, ndim: int = 2) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != ndim:
-        raise DimensionError(f"{name} must be {ndim}-D, got shape {a.shape}")
-    return a
 
 
 def affine_forward(
@@ -57,29 +50,16 @@ def affine_forward(
 ) -> np.ndarray:
     """Fully-connected layer: Y = X @ W + b.
 
-    X: (n, d), W: (d, m), b: (m,).  Returns (n, m), written into ``out``
-    when one is given.
+    X: (n, d), W: (d, m), b: (m,), or stacks of them.  Returns (n, m),
+    written into ``out`` when one is given.
     """
-    X = _as_matrix("X", X)
-    W = _as_matrix("W", W)
-    b = _as_matrix("b", b, ndim=1)
-    if X.shape[1] != W.shape[0]:
-        raise DimensionError(f"affine_forward: X {X.shape} does not chain with W {W.shape}")
-    if b.shape[0] != W.shape[1]:
-        raise DimensionError(f"affine_forward: b {b.shape} does not match W {W.shape}")
-    return _affine_forward(X, W, b, out)
-
-
-def _affine_forward(X, W, b, out=None):
-    """:func:`affine_forward` without its checks: float64 operands that chain,
-    2-D or stacked."""
     Y = np.matmul(X, W, out=out)
     Y += b[..., None, :]
     return Y
 
 
 def affine_backward(
-    X: np.ndarray, W: np.ndarray, dY: np.ndarray, input_grad: bool = True
+    X: np.ndarray, W: np.ndarray, dY: np.ndarray, input_grad: bool = True, out=None
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of an affine layer given upstream dY = dL/dY.
 
@@ -87,28 +67,10 @@ def affine_backward(
         dW = X.T @ dY        (d, m)
         db = column sums of dY   (m,)
 
-    With ``input_grad`` false, dX is not computed and comes back as None
-    (a network's first layer has no use for it); the shapes are checked
-    either way.
-    """
-    X = _as_matrix("X", X)
-    W = _as_matrix("W", W)
-    dY = _as_matrix("dY", dY)
-    if X.shape[1] != W.shape[0]:
-        raise DimensionError(f"affine_backward: X {X.shape} does not chain with W {W.shape}")
-    if dY.shape != (X.shape[0], W.shape[1]):
-        raise DimensionError(
-            f"affine_backward: dY {dY.shape} does not match X {X.shape} @ W {W.shape}"
-        )
-    return _affine_backward(X, W, dY, input_grad)
-
-
-def _affine_backward(X, W, dY, input_grad, out=None):
-    """:func:`affine_backward` without its checks: float64 operands that chain,
-    2-D or stacked.
-
-    ``out``, when given, is a (dW, db) pair of buffers the two parameter
-    gradients are written into; the values are the same either way.
+    With ``input_grad`` false, dX is not computed and comes back as None (a
+    network's first layer has no use for it).  ``out``, when given, is a
+    (dW, db) pair of buffers the two parameter gradients are written into;
+    the values are the same either way.
     """
     dW, db = (None, None) if out is None else out
     dX = dY @ W.swapaxes(-1, -2) if input_grad else None
@@ -140,35 +102,10 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Written into ``out`` when one is given (it may be ``logits``).
     """
-    logits = np.asarray(logits, dtype=np.float64)
     e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of row-wise softmax probabilities.
-
-    logits: (n, C); labels: n integer class ids in [0, C).
-
-    Returns (loss, probs, dlogits) with
-
-        probs   = exp of the log-sum-exp log-probabilities (equal in value to
-                  :func:`softmax`, not always in the last bit)
-        loss    = -(1/n) sum_i log probs[i, labels[i]]
-        dlogits = (probs - onehot(labels)) / n
-    """
-    logits = _as_matrix("logits", logits)
-    labels = np.asarray(labels)
-    n, C = logits.shape
-    if labels.shape != (n,):
-        raise DimensionError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    check_labels(labels, C)
-    loss, probs, dlogits = _softmax_cross_entropy(logits, labels)
-    return float(loss), probs, dlogits
 
 
 def check_labels(labels: np.ndarray, class_count: int) -> None:
@@ -178,10 +115,22 @@ def check_labels(labels: np.ndarray, class_count: int) -> None:
         raise IndexError(f"label {bad} out of range [0, {class_count})")
 
 
-def _softmax_cross_entropy(logits, labels):
-    """:func:`softmax_cross_entropy` without its checks: (n, C) float64 logits
-    and n labels in [0, C), or a stack of them, (R, n, C) and (R, n).  The
-    loss is a 0-d array, or one loss per cell of a stack."""
+def softmax_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of row-wise softmax probabilities.
+
+    logits: (n, C); labels: n integer class ids in [0, C) (see
+    :func:`check_labels`); or a stack of them, (R, n, C) and (R, n).
+
+    Returns (loss, probs, dlogits) with
+
+        probs   = exp of the log-sum-exp log-probabilities (equal in value to
+                  :func:`softmax`, not always in the last bit)
+        loss    = -(1/n) sum_i log probs[i, labels[i]], a 0-d array, or one
+                  loss per cell of a stack
+        dlogits = (probs - onehot(labels)) / n
+    """
     n, C = logits.shape[-2:]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -216,16 +165,26 @@ def dropout(
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    X = np.asarray(X, dtype=np.float64)
     if not train_mode or rate == 0.0:
         return X, None
     if rng is None:
         raise ValueError("dropout in train mode with rate > 0 requires an rng")
-    if isinstance(rng, np.random.Generator):
-        uniform = rng.random(X.shape)
-    else:
-        uniform = np.empty(X.shape)
-        for g, cell in zip(rng, uniform.reshape(len(rng), *X.shape[-2:]), strict=True):
-            g.random(out=cell)
-    mask = (uniform >= rate) / (1.0 - rate)
+    mask = dropout_mask(rate, rng, np.empty(X.shape))
     return X * mask, mask
+
+
+def dropout_mask(
+    rate: float,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    out: np.ndarray,
+) -> np.ndarray:
+    """:func:`dropout`'s mask, computed in place in ``out`` and returned: each
+    entry is 1/(1-rate) where its draw from ``rng`` is >= rate, else 0."""
+    if isinstance(rng, np.random.Generator):
+        rng.random(out=out)
+    else:
+        for g, cell in zip(rng, out.reshape(len(rng), *out.shape[-2:]), strict=True):
+            g.random(out=cell)
+    np.greater_equal(out, rate, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out

@@ -14,17 +14,16 @@ float rounding:
     mmd2(A, B) = mean(K_AA) - 2 mean(K_AB) + mean(K_BB)
 
 Gradients flow to both sample batches, since during training both are produced
-by the same feature extractor.  ``mmd2_biased_with_grad``, the per-step call of
-the trainer, does one pass of kernels per bandwidth over distance matrices
-built from each batch's row norms, computed once.  It also takes a stack of
-R cells' batch pairs, (R, a, h) and (R, b, h), with one ``KernelSpec`` per
-cell; each cell's value and gradients are bit for bit those of its own 2-D
-call.
+by the same feature extractor.  ``mmd2_biased_with_grad`` is the one value and
+gradient implementation: the trainer calls it every step, and the gradient
+audit checks it against :func:`mmd2_biased`.  It takes the bandwidths
+themselves, as per-cell columns for a stack of R cells' batch pairs (each
+cell's results are bit for bit those of its own 2-D call), and checks
+nothing; the reference functions check their batches.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,8 @@ __all__ = [
     "mmd2_biased",
     "mmd2_biased_with_grad",
     "median_heuristic",
+    "sq_norms",
+    "sq_dists",
 ]
 
 
@@ -64,35 +65,28 @@ class KernelSpec:
         return cls((sigma / 2.0, float(sigma), 2.0 * sigma))
 
 
-def _check_batches(
-    A: np.ndarray, B: np.ndarray, stacked: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 batches (n, h), or with ``stacked`` stacks (R, n, h) of as many cells."""
+def _check_batches(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 2-D batches (n, h) of one feature width, neither empty."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    ndim = 3 if stacked else 2
-    if A.ndim != ndim or B.ndim != ndim or A.shape[:-2] != B.shape[:-2]:
-        raise DimensionError(
-            f"batches must be {'stacks of 2-D batches' if stacked else '2-D'}, "
-            f"got {A.shape} and {B.shape}"
-        )
-    if A.shape[-1] != B.shape[-1]:
-        raise DimensionError(
-            f"feature dimensions differ: {A.shape} vs {B.shape}"
-        )
-    if A.shape[-2] == 0 or B.shape[-2] == 0:
+    if A.ndim != 2 or B.ndim != 2:
+        raise DimensionError(f"batches must be 2-D, got {A.shape} and {B.shape}")
+    if A.shape[1] != B.shape[1]:
+        raise DimensionError(f"feature dimensions differ: {A.shape} vs {B.shape}")
+    if len(A) == 0 or len(B) == 0:
         raise ValueError("empty batch")
     return A, B
 
 
-def _sq_norms(A: np.ndarray) -> np.ndarray:
+def sq_norms(A: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row (of each cell, for a stack)."""
     return (A * A).sum(axis=-1)
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+def sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at 0 against rounding.
 
-    ``aa`` and ``bb`` are the rows' squared norms (:func:`_sq_norms`).  A and
+    ``aa`` and ``bb`` are the rows' squared norms (:func:`sq_norms`).  A and
     B may be stacks; with B the same array as A, ``np.matmul`` computes the
     Gram matrix with a symmetric rank-k update, per cell of a stack too.
     """
@@ -106,7 +100,7 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> n
 def rbf_kernel(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel matrix K[i, j] = mean_sigma exp(-||A_i - B_j||^2 / (2 sigma^2))."""
     A, B = _check_batches(A, B)
-    d2 = _sq_dists(A, B, _sq_norms(A), _sq_norms(B))
+    d2 = sq_dists(A, B, sq_norms(A), sq_norms(B))
     K = np.zeros_like(d2)
     for sigma in spec.bandwidths:
         K += np.exp(-d2 / (2.0 * sigma * sigma))
@@ -122,15 +116,15 @@ def mmd2_biased(Z_L: np.ndarray, Z_star: np.ndarray, spec: KernelSpec) -> float:
     return float(K_ll.mean() - 2.0 * K_ls.mean() + K_ss.mean())
 
 
-def _grad_terms(
+def mmd2_biased_with_grad(
     A: np.ndarray, B: np.ndarray, sigmas
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared value + gradient computation; one pass of kernels per bandwidth.
+    """Value and the analytic partials with respect to both batches, in one pass.
 
     A (..., a, h) and B (..., b, h) are float64 batches, 2-D or stacked.
-    ``sigmas`` holds the m bandwidths in order: floats for 2-D batches, or
-    for a stack (R, 1, 1) arrays, one bandwidth per cell.  The value is a
-    0-d array, or one value per cell.
+    ``sigmas`` holds the m bandwidths in order (a ``KernelSpec``'s
+    ``bandwidths``): floats for 2-D batches, or for a stack (R, 1, 1) arrays,
+    one bandwidth per cell.  The value is a 0-d array, or one value per cell.
 
     For a single bandwidth, differentiating the three V-statistic terms gives
 
@@ -143,10 +137,10 @@ def _grad_terms(
     Each batch's row norms are computed once for all three distance matrices.
     """
     a, b = A.shape[-2], B.shape[-2]
-    norms_a, norms_b = _sq_norms(A), _sq_norms(B)
-    d2_aa = _sq_dists(A, A, norms_a, norms_a)
-    d2_ab = _sq_dists(A, B, norms_a, norms_b)
-    d2_bb = _sq_dists(B, B, norms_b, norms_b)
+    norms_a, norms_b = sq_norms(A), sq_norms(B)
+    d2_aa = sq_dists(A, A, norms_a, norms_a)
+    d2_ab = sq_dists(A, B, norms_a, norms_b)
+    d2_bb = sq_dists(B, B, norms_b, norms_b)
 
     matrix = (-2, -1)  # the mean over each cell's whole matrix
     for k, sigma in enumerate(sigmas):
@@ -178,31 +172,6 @@ def _grad_terms(
     return value / m, dA / m, dB / m
 
 
-def mmd2_biased_with_grad(
-    Z_L: np.ndarray, Z_star: np.ndarray, spec: KernelSpec | Sequence[KernelSpec]
-) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Value and the analytic partials with respect to both batches, in one pass.
-
-    The one gradient entry point: the trainer calls it every step, and the
-    gradient audit checks it against :func:`mmd2_biased`.  For 2-D batches
-    ``spec`` is a KernelSpec and the value a float.  For stacks (R, a, h) and
-    (R, b, h), ``spec`` is a sequence of R KernelSpecs, one per cell, with
-    the same number of bandwidths, and the value is an (R,) array.
-    """
-    if isinstance(spec, KernelSpec):
-        Z_L, Z_star = _check_batches(Z_L, Z_star)
-        value, dA, dB = _grad_terms(Z_L, Z_star, spec.bandwidths)
-        return float(value), dA, dB
-    Z_L, Z_star = _check_batches(Z_L, Z_star, stacked=True)
-    if len(spec) != len(Z_L) or len({len(s.bandwidths) for s in spec}) != 1:
-        raise ValueError(
-            f"a stack of {len(Z_L)} cells needs {len(Z_L)} kernels with the same "
-            f"number of bandwidths"
-        )
-    per_cell = np.array([s.bandwidths for s in spec])  # (R, m)
-    return _grad_terms(Z_L, Z_star, list(per_cell.T[:, :, None, None]))
-
-
 def median_heuristic(Z: np.ndarray) -> float:
     """Median of all n(n-1)/2 pairwise Euclidean distances.
 
@@ -216,8 +185,8 @@ def median_heuristic(Z: np.ndarray) -> float:
     n = Z.shape[0]
     if n < 2:
         return 1.0
-    norms = _sq_norms(Z)
-    d2 = _sq_dists(Z, Z, norms, norms)
+    norms = sq_norms(Z)
+    d2 = sq_dists(Z, Z, norms, norms)
     iu = np.triu_indices(n, k=1)
     med = float(np.median(np.sqrt(d2[iu])))
     if med <= 0.0:

@@ -17,17 +17,17 @@ non-finite cells when they are loaded.
 An ``MlpParams`` keeps every weight and bias in one contiguous float64
 vector, ``flat``, and its ``layers`` are (W, b) views into it, so the trainer
 updates all of them in one vectorized step.  Its shapes are checked once,
-when it is built; ``forward``, ``backward`` and ``dropout_probs`` then run the
-per-layer math (the unchecked bodies of the ``layers`` primitives) without
-re-checking.  ``backward`` writes the gradients into an ``MlpParams`` of the
-same layout (see ``zeros_like``), or adds them to one.
+when it is built, and ``forward`` and ``dropout_probs`` check their input;
+the per-layer math is the ``layers`` primitives, which re-check nothing.
+``backward`` writes the gradients into an ``MlpParams`` of the same layout
+(see ``zeros_like``), or adds them to one.
 
 A stack of R cells' parameters is an ``MlpParams`` whose ``flat`` is an
 (R, P) array, one row per cell; its views carry the leading R axis, W as
 (R, d_i, d_{i+1}) and b as (R, d_{i+1}).  ``forward`` and ``backward`` run a
-stack on (R, n, d) batches with the same code, since the ``layers`` bodies
-take a leading stack axis, and cell r's results are bit for bit those of
-running cell r alone.  ``stack`` builds one from single cells and ``cell``
+stack on (R, n, d) batches with the same code, since the ``layers``
+primitives take a leading stack axis, and cell r's results are bit for bit
+those of running cell r alone.  ``stack`` builds one from single cells and ``cell``
 reads one back.
 
 A checkpoint is an ``MlpParams`` whose vector is a read-only copy, so later
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .layers import _affine_backward, _affine_forward, dropout, relu, relu_backward, softmax
+from .layers import affine_backward, affine_forward, dropout, dropout_mask, relu, relu_backward, softmax
 
 __all__ = [
     "ModelSpec",
@@ -94,7 +94,8 @@ class MlpParams:
     ``layers[i]`` is (W, b), views into ``flat`` with W of shape
     (d_i, d_{i+1}) and b of shape (d_{i+1},); ``layer_sizes`` is
     (d_0, ..., d_L).  Built from a list of (W, b) pairs, it copies them into
-    a new vector and raises DimensionError unless their shapes chain;
+    a new vector and raises DimensionError unless their shapes chain, or
+    ValueError unless ``split_index`` leaves a nonempty head;
     :meth:`of_flat` wraps an existing vector, or an (R, P) stack of them.
     Mutated in place only by the trainer; a :func:`snapshot`'s vector and
     views are read-only.
@@ -103,6 +104,8 @@ class MlpParams:
     def __init__(self, layers, split_index: int, dropout_rate: float = 0.0):
         pairs = [(np.asarray(W, np.float64), np.asarray(b, np.float64)) for W, b in layers]
         sizes = _chained_sizes(pairs)
+        if not 1 <= split_index < len(pairs):
+            raise ValueError(f"split_index must be in [1, {len(pairs)}), got {split_index}")
         flat = np.concatenate([a.ravel() for pair in pairs for a in pair])
         self._wrap(flat, sizes, split_index, dropout_rate)
 
@@ -213,27 +216,22 @@ def forward(
     dropout consumes random numbers.  For a stack, X is (R, n, d_0) and
     ``rng`` one generator per cell (see ``layers.dropout``).
     """
-    X = _checked_input(params, X)
-    n_layers = len(params.layers)
+    a = _checked_input(params, X)
     cache = ForwardCache()
-    a = X
-    Z = None
-    for i, (W, b) in enumerate(params.layers, start=1):
+    *hidden, (W_out, b_out) = params.layers
+    for i, (W, b) in enumerate(hidden, start=1):  # one of them is split_index
         cache.inputs.append(a)
-        pre = _affine_forward(a, W, b)
-        if i == n_layers:
-            cache.pre_activations.append(pre)
-            cache.dropout_masks.append(None)
-            logits = pre
-            break
+        pre = affine_forward(a, W, b)
         cache.pre_activations.append(pre)
         h = relu(pre)
         if i == params.split_index:
             Z = h
-        h, mask = dropout(h, params.dropout_rate, rng=rng, train_mode=train_mode)
+        a, mask = dropout(h, params.dropout_rate, rng=rng, train_mode=train_mode)
         cache.dropout_masks.append(mask)
-        a = h
-    assert Z is not None  # guaranteed by split_index < n_layers
+    cache.inputs.append(a)
+    logits = affine_forward(a, W_out, b_out)
+    cache.pre_activations.append(logits)
+    cache.dropout_masks.append(None)
     return Z, logits, cache
 
 
@@ -267,7 +265,7 @@ def backward(
             raise ValueError("backward needs dlogits, dZ or both")
         top, upstream = params.split_index, None
     else:
-        top, upstream = n_layers, np.asarray(dlogits, dtype=np.float64)
+        top, upstream = n_layers, dlogits
     grads = (zeros_like(params) if out is None else out).layers[:top]
     for i in range(top, 0, -1):
         W, _ = params.layers[i - 1]
@@ -279,12 +277,12 @@ def backward(
                 upstream = dZ if upstream is None else upstream + dZ
             upstream = relu_backward(cache.pre_activations[i - 1], upstream)
         if add:
-            dX, dW, db = _affine_backward(cache.inputs[i - 1], W, upstream, i > 1)
+            dX, dW, db = affine_backward(cache.inputs[i - 1], W, upstream, i > 1)
             gW, gb = grads[i - 1]
             gW += dW
             gb += db
         else:
-            dX, _, _ = _affine_backward(cache.inputs[i - 1], W, upstream, i > 1, out=grads[i - 1])
+            dX, _, _ = affine_backward(cache.inputs[i - 1], W, upstream, i > 1, out=grads[i - 1])
         upstream = dX
     return grads
 
@@ -356,20 +354,16 @@ def dropout_probs(
     n, n_layers = X.shape[0], len(params.layers)
     rate = params.dropout_rate
     W1, b1 = params.layers[0]
-    first = relu(_affine_forward(X, W1, b1))
+    first = relu(affine_forward(X, W1, b1))
     later = params.layers[1:]
     buffers = [(np.empty((n, W.shape[0])), np.empty((n, W.shape[1]))) for W, _ in later]
     probs = np.empty((passes, n, later[-1][0].shape[1]))
     for t in range(passes):
         a = first
         for i, ((W, b), (mask, pre)) in enumerate(zip(later, buffers), start=2):
-            # layers.dropout's arithmetic in place: the draws of rng.random(a.shape),
-            # mask = keep / (1 - rate) (1.0 * (1 / (1 - rate)) is that exactly), a * mask
-            rng.random(out=mask)
-            np.greater_equal(mask, rate, out=mask)
-            mask *= 1.0 / (1.0 - rate)
-            np.multiply(a, mask, out=mask)
-            a = _affine_forward(mask, W, b, out=pre)
+            # layers.dropout with its mask and output in one reused buffer
+            np.multiply(a, dropout_mask(rate, rng, mask), out=mask)
+            a = affine_forward(mask, W, b, out=pre)
             if i < n_layers:
                 relu(a, out=a)
         softmax(a, out=probs[t])

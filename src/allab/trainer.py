@@ -44,7 +44,9 @@ and runs on its (P,) vector and 2-D batches.  Each round allocates one gradient
 buffer (``zeros_like``), which the labeled batch's backward pass writes and
 the pool batch's adds into, one scratch array for the update and the batch
 buffers.  Every cell's labels and feature width are checked once per round,
-before step 0; the step then runs the unchecked cross-entropy body.
+before step 0, and the kernel bandwidths are resolved once, at the first
+step; the step then calls ``layers.softmax_cross_entropy`` and
+``mmd.mmd2_biased_with_grad``, which check nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, PoolError, TrainingDiverged
-from .layers import _softmax_cross_entropy, check_labels
+from .layers import check_labels, softmax_cross_entropy
 from .mmd import KernelSpec, median_heuristic, mmd2_biased_with_grad
 from .model import (
     CheckpointSet,
@@ -327,7 +329,7 @@ def train_stack(
         rngs_batch, labeled, both, features, [pool.labels for pool in pools],
         X_l.reshape(R, B, d), X_p.reshape(R, B, d), y_l.reshape(R, B),
     ))
-    kernels = None
+    sigmas = None  # the bandwidths, frozen at the first pool batch
     snaps: list[list[MlpParams]] = [[] for _ in range(R)]
     history: list[list[EpochStats]] = [[] for _ in range(R)]
     ce_sum, mmd_sum = np.zeros(lead), np.zeros(lead)
@@ -345,15 +347,16 @@ def train_stack(
         Z_l, logits, cache_l = forward(params, X_l, train_mode=True, rng=rngs_drop)
         if pool_pass:
             Z_p, _, cache_p = forward(params, X_p, train_mode=True, rng=rngs_drop)
-        ce, _, dlogits = _softmax_cross_entropy(logits, y_l)
+        ce, _, dlogits = softmax_cross_entropy(logits, y_l)
         if not np.isfinite(ce).all():
             raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
         if lam > 0:
-            if kernels is None:
-                kernels = [_resolve_kernel(config, Z) for Z in Z_p.reshape(R, B, -1)]
-                kernels = kernels if lead else kernels[0]
-            m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernels)
+            if sigmas is None:
+                per_cell = [_resolve_kernel(config, Z).bandwidths for Z in Z_p.reshape(R, B, -1)]
+                # a stack's k-th bandwidth is an (R, 1, 1) column, one per cell
+                sigmas = list(np.array(per_cell).T[:, :, None, None]) if lead else per_cell[0]
+            m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
             if not np.isfinite(lam * m2).all():
                 raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
             backward(params, cache_l, dlogits, dZ=lam * dZ_l, out=grad)

@@ -2,7 +2,9 @@
 
 Modules sit in three tiers, core -> acquisition -> harness.  A module may
 import from its own tier or a lower one, never from a higher one, and every
-import is at module level, so no cycle is hidden behind a lazy import.
+import is at module level, so no cycle is hidden behind a lazy import.  No
+module imports another's underscore-prefixed names: what one module calls of
+another is that module's public function, the one its tests check.
 """
 
 import ast
@@ -57,6 +59,18 @@ def lazy_imports(tree: ast.Module) -> list[tuple[int, str]]:
     ]
 
 
+def private_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every underscore-prefixed name imported from an allab module."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").split(".")[0] == "allab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def test_every_module_has_a_tier():
     assert set(MODULES) <= set(TIER), f"unclassified: {sorted(set(MODULES) - set(TIER))}"
 
@@ -76,13 +90,23 @@ def test_imports_point_down_the_tiers(module):
     assert upward == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_imported_across_modules(module):
+    private = [f"{module}.py:{line} imports {name}" for line, name in private_imports(parse(module))]
+    assert private == []
+
+
 def test_checker_sees_the_violations_it_forbids():
     tree = ast.parse(
         "from .experiment import run_cell\n"
         "import allab.cli\n"
         "from allab import config\n"
+        "from .layers import relu, _affine_forward\n"
         "def f():\n"
         "    from .acquisition import acquire\n"
     )
-    assert [t for _, t in package_imports(tree)] == ["experiment", "cli", "config", "acquisition"]
-    assert lazy_imports(tree) == [(5, "f")]
+    assert [t for _, t in package_imports(tree)] == [
+        "experiment", "cli", "config", "layers", "acquisition"
+    ]
+    assert lazy_imports(tree) == [(6, "f")]
+    assert private_imports(tree) == [(4, "_affine_forward")]

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from allab.errors import DimensionError
 from allab.layers import (
-    _affine_backward,
-    _affine_forward,
-    _softmax_cross_entropy,
     affine_backward,
     affine_forward,
+    check_labels,
     dropout,
     relu,
     relu_backward,
@@ -59,13 +56,14 @@ def matmul_loops(X, W, b):
 
 def test_affine_identity():
     assert np.array_equal(
-        affine_forward([[1.0, 2.0]], np.eye(2), [0.0, 0.0]), [[1.0, 2.0]]
+        affine_forward(np.array([[1.0, 2.0]]), np.eye(2), np.zeros(2)), [[1.0, 2.0]]
     )
 
 
 def test_affine_zero_weights_returns_bias():
     assert np.array_equal(
-        affine_forward([[1.0, 2.0]], np.zeros((2, 2)), [3.0, 4.0]), [[3.0, 4.0]]
+        affine_forward(np.array([[1.0, 2.0]]), np.zeros((2, 2)), np.array([3.0, 4.0])),
+        [[3.0, 4.0]],
     )
 
 
@@ -85,20 +83,13 @@ def test_affine_matches_triple_loop_property(n, d, m, seed):
     assert rel_err(affine_forward(X, W, b), matmul_loops(X, W, b)) <= 1e-12
 
 
-def test_affine_shape_mismatch():
-    with pytest.raises(DimensionError):
-        affine_forward(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
-    with pytest.raises(DimensionError):
-        affine_forward(np.ones((2, 3)), np.ones((3, 2)), np.ones(5))
-
-
 def test_affine_backward_zero_upstream():
     dX, dW, db = affine_backward(np.ones((3, 2)), np.ones((2, 4)), np.zeros((3, 4)))
     assert not dX.any() and not dW.any() and not db.any()
 
 
 def test_affine_backward_scalar_chain():
-    dX, dW, db = affine_backward([[2.0]], [[3.0]], [[1.0]])
+    dX, dW, db = affine_backward(np.array([[2.0]]), np.array([[3.0]]), np.array([[1.0]]))
     assert dX == [[3.0]] and dW == [[2.0]] and db == [1.0]
 
 
@@ -124,13 +115,6 @@ def test_affine_backward_without_input_grad_same_weight_grads(n, d, m, seed):
     no_dX, dW2, db2 = affine_backward(X, W, dY, input_grad=False)
     assert no_dX is None
     assert np.array_equal(dW, dW2) and np.array_equal(db, db2)
-
-
-def test_affine_backward_without_input_grad_checks_shapes():
-    with pytest.raises(DimensionError):
-        affine_backward(np.ones((2, 3)), np.ones((4, 2)), np.ones((2, 2)), input_grad=False)
-    with pytest.raises(DimensionError):
-        affine_backward(np.ones((2, 3)), np.ones((3, 2)), np.ones((2, 5)), input_grad=False)
 
 
 # ---- relu ------------------------------------------------------------------
@@ -242,14 +226,14 @@ def test_softmax_extreme_rows():
 
 
 def test_softmax_ce_symmetric_two_logits():
-    loss, probs, dlogits = softmax_cross_entropy(np.zeros((1, 2)), [0])
+    loss, probs, dlogits = softmax_cross_entropy(np.zeros((1, 2)), np.array([0]))
     assert loss == pytest.approx(np.log(2), abs=1e-12)
     assert np.allclose(probs, [[0.5, 0.5]])
     assert np.allclose(dlogits, [[-0.5, 0.5]])
 
 
 def test_softmax_ce_saturated_no_overflow():
-    loss, probs, _ = softmax_cross_entropy(np.array([[1000.0, 0.0]]), [0])
+    loss, probs, _ = softmax_cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))
     assert 0 <= loss <= 1e-12
     assert np.isfinite(probs).all()
 
@@ -265,15 +249,15 @@ def test_softmax_ce_gradient_matches_differences():
 
 def test_softmax_ce_label_out_of_range():
     with pytest.raises(IndexError, match=r"label 3"):
-        softmax_cross_entropy(np.zeros((2, 3)), [0, 3])
+        check_labels(np.array([0, 3]), 3)
     with pytest.raises(IndexError):
-        softmax_cross_entropy(np.zeros((1, 3)), [-1])
+        check_labels(np.array([-1]), 3)
 
 
 def test_softmax_ce_mean_reduction():
     # two identical rows give the same loss as one; gradient carries 1/n
-    one = softmax_cross_entropy(np.array([[1.0, -1.0]]), [1])
-    two = softmax_cross_entropy(np.array([[1.0, -1.0]] * 2), [1, 1])
+    one = softmax_cross_entropy(np.array([[1.0, -1.0]]), np.array([1]))
+    two = softmax_cross_entropy(np.array([[1.0, -1.0]] * 2), np.array([1, 1]))
     assert two[0] == pytest.approx(one[0], abs=1e-15)
     assert np.allclose(two[2], np.vstack([one[2], one[2]]) / 2)
 
@@ -315,7 +299,7 @@ def test_dropout_bad_arguments():
         dropout(np.ones((2, 2)), 0.5, rng=None, train_mode=True)
 
 
-# ---- stacks: one body serves one model and R cells --------------------------
+# ---- stacks: one function serves one model and R cells --------------------------
 
 def param_views(flat, d, m, pad):
     """(R, d, m) weights and (R, m) biases viewing an (R, P) array with ``pad``
@@ -342,23 +326,23 @@ def test_stacked_bodies_equal_each_slice_alone(R, n, d, m, pad, seed):
     dY[rng.random(dY.shape) < 0.2] = -0.0
     labels = rng.integers(0, m, (R, n))
 
-    Y = _affine_forward(X, W, b)
-    dX, dW, db = _affine_backward(X, W, dY, True)
+    Y = affine_forward(X, W, b)
+    dX, dW, db = affine_backward(X, W, dY, True)
     written = param_views(np.full((R, P), np.nan), d, m, pad)
-    _affine_backward(X, W, dY, False, out=written)
+    affine_backward(X, W, dY, False, out=written)
     before = rng.standard_normal((R, P))
     added = param_views(before.copy(), d, m, pad)
     added[0][...] += dW  # model.backward(add=True) adds into its buffer this way
     added[1][...] += db
     blocked = relu_backward(Y, dY)
-    loss, probs, dlogits = _softmax_cross_entropy(Y, labels)
+    loss, probs, dlogits = softmax_cross_entropy(Y, labels)
 
     W0, b0 = param_views(before, d, m, pad)
     for r in range(R):
         Xr, Wr, br, dYr = (a[r].copy() for a in (X, W, b, dY))
-        Yr = _affine_forward(Xr, Wr, br)
-        dXr, dWr, dbr = _affine_backward(Xr, Wr, dYr, True)
-        loss_r, probs_r, dlogits_r = _softmax_cross_entropy(Yr, labels[r].copy())
+        Yr = affine_forward(Xr, Wr, br)
+        dXr, dWr, dbr = affine_backward(Xr, Wr, dYr, True)
+        loss_r, probs_r, dlogits_r = softmax_cross_entropy(Yr, labels[r].copy())
         pairs = [
             (Y[r], Yr), (dX[r], dXr), (dW[r], dWr), (db[r], dbr),
             (written[0][r], dWr), (written[1][r], dbr),

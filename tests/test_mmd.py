@@ -9,12 +9,11 @@ from hypothesis.extra import numpy as hnp
 from allab.errors import DimensionError
 from allab.mmd import (
     KernelSpec,
-    _grad_terms,
-    _sq_dists,
     median_heuristic,
     mmd2_biased,
     mmd2_biased_with_grad,
     rbf_kernel,
+    sq_dists,
 )
 
 from test_layers import fd_grad, rel_err
@@ -148,6 +147,8 @@ def test_mmd2_nonnegative_property(A, B):
 def test_mmd2_dimension_mismatch():
     with pytest.raises(DimensionError):
         mmd2_biased(np.ones((2, 3)), np.ones((2, 4)), KernelSpec.single(1.0))
+    with pytest.raises(DimensionError, match="must be 2-D"):
+        mmd2_biased(np.ones((2, 3, 4)), np.ones((2, 5, 4)), KernelSpec.single(1.0))
     with pytest.raises(ValueError):
         mmd2_biased(np.ones((0, 3)), np.ones((2, 3)), KernelSpec.single(1.0))
 
@@ -156,7 +157,7 @@ def test_mmd2_dimension_mismatch():
 
 def test_grad_vanishes_at_identical_batches():
     Z = np.random.default_rng(8).standard_normal((5, 3))
-    _, dA, dB = mmd2_biased_with_grad(Z, Z.copy(), KernelSpec.single(1.0))
+    _, dA, dB = mmd2_biased_with_grad(Z, Z.copy(), (1.0,))
     assert np.abs(dA).max() <= 1e-10
     assert np.abs(dB).max() <= 1e-10
 
@@ -167,7 +168,7 @@ def test_grad_matches_differences(sigmas):
     A = rng.standard_normal((6, 3))
     B = rng.standard_normal((8, 3)) + 0.3
     spec = KernelSpec(sigmas)
-    _, dA, dB = mmd2_biased_with_grad(A, B, spec)
+    _, dA, dB = mmd2_biased_with_grad(A, B, spec.bandwidths)
     assert rel_err(dA, fd_grad(lambda: mmd2_biased(A, B, spec), A)) <= 1e-5
     assert rel_err(dB, fd_grad(lambda: mmd2_biased(A, B, spec), B)) <= 1e-5
 
@@ -175,7 +176,7 @@ def test_grad_matches_differences(sigmas):
 def test_grad_flows_to_both_batches():
     rng = np.random.default_rng(10)
     _, dA, dB = mmd2_biased_with_grad(
-        rng.standard_normal((4, 2)), rng.standard_normal((5, 2)) + 1.0, KernelSpec.single(0.9)
+        rng.standard_normal((4, 2)), rng.standard_normal((5, 2)) + 1.0, (0.9,)
     )
     assert np.abs(dA).max() > 0 and np.abs(dB).max() > 0
 
@@ -183,7 +184,7 @@ def test_grad_flows_to_both_batches():
 def test_grad_decays_with_huge_bandwidth():
     rng = np.random.default_rng(11)
     A, B = rng.standard_normal((5, 3)), rng.standard_normal((4, 3)) + 2.0
-    _, dA, dB = mmd2_biased_with_grad(A, B, KernelSpec.single(1e6))
+    _, dA, dB = mmd2_biased_with_grad(A, B, (1e6,))
     assert np.abs(dA).max() <= 1e-9
     assert np.abs(dB).max() <= 1e-9
 
@@ -192,7 +193,7 @@ def test_value_with_grad_consistent():
     rng = np.random.default_rng(12)
     A, B = rng.standard_normal((5, 2)), rng.standard_normal((6, 2))
     spec = KernelSpec.around(1.1)
-    val, dA, dB = mmd2_biased_with_grad(A, B, spec)
+    val, dA, dB = mmd2_biased_with_grad(A, B, spec.bandwidths)
     assert val == pytest.approx(mmd2_biased(A, B, spec), abs=1e-15)
     _, dA2, dB2 = old_grad_terms(A, B, spec)
     assert same_bits(dA, dA2) and same_bits(dB, dB2)
@@ -206,7 +207,7 @@ def old_sq_dists(A, B):
 
 
 def old_grad_terms(A, B, spec):
-    """``_grad_terms`` as it was before its passes were trimmed."""
+    """``mmd2_biased_with_grad`` as it was before its passes were trimmed."""
     a, b = A.shape[0], B.shape[0]
     d2_aa, d2_ab, d2_bb = old_sq_dists(A, A), old_sq_dists(A, B), old_sq_dists(B, B)
     value, dA, dB = 0.0, np.zeros_like(A), np.zeros_like(B)
@@ -257,7 +258,7 @@ def test_grad_terms_bit_identical_to_untrimmed(a, b, d, relu_like, sigma, three,
         A[:, rng.random(d) < 0.3] = 0.0
         B[rng.random(B.shape) < 0.1] = -0.0
     spec = KernelSpec.around(sigma) if three else KernelSpec.single(sigma)
-    got, want = _grad_terms(A, B, spec.bandwidths), old_grad_terms(A, B, spec)
+    got, want = mmd2_biased_with_grad(A, B, spec.bandwidths), old_grad_terms(A, B, spec)
     for g, w in zip(got, want, strict=True):
         assert same_bits(g, w)
 
@@ -287,30 +288,19 @@ def test_stacked_value_and_gradient_equal_each_cell_alone(R, a, b, d, bandwidths
          "list": KernelSpec((0.5, 2.0))}[bandwidths]
         for s in sigmas
     ]
-    value, dA, dB = mmd2_biased_with_grad(A, B, specs)
+    columns = np.array([s.bandwidths for s in specs]).T[:, :, None, None]  # as the trainer
+    value, dA, dB = mmd2_biased_with_grad(A, B, list(columns))
     assert value.shape == (R,)
     norms = (A * A).sum(axis=-1)
-    gram = _sq_dists(A, A, norms, norms)  # the symmetric A @ A.T product, per cell
+    gram = sq_dists(A, A, norms, norms)  # the symmetric A @ A.T product, per cell
     for r in range(R):
         Ar, Br = A[r].copy(), B[r].copy()
-        v, gA, gB = mmd2_biased_with_grad(Ar, Br, specs[r])
+        v, gA, gB = mmd2_biased_with_grad(Ar, Br, specs[r].bandwidths)
         assert bits(value[r]) == bits(v)
         assert np.array_equal(bits(dA[r]), bits(gA))
         assert np.array_equal(bits(dB[r]), bits(gB))
         norms_r = (Ar * Ar).sum(axis=-1)
-        assert np.array_equal(bits(gram[r]), bits(_sq_dists(Ar, Ar, norms_r, norms_r)))
-
-
-def test_stacked_call_checks_its_kernels_and_batches():
-    A, B = np.ones((2, 3, 4)), np.zeros((2, 5, 4))
-    with pytest.raises(ValueError, match="a stack of 2 cells needs 2 kernels"):
-        mmd2_biased_with_grad(A, B, [KernelSpec.single(1.0)])
-    with pytest.raises(ValueError, match="same number of bandwidths"):
-        mmd2_biased_with_grad(A, B, [KernelSpec.single(1.0), KernelSpec.around(1.0)])
-    with pytest.raises(DimensionError, match="stacks of 2-D batches"):
-        mmd2_biased_with_grad(A, B[:1], [KernelSpec.single(1.0)] * 2)
-    with pytest.raises(DimensionError, match="must be 2-D"):
-        mmd2_biased_with_grad(A, B, KernelSpec.single(1.0))
+        assert np.array_equal(bits(gram[r]), bits(sq_dists(Ar, Ar, norms_r, norms_r)))
 
 
 # ---- median heuristic ------------------------------------------------------

@@ -128,6 +128,12 @@ def test_hand_built_params_must_chain(layers):
         MlpParams(layers, 1)
 
 
+@pytest.mark.parametrize("split_index", [0, 2])
+def test_hand_built_params_need_features_and_a_head(split_index):
+    with pytest.raises(ValueError, match=r"split_index must be in \[1, 2\)"):
+        MlpParams([(np.ones((2, 3)), np.zeros(3)), (np.ones((3, 2)), np.zeros(2))], split_index)
+
+
 def test_hand_built_params_are_copied_into_one_vector():
     W1, b1, W2, b2 = np.ones((2, 3)), np.full(3, 2.0), np.full((3, 1), 3.0), np.full(1, 4.0)
     params = MlpParams([(W1, b1), (W2, b2)], 1)

@@ -456,7 +456,7 @@ def full_step_reference(pool, spec, cfg):
         if kernel is None:
             kernel = KernelSpec.single(median_heuristic(Z_p))
         _, _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
-        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel)
+        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel.bandwidths)
         if cfg.mmd_weight > 0:
             grads = backward(params, cache_l, dlogits, dZ=cfg.mmd_weight * dZ_l)
             grads_p = backward(params, cache_p, np.zeros_like(logits), dZ=cfg.mmd_weight * dZ_p)
