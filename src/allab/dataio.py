@@ -20,8 +20,6 @@ __all__ = [
     "LABEL_MAGIC",
     "load_mnist_idx",
     "load_mnist",
-    "write_idx_images",
-    "write_idx_labels",
     "load_csv",
     "synth_blobs",
     "standardize",
@@ -55,12 +53,9 @@ def _read_bytes(path) -> bytes:
         raise FormatError(f"{path}: cannot read: {e.strerror or e}") from None
 
 
-def load_mnist_idx(images_path, labels_path) -> Dataset:
-    """Parse a big-endian IDX image/label file pair.
-
-    Pixels are flattened row-major and scaled to [0, 1] by /255.  The image
-    and label counts must agree.
-    """
+def _parse_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """One big-endian IDX image/label file pair as (n, rows * cols) uint8
+    pixels, flattened row-major, and int64 labels; the counts must agree."""
     raw = _read_bytes(images_path)
     (magic,) = _read_u32s(raw, images_path, 0, 1)
     if magic != IMAGE_MAGIC:
@@ -92,44 +87,40 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         raise FormatError(
             f"{labels_path}: byte 4: label count {count_l} does not match image count {count}"
         )
-    labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
+    return pixels, np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
 
-    return Dataset(
-        features=pixels.astype(np.float64) / 255.0,
-        labels=labels,
-        class_count=int(labels.max()) + 1 if count else 0,
-    )
+
+def load_mnist_idx(images_path, labels_path) -> Dataset:
+    """Parse one IDX image/label file pair, pixels scaled to [0, 1] by /255."""
+    return load_mnist(images_path, labels_path)
 
 
 def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path=None) -> Dataset:
-    """Train files plus an optional designated test split, concatenated."""
-    train = load_mnist_idx(images_path, labels_path)
-    if test_images_path is None:
-        return train
-    test = load_mnist_idx(test_images_path, test_labels_path)
-    n_train = train.features.shape[0]
+    """Train files plus an optional designated test split, concatenated.
+
+    Each split's pixels are divided by 255 straight into its rows of the one
+    float64 feature array (the uint8 -> float64 cast is exact).
+    """
+    pairs = [(images_path, *_parse_idx_pair(images_path, labels_path))]
+    if test_images_path is not None:
+        pairs.append((test_images_path, *_parse_idx_pair(test_images_path, test_labels_path)))
+    n_train, width = pairs[0][1].shape
+    labels = np.concatenate([labels for _, _, labels in pairs])
+    features = np.empty((len(labels), width))
+    at = 0
+    for path, pixels, _ in pairs:
+        if pixels.shape[1] != width:
+            raise FormatError(
+                f"{path}: byte 8: {pixels.shape[1]} pixels per image, the train images have {width}"
+            )
+        np.divide(pixels, 255.0, out=features[at:at + len(pixels)])
+        at += len(pixels)
     return Dataset(
-        features=np.vstack([train.features, test.features]),
-        labels=np.concatenate([train.labels, test.labels]),
-        class_count=max(train.class_count, test.class_count),
-        designated_test_idx=np.arange(n_train, n_train + test.features.shape[0]),
+        features=features,
+        labels=labels,
+        class_count=int(labels.max()) + 1 if len(labels) else 0,
+        designated_test_idx=None if len(pairs) == 1 else np.arange(n_train, len(labels)),
     )
-
-
-def write_idx_images(path, pixels: np.ndarray) -> None:
-    """Serialize (n, rows, cols) uint8 pixels to IDX; inverse of the parser."""
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    n, rows, cols = pixels.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
 
 
 def load_csv(path, label_column: str = "last") -> Dataset:
@@ -245,13 +236,18 @@ def standardize(
     untouched (neither centered nor scaled).
     """
     X = dataset.features
-    src = X if stats_rows is None else X[np.asarray(stats_rows)]
+    # the std is computed in place on a copy of the statistics rows, step for
+    # step as ndarray.std does it (so bit for bit), and the copy is freed
+    # before the output is built
+    src = X.copy() if stats_rows is None else X[np.asarray(stats_rows)]
     mean = src.mean(axis=0)
-    std = src.std(axis=0)  # population: ddof=0
+    src -= mean
+    np.square(src, out=src)
+    std = np.sqrt(src.sum(axis=0) / len(src))  # population: ddof=0
+    del src
     constant = std == 0.0
-    use_mean = np.where(constant, 0.0, mean)
-    use_std = np.where(constant, 1.0, std)
-    scaled = (X - use_mean) / use_std
+    scaled = np.subtract(X, np.where(constant, 0.0, mean))
+    scaled /= np.where(constant, 1.0, std)
     out = Dataset(
         features=scaled,
         labels=dataset.labels,

@@ -147,10 +147,10 @@ class _Stack:
     cells: list[_Cell]
 
 
-def _stacks(cfg: ExperimentConfig, dataset: Dataset, starts: list[PoolState]) -> list[_Stack]:
+def _stacks(cfg: ExperimentConfig, starts: list[PoolState]) -> list[_Stack]:
     """Every (method, repeat) cell, grouped by the model and MMD^2 weight its
     method's rules give."""
-    layer_sizes, split = cfg.model.resolve(dataset.features.shape[1], dataset.class_count)
+    layer_sizes, split = cfg.model.resolve(starts[0].features.shape[1], starts[0].class_count)
     stacks: dict[tuple[ModelSpec, float], _Stack] = {}
     for method in cfg.methods:
         rules = METHODS[method]
@@ -250,8 +250,11 @@ def run_experiment(
     # layers or an output directory that cannot be made fails as a
     # ConfigError up front
     starts = [start_partition(dataset, cfg, r) for r in range(cfg.repeats)]
+    # the cells need only their partitions, so with standardize on a dataset
+    # loaded here is freed before any cell trains
+    del dataset
     _check_budget(cfg, starts[0])
-    stacks = _stacks(cfg, dataset, starts)
+    stacks = _stacks(cfg, starts)
     score_dir = make_output_dir(cfg) if cfg.dump_scores else None
     alone = [g for g in stacks if len(g.cells) == 1]
     together = [g for g in stacks if len(g.cells) > 1]

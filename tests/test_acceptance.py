@@ -24,7 +24,7 @@ from allab.acquisition import (
     mpts_acquire,
 )
 from allab.config import parse_config
-from allab.dataio import load_csv, load_mnist_idx, write_idx_images, write_idx_labels
+from allab.dataio import load_csv, load_mnist_idx
 from allab.errors import FormatError
 from allab.experiment import run_experiment
 from allab.gradcheck import run_gradcheck
@@ -33,6 +33,7 @@ from allab.model import CheckpointSet, ModelSpec, forward, init_mlp, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
 from allab.trainer import TrainConfig, snapshot_steps, train_round
+from idx_files import write_idx_images, write_idx_labels
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -1,9 +1,14 @@
 """Byte-level IDX fixtures, CSV diagnostics, synthetic blob determinism."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from allab.dataio import (
     IMAGE_MAGIC,
@@ -13,11 +18,10 @@ from allab.dataio import (
     load_mnist_idx,
     standardize,
     synth_blobs,
-    write_idx_images,
-    write_idx_labels,
 )
 from allab.errors import FormatError
 from allab.seeding import derive_rng
+from idx_files import write_idx_images, write_idx_labels
 
 
 def idx_fixture(tmp_path, pixels, labels):
@@ -116,6 +120,73 @@ def test_mnist_designated_test_concatenation(tmp_path):
     assert ds.features.shape == (7, 4)
     assert ds.designated_test_idx.tolist() == [4, 5, 6]
     assert ds.class_count == 3
+
+
+def test_mnist_test_split_of_another_width(tmp_path):
+    tr_img, tr_lab = idx_fixture(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+    te_dir = tmp_path / "te"
+    te_dir.mkdir()
+    te_img, te_lab = idx_fixture(te_dir, np.zeros((1, 3, 3), dtype=np.uint8), [0])
+    with pytest.raises(FormatError, match=r"imgs.idx: byte 8: 9 pixels per image, the train images have 4"):
+        load_mnist(tr_img, tr_lab, te_img, te_lab)
+
+
+def _reference_idx_split(pixels, labels):
+    """The per-split parse as the loader did it before it wrote into one
+    preallocated array: astype(float64), then /255."""
+    count, rows, cols = pixels.shape
+    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    labels = labels.astype(np.int64)
+    return features, labels, int(labels.max()) + 1 if count else 0
+
+
+_pixel = st.sampled_from([0, 255]) | st.integers(0, 255)
+
+
+@st.composite
+def _idx_splits(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    splits = []
+    for count in (draw(st.integers(0, 5)), draw(st.none() | st.integers(0, 1))):
+        if count is not None:
+            pixels = draw(hnp.arrays(np.uint8, (count, rows, cols), elements=_pixel))
+            labels = draw(hnp.arrays(np.uint8, count, elements=st.integers(0, 9)))
+            splits.append((pixels, labels))
+    return splits
+
+
+@settings(max_examples=60, deadline=None)
+@given(_idx_splits())
+def test_mnist_loader_is_bitwise_the_astype_divide_vstack_parse(splits):
+    with tempfile.TemporaryDirectory() as d:
+        paths = []
+        for k, (pixels, labels) in enumerate(splits):
+            split_dir = Path(d) / str(k)
+            split_dir.mkdir()
+            paths.extend(idx_fixture(split_dir, pixels, labels))
+        got = load_mnist(*paths)
+        one = load_mnist_idx(*paths[:2])
+    ref = [_reference_idx_split(pixels, labels) for pixels, labels in splits]
+    train_features, train_labels, train_classes = ref[0]
+    assert one.features.dtype == np.float64 and one.labels.dtype == np.int64
+    assert one.features.tobytes() == train_features.tobytes()
+    assert one.features.shape == train_features.shape
+    assert one.labels.tolist() == train_labels.tolist()
+    assert one.class_count == train_classes and one.designated_test_idx is None
+    if len(ref) == 1:
+        assert got.features.tobytes() == one.features.tobytes()
+        assert got.class_count == train_classes and got.designated_test_idx is None
+        return
+    test_features, test_labels, test_classes = ref[1]
+    features = np.vstack([train_features, test_features])
+    assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
+    assert got.features.tobytes() == features.tobytes()
+    assert got.features.shape == features.shape
+    assert got.labels.tolist() == np.concatenate([train_labels, test_labels]).tolist()
+    assert got.class_count == max(train_classes, test_classes)
+    n_train = len(train_features)
+    assert got.designated_test_idx.tolist() == list(range(n_train, n_train + len(test_features)))
+    assert got.designated_test_idx.dtype == np.arange(1).dtype
 
 
 # ---- CSV -------------------------------------------------------------------
@@ -268,3 +339,49 @@ def test_standardize_stats_rows_subset():
     # statistics from rows {0,1} applied to every row, including row 2
     assert mean.tolist() == [1.0]
     assert out.features.tolist() == [[-1.0], [1.0], [99.0]]
+
+
+def _reference_standardize(dataset, stats_rows=None):
+    """Standardization as it was before the std was computed in place:
+    ``src.std`` on the gathered rows and ``(X - m) / s`` in one expression."""
+    X = dataset.features
+    src = X if stats_rows is None else X[np.asarray(stats_rows)]
+    mean = src.mean(axis=0)
+    std = src.std(axis=0)
+    constant = std == 0.0
+    return (X - np.where(constant, 0.0, mean)) / np.where(constant, 1.0, std), mean, std
+
+
+def _assert_standardize_matches_reference(X, stats_rows):
+    before = X.copy()
+    out, mean, std = standardize(_plain(X), stats_rows)
+    ref, ref_mean, ref_std = _reference_standardize(_plain(X), stats_rows)
+    assert out.features.shape == ref.shape and out.features.tobytes() == ref.tobytes()
+    assert mean.tobytes() == ref_mean.tobytes() and std.tobytes() == ref_std.tobytes()
+    assert X.tobytes() == before.tobytes()
+
+
+@st.composite
+def _standardize_inputs(draw):
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    constant = draw(hnp.arrays(bool, d))
+    X[:, constant] = X[0, constant]
+    stats_rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return X, stats_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_standardize_inputs())
+def test_standardize_is_bitwise_the_std_then_divide_reference(inputs):
+    X, stats_rows = inputs
+    _assert_standardize_matches_reference(X, stats_rows)
+    _assert_standardize_matches_reference(X, stats_rows[:1] if stats_rows else [0])
+
+
+def test_standardize_bitwise_on_an_image_sized_pool():
+    rng = derive_rng(8)
+    X = np.floor(rng.uniform(0, 256, (600, 784))) / 255.0
+    X[:, :40] = 0.0  # the always-blank border pixels of digit images
+    _assert_standardize_matches_reference(X, np.sort(rng.choice(600, 450, replace=False)))
+    _assert_standardize_matches_reference(X, None)
