@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from allab.dataio import (
     IMAGE_MAGIC,
+    Dataset,
     LABEL_MAGIC,
     load_csv,
     load_mnist,
@@ -131,13 +132,37 @@ def test_mnist_test_split_of_another_width(tmp_path):
         load_mnist(tr_img, tr_lab, te_img, te_lab)
 
 
-def _reference_idx_split(pixels, labels):
-    """The per-split parse as the loader did it before it wrote into one
-    preallocated array: astype(float64), then /255."""
-    count, rows, cols = pixels.shape
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    labels = labels.astype(np.int64)
-    return features, labels, int(labels.max()) + 1 if count else 0
+def _reference_load_mnist(splits):
+    """The loader as it was before it wrote into one preallocated array: per
+    split astype(float64) then /255, and the splits stacked with vstack."""
+    parsed = []
+    for pixels, labels in splits:
+        count, rows, cols = pixels.shape
+        labels = labels.astype(np.int64)
+        features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+        parsed.append(Dataset(features, labels, int(labels.max()) + 1 if count else 0))
+    if len(parsed) == 1:
+        return parsed[0]
+    train, test = parsed
+    n_train = train.features.shape[0]
+    return Dataset(
+        features=np.vstack([train.features, test.features]),
+        labels=np.concatenate([train.labels, test.labels]),
+        class_count=max(train.class_count, test.class_count),
+        designated_test_idx=np.arange(n_train, n_train + test.features.shape[0]),
+    )
+
+
+def _assert_same_dataset(got, ref):
+    assert got.features.dtype == ref.features.dtype and got.features.shape == ref.features.shape
+    assert got.features.tobytes() == ref.features.tobytes()
+    assert got.labels.dtype == ref.labels.dtype and got.labels.tolist() == ref.labels.tolist()
+    assert got.class_count == ref.class_count
+    if ref.designated_test_idx is None:
+        assert got.designated_test_idx is None
+    else:
+        assert got.designated_test_idx.dtype == ref.designated_test_idx.dtype
+        assert got.designated_test_idx.tolist() == ref.designated_test_idx.tolist()
 
 
 _pixel = st.sampled_from([0, 255]) | st.integers(0, 255)
@@ -145,6 +170,7 @@ _pixel = st.sampled_from([0, 255]) | st.integers(0, 255)
 
 @st.composite
 def _idx_splits(draw):
+    """A train split and, half the time, a test split of 0 or 1 images."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     splits = []
     for count in (draw(st.integers(0, 5)), draw(st.none() | st.integers(0, 1))):
@@ -164,29 +190,8 @@ def test_mnist_loader_is_bitwise_the_astype_divide_vstack_parse(splits):
             split_dir = Path(d) / str(k)
             split_dir.mkdir()
             paths.extend(idx_fixture(split_dir, pixels, labels))
-        got = load_mnist(*paths)
-        one = load_mnist_idx(*paths[:2])
-    ref = [_reference_idx_split(pixels, labels) for pixels, labels in splits]
-    train_features, train_labels, train_classes = ref[0]
-    assert one.features.dtype == np.float64 and one.labels.dtype == np.int64
-    assert one.features.tobytes() == train_features.tobytes()
-    assert one.features.shape == train_features.shape
-    assert one.labels.tolist() == train_labels.tolist()
-    assert one.class_count == train_classes and one.designated_test_idx is None
-    if len(ref) == 1:
-        assert got.features.tobytes() == one.features.tobytes()
-        assert got.class_count == train_classes and got.designated_test_idx is None
-        return
-    test_features, test_labels, test_classes = ref[1]
-    features = np.vstack([train_features, test_features])
-    assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
-    assert got.features.tobytes() == features.tobytes()
-    assert got.features.shape == features.shape
-    assert got.labels.tolist() == np.concatenate([train_labels, test_labels]).tolist()
-    assert got.class_count == max(train_classes, test_classes)
-    n_train = len(train_features)
-    assert got.designated_test_idx.tolist() == list(range(n_train, n_train + len(test_features)))
-    assert got.designated_test_idx.dtype == np.arange(1).dtype
+        _assert_same_dataset(load_mnist(*paths), _reference_load_mnist(splits))
+        _assert_same_dataset(load_mnist_idx(*paths[:2]), _reference_load_mnist(splits[:1]))
 
 
 # ---- CSV -------------------------------------------------------------------
@@ -304,8 +309,6 @@ def test_blobs_rejects_bad_counts():
 # ---- standardize -----------------------------------------------------------
 
 def _plain(features):
-    from allab.dataio import Dataset
-
     features = np.asarray(features, dtype=np.float64)
     return Dataset(features, np.zeros(len(features), dtype=np.int64), 1)
 
