@@ -74,14 +74,16 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, output_dir=out_override)
     out = make_output_dir(cfg)
 
-    dataset = load_dataset(cfg)
-    logs = run_experiment(cfg, jobs=args.jobs, progress=print, dataset=dataset)
+    loaded = [load_dataset(cfg)]
+    label_names = loaded[0].label_names
+    # the run gets the only reference, so it frees the raw features once partitioned
+    logs = run_experiment(cfg, jobs=args.jobs, progress=print, dataset=loaded.pop())
 
     write_results_csv(logs, out / "results.csv")
     write_results_json(logs, cfg, out / "results.json")
     (out / "resolved_config.json").write_text(config_to_json(cfg))
-    if dataset.label_names:
-        mapping = {"class_ids": {name: i for i, name in enumerate(dataset.label_names)}}
+    if label_names:
+        mapping = {"class_ids": {name: i for i, name in enumerate(label_names)}}
         (out / "label_names.json").write_text(json.dumps(mapping, indent=2) + "\n")
     print(f"wrote {out / 'results.csv'} ({len(logs)} rows)")
     return 0

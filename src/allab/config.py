@@ -14,6 +14,7 @@ from functools import cache
 
 from .acquisition import METHODS
 from .errors import ConfigError
+from .mmd import check_bandwidths
 from .trainer import KERNEL_NAMES, TrainConfig
 
 __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "config_to_json"]
@@ -178,6 +179,11 @@ def _parse_train(node: _Node) -> TrainConfig:
     kernel = node._data.pop("kernel", TrainConfig.kernel)  # a name or a bandwidth list
     if isinstance(kernel, list):
         kernel = _coerce(kernel, "tuple[float, ...]", "$.train.kernel")
+        for i, sigma in enumerate(kernel):
+            try:
+                check_bandwidths((sigma,))
+            except ValueError as e:
+                raise ConfigError(f"$.train.kernel[{i}]: {e}") from None
     elif kernel not in KERNEL_NAMES:
         raise ConfigError(
             f"$.train.kernel: must be 'median', 'median3' or a bandwidth list, got {kernel!r}"

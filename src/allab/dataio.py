@@ -18,7 +18,6 @@ __all__ = [
     "Dataset",
     "IMAGE_MAGIC",
     "LABEL_MAGIC",
-    "load_mnist_idx",
     "load_mnist",
     "load_csv",
     "synth_blobs",
@@ -90,13 +89,8 @@ def _parse_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return pixels, np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
 
 
-def load_mnist_idx(images_path, labels_path) -> Dataset:
-    """Parse one IDX image/label file pair, pixels scaled to [0, 1] by /255."""
-    return load_mnist(images_path, labels_path)
-
-
 def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path=None) -> Dataset:
-    """Train files plus an optional designated test split, concatenated.
+    """IDX train files plus an optional designated test split, concatenated.
 
     Each split's pixels are divided by 255 straight into its rows of the one
     float64 feature array (the uint8 -> float64 cast is exact).

@@ -5,7 +5,8 @@ heuristic:
 
     k_sigma(x, y) = exp(-||x - y||^2 / (2 sigma^2))
 
-A KernelSpec may carry several bandwidths; the effective kernel is the mean of
+Bandwidths are a tuple of floats, checked once where they enter
+(:func:`check_bandwidths`); with several, the effective kernel is the mean of
 the per-bandwidth kernels.  The squared-discrepancy estimator is the biased
 V-statistic (all kernel entries, diagonals included), which is the squared
 distance between empirical kernel mean embeddings and hence nonnegative up to
@@ -24,14 +25,12 @@ nothing; the reference functions check their batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError
 
 __all__ = [
-    "KernelSpec",
+    "check_bandwidths",
     "rbf_kernel",
     "mmd2_biased",
     "mmd2_biased_with_grad",
@@ -41,28 +40,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """One or more RBF bandwidths; the kernel is the mean over them."""
-
-    bandwidths: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.bandwidths) == 0:
-            raise ValueError("KernelSpec needs at least one bandwidth")
-        for s in self.bandwidths:
-            if not (np.isfinite(s) and s > 0):
-                raise ValueError(f"bandwidths must be positive and finite, got {s}")
-        object.__setattr__(self, "bandwidths", tuple(float(s) for s in self.bandwidths))
-
-    @classmethod
-    def single(cls, sigma: float) -> "KernelSpec":
-        return cls((float(sigma),))
-
-    @classmethod
-    def around(cls, sigma: float) -> "KernelSpec":
-        """The three-scale set {sigma/2, sigma, 2*sigma}."""
-        return cls((sigma / 2.0, float(sigma), 2.0 * sigma))
+def check_bandwidths(sigmas) -> tuple[float, ...]:
+    """The RBF bandwidths as a tuple of floats, once there is at least one
+    and each is positive and finite."""
+    sigmas = tuple(float(s) for s in sigmas)
+    if not sigmas:
+        raise ValueError("need at least one bandwidth")
+    for s in sigmas:
+        if not (np.isfinite(s) and s > 0):
+            raise ValueError(f"bandwidths must be positive and finite, got {s}")
+    return sigmas
 
 
 def _check_batches(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,22 +84,22 @@ def sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np
     return np.maximum(d2, 0.0, out=d2)
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def rbf_kernel(A: np.ndarray, B: np.ndarray, sigmas: tuple[float, ...]) -> np.ndarray:
     """Kernel matrix K[i, j] = mean_sigma exp(-||A_i - B_j||^2 / (2 sigma^2))."""
     A, B = _check_batches(A, B)
     d2 = sq_dists(A, B, sq_norms(A), sq_norms(B))
     K = np.zeros_like(d2)
-    for sigma in spec.bandwidths:
+    for sigma in sigmas:
         K += np.exp(-d2 / (2.0 * sigma * sigma))
-    return K / len(spec.bandwidths)
+    return K / len(sigmas)
 
 
-def mmd2_biased(Z_L: np.ndarray, Z_star: np.ndarray, spec: KernelSpec) -> float:
+def mmd2_biased(Z_L: np.ndarray, Z_star: np.ndarray, sigmas: tuple[float, ...]) -> float:
     """Biased squared-MMD estimate between two feature batches."""
     Z_L, Z_star = _check_batches(Z_L, Z_star)
-    K_ll = rbf_kernel(Z_L, Z_L, spec)
-    K_ls = rbf_kernel(Z_L, Z_star, spec)
-    K_ss = rbf_kernel(Z_star, Z_star, spec)
+    K_ll = rbf_kernel(Z_L, Z_L, sigmas)
+    K_ls = rbf_kernel(Z_L, Z_star, sigmas)
+    K_ss = rbf_kernel(Z_star, Z_star, sigmas)
     return float(K_ll.mean() - 2.0 * K_ls.mean() + K_ss.mean())
 
 
@@ -122,9 +109,8 @@ def mmd2_biased_with_grad(
     """Value and the analytic partials with respect to both batches, in one pass.
 
     A (..., a, h) and B (..., b, h) are float64 batches, 2-D or stacked.
-    ``sigmas`` holds the m bandwidths in order (a ``KernelSpec``'s
-    ``bandwidths``): floats for 2-D batches, or for a stack (R, 1, 1) arrays,
-    one bandwidth per cell.  The value is a 0-d array, or one value per cell.
+    ``sigmas`` holds the m bandwidths in order: floats for 2-D batches, or for
+    a stack (R, 1, 1) arrays, one bandwidth per cell.  The value is a 0-d array, or one value per cell.
 
     For a single bandwidth, differentiating the three V-statistic terms gives
 

@@ -22,13 +22,12 @@ one draw per hidden layer per forward pass, labeled batch first.  Parameter
 initialization uses the "init" stream.  All three streams derive from
 ``TrainConfig.seed``.
 
-``train_stack`` trains several such cells in lockstep, and ``train_round`` is
-its one-cell case.  Every cell keeps its own three streams and consumes each
-of them exactly as it would alone: per step, cell by cell, its labeled then
-its pool batch from its "batch" stream, and per hidden layer its mask of the
-labeled pass and, later, of the pool pass from its "dropout" stream.  The
-streams of different cells never mix, so the interleaving of cells changes
-no draw.
+``train_stack`` trains one such cell, or several in lockstep.  Every cell
+keeps its own three streams and consumes each of them exactly as it would
+alone: per step, cell by cell, its labeled then its pool batch from its
+"batch" stream, and per hidden layer its mask of the labeled pass and, later,
+of the pool pass from its "dropout" stream.  The streams of different cells
+never mix, so the interleaving of cells changes no draw.
 
 Only work that changes the parameters is done.  The pool batch is run
 through the network only when ``mmd_weight`` > 0 or the model has dropout
@@ -57,7 +56,7 @@ import numpy as np
 
 from .errors import DimensionError, PoolError, TrainingDiverged
 from .layers import check_labels, softmax_cross_entropy
-from .mmd import KernelSpec, median_heuristic, mmd2_biased_with_grad
+from .mmd import check_bandwidths, median_heuristic, mmd2_biased_with_grad
 from .model import (
     CheckpointSet,
     MlpParams,
@@ -81,7 +80,6 @@ __all__ = [
     "snapshot_steps",
     "steps_per_epoch",
     "sgd_step",
-    "train_round",
     "train_stack",
 ]
 
@@ -129,8 +127,7 @@ class TrainConfig:
                     f"kernel must be 'median', 'median3' or a bandwidth list, got {self.kernel!r}"
                 )
         else:
-            object.__setattr__(self, "kernel", tuple(float(s) for s in self.kernel))
-            KernelSpec(self.kernel)  # validates positivity
+            object.__setattr__(self, "kernel", check_bandwidths(self.kernel))
 
 
 @dataclass
@@ -228,30 +225,13 @@ def _draw(rng: np.random.Generator, indices: np.ndarray, batch_size: int) -> np.
     return indices[rng.choice(n, batch_size, replace=False)]
 
 
-def _resolve_kernel(config: TrainConfig, first_pool_features: np.ndarray) -> KernelSpec:
+def _resolve_kernel(config: TrainConfig, first_pool_features: np.ndarray) -> tuple[float, ...]:
     if isinstance(config.kernel, tuple):
-        return KernelSpec(config.kernel)
+        return config.kernel
     sigma = median_heuristic(first_pool_features)
     if config.kernel == "median3":
-        return KernelSpec.around(sigma)
-    return KernelSpec.single(sigma)
-
-
-def train_round(
-    pool,
-    model_spec: ModelSpec,
-    config: TrainConfig,
-) -> tuple[MlpParams, CheckpointSet, list[EpochStats]]:
-    """Train a freshly initialized model on the pool's labeled set.
-
-    Returns the final parameters, the checkpoint trajectory (exactly
-    ``n_checkpoints`` snapshots at the documented cycle-end steps), and
-    per-epoch mean CE / mean MMD^2 / learning-rate history.  The kernel
-    bandwidth, unless given explicitly, is the median heuristic on the
-    features of the first pool batch, frozen for the whole round.  This is
-    :func:`train_stack` with one cell.
-    """
-    return train_stack([pool], model_spec, [config])[0]
+        return (sigma / 2.0, sigma, 2.0 * sigma)
+    return (sigma,)
 
 
 def _check_cell(pool, model_spec: ModelSpec) -> np.ndarray:
@@ -281,8 +261,13 @@ def train_stack(
     step draws every cell's batches from the cell's own streams, gathers them
     into (R, batch, d) stacks and runs the forward pass, loss, MMD^2 term,
     backward pass and SGD update once for all R cells, each with its own
-    kernel bandwidths.  Returns one :func:`train_round` result per cell, in
-    order, bit for bit what training that cell alone returns.  A cell whose
+    kernel bandwidths.  Returns per cell, in order, bit for bit what training
+    that cell alone (``train_stack([pool], model_spec, [config])[0]``)
+    returns: the final parameters, the checkpoint trajectory (exactly
+    ``n_checkpoints`` snapshots at the documented cycle-end steps) and the
+    per-epoch mean CE / mean MMD^2 / learning-rate history.  Unless given
+    explicitly, a cell's bandwidths come from the median heuristic on its
+    first pool batch's features, frozen for the whole round.  A cell whose
     loss, MMD^2 term or gradient goes non-finite stops the whole stack.
     """
     if len(pools) != len(configs) or not pools:
@@ -353,7 +338,7 @@ def train_stack(
 
         if lam > 0:
             if sigmas is None:
-                per_cell = [_resolve_kernel(config, Z).bandwidths for Z in Z_p.reshape(R, B, -1)]
+                per_cell = [_resolve_kernel(config, Z) for Z in Z_p.reshape(R, B, -1)]
                 # a stack's k-th bandwidth is an (R, 1, 1) column, one per cell
                 sigmas = list(np.array(per_cell).T[:, :, None, None]) if lead else per_cell[0]
             m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)

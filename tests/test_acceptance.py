@@ -24,15 +24,15 @@ from allab.acquisition import (
     mpts_acquire,
 )
 from allab.config import parse_config
-from allab.dataio import load_csv, load_mnist_idx
+from allab.dataio import load_csv, load_mnist
 from allab.errors import FormatError
 from allab.experiment import run_experiment
 from allab.gradcheck import run_gradcheck
-from allab.mmd import KernelSpec, mmd2_biased
+from allab.mmd import mmd2_biased
 from allab.model import CheckpointSet, ModelSpec, forward, init_mlp, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
-from allab.trainer import TrainConfig, snapshot_steps, train_round
+from allab.trainer import TrainConfig, snapshot_steps, train_stack
 from idx_files import write_idx_images, write_idx_labels
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,21 +63,21 @@ def test_criterion_1_gradients():
 def test_criterion_2_mmd_oracle():
     t0 = time.monotonic()
     rng = derive_rng(11, "mmd-oracle")
-    spec = KernelSpec.single(1.3)
+    sigmas = (1.3,)
 
     for _ in range(20):  # identical samples: exactly zero up to accumulation noise
         A = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 6))))
-        assert abs(mmd2_biased(A, A.copy(), spec)) <= 1e-12
+        assert abs(mmd2_biased(A, A.copy(), sigmas)) <= 1e-12
 
     for _ in range(50):  # nonnegativity, symmetry, row-order invariance
         d = int(rng.integers(1, 6))
         A = rng.standard_normal((int(rng.integers(1, 10)), d))
         B = rng.standard_normal((int(rng.integers(1, 10)), d)) + 0.3
-        v = mmd2_biased(A, B, spec)
+        v = mmd2_biased(A, B, sigmas)
         assert v >= -1e-12
-        assert abs(v - mmd2_biased(B, A, spec)) <= 1e-12
+        assert abs(v - mmd2_biased(B, A, sigmas)) <= 1e-12
         pa, pb = rng.permutation(len(A)), rng.permutation(len(B))
-        assert abs(v - mmd2_biased(A[pa], B[pb], spec)) <= 1e-12
+        assert abs(v - mmd2_biased(A[pa], B[pb], sigmas)) <= 1e-12
 
     # singletons separated by squared distance 2*sigma^2: statistic is
     # 2 - 2*exp(-1) for any bandwidth sigma
@@ -85,7 +85,7 @@ def test_criterion_2_mmd_oracle():
         z1 = np.zeros((1, 4))
         z2 = np.zeros((1, 4))
         z2[0, 0] = math.sqrt(2.0) * sigma
-        got = mmd2_biased(z1, z2, KernelSpec.single(sigma))
+        got = mmd2_biased(z1, z2, (sigma,))
         assert abs(got - (2.0 - 2.0 * math.exp(-1.0))) <= 1e-12
     assert time.monotonic() - t0 < 5.0
 
@@ -407,7 +407,7 @@ def test_criterion_7_checkpoint_schedule():
     # splits into 5 cycles of 40 with a snapshot after each cycle's last step
     assert snapshot_steps(100, 4, 5) == [239, 279, 319, 359, 399]
 
-    final, traj, _ = train_round(pool, ModelSpec((d, 12, C), split_index=1), cfg)
+    final, traj, _ = train_stack([pool], ModelSpec((d, 12, C), split_index=1), [cfg])[0]
     assert len(traj) == 5
 
     ref_layers, ref_snaps, ref_steps = _ce_only_reference(pool, (d, 12, C), cfg)
@@ -433,7 +433,7 @@ def test_criterion_8_data_formats(tmp_path):
     write_idx_images(img_a, pixels)
     write_idx_labels(lab_a, labels)
 
-    ds = load_mnist_idx(img_a, lab_a)
+    ds = load_mnist(img_a, lab_a)
     assert np.array_equal(ds.features, pixels.reshape(7, 784) / 255.0)
     assert np.array_equal(ds.labels, labels)
     # byte-exact round trip through parse + re-serialize
@@ -448,17 +448,17 @@ def test_criterion_8_data_formats(tmp_path):
     raw[2] = 0xFF
     bad_magic.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=r"byte 0: bad magic"):
-        load_mnist_idx(bad_magic, lab_a)
+        load_mnist(bad_magic, lab_a)
 
     truncated = tmp_path / "trunc.idx"
     truncated.write_bytes(img_a.read_bytes()[:-3])
     with pytest.raises(FormatError, match=r"expected \d+ bytes"):
-        load_mnist_idx(truncated, lab_a)
+        load_mnist(truncated, lab_a)
 
     short_labels = tmp_path / "short-labels.idx"
     write_idx_labels(short_labels, labels[:6])
     with pytest.raises(FormatError, match=r"label count 6 does not match image count 7"):
-        load_mnist_idx(img_a, short_labels)
+        load_mnist(img_a, short_labels)
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,b,label\n1,2,0\n3,4,1\n5,6\n")

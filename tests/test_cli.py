@@ -196,6 +196,15 @@ def test_run_unknown_kernel_name_exits_2(tmp_path, capsys, forbid_training):
     )
 
 
+def test_run_bad_bandwidth_names_its_index_and_exits_2(tmp_path, capsys, forbid_training):
+    cfg = write_config(tmp_path, train={"kernel": [0.5, 0]})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (
+        "config error: $.train.kernel[1]: bandwidths must be positive and finite, got 0.0"
+        in capsys.readouterr().err
+    )
+
+
 def test_run_synthetic_size_below_one_exits_2(tmp_path, capsys, forbid_training):
     cfg = write_config(tmp_path, dataset={"kind": "synthetic", "class_count": 0})
     assert main(["run", "--config", str(cfg)]) == 2

@@ -79,6 +79,15 @@ def test_unknown_kernel_name_names_the_field_and_value():
         parse_config({"methods": ["mpts"], "train": {"kernel": "gauss"}})
 
 
+def test_bad_bandwidth_names_its_index_and_value():
+    with pytest.raises(
+        ConfigError, match=r"^\$\.train\.kernel\[1\]: bandwidths must be positive and finite, got 0\.0$"
+    ):
+        parse_config({"methods": ["mpts"], "train": {"kernel": [0.5, 0]}})
+    with pytest.raises(ConfigError, match=r"^\$\.train\.kernel\[0\]: .* got -inf$"):
+        parse_config({"methods": ["mpts"], "train": {"kernel": [-float("inf"), 1.0]}})
+
+
 def test_empty_kernel_list_is_a_type_error():
     with pytest.raises(ConfigError, match=r"^\$\.train\.kernel: expected a nonempty list of numbers"):
         parse_config({"methods": ["mpts"], "train": {"kernel": []}})

@@ -16,7 +16,6 @@ from allab.dataio import (
     LABEL_MAGIC,
     load_csv,
     load_mnist,
-    load_mnist_idx,
     standardize,
     synth_blobs,
 )
@@ -49,7 +48,7 @@ def test_idx_two_image_fixture(tmp_path):
         dtype=np.uint8,
     )
     img, lab = idx_fixture(tmp_path, pixels, [4, 9])
-    ds = load_mnist_idx(img, lab)
+    ds = load_mnist(img, lab)
     assert ds.features.shape == (2, 4)
     assert np.array_equal(ds.features, pixels.reshape(2, 4) / 255.0)
     assert ds.labels.tolist() == [4, 9]
@@ -67,7 +66,7 @@ def test_idx_roundtrip_through_writers(tmp_path):
     write_idx_labels(out_lab, labels)
     assert out_img.read_bytes() == ref_img.read_bytes()
     assert out_lab.read_bytes() == ref_lab.read_bytes()
-    ds = load_mnist_idx(out_img, out_lab)
+    ds = load_mnist(out_img, out_lab)
     assert np.array_equal(ds.features * 255.0, pixels.reshape(5, 9).astype(np.float64))
 
 
@@ -76,11 +75,11 @@ def test_idx_wrong_magic(tmp_path):
     broken = tmp_path / "bad.idx"
     broken.write_bytes(struct.pack(">I", 0xDEADBEEF) + img.read_bytes()[4:])
     with pytest.raises(FormatError, match="byte 0.*magic"):
-        load_mnist_idx(broken, lab)
+        load_mnist(broken, lab)
     broken_l = tmp_path / "badl.idx"
     broken_l.write_bytes(struct.pack(">I", IMAGE_MAGIC) + lab.read_bytes()[4:])
     with pytest.raises(FormatError, match="byte 0.*magic"):
-        load_mnist_idx(img, broken_l)
+        load_mnist(img, broken_l)
 
 
 def test_idx_truncated_and_trailing(tmp_path):
@@ -88,15 +87,15 @@ def test_idx_truncated_and_trailing(tmp_path):
     short = tmp_path / "short.idx"
     short.write_bytes(img.read_bytes()[:-3])
     with pytest.raises(FormatError, match="byte"):
-        load_mnist_idx(short, lab)
+        load_mnist(short, lab)
     long = tmp_path / "long.idx"
     long.write_bytes(img.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="expected 24 bytes"):
-        load_mnist_idx(long, lab)
+        load_mnist(long, lab)
     header_only = tmp_path / "hdr.idx"
     header_only.write_bytes(img.read_bytes()[:10])
     with pytest.raises(FormatError, match="truncated header"):
-        load_mnist_idx(header_only, lab)
+        load_mnist(header_only, lab)
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -104,7 +103,7 @@ def test_idx_count_mismatch(tmp_path):
     lab3 = tmp_path / "three.idx"
     write_idx_labels(lab3, np.array([0, 1, 2], dtype=np.uint8))
     with pytest.raises(FormatError, match="label count 3 does not match image count 2"):
-        load_mnist_idx(img, lab3)
+        load_mnist(img, lab3)
 
 
 def test_mnist_designated_test_concatenation(tmp_path):
@@ -191,7 +190,7 @@ def test_mnist_loader_is_bitwise_the_astype_divide_vstack_parse(splits):
             split_dir.mkdir()
             paths.extend(idx_fixture(split_dir, pixels, labels))
         _assert_same_dataset(load_mnist(*paths), _reference_load_mnist(splits))
-        _assert_same_dataset(load_mnist_idx(*paths[:2]), _reference_load_mnist(splits[:1]))
+        _assert_same_dataset(load_mnist(*paths[:2]), _reference_load_mnist(splits[:1]))
 
 
 # ---- CSV -------------------------------------------------------------------

@@ -4,7 +4,9 @@ Modules sit in three tiers, core -> acquisition -> harness.  A module may
 import from its own tier or a lower one, never from a higher one, and every
 import is at module level, so no cycle is hidden behind a lazy import.  No
 module imports another's underscore-prefixed names: what one module calls of
-another is that module's public function, the one its tests check.
+another is that module's public function, the one its tests check.  And the
+package itself uses every public name (one in a module's ``__all__``), so
+none exists only for tests.
 """
 
 import ast
@@ -71,6 +73,28 @@ def private_imports(tree: ast.Module) -> list[tuple[int, str]]:
     ]
 
 
+def public_names(tree: ast.Module) -> list[str]:
+    """The names in the module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name the code reads, bare or as an attribute.  Definitions,
+    imports, ``__all__``'s strings, docstrings and comments read none."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
 def test_every_module_has_a_tier():
     assert set(MODULES) <= set(TIER), f"unclassified: {sorted(set(MODULES) - set(TIER))}"
 
@@ -96,6 +120,12 @@ def test_no_private_name_imported_across_modules(module):
     assert private == []
 
 
+def test_every_public_name_is_used_by_the_package():
+    used = set().union(*(referenced_names(parse(m)) for m in MODULES))
+    unused = [f"{m}.{name}" for m in MODULES for name in public_names(parse(m)) if name not in used]
+    assert unused == []
+
+
 def test_checker_sees_the_violations_it_forbids():
     tree = ast.parse(
         "from .experiment import run_cell\n"
@@ -104,9 +134,14 @@ def test_checker_sees_the_violations_it_forbids():
         "from .layers import relu, _affine_forward\n"
         "def f():\n"
         "    from .acquisition import acquire\n"
+        "__all__ = ['f', 'relu', 'unused']\n"
+        "def unused():\n"
+        "    'calls unused() and relu()'\n"
+        "    return f  # and unused\n"
     )
     assert [t for _, t in package_imports(tree)] == [
         "experiment", "cli", "config", "layers", "acquisition"
     ]
     assert lazy_imports(tree) == [(6, "f")]
     assert private_imports(tree) == [(4, "_affine_forward")]
+    assert [n for n in public_names(tree) if n not in referenced_names(tree)] == ["relu", "unused"]

@@ -7,11 +7,12 @@ the gathered statistics rows or the output, not both, plus index arrays.
 """
 
 import gc
+import json
 import tracemalloc
 import weakref
 from dataclasses import replace
 
-from allab import experiment
+from allab import cli, experiment
 from allab.config import parse_config
 from allab.experiment import load_dataset, run_experiment, start_partition
 from allab.seeding import derive_rng
@@ -77,9 +78,11 @@ def test_standardizing_a_partition_holds_one_more_feature_array(tmp_path):
         assert peak <= PEAK_BOUND * FEATURE_BYTES, (mode, peak / FEATURE_BYTES)
 
 
-def test_run_frees_the_dataset_it_loaded_before_training(tmp_path, monkeypatch):
-    loaded = []
-    alive_at_training = []
+def _features_alive_at_training(monkeypatch, loader_module):
+    """A list that gets, at the first ``train_stack`` call, whether the
+    features ``loader_module.load_dataset`` returned are still alive."""
+    loaded, alive_at_training = [], []
+    real_load_dataset, real_train_stack = loader_module.load_dataset, experiment.train_stack
 
     def tracked_load_dataset(cfg):
         dataset = real_load_dataset(cfg)
@@ -92,9 +95,29 @@ def test_run_frees_the_dataset_it_loaded_before_training(tmp_path, monkeypatch):
             alive_at_training.append(loaded[0]() is not None)
         return real_train_stack(pools, spec, configs)
 
-    real_load_dataset, real_train_stack = experiment.load_dataset, experiment.train_stack
-    monkeypatch.setattr(experiment, "load_dataset", tracked_load_dataset)
+    monkeypatch.setattr(loader_module, "load_dataset", tracked_load_dataset)
     monkeypatch.setattr(experiment, "train_stack", spy_train_stack)
+    return alive_at_training
+
+
+def test_run_frees_the_dataset_it_loaded_before_training(tmp_path, monkeypatch):
+    alive_at_training = _features_alive_at_training(monkeypatch, experiment)
     logs = run_experiment(_image_config(tmp_path))
     assert len(logs) == 1
+    assert alive_at_training == [False]
+
+
+def test_cli_run_frees_the_dataset_it_loaded_before_training(tmp_path, monkeypatch):
+    doc = {
+        "methods": ["random"],
+        "dataset": {"kind": "synthetic", "class_count": 2, "per_class": 40, "dim": 2,
+                    "standardize": "pool"},
+        "initial_count": 10, "budget": 5, "rounds": 1, "repeats": 1,
+        "train": {"epochs": 2, "batch_size": 8, "n_checkpoints": 1},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    alive_at_training = _features_alive_at_training(monkeypatch, cli)
+    assert cli.main(["run", "--config", str(path)]) == 0
     assert alive_at_training == [False]

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from allab.errors import DimensionError
 from allab.mmd import (
-    KernelSpec,
+    check_bandwidths,
     median_heuristic,
     mmd2_biased,
     mmd2_biased_with_grad,
@@ -36,23 +36,23 @@ def mmd2_loops(A, B, sigmas):
     return K_aa.mean() - 2 * K_ab.mean() + K_bb.mean()
 
 
-# ---- KernelSpec ------------------------------------------------------------
+# ---- bandwidths ------------------------------------------------------------
 
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(())
-    with pytest.raises(ValueError):
-        KernelSpec((1.0, 0.0))
-    with pytest.raises(ValueError):
-        KernelSpec((np.inf,))
-    assert KernelSpec.around(0.8).bandwidths == (0.4, 0.8, 1.6)
-    assert KernelSpec.single(2).bandwidths == (2.0,)
+    with pytest.raises(ValueError, match="at least one bandwidth"):
+        check_bandwidths(())
+    with pytest.raises(ValueError, match=r"^bandwidths must be positive and finite, got 0.0$"):
+        check_bandwidths((1.0, 0.0))
+    with pytest.raises(ValueError, match="got inf"):
+        check_bandwidths((np.inf,))
+    assert check_bandwidths([2]) == (2.0,)
+    assert type(check_bandwidths(np.array([0.5, 2.0]))[0]) is float
 
 
 # ---- kernel matrix ---------------------------------------------------------
 
 def test_kernel_self_similarity_is_one():
-    K = rbf_kernel([[1.0, 2.0]], [[1.0, 2.0]], KernelSpec.single(0.7))
+    K = rbf_kernel([[1.0, 2.0]], [[1.0, 2.0]], (0.7,))
     assert K.shape == (1, 1) and K[0, 0] == 1.0
 
 
@@ -60,23 +60,23 @@ def test_kernel_closed_form_at_two_sigma_squared():
     sigma = 1.3
     a = np.zeros((1, 2))
     b = np.array([[sigma * np.sqrt(2.0), 0.0]])  # ||a-b||^2 = 2 sigma^2
-    K = rbf_kernel(a, b, KernelSpec.single(sigma))
+    K = rbf_kernel(a, b, (sigma,))
     assert K[0, 0] == pytest.approx(np.exp(-1), abs=1e-12)
 
 
 def test_kernel_transpose_symmetry():
     rng = np.random.default_rng(0)
     A, B = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
-    spec = KernelSpec((0.5, 1.0, 2.0))
-    assert np.abs(rbf_kernel(A, B, spec) - rbf_kernel(B, A, spec).T).max() <= 1e-15
+    sigmas = (0.5, 1.0, 2.0)
+    assert np.abs(rbf_kernel(A, B, sigmas) - rbf_kernel(B, A, sigmas).T).max() <= 1e-15
 
 
 def test_kernel_multi_bandwidth_is_mean_of_singles():
     rng = np.random.default_rng(1)
     A, B = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
-    combined = rbf_kernel(A, B, KernelSpec((0.5, 2.0)))
+    combined = rbf_kernel(A, B, (0.5, 2.0))
     singles = (
-        rbf_kernel(A, B, KernelSpec.single(0.5)) + rbf_kernel(A, B, KernelSpec.single(2.0))
+        rbf_kernel(A, B, (0.5,)) + rbf_kernel(A, B, (2.0,))
     ) / 2
     assert np.abs(combined - singles).max() <= 1e-15
 
@@ -85,12 +85,12 @@ def test_kernel_matches_loop_reference():
     rng = np.random.default_rng(2)
     A, B = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
     sigmas = (0.7, 1.9)
-    assert rel_err(rbf_kernel(A, B, KernelSpec(sigmas)), kernel_loops(A, B, sigmas)) <= 1e-12
+    assert rel_err(rbf_kernel(A, B, sigmas), kernel_loops(A, B, sigmas)) <= 1e-12
 
 
 def test_kernel_entries_in_unit_interval():
     rng = np.random.default_rng(3)
-    K = rbf_kernel(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)), KernelSpec.single(1.0))
+    K = rbf_kernel(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)), (1.0,))
     assert (K > 0).all() and (K <= 1).all()
 
 
@@ -98,7 +98,7 @@ def test_kernel_entries_in_unit_interval():
 
 def test_mmd2_identical_batches_is_zero():
     Z = np.random.default_rng(4).standard_normal((7, 3))
-    assert abs(mmd2_biased(Z, Z, KernelSpec.single(1.1))) <= 1e-12
+    assert abs(mmd2_biased(Z, Z, (1.1,))) <= 1e-12
 
 
 def test_mmd2_singleton_closed_form():
@@ -106,30 +106,30 @@ def test_mmd2_singleton_closed_form():
     z1 = np.zeros((1, 3))
     z2 = np.array([[sigma * np.sqrt(2.0), 0.0, 0.0]])
     expect = 2.0 - 2.0 * np.exp(-1)  # ~1.264241
-    assert mmd2_biased(z1, z2, KernelSpec.single(sigma)) == pytest.approx(expect, abs=1e-12)
+    assert mmd2_biased(z1, z2, (sigma,)) == pytest.approx(expect, abs=1e-12)
 
 
 def test_mmd2_row_permutation_invariant():
     rng = np.random.default_rng(5)
     A, B = rng.standard_normal((6, 2)), rng.standard_normal((4, 2))
-    spec = KernelSpec.around(1.0)
-    base = mmd2_biased(A, B, spec)
-    assert mmd2_biased(A[::-1], B, spec) == pytest.approx(base, abs=1e-12)
-    assert mmd2_biased(A, B[rng.permutation(4)], spec) == pytest.approx(base, abs=1e-12)
+    sigmas = (0.5, 1.0, 2.0)
+    base = mmd2_biased(A, B, sigmas)
+    assert mmd2_biased(A[::-1], B, sigmas) == pytest.approx(base, abs=1e-12)
+    assert mmd2_biased(A, B[rng.permutation(4)], sigmas) == pytest.approx(base, abs=1e-12)
 
 
 def test_mmd2_argument_symmetry():
     rng = np.random.default_rng(6)
     A, B = rng.standard_normal((5, 3)), rng.standard_normal((3, 3))
-    spec = KernelSpec.single(0.8)
-    assert mmd2_biased(A, B, spec) == pytest.approx(mmd2_biased(B, A, spec), abs=1e-12)
+    sigmas = (0.8,)
+    assert mmd2_biased(A, B, sigmas) == pytest.approx(mmd2_biased(B, A, sigmas), abs=1e-12)
 
 
 def test_mmd2_matches_loop_reference():
     rng = np.random.default_rng(7)
     A, B = rng.standard_normal((6, 4)), rng.standard_normal((8, 4)) + 0.5
     sigmas = (0.6, 1.2, 2.4)
-    got = mmd2_biased(A, B, KernelSpec(sigmas))
+    got = mmd2_biased(A, B, sigmas)
     assert got == pytest.approx(mmd2_loops(A, B, sigmas), rel=1e-12)
 
 
@@ -141,16 +141,16 @@ def test_mmd2_matches_loop_reference():
                elements=st.floats(-5, 5, allow_nan=False)),
 )
 def test_mmd2_nonnegative_property(A, B):
-    assert mmd2_biased(A, B, KernelSpec((0.5, 1.5))) >= -1e-12
+    assert mmd2_biased(A, B, (0.5, 1.5)) >= -1e-12
 
 
 def test_mmd2_dimension_mismatch():
     with pytest.raises(DimensionError):
-        mmd2_biased(np.ones((2, 3)), np.ones((2, 4)), KernelSpec.single(1.0))
+        mmd2_biased(np.ones((2, 3)), np.ones((2, 4)), (1.0,))
     with pytest.raises(DimensionError, match="must be 2-D"):
-        mmd2_biased(np.ones((2, 3, 4)), np.ones((2, 5, 4)), KernelSpec.single(1.0))
+        mmd2_biased(np.ones((2, 3, 4)), np.ones((2, 5, 4)), (1.0,))
     with pytest.raises(ValueError):
-        mmd2_biased(np.ones((0, 3)), np.ones((2, 3)), KernelSpec.single(1.0))
+        mmd2_biased(np.ones((0, 3)), np.ones((2, 3)), (1.0,))
 
 
 # ---- gradients -------------------------------------------------------------
@@ -167,10 +167,9 @@ def test_grad_matches_differences(sigmas):
     rng = np.random.default_rng(9)
     A = rng.standard_normal((6, 3))
     B = rng.standard_normal((8, 3)) + 0.3
-    spec = KernelSpec(sigmas)
-    _, dA, dB = mmd2_biased_with_grad(A, B, spec.bandwidths)
-    assert rel_err(dA, fd_grad(lambda: mmd2_biased(A, B, spec), A)) <= 1e-5
-    assert rel_err(dB, fd_grad(lambda: mmd2_biased(A, B, spec), B)) <= 1e-5
+    _, dA, dB = mmd2_biased_with_grad(A, B, sigmas)
+    assert rel_err(dA, fd_grad(lambda: mmd2_biased(A, B, sigmas), A)) <= 1e-5
+    assert rel_err(dB, fd_grad(lambda: mmd2_biased(A, B, sigmas), B)) <= 1e-5
 
 
 def test_grad_flows_to_both_batches():
@@ -192,10 +191,10 @@ def test_grad_decays_with_huge_bandwidth():
 def test_value_with_grad_consistent():
     rng = np.random.default_rng(12)
     A, B = rng.standard_normal((5, 2)), rng.standard_normal((6, 2))
-    spec = KernelSpec.around(1.1)
-    val, dA, dB = mmd2_biased_with_grad(A, B, spec.bandwidths)
-    assert val == pytest.approx(mmd2_biased(A, B, spec), abs=1e-15)
-    _, dA2, dB2 = old_grad_terms(A, B, spec)
+    sigmas = (0.55, 1.1, 2.2)
+    val, dA, dB = mmd2_biased_with_grad(A, B, sigmas)
+    assert val == pytest.approx(mmd2_biased(A, B, sigmas), abs=1e-15)
+    _, dA2, dB2 = old_grad_terms(A, B, sigmas)
     assert same_bits(dA, dA2) and same_bits(dB, dB2)
 
 
@@ -206,12 +205,12 @@ def old_sq_dists(A, B):
     return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
 
 
-def old_grad_terms(A, B, spec):
+def old_grad_terms(A, B, sigmas):
     """``mmd2_biased_with_grad`` as it was before its passes were trimmed."""
     a, b = A.shape[0], B.shape[0]
     d2_aa, d2_ab, d2_bb = old_sq_dists(A, A), old_sq_dists(A, B), old_sq_dists(B, B)
     value, dA, dB = 0.0, np.zeros_like(A), np.zeros_like(B)
-    for sigma in spec.bandwidths:
+    for sigma in sigmas:
         inv2s2 = 1.0 / (2.0 * sigma * sigma)
         K_aa = np.exp(-d2_aa * inv2s2)
         K_ab = np.exp(-d2_ab * inv2s2)
@@ -224,7 +223,7 @@ def old_grad_terms(A, B, spec):
         dA += (2.0 / (a * b) * inv_s2) * (row_ab[:, None] * A - K_ab @ B)
         dB += (-2.0 / (b * b) * inv_s2) * (row_bb[:, None] * B - K_bb @ B)
         dB += (2.0 / (a * b) * inv_s2) * (col_ab[:, None] * B - K_ab.T @ A)
-    m = float(len(spec.bandwidths))
+    m = float(len(sigmas))
     return value / m, dA / m, dB / m
 
 
@@ -257,8 +256,8 @@ def test_grad_terms_bit_identical_to_untrimmed(a, b, d, relu_like, sigma, three,
         A, B = np.maximum(A, 0.0), np.maximum(B, 0.0)
         A[:, rng.random(d) < 0.3] = 0.0
         B[rng.random(B.shape) < 0.1] = -0.0
-    spec = KernelSpec.around(sigma) if three else KernelSpec.single(sigma)
-    got, want = mmd2_biased_with_grad(A, B, spec.bandwidths), old_grad_terms(A, B, spec)
+    sigmas = (sigma / 2.0, sigma, 2.0 * sigma) if three else (sigma,)
+    got, want = mmd2_biased_with_grad(A, B, sigmas), old_grad_terms(A, B, sigmas)
     for g, w in zip(got, want, strict=True):
         assert same_bits(g, w)
 
@@ -282,20 +281,19 @@ def test_stacked_value_and_gradient_equal_each_cell_alone(R, a, b, d, bandwidths
     rng = np.random.default_rng(seed)
     A = np.maximum(rng.standard_normal((R, a, d)) * rng.uniform(0.1, 3.0), 0.0)
     B = np.maximum(rng.standard_normal((R, b, d)) + rng.uniform(-1.0, 1.0), 0.0)
-    sigmas = rng.uniform(0.05, 20.0, R)
-    specs = [
-        {"one": KernelSpec.single(s), "three": KernelSpec.around(s),
-         "list": KernelSpec((0.5, 2.0))}[bandwidths]
+    sigmas = rng.uniform(0.05, 20.0, R).tolist()  # floats, as the median heuristic returns
+    per_cell = [
+        {"one": (s,), "three": (s / 2.0, s, 2.0 * s), "list": (0.5, 2.0)}[bandwidths]
         for s in sigmas
     ]
-    columns = np.array([s.bandwidths for s in specs]).T[:, :, None, None]  # as the trainer
+    columns = np.array(per_cell).T[:, :, None, None]  # as the trainer
     value, dA, dB = mmd2_biased_with_grad(A, B, list(columns))
     assert value.shape == (R,)
     norms = (A * A).sum(axis=-1)
     gram = sq_dists(A, A, norms, norms)  # the symmetric A @ A.T product, per cell
     for r in range(R):
         Ar, Br = A[r].copy(), B[r].copy()
-        v, gA, gB = mmd2_biased_with_grad(Ar, Br, specs[r].bandwidths)
+        v, gA, gB = mmd2_biased_with_grad(Ar, Br, per_cell[r])
         assert bits(value[r]) == bits(v)
         assert np.array_equal(bits(dA[r]), bits(gA))
         assert np.array_equal(bits(dB[r]), bits(gB))

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from allab.dataio import synth_blobs
 from allab.errors import DimensionError, PoolError, TrainingDiverged
 from allab.layers import softmax_cross_entropy
-from allab.mmd import KernelSpec, median_heuristic, mmd2_biased_with_grad
+from allab.mmd import median_heuristic, mmd2_biased_with_grad
 from allab.model import CheckpointSet, ModelSpec, backward, forward, init_mlp, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
@@ -19,11 +19,11 @@ from allab.trainer import (
     TrainConfig,
     cycle_bounds,
     _draw,
+    _resolve_kernel,
     lr_schedule,
     sgd_step,
     snapshot_steps,
     steps_per_epoch,
-    train_round,
     train_stack,
 )
 
@@ -268,12 +268,12 @@ def test_non_finite_gradient_raises_and_leaves_params(bad, at):
     assert np.array_equal(params.flat.view(np.uint64), before.view(np.uint64))
 
 
-# ---- train_round -----------------------------------------------------------
+# ---- one cell --------------------------------------------------------------
 
 def test_train_round_snapshot_count_and_structure():
     pool = blob_pool()
     cfg = TrainConfig(epochs=8, batch_size=16, n_checkpoints=3, seed=0)
-    final, traj, history = train_round(pool, ModelSpec((2, 8, 2)), cfg)
+    final, traj, history = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
     assert len(traj) == 3
     assert len(history) == 8
     shapes = [W.shape for W, _ in final.layers]
@@ -284,8 +284,8 @@ def test_train_round_snapshot_count_and_structure():
 def test_train_round_deterministic():
     pool = blob_pool()
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, seed=5)
-    a_final, a_traj, a_hist = train_round(pool, ModelSpec((2, 8, 2)), cfg)
-    b_final, b_traj, b_hist = train_round(pool, ModelSpec((2, 8, 2)), cfg)
+    a_final, a_traj, a_hist = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
+    b_final, b_traj, b_hist = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
     for (Wa, ba), (Wb, bb) in zip(a_final.layers, b_final.layers):
         assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
     for sa, sb in zip(a_traj.snapshots, b_traj.snapshots):
@@ -309,12 +309,12 @@ def test_out_of_range_label_raises_before_step_zero(forbid_steps, bad):
     pool.labels = pool.labels.copy()
     pool.labels[pool.labeled_idx[5]] = bad
     with pytest.raises(IndexError, match=rf"^label {bad} out of range \[0, 2\)$"):
-        train_round(pool, ModelSpec((2, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1))
+        train_stack([pool], ModelSpec((2, 8, 2)), [TrainConfig(epochs=2, n_checkpoints=1)])
 
 
 def test_feature_width_checked_before_step_zero(forbid_steps):
     with pytest.raises(DimensionError, match=r"pool features \(100, 2\) .* input width 3"):
-        train_round(blob_pool(), ModelSpec((3, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1))
+        train_stack([blob_pool()], ModelSpec((3, 8, 2)), [TrainConfig(epochs=2, n_checkpoints=1)])
 
 
 @pytest.mark.parametrize("lam, rate", [(0.0, 0.0), (0.0, 0.5), (0.1, 0.0), (0.1, 0.5)])
@@ -337,7 +337,7 @@ def test_each_step_goes_through_the_traced_entry_points(monkeypatch, lam, rate):
         monkeypatch.setattr(trainer, name, counting(name))
     pool = blob_pool()
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=lam, seed=0)
-    train_round(pool, ModelSpec((2, 8, 8, 2), dropout_rate=rate), cfg)
+    train_stack([pool], ModelSpec((2, 8, 8, 2), dropout_rate=rate), [cfg])
     steps = cfg.epochs * steps_per_epoch(len(pool.labeled_idx), cfg.batch_size)
     assert calls == {
         "forward": (2 if lam > 0 or rate > 0 else 1) * steps,
@@ -351,7 +351,7 @@ def test_train_round_empty_labeled_errors():
     pool.unlabeled_idx = pool.labeled_idx
     pool.labeled_idx = np.empty(0, dtype=np.int64)
     with pytest.raises(PoolError):
-        train_round(pool, ModelSpec((2, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1))
+        train_stack([pool], ModelSpec((2, 8, 2)), [TrainConfig(epochs=2, n_checkpoints=1)])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -359,7 +359,7 @@ def test_train_round_divergence_names_step():
     pool = blob_pool()
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=1e12, seed=0)
     with pytest.raises(TrainingDiverged, match=r"step \d+"):
-        train_round(pool, ModelSpec((2, 8, 2)), cfg)
+        train_stack([pool], ModelSpec((2, 8, 2)), [cfg])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -370,7 +370,7 @@ def test_divergence_names_non_finite_ce():
     for bad in (np.inf, np.nan):  # ReLU passes NaN through, so both reach the loss
         pool.features[pool.labeled_idx] = bad
         with pytest.raises(TrainingDiverged, match=r"^non-finite CE at step 0 \(lr=0\.01\)$"):
-            train_round(pool, ModelSpec((2, 8, 2)), cfg)
+            train_stack([pool], ModelSpec((2, 8, 2)), [cfg])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -382,7 +382,7 @@ def test_divergence_names_non_finite_mmd_term():
     pool.unlabeled_idx = np.arange(len(pool.features) - 60, len(pool.features))
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel=(1.0,), seed=0)
     with pytest.raises(TrainingDiverged, match=r"^non-finite MMD\^2 term at step 0 \(lr=0\.001\)$"):
-        train_round(pool, ModelSpec((2, 8, 2)), cfg)
+        train_stack([pool], ModelSpec((2, 8, 2)), [cfg])
 
 
 def test_divergence_names_non_finite_gradient(monkeypatch):
@@ -396,7 +396,7 @@ def test_divergence_names_non_finite_gradient(monkeypatch):
     monkeypatch.setattr(trainer, "backward", nan_backward)
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=0.0, seed=0)
     with pytest.raises(TrainingDiverged, match=r"^non-finite gradient at step 0 \(lr=0\.001\)$"):
-        train_round(blob_pool(), ModelSpec((2, 8, 2)), cfg)
+        train_stack([blob_pool()], ModelSpec((2, 8, 2)), [cfg])
 
 
 def ce_only_reference(pool, sizes, cfg):
@@ -426,7 +426,7 @@ def ce_only_reference(pool, sizes, cfg):
 def test_lambda_zero_bit_identical_to_plain_ce():
     pool = blob_pool(seed=3)
     cfg = TrainConfig(epochs=6, batch_size=16, n_checkpoints=3, mmd_weight=0.0, seed=11)
-    final, _, history = train_round(pool, ModelSpec((2, 8, 2)), cfg)
+    final, _, history = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
     ref = ce_only_reference(pool, (2, 8, 2), cfg)
     for (W, b), (Wr, br) in zip(final.layers, ref.layers):
         assert np.array_equal(W, Wr)
@@ -446,17 +446,17 @@ def full_step_reference(pool, spec, cfg):
     both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
     spe = steps_per_epoch(len(labeled), cfg.batch_size)
     snap_at = set(snapshot_steps(cfg.epochs, spe, cfg.n_checkpoints))
-    kernel, snaps = None, []
+    sigmas, snaps = None, []
     for step in range(cfg.epochs * spe):
         lr = old_cyclic_lr(step, spe, cfg)
         idx_l = rng_batch.choice(labeled, size=cfg.batch_size, replace=len(labeled) < cfg.batch_size)
         idx_p = rng_batch.choice(both, size=cfg.batch_size, replace=len(both) < cfg.batch_size)
         Z_l, logits, cache_l = forward(params, pool.features[idx_l], train_mode=True, rng=rng_drop)
         Z_p, _, cache_p = forward(params, pool.features[idx_p], train_mode=True, rng=rng_drop)
-        if kernel is None:
-            kernel = KernelSpec.single(median_heuristic(Z_p))
+        if sigmas is None:
+            sigmas = (median_heuristic(Z_p),)
         _, _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
-        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, kernel.bandwidths)
+        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
         if cfg.mmd_weight > 0:
             grads = backward(params, cache_l, dlogits, dZ=cfg.mmd_weight * dZ_l)
             grads_p = backward(params, cache_p, np.zeros_like(logits), dZ=cfg.mmd_weight * dZ_p)
@@ -497,7 +497,7 @@ def test_trimmed_step_bit_identical_to_full_step(sizes, split_at, rate, lam, see
     cfg = TrainConfig(
         epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam, n_checkpoints=2, seed=seed
     )
-    final, traj, _ = train_round(pool, spec, cfg)
+    final, traj, _ = train_stack([pool], spec, [cfg])[0]
     ref_final, ref_snaps = full_step_reference(pool, spec, cfg)
     for got, want in zip([final.layers, *[s.layers for s in traj.snapshots]], [ref_final, *ref_snaps]):
         for (W, b), (W_ref, b_ref) in zip(got, want, strict=True):
@@ -532,7 +532,7 @@ def test_train_round_loss_decreases_with_regularizer():
         cfg = TrainConfig(
             epochs=20, batch_size=4, base_lr=0.05, mmd_weight=0.1, n_checkpoints=5, seed=seed
         )
-        _, _, history = train_round(pool, ModelSpec((2, 8, 2)), cfg)
+        _, _, history = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
         assert history[-1].mean_ce < history[0].mean_ce, f"seed {seed}"
         assert history[-1].mean_mmd2 < history[0].mean_mmd2, f"seed {seed}"
 
@@ -542,7 +542,7 @@ def test_median_kernel_frozen_at_first_batch():
     # if the frozen median equals that bandwidth; verify freeze by replaying
     pool = blob_pool(seed=6)
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, seed=21, kernel="median")
-    final_a, _, hist_a = train_round(pool, ModelSpec((2, 8, 2)), cfg)
+    final_a, _, hist_a = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
 
     # replay the first step's draws to recover the frozen bandwidth
     from allab.mmd import median_heuristic
@@ -560,10 +560,17 @@ def test_median_kernel_frozen_at_first_batch():
     cfg_explicit = TrainConfig(
         epochs=4, batch_size=16, n_checkpoints=2, seed=21, kernel=(sigma,)
     )
-    final_b, _, hist_b = train_round(pool, ModelSpec((2, 8, 2)), cfg_explicit)
+    final_b, _, hist_b = train_stack([pool], ModelSpec((2, 8, 2)), [cfg_explicit])[0]
     assert hist_a == hist_b
     for (Wa, _), (Wb, _) in zip(final_a.layers, final_b.layers):
         assert np.array_equal(Wa, Wb)
+
+
+def test_kernel_names_resolve_to_the_median_or_the_three_scale_set():
+    Z = np.array([[0.0], [0.8]])  # one pairwise distance, so the median is 0.8
+    assert _resolve_kernel(TrainConfig(kernel="median"), Z) == (0.8,)
+    assert _resolve_kernel(TrainConfig(kernel="median3"), Z) == (0.4, 0.8, 1.6)
+    assert _resolve_kernel(TrainConfig(kernel=(0.5, 2)), Z) == (0.5, 2.0)
 
 
 # ---- stacks ----------------------------------------------------------------
@@ -626,7 +633,7 @@ def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, ke
         streams = RecordedStreams(mp)
         stacked = train_stack(pools, spec, configs)
         stacked_streams = streams.take()
-        alone = [train_round(p, spec, c) for p, c in zip(pools, configs)]
+        alone = [train_stack([p], spec, [c])[0] for p, c in zip(pools, configs)]
         alone_streams = streams.take()
 
     for (final, traj, history), (final_a, traj_a, history_a) in zip(stacked, alone, strict=True):
