@@ -125,7 +125,7 @@ def bald_acquire(
     ``model.dropout_probs``: the same draws and probabilities as ``passes``
     train-mode ``forward`` calls, with the first layer computed once.
     """
-    if final.dropout_rate <= 0:
+    if final.spec.dropout_rate <= 0:
         raise ValueError("bald_acquire requires a model with dropout_rate > 0")
     if passes < 2:
         raise ValueError(f"bald_acquire needs at least 2 passes, got {passes}")

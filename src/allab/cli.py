@@ -30,6 +30,14 @@ from .gradcheck import DEFAULT_TOL, run_gradcheck
 OUT_ENV = "ALLAB_OUT"  # default output directory when --out is not given
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1, so a bad count fails before any work."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="allab",
@@ -45,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker threads over the cells that train alone; stacked cells run in the main thread",
     )

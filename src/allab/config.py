@@ -19,9 +19,8 @@ from .trainer import KERNEL_NAMES, TrainConfig
 
 __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "config_to_json"]
 
-# TrainConfig fields whose JSON key is not their name: the MMD weight is keyed
-# "lambda", and the per-cell seed is derived, never configured (no key)
-_TRAIN_KEYS = {"mmd_weight": "lambda", "seed": None}
+# TrainConfig fields whose JSON key is not their name: the MMD weight is keyed "lambda"
+_TRAIN_KEYS = {"mmd_weight": "lambda"}
 
 _fields = cache(fields)  # dataclasses.fields rebuilds its tuple on every call
 
@@ -104,14 +103,14 @@ class _Node:
         """One ``cls`` from this object's keys.
 
         Fields in ``given`` are taken as passed.  Every other field is read
-        from its key (its name, or ``keys[name]``; None for a field that is
-        never configured) and coerced to its annotation; an absent key leaves
-        the field's default, and a field without one is required.  Invariants
-        that ``cls`` raises as ValueError get this object's path.
+        from its key (its name, or ``keys[name]``) and coerced to its
+        annotation; an absent key leaves the field's default, and a field
+        without one is required.  Invariants that ``cls`` raises as
+        ValueError get this object's path.
         """
         for f in _fields(cls):
             key = keys.get(f.name, f.name) if keys else f.name
-            if key is None or f.name in given:
+            if f.name in given:
                 continue
             if key in self._data:
                 given[f.name] = _coerce(self._data.pop(key), f.type, f"{self._path}.{key}")
@@ -251,7 +250,5 @@ def config_to_json(cfg: ExperimentConfig) -> str:
     """Deterministic, fully-resolved JSON echo of a config."""
     data = asdict(cfg)
     for name, key in _TRAIN_KEYS.items():
-        value = data["train"].pop(name)
-        if key is not None:
-            data["train"][key] = value
+        data["train"][key] = data["train"].pop(name)
     return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -220,16 +220,14 @@ def synth_blobs(
     )
 
 
-def standardize(
-    dataset: Dataset, stats_rows: np.ndarray | None = None
-) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Per-feature standardization x' = (x - mean) / std applied to all rows.
+def standardize(X: np.ndarray, stats_rows: np.ndarray | None = None) -> np.ndarray:
+    """Per-feature standardization x' = (x - mean) / std of every row of X,
+    as a new array.
 
     Statistics come from ``stats_rows`` (default: every row); std is the
     population convention (divide by n).  Features with zero std are left
     untouched (neither centered nor scaled).
     """
-    X = dataset.features
     # the std is computed in place on a copy of the statistics rows, step for
     # step as ndarray.std does it (so bit for bit), and the copy is freed
     # before the output is built
@@ -242,11 +240,4 @@ def standardize(
     constant = std == 0.0
     scaled = np.subtract(X, np.where(constant, 0.0, mean))
     scaled /= np.where(constant, 1.0, std)
-    out = Dataset(
-        features=scaled,
-        labels=dataset.labels,
-        class_count=dataset.class_count,
-        designated_test_idx=dataset.designated_test_idx,
-        label_names=dataset.label_names,
-    )
-    return out, mean, std
+    return scaled

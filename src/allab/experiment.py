@@ -112,8 +112,7 @@ def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> Poo
         stats_rows = np.sort(np.concatenate([start.labeled_idx, start.unlabeled_idx]))
     else:  # labeled
         stats_rows = start.labeled_idx
-    scaled, _, _ = standardize(dataset, stats_rows)
-    return replace(start, features=scaled.features)
+    return replace(start, features=standardize(dataset.features, stats_rows))
 
 
 def make_output_dir(cfg: ExperimentConfig) -> Path:
@@ -172,12 +171,9 @@ def _run_round(
     acquire ``budget`` new labels.  What each cell is evaluated and scored
     with comes from its method's entry in ``acquisition.METHODS``."""
     started = time.monotonic()
-    configs = [
-        replace(cfg.train, mmd_weight=group.mmd_weight,
-                seed=derive_int(cfg.master_seed, "train", c.method, c.repeat, t))
-        for c in group.cells
-    ]
-    trained = train_stack([c.pool for c in group.cells], group.spec, configs)
+    train = replace(cfg.train, mmd_weight=group.mmd_weight)
+    seeds = [derive_int(cfg.master_seed, "train", c.method, c.repeat, t) for c in group.cells]
+    trained = train_stack([c.pool for c in group.cells], group.spec, train, seeds)
     train_s = time.monotonic() - started
     for c, (final, trajectory, _) in zip(group.cells, trained):
         rules = METHODS[c.method]

@@ -138,7 +138,7 @@ def _composite_instance(seed: int):
     """A [4, 8, 3] network plus batches whose pre-activations avoid the relu kink."""
     for attempt in range(100):
         rng = derive_rng(seed, "gradcheck", attempt)
-        params = init_mlp((4, 8, 3), split_index=1, dropout_rate=0.0, rng=rng)
+        params = init_mlp(ModelSpec((4, 8, 3), split_index=1), rng)
         X_l = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, size=5)
         X_p = rng.standard_normal((5, 4)) + 0.3

@@ -14,11 +14,12 @@ max(x, 0), so a NaN feature stays NaN through the network and shows up as a
 non-finite loss; it is not zeroed away.  Data files are checked for
 non-finite cells when they are loaded.
 
-An ``MlpParams`` keeps every weight and bias in one contiguous float64
-vector, ``flat``, and its ``layers`` are (W, b) views into it, so the trainer
-updates all of them in one vectorized step.  Its shapes are checked once,
-when it is built, and ``forward`` and ``dropout_probs`` check their input;
-the per-layer math is the ``layers`` primitives, which re-check nothing.
+An ``MlpParams`` is a ``ModelSpec`` (layer sizes, split, dropout rate) plus
+one contiguous float64 vector, ``flat``, of every weight and bias; its
+``layers`` are (W, b) views into it, so the trainer updates all of them in
+one vectorized step.  The vector's length is checked against the spec when
+it is built, and ``forward`` and ``dropout_probs`` check their input; the
+per-layer math is the ``layers`` primitives, which re-check nothing.
 ``backward`` writes the gradients into an ``MlpParams`` of the same layout
 (see ``zeros_like``), or adds them to one.
 
@@ -27,8 +28,8 @@ A stack of R cells' parameters is an ``MlpParams`` whose ``flat`` is an
 (R, d_i, d_{i+1}) and b as (R, d_{i+1}).  ``forward`` and ``backward`` run a
 stack on (R, n, d) batches with the same code, since the ``layers``
 primitives take a leading stack axis, and cell r's results are bit for bit
-those of running cell r alone.  ``stack`` builds one from single cells and ``cell``
-reads one back.
+those of running cell r alone.  ``stack`` builds one from single cells of one
+spec and ``cell`` reads one back.
 
 A checkpoint is an ``MlpParams`` whose vector is a read-only copy, so later
 training steps cannot reach it and anything that writes to it raises.  A
@@ -86,56 +87,31 @@ class ModelSpec:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
 
+    @property
+    def n_params(self) -> int:
+        """The length of one model's parameter vector, ``MlpParams.flat``."""
+        s = self.layer_sizes
+        return sum((d_in + 1) * d_out for d_in, d_out in zip(s[:-1], s[1:]))
+
 
 class MlpParams:
-    """Layer weights and biases in one contiguous float64 vector, plus the feature split.
+    """A model's parameters: its ``spec`` and one contiguous float64 vector.
 
     ``flat`` holds layer by layer each W (row-major) and then its b.
     ``layers[i]`` is (W, b), views into ``flat`` with W of shape
-    (d_i, d_{i+1}) and b of shape (d_{i+1},); ``layer_sizes`` is
-    (d_0, ..., d_L).  Built from a list of (W, b) pairs, it copies them into
-    a new vector and raises DimensionError unless their shapes chain, or
-    ValueError unless ``split_index`` leaves a nonempty head;
-    :meth:`of_flat` wraps an existing vector, or an (R, P) stack of them.
-    Mutated in place only by the trainer; a :func:`snapshot`'s vector and
-    views are read-only.
+    (d_i, d_{i+1}) and b of shape (d_{i+1},), where ``spec.layer_sizes`` is
+    (d_0, ..., d_L).  ``flat`` is wrapped, not copied: (P,) for one model,
+    (R, P) for a stack of R; a vector of any other length than ``spec``'s
+    parameter count raises DimensionError.  Mutated in place only by the
+    trainer; a :func:`snapshot`'s vector and views are read-only.
     """
 
-    def __init__(self, layers, split_index: int, dropout_rate: float = 0.0):
-        pairs = [(np.asarray(W, np.float64), np.asarray(b, np.float64)) for W, b in layers]
-        sizes = _chained_sizes(pairs)
-        if not 1 <= split_index < len(pairs):
-            raise ValueError(f"split_index must be in [1, {len(pairs)}), got {split_index}")
-        flat = np.concatenate([a.ravel() for pair in pairs for a in pair])
-        self._wrap(flat, sizes, split_index, dropout_rate)
-
-    @classmethod
-    def of_flat(cls, flat, layer_sizes, split_index: int, dropout_rate: float = 0.0):
-        """Parameters whose vector is ``flat`` itself, not a copy: (P,) for one
-        model, (R, P) for a stack of R."""
-        params = cls.__new__(cls)
-        params._wrap(flat, tuple(layer_sizes), split_index, dropout_rate)
-        return params
-
-    def _wrap(self, flat, layer_sizes, split_index, dropout_rate):
-        self.layer_sizes = layer_sizes
+    def __init__(self, spec: ModelSpec, flat: np.ndarray):
+        if flat.ndim not in (1, 2) or flat.shape[-1] != spec.n_params:
+            raise DimensionError(f"parameters {flat.shape} do not fit layer sizes {spec.layer_sizes}")
+        self.spec = spec
         self.flat = flat
-        self.layers = _views(flat, layer_sizes)
-        self.split_index = split_index
-        self.dropout_rate = dropout_rate
-
-
-def _chained_sizes(pairs) -> tuple[int, ...]:
-    """(d_0, ..., d_L) of (W, b) pairs with W (d_i, d_{i+1}) and b (d_{i+1},),
-    or DimensionError."""
-    if pairs and all(W.ndim == 2 for W, _ in pairs):
-        sizes = (pairs[0][0].shape[0], *(W.shape[1] for W, _ in pairs))
-        if all(
-            W.shape == shape and b.shape == shape[1:]
-            for (W, b), shape in zip(pairs, zip(sizes[:-1], sizes[1:]))
-        ):
-            return sizes
-    raise DimensionError(f"layer shapes {[(W.shape, b.shape) for W, b in pairs]} do not chain")
+        self.layers = _views(flat, spec.layer_sizes)
 
 
 def _views(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -159,8 +135,7 @@ class CheckpointSet:
     def __post_init__(self):
         if len(self.snapshots) == 0:
             raise ValueError("CheckpointSet must be nonempty")
-        shapes = [tuple(W.shape for W, _ in s.layers) for s in self.snapshots]
-        if any(sh != shapes[0] for sh in shapes):
+        if any(s.spec != self.snapshots[0].spec for s in self.snapshots):
             raise ValueError("snapshots are not structurally identical")
 
     def __len__(self) -> int:
@@ -176,27 +151,19 @@ class ForwardCache:
     dropout_masks: list[np.ndarray | None] = field(default_factory=list)
 
 
-def init_mlp(
-    layer_sizes,
-    split_index: int,
-    dropout_rate: float,
-    rng: np.random.Generator,
-) -> MlpParams:
+def init_mlp(spec: ModelSpec, rng: np.random.Generator) -> MlpParams:
     """Fresh parameters: ReLU-scaled Gaussian weights (variance 2/fan_in), zero biases."""
-    spec = ModelSpec(tuple(layer_sizes), split_index, dropout_rate)
-    layers = []
-    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
-        W = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-        b = np.zeros(fan_out)
-        layers.append((W, b))
-    return MlpParams(layers, spec.split_index, spec.dropout_rate)
+    params = MlpParams(spec, np.zeros(spec.n_params))
+    for W, _ in params.layers:
+        W[...] = rng.standard_normal(W.shape) * np.sqrt(2.0 / W.shape[0])
+    return params
 
 
 def _checked_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
     """X as float64: (n, d_0) for one model, (R, n, d_0) for a stack of R."""
     X = np.asarray(X, dtype=np.float64)
-    lead = params.flat.shape[:-1]
-    if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != params.layer_sizes[0]:
+    lead, width = params.flat.shape[:-1], params.spec.layer_sizes[0]
+    if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != width:
         raise DimensionError(
             f"input {X.shape} does not match first layer {params.layers[0][0].shape}"
         )
@@ -217,6 +184,7 @@ def forward(
     ``rng`` one generator per cell (see ``layers.dropout``).
     """
     a = _checked_input(params, X)
+    spec = params.spec
     cache = ForwardCache()
     *hidden, (W_out, b_out) = params.layers
     for i, (W, b) in enumerate(hidden, start=1):  # one of them is split_index
@@ -224,9 +192,9 @@ def forward(
         pre = affine_forward(a, W, b)
         cache.pre_activations.append(pre)
         h = relu(pre)
-        if i == params.split_index:
+        if i == spec.split_index:
             Z = h
-        a, mask = dropout(h, params.dropout_rate, rng=rng, train_mode=train_mode)
+        a, mask = dropout(h, spec.dropout_rate, rng=rng, train_mode=train_mode)
         cache.dropout_masks.append(mask)
     cache.inputs.append(a)
     logits = affine_forward(a, W_out, b_out)
@@ -259,11 +227,11 @@ def backward(
     the labeled batch's this way, bit for bit ``dW + dW_pool``.  Layers the
     pass does not reach are left as they are.
     """
-    n_layers = len(params.layers)
+    n_layers, split = len(params.layers), params.spec.split_index
     if dlogits is None:
         if dZ is None:
             raise ValueError("backward needs dlogits, dZ or both")
-        top, upstream = params.split_index, None
+        top, upstream = split, None
     else:
         top, upstream = n_layers, dlogits
     grads = (zeros_like(params) if out is None else out).layers[:top]
@@ -273,7 +241,7 @@ def backward(
             mask = cache.dropout_masks[i - 1]
             if mask is not None and upstream is not None:
                 upstream = upstream * mask
-            if dZ is not None and i == params.split_index:
+            if dZ is not None and i == split:
                 upstream = dZ if upstream is None else upstream + dZ
             upstream = relu_backward(cache.pre_activations[i - 1], upstream)
         if add:
@@ -293,36 +261,31 @@ def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return softmax(logits)
 
 
-def _like(params: MlpParams, flat: np.ndarray) -> MlpParams:
-    return MlpParams.of_flat(flat, params.layer_sizes, params.split_index, params.dropout_rate)
-
-
 def snapshot(params: MlpParams) -> MlpParams:
     """One copy of the parameter vector; it and its (W, b) views are read-only."""
-    snap = _like(params, params.flat.copy())
-    for array in (snap.flat, *(a for pair in snap.layers for a in pair)):
-        array.flags.writeable = False
-    return snap
+    flat = params.flat.copy()
+    flat.flags.writeable = False  # and so are the views of it
+    return MlpParams(params.spec, flat)
 
 
 def zeros_like(params: MlpParams) -> MlpParams:
     """Zero parameters laid out like ``params``: a gradient buffer for :func:`backward`."""
-    return _like(params, np.zeros_like(params.flat))
+    return MlpParams(params.spec, np.zeros_like(params.flat))
 
 
 def stack(cells) -> MlpParams:
-    """The stack of single models laid out alike: row r of ``flat`` is a copy of
+    """The stack of single models of one spec: row r of ``flat`` is a copy of
     ``cells[r].flat``."""
-    first = cells[0]
-    if any(c.layer_sizes != first.layer_sizes for c in cells):
-        raise DimensionError("the cells of a stack need the same layer sizes")
-    return _like(first, np.stack([c.flat for c in cells]))
+    spec = cells[0].spec
+    if any(c.spec != spec for c in cells):
+        raise DimensionError("a stack's cells need the same layer sizes, split and dropout rate")
+    return MlpParams(spec, np.stack([c.flat for c in cells]))
 
 
 def cell(params: MlpParams, r: int) -> MlpParams:
     """Cell r of a stack: its row of ``flat``, a view, not a copy.  A single
     model is a stack of one."""
-    return _like(params, params.flat.reshape(-1, params.flat.shape[-1])[r])
+    return MlpParams(params.spec, params.flat.reshape(-1, params.flat.shape[-1])[r])
 
 
 def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
@@ -352,7 +315,7 @@ def dropout_probs(
     """
     X = _checked_input(params, X)
     n, n_layers = X.shape[0], len(params.layers)
-    rate = params.dropout_rate
+    rate = params.spec.dropout_rate
     W1, b1 = params.layers[0]
     first = relu(affine_forward(X, W1, b1))
     later = params.layers[1:]

@@ -19,8 +19,9 @@ indices, each from the "batch" stream exactly as
 it; the pool batch is drawn even when ``mmd_weight`` is 0.  Dropout masks,
 when the model has a positive rate, come from the separate "dropout" stream,
 one draw per hidden layer per forward pass, labeled batch first.  Parameter
-initialization uses the "init" stream.  All three streams derive from
-``TrainConfig.seed``.
+initialization uses the "init" stream.  All three streams derive from the
+cell's seed, which ``train_stack`` takes per cell next to the one
+``TrainConfig`` of the round.
 
 ``train_stack`` trains one such cell, or several in lockstep.  Every cell
 keeps its own three streams and consumes each of them exactly as it would
@@ -50,7 +51,7 @@ step; the step then calls ``layers.softmax_cross_entropy`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +100,6 @@ class TrainConfig:
     n_checkpoints: int = 5
     lr_floor_ratio: float = 0.1
     kernel: str | tuple[float, ...] = "median"
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 2 or self.epochs % 2 != 0:
@@ -252,17 +252,18 @@ def _check_cell(pool, model_spec: ModelSpec) -> np.ndarray:
 def train_stack(
     pools,
     model_spec: ModelSpec,
-    configs,
+    config: TrainConfig,
+    seeds,
 ) -> list[tuple[MlpParams, CheckpointSet, list[EpochStats]]]:
-    """Train one fresh model per (pool, config) cell, all cells in lockstep.
+    """Train one fresh model per (pool, seed) cell, all cells in lockstep.
 
-    The configs may differ only in ``seed`` and the pools' labeled sets must
-    have one size, so every cell runs the same steps at the same rates.  Each
+    The cells share ``config`` and the pools' labeled sets must have one
+    size, so every cell runs the same steps at the same rates.  Each
     step draws every cell's batches from the cell's own streams, gathers them
     into (R, batch, d) stacks and runs the forward pass, loss, MMD^2 term,
     backward pass and SGD update once for all R cells, each with its own
     kernel bandwidths.  Returns per cell, in order, bit for bit what training
-    that cell alone (``train_stack([pool], model_spec, [config])[0]``)
+    that cell alone (``train_stack([pool], model_spec, config, [seed])[0]``)
     returns: the final parameters, the checkpoint trajectory (exactly
     ``n_checkpoints`` snapshots at the documented cycle-end steps) and the
     per-epoch mean CE / mean MMD^2 / learning-rate history.  Unless given
@@ -270,11 +271,8 @@ def train_stack(
     first pool batch's features, frozen for the whole round.  A cell whose
     loss, MMD^2 term or gradient goes non-finite stops the whole stack.
     """
-    if len(pools) != len(configs) or not pools:
-        raise ValueError(f"need one config per pool, got {len(pools)} pools and {len(configs)} configs")
-    config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("the cells of a stack may differ only in their seeds")
+    if len(pools) != len(seeds) or not pools:
+        raise ValueError(f"need one seed per pool, got {len(pools)} pools and {len(seeds)} seeds")
     labeled = [_check_cell(pool, model_spec) for pool in pools]
     if len({len(idx) for idx in labeled}) != 1:
         raise ValueError(
@@ -290,13 +288,9 @@ def train_stack(
     # several cells are stacked on a leading axis; one cell runs on plain 2-D
     # arrays, since the stack axis adds a fixed cost to every numpy call
     lead = (R,) if R > 1 else ()
-    rngs_batch = [derive_rng(c.seed, "batch") for c in configs]
-    rngs_drop = [derive_rng(c.seed, "dropout") for c in configs]
-    inits = [
-        init_mlp(model_spec.layer_sizes, model_spec.split_index, model_spec.dropout_rate,
-                 derive_rng(c.seed, "init"))
-        for c in configs
-    ]
+    rngs_batch = [derive_rng(seed, "batch") for seed in seeds]
+    rngs_drop = [derive_rng(seed, "dropout") for seed in seeds]
+    inits = [init_mlp(model_spec, derive_rng(seed, "init")) for seed in seeds]
     params = stack(inits) if lead else inits[0]
     cells = [cell(params, r) for r in range(R)]  # views that follow the in-place updates
     grad, scratch = zeros_like(params), np.empty_like(params.flat)

@@ -141,7 +141,7 @@ def test_criterion_3_acquisition_oracles():
     for _ in range(50):
         d, C = int(rng.integers(3, 7)), int(rng.integers(2, 6))
         pool = _toy_pool(rng, int(rng.integers(20, 81)), d, C)
-        params = init_mlp((d, 8, C), split_index=1, dropout_rate=0.0, rng=rng)
+        params = init_mlp(ModelSpec((d, 8, C), 1, 0.0), rng)
         budget = int(rng.integers(1, 11))
         a = mpts_acquire(CheckpointSet((snapshot(params),)), pool, budget)
         b = entropy_acquire(params, pool, budget)
@@ -152,7 +152,7 @@ def test_criterion_3_acquisition_oracles():
     for _ in range(50):
         d, C = int(rng.integers(2, 6)), int(rng.integers(2, 5))
         pool = _toy_pool(rng, int(rng.integers(5, 38)), d, C)  # n_unlabeled <= 50
-        params = init_mlp((d, 6, C), split_index=1, dropout_rate=0.0, rng=rng)
+        params = init_mlp(ModelSpec((d, 6, C), 1, 0.0), rng)
         budget = int(rng.integers(1, min(6, len(pool.unlabeled_idx)) + 1))
         got = coreset_acquire(params, pool, budget)
         assert np.array_equal(got.selected, _coreset_brute(params, pool, budget))
@@ -162,7 +162,7 @@ def test_criterion_3_acquisition_oracles():
     for i in range(20):
         d, C = int(rng.integers(3, 7)), int(rng.integers(2, 6))
         pool = _toy_pool(rng, int(rng.integers(15, 40)), d, C)
-        params = init_mlp((d, 10, C), split_index=1, dropout_rate=0.5, rng=rng)
+        params = init_mlp(ModelSpec((d, 10, C), 1, 0.5), rng)
         passes, budget = 7, 5
         got = bald_acquire(params, pool, budget, passes, derive_rng(900 + i, "bald"))
         replay = derive_rng(900 + i, "bald")
@@ -316,17 +316,17 @@ def test_criterion_6_image_benchmark(tmp_path):
 # --- criterion 7: checkpoint schedule and zero-weight equivalence ---
 
 
-def _ce_only_reference(pool: PoolState, layer_sizes, cfg: TrainConfig):
+def _ce_only_reference(pool: PoolState, layer_sizes, cfg: TrainConfig, seed: int):
     """Plain-CE training loop written from the documented contract, with no
     regularizer machinery at all.  Returns (layers, snapshots, snapshot steps)."""
     labeled = np.asarray(pool.labeled_idx)
     both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
-    r_init = derive_rng(cfg.seed, "init")
+    r_init = derive_rng(seed, "init")
     layers = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         layers.append((r_init.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in),
                        np.zeros(fan_out)))
-    r_batch = derive_rng(cfg.seed, "batch")
+    r_batch = derive_rng(seed, "batch")
 
     spe = max(1, -(-len(labeled) // cfg.batch_size))
     half = (cfg.epochs // 2) * spe
@@ -402,15 +402,15 @@ def test_criterion_7_checkpoint_schedule():
                      np.empty(0, dtype=np.int64))
 
     cfg = TrainConfig(epochs=100, base_lr=0.005, batch_size=10, mmd_weight=0.0,
-                      weight_decay=1e-4, n_checkpoints=5, seed=3)
+                      weight_decay=1e-4, n_checkpoints=5)
     # 40 labeled / batch 10 -> 4 steps per epoch, 400 total; the second half
     # splits into 5 cycles of 40 with a snapshot after each cycle's last step
     assert snapshot_steps(100, 4, 5) == [239, 279, 319, 359, 399]
 
-    final, traj, _ = train_stack([pool], ModelSpec((d, 12, C), split_index=1), [cfg])[0]
+    final, traj, _ = train_stack([pool], ModelSpec((d, 12, C), split_index=1), cfg, [3])[0]
     assert len(traj) == 5
 
-    ref_layers, ref_snaps, ref_steps = _ce_only_reference(pool, (d, 12, C), cfg)
+    ref_layers, ref_snaps, ref_steps = _ce_only_reference(pool, (d, 12, C), cfg, 3)
     assert ref_steps == [239, 279, 319, 359, 399]
     for snap, ref in zip(traj.snapshots, ref_snaps):
         for (W, b), (Wr, br) in zip(snap.layers, ref):

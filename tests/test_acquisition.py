@@ -24,7 +24,7 @@ from allab.acquisition import (
     select_top_k,
 )
 from allab.errors import PoolError
-from allab.model import CheckpointSet, MlpParams, forward, init_mlp, predict_proba, snapshot
+from allab.model import CheckpointSet, MlpParams, ModelSpec, forward, init_mlp, predict_proba, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
 
@@ -32,12 +32,9 @@ from allab.seeding import derive_rng
 def logit_model(W2, dropout_rate=0.0):
     """Two-layer net whose logits for one-hot input e_i are W2[i] (W1 = I)."""
     W2 = np.asarray(W2, dtype=np.float64)
-    d = W2.shape[0]
-    return MlpParams(
-        [(np.eye(d), np.zeros(d)), (W2.copy(), np.zeros(W2.shape[1]))],
-        split_index=1,
-        dropout_rate=dropout_rate,
-    )
+    d, C = W2.shape
+    flat = np.concatenate([np.eye(d).ravel(), np.zeros(d), W2.ravel(), np.zeros(C)])
+    return MlpParams(ModelSpec((d, d, C), split_index=1, dropout_rate=dropout_rate), flat)
 
 
 def make_pool(features, labeled=(), unlabeled=None, class_count=2):
@@ -70,14 +67,14 @@ def entropy_loops(P):
 # ---- avg_predict -----------------------------------------------------------
 
 def test_avg_predict_single_snapshot_is_identity():
-    params = init_mlp([3, 5, 4], 1, 0.0, derive_rng(0))
+    params = init_mlp(ModelSpec([3, 5, 4], 1, 0.0), derive_rng(0))
     X = derive_rng(1).standard_normal((6, 3))
     traj = CheckpointSet((snapshot(params),))
     assert np.array_equal(avg_predict(traj, X), predict_proba(params, X))
 
 
 def test_avg_predict_identical_snapshots_collapse():
-    params = init_mlp([3, 5, 4], 1, 0.0, derive_rng(0))
+    params = init_mlp(ModelSpec([3, 5, 4], 1, 0.0), derive_rng(0))
     X = derive_rng(1).standard_normal((6, 3))
     traj = CheckpointSet(tuple(snapshot(params) for _ in range(4)))
     assert np.allclose(avg_predict(traj, X), predict_proba(params, X), atol=1e-15)
@@ -94,7 +91,7 @@ def test_avg_predict_mean_of_opposed_models():
 
 def test_avg_predict_rows_sum_to_one():
     rng = derive_rng(2)
-    models = [init_mlp([4, 6, 3], 1, 0.0, derive_rng(10 + i)) for i in range(3)]
+    models = [init_mlp(ModelSpec([4, 6, 3], 1, 0.0), derive_rng(10 + i)) for i in range(3)]
     X = rng.standard_normal((50, 4))
     traj = CheckpointSet(tuple(snapshot(m) for m in models))
     P = avg_predict(traj, X)
@@ -185,7 +182,7 @@ def test_top_k_shift_invariance():
 # ---- mpts ------------------------------------------------------------------
 
 def test_mpts_single_checkpoint_matches_entropy_method():
-    params = init_mlp([4, 8, 3], 1, 0.0, derive_rng(6))
+    params = init_mlp(ModelSpec([4, 8, 3], 1, 0.0), derive_rng(6))
     X = derive_rng(7).standard_normal((30, 4))
     pool = make_pool(X, labeled=[0, 1, 2], class_count=3)
     traj = CheckpointSet((snapshot(params),))
@@ -211,7 +208,7 @@ def test_mpts_prefers_point_of_maximal_disagreement():
 
 
 def test_mpts_budget_covers_pool():
-    params = init_mlp([2, 4, 2], 1, 0.0, derive_rng(8))
+    params = init_mlp(ModelSpec([2, 4, 2], 1, 0.0), derive_rng(8))
     X = derive_rng(9).standard_normal((8, 2))
     pool = make_pool(X, labeled=[3])
     traj = CheckpointSet((snapshot(params),))
@@ -220,7 +217,7 @@ def test_mpts_budget_covers_pool():
 
 
 def test_mpts_empty_pool_is_an_error():
-    params = init_mlp([2, 4, 2], 1, 0.0, derive_rng(8))
+    params = init_mlp(ModelSpec([2, 4, 2], 1, 0.0), derive_rng(8))
     pool = make_pool(np.zeros((3, 2)), labeled=[0, 1, 2])
     traj = CheckpointSet((snapshot(params),))
     with pytest.raises(PoolError):
@@ -264,7 +261,7 @@ def test_random_selection_is_distinct_and_unlabeled():
 
 def test_entropy_uniform_model_degenerates_to_tie_rule():
     # zero weights give identical logits everywhere: first k unlabeled win
-    params = MlpParams([(np.zeros((2, 4)), np.zeros(4)), (np.zeros((4, 3)), np.zeros(3))], 1)
+    params = MlpParams(ModelSpec((2, 4, 3), 1), np.zeros(2 * 4 + 4 + 4 * 3 + 3))
     pool = make_pool(derive_rng(14).standard_normal((9, 2)), labeled=[4], class_count=3)
     result = entropy_acquire(params, pool, 3)
     assert result.selected.tolist() == pool.unlabeled_idx[:3].tolist()
@@ -273,11 +270,8 @@ def test_entropy_uniform_model_degenerates_to_tie_rule():
 def test_entropy_boundary_point_outranks_interior():
     # hidden [relu(x), relu(-x)] = (x+, x-); logits (3x, -3x): boundary at 0
     params = MlpParams(
-        [
-            (np.array([[1.0, -1.0]]), np.zeros(2)),
-            (np.array([[3.0, -3.0], [-3.0, 3.0]]), np.zeros(2)),
-        ],
-        split_index=1,
+        ModelSpec((1, 2, 2), split_index=1),
+        np.array([1.0, -1.0, 0.0, 0.0, 3.0, -3.0, -3.0, 3.0, 0.0, 0.0]),
     )
     X = np.array([[0.01], [5.0]])
     pool = make_pool(X)
@@ -300,7 +294,7 @@ def test_bald_identical_passes_score_zero():
 
 def test_bald_vanishing_dropout_limit():
     # rate ~ 0 keeps every unit in every pass, so passes agree exactly
-    params = init_mlp([3, 6, 2], 1, 1e-12, derive_rng(15))
+    params = init_mlp(ModelSpec([3, 6, 2], 1, 1e-12), derive_rng(15))
     pool = make_pool(derive_rng(16).standard_normal((12, 3)), labeled=[0])
     result = bald_acquire(params, pool, 4, 10, derive_rng(17))
     assert np.abs(result.scores).max() <= 1e-14
@@ -312,7 +306,7 @@ def test_bald_maximal_disagreement_is_ln2():
 
 
 def test_bald_matches_brute_force_replay():
-    params = init_mlp([4, 8, 3], 1, 0.5, derive_rng(18))
+    params = init_mlp(ModelSpec([4, 8, 3], 1, 0.5), derive_rng(18))
     pool = make_pool(derive_rng(19).standard_normal((25, 4)), labeled=[1, 2], class_count=3)
     result = bald_acquire(params, pool, 6, 12, derive_rng(20))
 
@@ -333,8 +327,8 @@ def test_bald_matches_brute_force_replay():
 
 
 def test_bald_requires_dropout_and_two_passes():
-    dry = init_mlp([2, 4, 2], 1, 0.0, derive_rng(21))
-    wet = init_mlp([2, 4, 2], 1, 0.5, derive_rng(21))
+    dry = init_mlp(ModelSpec([2, 4, 2], 1, 0.0), derive_rng(21))
+    wet = init_mlp(ModelSpec([2, 4, 2], 1, 0.5), derive_rng(21))
     pool = make_pool(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         bald_acquire(dry, pool, 1, 10, derive_rng(22))
@@ -368,7 +362,7 @@ def coreset_loops(Z_unlabeled, Z_labeled, budget):
 @pytest.mark.parametrize("n,seed", [(20, 23), (20, 24), (50, 25)])
 def test_coreset_matches_brute_force(n, seed):
     rng = derive_rng(seed)
-    params = init_mlp([3, 5, 2], 1, 0.0, derive_rng(100 + seed))
+    params = init_mlp(ModelSpec([3, 5, 2], 1, 0.0), derive_rng(100 + seed))
     X = rng.standard_normal((n, 3))
     labeled = np.arange(4)
     pool = make_pool(X, labeled=labeled)
@@ -418,7 +412,7 @@ def test_coreset_bitwise_equal_to_allocating_loop(n, n_labeled, budget, duplicat
     X = rng.standard_normal((n + n_labeled, 3))
     if duplicates:  # exact ties between points
         X[rng.integers(0, len(X), len(X) // 2)] = X[0]
-    params = init_mlp([3, 6, 2], 1, 0.0, rng)
+    params = init_mlp(ModelSpec([3, 6, 2], 1, 0.0), rng)
     pool = make_pool(X, labeled=np.arange(n_labeled))
     result = coreset_acquire(params, pool, budget)
     dists, selected = coreset_allocating(params, pool, budget)
@@ -428,7 +422,7 @@ def test_coreset_bitwise_equal_to_allocating_loop(n, n_labeled, budget, duplicat
 
 def test_coreset_picks_farthest_point():
     # feature map x -> [relu(x), relu(-x)]: distances equal |x| gaps
-    params = MlpParams([(np.array([[1.0, -1.0]]), np.zeros(2)), (np.eye(2), np.zeros(2))], 1)
+    params = MlpParams(ModelSpec((1, 2, 2), 1), np.array([1.0, -1.0, 0, 0, 1, 0, 0, 1, 0, 0]))
     pool = make_pool(np.array([[0.0], [1.0], [10.0]]), labeled=[0])
     result = coreset_acquire(params, pool, 1)
     assert result.selected.tolist() == [2]
@@ -436,7 +430,7 @@ def test_coreset_picks_farthest_point():
 
 
 def test_coreset_duplicate_of_labeled_goes_last():
-    params = MlpParams([(np.array([[1.0, -1.0]]), np.zeros(2)), (np.eye(2), np.zeros(2))], 1)
+    params = MlpParams(ModelSpec((1, 2, 2), 1), np.array([1.0, -1.0, 0, 0, 1, 0, 0, 1, 0, 0]))
     pool = make_pool(np.array([[5.0], [5.0], [3.0]]), labeled=[0])
     result = coreset_acquire(params, pool, 2)
     assert result.selected.tolist() == [2, 1]
@@ -444,7 +438,7 @@ def test_coreset_duplicate_of_labeled_goes_last():
 
 
 def test_coreset_clamps_budget():
-    params = init_mlp([2, 4, 2], 1, 0.0, derive_rng(26))
+    params = init_mlp(ModelSpec([2, 4, 2], 1, 0.0), derive_rng(26))
     pool = make_pool(derive_rng(27).standard_normal((6, 2)), labeled=[0, 1])
     result = coreset_acquire(params, pool, 50)
     assert sorted(result.selected.tolist()) == sorted(pool.unlabeled_idx.tolist())
@@ -453,7 +447,7 @@ def test_coreset_clamps_budget():
 # ---- dispatcher ------------------------------------------------------------
 
 def test_acquire_routes_every_method():
-    params = init_mlp([2, 4, 2], 1, 0.5, derive_rng(28))
+    params = init_mlp(ModelSpec([2, 4, 2], 1, 0.5), derive_rng(28))
     pool = make_pool(derive_rng(29).standard_normal((15, 2)), labeled=[0, 1])
     traj = CheckpointSet((snapshot(params),))
     for method in METHODS:
@@ -465,7 +459,7 @@ def test_acquire_routes_every_method():
 
 
 def test_acquire_unknown_method():
-    params = init_mlp([2, 4, 2], 1, 0.0, derive_rng(31))
+    params = init_mlp(ModelSpec([2, 4, 2], 1, 0.0), derive_rng(31))
     pool = make_pool(np.zeros((4, 2)))
     traj = CheckpointSet((snapshot(params),))
     with pytest.raises(ValueError, match="margin"):

@@ -226,6 +226,16 @@ def test_run_split_index_beyond_default_hidden_exits_2_before_training(
     assert not (tmp_path / "results" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_jobs_below_one_exits_2_before_any_work(tmp_path, capsys, forbid_training, jobs):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--config", str(cfg), "--jobs", jobs])
+    assert exited.value.code == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("under_file", [False, True])
 def test_run_output_directory_that_cannot_be_made_exits_2_before_training(
     tmp_path, capsys, forbid_training, under_file

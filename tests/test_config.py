@@ -39,6 +39,8 @@ def test_methods_are_required():
 def test_unknown_key_names_its_path():
     with pytest.raises(ConfigError, match=r"\$\.train\.lambda_: unknown key"):
         parse_config({"methods": ["random"], "train": {"lambda_": 0.2}})
+    with pytest.raises(ConfigError, match=r"\$\.train\.seed: unknown key"):
+        parse_config({"methods": ["random"], "train": {"seed": 3}})
     with pytest.raises(ConfigError, match=r"\$\.extra: unknown key"):
         parse_config({"methods": ["random"], "extra": 1})
 

@@ -307,59 +307,48 @@ def test_blobs_rejects_bad_counts():
 
 # ---- standardize -----------------------------------------------------------
 
-def _plain(features):
-    features = np.asarray(features, dtype=np.float64)
-    return Dataset(features, np.zeros(len(features), dtype=np.int64), 1)
-
-
 def test_standardize_hand_fixture_population_std():
-    out, mean, std = standardize(_plain([[0.0], [2.0]]))
-    assert out.features.tolist() == [[-1.0], [1.0]]  # std over n, not n-1
-    assert mean.tolist() == [1.0]
-    assert std.tolist() == [1.0]
+    out = standardize(np.array([[0.0], [2.0]]))
+    assert out.tolist() == [[-1.0], [1.0]]  # std over n, not n-1
 
 
 def test_standardize_constant_feature_untouched():
-    out, _, std = standardize(_plain([[5.0, 1.0], [5.0, 3.0]]))
-    assert out.features[:, 0].tolist() == [5.0, 5.0]
-    assert out.features[:, 1].tolist() == [-1.0, 1.0]
-    assert std[0] == 0.0
+    out = standardize(np.array([[5.0, 1.0], [5.0, 3.0]]))
+    assert out[:, 0].tolist() == [5.0, 5.0]
+    assert out[:, 1].tolist() == [-1.0, 1.0]
 
 
 def test_standardize_idempotent_on_normalized():
     rng = derive_rng(7)
-    out, _, _ = standardize(_plain(rng.standard_normal((200, 3)) * 4 + 1))
-    again, mean2, std2 = standardize(out)
-    assert np.abs(mean2).max() <= 1e-12
-    assert np.abs(std2 - 1.0).max() <= 1e-12
-    assert np.allclose(again.features, out.features, atol=1e-12)
+    out = standardize(rng.standard_normal((200, 3)) * 4 + 1)
+    again = standardize(out)
+    assert np.abs(out.mean(axis=0)).max() <= 1e-12
+    assert np.abs(out.std(axis=0) - 1.0).max() <= 1e-12
+    assert np.allclose(again, out, atol=1e-12)
 
 
 def test_standardize_stats_rows_subset():
     X = np.array([[0.0], [2.0], [100.0]])
-    out, mean, std = standardize(_plain(X), stats_rows=np.array([0, 1]))
-    # statistics from rows {0,1} applied to every row, including row 2
-    assert mean.tolist() == [1.0]
-    assert out.features.tolist() == [[-1.0], [1.0], [99.0]]
+    out = standardize(X, stats_rows=np.array([0, 1]))
+    # statistics from rows {0,1} (mean 1, std 1) applied to every row, including row 2
+    assert out.tolist() == [[-1.0], [1.0], [99.0]]
 
 
-def _reference_standardize(dataset, stats_rows=None):
+def _reference_standardize(X, stats_rows=None):
     """Standardization as it was before the std was computed in place:
     ``src.std`` on the gathered rows and ``(X - m) / s`` in one expression."""
-    X = dataset.features
     src = X if stats_rows is None else X[np.asarray(stats_rows)]
     mean = src.mean(axis=0)
     std = src.std(axis=0)
     constant = std == 0.0
-    return (X - np.where(constant, 0.0, mean)) / np.where(constant, 1.0, std), mean, std
+    return (X - np.where(constant, 0.0, mean)) / np.where(constant, 1.0, std)
 
 
 def _assert_standardize_matches_reference(X, stats_rows):
     before = X.copy()
-    out, mean, std = standardize(_plain(X), stats_rows)
-    ref, ref_mean, ref_std = _reference_standardize(_plain(X), stats_rows)
-    assert out.features.shape == ref.shape and out.features.tobytes() == ref.tobytes()
-    assert mean.tobytes() == ref_mean.tobytes() and std.tobytes() == ref_std.tobytes()
+    out = standardize(X, stats_rows)
+    ref = _reference_standardize(X, stats_rows)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
     assert X.tobytes() == before.tobytes()
 
 

@@ -114,9 +114,9 @@ def test_stacked_round_takes_its_rules_from_the_method_table(monkeypatch):
     # trajectory evaluation; the harness must follow the table, not the name
     seen = []
 
-    def spy_train_stack(pools, spec, configs):
-        out = real_train_stack(pools, spec, configs)
-        seen.extend((spec.dropout_rate, config.mmd_weight) for config in configs)
+    def spy_train_stack(pools, spec, config, seeds):
+        out = real_train_stack(pools, spec, config, seeds)
+        seen.extend((spec.dropout_rate, config.mmd_weight) for _ in seeds)
         return out
 
     def spy_evaluate(predictor, pool):
@@ -255,10 +255,10 @@ def stack_spy(monkeypatch):
 
     calls = []
 
-    def spy(pools, spec, configs):
-        calls.append(([c.seed for c in configs], spec.dropout_rate, configs[0].mmd_weight,
+    def spy(pools, spec, config, seeds):
+        calls.append((list(seeds), spec.dropout_rate, config.mmd_weight,
                       threading.current_thread() is threading.main_thread()))
-        return real(pools, spec, configs)
+        return real(pools, spec, config, seeds)
 
     real = experiment.train_stack
     monkeypatch.setattr(experiment, "train_stack", spy)

@@ -89,11 +89,11 @@ def _features_alive_at_training(monkeypatch, loader_module):
         loaded.append(weakref.ref(dataset.features))
         return dataset
 
-    def spy_train_stack(pools, spec, configs):
+    def spy_train_stack(pools, spec, config, seeds):
         if not alive_at_training:
             gc.collect()
             alive_at_training.append(loaded[0]() is not None)
-        return real_train_stack(pools, spec, configs)
+        return real_train_stack(pools, spec, config, seeds)
 
     monkeypatch.setattr(loader_module, "load_dataset", tracked_load_dataset)
     monkeypatch.setattr(experiment, "train_stack", spy_train_stack)

@@ -29,7 +29,7 @@ from test_layers import fd_grad, rel_err
 
 
 def small_net(seed=0, sizes=(3, 4, 2), split=1, rate=0.0):
-    return init_mlp(sizes, split, rate, derive_rng(seed))
+    return init_mlp(ModelSpec(sizes, split, rate), derive_rng(seed))
 
 
 # ---- spec / init -----------------------------------------------------------
@@ -44,7 +44,7 @@ def test_model_spec_split_bounds():
 
 
 def test_init_shapes_mnist_default():
-    params = init_mlp((784, 128, 10), 1, 0.0, derive_rng(0))
+    params = init_mlp(ModelSpec((784, 128, 10), 1, 0.0), derive_rng(0))
     assert [W.shape for W, _ in params.layers] == [(784, 128), (128, 10)]
     assert [b.shape for _, b in params.layers] == [(128,), (10,)]
     Z, logits, _ = forward(params, np.zeros((2, 784)))
@@ -52,14 +52,14 @@ def test_init_shapes_mnist_default():
 
 
 def test_init_same_seed_identical():
-    a = init_mlp((5, 6, 3), 1, 0.0, derive_rng(9))
-    b = init_mlp((5, 6, 3), 1, 0.0, derive_rng(9))
+    a = init_mlp(ModelSpec((5, 6, 3), 1, 0.0), derive_rng(9))
+    b = init_mlp(ModelSpec((5, 6, 3), 1, 0.0), derive_rng(9))
     for (Wa, ba), (Wb, bb) in zip(a.layers, b.layers):
         assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
 
 
 def test_init_weight_variance():
-    params = init_mlp((1000, 1000, 2), 1, 0.0, derive_rng(1))
+    params = init_mlp(ModelSpec((1000, 1000, 2), 1, 0.0), derive_rng(1))
     W = params.layers[0][0]  # 1e6 entries
     target = 2.0 / 1000
     assert abs(W.var() - target) <= 0.1 * target
@@ -72,7 +72,7 @@ def test_init_weight_variance():
 @given(sizes=st.lists(st.integers(1, 9), min_size=3, max_size=5), seed=st.integers(0, 2**31))
 def test_init_mlp_draws_as_per_layer_code(sizes, seed):
     rng, ref_rng = derive_rng(seed, "init"), derive_rng(seed, "init")
-    params = init_mlp(sizes, 1, 0.0, rng)
+    params = init_mlp(ModelSpec(sizes, 1, 0.0), rng)
     for (W, b), fan_in, fan_out in zip(params.layers, sizes[:-1], sizes[1:], strict=True):
         W_ref = ref_rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
         assert np.array_equal(W.view(np.uint64), W_ref.view(np.uint64))
@@ -83,10 +83,10 @@ def test_init_mlp_draws_as_per_layer_code(sizes, seed):
 @settings(max_examples=40, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=3, max_size=5), seed=st.integers(0, 2**31))
 def test_layers_are_views_of_the_flat_vector(sizes, seed):
-    params = init_mlp(sizes, 1, 0.0, derive_rng(seed, "init"))
+    params = init_mlp(ModelSpec(sizes, 1, 0.0), derive_rng(seed, "init"))
     flat = params.flat
     assert flat.dtype == np.float64 and flat.flags.c_contiguous
-    assert params.layer_sizes == tuple(sizes)
+    assert params.spec.layer_sizes == tuple(sizes)
     pieces = [a for pair in params.layers for a in pair]
     assert all(a.base is flat for a in pieces)
     assert sum(a.size for a in pieces) == flat.size
@@ -99,10 +99,10 @@ def test_layers_are_views_of_the_flat_vector(sizes, seed):
 @settings(max_examples=40, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=3, max_size=5), seed=st.integers(0, 2**31))
 def test_snapshot_is_a_read_only_copy_of_the_vector(sizes, seed):
-    params = init_mlp(sizes, 1, 0.0, derive_rng(seed, "init"))
+    params = init_mlp(ModelSpec(sizes, 1, 0.0), derive_rng(seed, "init"))
     snap = snapshot(params)
     assert np.array_equal(snap.flat.view(np.uint64), params.flat.view(np.uint64))
-    assert snap.layer_sizes == params.layer_sizes
+    assert snap.spec.layer_sizes == params.spec.layer_sizes
     assert not np.shares_memory(snap.flat, params.flat)
     for target in (snap.flat, *(a for pair in snap.layers for a in pair)):
         assert target.base is snap.flat or target is snap.flat
@@ -119,32 +119,38 @@ def test_snapshot_is_a_read_only_copy_of_the_vector(sizes, seed):
         [],
         [(np.zeros((4, 5)), np.zeros(5)), (np.zeros((4, 3)), np.zeros(3))],  # 5 -> 4
         [(np.zeros((4, 5)), np.zeros(4)), (np.zeros((5, 3)), np.zeros(3))],  # bias of 4
-        [(np.zeros((4, 5)), np.zeros((1, 5))), (np.zeros((5, 3)), np.zeros(3))],
+        [(np.zeros((4, 5)), np.zeros(5)), (np.zeros((5, 2)), np.zeros(2))],  # 2 classes
         [(np.zeros(5), np.zeros(5)), (np.zeros((5, 3)), np.zeros(3))],  # 1-D weights
     ],
 )
 def test_hand_built_params_must_chain(layers):
-    with pytest.raises(DimensionError, match="do not chain"):
-        MlpParams(layers, 1)
+    # laid out one after another, pieces that do not chain as (4, 5, 3) leave
+    # a vector of the wrong length for that spec
+    flat = np.concatenate([np.zeros(0), *(a.ravel() for pair in layers for a in pair)])
+    with pytest.raises(DimensionError, match=r"do not fit layer sizes \(4, 5, 3\)"):
+        MlpParams(ModelSpec((4, 5, 3)), flat)
 
 
 @pytest.mark.parametrize("split_index", [0, 2])
 def test_hand_built_params_need_features_and_a_head(split_index):
     with pytest.raises(ValueError, match=r"split_index must be in \[1, 2\)"):
-        MlpParams([(np.ones((2, 3)), np.zeros(3)), (np.ones((3, 2)), np.zeros(2))], split_index)
+        ModelSpec((2, 3, 2), split_index)
 
 
-def test_hand_built_params_are_copied_into_one_vector():
-    W1, b1, W2, b2 = np.ones((2, 3)), np.full(3, 2.0), np.full((3, 1), 3.0), np.full(1, 4.0)
-    params = MlpParams([(W1, b1), (W2, b2)], 1)
-    assert np.array_equal(params.flat, [1.0] * 6 + [2.0] * 3 + [3.0] * 3 + [4.0])
-    assert not any(np.shares_memory(params.flat, a) for a in (W1, b1, W2, b2))
+def test_hand_built_params_wrap_their_vector():
+    flat = np.arange(13.0)
+    params = MlpParams(ModelSpec((2, 3, 1)), flat)
+    assert params.flat is flat
+    assert all(a.base is flat for pair in params.layers for a in pair)
+    assert np.array_equal(params.layers[1][0].ravel(), [9.0, 10.0, 11.0])
+    with pytest.raises(DimensionError):  # neither one model's vector nor a stack of them
+        MlpParams(ModelSpec((2, 3, 1)), np.zeros((2, 1, 13)))
 
 
 # ---- forward ---------------------------------------------------------------
 
 def test_forward_zero_params_uniform():
-    params = MlpParams([(np.zeros((4, 5)), np.zeros(5)), (np.zeros((5, 3)), np.zeros(3))], 1, 0.0)
+    params = MlpParams(ModelSpec((4, 5, 3), 1, 0.0), np.zeros(4 * 5 + 5 + 5 * 3 + 3))
     Z, logits, _ = forward(params, np.ones((2, 4)))
     assert not logits.any() and not Z.any()
     P = predict_proba(params, np.ones((2, 4)))
@@ -239,7 +245,7 @@ def full_backward_reference(params, cache, dlogits, dZ=None):
             mask = cache.dropout_masks[i - 1]
             if mask is not None:
                 upstream = upstream * mask
-            if dZ is not None and i == params.split_index:
+            if dZ is not None and i == params.spec.split_index:
                 upstream = upstream + dZ
             upstream = np.where(cache.pre_activations[i - 1] > 0, upstream, 0.0)
         upstream, dW, db = affine_backward(cache.inputs[i - 1], W, upstream)
@@ -255,7 +261,7 @@ def nets(draw):
     rate = draw(st.sampled_from([0.0, 0.3, 0.5]))
     n = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**31))
-    params = init_mlp(sizes, split, rate, derive_rng(seed, "init"))
+    params = init_mlp(ModelSpec(sizes, split, rate), derive_rng(seed, "init"))
     rng = derive_rng(seed, "data")
     X = rng.standard_normal((n, sizes[0]))
     Z, logits, cache = forward(params, X, train_mode=True, rng=derive_rng(seed, "dropout"))
@@ -268,7 +274,7 @@ def test_feature_only_backward_equals_zero_dlogits_backward(net):
     params, cache, _, dZ = net
     got = backward(params, cache, None, dZ=dZ)
     want = full_backward_reference(params, cache, np.zeros_like(cache.pre_activations[-1]), dZ)
-    assert len(got) == params.split_index
+    assert len(got) == params.spec.split_index
     for (dW, db), (dW_ref, db_ref) in zip(got, want):
         assert np.array_equal(dW, dW_ref) and np.array_equal(db, db_ref)
 
@@ -316,7 +322,7 @@ def test_snapshot_restore_roundtrip():
     X = derive_rng(16).standard_normal((5, 3))
     snap = snapshot(params)
     assert isinstance(snap, MlpParams)
-    assert (snap.split_index, snap.dropout_rate) == (2, 0.25)
+    assert (snap.spec.split_index, snap.spec.dropout_rate) == (2, 0.25)
     for (W, b), (Ws, bs) in zip(params.layers, snap.layers, strict=True):
         assert np.array_equal(W, Ws) and np.array_equal(b, bs)
         assert not np.shares_memory(W, Ws) and not np.shares_memory(b, bs)
@@ -376,9 +382,7 @@ def avg_predict_by_copies(trajectory, X):
     parameters, then predicted from."""
     acc = None
     for snap in trajectory.snapshots:
-        params = MlpParams(
-            [(W.copy(), b.copy()) for W, b in snap.layers], snap.split_index, snap.dropout_rate
-        )
+        params = MlpParams(snap.spec, snap.flat.copy())
         P = predict_proba(params, X)
         acc = P if acc is None else acc + P
     return acc / len(trajectory)
@@ -395,7 +399,7 @@ def avg_predict_by_copies(trajectory, X):
 def test_avg_predict_on_read_only_snapshots_matches_copies(sizes, n_snaps, n, scale, seed):
     rng = derive_rng(seed)
     d, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
-    params = init_mlp((d, *sizes, C), int(rng.integers(1, len(sizes) + 1)), 0.0, rng)
+    params = init_mlp(ModelSpec((d, *sizes, C), int(rng.integers(1, len(sizes) + 1)), 0.0), rng)
     snaps = []
     for _ in range(n_snaps):
         for W, b in params.layers:  # move the weights between checkpoints
@@ -430,7 +434,7 @@ def dropout_probs_reference(params, X, passes, rng):
 def test_dropout_probs_equals_forward_per_pass(hidden, rate, n, passes, scale, special, seed):
     rng = derive_rng(seed, "init")
     d, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
-    params = init_mlp((d, *hidden, C), 1, rate, rng)
+    params = init_mlp(ModelSpec((d, *hidden, C), 1, rate), rng)
     X = scale * rng.standard_normal((n, d))
     if special is not None:  # signed zeros and non-finite values through the mask
         X[rng.random(X.shape) < 0.3] = special
@@ -459,7 +463,7 @@ def test_dropout_probs_input_width_checked():
 
 
 def test_a_stack_holds_copies_of_its_cells_and_views_them():
-    cells = [init_mlp((3, 4, 2), 1, 0.0, derive_rng(r)) for r in range(3)]
+    cells = [init_mlp(ModelSpec((3, 4, 2), 1, 0.0), derive_rng(r)) for r in range(3)]
     stacked = stack(cells)
     assert stacked.flat.shape == (3, cells[0].flat.size)
     for (W, b), sizes in zip(stacked.layers, [(3, 4), (4, 2)]):
@@ -473,6 +477,17 @@ def test_a_stack_holds_copies_of_its_cells_and_views_them():
         for (W, b), (Wc, bc) in zip(one.layers, c.layers):
             assert np.array_equal(W, Wc) and np.array_equal(b, bc)
     with pytest.raises(DimensionError, match="same layer sizes"):
-        stack([cells[0], init_mlp((3, 5, 2), 1, 0.0, derive_rng(0))])
+        stack([cells[0], init_mlp(ModelSpec((3, 5, 2), 1, 0.0), derive_rng(0))])
     with pytest.raises(DimensionError, match="does not match first layer"):
         forward(stacked, np.zeros((2, 5, 3)))  # a batch for 2 cells, not 3
+
+
+@pytest.mark.parametrize("split, rate", [(2, 0.0), (1, 0.5), (2, 0.5)])
+def test_a_stack_rejects_cells_of_different_models(split, rate):
+    # same layer sizes, so the cells' vectors have one length; the split or
+    # the dropout rate differs, and a stack has only one of each
+    first = init_mlp(ModelSpec((3, 4, 4, 2), 1, 0.0), derive_rng(0))
+    other = init_mlp(ModelSpec((3, 4, 4, 2), split, rate), derive_rng(1))
+    with pytest.raises(DimensionError, match="same layer sizes, split and dropout rate"):
+        stack([first, other])
+    assert stack([first, first]).spec == first.spec

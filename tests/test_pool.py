@@ -5,7 +5,7 @@ import pytest
 
 from allab.dataio import Dataset, synth_blobs
 from allab.errors import ConfigError, PoolError
-from allab.model import CheckpointSet, MlpParams, init_mlp, snapshot
+from allab.model import CheckpointSet, MlpParams, ModelSpec, init_mlp, snapshot
 from allab.pool import PoolState, evaluate, init_pool, label_points
 from allab.seeding import derive_rng
 
@@ -153,7 +153,8 @@ def oracle_model(features, labels, class_count):
     assert np.array_equal(features, np.eye(n))
     W2 = np.zeros((n, class_count))
     W2[np.arange(n), labels] = 1000.0
-    return MlpParams([(np.eye(n), np.zeros(n)), (W2, np.zeros(class_count))], 1)
+    flat = np.concatenate([np.eye(n).ravel(), np.zeros(n), W2.ravel(), np.zeros(class_count)])
+    return MlpParams(ModelSpec((n, n, class_count), 1), flat)
 
 
 def test_evaluate_perfect_predictor():
@@ -168,7 +169,7 @@ def test_evaluate_constant_predictor_on_balanced_set():
     n, C = 12, 4
     labels = np.repeat(np.arange(C), n // C)
     pool = _eye_pool(n, labels, C)
-    params = MlpParams([(np.zeros((n, 2)), np.zeros(2)), (np.zeros((2, C)), np.zeros(C))], 1)
+    params = MlpParams(ModelSpec((n, 2, C), 1), np.zeros(n * 2 + 2 + 2 * C + C))
     assert evaluate(params, pool) == pytest.approx(1.0 / C, abs=1e-15)
 
 
@@ -195,7 +196,7 @@ def test_evaluate_rejects_empty_test_set():
     pool = _eye_pool(4, np.zeros(4, dtype=np.int64), 2)
     pool.test_idx = np.empty(0, dtype=np.int64)
     with pytest.raises(PoolError):
-        evaluate(init_mlp([4, 3, 2], 1, 0.0, derive_rng(17)), pool)
+        evaluate(init_mlp(ModelSpec([4, 3, 2], 1, 0.0), derive_rng(17)), pool)
 
 
 def test_evaluate_rejects_unknown_predictor():

@@ -67,8 +67,8 @@ def test_train_config_invariants():
 
 
 def test_checkpoint_set_invariants():
-    s = snapshot(init_mlp((3, 4, 2), 1, 0.0, derive_rng(0)))
-    other = snapshot(init_mlp((3, 5, 2), 1, 0.0, derive_rng(0)))
+    s = snapshot(init_mlp(ModelSpec((3, 4, 2), 1, 0.0), derive_rng(0)))
+    other = snapshot(init_mlp(ModelSpec((3, 5, 2), 1, 0.0), derive_rng(0)))
     assert len(CheckpointSet((s, s))) == 2
     with pytest.raises(ValueError):
         CheckpointSet(())
@@ -187,7 +187,7 @@ def flat(grads):
 
 
 def test_sgd_zero_lr_no_change():
-    params = init_mlp((3, 4, 2), 1, 0.0, derive_rng(1))
+    params = init_mlp(ModelSpec((3, 4, 2), 1, 0.0), derive_rng(1))
     before = [W.copy() for W, _ in params.layers]
     grads = [(np.ones_like(W), np.ones_like(b)) for W, b in params.layers]
     sgd_step(params, flat(grads), 0.0, 0.5)
@@ -195,7 +195,7 @@ def test_sgd_zero_lr_no_change():
 
 
 def test_sgd_arithmetic():
-    params = init_mlp((1, 1, 1), 1, 0.0, derive_rng(2))
+    params = init_mlp(ModelSpec((1, 1, 1), 1, 0.0), derive_rng(2))
     W = params.layers[0][0]
     W[0, 0] = 1.0
     grads = [(np.array([[2.0]]), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
@@ -204,7 +204,7 @@ def test_sgd_arithmetic():
 
 
 def test_sgd_pure_decay():
-    params = init_mlp((1, 1, 1), 1, 0.0, derive_rng(3))
+    params = init_mlp(ModelSpec((1, 1, 1), 1, 0.0), derive_rng(3))
     W = params.layers[0][0]
     W[0, 0] = 1.0
     grads = [(np.zeros((1, 1)), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
@@ -213,7 +213,7 @@ def test_sgd_pure_decay():
 
 
 def test_sgd_decay_applies_to_biases():
-    params = init_mlp((1, 1, 1), 1, 0.0, derive_rng(4))
+    params = init_mlp(ModelSpec((1, 1, 1), 1, 0.0), derive_rng(4))
     params.layers[0][1][0] = 2.0
     grads = [(np.zeros((1, 1)), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
     sgd_step(params, flat(grads), 0.1, 0.5)
@@ -221,7 +221,7 @@ def test_sgd_decay_applies_to_biases():
 
 
 def test_sgd_rejects_non_finite_gradient():
-    params = init_mlp((2, 2, 2), 1, 0.0, derive_rng(5))
+    params = init_mlp(ModelSpec((2, 2, 2), 1, 0.0), derive_rng(5))
     grads = [(np.full((2, 2), np.nan), np.zeros(2)), (np.zeros((2, 2)), np.zeros(2))]
     with pytest.raises(TrainingDiverged):
         sgd_step(params, flat(grads), 0.1, 0.0)
@@ -238,7 +238,7 @@ EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-3, -1.5, 3.0, 1e200, -1e300
     weight_decay=st.sampled_from([0.0, 1e-4, 0.5, 1e300]),
 )
 def test_flat_sgd_step_equals_per_tensor_update(sizes, data, lr, weight_decay):
-    params = init_mlp(sizes, 1, 0.0, derive_rng(0))
+    params = init_mlp(ModelSpec(sizes, 1, 0.0), derive_rng(0))
     values = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
 
     def draw(shape):
@@ -259,7 +259,7 @@ def test_flat_sgd_step_equals_per_tensor_update(sizes, data, lr, weight_decay):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("at", [0, -1])
 def test_non_finite_gradient_raises_and_leaves_params(bad, at):
-    params = init_mlp((3, 4, 2), 1, 0.0, derive_rng(6))
+    params = init_mlp(ModelSpec((3, 4, 2), 1, 0.0), derive_rng(6))
     before = params.flat.copy()
     grad = np.zeros_like(params.flat)
     grad[at] = bad
@@ -272,8 +272,8 @@ def test_non_finite_gradient_raises_and_leaves_params(bad, at):
 
 def test_train_round_snapshot_count_and_structure():
     pool = blob_pool()
-    cfg = TrainConfig(epochs=8, batch_size=16, n_checkpoints=3, seed=0)
-    final, traj, history = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
+    cfg = TrainConfig(epochs=8, batch_size=16, n_checkpoints=3)
+    final, traj, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [0])[0]
     assert len(traj) == 3
     assert len(history) == 8
     shapes = [W.shape for W, _ in final.layers]
@@ -283,9 +283,9 @@ def test_train_round_snapshot_count_and_structure():
 
 def test_train_round_deterministic():
     pool = blob_pool()
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, seed=5)
-    a_final, a_traj, a_hist = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
-    b_final, b_traj, b_hist = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2)
+    a_final, a_traj, a_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
+    b_final, b_traj, b_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
     for (Wa, ba), (Wb, bb) in zip(a_final.layers, b_final.layers):
         assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
     for sa, sb in zip(a_traj.snapshots, b_traj.snapshots):
@@ -309,12 +309,12 @@ def test_out_of_range_label_raises_before_step_zero(forbid_steps, bad):
     pool.labels = pool.labels.copy()
     pool.labels[pool.labeled_idx[5]] = bad
     with pytest.raises(IndexError, match=rf"^label {bad} out of range \[0, 2\)$"):
-        train_stack([pool], ModelSpec((2, 8, 2)), [TrainConfig(epochs=2, n_checkpoints=1)])
+        train_stack([pool], ModelSpec((2, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1), [0])
 
 
 def test_feature_width_checked_before_step_zero(forbid_steps):
     with pytest.raises(DimensionError, match=r"pool features \(100, 2\) .* input width 3"):
-        train_stack([blob_pool()], ModelSpec((3, 8, 2)), [TrainConfig(epochs=2, n_checkpoints=1)])
+        train_stack([blob_pool()], ModelSpec((3, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1), [0])
 
 
 @pytest.mark.parametrize("lam, rate", [(0.0, 0.0), (0.0, 0.5), (0.1, 0.0), (0.1, 0.5)])
@@ -336,8 +336,8 @@ def test_each_step_goes_through_the_traced_entry_points(monkeypatch, lam, rate):
     for name in calls:
         monkeypatch.setattr(trainer, name, counting(name))
     pool = blob_pool()
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=lam, seed=0)
-    train_stack([pool], ModelSpec((2, 8, 8, 2), dropout_rate=rate), [cfg])
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=lam)
+    train_stack([pool], ModelSpec((2, 8, 8, 2), dropout_rate=rate), cfg, [0])
     steps = cfg.epochs * steps_per_epoch(len(pool.labeled_idx), cfg.batch_size)
     assert calls == {
         "forward": (2 if lam > 0 or rate > 0 else 1) * steps,
@@ -351,26 +351,26 @@ def test_train_round_empty_labeled_errors():
     pool.unlabeled_idx = pool.labeled_idx
     pool.labeled_idx = np.empty(0, dtype=np.int64)
     with pytest.raises(PoolError):
-        train_stack([pool], ModelSpec((2, 8, 2)), [TrainConfig(epochs=2, n_checkpoints=1)])
+        train_stack([pool], ModelSpec((2, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1), [0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_round_divergence_names_step():
     pool = blob_pool()
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=1e12, seed=0)
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=1e12)
     with pytest.raises(TrainingDiverged, match=r"step \d+"):
-        train_stack([pool], ModelSpec((2, 8, 2)), [cfg])
+        train_stack([pool], ModelSpec((2, 8, 2)), cfg, [0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_names_non_finite_ce():
     pool = blob_pool()
     pool.features = pool.features.copy()
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=0.01, seed=0)
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=0.01)
     for bad in (np.inf, np.nan):  # ReLU passes NaN through, so both reach the loss
         pool.features[pool.labeled_idx] = bad
         with pytest.raises(TrainingDiverged, match=r"^non-finite CE at step 0 \(lr=0\.01\)$"):
-            train_stack([pool], ModelSpec((2, 8, 2)), [cfg])
+            train_stack([pool], ModelSpec((2, 8, 2)), cfg, [0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -380,9 +380,9 @@ def test_divergence_names_non_finite_mmd_term():
     pool.features = np.concatenate([pool.features, np.full((60, 2), np.inf)])
     pool.labels = np.concatenate([pool.labels, np.zeros(60, dtype=pool.labels.dtype)])
     pool.unlabeled_idx = np.arange(len(pool.features) - 60, len(pool.features))
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel=(1.0,), seed=0)
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel=(1.0,))
     with pytest.raises(TrainingDiverged, match=r"^non-finite MMD\^2 term at step 0 \(lr=0\.001\)$"):
-        train_stack([pool], ModelSpec((2, 8, 2)), [cfg])
+        train_stack([pool], ModelSpec((2, 8, 2)), cfg, [0])
 
 
 def test_divergence_names_non_finite_gradient(monkeypatch):
@@ -394,19 +394,19 @@ def test_divergence_names_non_finite_gradient(monkeypatch):
         return grads
 
     monkeypatch.setattr(trainer, "backward", nan_backward)
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=0.0, seed=0)
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=0.0)
     with pytest.raises(TrainingDiverged, match=r"^non-finite gradient at step 0 \(lr=0\.001\)$"):
-        train_stack([blob_pool()], ModelSpec((2, 8, 2)), [cfg])
+        train_stack([blob_pool()], ModelSpec((2, 8, 2)), cfg, [0])
 
 
-def ce_only_reference(pool, sizes, cfg):
+def ce_only_reference(pool, sizes, cfg, seed):
     """Independent plain-CE loop following the documented stream contract:
     batches for the labeled and pool draws are taken in that order from the
     "batch" stream (the pool draw is made and discarded), parameters come from
     the "init" stream, and no dropout stream is touched at rate 0."""
-    rng_init = derive_rng(cfg.seed, "init")
-    rng_batch = derive_rng(cfg.seed, "batch")
-    params = init_mlp(sizes, 1, 0.0, rng_init)
+    rng_init = derive_rng(seed, "init")
+    rng_batch = derive_rng(seed, "batch")
+    params = init_mlp(ModelSpec(sizes, 1, 0.0), rng_init)
     labeled = np.asarray(pool.labeled_idx)
     both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
     spe = steps_per_epoch(len(labeled), cfg.batch_size)
@@ -425,23 +425,23 @@ def ce_only_reference(pool, sizes, cfg):
 
 def test_lambda_zero_bit_identical_to_plain_ce():
     pool = blob_pool(seed=3)
-    cfg = TrainConfig(epochs=6, batch_size=16, n_checkpoints=3, mmd_weight=0.0, seed=11)
-    final, _, history = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
-    ref = ce_only_reference(pool, (2, 8, 2), cfg)
+    cfg = TrainConfig(epochs=6, batch_size=16, n_checkpoints=3, mmd_weight=0.0)
+    final, _, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [11])[0]
+    ref = ce_only_reference(pool, (2, 8, 2), cfg, 11)
     for (W, b), (Wr, br) in zip(final.layers, ref.layers):
         assert np.array_equal(W, Wr)
         assert np.array_equal(b, br)
     assert all(h.mean_mmd2 == 0.0 for h in history)  # the term is off, so never evaluated
 
 
-def full_step_reference(pool, spec, cfg):
+def full_step_reference(pool, spec, cfg, seed):
     """The training loop that runs every step in full: pool-batch forward,
     kernel and MMD^2 at any weight, and a pool-batch backward through the
     head with zero logit gradient.  Returns the final and snapshot weights."""
-    rng_init = derive_rng(cfg.seed, "init")
-    rng_batch = derive_rng(cfg.seed, "batch")
-    rng_drop = derive_rng(cfg.seed, "dropout")
-    params = init_mlp(spec.layer_sizes, spec.split_index, spec.dropout_rate, rng_init)
+    rng_init = derive_rng(seed, "init")
+    rng_batch = derive_rng(seed, "batch")
+    rng_drop = derive_rng(seed, "dropout")
+    params = init_mlp(spec, rng_init)
     labeled = np.asarray(pool.labeled_idx)
     both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
     spe = steps_per_epoch(len(labeled), cfg.batch_size)
@@ -494,11 +494,9 @@ def test_trimmed_step_bit_identical_to_full_step(sizes, split_at, rate, lam, see
         unlabeled_idx=np.arange(20, 50),
         test_idx=np.arange(50, 60),
     )
-    cfg = TrainConfig(
-        epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam, n_checkpoints=2, seed=seed
-    )
-    final, traj, _ = train_stack([pool], spec, [cfg])[0]
-    ref_final, ref_snaps = full_step_reference(pool, spec, cfg)
+    cfg = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam, n_checkpoints=2)
+    final, traj, _ = train_stack([pool], spec, cfg, [seed])[0]
+    ref_final, ref_snaps = full_step_reference(pool, spec, cfg, seed)
     for got, want in zip([final.layers, *[s.layers for s in traj.snapshots]], [ref_final, *ref_snaps]):
         for (W, b), (W_ref, b_ref) in zip(got, want, strict=True):
             assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
@@ -529,10 +527,8 @@ def test_train_round_loss_decreases_with_regularizer():
     # CE and the logged feature discrepancy both end below their first epoch
     for seed in range(5):
         pool = skewed_pool(seed)
-        cfg = TrainConfig(
-            epochs=20, batch_size=4, base_lr=0.05, mmd_weight=0.1, n_checkpoints=5, seed=seed
-        )
-        _, _, history = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
+        cfg = TrainConfig(epochs=20, batch_size=4, base_lr=0.05, mmd_weight=0.1, n_checkpoints=5)
+        _, _, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [seed])[0]
         assert history[-1].mean_ce < history[0].mean_ce, f"seed {seed}"
         assert history[-1].mean_mmd2 < history[0].mean_mmd2, f"seed {seed}"
 
@@ -541,15 +537,15 @@ def test_median_kernel_frozen_at_first_batch():
     # an explicit-bandwidth run with the same seed matches the median run only
     # if the frozen median equals that bandwidth; verify freeze by replaying
     pool = blob_pool(seed=6)
-    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, seed=21, kernel="median")
-    final_a, _, hist_a = train_stack([pool], ModelSpec((2, 8, 2)), [cfg])[0]
+    cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel="median")
+    final_a, _, hist_a = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [21])[0]
 
     # replay the first step's draws to recover the frozen bandwidth
     from allab.mmd import median_heuristic
 
-    rng_init = derive_rng(cfg.seed, "init")
-    rng_batch = derive_rng(cfg.seed, "batch")
-    params = init_mlp((2, 8, 2), 1, 0.0, rng_init)
+    rng_init = derive_rng(21, "init")
+    rng_batch = derive_rng(21, "batch")
+    params = init_mlp(ModelSpec((2, 8, 2), 1, 0.0), rng_init)
     labeled = np.asarray(pool.labeled_idx)
     both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
     rng_batch.choice(labeled, size=16, replace=False)
@@ -557,10 +553,8 @@ def test_median_kernel_frozen_at_first_batch():
     Z_p, _, _ = forward(params, pool.features[idx_p], train_mode=True)
     sigma = median_heuristic(Z_p)
 
-    cfg_explicit = TrainConfig(
-        epochs=4, batch_size=16, n_checkpoints=2, seed=21, kernel=(sigma,)
-    )
-    final_b, _, hist_b = train_stack([pool], ModelSpec((2, 8, 2)), [cfg_explicit])[0]
+    cfg_explicit = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel=(sigma,))
+    final_b, _, hist_b = train_stack([pool], ModelSpec((2, 8, 2)), cfg_explicit, [21])[0]
     assert hist_a == hist_b
     for (Wa, _), (Wb, _) in zip(final_a.layers, final_b.layers):
         assert np.array_equal(Wa, Wb)
@@ -618,7 +612,7 @@ def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, ke
     d, C, n = int(rng.integers(1, 4)), int(rng.integers(2, 4)), 60
     spec = ModelSpec((d, *hidden, C), split_index=min(1 + split_at, len(hidden)), dropout_rate=rate)
     base, labels = rng.standard_normal((n, d)), rng.integers(0, C, size=n)
-    pools, configs = [], []
+    pools = []
     for r in range(R):
         perm = rng.permutation(n)
         features = base if shared else (base - rng.uniform(-1, 1, d)) * rng.uniform(0.5, 2.0, d)
@@ -626,14 +620,17 @@ def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, ke
             features=features, labels=labels, class_count=C, labeled_idx=perm[:20],
             unlabeled_idx=np.sort(perm[20 : 30 + int(rng.integers(0, 21))]), test_idx=perm[50:],
         ))
-        configs.append(TrainConfig(epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam,
-                                   n_checkpoints=2, kernel=kernel, seed=seed + r))
+
+    cfg = TrainConfig(
+        epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam, n_checkpoints=2, kernel=kernel
+    )
+    seeds = [seed + r for r in range(R)]
 
     with pytest.MonkeyPatch.context() as mp:
         streams = RecordedStreams(mp)
-        stacked = train_stack(pools, spec, configs)
+        stacked = train_stack(pools, spec, cfg, seeds)
         stacked_streams = streams.take()
-        alone = [train_stack([p], spec, [c])[0] for p, c in zip(pools, configs)]
+        alone = [train_stack([p], spec, cfg, [s])[0] for p, s in zip(pools, seeds)]
         alone_streams = streams.take()
 
     for (final, traj, history), (final_a, traj_a, history_a) in zip(stacked, alone, strict=True):
@@ -652,14 +649,12 @@ def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, ke
 def test_stack_cells_must_share_everything_but_the_seed():
     pool, spec = blob_pool(), ModelSpec((2, 8, 2))
     cfg = TrainConfig(epochs=2, n_checkpoints=1)
-    train_stack([pool, pool], spec, [cfg, replace(cfg, seed=5)])  # seeds may differ
-    with pytest.raises(ValueError, match="differ only in their seeds"):
-        train_stack([pool, pool], spec, [cfg, replace(cfg, base_lr=0.5)])
-    with pytest.raises(ValueError, match="one config per pool"):
-        train_stack([pool, pool], spec, [cfg])
+    train_stack([pool, pool], spec, cfg, [0, 5])  # seeds may differ
+    with pytest.raises(ValueError, match="one seed per pool"):
+        train_stack([pool, pool], spec, cfg, [0])
     short = replace(pool, labeled_idx=pool.labeled_idx[:-1])
     with pytest.raises(ValueError, match=r"labeled sets of one size, got \[80, 79\]"):
-        train_stack([pool, short], spec, [cfg, cfg])
+        train_stack([pool, short], spec, cfg, [0, 0])
 
 
 def test_stack_checks_every_cell_before_step_zero(forbid_steps):
@@ -667,4 +662,4 @@ def test_stack_checks_every_cell_before_step_zero(forbid_steps):
     bad = replace(pool, labels=pool.labels.copy())
     bad.labels[bad.labeled_idx[3]] = 2
     with pytest.raises(IndexError, match=r"^label 2 out of range \[0, 2\)$"):
-        train_stack([pool, bad], ModelSpec((2, 8, 2)), [TrainConfig(epochs=2, n_checkpoints=1)] * 2)
+        train_stack([pool, bad], ModelSpec((2, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1), [0, 0])
