@@ -1,10 +1,10 @@
 """Scoring and selection of unlabeled examples, and the method table.
 
 Methods:
-    mpts     - entropy of the trajectory-averaged prediction (the package's
-               headline strategy)
+    mpts     - entropy of the prediction averaged over the training
+               trajectory's checkpoints (the package's headline strategy)
     random   - uniform sample without replacement
-    entropy  - entropy of the final single model's prediction
+    entropy  - the same over the last checkpoint alone, the final model
     bald     - mutual information between prediction and dropout masks,
                estimated from T stochastic forward passes
     coreset  - greedy k-center in the final model's feature space
@@ -25,13 +25,12 @@ import numpy as np
 
 from .errors import PoolError
 from .mmd import sq_dists, sq_norms
-from .model import CheckpointSet, MlpParams, avg_predict, dropout_probs, forward, predict_proba
+from .model import CheckpointSet, MlpParams, avg_predict, dropout_probs, forward
 
 __all__ = [
     "AcquisitionResult",
     "entropy_scores",
     "select_top_k",
-    "mpts_acquire",
     "random_acquire",
     "entropy_acquire",
     "bald_acquire",
@@ -46,12 +45,13 @@ __all__ = [
 class AcquisitionResult:
     """Outcome of one acquisition round.
 
-    ``selected`` holds pool indices in pick order.  ``scores`` aligns with the
-    pool's unlabeled_idx for score-ranked methods, with ``selected`` (one
-    max-min distance per pick) for coreset, and is empty for random.
+    ``selected`` holds pool indices in pick order.  ``scores[i]`` is the
+    score of pool index ``scored[i]``: ``scored`` is the pool's unlabeled_idx
+    for score-ranked methods, ``selected`` (one max-min distance per pick)
+    for coreset, and empty for random.
     """
 
-    method: str
+    scored: np.ndarray
     scores: np.ndarray
     selected: np.ndarray
 
@@ -60,7 +60,7 @@ def entropy_scores(P: np.ndarray) -> np.ndarray:
     """Shannon entropy of each probability row, in nats; 0*ln 0 counts as 0."""
     P = np.asarray(P, dtype=np.float64)
     sums = P.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6))  # NaN sums fail too
     if bad.size:
         raise ValueError(f"row {bad[0]} is not a probability vector (sums to {sums[bad[0]]!r})")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -87,20 +87,12 @@ def _require_unlabeled(pool) -> np.ndarray:
     return unlabeled
 
 
-def mpts_acquire(trajectory: CheckpointSet, pool, budget: int) -> AcquisitionResult:
+def entropy_acquire(trajectory: CheckpointSet, pool, budget: int) -> AcquisitionResult:
     """Top-budget by entropy of the checkpoint-averaged prediction."""
     unlabeled = _require_unlabeled(pool)
     scores = entropy_scores(avg_predict(trajectory, pool.features[unlabeled]))
     picks = select_top_k(scores, budget)
-    return AcquisitionResult("mpts", scores, unlabeled[picks])
-
-
-def entropy_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
-    """Top-budget by predictive entropy of the single final model."""
-    unlabeled = _require_unlabeled(pool)
-    scores = entropy_scores(predict_proba(final, pool.features[unlabeled]))
-    picks = select_top_k(scores, budget)
-    return AcquisitionResult("entropy", scores, unlabeled[picks])
+    return AcquisitionResult(unlabeled, scores, unlabeled[picks])
 
 
 def random_acquire(pool, budget: int, rng: np.random.Generator) -> AcquisitionResult:
@@ -108,7 +100,7 @@ def random_acquire(pool, budget: int, rng: np.random.Generator) -> AcquisitionRe
     unlabeled = _require_unlabeled(pool)
     k = min(budget, len(unlabeled))
     picks = rng.choice(unlabeled, size=k, replace=False)
-    return AcquisitionResult("random", np.empty(0), picks)
+    return AcquisitionResult(unlabeled[:0], np.empty(0), picks)
 
 
 def bald_acquire(
@@ -132,7 +124,7 @@ def bald_acquire(
     unlabeled = _require_unlabeled(pool)
     scores = bald_scores_from_probs(dropout_probs(final, pool.features[unlabeled], passes, rng))
     picks = select_top_k(scores, budget)
-    return AcquisitionResult("bald", scores, unlabeled[picks])
+    return AcquisitionResult(unlabeled, scores, unlabeled[picks])
 
 
 def bald_scores_from_probs(stack: np.ndarray) -> np.ndarray:
@@ -174,7 +166,8 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
         np.square(gap, out=gap)
         np.sqrt(gap.sum(axis=1, out=dist_new), out=dist_new)
         np.minimum(min_dist, dist_new, out=min_dist)
-    return AcquisitionResult("coreset", np.array(pick_dists), unlabeled[np.array(picked_pos)])
+    selected = unlabeled[np.array(picked_pos)]
+    return AcquisitionResult(selected, np.array(pick_dists), selected)
 
 
 @dataclass(frozen=True)
@@ -184,9 +177,9 @@ class Method:
     ``trains_with_mmd``: trains with the configured MMD^2 weight; otherwise
     the weight is 0.  ``bald_dropout``: the model carries the configured
     ``bald_dropout`` rate; otherwise it has no dropout.  ``on_trajectory``:
-    evaluated (and, through ``pick``, scored) with the checkpoint average
-    instead of the final model.  ``pick(pool, budget, final, trajectory, rng,
-    bald_passes)`` makes one round's acquisition.
+    evaluated and scored with the whole checkpoint trajectory; otherwise with
+    its last checkpoint alone, the final model.  ``pick(pool, budget,
+    trajectory, rng, bald_passes)`` makes one round's acquisition.
     """
 
     trains_with_mmd: bool
@@ -197,12 +190,12 @@ class Method:
 
 METHODS: dict[str, Method] = {
     # name: Method(trains_with_mmd, bald_dropout, on_trajectory,
-    #              pick(pool, budget, final, trajectory, rng, bald_passes))
-    "mpts": Method(True, False, True, lambda p, k, f, traj, rng, T: mpts_acquire(traj, p, k)),
-    "random": Method(False, False, False, lambda p, k, f, traj, rng, T: random_acquire(p, k, rng)),
-    "entropy": Method(False, False, False, lambda p, k, f, traj, rng, T: entropy_acquire(f, p, k)),
-    "bald": Method(False, True, False, lambda p, k, f, traj, rng, T: bald_acquire(f, p, k, T, rng)),
-    "coreset": Method(False, False, False, lambda p, k, f, traj, rng, T: coreset_acquire(f, p, k)),
+    #              pick(pool, budget, trajectory, rng, bald_passes))
+    "mpts": Method(True, False, True, lambda p, k, tr, rng, T: entropy_acquire(tr, p, k)),
+    "random": Method(False, False, False, lambda p, k, tr, rng, T: random_acquire(p, k, rng)),
+    "entropy": Method(False, False, False, lambda p, k, tr, rng, T: entropy_acquire(tr, p, k)),
+    "bald": Method(False, True, False, lambda p, k, tr, rng, T: bald_acquire(tr.snapshots[-1], p, k, T, rng)),
+    "coreset": Method(False, False, False, lambda p, k, tr, rng, T: coreset_acquire(tr.snapshots[-1], p, k)),
 }
 
 
@@ -210,7 +203,6 @@ def acquire(
     method: str,
     pool,
     budget: int,
-    final: MlpParams,
     trajectory: CheckpointSet,
     rng: np.random.Generator,
     bald_passes: int = 20,
@@ -218,4 +210,4 @@ def acquire(
     """One acquisition round by the named method's ``pick``."""
     if method not in METHODS:
         raise ValueError(f"unknown acquisition method: {method!r}")
-    return METHODS[method].pick(pool, budget, final, trajectory, rng, bald_passes)
+    return METHODS[method].pick(pool, budget, trajectory, rng, bald_passes)

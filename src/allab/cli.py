@@ -113,7 +113,10 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_curves(args) -> int:
     rows = read_results_csv(args.results)
     curves = compute_curves(rows)
-    write_curves_csv(curves, args.out)
+    try:
+        write_curves_csv(curves, args.out)
+    except OSError as e:
+        raise ConfigError(f"--out: cannot write {args.out!r}: {e.strerror or e}") from None
     print(f"wrote {args.out} ({len(curves)} rows)")
     return 0
 

@@ -220,18 +220,18 @@ def synth_blobs(
     )
 
 
-def standardize(X: np.ndarray, stats_rows: np.ndarray | None = None) -> np.ndarray:
+def standardize(X: np.ndarray, stats_rows: np.ndarray) -> np.ndarray:
     """Per-feature standardization x' = (x - mean) / std of every row of X,
     as a new array.
 
-    Statistics come from ``stats_rows`` (default: every row); std is the
-    population convention (divide by n).  Features with zero std are left
-    untouched (neither centered nor scaled).
+    Statistics come from the rows ``stats_rows``; std is the population
+    convention (divide by n).  Features with zero std are left untouched
+    (neither centered nor scaled).
     """
     # the std is computed in place on a copy of the statistics rows, step for
     # step as ndarray.std does it (so bit for bit), and the copy is freed
     # before the output is built
-    src = X.copy() if stats_rows is None else X[np.asarray(stats_rows)]
+    src = X[np.asarray(stats_rows)]
     mean = src.mean(axis=0)
     src -= mean
     np.square(src, out=src)

@@ -36,7 +36,7 @@ from .acquisition import METHODS, AcquisitionResult, acquire
 from .config import ExperimentConfig, config_to_json
 from .dataio import Dataset, load_csv, load_mnist, standardize, synth_blobs
 from .errors import ConfigError, FormatError
-from .model import ModelSpec
+from .model import CheckpointSet, ModelSpec
 from .pool import PoolState, evaluate, init_pool, label_points
 from .seeding import derive_int, derive_rng
 from .trainer import train_stack
@@ -168,17 +168,19 @@ def _run_round(
 ) -> None:
     """Round t of every cell of the stack: train them together, then one by
     one evaluate on the held-out test set and (except after the last round)
-    acquire ``budget`` new labels.  What each cell is evaluated and scored
-    with comes from its method's entry in ``acquisition.METHODS``."""
+    acquire ``budget`` new labels.  A cell is evaluated and scored with its
+    trajectory when ``acquisition.METHODS`` marks its method ``on_trajectory``,
+    otherwise with the trajectory's last checkpoint, the final model."""
     started = time.monotonic()
     train = replace(cfg.train, mmd_weight=group.mmd_weight)
     seeds = [derive_int(cfg.master_seed, "train", c.method, c.repeat, t) for c in group.cells]
     trained = train_stack([c.pool for c in group.cells], group.spec, train, seeds)
     train_s = time.monotonic() - started
-    for c, (final, trajectory, _) in zip(group.cells, trained):
-        rules = METHODS[c.method]
+    for c, (trajectory, _) in zip(group.cells, trained):
+        if not METHODS[c.method].on_trajectory:
+            trajectory = CheckpointSet(trajectory.snapshots[-1:])
         evaluated = time.monotonic()
-        accuracy = evaluate(trajectory if rules.on_trajectory else final, c.pool)
+        accuracy = evaluate(trajectory, c.pool)
         c.logs.append(RoundLog(c.method, c.repeat, c.repeat_seed, t, len(c.pool.labeled_idx), accuracy))
         if progress is not None:
             progress(
@@ -188,28 +190,24 @@ def _run_round(
         if t == cfg.rounds - 1:
             continue
         rng = derive_rng(cfg.master_seed, "acquire", c.method, c.repeat, t)
-        result = acquire(
-            c.method, c.pool, cfg.budget, final, trajectory, rng, bald_passes=cfg.model.bald_passes
-        )
+        result = acquire(c.method, c.pool, cfg.budget, trajectory, rng, bald_passes=cfg.model.bald_passes)
         if score_dir is not None:
-            _dump_scores(score_dir, result, c.pool, c.repeat, t)
+            _dump_scores(score_dir, c.method, result, c.repeat, t)
         c.pool = label_points(c.pool, result.selected)
 
 
-def _dump_scores(score_dir: Path, result: AcquisitionResult, pool: PoolState, repeat: int, t: int):
+def _dump_scores(score_dir: Path, method: str, result: AcquisitionResult, repeat: int, t: int):
     """Per-round score trace: one row per scored point, selection flagged."""
-    path = score_dir / f"scores_{result.method}_rep{repeat}_round{t}.csv"
-    chosen = set(int(i) for i in result.selected)
+    path = score_dir / f"scores_{method}_rep{repeat}_round{t}.csv"
+    chosen = set(result.selected.tolist())
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["pool_index", "score", "selected"])
-        if len(result.scores) == len(pool.unlabeled_idx):  # score-ranked methods
-            for idx, s in zip(pool.unlabeled_idx.tolist(), result.scores.tolist()):
-                w.writerow([idx, float(s), int(idx in chosen)])
-        else:  # random (no scores) / coreset (one score per pick)
-            scores = result.scores.tolist() or [""] * len(result.selected)
-            for idx, s in zip(result.selected.tolist(), scores):
-                w.writerow([idx, s, 1])
+        if len(result.scored):
+            for idx, s in zip(result.scored.tolist(), result.scores.tolist()):
+                w.writerow([idx, s, int(idx in chosen)])
+        else:  # random scores nothing: its picks, with an empty score
+            w.writerows([idx, "", 1] for idx in result.selected.tolist())
 
 
 def _check_budget(cfg: ExperimentConfig, start: PoolState) -> None:

@@ -290,8 +290,6 @@ def cell(params: MlpParams, r: int) -> MlpParams:
 
 def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
     """Mean class probabilities over every checkpoint in the trajectory."""
-    if len(trajectory) == 0:
-        raise ValueError("empty trajectory")
     acc = None
     for snap in trajectory.snapshots:
         P = predict_proba(snap, X)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, PoolError
-from .model import CheckpointSet, MlpParams, avg_predict, predict_proba
+from .model import CheckpointSet, avg_predict
 
 __all__ = [
     "PoolState",
@@ -121,19 +121,12 @@ def label_points(pool: PoolState, indices) -> PoolState:
     )
 
 
-def evaluate(predictor, pool: PoolState) -> float:
-    """Test-set accuracy of a single model or a checkpoint trajectory.
+def evaluate(trajectory: CheckpointSet, pool: PoolState) -> float:
+    """Test-set accuracy of the trajectory's checkpoint-averaged prediction.
 
     Argmax ties resolve to the lowest class index.
     """
     if len(pool.test_idx) == 0:
         raise PoolError("empty test set")
-    X = pool.features[pool.test_idx]
-    if isinstance(predictor, CheckpointSet):
-        P = avg_predict(predictor, X)
-    elif isinstance(predictor, MlpParams):
-        P = predict_proba(predictor, X)
-    else:
-        raise TypeError(f"cannot evaluate a {type(predictor).__name__}")
-    pred = P.argmax(axis=1)
+    pred = avg_predict(trajectory, pool.features[pool.test_idx]).argmax(axis=1)
     return float((pred == pool.labels[pool.test_idx]).mean())

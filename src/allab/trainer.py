@@ -254,7 +254,7 @@ def train_stack(
     model_spec: ModelSpec,
     config: TrainConfig,
     seeds,
-) -> list[tuple[MlpParams, CheckpointSet, list[EpochStats]]]:
+) -> list[tuple[CheckpointSet, list[EpochStats]]]:
     """Train one fresh model per (pool, seed) cell, all cells in lockstep.
 
     The cells share ``config`` and the pools' labeled sets must have one
@@ -264,9 +264,10 @@ def train_stack(
     backward pass and SGD update once for all R cells, each with its own
     kernel bandwidths.  Returns per cell, in order, bit for bit what training
     that cell alone (``train_stack([pool], model_spec, config, [seed])[0]``)
-    returns: the final parameters, the checkpoint trajectory (exactly
-    ``n_checkpoints`` snapshots at the documented cycle-end steps) and the
-    per-epoch mean CE / mean MMD^2 / learning-rate history.  Unless given
+    returns: the checkpoint trajectory (exactly ``n_checkpoints`` snapshots
+    at the documented cycle-end steps) and the per-epoch mean CE / mean
+    MMD^2 / learning-rate history.  The last cycle ends at the last step, so
+    the last checkpoint is the final parameters.  Unless given
     explicitly, a cell's bandwidths come from the median heuristic on its
     first pool batch's features, frozen for the whole round.  A cell whose
     loss, MMD^2 term or gradient goes non-finite stops the whole stack.
@@ -358,4 +359,4 @@ def train_stack(
             for r in range(R):
                 history[r].append(EpochStats(step // spe, float(ce_mean[r]), float(mmd_mean[r]), lr))
             ce_sum, mmd_sum = np.zeros(lead), np.zeros(lead)
-    return [(cells[r], CheckpointSet(tuple(snaps[r])), history[r]) for r in range(R)]
+    return [(CheckpointSet(tuple(snaps[r])), history[r]) for r in range(R)]

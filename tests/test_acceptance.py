@@ -21,7 +21,7 @@ from allab.acquisition import (
     coreset_acquire,
     entropy_acquire,
     entropy_scores,
-    mpts_acquire,
+    select_top_k,
 )
 from allab.config import parse_config
 from allab.dataio import load_csv, load_mnist
@@ -29,7 +29,7 @@ from allab.errors import FormatError
 from allab.experiment import run_experiment
 from allab.gradcheck import run_gradcheck
 from allab.mmd import mmd2_biased
-from allab.model import CheckpointSet, ModelSpec, forward, init_mlp, snapshot
+from allab.model import CheckpointSet, ModelSpec, forward, init_mlp, predict_proba, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
 from allab.trainer import TrainConfig, snapshot_steps, train_stack
@@ -143,10 +143,10 @@ def test_criterion_3_acquisition_oracles():
         pool = _toy_pool(rng, int(rng.integers(20, 81)), d, C)
         params = init_mlp(ModelSpec((d, 8, C), 1, 0.0), rng)
         budget = int(rng.integers(1, 11))
-        a = mpts_acquire(CheckpointSet((snapshot(params),)), pool, budget)
-        b = entropy_acquire(params, pool, budget)
-        assert np.array_equal(a.selected, b.selected)
-        assert np.array_equal(a.scores, b.scores)
+        a = entropy_acquire(CheckpointSet((snapshot(params),)), pool, budget)
+        scores = entropy_scores(predict_proba(params, pool.features[pool.unlabeled_idx]))
+        assert np.array_equal(a.selected, pool.unlabeled_idx[select_top_k(scores, budget)])
+        assert np.array_equal(a.scores, scores)
 
     # (b) greedy k-center equals the brute-force per-step argmax
     for _ in range(50):
@@ -407,7 +407,8 @@ def test_criterion_7_checkpoint_schedule():
     # splits into 5 cycles of 40 with a snapshot after each cycle's last step
     assert snapshot_steps(100, 4, 5) == [239, 279, 319, 359, 399]
 
-    final, traj, _ = train_stack([pool], ModelSpec((d, 12, C), split_index=1), cfg, [3])[0]
+    traj, _ = train_stack([pool], ModelSpec((d, 12, C), split_index=1), cfg, [3])[0]
+    final = traj.snapshots[-1]
     assert len(traj) == 5
 
     ref_layers, ref_snaps, ref_steps = _ce_only_reference(pool, (d, 12, C), cfg, 3)

@@ -19,7 +19,6 @@ from allab.acquisition import (
     coreset_acquire,
     entropy_acquire,
     entropy_scores,
-    mpts_acquire,
     random_acquire,
     select_top_k,
 )
@@ -99,14 +98,9 @@ def test_avg_predict_rows_sum_to_one():
 
 
 def test_avg_predict_rejects_empty_trajectory():
-    class Hollow:
-        snapshots = ()
-
-        def __len__(self):
-            return 0
-
-    with pytest.raises(ValueError):
-        avg_predict(Hollow(), np.zeros((1, 2)))
+    # a trajectory is a CheckpointSet, which cannot be empty
+    with pytest.raises(ValueError, match="nonempty"):
+        avg_predict(CheckpointSet(()), np.zeros((1, 2)))
 
 
 # ---- entropy_scores --------------------------------------------------------
@@ -134,6 +128,8 @@ def test_entropy_rejects_bad_row_and_names_it():
     P = np.array([[0.5, 0.5], [0.9, 0.3]])
     with pytest.raises(ValueError, match="row 1"):
         entropy_scores(P)
+    with pytest.raises(ValueError, match="row 0 is not a probability vector"):
+        entropy_scores(np.array([[np.nan, 0.5]]))
 
 
 def test_entropy_bounds_on_random_rows():
@@ -186,10 +182,11 @@ def test_mpts_single_checkpoint_matches_entropy_method():
     X = derive_rng(7).standard_normal((30, 4))
     pool = make_pool(X, labeled=[0, 1, 2], class_count=3)
     traj = CheckpointSet((snapshot(params),))
-    r_mpts = mpts_acquire(traj, pool, 5)
-    r_ent = entropy_acquire(params, pool, 5)
-    assert np.array_equal(r_mpts.selected, r_ent.selected)
-    assert np.array_equal(r_mpts.scores, r_ent.scores)
+    r_mpts = entropy_acquire(traj, pool, 5)
+    # the single model's own entropy ranking
+    scores = entropy_scores(predict_proba(params, X[pool.unlabeled_idx]))
+    assert np.array_equal(r_mpts.selected, pool.unlabeled_idx[select_top_k(scores, 5)])
+    assert np.array_equal(r_mpts.scores, scores)
 
 
 def test_mpts_prefers_point_of_maximal_disagreement():
@@ -200,7 +197,7 @@ def test_mpts_prefers_point_of_maximal_disagreement():
     b = logit_model([[0.0, 1000.0], [800.0, 0.0], [0.0, 800.0]])
     pool = make_pool(X)
     traj = CheckpointSet((snapshot(a), snapshot(b)))
-    result = mpts_acquire(traj, pool, 1)
+    result = entropy_acquire(traj, pool, 1)
     assert result.selected.tolist() == [0]
     expected = entropy_loops((predict_proba(a, X) + predict_proba(b, X)) / 2.0)
     assert np.allclose(result.scores, expected, atol=1e-12)
@@ -212,7 +209,7 @@ def test_mpts_budget_covers_pool():
     X = derive_rng(9).standard_normal((8, 2))
     pool = make_pool(X, labeled=[3])
     traj = CheckpointSet((snapshot(params),))
-    result = mpts_acquire(traj, pool, 99)
+    result = entropy_acquire(traj, pool, 99)
     assert sorted(result.selected.tolist()) == sorted(pool.unlabeled_idx.tolist())
 
 
@@ -221,7 +218,7 @@ def test_mpts_empty_pool_is_an_error():
     pool = make_pool(np.zeros((3, 2)), labeled=[0, 1, 2])
     traj = CheckpointSet((snapshot(params),))
     with pytest.raises(PoolError):
-        mpts_acquire(traj, pool, 1)
+        entropy_acquire(traj, pool, 1)
 
 
 # ---- random ----------------------------------------------------------------
@@ -263,7 +260,7 @@ def test_entropy_uniform_model_degenerates_to_tie_rule():
     # zero weights give identical logits everywhere: first k unlabeled win
     params = MlpParams(ModelSpec((2, 4, 3), 1), np.zeros(2 * 4 + 4 + 4 * 3 + 3))
     pool = make_pool(derive_rng(14).standard_normal((9, 2)), labeled=[4], class_count=3)
-    result = entropy_acquire(params, pool, 3)
+    result = entropy_acquire(CheckpointSet((params,)), pool, 3)
     assert result.selected.tolist() == pool.unlabeled_idx[:3].tolist()
 
 
@@ -275,7 +272,7 @@ def test_entropy_boundary_point_outranks_interior():
     )
     X = np.array([[0.01], [5.0]])
     pool = make_pool(X)
-    result = entropy_acquire(params, pool, 1)
+    result = entropy_acquire(CheckpointSet((params,)), pool, 1)
     assert result.selected.tolist() == [0]
     # closed form: H(sigmoid(6x) vs 1-sigmoid(6x))
     for x, score in zip((0.01, 5.0), result.scores):
@@ -451,8 +448,8 @@ def test_acquire_routes_every_method():
     pool = make_pool(derive_rng(29).standard_normal((15, 2)), labeled=[0, 1])
     traj = CheckpointSet((snapshot(params),))
     for method in METHODS:
-        result = acquire(method, pool, 3, params, traj, derive_rng(30))
-        assert result.method == method
+        result = acquire(method, pool, 3, traj, derive_rng(30))
+        assert len(result.scored) == len(result.scores)  # each score names its point
         assert len(result.selected) == 3
         assert np.all(np.isin(result.selected, pool.unlabeled_idx))
         assert len(np.unique(result.selected)) == 3
@@ -463,4 +460,4 @@ def test_acquire_unknown_method():
     pool = make_pool(np.zeros((4, 2)))
     traj = CheckpointSet((snapshot(params),))
     with pytest.raises(ValueError, match="margin"):
-        acquire("margin", pool, 2, params, traj, derive_rng(32))
+        acquire("margin", pool, 2, traj, derive_rng(32))

@@ -385,6 +385,15 @@ def test_curves_on_missing_file_exits_3(tmp_path, capsys):
     assert "format error" in capsys.readouterr().err
 
 
+def test_curves_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("method,repeat,round,labeled_count,accuracy,wall_time_s\nmpts,0,0,10,0.5,0.0\n")
+    for out in (tmp_path / "missing" / "curves.csv", tmp_path):  # no such directory; a directory
+        assert main(["curves", "--results", str(results), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out: cannot write {str(out)!r}: "), err
+
+
 # ---- module entry point ----------------------------------------------------
 
 def test_python_dash_m_entry(tmp_path):

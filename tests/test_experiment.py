@@ -120,24 +120,23 @@ def test_stacked_round_takes_its_rules_from_the_method_table(monkeypatch):
         return out
 
     def spy_evaluate(predictor, pool):
-        seen.append(type(predictor).__name__)
+        seen.append(len(predictor))
         return real_evaluate(predictor, pool)
 
     real_train_stack, real_evaluate = experiment.train_stack, experiment.evaluate
     monkeypatch.setattr(experiment, "train_stack", spy_train_stack)
     monkeypatch.setattr(experiment, "evaluate", spy_evaluate)
-    cfg = parse_config(
-        {**small_doc(), "rounds": 1, "repeats": 1, "train": {**small_doc()["train"], "lambda": 0.3}}
-    )
+    train = {**small_doc()["train"], "lambda": 0.3, "epochs": 4, "n_checkpoints": 2}
+    cfg = parse_config({**small_doc(), "rounds": 1, "repeats": 1, "train": train})
 
     run_experiment(cfg)
-    assert seen == [(0.0, 0.0), "MlpParams"]
+    assert seen == [(0.0, 0.0), 1]  # the last checkpoint alone
 
     seen.clear()
     rules = replace(METHODS["random"], trains_with_mmd=True, bald_dropout=True, on_trajectory=True)
     monkeypatch.setitem(METHODS, "random", rules)
     run_experiment(cfg)
-    assert seen == [(cfg.model.bald_dropout, 0.3), "CheckpointSet"]
+    assert seen == [(cfg.model.bald_dropout, 0.3), cfg.train.n_checkpoints]
 
 
 # ---- run_experiment --------------------------------------------------------
@@ -233,6 +232,28 @@ def test_score_dumps_written_per_round(tmp_path):
     rnd = (tmp_path / "scores_random_rep0_round0.csv").read_text().splitlines()
     assert len(rnd) == 1 + 5  # only the picks, no scores
     assert all(line.endswith(",1") for line in rnd[1:])
+
+
+def test_coreset_dump_pairs_each_pick_with_its_distance(tmp_path, monkeypatch):
+    # 30 points: 6 test, 8 labeled, 16 unlabeled; round 1's 8 picks take the
+    # whole remaining pool, so picks and unlabeled set hold the same points
+    results = []
+
+    def spy_acquire(*args, **kwargs):
+        results.append(real_acquire(*args, **kwargs))
+        return results[-1]
+
+    real_acquire = experiment.acquire
+    monkeypatch.setattr(experiment, "acquire", spy_acquire)
+    dataset = {**small_doc()["dataset"], "class_count": 3, "per_class": 10, "test_fraction": 0.2}
+    doc = {**small_doc(), "methods": ["coreset"], "dataset": dataset, "initial_count": 8,
+           "budget": 8, "rounds": 3, "repeats": 1, "dump_scores": True, "output_dir": str(tmp_path)}
+    run_experiment(parse_config(doc))
+    assert [len(r.selected) for r in results] == [8, 8]
+    for t, result in enumerate(results):
+        rows = (tmp_path / f"scores_coreset_rep0_round{t}.csv").read_text().splitlines()[1:]
+        # one row per pick, in pick order, each with that pick's max-min distance
+        assert rows == [f"{i},{s!r},1" for i, s in zip(result.selected.tolist(), result.scores.tolist())]
 
 
 def test_score_directory_that_cannot_be_made_fails_before_training(tmp_path, monkeypatch):

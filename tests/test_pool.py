@@ -161,7 +161,7 @@ def test_evaluate_perfect_predictor():
     n, C = 8, 3
     labels = derive_rng(14).integers(0, C, size=n)
     pool = _eye_pool(n, labels, C)
-    assert evaluate(oracle_model(pool.features, labels, C), pool) == 1.0
+    assert evaluate(CheckpointSet((oracle_model(pool.features, labels, C),)), pool) == 1.0
 
 
 def test_evaluate_constant_predictor_on_balanced_set():
@@ -170,7 +170,7 @@ def test_evaluate_constant_predictor_on_balanced_set():
     labels = np.repeat(np.arange(C), n // C)
     pool = _eye_pool(n, labels, C)
     params = MlpParams(ModelSpec((n, 2, C), 1), np.zeros(n * 2 + 2 + 2 * C + C))
-    assert evaluate(params, pool) == pytest.approx(1.0 / C, abs=1e-15)
+    assert evaluate(CheckpointSet((params,)), pool) == pytest.approx(1.0 / C, abs=1e-15)
 
 
 def test_evaluate_hand_counted_confusion():
@@ -181,7 +181,7 @@ def test_evaluate_hand_counted_confusion():
     taught = labels.copy()
     taught[[2, 5, 8]] = wrong[[2, 5, 8]]
     pool = _eye_pool(n, labels, C)
-    assert evaluate(oracle_model(pool.features, taught, C), pool) == pytest.approx(0.7)
+    assert evaluate(CheckpointSet((oracle_model(pool.features, taught, C),)), pool) == pytest.approx(0.7)
 
 
 def test_evaluate_accepts_trajectory():
@@ -196,13 +196,7 @@ def test_evaluate_rejects_empty_test_set():
     pool = _eye_pool(4, np.zeros(4, dtype=np.int64), 2)
     pool.test_idx = np.empty(0, dtype=np.int64)
     with pytest.raises(PoolError):
-        evaluate(init_mlp(ModelSpec([4, 3, 2], 1, 0.0), derive_rng(17)), pool)
-
-
-def test_evaluate_rejects_unknown_predictor():
-    pool = _eye_pool(4, np.zeros(4, dtype=np.int64), 2)
-    with pytest.raises(TypeError):
-        evaluate("not a model", pool)
+        evaluate(CheckpointSet((init_mlp(ModelSpec([4, 3, 2], 1, 0.0), derive_rng(17)),)), pool)
 
 
 def _eye_pool(n, labels, class_count):

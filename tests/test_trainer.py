@@ -161,6 +161,8 @@ def test_lr_schedule_bit_identical_to_per_step_rate(half_epochs, spe, n_checkpoi
     assert len(rates) == epochs * spe
     for step, lr in enumerate(rates):
         assert lr == old_cyclic_lr(step, spe, cfg)
+    # the last checkpoint is taken after the last step: it is the final model
+    assert snapshot_steps(epochs, spe, n_checkpoints)[-1] == epochs * spe - 1
 
 
 @pytest.mark.parametrize(
@@ -273,7 +275,8 @@ def test_non_finite_gradient_raises_and_leaves_params(bad, at):
 def test_train_round_snapshot_count_and_structure():
     pool = blob_pool()
     cfg = TrainConfig(epochs=8, batch_size=16, n_checkpoints=3)
-    final, traj, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [0])[0]
+    traj, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [0])[0]
+    final = traj.snapshots[-1]
     assert len(traj) == 3
     assert len(history) == 8
     shapes = [W.shape for W, _ in final.layers]
@@ -284,8 +287,9 @@ def test_train_round_snapshot_count_and_structure():
 def test_train_round_deterministic():
     pool = blob_pool()
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2)
-    a_final, a_traj, a_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
-    b_final, b_traj, b_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
+    a_traj, a_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
+    b_traj, b_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
+    a_final, b_final = a_traj.snapshots[-1], b_traj.snapshots[-1]
     for (Wa, ba), (Wb, bb) in zip(a_final.layers, b_final.layers):
         assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
     for sa, sb in zip(a_traj.snapshots, b_traj.snapshots):
@@ -426,7 +430,8 @@ def ce_only_reference(pool, sizes, cfg, seed):
 def test_lambda_zero_bit_identical_to_plain_ce():
     pool = blob_pool(seed=3)
     cfg = TrainConfig(epochs=6, batch_size=16, n_checkpoints=3, mmd_weight=0.0)
-    final, _, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [11])[0]
+    traj, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [11])[0]
+    final = traj.snapshots[-1]
     ref = ce_only_reference(pool, (2, 8, 2), cfg, 11)
     for (W, b), (Wr, br) in zip(final.layers, ref.layers):
         assert np.array_equal(W, Wr)
@@ -495,7 +500,8 @@ def test_trimmed_step_bit_identical_to_full_step(sizes, split_at, rate, lam, see
         test_idx=np.arange(50, 60),
     )
     cfg = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam, n_checkpoints=2)
-    final, traj, _ = train_stack([pool], spec, cfg, [seed])[0]
+    traj, _ = train_stack([pool], spec, cfg, [seed])[0]
+    final = traj.snapshots[-1]
     ref_final, ref_snaps = full_step_reference(pool, spec, cfg, seed)
     for got, want in zip([final.layers, *[s.layers for s in traj.snapshots]], [ref_final, *ref_snaps]):
         for (W, b), (W_ref, b_ref) in zip(got, want, strict=True):
@@ -528,7 +534,7 @@ def test_train_round_loss_decreases_with_regularizer():
     for seed in range(5):
         pool = skewed_pool(seed)
         cfg = TrainConfig(epochs=20, batch_size=4, base_lr=0.05, mmd_weight=0.1, n_checkpoints=5)
-        _, _, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [seed])[0]
+        _, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [seed])[0]
         assert history[-1].mean_ce < history[0].mean_ce, f"seed {seed}"
         assert history[-1].mean_mmd2 < history[0].mean_mmd2, f"seed {seed}"
 
@@ -538,7 +544,8 @@ def test_median_kernel_frozen_at_first_batch():
     # if the frozen median equals that bandwidth; verify freeze by replaying
     pool = blob_pool(seed=6)
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel="median")
-    final_a, _, hist_a = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [21])[0]
+    traj_a, hist_a = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [21])[0]
+    final_a = traj_a.snapshots[-1]
 
     # replay the first step's draws to recover the frozen bandwidth
     from allab.mmd import median_heuristic
@@ -554,7 +561,8 @@ def test_median_kernel_frozen_at_first_batch():
     sigma = median_heuristic(Z_p)
 
     cfg_explicit = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel=(sigma,))
-    final_b, _, hist_b = train_stack([pool], ModelSpec((2, 8, 2)), cfg_explicit, [21])[0]
+    traj_b, hist_b = train_stack([pool], ModelSpec((2, 8, 2)), cfg_explicit, [21])[0]
+    final_b = traj_b.snapshots[-1]
     assert hist_a == hist_b
     for (Wa, _), (Wb, _) in zip(final_a.layers, final_b.layers):
         assert np.array_equal(Wa, Wb)
@@ -633,8 +641,7 @@ def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, ke
         alone = [train_stack([p], spec, cfg, [s])[0] for p, s in zip(pools, seeds)]
         alone_streams = streams.take()
 
-    for (final, traj, history), (final_a, traj_a, history_a) in zip(stacked, alone, strict=True):
-        assert np.array_equal(bits(final.flat), bits(final_a.flat))
+    for (traj, history), (traj_a, history_a) in zip(stacked, alone, strict=True):
         assert len(traj) == len(traj_a) == 2
         for snap, snap_a in zip(traj.snapshots, traj_a.snapshots):
             assert np.array_equal(bits(snap.flat), bits(snap_a.flat))
