@@ -60,9 +60,13 @@ def entropy_scores(P: np.ndarray) -> np.ndarray:
     """Shannon entropy of each probability row, in nats; 0*ln 0 counts as 0."""
     P = np.asarray(P, dtype=np.float64)
     sums = P.sum(axis=1)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6))  # NaN sums fail too
+    # NaN sums fail too, and so does a row with a negative entry
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6) | (P < 0).any(axis=1))
     if bad.size:
-        raise ValueError(f"row {bad[0]} is not a probability vector (sums to {sums[bad[0]]!r})")
+        i = bad[0]
+        raise ValueError(
+            f"row {i} is not a probability vector (sums to {float(sums[i])}, least entry {float(P[i].min())})"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(P > 0, P * np.log(P), 0.0)
     return -terms.sum(axis=1)

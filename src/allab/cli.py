@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker threads over the cells that train alone; stacked cells run in the main thread",
+        help="accepted (must be >= 1) and ignored: every cell runs in the main thread",
     )
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")

@@ -4,8 +4,7 @@ One experiment is a grid of (method, repeat) cells sharing a dataset.  All
 cells of a repeat start from the same labeled/unlabeled/test partition, so
 method comparisons are paired.  Every random draw flows from the master seed
 through tagged streams (see ``seeding``), which makes the emitted result rows
-an exact function of (config, master_seed) regardless of worker count or
-execution order.
+an exact function of (config, master_seed) regardless of execution order.
 
 The loop is round-major.  Cells whose methods' rules in
 ``acquisition.METHODS`` give the same model (layer sizes, split, dropout
@@ -14,10 +13,8 @@ these are the 5 ``mpts`` cells and the 10 ``random`` and ``entropy`` cells.
 In each round every stack trains its cells in lockstep with
 ``trainer.train_stack`` (bit for bit what training each cell alone gives),
 then each of its cells is evaluated, acquires its next labels and drops its
-trajectory before the next stack trains.  Stacks of several cells run one
-after another in the calling thread; ``jobs`` > 1 fans out only the
-one-cell stacks (for example a 784-d net whose GEMMs dominate) over that
-many threads.
+trajectory before the next stack trains.  Every stack runs in the calling
+thread, in the order of ``_stacks``.
 """
 
 from __future__ import annotations
@@ -25,9 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -226,10 +221,11 @@ def _check_budget(cfg: ExperimentConfig, start: PoolState) -> None:
 def run_experiment(
     cfg: ExperimentConfig, jobs: int = 1, progress=None, dataset: Dataset | None = None
 ) -> list[RoundLog]:
-    """Run every (method, repeat) cell and return rows sorted by
-    (method, repeat, round).  ``jobs`` > 1 fans the one-cell stacks out over
-    threads; the returned rows are identical either way.  ``dataset`` is the
-    config's already loaded dataset; without it the run loads its own.
+    """Run every (method, repeat) cell in the calling thread and return rows
+    sorted by (method, repeat, round).  ``jobs`` must be at least 1 and
+    selects nothing otherwise; it is kept so callers that pass it still run.
+    ``dataset`` is the config's already loaded dataset; without it the run
+    loads its own.
 
     ``progress``, when given, gets one line per cell and round.  Its time
     field is the wall time of training the cell's stack plus evaluating the
@@ -250,15 +246,9 @@ def run_experiment(
     _check_budget(cfg, starts[0])
     stacks = _stacks(cfg, starts)
     score_dir = make_output_dir(cfg) if cfg.dump_scores else None
-    alone = [g for g in stacks if len(g.cells) == 1]
-    together = [g for g in stacks if len(g.cells) > 1]
-    with ThreadPoolExecutor(max_workers=jobs) as threads:
-        fan_out = threads.map if jobs > 1 else map
-        for t in range(cfg.rounds):
-            run = partial(_run_round, t=t, cfg=cfg, progress=progress, score_dir=score_dir)
-            for group in together:
-                run(group)
-            list(fan_out(run, alone))
+    for t in range(cfg.rounds):
+        for group in stacks:
+            _run_round(group, t, cfg, progress, score_dir)
     logs = [log for group in stacks for c in group.cells for log in c.logs]
     logs.sort(key=lambda g: (g.method, g.repeat, g.round))
     return logs

@@ -2,8 +2,9 @@
 
 Matrices are row-major ``numpy`` arrays of 64-bit floats throughout; a batch
 of n examples with d features is an (n, d) array.  Every operation here is a
-pure function of its inputs (plus an explicitly passed generator for dropout),
-so the primitives are safe to call from multiple threads on disjoint data.
+pure function of its inputs (plus an explicitly passed generator for dropout)
+and of the BLAS setup: OpenBLAS sums wide products (a 784-wide GEMM, say) in
+an order that depends on its thread count, so their last bits do too.
 
 The primitives also take a stack: R cells' batches as (R, n, d), with W
 (R, d, m) and b (R, m).  Each cell's slice of the result is bit for bit what

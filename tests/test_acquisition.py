@@ -130,6 +130,8 @@ def test_entropy_rejects_bad_row_and_names_it():
         entropy_scores(P)
     with pytest.raises(ValueError, match="row 0 is not a probability vector"):
         entropy_scores(np.array([[np.nan, 0.5]]))
+    with pytest.raises(ValueError, match="row 1 is not a probability vector"):
+        entropy_scores(np.array([[0.5, 0.5], [1.5, -0.5]]))  # sums to 1
 
 
 def test_entropy_bounds_on_random_rows():

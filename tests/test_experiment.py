@@ -301,23 +301,21 @@ def test_cells_with_the_same_training_rules_train_as_one_stack(monkeypatch):
             ([seed(m, r, t) for m in ("random", "entropy", "coreset") for r in range(2)], 0.0, 0.0),
             ([seed("bald", r, t) for r in range(2)], cfg.model.bald_dropout, 0.0),
         ]
-        # round-major: every stack of round 0 trains before any of round 1;
-        # stacks of several cells run in the calling thread at any --jobs
+        # round-major: every stack of round 0 trains before any of round 1,
+        # all in the calling thread
         assert [c[:3] for c in calls[3 * t : 3 * t + 3]] == want
         assert all(c[3] for c in calls[3 * t : 3 * t + 3])
     assert logs == run_experiment(cfg, jobs=1)
 
 
-def test_jobs_fan_out_only_cells_that_train_alone(monkeypatch):
+def test_jobs_run_every_stack_on_the_main_thread(monkeypatch):
     calls = stack_spy(monkeypatch)
-    doc = {**small_doc(), "methods": ["mpts", "random", "entropy"], "repeats": 1, "rounds": 1}
+    doc = {**small_doc(), "methods": ["mpts", "random"], "repeats": 1, "rounds": 2}
     cfg = parse_config(doc)
     logs = run_experiment(cfg, jobs=2)
-    by_size = sorted((len(seeds), main) for seeds, _, _, main in calls)
-    assert by_size == [(1, False), (2, True)]  # mpts on a worker; random + entropy stacked
-    calls.clear()
-    assert run_experiment(cfg, jobs=1) == logs
+    assert [len(seeds) for seeds, *_ in calls] == [1, 1, 1, 1]  # two one-cell stacks, two rounds
     assert all(main for *_, main in calls)
+    assert run_experiment(cfg, jobs=1) == logs
 
 
 # ---- results serialization -------------------------------------------------

@@ -6,7 +6,8 @@ import is at module level, so no cycle is hidden behind a lazy import.  No
 module imports another's underscore-prefixed names: what one module calls of
 another is that module's public function, the one its tests check.  And the
 package itself uses every public name (one in a module's ``__all__``), so
-none exists only for tests.
+none exists only for tests.  No module imports a threading or process-pool
+library: a run is one thread.
 """
 
 import ast
@@ -73,6 +74,23 @@ def private_imports(tree: ast.Module) -> list[tuple[int, str]]:
     ]
 
 
+CONCURRENCY = {"threading", "concurrent", "multiprocessing", "_thread"}
+
+
+def concurrency_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) of every import of a threading or process-pool library."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names if name.split(".")[0] in CONCURRENCY)
+    return found
+
+
 def public_names(tree: ast.Module) -> list[str]:
     """The names in the module's ``__all__``."""
     for node in tree.body:
@@ -120,6 +138,12 @@ def test_no_private_name_imported_across_modules(module):
     assert private == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_threading_or_process_pool(module):
+    found = [f"{module}.py:{line} imports {name}" for line, name in concurrency_imports(parse(module))]
+    assert found == []
+
+
 def test_every_public_name_is_used_by_the_package():
     used = set().union(*(referenced_names(parse(m)) for m in MODULES))
     unused = [f"{m}.{name}" for m in MODULES for name in public_names(parse(m)) if name not in used]
@@ -138,6 +162,8 @@ def test_checker_sees_the_violations_it_forbids():
         "def unused():\n"
         "    'calls unused() and relu()'\n"
         "    return f  # and unused\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import threading, multiprocessing.pool\n"
     )
     assert [t for _, t in package_imports(tree)] == [
         "experiment", "cli", "config", "layers", "acquisition"
@@ -145,3 +171,6 @@ def test_checker_sees_the_violations_it_forbids():
     assert lazy_imports(tree) == [(6, "f")]
     assert private_imports(tree) == [(4, "_affine_forward")]
     assert [n for n in public_names(tree) if n not in referenced_names(tree)] == ["relu", "unused"]
+    assert concurrency_imports(tree) == [
+        (11, "concurrent.futures"), (12, "threading"), (12, "multiprocessing.pool")
+    ]
