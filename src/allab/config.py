@@ -2,8 +2,10 @@
 
 The dataclasses are the schema: a field's name is its JSON key, its annotation
 is the JSON kind, and its default is the value used when the key is absent.
-Unknown keys are rejected (typo safety) and every error names the JSON path of
-the offending value.
+Each dataclass checks its own rules in ``__post_init__`` (a FieldError names
+the field's key), so configs built in Python or by ``dataclasses.replace`` get
+the checks a parsed one gets.  The parser rejects unknown keys (typo safety)
+and values of the wrong kind, and names the JSON path of every error.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 
 from .acquisition import METHODS
-from .errors import ConfigError
-from .mmd import check_bandwidths
-from .trainer import KERNEL_NAMES, TrainConfig
+from .errors import ConfigError, FieldError
+from .trainer import TrainConfig
 
 __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "config_to_json"]
 
@@ -25,11 +26,19 @@ _TRAIN_KEYS = {"mmd_weight": "lambda"}
 _fields = cache(fields)  # dataclasses.fields rebuilds its tuple on every call
 
 
+def _at_least(cfg, low: int, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None and value < low:
+            raise FieldError(name, f"must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "synthetic"
     pool_size: int | None = None
-    standardize: str = "none"  # "none" | "pool" | "labeled"; "pool" when kind is csv
+    # "none" | "pool" | "labeled"; left unset, "pool" when kind is csv, else "none"
+    standardize: str = None
     test_fraction: float = 0.2
     # synthetic
     class_count: int = 4
@@ -45,6 +54,23 @@ class DatasetConfig:
     path: str | None = None
     label_column: str = "last"
 
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "mnist", "csv"):
+            raise FieldError("kind", f"must be synthetic, mnist or csv, got {self.kind!r}")
+        if self.standardize is None:
+            object.__setattr__(self, "standardize", "pool" if self.kind == "csv" else "none")
+        elif self.standardize not in ("none", "pool", "labeled"):
+            raise FieldError("standardize", f"must be none, pool or labeled, got {self.standardize!r}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise FieldError("test_fraction", f"must be in (0, 1), got {self.test_fraction}")
+        if self.kind == "mnist" and (self.images_path is None or self.labels_path is None):
+            raise ValueError("mnist needs images_path and labels_path")
+        if self.kind == "mnist" and (self.test_images_path is None) != (self.test_labels_path is None):
+            raise ValueError("test_images_path and test_labels_path go together")
+        if self.kind == "csv" and self.path is None:
+            raise ValueError("csv needs path")
+        _at_least(self, 1, "pool_size", "class_count", "per_class", "dim")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -52,6 +78,16 @@ class ModelConfig:
     split_index: int | None = None  # None: feature layer = last hidden layer
     bald_dropout: float = 0.5
     bald_passes: int = 20
+
+    def __post_init__(self):
+        if self.hidden is not None:
+            if any(h < 1 for h in self.hidden):
+                raise FieldError("hidden", f"sizes must be >= 1, got {list(self.hidden)}")
+            if self.split_index is not None and not 1 <= self.split_index <= len(self.hidden):
+                raise FieldError("split_index", f"must be in [1, {len(self.hidden)}], got {self.split_index}")
+        if not 0.0 < self.bald_dropout < 1.0:
+            raise FieldError("bald_dropout", f"must be in (0, 1), got {self.bald_dropout}")
+        _at_least(self, 2, "bald_passes")
 
     def resolve(self, input_dim: int, class_count: int) -> tuple[tuple[int, ...], int]:
         """Concrete (layer_sizes, split_index) for a dataset's dimensions.
@@ -86,6 +122,16 @@ class ExperimentConfig:
     output_dir: str = "results"
     dump_scores: bool = False
 
+    def __post_init__(self):
+        _at_least(self, 1, "initial_count", "budget", "rounds", "repeats")
+        if not self.methods:
+            raise FieldError("methods", "must name at least one method")
+        for i, m in enumerate(self.methods):
+            if m not in METHODS:
+                raise FieldError(f"methods[{i}]", f"unknown method {m!r} (choices: {', '.join(METHODS)})")
+            if m in self.methods[:i]:
+                raise FieldError(f"methods[{i}]", f"duplicate method {m!r}")
+
 
 class _Node:
     """One JSON object being consumed key-by-key; leftovers are errors."""
@@ -105,8 +151,8 @@ class _Node:
         Fields in ``given`` are taken as passed.  Every other field is read
         from its key (its name, or ``keys[name]``) and coerced to its
         annotation; an absent key leaves the field's default, and a field
-        without one is required.  Invariants that ``cls`` raises as
-        ValueError get this object's path.
+        without one is required.  A rule that ``cls`` breaks gets this
+        object's path, and a FieldError's key after it.
         """
         for f in _fields(cls):
             key = keys.get(f.name, f.name) if keys else f.name
@@ -120,6 +166,8 @@ class _Node:
             raise ConfigError(f"{self._path}.{min(self._data)}: unknown key")
         try:
             return cls(**given)
+        except FieldError as e:
+            raise ConfigError(f"{self._path}.{e}") from None
         except ValueError as e:
             raise ConfigError(f"{self._path}: {e}") from None
 
@@ -149,61 +197,11 @@ def _coerce(value, kind: str, path: str):
     return float(value) if kind == "float" else value
 
 
-def _parse_dataset(node: _Node) -> DatasetConfig:
-    if node._data.get("kind") == "csv":
-        node._data.setdefault("standardize", "pool")
-    cfg = node.build(DatasetConfig)
-    if cfg.kind not in ("synthetic", "mnist", "csv"):
-        raise ConfigError(f"$.dataset.kind: must be synthetic, mnist or csv, got {cfg.kind!r}")
-    if cfg.standardize not in ("none", "pool", "labeled"):
-        raise ConfigError(
-            f"$.dataset.standardize: must be none, pool or labeled, got {cfg.standardize!r}"
-        )
-    if not 0.0 < cfg.test_fraction < 1.0:
-        raise ConfigError(f"$.dataset.test_fraction: must be in (0, 1), got {cfg.test_fraction}")
-    if cfg.kind == "mnist" and (cfg.images_path is None or cfg.labels_path is None):
-        raise ConfigError("$.dataset: mnist needs images_path and labels_path")
-    if cfg.kind == "mnist" and (cfg.test_images_path is None) != (cfg.test_labels_path is None):
-        raise ConfigError("$.dataset: test_images_path and test_labels_path go together")
-    if cfg.kind == "csv" and cfg.path is None:
-        raise ConfigError("$.dataset: csv needs path")
-    for name in ("pool_size", "class_count", "per_class", "dim"):
-        value = getattr(cfg, name)
-        if value is not None and value < 1:
-            raise ConfigError(f"$.dataset.{name}: must be >= 1, got {value}")
-    return cfg
-
-
 def _parse_train(node: _Node) -> TrainConfig:
     kernel = node._data.pop("kernel", TrainConfig.kernel)  # a name or a bandwidth list
     if isinstance(kernel, list):
         kernel = _coerce(kernel, "tuple[float, ...]", "$.train.kernel")
-        for i, sigma in enumerate(kernel):
-            try:
-                check_bandwidths((sigma,))
-            except ValueError as e:
-                raise ConfigError(f"$.train.kernel[{i}]: {e}") from None
-    elif kernel not in KERNEL_NAMES:
-        raise ConfigError(
-            f"$.train.kernel: must be 'median', 'median3' or a bandwidth list, got {kernel!r}"
-        )
     return node.build(TrainConfig, _TRAIN_KEYS, kernel=kernel)
-
-
-def _parse_model(node: _Node) -> ModelConfig:
-    cfg = node.build(ModelConfig)
-    if cfg.hidden is not None and any(h < 1 for h in cfg.hidden):
-        raise ConfigError(f"$.model.hidden: sizes must be >= 1, got {list(cfg.hidden)}")
-    if cfg.split_index is not None and cfg.hidden is not None:
-        if not 1 <= cfg.split_index <= len(cfg.hidden):
-            raise ConfigError(
-                f"$.model.split_index: must be in [1, {len(cfg.hidden)}], got {cfg.split_index}"
-            )
-    if not 0.0 < cfg.bald_dropout < 1.0:
-        raise ConfigError(f"$.model.bald_dropout: must be in (0, 1), got {cfg.bald_dropout}")
-    if cfg.bald_passes < 2:
-        raise ConfigError(f"$.model.bald_passes: must be >= 2, got {cfg.bald_passes}")
-    return cfg
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -226,24 +224,12 @@ def parse_config(source) -> ExperimentConfig:
                 raise ConfigError(f"{source}: malformed JSON: {e}") from None
 
     root = _Node(data, "$")
-    cfg = root.build(
+    return root.build(
         ExperimentConfig,
-        dataset=_parse_dataset(root.child("dataset")),
+        dataset=root.child("dataset").build(DatasetConfig),
         train=_parse_train(root.child("train")),
-        model=_parse_model(root.child("model")),
+        model=root.child("model").build(ModelConfig),
     )
-    for name in ("initial_count", "budget", "rounds", "repeats"):
-        value = getattr(cfg, name)
-        if value < 1:
-            raise ConfigError(f"$.{name}: must be >= 1, got {value}")
-    seen = set()
-    for i, m in enumerate(cfg.methods):
-        if m not in METHODS:
-            raise ConfigError(f"$.methods[{i}]: unknown method {m!r} (choices: {', '.join(METHODS)})")
-        if m in seen:
-            raise ConfigError(f"$.methods[{i}]: duplicate method {m!r}")
-        seen.add(m)
-    return cfg
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:

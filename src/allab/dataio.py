@@ -142,6 +142,8 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         if label_column not in header:
             raise FormatError(f"{path}: row 1: no column named {label_column!r}")
         label_pos = header.index(label_column)
+    if len(header) < 2:
+        raise FormatError(f"{path}: row 1: no feature column, only the label column {header[label_pos]!r}")
 
     feature_pos = [i for i in range(len(header)) if i != label_pos]
     features = np.empty((len(rows) - 1, len(feature_pos)))

@@ -12,6 +12,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (bad JSON, unknown key, broken invariant)."""
 
 
+class FieldError(ValueError):
+    """A config field breaks its dataclass's rule: ``<JSON key>: <message>``."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")
+
+
 class FormatError(ValueError):
     """Malformed input data file (IDX or CSV)."""
 

@@ -30,7 +30,7 @@ import numpy as np
 from .acquisition import METHODS, AcquisitionResult, acquire
 from .config import ExperimentConfig, config_to_json
 from .dataio import Dataset, load_csv, load_mnist, standardize, synth_blobs
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, TrainingDiverged
 from .model import CheckpointSet, ModelSpec
 from .pool import PoolState, evaluate, init_pool, label_points
 from .seeding import derive_int, derive_rng
@@ -80,9 +80,7 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
         )
     if d.kind == "mnist":
         return load_mnist(d.images_path, d.labels_path, d.test_images_path, d.test_labels_path)
-    if d.kind == "csv":
-        return load_csv(d.path, d.label_column)
-    raise ConfigError(f"unknown dataset kind {d.kind!r}")
+    return load_csv(d.path, d.label_column)
 
 
 def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> PoolState:
@@ -169,7 +167,11 @@ def _run_round(
     started = time.monotonic()
     train = replace(cfg.train, mmd_weight=group.mmd_weight)
     seeds = [derive_int(cfg.master_seed, "train", c.method, c.repeat, t) for c in group.cells]
-    trained = train_stack([c.pool for c in group.cells], group.spec, train, seeds)
+    try:
+        trained = train_stack([c.pool for c in group.cells], group.spec, train, seeds)
+    except TrainingDiverged as e:
+        cells = ", ".join(f"{c.method} rep {c.repeat}" for c in group.cells)
+        raise TrainingDiverged(f"round {t}, {cells}: {e}") from None
     train_s = time.monotonic() - started
     for c, (trajectory, _) in zip(group.cells, trained):
         if not METHODS[c.method].on_trajectory:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PoolError, TrainingDiverged
+from .errors import DimensionError, FieldError, PoolError, TrainingDiverged
 from .layers import check_labels, softmax_cross_entropy
 from .mmd import check_bandwidths, median_heuristic, mmd2_biased_with_grad
 from .model import (
@@ -73,7 +73,6 @@ from .model import (
 from .seeding import derive_rng
 
 __all__ = [
-    "KERNEL_NAMES",
     "TrainConfig",
     "EpochStats",
     "lr_schedule",
@@ -83,9 +82,6 @@ __all__ = [
     "sgd_step",
     "train_stack",
 ]
-
-
-KERNEL_NAMES = ("median", "median3")
 
 
 @dataclass(frozen=True)
@@ -121,13 +117,19 @@ class TrainConfig:
             raise ValueError(f"n_checkpoints must be >= 1, got {self.n_checkpoints}")
         if not 0.0 < self.lr_floor_ratio <= 1.0:
             raise ValueError(f"lr_floor_ratio must be in (0, 1], got {self.lr_floor_ratio}")
-        if isinstance(self.kernel, str):
-            if self.kernel not in KERNEL_NAMES:
-                raise ValueError(
-                    f"kernel must be 'median', 'median3' or a bandwidth list, got {self.kernel!r}"
-                )
-        else:
-            object.__setattr__(self, "kernel", check_bandwidths(self.kernel))
+        if isinstance(self.kernel, (tuple, list, np.ndarray)):
+            key = "kernel"  # a bad entry is named by its index, an empty list as a whole
+            try:
+                for i, sigma in enumerate(self.kernel):
+                    key = f"kernel[{i}]"
+                    check_bandwidths((sigma,))
+                object.__setattr__(self, "kernel", check_bandwidths(self.kernel))
+            except ValueError as e:
+                raise FieldError(key, str(e)) from None
+        elif self.kernel not in ("median", "median3"):
+            raise FieldError(
+                "kernel", f"must be 'median', 'median3' or a bandwidth list, got {self.kernel!r}"
+            )
 
 
 @dataclass

@@ -104,6 +104,9 @@ def test_run_missing_dataset_file_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, dataset={"kind": "csv", "path": str(bad)})
     assert main(["run", "--config", str(cfg)]) == 3
     assert "format error" in capsys.readouterr().err
+    bad.write_text("y\n" + "".join(f"{i % 2}\n" for i in range(40)))  # the label column alone
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert f"format error: {bad}: row 1: no feature column" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -113,7 +116,10 @@ def test_run_divergence_exits_4(tmp_path, capsys):
         train={"epochs": 2, "batch_size": 8, "n_checkpoints": 1, "base_lr": 1e150},
     )
     assert main(["run", "--config", str(cfg)]) == 4
-    assert "training diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "training diverged: round 0, " in err
+    assert "random rep 0" in err and "entropy rep 1" in err
+    assert "non-finite" in err
 
 
 def test_run_budget_exhausting_pool_exits_2_before_training(tmp_path, capsys):

@@ -246,6 +246,13 @@ def test_csv_empty_and_headers_only(tmp_path):
         load_csv(p)
 
 
+def test_csv_label_column_alone_is_no_table(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("y\na\nb\n")
+    with pytest.raises(FormatError, match=r"t\.csv: row 1: no feature column, only the label column 'y'$"):
+        load_csv(p)
+
+
 def test_csv_ragged_row_position(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x1,x2,y\n1.0,2.0,a\n3.0,b\n")
