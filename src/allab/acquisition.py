@@ -6,14 +6,18 @@ Methods:
     random   - uniform sample without replacement
     entropy  - the same over the last checkpoint alone, the final model
     bald     - mutual information between prediction and dropout masks,
-               estimated from T stochastic forward passes
-    coreset  - greedy k-center in the final model's feature space
+               estimated from T stochastic forward passes, consumed one pass
+               at a time into running sums
+    coreset  - greedy k-center in the final model's feature space, from one
+               |unlabeled| x |labeled| distance matrix
 
 ``METHODS`` maps each name to its :class:`Method`: how it trains, what it is
 evaluated with, and how it picks.  It is the one place per-method rules live.
 
 All entropies are in nats.  Selection is pure top-k on the scores; ties break
-toward the lower pool index.
+toward the lower pool index.  Scoring holds what it reads: features and
+probabilities come from eval-mode ``model`` calls, which keep no backward
+cache.
 """
 
 from __future__ import annotations
@@ -119,22 +123,29 @@ def bald_acquire(
     score = H(mean of the per-pass probabilities) - mean per-pass entropy,
     which is nonnegative (Jensen) up to float noise.  The passes are
     ``model.dropout_probs``: the same draws and probabilities as ``passes``
-    train-mode ``forward`` calls, with the first layer computed once.
+    train-mode ``forward`` calls, with the first layer computed once.  They
+    are consumed as they come: running sums of the probabilities and of the
+    entropies, added in pass order and divided by ``passes`` at the end, so
+    no more than one pass is held at a time.  They are bit for bit the means
+    over a stack of every pass, as numpy sums a stack's outer axis in order,
+    except for a lone unlabeled point: numpy sums a single column pairwise,
+    so its score may differ in the last bit (its pick cannot).
     """
     if final.spec.dropout_rate <= 0:
         raise ValueError("bald_acquire requires a model with dropout_rate > 0")
     if passes < 2:
         raise ValueError(f"bald_acquire needs at least 2 passes, got {passes}")
     unlabeled = _require_unlabeled(pool)
-    scores = bald_scores_from_probs(dropout_probs(final, pool.features[unlabeled], passes, rng))
+    prob_sum = np.zeros((len(unlabeled), final.spec.layer_sizes[-1]))
+    entropy_sum = np.zeros(len(unlabeled))
+    for P in dropout_probs(final, pool.features[unlabeled], passes, rng):
+        prob_sum += P
+        entropy_sum += entropy_scores(P)
+    prob_sum /= passes
+    entropy_sum /= passes
+    scores = entropy_scores(prob_sum) - entropy_sum
     picks = select_top_k(scores, budget)
     return AcquisitionResult(unlabeled, scores, unlabeled[picks])
-
-
-def bald_scores_from_probs(stack: np.ndarray) -> np.ndarray:
-    """Mutual information from a (passes, n, C) probability stack."""
-    mean_entropy = np.stack([entropy_scores(stack[t]) for t in range(stack.shape[0])]).mean(axis=0)
-    return entropy_scores(stack.mean(axis=0)) - mean_entropy
 
 
 def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:

@@ -2,10 +2,11 @@
 
 The dataclasses are the schema: a field's name is its JSON key, its annotation
 is the JSON kind, and its default is the value used when the key is absent.
-Each dataclass checks its own rules in ``__post_init__`` (a FieldError names
-the field's key), so configs built in Python or by ``dataclasses.replace`` get
-the checks a parsed one gets.  The parser rejects unknown keys (typo safety)
-and values of the wrong kind, and names the JSON path of every error.
+Each dataclass checks its own rules in ``__post_init__``, the kinds of its
+fields first (``errors.check_kinds``; a FieldError names the field's key), so
+configs built in Python or by ``dataclasses.replace`` get the checks a parsed
+one gets.  The parser rejects unknown keys (typo safety) and values of the
+wrong kind, and names the JSON path of every error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 
 from .acquisition import METHODS
-from .errors import ConfigError, FieldError
+from .errors import SCALAR_KINDS, ConfigError, FieldError, check_kinds
 from .trainer import TrainConfig
 
 __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "config_to_json"]
@@ -55,6 +56,7 @@ class DatasetConfig:
     label_column: str = "last"
 
     def __post_init__(self):
+        check_kinds(self)
         if self.kind not in ("synthetic", "mnist", "csv"):
             raise FieldError("kind", f"must be synthetic, mnist or csv, got {self.kind!r}")
         if self.standardize is None:
@@ -80,6 +82,7 @@ class ModelConfig:
     bald_passes: int = 20
 
     def __post_init__(self):
+        check_kinds(self)
         if self.hidden is not None:
             if any(h < 1 for h in self.hidden):
                 raise FieldError("hidden", f"sizes must be >= 1, got {list(self.hidden)}")
@@ -123,6 +126,7 @@ class ExperimentConfig:
     dump_scores: bool = False
 
     def __post_init__(self):
+        check_kinds(self)
         _at_least(self, 1, "initial_count", "budget", "rounds", "repeats")
         if not self.methods:
             raise FieldError("methods", "must name at least one method")
@@ -172,26 +176,17 @@ class _Node:
             raise ConfigError(f"{self._path}: {e}") from None
 
 
-# scalar annotation -> (accepts a JSON value, what the value must be, list noun)
-_SCALARS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number", "numbers"),
-    "str": (lambda v: isinstance(v, str), "a string", "strings"),
-    "bool": (lambda v: isinstance(v, bool), "true/false", None),
-}
-
-
 def _coerce(value, kind: str, path: str):
-    """``value`` checked against annotation ``kind``: a scalar from ``_SCALARS``,
+    """``value`` checked against annotation ``kind``: a scalar from ``SCALAR_KINDS``,
     ``X | None``, or ``tuple[X, ...]`` (a nonempty JSON list)."""
     if kind.endswith(" | None"):
         return None if value is None else _coerce(value, kind[: -len(" | None")], path)
     if kind.startswith("tuple[") and kind.endswith(", ...]"):
         item = kind[len("tuple[") : -len(", ...]")]
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a nonempty list of {_SCALARS[item][2]}, got {value!r}")
+            raise ConfigError(f"{path}: expected a nonempty list of {SCALAR_KINDS[item][2]}, got {value!r}")
         return tuple(_coerce(v, item, f"{path}[{i}]") for i, v in enumerate(value))
-    accepts, noun, _ = _SCALARS[kind]
+    accepts, noun, _ = SCALAR_KINDS[kind]
     if not accepts(value):
         raise ConfigError(f"{path}: expected {noun}, got {value!r}")
     return float(value) if kind == "float" else value

@@ -142,9 +142,8 @@ def _composite_instance(seed: int):
         X_l = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, size=5)
         X_p = rng.standard_normal((5, 4)) + 0.3
-        margin = min(
-            float(np.abs(forward(params, X)[2].pre_activations[0]).min()) for X in (X_l, X_p)
-        )
+        W1, b1 = params.layers[0]
+        margin = min(float(np.abs(affine_forward(X, W1, b1)).min()) for X in (X_l, X_p))
         if margin > 1e-3:
             return params, X_l, y, X_p
     raise AssertionError("could not draw a kink-free composite instance")

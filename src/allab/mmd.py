@@ -21,6 +21,10 @@ audit checks it against :func:`mmd2_biased`.  It takes the bandwidths
 themselves, as per-cell columns for a stack of R cells' batch pairs (each
 cell's results are bit for bit those of its own 2-D call), and checks
 nothing; the reference functions check their batches.
+
+Squared distances (:func:`sq_dists`, shared with core-set acquisition and
+the median heuristic) are written over their cross-product matrix, so each
+(n, m) distance matrix is one array.
 """
 
 from __future__ import annotations
@@ -70,17 +74,25 @@ def sq_norms(A: np.ndarray) -> np.ndarray:
     return (A * A).sum(axis=-1)
 
 
+# rows of a distance matrix per block of norm sums in sq_dists
+_ROW_BLOCK = 256
+
+
 def sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at 0 against rounding.
 
     ``aa`` and ``bb`` are the rows' squared norms (:func:`sq_norms`).  A and
     B may be stacks; with B the same array as A, ``np.matmul`` computes the
     Gram matrix with a symmetric rank-k update, per cell of a stack too.
+    Entry (i, j) is ``(aa_i + bb_j) - 2 (A @ B.T)_ij``, written over the
+    cross products ``_ROW_BLOCK`` rows at a time, so the call holds one
+    (n, m) matrix and a block of sums beside it.
     """
-    d2 = aa[..., :, None] + bb[..., None, :]
-    cross = A @ B.swapaxes(-1, -2)
-    cross *= 2.0
-    d2 -= cross
+    d2 = A @ B.swapaxes(-1, -2)
+    for i in range(0, d2.shape[-2], _ROW_BLOCK):
+        rows = d2[..., i : i + _ROW_BLOCK, :]
+        rows *= 2.0
+        np.subtract(aa[..., i : i + _ROW_BLOCK, None] + bb[..., None, :], rows, out=rows)
     return np.maximum(d2, 0.0, out=d2)
 
 

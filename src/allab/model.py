@@ -8,6 +8,14 @@ train mode only; eval mode is fully deterministic.  ``dropout_probs`` runs
 many train-mode passes (BALD's) with the same results and random draws as
 that many ``forward`` calls, computing the dropout-free first layer once.
 
+Scoring keeps no training state.  Only train mode builds the ``ForwardCache``
+that ``backward`` needs; an eval-mode ``forward`` (prediction, core-set
+features) returns None in its place and overwrites each pre-activation with
+its ReLU, so it holds a layer's input and output (and Z), not every layer.
+``predict_proba`` softmaxes its logits in place, ``avg_predict`` sums its
+checkpoints' probabilities into the first one's array, and ``dropout_probs``
+yields its passes one at a time from reused buffers.
+
 The hidden activations are ``layers.relu`` and its gradient
 ``layers.relu_backward``, the same pair the gradient audit checks.  ReLU is
 max(x, 0), so a NaN feature stays NaN through the network and shows up as a
@@ -39,6 +47,7 @@ predicts with their mean.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,31 +184,38 @@ def forward(
     X: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+) -> tuple[np.ndarray, np.ndarray, ForwardCache | None]:
     """Run the network, returning (Z, logits, cache).
 
     Z is the feature activation after layer ``split_index`` (post-ReLU,
-    pre-dropout).  The cache supports :func:`backward`.  Only train-mode
-    dropout consumes random numbers.  For a stack, X is (R, n, d_0) and
-    ``rng`` one generator per cell (see ``layers.dropout``).
+    pre-dropout).  In train mode the cache supports :func:`backward`; eval
+    mode keeps no cache (None in its place) and applies each ReLU in place
+    on its fresh pre-activation, whose bits Z keeps, since later layers write
+    new arrays.  Only train-mode dropout consumes random numbers.  For a stack, X is
+    (R, n, d_0) and ``rng`` one generator per cell (see ``layers.dropout``).
     """
     a = _checked_input(params, X)
     spec = params.spec
-    cache = ForwardCache()
+    cache = ForwardCache() if train_mode else None
     *hidden, (W_out, b_out) = params.layers
     for i, (W, b) in enumerate(hidden, start=1):  # one of them is split_index
-        cache.inputs.append(a)
         pre = affine_forward(a, W, b)
-        cache.pre_activations.append(pre)
-        h = relu(pre)
+        if train_mode:
+            cache.inputs.append(a)
+            cache.pre_activations.append(pre)
+            h = relu(pre)
+        else:  # no backward pass reads the pre-activation
+            h = relu(pre, out=pre)
         if i == spec.split_index:
             Z = h
         a, mask = dropout(h, spec.dropout_rate, rng=rng, train_mode=train_mode)
-        cache.dropout_masks.append(mask)
-    cache.inputs.append(a)
+        if train_mode:
+            cache.dropout_masks.append(mask)
     logits = affine_forward(a, W_out, b_out)
-    cache.pre_activations.append(logits)
-    cache.dropout_masks.append(None)
+    if train_mode:
+        cache.inputs.append(a)
+        cache.pre_activations.append(logits)
+        cache.dropout_masks.append(None)
     return Z, logits, cache
 
 
@@ -258,7 +274,7 @@ def backward(
 def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
     """Row-stochastic class probabilities (eval mode, no dropout)."""
     _, logits, _ = forward(params, X, train_mode=False)
-    return softmax(logits)
+    return softmax(logits, out=logits)
 
 
 def snapshot(params: MlpParams) -> MlpParams:
@@ -293,39 +309,49 @@ def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
     acc = None
     for snap in trajectory.snapshots:
         P = predict_proba(snap, X)
-        acc = P if acc is None else acc + P
-    return acc / len(trajectory)
+        if acc is None:
+            acc = P
+        else:
+            acc += P
+    acc /= len(trajectory)
+    return acc
 
 
 def dropout_probs(
     params: MlpParams, X: np.ndarray, passes: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(passes, n, C) class probabilities from train-mode dropout passes.
+) -> Iterator[np.ndarray]:
+    """The (n, C) class probabilities of ``passes`` train-mode dropout passes,
+    one pass at a time.
 
     Pass t is bit for bit ``softmax`` of the logits of
     ``forward(params, X, train_mode=True, rng=rng)``, and the passes draw the
     same numbers from ``rng`` in the same order, given ``dropout_rate`` > 0
     (at rate 0 ``forward`` draws nothing).  Dropout acts only after each
     hidden ReLU, so the first layer's ``relu(X @ W1 + b1)`` is the same in
-    every pass and is computed once.  Each later layer's dropout mask and
-    pre-activation buffers are allocated once per call; the passes write
-    into them and allocate no large array.
+    every pass; it is computed once, when this is called, together with the
+    input check.  The later layers share one dropout-mask buffer and each
+    has one pre-activation buffer; every pass writes into them, and its
+    probabilities overwrite the last layer's buffer, which is what is
+    yielded.  A caller that keeps a pass must copy it before the next.
     """
     X = _checked_input(params, X)
-    n, n_layers = X.shape[0], len(params.layers)
-    rate = params.spec.dropout_rate
     W1, b1 = params.layers[0]
-    first = relu(affine_forward(X, W1, b1))
-    later = params.layers[1:]
-    buffers = [(np.empty((n, W.shape[0])), np.empty((n, W.shape[1]))) for W, _ in later]
-    probs = np.empty((passes, n, later[-1][0].shape[1]))
-    for t in range(passes):
+    first = affine_forward(X, W1, b1)
+    relu(first, out=first)
+    return _dropout_passes(first, params.layers[1:], params.spec.dropout_rate, passes, rng)
+
+
+def _dropout_passes(first, later, rate, passes, rng) -> Iterator[np.ndarray]:
+    n = first.shape[0]
+    shared = np.empty(n * max(W.shape[0] for W, _ in later))
+    masks = [shared[: n * W.shape[0]].reshape(n, W.shape[0]) for W, _ in later]
+    pres = [np.empty((n, W.shape[1])) for W, _ in later]
+    for _ in range(passes):
         a = first
-        for i, ((W, b), (mask, pre)) in enumerate(zip(later, buffers), start=2):
-            # layers.dropout with its mask and output in one reused buffer
+        for i, ((W, b), mask, pre) in enumerate(zip(later, masks, pres), start=1):
+            # layers.dropout with its mask and output in the shared buffer
             np.multiply(a, dropout_mask(rate, rng, mask), out=mask)
             a = affine_forward(mask, W, b, out=pre)
-            if i < n_layers:
+            if i < len(later):
                 relu(a, out=a)
-        softmax(a, out=probs[t])
-    return probs
+        yield softmax(a, out=a)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FieldError, PoolError, TrainingDiverged
+from .errors import DimensionError, FieldError, PoolError, TrainingDiverged, check_kinds
 from .layers import check_labels, softmax_cross_entropy
 from .mmd import check_bandwidths, median_heuristic, mmd2_biased_with_grad
 from .model import (
@@ -98,6 +98,7 @@ class TrainConfig:
     kernel: str | tuple[float, ...] = "median"
 
     def __post_init__(self):
+        check_kinds(self)
         if self.epochs < 2 or self.epochs % 2 != 0:
             raise ValueError(f"epochs must be even and >= 2, got {self.epochs}")
         if self.epochs < 2 * self.n_checkpoints:

@@ -15,7 +15,6 @@ from allab.acquisition import (
     acquire,
     avg_predict,
     bald_acquire,
-    bald_scores_from_probs,
     coreset_acquire,
     entropy_acquire,
     entropy_scores,
@@ -23,6 +22,7 @@ from allab.acquisition import (
     select_top_k,
 )
 from allab.errors import PoolError
+from allab.layers import softmax
 from allab.model import CheckpointSet, MlpParams, ModelSpec, forward, init_mlp, predict_proba, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
@@ -285,6 +285,13 @@ def test_entropy_boundary_point_outranks_interior():
 
 # ---- bald ------------------------------------------------------------------
 
+def bald_scores_from_probs(stack):
+    """Mutual information from a (passes, n, C) probability stack: the
+    scores bald_acquire gave when it held every pass at once."""
+    mean_entropy = np.stack([entropy_scores(stack[t]) for t in range(stack.shape[0])]).mean(axis=0)
+    return entropy_scores(stack.mean(axis=0)) - mean_entropy
+
+
 def test_bald_identical_passes_score_zero():
     # mean of T identical rows re-rounds (sum/T), so "zero" means ~1 ulp
     stack = np.tile(np.array([[[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]]), (7, 1, 1))
@@ -323,6 +330,47 @@ def test_bald_matches_brute_force_replay():
     ).reshape(12, -1).mean(axis=0)
     assert np.allclose(result.scores, expected, atol=1e-12)
     assert np.all(result.scores >= -1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+    rate=st.sampled_from([1e-9, 0.1, 0.5, 0.9]),
+    passes=st.integers(2, 25),
+    n=st.integers(2, 30),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),  # 1e3 saturates rows to exact 0s and 1s
+    seed=st.integers(0, 2**31),
+)
+def test_bald_scores_equal_the_stack_of_every_pass(hidden, rate, passes, n, scale, seed):
+    rng = derive_rng(seed, "init")
+    d, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    params = init_mlp(ModelSpec((d, *hidden, C), 1, rate), rng)
+    pool = make_pool(scale * rng.standard_normal((n + 1, d)), labeled=[0], class_count=C)
+    got_rng, want_rng = derive_rng(seed, "bald"), derive_rng(seed, "bald")
+    with np.errstate(over="ignore"):
+        got = bald_acquire(params, pool, 3, passes, got_rng)
+        X = pool.features[pool.unlabeled_idx]
+        stack = np.stack(
+            [softmax(forward(params, X, train_mode=True, rng=want_rng)[1]) for _ in range(passes)]
+        )
+    want = bald_scores_from_probs(stack)
+    assert np.array_equal(got.scores.view(np.uint64), want.view(np.uint64))
+    assert got.selected.tolist() == pool.unlabeled_idx[select_top_k(want, 3)].tolist()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_bald_score_of_a_lone_point_is_the_stack_form_to_the_last_bit():
+    # numpy sums the passes of a lone column pairwise from 8 passes on, where
+    # bald_acquire adds them in order, so the last bit may differ
+    params = init_mlp(ModelSpec((2, 1, 3), 1, 1e-9), derive_rng(1, "init"))
+    pool = make_pool(derive_rng(2).standard_normal((2, 2)), labeled=[0], class_count=3)
+    got = bald_acquire(params, pool, 1, 8, derive_rng(3))
+    rng = derive_rng(3)
+    X = pool.features[[1]]
+    stack = np.stack([softmax(forward(params, X, train_mode=True, rng=rng)[1]) for _ in range(8)])
+    want = bald_scores_from_probs(stack)
+    assert got.selected.tolist() == [1]
+    assert got.scores[0] == pytest.approx(want[0], abs=1e-15)
 
 
 def test_bald_requires_dropout_and_two_passes():

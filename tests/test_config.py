@@ -167,16 +167,29 @@ BROKEN_RULES = [
      "unknown method 'margin' (choices: mpts, random, entropy, bald, coreset)"),
     ("", {"methods": ("mpts", "mpts")}, "methods[1]", "duplicate method 'mpts'"),
 ]
-# rules a JSON config breaks first as a type error (a nonempty list is expected)
+# rules a JSON config breaks first as a type error (a nonempty list is
+# expected), and values of the wrong kind, which the parser rejects as it
+# reads them
 BROKEN_RULES_IN_PYTHON_ONLY = [
     ("", {"methods": ()}, "methods", "must name at least one method"),
     ("train", {"kernel": ()}, "kernel", "need at least one bandwidth"),
+    ("", {"rounds": "3"}, "rounds", "expected an integer, got '3'"),
+    ("", {"methods": "random"}, "methods", "expected a tuple of strings, got 'random'"),
+    ("", {"bias_classes": (0, 1.5)}, "bias_classes[1]", "expected an integer, got 1.5"),
+    ("", {"dump_scores": 1}, "dump_scores", "expected true/false, got 1"),
+    ("dataset", {"test_fraction": "0.2"}, "test_fraction", "expected a number, got '0.2'"),
+    ("model", {"hidden": (8, "x")}, "hidden[1]", "expected an integer, got 'x'"),
+    ("train", {"epochs": "4"}, "epochs", "expected an integer, got '4'"),
 ]
 SECTIONS = {"": ExperimentConfig, "dataset": DatasetConfig, "model": ModelConfig, "train": TrainConfig}
 
 
 def _cases(cases):
-    ids = [f"{section or '$'}.{key or '+'.join(fields)}" for section, fields, key, _ in cases]
+    # a wrong kind gets its own id beside a rule on the same key
+    ids = [
+        f"{section or '$'}.{key or '+'.join(fields)}" + ("-kind" if message.startswith("expected ") else "")
+        for section, fields, key, message in cases
+    ]
     return pytest.mark.parametrize("section, fields, key, message", cases, ids=ids)
 
 

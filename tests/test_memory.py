@@ -1,4 +1,5 @@
-"""How many copies of a pool's features the loading and partitioning hold.
+"""How many copies of a pool's features the loading and partitioning hold,
+and what scoring a pool holds.
 
 The bound is a multiple of the float64 feature array's bytes, measured with
 tracemalloc (numpy reports its array buffers to it).  Loading may hold the
@@ -12,9 +13,14 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 
+import numpy as np
+
 from allab import cli, experiment
+from allab.acquisition import bald_acquire, coreset_acquire
 from allab.config import parse_config
 from allab.experiment import load_dataset, run_experiment, start_partition
+from allab.model import ModelSpec, forward, init_mlp
+from allab.pool import PoolState
 from allab.seeding import derive_rng
 from idx_files import write_idx_images, write_idx_labels
 
@@ -121,3 +127,50 @@ def test_cli_run_frees_the_dataset_it_loaded_before_training(tmp_path, monkeypat
     alive_at_training = _features_alive_at_training(monkeypatch, cli)
     assert cli.main(["run", "--config", str(path)]) == 0
     assert alive_at_training == [False]
+
+
+# ---- scoring ---------------------------------------------------------------
+# Scoring a pool holds what it reads: no backward cache, one dropout pass at a
+# time, one distance matrix.  Each bound is over the arrays the call must hold.
+
+def _scoring_pool(n_unlabeled, n_labeled, width, seed=0):
+    rng = derive_rng(seed, "scoring")
+    n = n_unlabeled + n_labeled
+    return PoolState(
+        features=rng.standard_normal((n, width)),
+        labels=rng.integers(0, 2, n),
+        class_count=2,
+        labeled_idx=np.arange(n_labeled),
+        unlabeled_idx=np.arange(n_labeled, n),
+        test_idx=np.empty(0, dtype=np.int64),
+    )
+
+
+def test_eval_forward_holds_only_what_it_returns():
+    params = init_mlp(ModelSpec((8, 64, 10), 1, 0.0), derive_rng(1))
+    X = derive_rng(2).standard_normal((4000, 8))
+    (Z, logits, cache), peak = _traced_peak(forward, params, X)
+    assert cache is None
+    # with a cache, the pre-activation and its ReLU copy were both alive: +Z.nbytes
+    assert peak <= Z.nbytes + logits.nbytes + Z.nbytes // 4, peak / Z.nbytes
+
+
+def test_bald_peak_does_not_grow_with_passes():
+    final = init_mlp(ModelSpec((4, 16, 10), 1, 0.5), derive_rng(3))
+    pool = _scoring_pool(3000, 10, 4)
+    pass_bytes = 3000 * 10 * 8  # one pass's (n, C) probabilities
+    peaks = {
+        passes: _traced_peak(bald_acquire, final, pool, 5, passes, derive_rng(4))[1]
+        for passes in (2, 40)
+    }
+    # holding every pass at once, the 40-pass peak was about 40 passes above the 2-pass one
+    assert peaks[40] <= peaks[2] + pass_bytes // 4, (peaks[40] - peaks[2]) / pass_bytes
+
+
+def test_coreset_holds_one_distance_matrix():
+    final = init_mlp(ModelSpec((4, 8, 2), 1, 0.0), derive_rng(5))
+    pool = _scoring_pool(3000, 1000, 4)
+    matrix_bytes = 3000 * 1000 * 8  # |U| x |L| float64
+    _, peak = _traced_peak(coreset_acquire, final, pool, 3)
+    # with the norm sums and the cross products in two full matrices it was 2x
+    assert peak <= 1.25 * matrix_bytes, peak / matrix_bytes

@@ -8,12 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from allab.errors import DimensionError
 from allab.mmd import (
+    _ROW_BLOCK,
     check_bandwidths,
     median_heuristic,
     mmd2_biased,
     mmd2_biased_with_grad,
     rbf_kernel,
     sq_dists,
+    sq_norms,
 )
 
 from test_layers import fd_grad, rel_err
@@ -299,6 +301,42 @@ def test_stacked_value_and_gradient_equal_each_cell_alone(R, a, b, d, bandwidths
         assert np.array_equal(bits(dB[r]), bits(gB))
         norms_r = (Ar * Ar).sum(axis=-1)
         assert np.array_equal(bits(gram[r]), bits(sq_dists(Ar, Ar, norms_r, norms_r)))
+
+
+def two_matrix_sq_dists(A, B, aa, bb):
+    """sq_dists as it was: the norm sums and the cross products in two
+    full matrices."""
+    d2 = aa[..., :, None] + bb[..., None, :]
+    cross = A @ B.swapaxes(-1, -2)
+    cross *= 2.0
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.sampled_from([None, 1, 3]),
+    n=st.sampled_from([1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3]),
+    m=st.integers(1, 12),
+    d=st.integers(1, 9),
+    same=st.booleans(),
+    relu_like=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_sq_dists_equals_the_two_matrix_form(cells, n, m, d, same, relu_like, seed):
+    rng = np.random.default_rng(seed)
+    lead = () if cells is None else (cells,)
+    A = rng.standard_normal((*lead, n, d)) * rng.uniform(0.1, 3.0)
+    B = A if same else rng.standard_normal((*lead, m, d)) + rng.uniform(-1.0, 1.0)
+    if relu_like:  # the exact and signed zeros of feature batches
+        A = np.maximum(A, 0.0)
+        A[A == 0.0] = -0.0
+        B = A if same else np.maximum(B, 0.0)
+    aa = sq_norms(A)
+    bb = aa if same else sq_norms(B)
+    got, want = sq_dists(A, B, aa, bb), two_matrix_sq_dists(A, B, aa, bb)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
 
 
 # ---- median heuristic ------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allab.errors import DimensionError
-from allab.layers import affine_backward, softmax, softmax_cross_entropy
+from allab.layers import affine_backward, affine_forward, dropout, relu, softmax, softmax_cross_entropy
 from allab.model import (
     CheckpointSet,
     MlpParams,
@@ -212,6 +212,63 @@ def test_predict_matches_forward_softmax():
     assert np.abs(predict_proba(params, X) - shifted / shifted.sum(axis=1, keepdims=True)).max() <= 1e-15
 
 
+def eval_forward_reference(params, X):
+    """Eval-mode forward as it was when it built a backward cache: every
+    layer's input and pre-activation kept, each ReLU a new array."""
+    a, spec = np.asarray(X, dtype=np.float64), params.spec
+    inputs, pres = [], []
+    *hidden, (W_out, b_out) = params.layers
+    for i, (W, b) in enumerate(hidden, start=1):
+        inputs.append(a)
+        pres.append(affine_forward(a, W, b))
+        h = relu(pres[-1])
+        if i == spec.split_index:
+            Z = h
+        a, _ = dropout(h, spec.dropout_rate, train_mode=False)
+    return Z, affine_forward(a, W_out, b_out), (inputs, pres)
+
+
+def predict_proba_reference(params, X):
+    """Softmax of the reference logits into a new array."""
+    return softmax(eval_forward_reference(params, X)[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    cells=st.sampled_from([None, 1, 3]),
+    rate=st.sampled_from([0.0, 0.5]),
+    n=st.integers(1, 12),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    special=st.sampled_from([None, 0.0, -0.0, np.nan, np.inf, -np.inf]),
+    seed=st.integers(0, 2**31),
+)
+def test_eval_forward_and_predict_equal_the_cache_building_forward(
+    hidden, cells, rate, n, scale, special, seed
+):
+    rng = derive_rng(seed, "init")
+    d, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    spec = ModelSpec((d, *hidden, C), int(rng.integers(1, len(hidden) + 1)), rate)
+    shape = (n, d) if cells is None else (cells, n, d)
+    if cells is None:
+        params = init_mlp(spec, rng)
+    else:
+        params = stack([init_mlp(spec, rng) for _ in range(cells)])
+    X = scale * rng.standard_normal(shape)
+    if special is not None:  # signed zeros and non-finite values through every layer
+        X[rng.random(X.shape) < 0.3] = special
+    with np.errstate(invalid="ignore", over="ignore"):
+        Z, logits, cache = forward(params, X)
+        want_Z, want_logits, _ = eval_forward_reference(params, X)
+        got_P = predict_proba(params, X) if cells is None else None
+        want_P = predict_proba_reference(params, X) if cells is None else None
+    assert cache is None
+    assert np.array_equal(Z.view(np.uint64), want_Z.view(np.uint64))
+    assert np.array_equal(logits.view(np.uint64), want_logits.view(np.uint64))
+    if cells is None:
+        assert np.array_equal(got_P.view(np.uint64), want_P.view(np.uint64))
+
+
 # ---- backward --------------------------------------------------------------
 
 def test_backward_feature_gradient_injection():
@@ -219,7 +276,7 @@ def test_backward_feature_gradient_injection():
     for attempt in range(20):
         params = small_net(100 + attempt)
         X = derive_rng(200 + attempt).standard_normal((4, 3))
-        if np.abs(forward(params, X)[2].pre_activations[0]).min() > 1e-3:
+        if np.abs(forward(params, X, train_mode=True)[2].pre_activations[0]).min() > 1e-3:
             break
     V = derive_rng(14).standard_normal((4, 4))
 
@@ -379,11 +436,12 @@ def test_sgd_step_on_snapshot_raises():
 
 def avg_predict_by_copies(trajectory, X):
     """The old checkpoint average: each snapshot copied back into writable
-    parameters, then predicted from."""
+    parameters, predicted from by the reference forward, and summed and
+    divided into new arrays."""
     acc = None
     for snap in trajectory.snapshots:
         params = MlpParams(snap.spec, snap.flat.copy())
-        P = predict_proba(params, X)
+        P = predict_proba_reference(params, X)
         acc = P if acc is None else acc + P
     return acc / len(trajectory)
 
@@ -440,7 +498,7 @@ def test_dropout_probs_equals_forward_per_pass(hidden, rate, n, passes, scale, s
         X[rng.random(X.shape) < 0.3] = special
     got_rng, want_rng = derive_rng(seed, "dropout"), derive_rng(seed, "dropout")
     with np.errstate(invalid="ignore", over="ignore"):
-        got = dropout_probs(params, X, passes, got_rng)
+        got = np.stack([P.copy() for P in dropout_probs(params, X, passes, got_rng)])
         want = dropout_probs_reference(params, X, passes, want_rng)
     assert got.shape == (passes, n, C)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
