@@ -3,10 +3,12 @@
 The dataclasses are the schema: a field's name is its JSON key, its annotation
 is the JSON kind, and its default is the value used when the key is absent.
 Each dataclass checks its own rules in ``__post_init__``, the kinds of its
-fields first (``errors.check_kinds``; a FieldError names the field's key), so
-configs built in Python or by ``dataclasses.replace`` get the checks a parsed
-one gets.  The parser rejects unknown keys (typo safety) and values of the
-wrong kind, and names the JSON path of every error.
+fields first (``errors.check_kinds``, which also stores each value in its one
+form: tuples, and floats for float fields; a FieldError names the field), so
+configs built in Python or by ``dataclasses.replace`` get the checks and the
+values a parsed one gets.  The parser only maps JSON keys to fields: it passes
+the values as they are, rejects unknown keys (typo safety) and missing required
+ones, and names the JSON path of every error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 
 from .acquisition import METHODS
-from .errors import SCALAR_KINDS, ConfigError, FieldError, check_kinds
+from .errors import ConfigError, FieldError, check_kinds
 from .trainer import TrainConfig
 
 __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "config_to_json"]
@@ -34,12 +36,19 @@ def _at_least(cfg, low: int, *names: str) -> None:
             raise FieldError(name, f"must be >= {low}, got {value}")
 
 
+def _check_split(split: int, hidden: tuple[int, ...]) -> None:
+    if not 1 <= split <= len(hidden):
+        raise FieldError(
+            "split_index", f"must be in [1, {len(hidden)}] for the hidden sizes {list(hidden)}, got {split}"
+        )
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "synthetic"
     pool_size: int | None = None
     # "none" | "pool" | "labeled"; left unset, "pool" when kind is csv, else "none"
-    standardize: str = None
+    standardize: str | None = None
     test_fraction: float = 0.2
     # synthetic
     class_count: int = 4
@@ -86,8 +95,8 @@ class ModelConfig:
         if self.hidden is not None:
             if any(h < 1 for h in self.hidden):
                 raise FieldError("hidden", f"sizes must be >= 1, got {list(self.hidden)}")
-            if self.split_index is not None and not 1 <= self.split_index <= len(self.hidden):
-                raise FieldError("split_index", f"must be in [1, {len(self.hidden)}], got {self.split_index}")
+            if self.split_index is not None:
+                _check_split(self.split_index, self.hidden)
         if not 0.0 < self.bald_dropout < 1.0:
             raise FieldError("bald_dropout", f"must be in (0, 1), got {self.bald_dropout}")
         _at_least(self, 2, "bald_passes")
@@ -102,11 +111,10 @@ class ModelConfig:
         if hidden is None:
             hidden = (128,) if input_dim == 784 else (64, 64)
         split = self.split_index if self.split_index is not None else len(hidden)
-        if not 1 <= split <= len(hidden):
-            raise ConfigError(
-                f"$.model.split_index: must be in [1, {len(hidden)}] for the hidden "
-                f"sizes {list(hidden)} of {input_dim}-d input, got {split}"
-            )
+        try:
+            _check_split(split, hidden)
+        except FieldError as e:
+            raise ConfigError(f"$.model.{e}") from None
         return (input_dim, *hidden, class_count), split
 
 
@@ -128,8 +136,6 @@ class ExperimentConfig:
     def __post_init__(self):
         check_kinds(self)
         _at_least(self, 1, "initial_count", "budget", "rounds", "repeats")
-        if not self.methods:
-            raise FieldError("methods", "must name at least one method")
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise FieldError(f"methods[{i}]", f"unknown method {m!r} (choices: {', '.join(METHODS)})")
@@ -152,18 +158,19 @@ class _Node:
     def build(self, cls, keys: dict | None = None, **given):
         """One ``cls`` from this object's keys.
 
-        Fields in ``given`` are taken as passed.  Every other field is read
-        from its key (its name, or ``keys[name]``) and coerced to its
-        annotation; an absent key leaves the field's default, and a field
+        Fields in ``given`` are taken as passed.  Every other field gets the
+        value of its key (its name, or ``keys[name]``) as it is, and ``cls``
+        checks it; an absent key leaves the field's default, and a field
         without one is required.  A rule that ``cls`` breaks gets this
-        object's path, and a FieldError's key after it.
+        object's path, and a FieldError's field under its JSON key after it.
         """
+        keys = keys or {}
         for f in _fields(cls):
-            key = keys.get(f.name, f.name) if keys else f.name
+            key = keys.get(f.name, f.name)
             if f.name in given:
                 continue
             if key in self._data:
-                given[f.name] = _coerce(self._data.pop(key), f.type, f"{self._path}.{key}")
+                given[f.name] = self._data.pop(key)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{self._path}.{key}: required key missing")
         if self._data:
@@ -171,32 +178,9 @@ class _Node:
         try:
             return cls(**given)
         except FieldError as e:
-            raise ConfigError(f"{self._path}.{e}") from None
+            raise ConfigError(f"{self._path}.{keys.get(e.key, e.key)}: {e.message}") from None
         except ValueError as e:
             raise ConfigError(f"{self._path}: {e}") from None
-
-
-def _coerce(value, kind: str, path: str):
-    """``value`` checked against annotation ``kind``: a scalar from ``SCALAR_KINDS``,
-    ``X | None``, or ``tuple[X, ...]`` (a nonempty JSON list)."""
-    if kind.endswith(" | None"):
-        return None if value is None else _coerce(value, kind[: -len(" | None")], path)
-    if kind.startswith("tuple[") and kind.endswith(", ...]"):
-        item = kind[len("tuple[") : -len(", ...]")]
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a nonempty list of {SCALAR_KINDS[item][2]}, got {value!r}")
-        return tuple(_coerce(v, item, f"{path}[{i}]") for i, v in enumerate(value))
-    accepts, noun, _ = SCALAR_KINDS[kind]
-    if not accepts(value):
-        raise ConfigError(f"{path}: expected {noun}, got {value!r}")
-    return float(value) if kind == "float" else value
-
-
-def _parse_train(node: _Node) -> TrainConfig:
-    kernel = node._data.pop("kernel", TrainConfig.kernel)  # a name or a bandwidth list
-    if isinstance(kernel, list):
-        kernel = _coerce(kernel, "tuple[float, ...]", "$.train.kernel")
-    return node.build(TrainConfig, _TRAIN_KEYS, kernel=kernel)
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -222,7 +206,7 @@ def parse_config(source) -> ExperimentConfig:
     return root.build(
         ExperimentConfig,
         dataset=root.child("dataset").build(DatasetConfig),
-        train=_parse_train(root.child("train")),
+        train=root.child("train").build(TrainConfig, _TRAIN_KEYS),
         model=root.child("model").build(ModelConfig),
     )
 

@@ -16,14 +16,16 @@ class ConfigError(ValueError):
 
 
 class FieldError(ValueError):
-    """A config field breaks its dataclass's rule: ``<JSON key>: <message>``."""
+    """A config field breaks its dataclass's rule: ``<key>: <message>``, where
+    ``key`` is the field's name, or an item of it (``hidden[1]``)."""
 
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
+        self.key, self.message = key, message
 
 
 # scalar annotation -> (accepts a value, what the value must be, plural noun)
-SCALAR_KINDS = {
+_SCALAR_KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number", "numbers"),
     "str": (lambda v: isinstance(v, str), "a string", "strings"),
@@ -32,14 +34,13 @@ SCALAR_KINDS = {
 
 
 def check_kinds(cfg) -> None:
-    """Raise FieldError naming the first field of dataclass ``cfg`` whose value
-    is not of its annotated kind: a ``SCALAR_KINDS`` scalar, ``X | None``, or
-    ``tuple[X, ...]`` (a tuple or list, each item named by its index).  A field
-    left at its default, or of another annotation, is not checked here."""
+    """Check every field of dataclass ``cfg`` against its annotation with
+    ``check_kind`` and store the value in its one form; this is the one reader
+    of config field annotations.  A field left at its default is not checked."""
     for name, default, kind in _kinds(type(cfg)):
         value = getattr(cfg, name)
         if value is not default:
-            _check_kind(value, kind, name)
+            object.__setattr__(cfg, name, check_kind(value, kind, name))
 
 
 @cache
@@ -47,21 +48,27 @@ def _kinds(cls) -> tuple[tuple[str, object, str], ...]:
     return tuple((f.name, f.default, f.type) for f in fields(cls))
 
 
-def _check_kind(value, kind: str, key: str) -> None:
+def check_kind(value, kind: str, key: str):
+    """``value`` in its one form for annotation ``kind``, or a FieldError naming ``key``:
+    a float for ``float`` (an integer too), a tuple for ``tuple[X, ...]`` (from a
+    nonempty tuple or list, a bad item named by its index), and None also for
+    ``X | None``.  Any other annotation is not checked here."""
     if kind.endswith(" | None"):
         if value is None:
-            return
+            return None
         kind = kind[: -len(" | None")]
-    if kind in SCALAR_KINDS:
-        accepts, noun, _ = SCALAR_KINDS[kind]
+    if kind.startswith("tuple[") and kind.endswith(", ...]"):
+        item = kind[len("tuple[") : -len(", ...]")]
+        if not isinstance(value, (tuple, list)) or not value:
+            raise FieldError(key, f"expected a nonempty list of {_SCALAR_KINDS[item][2]}, got {value!r}")
+        return tuple(check_kind(v, item, f"{key}[{i}]") for i, v in enumerate(value))
+    if kind in _SCALAR_KINDS:
+        accepts, noun, _ = _SCALAR_KINDS[kind]
         if not accepts(value):
             raise FieldError(key, f"expected {noun}, got {value!r}")
-    elif kind.startswith("tuple[") and kind.endswith(", ...]"):
-        item = kind[len("tuple[") : -len(", ...]")]
-        if not isinstance(value, (tuple, list)):
-            raise FieldError(key, f"expected a tuple of {SCALAR_KINDS[item][2]}, got {value!r}")
-        for i, v in enumerate(value):
-            _check_kind(v, item, f"{key}[{i}]")
+        if kind == "float":
+            return float(value)
+    return value
 
 
 class FormatError(ValueError):

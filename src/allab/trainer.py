@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FieldError, PoolError, TrainingDiverged, check_kinds
+from .errors import DimensionError, FieldError, PoolError, TrainingDiverged, check_kind, check_kinds
 from .layers import check_labels, softmax_cross_entropy
 from .mmd import check_bandwidths, median_heuristic, mmd2_biased_with_grad
 from .model import (
@@ -86,7 +86,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """All knobs of one training round."""
+    """All knobs of one training round.  ``kernel`` is ``median``, ``median3`` or
+    a nonempty list of positive, finite bandwidths, kept as a tuple of floats."""
 
     epochs: int = 100
     base_lr: float = 1e-3
@@ -118,16 +119,15 @@ class TrainConfig:
             raise ValueError(f"n_checkpoints must be >= 1, got {self.n_checkpoints}")
         if not 0.0 < self.lr_floor_ratio <= 1.0:
             raise ValueError(f"lr_floor_ratio must be in (0, 1], got {self.lr_floor_ratio}")
-        if isinstance(self.kernel, (tuple, list, np.ndarray)):
-            key = "kernel"  # a bad entry is named by its index, an empty list as a whole
-            try:
-                for i, sigma in enumerate(self.kernel):
-                    key = f"kernel[{i}]"
+        if isinstance(self.kernel, (tuple, list)):
+            kernel = check_kind(self.kernel, "tuple[float, ...]", "kernel")
+            for i, sigma in enumerate(kernel):
+                try:
                     check_bandwidths((sigma,))
-                object.__setattr__(self, "kernel", check_bandwidths(self.kernel))
-            except ValueError as e:
-                raise FieldError(key, str(e)) from None
-        elif self.kernel not in ("median", "median3"):
+                except ValueError as e:
+                    raise FieldError(f"kernel[{i}]", str(e)) from None
+            object.__setattr__(self, "kernel", kernel)
+        elif not isinstance(self.kernel, str) or self.kernel not in ("median", "median3"):
             raise FieldError(
                 "kernel", f"must be 'median', 'median3' or a bandwidth list, got {self.kernel!r}"
             )

@@ -152,8 +152,8 @@ BROKEN_RULES = [
      None, "test_images_path and test_labels_path go together"),
     ("dataset", {"kind": "csv"}, None, "csv needs path"),
     ("model", {"hidden": (8, 0)}, "hidden", "sizes must be >= 1, got [8, 0]"),
-    ("model", {"hidden": (8,), "split_index": 2}, "split_index", "must be in [1, 1], got 2"),
-    ("model", {"split_index": 0, "hidden": (8,)}, "split_index", "must be in [1, 1], got 0"),
+    ("model", {"hidden": (8,), "split_index": 2}, "split_index", "must be in [1, 1] for the hidden sizes [8], got 2"),
+    ("model", {"split_index": 0, "hidden": (8,)}, "split_index", "must be in [1, 1] for the hidden sizes [8], got 0"),
     ("model", {"bald_dropout": 0.0}, "bald_dropout", "must be in (0, 1), got 0.0"),
     ("model", {"bald_passes": 1}, "bald_passes", "must be >= 2, got 1"),
     ("train", {"kernel": "gauss"}, "kernel", "must be 'median', 'median3' or a bandwidth list, got 'gauss'"),
@@ -166,28 +166,29 @@ BROKEN_RULES = [
     ("", {"methods": ("random", "margin")}, "methods[1]",
      "unknown method 'margin' (choices: mpts, random, entropy, bald, coreset)"),
     ("", {"methods": ("mpts", "mpts")}, "methods[1]", "duplicate method 'mpts'"),
-]
-# rules a JSON config breaks first as a type error (a nonempty list is
-# expected), and values of the wrong kind, which the parser rejects as it
-# reads them
-BROKEN_RULES_IN_PYTHON_ONLY = [
-    ("", {"methods": ()}, "methods", "must name at least one method"),
-    ("train", {"kernel": ()}, "kernel", "need at least one bandwidth"),
     ("", {"rounds": "3"}, "rounds", "expected an integer, got '3'"),
-    ("", {"methods": "random"}, "methods", "expected a tuple of strings, got 'random'"),
+    ("", {"methods": "random"}, "methods", "expected a nonempty list of strings, got 'random'"),
     ("", {"bias_classes": (0, 1.5)}, "bias_classes[1]", "expected an integer, got 1.5"),
     ("", {"dump_scores": 1}, "dump_scores", "expected true/false, got 1"),
     ("dataset", {"test_fraction": "0.2"}, "test_fraction", "expected a number, got '0.2'"),
     ("model", {"hidden": (8, "x")}, "hidden[1]", "expected an integer, got 'x'"),
     ("train", {"epochs": "4"}, "epochs", "expected an integer, got '4'"),
+    ("train", {"kernel": (True, 2.0)}, "kernel[0]", "expected a number, got True"),
+]
+# empty lists, whose value reads () in Python and [] in JSON
+BROKEN_RULES_IN_PYTHON_ONLY = [
+    ("", {"methods": ()}, "methods", "expected a nonempty list of strings, got ()"),
+    ("train", {"kernel": ()}, "kernel", "expected a nonempty list of numbers, got ()"),
 ]
 SECTIONS = {"": ExperimentConfig, "dataset": DatasetConfig, "model": ModelConfig, "train": TrainConfig}
 
 
 def _cases(cases):
-    # a wrong kind gets its own id beside a rule on the same key
+    # a wrong kind gets its own id beside a rule on the same key; an empty
+    # list breaks the nonempty rule and keeps the key's plain id
     ids = [
-        f"{section or '$'}.{key or '+'.join(fields)}" + ("-kind" if message.startswith("expected ") else "")
+        f"{section or '$'}.{key or '+'.join(fields)}"
+        + ("-kind" if message.startswith("expected ") and () not in fields.values() else "")
         for section, fields, key, message in cases
     ]
     return pytest.mark.parametrize("section, fields, key, message", cases, ids=ids)
@@ -234,6 +235,44 @@ def test_csv_dataset_built_in_python_equals_the_parsed_one():
     assert built == parse_config({"methods": ["random"], "dataset": {"kind": "csv", "path": "x.csv"}}).dataset
     assert DatasetConfig(kind="csv", path="x.csv", standardize="none").standardize == "none"
     assert DatasetConfig().standardize == "none"
+
+
+def test_empty_lists_built_in_python_fail_naming_their_field():
+    with pytest.raises(ValueError, match=r"^hidden: expected a nonempty list of integers, got \(\)$"):
+        ModelConfig(hidden=())
+    with pytest.raises(ValueError, match=r"^bias_classes: expected a nonempty list of integers, got \(\)$"):
+        ExperimentConfig(methods=("random",), bias_classes=())
+
+
+def test_null_standardize_parses_to_the_kinds_default():
+    for dataset, expected in (({}, "none"), ({"kind": "csv", "path": "x.csv"}, "pool")):
+        cfg = parse_config({"methods": ["random"], "dataset": {**dataset, "standardize": None}})
+        assert cfg.dataset.standardize == expected
+
+
+def test_wrong_kind_of_lambda_names_its_json_key():
+    with pytest.raises(ConfigError, match=r"^\$\.train\.lambda: expected a number, got 'x'$"):
+        parse_config({"methods": ["mpts"], "train": {"lambda": "x"}})
+
+
+def test_config_built_from_lists_and_ints_equals_the_parsed_one():
+    built = ExperimentConfig(
+        methods=["mpts", "random"],
+        bias_classes=[0, 2],
+        model=ModelConfig(hidden=[8, 4]),
+        train=TrainConfig(kernel=[1, 2.5], base_lr=1),
+    )
+    parsed = parse_config({
+        "methods": ["mpts", "random"],
+        "bias_classes": [0, 2],
+        "model": {"hidden": [8, 4]},
+        "train": {"kernel": [1, 2.5], "base_lr": 1},
+    })
+    assert built == parsed
+    assert hash(built) == hash(parsed)
+    assert config_to_json(built) == config_to_json(parsed)
+    assert built.methods == ("mpts", "random") and built.model.hidden == (8, 4)
+    assert [type(v) for v in (built.train.base_lr, *built.train.kernel)] == [float] * 3
 
 
 def test_parse_from_string_and_file(tmp_path):
@@ -328,8 +367,8 @@ def test_every_field_round_trips():
 
 
 def test_every_field_config_covers_every_field():
-    # a field whose annotation the parser has no kind for fails only when its
-    # key is set, so the round-trip config above must set every field
+    # the kind check skips a field left at its default, so the round-trip
+    # config above must set every field
     cfg = parse_config(EVERY_FIELD)
     exempt = {(ExperimentConfig, "dataset"), (ExperimentConfig, "train"), (ExperimentConfig, "model")}
     sections = [

@@ -64,6 +64,8 @@ def test_train_config_invariants():
     with pytest.raises(ValueError):
         TrainConfig(kernel=(1.0, -2.0))
     assert TrainConfig(kernel=[0.5, 1.5]).kernel == (0.5, 1.5)
+    with pytest.raises(ValueError, match=r"^kernel: must be .* or a bandwidth list, got array"):
+        TrainConfig(kernel=np.array([0.5, 1.5]))  # a list or tuple only, as in JSON
 
 
 def test_checkpoint_set_invariants():
