@@ -4,11 +4,12 @@ The dataclasses are the schema: a field's name is its JSON key, its annotation
 is the JSON kind, and its default is the value used when the key is absent.
 Each dataclass checks its own rules in ``__post_init__``, the kinds of its
 fields first (``errors.check_kinds``, which also stores each value in its one
-form: tuples, and floats for float fields; a FieldError names the field), so
-configs built in Python or by ``dataclasses.replace`` get the checks and the
-values a parsed one gets.  The parser only maps JSON keys to fields: it passes
-the values as they are, rejects unknown keys (typo safety) and missing required
-ones, and names the JSON path of every error.
+form: tuples, and floats for float fields), so configs built in Python or by
+``dataclasses.replace`` get the checks and the values a parsed one gets.  A
+broken rule is always a FieldError naming one field.  The parser only maps
+JSON keys to fields: it passes the values as they are, rejects unknown keys
+(typo safety) and missing required ones, and names the JSON path of every
+error, a FieldError's field under its JSON key.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 
 from .acquisition import METHODS
-from .errors import ConfigError, FieldError, check_kinds
+from .errors import ConfigError, FieldError, at_least, check_kinds
 from .trainer import TrainConfig
 
 __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "config_to_json"]
@@ -27,13 +28,6 @@ __all__ = ["DatasetConfig", "ModelConfig", "ExperimentConfig", "parse_config", "
 _TRAIN_KEYS = {"mmd_weight": "lambda"}
 
 _fields = cache(fields)  # dataclasses.fields rebuilds its tuple on every call
-
-
-def _at_least(cfg, low: int, *names: str) -> None:
-    for name in names:
-        value = getattr(cfg, name)
-        if value is not None and value < low:
-            raise FieldError(name, f"must be >= {low}, got {value}")
 
 
 def _check_split(split: int, hidden: tuple[int, ...]) -> None:
@@ -74,13 +68,14 @@ class DatasetConfig:
             raise FieldError("standardize", f"must be none, pool or labeled, got {self.standardize!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise FieldError("test_fraction", f"must be in (0, 1), got {self.test_fraction}")
-        if self.kind == "mnist" and (self.images_path is None or self.labels_path is None):
-            raise ValueError("mnist needs images_path and labels_path")
-        if self.kind == "mnist" and (self.test_images_path is None) != (self.test_labels_path is None):
-            raise ValueError("test_images_path and test_labels_path go together")
-        if self.kind == "csv" and self.path is None:
-            raise ValueError("csv needs path")
-        _at_least(self, 1, "pool_size", "class_count", "per_class", "dim")
+        for name in {"mnist": ("images_path", "labels_path"), "csv": ("path",)}.get(self.kind, ()):
+            if getattr(self, name) is None:
+                raise FieldError(name, f"required when kind is {self.kind}")
+        pair = ("test_images_path", "test_labels_path")
+        for name, other in (pair, pair[::-1]):
+            if self.kind == "mnist" and getattr(self, name) is None and getattr(self, other) is not None:
+                raise FieldError(name, f"required with {other}")
+        at_least(self, 1, "pool_size", "class_count", "per_class", "dim")
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class ModelConfig:
                 _check_split(self.split_index, self.hidden)
         if not 0.0 < self.bald_dropout < 1.0:
             raise FieldError("bald_dropout", f"must be in (0, 1), got {self.bald_dropout}")
-        _at_least(self, 2, "bald_passes")
+        at_least(self, 2, "bald_passes")
 
     def resolve(self, input_dim: int, class_count: int) -> tuple[tuple[int, ...], int]:
         """Concrete (layer_sizes, split_index) for a dataset's dimensions.
@@ -135,7 +130,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_kinds(self)
-        _at_least(self, 1, "initial_count", "budget", "rounds", "repeats")
+        at_least(self, 1, "initial_count", "budget", "rounds", "repeats")
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise FieldError(f"methods[{i}]", f"unknown method {m!r} (choices: {', '.join(METHODS)})")
@@ -161,8 +156,8 @@ class _Node:
         Fields in ``given`` are taken as passed.  Every other field gets the
         value of its key (its name, or ``keys[name]``) as it is, and ``cls``
         checks it; an absent key leaves the field's default, and a field
-        without one is required.  A rule that ``cls`` breaks gets this
-        object's path, and a FieldError's field under its JSON key after it.
+        without one is required.  A rule that ``cls`` breaks, a FieldError,
+        is reported as this object's path and the field's JSON key.
         """
         keys = keys or {}
         for f in _fields(cls):
@@ -179,8 +174,6 @@ class _Node:
             return cls(**given)
         except FieldError as e:
             raise ConfigError(f"{self._path}.{keys.get(e.key, e.key)}: {e.message}") from None
-        except ValueError as e:
-            raise ConfigError(f"{self._path}: {e}") from None
 
 
 def parse_config(source) -> ExperimentConfig:

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the kind check of config fields.
+"""Exception types shared across the package, and the kind and bound checks of
+config fields.
 
-The CLI maps these onto distinct exit codes (listed in the ``cli`` module docstring).
+A config dataclass raises one kind of error for a broken rule, a FieldError
+naming the field, so the parser can put every rule under its JSON key.  The
+CLI maps the exception types onto distinct exit codes (listed in the ``cli``
+module docstring).
 """
 
 from dataclasses import fields
@@ -17,7 +21,9 @@ class ConfigError(ValueError):
 
 class FieldError(ValueError):
     """A config field breaks its dataclass's rule: ``<key>: <message>``, where
-    ``key`` is the field's name, or an item of it (``hidden[1]``)."""
+    ``key`` is the field's name, or an item of it (``hidden[1]``).  It is the
+    one exception a config dataclass raises for a broken rule; a rule over
+    several fields names the one that must change."""
 
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
@@ -69,6 +75,15 @@ def check_kind(value, kind: str, key: str):
         if kind == "float":
             return float(value)
     return value
+
+
+def at_least(cfg, low: int, *names: str) -> None:
+    """A FieldError for the first of the fields ``names`` of ``cfg`` below ``low``;
+    None passes."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None and value < low:
+            raise FieldError(name, f"must be >= {low}, got {value}")
 
 
 class FormatError(ValueError):

@@ -5,9 +5,10 @@ heuristic:
 
     k_sigma(x, y) = exp(-||x - y||^2 / (2 sigma^2))
 
-Bandwidths are a tuple of floats, checked once where they enter
-(:func:`check_bandwidths`); with several, the effective kernel is the mean of
-the per-bandwidth kernels.  The squared-discrepancy estimator is the biased
+Bandwidths are a tuple of positive, finite floats: a configured list is
+checked where it enters (``trainer.TrainConfig``), and the median heuristic
+never returns 0; with several, the effective kernel is the mean of the
+per-bandwidth kernels.  The squared-discrepancy estimator is the biased
 V-statistic (all kernel entries, diagonals included), which is the squared
 distance between empirical kernel mean embeddings and hence nonnegative up to
 float rounding:
@@ -34,7 +35,6 @@ import numpy as np
 from .errors import DimensionError
 
 __all__ = [
-    "check_bandwidths",
     "rbf_kernel",
     "mmd2_biased",
     "mmd2_biased_with_grad",
@@ -42,18 +42,6 @@ __all__ = [
     "sq_norms",
     "sq_dists",
 ]
-
-
-def check_bandwidths(sigmas) -> tuple[float, ...]:
-    """The RBF bandwidths as a tuple of floats, once there is at least one
-    and each is positive and finite."""
-    sigmas = tuple(float(s) for s in sigmas)
-    if not sigmas:
-        raise ValueError("need at least one bandwidth")
-    for s in sigmas:
-        if not (np.isfinite(s) and s > 0):
-            raise ValueError(f"bandwidths must be positive and finite, got {s}")
-    return sigmas
 
 
 def _check_batches(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

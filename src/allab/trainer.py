@@ -55,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FieldError, PoolError, TrainingDiverged, check_kind, check_kinds
+from .errors import DimensionError, FieldError, PoolError, TrainingDiverged, at_least, check_kind, check_kinds
 from .layers import check_labels, softmax_cross_entropy
-from .mmd import check_bandwidths, median_heuristic, mmd2_biased_with_grad
+from .mmd import median_heuristic, mmd2_biased_with_grad
 from .model import (
     CheckpointSet,
     MlpParams,
@@ -101,31 +101,25 @@ class TrainConfig:
     def __post_init__(self):
         check_kinds(self)
         if self.epochs < 2 or self.epochs % 2 != 0:
-            raise ValueError(f"epochs must be even and >= 2, got {self.epochs}")
+            raise FieldError("epochs", f"must be even and >= 2, got {self.epochs}")
+        at_least(self, 2, "batch_size")
+        at_least(self, 1, "n_checkpoints")
+        at_least(self, 0, "mmd_weight", "weight_decay")
         if self.epochs < 2 * self.n_checkpoints:
-            raise ValueError(
-                f"epochs ({self.epochs}) must be >= 2 * n_checkpoints "
-                f"({self.n_checkpoints}) so each cycle spans a full epoch"
+            raise FieldError(
+                "epochs",
+                f"must be >= 2 * n_checkpoints = {2 * self.n_checkpoints} "
+                f"so each cycle spans a full epoch, got {self.epochs}",
             )
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if self.mmd_weight < 0:
-            raise ValueError(f"mmd_weight must be >= 0, got {self.mmd_weight}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.n_checkpoints < 1:
-            raise ValueError(f"n_checkpoints must be >= 1, got {self.n_checkpoints}")
+            raise FieldError("base_lr", f"must be positive, got {self.base_lr}")
         if not 0.0 < self.lr_floor_ratio <= 1.0:
-            raise ValueError(f"lr_floor_ratio must be in (0, 1], got {self.lr_floor_ratio}")
+            raise FieldError("lr_floor_ratio", f"must be in (0, 1], got {self.lr_floor_ratio}")
         if isinstance(self.kernel, (tuple, list)):
             kernel = check_kind(self.kernel, "tuple[float, ...]", "kernel")
             for i, sigma in enumerate(kernel):
-                try:
-                    check_bandwidths((sigma,))
-                except ValueError as e:
-                    raise FieldError(f"kernel[{i}]", str(e)) from None
+                if not 0.0 < sigma < np.inf:
+                    raise FieldError(f"kernel[{i}]", f"bandwidths must be positive and finite, got {sigma}")
             object.__setattr__(self, "kernel", kernel)
         elif not isinstance(self.kernel, str) or self.kernel not in ("median", "median3"):
             raise FieldError(

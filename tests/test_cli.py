@@ -211,6 +211,12 @@ def test_run_bad_bandwidth_names_its_index_and_exits_2(tmp_path, capsys, forbid_
     )
 
 
+def test_run_negative_lambda_names_its_json_key_and_exits_2(tmp_path, capsys, forbid_training):
+    cfg = write_config(tmp_path, train={"lambda": -1})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config error: $.train.lambda: must be >= 0, got -1.0" in capsys.readouterr().err
+
+
 def test_run_synthetic_size_below_one_exits_2(tmp_path, capsys, forbid_training):
     cfg = write_config(tmp_path, dataset={"kind": "synthetic", "class_count": 0})
     assert main(["run", "--config", str(cfg)]) == 2

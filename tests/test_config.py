@@ -6,13 +6,14 @@ import json
 import pytest
 
 from allab.config import (
+    _TRAIN_KEYS,
     DatasetConfig,
     ExperimentConfig,
     ModelConfig,
     config_to_json,
     parse_config,
 )
-from allab.errors import ConfigError
+from allab.errors import ConfigError, FieldError
 from allab.trainer import TrainConfig
 
 
@@ -96,16 +97,16 @@ def test_empty_kernel_list_is_a_type_error():
 
 
 def test_train_invariant_errors_carry_path_prefix():
-    with pytest.raises(ConfigError, match=r"\$\.train: epochs"):
+    with pytest.raises(ConfigError, match=r"^\$\.train\.epochs: must be even and >= 2, got 7$"):
         parse_config({"methods": ["random"], "train": {"epochs": 7}})
 
 
 def test_dataset_kind_and_requirements():
     with pytest.raises(ConfigError, match=r"\$\.dataset\.kind"):
         parse_config({"methods": ["random"], "dataset": {"kind": "imagenet"}})
-    with pytest.raises(ConfigError, match="mnist needs"):
+    with pytest.raises(ConfigError, match=r"^\$\.dataset\.images_path: required when kind is mnist$"):
         parse_config({"methods": ["random"], "dataset": {"kind": "mnist"}})
-    with pytest.raises(ConfigError, match="csv needs path"):
+    with pytest.raises(ConfigError, match=r"^\$\.dataset\.path: required when kind is csv$"):
         parse_config({"methods": ["random"], "dataset": {"kind": "csv"}})
 
 
@@ -139,18 +140,18 @@ def test_type_mismatches_name_the_path():
         parse_config({"methods": ["random"], "dump_scores": "yes"})
 
 
-# one broken rule per case: (section, the fields set, the JSON key the error
-# names or None for a rule over several fields, the message)
+# one broken rule per case: (section, the fields set, the field the error
+# names, the message); JSON names the field by its key in _TRAIN_KEYS
 BROKEN_RULES = [
     ("dataset", {"kind": "imagenet"}, "kind", "must be synthetic, mnist or csv, got 'imagenet'"),
     ("dataset", {"standardize": "bogus"}, "standardize", "must be none, pool or labeled, got 'bogus'"),
     ("dataset", {"test_fraction": 1.0}, "test_fraction", "must be in (0, 1), got 1.0"),
     ("dataset", {"pool_size": 0}, "pool_size", "must be >= 1, got 0"),
     ("dataset", {"per_class": 0}, "per_class", "must be >= 1, got 0"),
-    ("dataset", {"kind": "mnist", "images_path": "i"}, None, "mnist needs images_path and labels_path"),
+    ("dataset", {"kind": "mnist", "images_path": "i"}, "labels_path", "required when kind is mnist"),
     ("dataset", {"kind": "mnist", "images_path": "i", "labels_path": "l", "test_labels_path": "t"},
-     None, "test_images_path and test_labels_path go together"),
-    ("dataset", {"kind": "csv"}, None, "csv needs path"),
+     "test_images_path", "required with test_labels_path"),
+    ("dataset", {"kind": "csv"}, "path", "required when kind is csv"),
     ("model", {"hidden": (8, 0)}, "hidden", "sizes must be >= 1, got [8, 0]"),
     ("model", {"hidden": (8,), "split_index": 2}, "split_index", "must be in [1, 1] for the hidden sizes [8], got 2"),
     ("model", {"split_index": 0, "hidden": (8,)}, "split_index", "must be in [1, 1] for the hidden sizes [8], got 0"),
@@ -159,6 +160,17 @@ BROKEN_RULES = [
     ("train", {"kernel": "gauss"}, "kernel", "must be 'median', 'median3' or a bandwidth list, got 'gauss'"),
     ("train", {"kernel": (0.5, 0.0)}, "kernel[1]", "bandwidths must be positive and finite, got 0.0"),
     ("train", {"kernel": (-float("inf"), 1.0)}, "kernel[0]", "bandwidths must be positive and finite, got -inf"),
+    ("train", {"kernel": (1, 2, float("inf"))}, "kernel[2]", "bandwidths must be positive and finite, got inf"),
+    ("train", {"epochs": 7}, "epochs", "must be even and >= 2, got 7"),
+    ("train", {"epochs": 8, "n_checkpoints": 5}, "epochs",
+     "must be >= 2 * n_checkpoints = 10 so each cycle spans a full epoch, got 8"),
+    ("train", {"batch_size": 1}, "batch_size", "must be >= 2, got 1"),
+    ("train", {"n_checkpoints": 0}, "n_checkpoints", "must be >= 1, got 0"),
+    ("train", {"mmd_weight": -1}, "mmd_weight", "must be >= 0, got -1.0"),
+    ("train", {"weight_decay": -0.5}, "weight_decay", "must be >= 0, got -0.5"),
+    ("train", {"base_lr": 0}, "base_lr", "must be positive, got 0.0"),
+    ("train", {"lr_floor_ratio": 0.0}, "lr_floor_ratio", "must be in (0, 1], got 0.0"),
+    ("train", {"lr_floor_ratio": 2}, "lr_floor_ratio", "must be in (0, 1], got 2.0"),
     ("", {"initial_count": 0}, "initial_count", "must be >= 1, got 0"),
     ("", {"budget": 0}, "budget", "must be >= 1, got 0"),
     ("", {"rounds": 0}, "rounds", "must be >= 1, got 0"),
@@ -185,9 +197,10 @@ SECTIONS = {"": ExperimentConfig, "dataset": DatasetConfig, "model": ModelConfig
 
 def _cases(cases):
     # a wrong kind gets its own id beside a rule on the same key; an empty
-    # list breaks the nonempty rule and keeps the key's plain id
+    # list breaks the nonempty rule and keeps the key's plain id; a required
+    # key that was not set is named by the fields that were
     ids = [
-        f"{section or '$'}.{key or '+'.join(fields)}"
+        f"{section or '$'}.{key if key.split('[')[0] in fields else '+'.join(fields)}"
         + ("-kind" if message.startswith("expected ") and () not in fields.values() else "")
         for section, fields, key, message in cases
     ]
@@ -201,14 +214,11 @@ def _stock(section: str, **fields):
     return SECTIONS[section](**fields)
 
 
-def _expected(key, message):
-    return message if key is None else f"{key}: {message}"
-
-
 @_cases(BROKEN_RULES)
 def test_broken_rule_in_json_names_its_path(section, fields, key, message):
-    doc = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
-    where = "$" + "".join(f".{name}" for name in (section, key) if name)
+    keys = _TRAIN_KEYS if section == "train" else {}
+    doc = {keys.get(k, k): list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
+    where = "$" + "".join(f".{name}" for name in (section, keys.get(key, key)) if name)
     with pytest.raises(ConfigError) as e:
         parse_config({"methods": ["random"], **({section: doc} if section else doc)})
     assert str(e.value) == f"{where}: {message}"
@@ -216,17 +226,17 @@ def test_broken_rule_in_json_names_its_path(section, fields, key, message):
 
 @_cases(BROKEN_RULES + BROKEN_RULES_IN_PYTHON_ONLY)
 def test_broken_rule_fails_a_config_built_in_python(section, fields, key, message):
-    with pytest.raises(ValueError) as e:
+    with pytest.raises(FieldError) as e:
         _stock(section, **fields)
-    assert str(e.value) == _expected(key, message)
+    assert str(e.value) == f"{key}: {message}"
 
 
 @_cases(BROKEN_RULES + BROKEN_RULES_IN_PYTHON_ONLY)
 def test_broken_rule_fails_a_replaced_config(section, fields, key, message):
     good = _stock(section)
-    with pytest.raises(ValueError) as e:
+    with pytest.raises(FieldError) as e:
         dataclasses.replace(good, **fields)
-    assert str(e.value) == _expected(key, message)
+    assert str(e.value) == f"{key}: {message}"
 
 
 def test_csv_dataset_built_in_python_equals_the_parsed_one():

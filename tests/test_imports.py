@@ -7,7 +7,8 @@ module imports another's underscore-prefixed names: what one module calls of
 another is that module's public function, the one its tests check.  And the
 package itself uses every public name (one in a module's ``__all__``), so
 none exists only for tests.  No module imports a threading or process-pool
-library: a run is one thread.
+library: a run is one thread.  And a config dataclass's ``__post_init__``
+raises only FieldError, so every broken rule names its field.
 """
 
 import ast
@@ -113,6 +114,31 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return found
 
 
+CONFIG_CLASSES = {"DatasetConfig", "ModelConfig", "ExperimentConfig", "TrainConfig"}
+
+
+def post_inits(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """The ``__post_init__`` of each config dataclass the module defines."""
+    return {
+        cls.name: fn
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in CONFIG_CLASSES
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+    }
+
+
+def raises(fn: ast.FunctionDef) -> list[tuple[int, str]]:
+    """(line, exception) of every raise in ``fn``, the exception as written
+    without its arguments ('' for a bare re-raise)."""
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((node.lineno, ast.unparse(exc) if exc else ""))
+    return sorted(found)
+
+
 def test_every_module_has_a_tier():
     assert set(MODULES) <= set(TIER), f"unclassified: {sorted(set(MODULES) - set(TIER))}"
 
@@ -150,6 +176,20 @@ def test_every_public_name_is_used_by_the_package():
     assert unused == []
 
 
+def test_config_rules_raise_only_field_errors():
+    found = {}
+    for m in MODULES:
+        found.update(post_inits(parse(m)))
+    assert set(found) == CONFIG_CLASSES
+    other = [
+        f"{cls}.__post_init__:{line} raises {exc or 'bare'}"
+        for cls, fn in sorted(found.items())
+        for line, exc in raises(fn)
+        if exc != "FieldError"
+    ]
+    assert other == []
+
+
 def test_checker_sees_the_violations_it_forbids():
     tree = ast.parse(
         "from .experiment import run_cell\n"
@@ -164,6 +204,11 @@ def test_checker_sees_the_violations_it_forbids():
         "    return f  # and unused\n"
         "from concurrent.futures import ThreadPoolExecutor\n"
         "import threading, multiprocessing.pool\n"
+        "class TrainConfig:\n"
+        "    def __post_init__(self):\n"
+        "        if self.epochs < 2:\n"
+        "            raise FieldError('epochs', 'must be >= 2')\n"
+        "        raise ValueError('epochs must be even')\n"
     )
     assert [t for _, t in package_imports(tree)] == [
         "experiment", "cli", "config", "layers", "acquisition"
@@ -174,3 +219,5 @@ def test_checker_sees_the_violations_it_forbids():
     assert concurrency_imports(tree) == [
         (11, "concurrent.futures"), (12, "threading"), (12, "multiprocessing.pool")
     ]
+    assert list(post_inits(tree)) == ["TrainConfig"]
+    assert raises(post_inits(tree)["TrainConfig"]) == [(16, "FieldError"), (17, "ValueError")]

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from allab.errors import DimensionError
 from allab.mmd import (
     _ROW_BLOCK,
-    check_bandwidths,
     median_heuristic,
     mmd2_biased,
     mmd2_biased_with_grad,
@@ -36,19 +35,6 @@ def mmd2_loops(A, B, sigmas):
     K_ab = kernel_loops(A, B, sigmas)
     K_bb = kernel_loops(B, B, sigmas)
     return K_aa.mean() - 2 * K_ab.mean() + K_bb.mean()
-
-
-# ---- bandwidths ------------------------------------------------------------
-
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError, match="at least one bandwidth"):
-        check_bandwidths(())
-    with pytest.raises(ValueError, match=r"^bandwidths must be positive and finite, got 0.0$"):
-        check_bandwidths((1.0, 0.0))
-    with pytest.raises(ValueError, match="got inf"):
-        check_bandwidths((np.inf,))
-    assert check_bandwidths([2]) == (2.0,)
-    assert type(check_bandwidths(np.array([0.5, 2.0]))[0]) is float
 
 
 # ---- kernel matrix ---------------------------------------------------------
