@@ -107,7 +107,7 @@ def _suite_softmax_ce(col: _Collector, rng: np.random.Generator):
         logits = rng.standard_normal((n, c)) * 3.0
         labels = rng.integers(0, c, size=n)
         loss = lambda: softmax_cross_entropy(logits, labels)[0]
-        _, _, dlogits = softmax_cross_entropy(logits, labels)
+        _, dlogits = softmax_cross_entropy(logits, labels)
         col.add("softmax_ce", str(i), dlogits, central_diff(loss, logits))
 
 
@@ -115,7 +115,7 @@ def _suite_dropout(col: _Collector, rng: np.random.Generator):
     for i in range(21):
         rate = (0.2, 0.5, 0.8)[i % 3]
         X = rng.standard_normal((5, 7))
-        _, mask = dropout(X, rate, rng=derive_rng(1000 + i), train_mode=True)
+        _, mask = dropout(X, rate, rng=derive_rng(1000 + i))
         V = rng.standard_normal(X.shape)
         loss = lambda: float((X * mask * V).sum())  # mask frozen, only X varies
         col.add("dropout", f"{i}/rate{rate}", V * mask, central_diff(loss, X))
@@ -158,12 +158,12 @@ def _suite_composite(col: _Collector, seed: int):
         def loss():
             Z_l, logits, _ = forward(params, X_l)
             Z_p, _, _ = forward(params, X_p)
-            ce, _, _ = softmax_cross_entropy(logits, y)
+            ce, _ = softmax_cross_entropy(logits, y)
             return ce + lam * mmd2_biased(Z_l, Z_p, sigmas)
 
         Z_l, logits, cache_l = forward(params, X_l, train_mode=True)
         Z_p, _, cache_p = forward(params, X_p, train_mode=True)
-        _, _, dlogits = softmax_cross_entropy(logits, y)
+        _, dlogits = softmax_cross_entropy(logits, y)
         _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
         # as in the trainer: the pool batch adds its extractor gradients to the same vector
         grad = zeros_like(params)

@@ -22,7 +22,8 @@ built, a network's input in ``model.forward``, and each training cell's
 labels (:func:`check_labels`) and feature width once per round.
 
 Gradient conventions:
-    - ReLU derivative at exactly 0 is 0.
+    - ReLU derivative at exactly 0 is 0; ``relu_backward`` reads the same
+      mask from the ReLU's input or output, so ``relu`` may run in place.
     - softmax_cross_entropy returns the mean loss over the batch, so its
       logit gradient already carries the 1/n factor.
 """
@@ -90,10 +91,11 @@ def relu(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_backward(X: np.ndarray, dY: np.ndarray) -> np.ndarray:
-    """Upstream gradient dY passed only where the input X was strictly positive.
+    """Upstream gradient dY passed only where X is strictly positive.
 
-    Equal in value to ``np.where(X > 0, dY, 0.0)``; a blocked entry of
-    negative dY comes out as -0.0 rather than 0.0.
+    X may be the ReLU's input or its output: max(x, 0) > 0 exactly where
+    x > 0, ±0 and NaN included.  Equal in value to ``np.where(X > 0, dY, 0)``;
+    a blocked entry of negative dY comes out as -0.0 rather than 0.0.
     """
     return dY * (X > 0)
 
@@ -118,47 +120,45 @@ def check_labels(labels: np.ndarray, class_count: int) -> None:
 
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy of row-wise softmax probabilities.
 
     logits: (n, C); labels: n integer class ids in [0, C) (see
     :func:`check_labels`); or a stack of them, (R, n, C) and (R, n).
 
-    Returns (loss, probs, dlogits) with
+    Returns (loss, dlogits) with
 
         probs   = exp of the log-sum-exp log-probabilities (equal in value to
                   :func:`softmax`, not always in the last bit)
         loss    = -(1/n) sum_i log probs[i, labels[i]], a 0-d array, or one
                   loss per cell of a stack
-        dlogits = (probs - onehot(labels)) / n
+        dlogits = (probs - onehot(labels)) / n, written over probs' array
     """
     n, C = logits.shape[-2:]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_norm
-    probs = np.exp(log_probs)
 
     # (row, label) pairs of every cell, addressed in the (R * n, C) view
     rows, flat_labels = np.arange(labels.size), labels.reshape(-1)
     loss = -log_probs.reshape(-1, C)[rows, flat_labels].reshape(labels.shape).mean(axis=-1)
-    dlogits = probs.copy()
+    dlogits = np.exp(log_probs)
     dlogits.reshape(-1, C)[rows, flat_labels] -= 1.0
     dlogits /= n
-    return loss, probs, dlogits
+    return loss, dlogits
 
 
 def dropout(
     X: np.ndarray,
     rate: float,
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
-    train_mode: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout.
+    """Inverted dropout, as a train-mode pass applies it (eval mode skips it).
 
-    In train mode each entry is kept with probability 1-rate and scaled by
-    1/(1-rate); the returned mask already carries that scale, so the backward
-    pass is ``dX = dY * mask``.  Eval mode (or rate 0) is the identity and
-    consumes no random numbers; the mask is then None.
+    Each entry is kept with probability 1-rate and scaled by 1/(1-rate); the
+    returned mask already carries that scale, so the backward pass is
+    ``dX = dY * mask``.  Rate 0 is the identity and consumes no random
+    numbers; the mask is then None.
 
     ``rng`` is a generator, or a sequence of one generator per cell: R for a
     stack X of shape (R, n, m), one for a 2-D X.  Cell r's mask is then drawn
@@ -166,10 +166,10 @@ def dropout(
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
+    if rate == 0.0:
         return X, None
     if rng is None:
-        raise ValueError("dropout in train mode with rate > 0 requires an rng")
+        raise ValueError("dropout with rate > 0 requires an rng")
     mask = dropout_mask(rate, rng, np.empty(X.shape))
     return X * mask, mask
 

@@ -119,7 +119,8 @@ def mmd2_biased_with_grad(
 
     and symmetrically for B with K_AB transposed.  Multi-bandwidth kernels
     average the per-bandwidth values and gradients, summed in bandwidth
-    order; a single bandwidth needs neither the running sums nor the average.
+    order; a single bandwidth needs no running sums, and its average (a
+    division by 1) is exact.
     Each batch's row norms are computed once for all three distance matrices.
     """
     a, b = A.shape[-2], B.shape[-2]
@@ -153,8 +154,6 @@ def mmd2_biased_with_grad(
         dB += (2.0 / (a * b) * inv_s2) * (col_ab[..., None] * B - K_ab.swapaxes(-1, -2) @ A)
 
     m = len(sigmas)
-    if m == 1:
-        return value, dA, dB
     return value / m, dA / m, dB / m
 
 

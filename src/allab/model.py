@@ -8,13 +8,15 @@ train mode only; eval mode is fully deterministic.  ``dropout_probs`` runs
 many train-mode passes (BALD's) with the same results and random draws as
 that many ``forward`` calls, computing the dropout-free first layer once.
 
-Scoring keeps no training state.  Only train mode builds the ``ForwardCache``
-that ``backward`` needs; an eval-mode ``forward`` (prediction, core-set
-features) returns None in its place and overwrites each pre-activation with
-its ReLU, so it holds a layer's input and output (and Z), not every layer.
-``predict_proba`` softmaxes its logits in place, ``avg_predict`` sums its
-checkpoints' probabilities into the first one's array, and ``dropout_probs``
-yields its passes one at a time from reused buffers.
+``forward`` applies each hidden ReLU in place, in both modes.  Train mode
+keeps a ``ForwardCache`` of exactly what ``backward`` reads; ``relu_backward``
+reads an activation's sign, which is its pre-activation's.  Scoring keeps no
+training state: an eval-mode ``forward`` (prediction, core-set features)
+returns None in the cache's place and draws no dropout, so it holds a layer's
+input and output (and Z), not every layer.  ``predict_proba`` softmaxes its
+logits in place, ``avg_predict`` sums its checkpoints' probabilities into the
+first one's array, and ``dropout_probs`` yields its passes one at a time from
+reused buffers.
 
 The hidden activations are ``layers.relu`` and its gradient
 ``layers.relu_backward``, the same pair the gradient audit checks.  ReLU is
@@ -153,10 +155,11 @@ class CheckpointSet:
 
 @dataclass
 class ForwardCache:
-    """Intermediates needed by backward: per-layer inputs, pre-activations, masks."""
+    """What ``backward`` reads of a train-mode pass: every layer's input (the
+    head's last), and each hidden layer's activation and mask (None at rate 0)."""
 
     inputs: list[np.ndarray] = field(default_factory=list)
-    pre_activations: list[np.ndarray] = field(default_factory=list)
+    activations: list[np.ndarray] = field(default_factory=list)
     dropout_masks: list[np.ndarray | None] = field(default_factory=list)
 
 
@@ -188,35 +191,31 @@ def forward(
     """Run the network, returning (Z, logits, cache).
 
     Z is the feature activation after layer ``split_index`` (post-ReLU,
-    pre-dropout).  In train mode the cache supports :func:`backward`; eval
-    mode keeps no cache (None in its place) and applies each ReLU in place
-    on its fresh pre-activation, whose bits Z keeps, since later layers write
-    new arrays.  Only train-mode dropout consumes random numbers.  For a stack, X is
-    (R, n, d_0) and ``rng`` one generator per cell (see ``layers.dropout``).
+    pre-dropout).  Each ReLU is applied in place on its fresh pre-activation,
+    whose bits Z keeps, since later layers write new arrays.  Train mode
+    draws the dropout masks and builds the cache :func:`backward` reads; eval
+    mode returns None for it.  For a stack, X is (R, n, d_0) and ``rng`` one
+    generator per cell (see ``layers.dropout``).
     """
     a = _checked_input(params, X)
     spec = params.spec
     cache = ForwardCache() if train_mode else None
     *hidden, (W_out, b_out) = params.layers
     for i, (W, b) in enumerate(hidden, start=1):  # one of them is split_index
-        pre = affine_forward(a, W, b)
-        if train_mode:
-            cache.inputs.append(a)
-            cache.pre_activations.append(pre)
-            h = relu(pre)
-        else:  # no backward pass reads the pre-activation
-            h = relu(pre, out=pre)
+        h = affine_forward(a, W, b)
+        relu(h, out=h)
         if i == spec.split_index:
             Z = h
-        a, mask = dropout(h, spec.dropout_rate, rng=rng, train_mode=train_mode)
         if train_mode:
+            cache.inputs.append(a)
+            cache.activations.append(h)
+            a, mask = dropout(h, spec.dropout_rate, rng)
             cache.dropout_masks.append(mask)
-    logits = affine_forward(a, W_out, b_out)
+        else:
+            a = h
     if train_mode:
         cache.inputs.append(a)
-        cache.pre_activations.append(logits)
-        cache.dropout_masks.append(None)
-    return Z, logits, cache
+    return Z, affine_forward(a, W_out, b_out), cache
 
 
 def backward(
@@ -259,7 +258,7 @@ def backward(
                 upstream = upstream * mask
             if dZ is not None and i == split:
                 upstream = dZ if upstream is None else upstream + dZ
-            upstream = relu_backward(cache.pre_activations[i - 1], upstream)
+            upstream = relu_backward(cache.activations[i - 1], upstream)
         if add:
             dX, dW, db = affine_backward(cache.inputs[i - 1], W, upstream, i > 1)
             gW, gb = grads[i - 1]

@@ -324,7 +324,7 @@ def train_stack(
         Z_l, logits, cache_l = forward(params, X_l, train_mode=True, rng=rngs_drop)
         if pool_pass:
             Z_p, _, cache_p = forward(params, X_p, train_mode=True, rng=rngs_drop)
-        ce, _, dlogits = softmax_cross_entropy(logits, y_l)
+        ce, dlogits = softmax_cross_entropy(logits, y_l)
         if not np.isfinite(ce).all():
             raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 

@@ -7,7 +7,6 @@ conftest hook prints a one-line PASS/FAIL verdict per criterion after the run.
 from __future__ import annotations
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -33,7 +32,7 @@ from allab.model import CheckpointSet, ModelSpec, forward, init_mlp, predict_pro
 from allab.pool import PoolState
 from allab.seeding import derive_rng
 from allab.trainer import TrainConfig, snapshot_steps, train_stack
-from idx_files import write_idx_images, write_idx_labels
+from idx_files import make_image_pool, write_idx_images, write_idx_labels
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -241,51 +240,9 @@ def test_criterion_5_biased_start_recovery():
 # --- criterion 6: 784-d image pool at the pinned budget/architecture ---
 
 
-def _make_image_pool(dirpath) -> dict:
-    """Synthetic 28x28 ten-class pool written as IDX pairs.
-
-    Each class is a sparse high-contrast pixel mask; most samples sit on a
-    single template (cores), the rest interpolate between a random class pair
-    with the class boundary displaced per pair, so boundary-band labels carry
-    information a prototype rule cannot recover.
-    """
-    noise, pure_frac, k = 8, 0.83, 392
-    a_lo, a_hi, tau_lo, tau_hi = 0.40, 0.60, 0.42, 0.58
-    n_train, n_test = 6000, 2000
-    rng = derive_rng(777, "standin9", int(noise), int(pure_frac * 100),
-                     int(a_lo * 100), int(tau_lo * 100))
-    M = np.zeros((10, 784))
-    for c in range(10):
-        M[c, rng.choice(784, size=k, replace=False)] = 255.0
-    tau = rng.uniform(tau_lo, tau_hi, size=(10, 10))
-
-    def gen(n):
-        y1 = rng.integers(0, 10, n)
-        y2 = (y1 + rng.integers(1, 10, n)) % 10
-        a_ = np.minimum(y1, y2)
-        b_ = np.maximum(y1, y2)
-        is_core = rng.uniform(size=n) < pure_frac
-        alpha = rng.uniform(a_lo, a_hi, n)
-        lab = np.where(alpha < tau[a_, b_], a_, b_)
-        lab = np.where(is_core, y1, lab)
-        w = np.where(is_core, 0.0, alpha)[:, None]
-        X = (1 - w) * M[np.where(is_core, y1, a_)] + w * M[b_] \
-            + noise * rng.standard_normal((n, 784))
-        return np.clip(np.rint(X), 0, 255).astype(np.uint8).reshape(n, 28, 28), lab.astype(np.uint8)
-
-    Xtr, ytr = gen(n_train)
-    Xte, yte = gen(n_test)
-    paths = {name: os.path.join(dirpath, name) for name in ("tri", "trl", "tei", "tel")}
-    write_idx_images(paths["tri"], Xtr)
-    write_idx_labels(paths["trl"], ytr)
-    write_idx_images(paths["tei"], Xte)
-    write_idx_labels(paths["tel"], yte)
-    return paths
-
-
 def test_criterion_6_image_benchmark(tmp_path):
     t0 = time.monotonic()
-    paths = _make_image_pool(tmp_path)
+    paths = make_image_pool(tmp_path)
     doc = {
         "methods": ["mpts", "random"],
         "dataset": {"kind": "mnist", "images_path": paths["tri"], "labels_path": paths["trl"],

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allab.errors import DimensionError
-from allab.layers import affine_backward, affine_forward, dropout, relu, softmax, softmax_cross_entropy
+from allab.layers import affine_backward, affine_forward, relu, softmax, softmax_cross_entropy
 from allab.model import (
     CheckpointSet,
     MlpParams,
@@ -213,24 +213,41 @@ def test_predict_matches_forward_softmax():
 
 
 def eval_forward_reference(params, X):
-    """Eval-mode forward as it was when it built a backward cache: every
-    layer's input and pre-activation kept, each ReLU a new array."""
+    """Eval-mode forward written out in full: every pre-activation computed
+    from the params and X and kept, each ReLU a new array, no dropout.
+    Returns (Z, logits, hidden inputs, pre-activations)."""
     a, spec = np.asarray(X, dtype=np.float64), params.spec
     inputs, pres = [], []
     *hidden, (W_out, b_out) = params.layers
     for i, (W, b) in enumerate(hidden, start=1):
         inputs.append(a)
         pres.append(affine_forward(a, W, b))
-        h = relu(pres[-1])
+        a = relu(pres[-1])
         if i == spec.split_index:
-            Z = h
-        a, _ = dropout(h, spec.dropout_rate, train_mode=False)
-    return Z, affine_forward(a, W_out, b_out), (inputs, pres)
+            Z = a
+    return Z, affine_forward(a, W_out, b_out), inputs, pres
 
 
 def predict_proba_reference(params, X):
     """Softmax of the reference logits into a new array."""
     return softmax(eval_forward_reference(params, X)[1])
+
+
+def random_net_and_input(hidden, cells, rate, n, scale, special, seed):
+    """A random MLP with the given hidden widths (a stack when ``cells`` is
+    set) and a batch for it, a share of whose entries is ``special``."""
+    rng = derive_rng(seed, "init")
+    d, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    spec = ModelSpec((d, *hidden, C), int(rng.integers(1, len(hidden) + 1)), rate)
+    shape = (n, d) if cells is None else (cells, n, d)
+    if cells is None:
+        params = init_mlp(spec, rng)
+    else:
+        params = stack([init_mlp(spec, rng) for _ in range(cells)])
+    X = scale * rng.standard_normal(shape)
+    if special is not None:  # signed zeros and non-finite values through every layer
+        X[rng.random(X.shape) < 0.3] = special
+    return params, X
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,20 +263,10 @@ def predict_proba_reference(params, X):
 def test_eval_forward_and_predict_equal_the_cache_building_forward(
     hidden, cells, rate, n, scale, special, seed
 ):
-    rng = derive_rng(seed, "init")
-    d, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
-    spec = ModelSpec((d, *hidden, C), int(rng.integers(1, len(hidden) + 1)), rate)
-    shape = (n, d) if cells is None else (cells, n, d)
-    if cells is None:
-        params = init_mlp(spec, rng)
-    else:
-        params = stack([init_mlp(spec, rng) for _ in range(cells)])
-    X = scale * rng.standard_normal(shape)
-    if special is not None:  # signed zeros and non-finite values through every layer
-        X[rng.random(X.shape) < 0.3] = special
+    params, X = random_net_and_input(hidden, cells, rate, n, scale, special, seed)
     with np.errstate(invalid="ignore", over="ignore"):
         Z, logits, cache = forward(params, X)
-        want_Z, want_logits, _ = eval_forward_reference(params, X)
+        want_Z, want_logits, _, _ = eval_forward_reference(params, X)
         got_P = predict_proba(params, X) if cells is None else None
         want_P = predict_proba_reference(params, X) if cells is None else None
     assert cache is None
@@ -269,6 +276,33 @@ def test_eval_forward_and_predict_equal_the_cache_building_forward(
         assert np.array_equal(got_P.view(np.uint64), want_P.view(np.uint64))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    cells=st.sampled_from([None, 1, 3]),
+    n=st.integers(1, 12),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    special=st.sampled_from([None, 0.0, -0.0, np.nan, np.inf, -np.inf]),
+    seed=st.integers(0, 2**31),
+)
+def test_train_forward_at_rate_zero_equals_eval_forward(hidden, cells, n, scale, special, seed):
+    params, X = random_net_and_input(hidden, cells, 0.0, n, scale, special, seed)
+    with np.errstate(invalid="ignore", over="ignore"):
+        Z, logits, cache = forward(params, X, train_mode=True)
+        eval_Z, eval_logits, _ = forward(params, X)
+        _, _, inputs, pres = eval_forward_reference(params, X)
+    assert np.array_equal(Z.view(np.uint64), eval_Z.view(np.uint64))
+    assert np.array_equal(logits.view(np.uint64), eval_logits.view(np.uint64))
+    # the cache is what backward reads: each hidden layer's input, activation
+    # and (at rate 0, no) mask, then the head's input, the last activation
+    assert cache.dropout_masks == [None] * len(hidden)
+    assert cache.inputs[-1] is cache.activations[-1]
+    for a, h, want_a, pre in zip(cache.inputs[:-1], cache.activations, inputs, pres, strict=True):
+        assert np.array_equal(a.view(np.uint64), want_a.view(np.uint64))
+        assert np.array_equal(h.view(np.uint64), relu(pre).view(np.uint64))
+        assert np.array_equal(h > 0, pre > 0)  # the mask relu_backward reads
+
+
 # ---- backward --------------------------------------------------------------
 
 def test_backward_feature_gradient_injection():
@@ -276,7 +310,7 @@ def test_backward_feature_gradient_injection():
     for attempt in range(20):
         params = small_net(100 + attempt)
         X = derive_rng(200 + attempt).standard_normal((4, 3))
-        if np.abs(forward(params, X, train_mode=True)[2].pre_activations[0]).min() > 1e-3:
+        if np.abs(affine_forward(X, *params.layers[0])).min() > 1e-3:
             break
     V = derive_rng(14).standard_normal((4, 4))
 
@@ -291,28 +325,50 @@ def test_backward_feature_gradient_injection():
         assert rel_err(grads[li][1], fd_grad(loss, params.layers[li][1])) <= 1e-5
 
 
-def full_backward_reference(params, cache, dlogits, dZ=None):
-    """Backward through every layer, input-layer dX included, as a plain chain rule."""
+def train_forward_reference(params, X, rng):
+    """Train-mode forward written out in full from the params, X and the
+    dropout stream ``rng``: every pre-activation recomputed and kept, each
+    ReLU and each dropped-out activation a new array, each mask redrawn as
+    ``(rng.random(shape) >= rate) / (1 - rate)``.  Returns (layer inputs,
+    pre-activations, masks); no ``ForwardCache`` is read."""
+    a, rate = np.asarray(X, dtype=np.float64), params.spec.dropout_rate
+    inputs, pres, masks = [], [], []
+    for W, b in params.layers[:-1]:
+        inputs.append(a)
+        pres.append(a @ W + b)
+        a = np.where(pres[-1] > 0, pres[-1], 0.0)
+        mask = (rng.random(a.shape) >= rate) / (1.0 - rate) if rate > 0 else None
+        masks.append(mask)
+        a = a if mask is None else a * mask
+    inputs.append(a)
+    return inputs, pres, masks
+
+
+def full_backward_reference(params, ref, dlogits, dZ=None):
+    """Backward through every layer, input-layer dX included, as a plain chain
+    rule on a :func:`train_forward_reference` pass ``ref``."""
+    inputs, pres, masks = ref
     n_layers = len(params.layers)
     grads = [None] * n_layers
     upstream = np.asarray(dlogits, dtype=np.float64)
     for i in range(n_layers, 0, -1):
         W, _ = params.layers[i - 1]
         if i < n_layers:
-            mask = cache.dropout_masks[i - 1]
+            mask = masks[i - 1]
             if mask is not None:
                 upstream = upstream * mask
             if dZ is not None and i == params.spec.split_index:
                 upstream = upstream + dZ
-            upstream = np.where(cache.pre_activations[i - 1] > 0, upstream, 0.0)
-        upstream, dW, db = affine_backward(cache.inputs[i - 1], W, upstream)
+            upstream = np.where(pres[i - 1] > 0, upstream, 0.0)
+        upstream, dW, db = affine_backward(inputs[i - 1], W, upstream)
         grads[i - 1] = (dW, db)
     return grads
 
 
 @st.composite
 def nets(draw):
-    """A small random MLP (any depth >= 2, any split, optional dropout) and a forward pass."""
+    """A small random MLP (any depth >= 2, any split, optional dropout), a
+    train-mode forward pass and its reference, and upstream gradients."""
     sizes = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5))
     split = draw(st.integers(1, len(sizes) - 2))
     rate = draw(st.sampled_from([0.0, 0.3, 0.5]))
@@ -322,15 +378,16 @@ def nets(draw):
     rng = derive_rng(seed, "data")
     X = rng.standard_normal((n, sizes[0]))
     Z, logits, cache = forward(params, X, train_mode=True, rng=derive_rng(seed, "dropout"))
-    return params, cache, rng.standard_normal(logits.shape), rng.standard_normal(Z.shape)
+    ref = train_forward_reference(params, X, derive_rng(seed, "dropout"))
+    return params, cache, ref, rng.standard_normal(logits.shape), rng.standard_normal(Z.shape)
 
 
 @settings(max_examples=60, deadline=None)
 @given(net=nets())
 def test_feature_only_backward_equals_zero_dlogits_backward(net):
-    params, cache, _, dZ = net
+    params, cache, ref, dlogits, dZ = net
     got = backward(params, cache, None, dZ=dZ)
-    want = full_backward_reference(params, cache, np.zeros_like(cache.pre_activations[-1]), dZ)
+    want = full_backward_reference(params, ref, np.zeros_like(dlogits), dZ)
     assert len(got) == params.spec.split_index
     for (dW, db), (dW_ref, db_ref) in zip(got, want):
         assert np.array_equal(dW, dW_ref) and np.array_equal(db, db_ref)
@@ -339,10 +396,10 @@ def test_feature_only_backward_equals_zero_dlogits_backward(net):
 @settings(max_examples=60, deadline=None)
 @given(net=nets(), with_dZ=st.booleans())
 def test_backward_without_input_dX_equals_full_chain_rule(net, with_dZ):
-    params, cache, dlogits, dZ = net
+    params, cache, ref, dlogits, dZ = net
     dZ = dZ if with_dZ else None
     got = backward(params, cache, dlogits, dZ=dZ)
-    want = full_backward_reference(params, cache, dlogits, dZ)
+    want = full_backward_reference(params, ref, dlogits, dZ)
     for (dW, db), (dW_ref, db_ref) in zip(got, want, strict=True):
         assert np.array_equal(dW, dW_ref) and np.array_equal(db, db_ref)
 
@@ -351,7 +408,7 @@ def test_backward_without_input_dX_equals_full_chain_rule(net, with_dZ):
 @given(net=nets())
 def test_pool_backward_adds_into_the_labeled_gradients(net):
     # the trainer's merge: one vector, written by one pass and added to by the feature-only pass
-    params, cache, dlogits, dZ = net
+    params, cache, _, dlogits, dZ = net
     grad = zeros_like(params)
     grad.flat[:] = np.nan  # the first pass must write every entry
     backward(params, cache, dlogits, dZ=dZ, out=grad)
@@ -395,7 +452,7 @@ def test_snapshot_isolated_from_training():
 
     for _ in range(10):
         _, logits, cache = forward(params, X, train_mode=True)
-        _, _, dlogits = softmax_cross_entropy(logits, y)
+        _, dlogits = softmax_cross_entropy(logits, y)
         grad = zeros_like(params)
         backward(params, cache, dlogits, out=grad)
         sgd_step(params, grad.flat, 0.5, 0.0)

@@ -421,7 +421,7 @@ def ce_only_reference(pool, sizes, cfg, seed):
         idx_l = rng_batch.choice(labeled, size=cfg.batch_size, replace=len(labeled) < cfg.batch_size)
         rng_batch.choice(both, size=cfg.batch_size, replace=len(both) < cfg.batch_size)
         _, logits, cache = forward(params, pool.features[idx_l], train_mode=True)
-        _, _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
+        _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
         grads = backward(params, cache, dlogits)
         for (W, b), (dW, db) in zip(params.layers, grads):
             W -= lr * (dW + cfg.weight_decay * W)
@@ -462,7 +462,7 @@ def full_step_reference(pool, spec, cfg, seed):
         Z_p, _, cache_p = forward(params, pool.features[idx_p], train_mode=True, rng=rng_drop)
         if sigmas is None:
             sigmas = (median_heuristic(Z_p),)
-        _, _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
+        _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
         _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
         if cfg.mmd_weight > 0:
             grads = backward(params, cache_l, dlogits, dZ=cfg.mmd_weight * dZ_l)
