@@ -23,7 +23,7 @@ from .layers import (
     softmax_cross_entropy,
 )
 from .mmd import mmd2_biased, mmd2_biased_with_grad
-from .model import ModelSpec, backward, forward, init_mlp, zeros_like
+from .model import ModelSpec, backward, forward, init_mlp
 from .seeding import derive_rng
 
 __all__ = ["CheckRecord", "central_diff", "rel_error", "run_gradcheck", "DEFAULT_TOL"]
@@ -161,14 +161,14 @@ def _suite_composite(col: _Collector, seed: int):
             ce, _ = softmax_cross_entropy(logits, y)
             return ce + lam * mmd2_biased(Z_l, Z_p, sigmas)
 
-        Z_l, logits, cache_l = forward(params, X_l, train_mode=True)
-        Z_p, _, cache_p = forward(params, X_p, train_mode=True)
-        _, dlogits = softmax_cross_entropy(logits, y)
-        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
-        # as in the trainer: the pool batch adds its extractor gradients to the same vector
-        grad = zeros_like(params)
-        grads = backward(params, cache_l, dlogits, dZ=lam * dZ_l, out=grad)
-        backward(params, cache_p, None, dZ=lam * dZ_p, out=grad, add=True)
+        # as in the trainer: one pass over the labeled rows, then the pool rows,
+        # whose logits get zero gradient
+        n = len(X_l)
+        Z, logits, cache = forward(params, np.concatenate([X_l, X_p]), train_mode=True)
+        dlogits = np.zeros_like(logits)
+        _, dlogits[:n] = softmax_cross_entropy(logits[:n], y)
+        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z[:n], Z[n:], sigmas)
+        grads = backward(params, cache, dlogits, dZ=lam * np.concatenate([dZ_l, dZ_p]))
         for li, (dW, db) in enumerate(grads):
             col.add("composite", f"{s}/W{li}", dW, central_diff(loss, params.layers[li][0]))
             col.add("composite", f"{s}/b{li}", db, central_diff(loss, params.layers[li][1]))

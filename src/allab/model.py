@@ -31,7 +31,7 @@ one vectorized step.  The vector's length is checked against the spec when
 it is built, and ``forward`` and ``dropout_probs`` check their input; the
 per-layer math is the ``layers`` primitives, which re-check nothing.
 ``backward`` writes the gradients into an ``MlpParams`` of the same layout
-(see ``zeros_like``), or adds them to one.
+(see ``zeros_like``).
 
 A stack of R cells' parameters is an ``MlpParams`` whose ``flat`` is an
 (R, P) array, one row per cell; its views carry the leading R axis, W as
@@ -221,52 +221,34 @@ def forward(
 def backward(
     params: MlpParams,
     cache: ForwardCache,
-    dlogits: np.ndarray | None,
+    dlogits: np.ndarray,
     dZ: np.ndarray | None = None,
     out: MlpParams | None = None,
-    add: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Parameter gradients for one forward pass, as ``out.layers``.
 
     ``dlogits`` is the loss gradient at the output layer; ``dZ``, when given,
     is an extra loss gradient injected at the feature activation (used for the
-    squared-MMD term, which attaches to Z rather than the logits).
+    squared-MMD term, which attaches to Z rather than the logits).  Rows that
+    reach the loss only through ``dZ`` (the trainer's pool batch) get zero
+    rows in ``dlogits``.
 
-    With ``dlogits`` None the loss reaches the network only through ``dZ``:
-    the pass starts at layer ``split_index`` and returns the gradients of the
-    ``split_index`` extractor layers alone (the head's would be exact zeros).
-
-    ``out`` is laid out like ``params`` (``zeros_like(params)`` when None).
-    The gradients are written into its (W, b) views, or with ``add`` added to
-    what they hold: the trainer adds the pool batch's extractor gradients to
-    the labeled batch's this way, bit for bit ``dW + dW_pool``.  Layers the
-    pass does not reach are left as they are.
+    ``out`` is laid out like ``params`` (``zeros_like(params)`` when None);
+    every gradient is written into its (W, b) views.
     """
     n_layers, split = len(params.layers), params.spec.split_index
-    if dlogits is None:
-        if dZ is None:
-            raise ValueError("backward needs dlogits, dZ or both")
-        top, upstream = split, None
-    else:
-        top, upstream = n_layers, dlogits
-    grads = (zeros_like(params) if out is None else out).layers[:top]
-    for i in range(top, 0, -1):
+    grads = (zeros_like(params) if out is None else out).layers
+    upstream = dlogits
+    for i in range(n_layers, 0, -1):
         W, _ = params.layers[i - 1]
         if i < n_layers:
             mask = cache.dropout_masks[i - 1]
-            if mask is not None and upstream is not None:
+            if mask is not None:
                 upstream = upstream * mask
             if dZ is not None and i == split:
-                upstream = dZ if upstream is None else upstream + dZ
+                upstream = upstream + dZ
             upstream = relu_backward(cache.activations[i - 1], upstream)
-        if add:
-            dX, dW, db = affine_backward(cache.inputs[i - 1], W, upstream, i > 1)
-            gW, gb = grads[i - 1]
-            gW += dW
-            gb += db
-        else:
-            dX, _, _ = affine_backward(cache.inputs[i - 1], W, upstream, i > 1, out=grads[i - 1])
-        upstream = dX
+        upstream, _, _ = affine_backward(cache.inputs[i - 1], W, upstream, i > 1, out=grads[i - 1])
     return grads
 
 

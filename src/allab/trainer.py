@@ -18,32 +18,36 @@ indices, each from the "batch" stream exactly as
 ``rng.choice(indices, batch_size, replace=len(indices) < batch_size)`` draws
 it; the pool batch is drawn even when ``mmd_weight`` is 0.  Dropout masks,
 when the model has a positive rate, come from the separate "dropout" stream,
-one draw per hidden layer per forward pass, labeled batch first.  Parameter
-initialization uses the "init" stream.  All three streams derive from the
-cell's seed, which ``train_stack`` takes per cell next to the one
-``TrainConfig`` of the round.
+one draw per hidden layer per step.  At ``mmd_weight`` > 0 each draw covers
+both batches' rows, labeled rows first; at 0 it covers the labeled batch,
+and after the labeled pass the pool batch's masks are drawn, one per hidden
+layer, and dropped.  Parameter initialization uses the "init" stream.  All
+three streams derive from the cell's seed, which ``train_stack`` takes per
+cell next to the one ``TrainConfig`` of the round.
 
 ``train_stack`` trains one such cell, or several in lockstep.  Every cell
 keeps its own three streams and consumes each of them exactly as it would
 alone: per step, cell by cell, its labeled then its pool batch from its
-"batch" stream, and per hidden layer its mask of the labeled pass and, later,
-of the pool pass from its "dropout" stream.  The streams of different cells
-never mix, so the interleaving of cells changes no draw.
+"batch" stream, and per hidden layer its masks from its "dropout" stream.
+The streams of different cells never mix, so the interleaving of cells
+changes no draw.
 
-Only work that changes the parameters is done.  The pool batch is run
-through the network only when ``mmd_weight`` > 0 or the model has dropout
-(its forward pass then consumes the dropout stream, as the contract says);
-at ``mmd_weight`` 0 the kernel, the MMD^2 value and its gradient are never
-computed and the logged mean MMD^2 is 0.0.  The pool batch's backward pass
-starts at the feature layer, since the MMD^2 term does not reach the head.
+Each step runs one forward and one backward pass.  At ``mmd_weight`` > 0
+they run over one (..., 2 * batch, d) buffer, the labeled rows then the pool
+rows: the CE reads the first ``batch`` logits, the MMD^2 term compares the
+two halves of Z, and the backward pass takes the CE gradient on the
+labeled rows, zero on the pool rows, and the MMD^2 gradient of both halves
+at Z.  At ``mmd_weight`` 0 only the labeled rows go through the network,
+and the kernel, the MMD^2 value and its gradient are never computed; the
+logged mean MMD^2 is 0.0.
 
 The step works on a stack of R cells' vectors laid out like
-``MlpParams.flat``, an (R, P) array, and on (R, batch, d) batches, so each
+``MlpParams.flat``, an (R, P) array, and on (R, rows, d) batches, so each
 numpy call of a step serves all R cells; a single cell needs no stack axis
-and runs on its (P,) vector and 2-D batches.  Each round allocates one gradient
-buffer (``zeros_like``), which the labeled batch's backward pass writes and
-the pool batch's adds into, one scratch array for the update and the batch
-buffers.  Every cell's labels and feature width are checked once per round,
+and runs on its (P,) vector and 2-D batches.  Each round allocates one
+gradient buffer (``zeros_like``), which the backward pass writes, one
+scratch array for the update, the batch buffer and the head's gradient
+buffer.  Every cell's labels and feature width are checked once per round,
 before step 0, and the kernel bandwidths are resolved once, at the first
 step; the step then calls ``layers.softmax_cross_entropy`` and
 ``mmd.mmd2_biased_with_grad``, which check nothing.
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FieldError, PoolError, TrainingDiverged, at_least, check_kind, check_kinds
-from .layers import check_labels, softmax_cross_entropy
+from .layers import check_labels, dropout_mask, softmax_cross_entropy
 from .mmd import median_heuristic, mmd2_biased_with_grad
 from .model import (
     CheckpointSet,
@@ -257,7 +261,7 @@ def train_stack(
     The cells share ``config`` and the pools' labeled sets must have one
     size, so every cell runs the same steps at the same rates.  Each
     step draws every cell's batches from the cell's own streams, gathers them
-    into (R, batch, d) stacks and runs the forward pass, loss, MMD^2 term,
+    into one (R, rows, d) stack and runs the forward pass, loss, MMD^2 term,
     backward pass and SGD update once for all R cells, each with its own
     kernel bandwidths.  Returns per cell, in order, bit for bit what training
     that cell alone (``train_stack([pool], model_spec, config, [seed])[0]``)
@@ -298,49 +302,60 @@ def train_stack(
     snap_at = set(snapshot_steps(config.epochs, spe, config.n_checkpoints))
 
     lam = config.mmd_weight
-    pool_pass = lam > 0 or model_spec.dropout_rate > 0  # at lam 0: keeps the dropout stream in step
-    X_l, X_p = np.empty((2, *lead, B, d))  # the batches, gathered per step
+    # at lam > 0 one buffer holds each cell's labeled rows, then its pool rows
+    n = 2 * B if lam > 0 else B
+    X = np.empty((*lead, n, d))  # the batches, gathered per step
     y_l = np.empty((*lead, B), dtype=np.intp)
+    # the head's upstream gradient: the CE's on the labeled rows, 0 on the pool rows
+    dlogits_all = np.zeros((*lead, n, model_spec.layer_sizes[-1]))
+    rate = model_spec.dropout_rate
+    # at lam 0 the pool batch's masks are drawn and dropped, keeping the dropout stream in step
+    pool_masks = []
+    if lam == 0 and rate > 0:
+        pool_masks = [np.empty((*lead, B, h)) for h in model_spec.layer_sizes[1:-1]]
     # what each cell's draws read and the rows of the batch buffers they fill
     gather = list(zip(
         rngs_batch, labeled, both, features, [pool.labels for pool in pools],
-        X_l.reshape(R, B, d), X_p.reshape(R, B, d), y_l.reshape(R, B),
+        X.reshape(R, n, d), y_l.reshape(R, B),
     ))
     sigmas = None  # the bandwidths, frozen at the first pool batch
     snaps: list[list[MlpParams]] = [[] for _ in range(R)]
     history: list[list[EpochStats]] = [[] for _ in range(R)]
     ce_sum, mmd_sum = np.zeros(lead), np.zeros(lead)
     for step, lr in enumerate(rates):
-        for rng, cell_labeled, cell_both, cell_features, cell_labels, x_l, x_p, y in gather:
+        for rng, cell_labeled, cell_both, cell_features, cell_labels, x, y in gather:
             idx_l = _draw(rng, cell_labeled, B)
             idx_p = _draw(rng, cell_both, B)
             # the drawn indices are in range, so "clip" changes none; unlike the
             # default "raise" it writes straight into ``out`` with no staging copy
-            cell_features.take(idx_l, axis=0, out=x_l, mode="clip")
+            cell_features.take(idx_l, axis=0, out=x[:B], mode="clip")
             y[:] = cell_labels[idx_l]
-            if pool_pass:
-                cell_features.take(idx_p, axis=0, out=x_p, mode="clip")
+            if lam > 0:
+                cell_features.take(idx_p, axis=0, out=x[B:], mode="clip")
 
-        Z_l, logits, cache_l = forward(params, X_l, train_mode=True, rng=rngs_drop)
-        if pool_pass:
-            Z_p, _, cache_p = forward(params, X_p, train_mode=True, rng=rngs_drop)
-        ce, dlogits = softmax_cross_entropy(logits, y_l)
+        Z, logits, cache = forward(params, X, train_mode=True, rng=rngs_drop)
+        for mask in pool_masks:
+            dropout_mask(rate, rngs_drop, mask)
+        ce, dlogits = softmax_cross_entropy(logits[..., :B, :], y_l)
         if not np.isfinite(ce).all():
             raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
         if lam > 0:
+            Z_l, Z_p = Z[..., :B, :], Z[..., B:, :]
             if sigmas is None:
-                per_cell = [_resolve_kernel(config, Z) for Z in Z_p.reshape(R, B, -1)]
+                per_cell = [_resolve_kernel(config, z) for z in Z_p.reshape(R, B, -1)]
                 # a stack's k-th bandwidth is an (R, 1, 1) column, one per cell
                 sigmas = list(np.array(per_cell).T[:, :, None, None]) if lead else per_cell[0]
             m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
             if not np.isfinite(lam * m2).all():
                 raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
-            backward(params, cache_l, dlogits, dZ=lam * dZ_l, out=grad)
-            backward(params, cache_p, None, dZ=lam * dZ_p, out=grad, add=True)
+            dZ = np.concatenate([dZ_l, dZ_p], axis=-2)
+            dZ *= lam
             mmd_sum += m2
         else:
-            backward(params, cache_l, dlogits, out=grad)
+            dZ = None
+        dlogits_all[..., :B, :] = dlogits
+        backward(params, cache, dlogits_all, dZ=dZ, out=grad)
 
         try:
             params = sgd_step(params, grad.flat, lr, config.weight_decay, scratch)

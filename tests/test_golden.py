@@ -1,17 +1,30 @@
-"""Frozen results: the shipped configs must reproduce these exact bytes.
+"""Frozen results and numbers: training and scoring must reproduce these bytes.
 
 Run-to-run determinism alone cannot catch a change that moves every run the
-same way; these sha256 digests of ``results.csv`` pin the numbers themselves.
-A deliberate change to the numerics updates them and says why in CHANGES.md.
+same way.  The sha256 digests of ``results.csv`` pin the results: test-set
+accuracies and label counts, which a last-bit change in the parameters
+rarely reaches.  The parameter digests pin the numbers themselves: every
+checkpoint's ``flat`` and ``EpochStats`` of round-0 ``train_stack`` calls on
+bias4's 8-64-64-4 net, seeded as the harness seeds them, and the BALD and
+core-set scores of its dropout model.  A deliberate change to the numerics
+updates them and says why in CHANGES.md.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from allab.acquisition import bald_acquire, coreset_acquire
 from allab.cli import main
+from allab.config import parse_config
+from allab.experiment import load_dataset, start_partition
+from allab.model import ModelSpec
+from allab.seeding import derive_int, derive_rng
+from allab.trainer import train_stack
 from idx_files import make_image_pool
 
 REPO = Path(__file__).resolve().parent.parent
@@ -66,3 +79,67 @@ def test_image784_results_csv_matches_golden_digest(tmp_path):
     config = tmp_path / "image784.json"
     config.write_text(json.dumps(doc))
     assert results_digest(config, tmp_path / "out") == IMAGE784_GOLDEN
+
+
+# round 0 of configs/bias4.json's cells, trained as the harness trains them;
+# narrow products, so the bits do not follow OpenBLAS's thread count
+TRAINED_GOLDEN = {
+    "mmd_stack": "ca1c92393c6d001d8e22de89a05fc56ed5a16907be6a98a0012cd2840837325a",
+    "plain_stack": "7e4c918d19b6c87211f3cd897dc4c8de3505054b7761c91f12bc7ee7644a4a22",
+    "dropout": "e6e12821232844b25d2377e56c9eb40e05c2af0f05b7edab0ce0e3045f882ea1",
+}
+SCORES_GOLDEN = {
+    "bald": "c1c024955a6ffdb932e2bacb648a6e57f339318160ea4a7f10ee9503dac8fee7",
+    "coreset": "62cdacbbdbe386008bf0f02441ec8423f916fc330bbe792b54317444b5230716",
+}
+
+
+def bias4_round0(method: str, repeats: int, mmd_weight: float, dropout_rate: float = 0.0):
+    """The pools, spec and ``train_stack`` output of ``method``'s round-0 cells
+    for the first ``repeats`` repeats of configs/bias4.json."""
+    cfg = parse_config(REPO / "configs" / "bias4.json")
+    dataset = load_dataset(cfg)
+    pools = [start_partition(dataset, cfg, r) for r in range(repeats)]
+    layer_sizes, split = cfg.model.resolve(dataset.features.shape[1], pools[0].class_count)
+    spec = ModelSpec(layer_sizes, split, dropout_rate)
+    seeds = [derive_int(cfg.master_seed, "train", method, r, 0) for r in range(repeats)]
+    trained = train_stack(pools, spec, replace(cfg.train, mmd_weight=mmd_weight), seeds)
+    return cfg, pools, trained
+
+
+def trained_digest(trained) -> str:
+    h = hashlib.sha256()
+    for trajectory, history in trained:
+        for snap in trajectory.snapshots:
+            h.update(snap.flat.tobytes())
+        for s in history:
+            h.update(np.array([s.epoch, s.mean_ce, s.mean_mmd2, s.lr]).tobytes())
+    return h.hexdigest()
+
+
+def scores_digest(result) -> str:
+    h = hashlib.sha256()
+    for a in (result.scored, result.scores, result.selected):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_mmd_stack_parameters_match_golden_digest():
+    _, _, trained = bias4_round0("mpts", 3, mmd_weight=0.1)
+    assert trained_digest(trained) == TRAINED_GOLDEN["mmd_stack"]
+
+
+def test_plain_stack_parameters_match_golden_digest():
+    _, _, trained = bias4_round0("random", 3, mmd_weight=0.0)
+    assert trained_digest(trained) == TRAINED_GOLDEN["plain_stack"]
+
+
+def test_dropout_model_parameters_and_scores_match_golden_digests():
+    cfg, (pool,), trained = bias4_round0("bald", 1, mmd_weight=0.0, dropout_rate=0.5)
+    final = trained[0][0].snapshots[-1]
+    rng = derive_rng(cfg.master_seed, "acquire", "bald", 0, 0)
+    bald = bald_acquire(final, pool, cfg.budget, cfg.model.bald_passes, rng)
+    coreset = coreset_acquire(final, pool, cfg.budget)
+    assert trained_digest(trained) == TRAINED_GOLDEN["dropout"]
+    assert scores_digest(bald) == SCORES_GOLDEN["bald"]
+    assert scores_digest(coreset) == SCORES_GOLDEN["coreset"]

@@ -345,11 +345,7 @@ def test_each_step_goes_through_the_traced_entry_points(monkeypatch, lam, rate):
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, mmd_weight=lam)
     train_stack([pool], ModelSpec((2, 8, 8, 2), dropout_rate=rate), cfg, [0])
     steps = cfg.epochs * steps_per_epoch(len(pool.labeled_idx), cfg.batch_size)
-    assert calls == {
-        "forward": (2 if lam > 0 or rate > 0 else 1) * steps,
-        "backward": (2 if lam > 0 else 1) * steps,
-        "sgd_step": steps,
-    }
+    assert calls == {"forward": steps, "backward": steps, "sgd_step": steps}
 
 
 def test_train_round_empty_labeled_errors():
@@ -441,25 +437,45 @@ def test_lambda_zero_bit_identical_to_plain_ce():
     assert all(h.mean_mmd2 == 0.0 for h in history)  # the term is off, so never evaluated
 
 
+class Replay:
+    """Stands in for a dropout generator: ``random(out=...)`` fills ``out``
+    with the next of some numbers already drawn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self, out):
+        out[...] = next(self.draws)
+
+
 def full_step_reference(pool, spec, cfg, seed):
-    """The training loop that runs every step in full: pool-batch forward,
-    kernel and MMD^2 at any weight, and a pool-batch backward through the
-    head with zero logit gradient.  Returns the final and snapshot weights."""
+    """The training loop that runs every step in full and in two passes:
+    pool-batch forward, kernel and MMD^2 at any weight, and a pool-batch
+    backward through the head with zero logit gradient, added to the labeled
+    batch's.  The dropout masks follow the stream contract: at weight 0 the
+    labeled pass's, then the pool pass's; above it one draw per hidden layer
+    over both batches' rows, labeled rows first.  Returns the final and
+    snapshot weights."""
     rng_init = derive_rng(seed, "init")
     rng_batch = derive_rng(seed, "batch")
     rng_drop = derive_rng(seed, "dropout")
     params = init_mlp(spec, rng_init)
     labeled = np.asarray(pool.labeled_idx)
     both = np.sort(np.concatenate([labeled, np.asarray(pool.unlabeled_idx)]))
-    spe = steps_per_epoch(len(labeled), cfg.batch_size)
+    B = cfg.batch_size
+    spe = steps_per_epoch(len(labeled), B)
     snap_at = set(snapshot_steps(cfg.epochs, spe, cfg.n_checkpoints))
     sigmas, snaps = None, []
     for step in range(cfg.epochs * spe):
         lr = old_cyclic_lr(step, spe, cfg)
-        idx_l = rng_batch.choice(labeled, size=cfg.batch_size, replace=len(labeled) < cfg.batch_size)
-        idx_p = rng_batch.choice(both, size=cfg.batch_size, replace=len(both) < cfg.batch_size)
-        Z_l, logits, cache_l = forward(params, pool.features[idx_l], train_mode=True, rng=rng_drop)
-        Z_p, _, cache_p = forward(params, pool.features[idx_p], train_mode=True, rng=rng_drop)
+        idx_l = rng_batch.choice(labeled, size=B, replace=len(labeled) < B)
+        idx_p = rng_batch.choice(both, size=B, replace=len(both) < B)
+        rng_l = rng_p = rng_drop
+        if cfg.mmd_weight > 0 and spec.dropout_rate > 0:
+            draws = [rng_drop.random((2 * B, h)) for h in spec.layer_sizes[1:-1]]
+            rng_l, rng_p = [Replay(u[:B] for u in draws)], [Replay(u[B:] for u in draws)]
+        Z_l, logits, cache_l = forward(params, pool.features[idx_l], train_mode=True, rng=rng_l)
+        Z_p, _, cache_p = forward(params, pool.features[idx_p], train_mode=True, rng=rng_p)
         if sigmas is None:
             sigmas = (median_heuristic(Z_p),)
         _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
@@ -478,17 +494,8 @@ def full_step_reference(pool, spec, cfg, seed):
     return params.layers, snaps
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=3),
-    split_at=st.integers(0, 1),
-    rate=st.sampled_from([0.0, 0.3, 0.5]),
-    lam=st.sampled_from([0.0, 0.5]),
-    seed=st.integers(0, 2**31),
-)
-def test_trimmed_step_bit_identical_to_full_step(sizes, split_at, rate, lam, seed):
-    # covers lam 0 with dropout, where the pool-batch forward only advances
-    # the dropout stream, and lam > 0, where the pool backward stops at Z
+def random_step_case(sizes, split_at, rate, lam, seed):
+    """A random spec, a 60-point pool and a short config for the step properties."""
     rng = derive_rng(seed, "data")
     d, C = int(rng.integers(1, 4)), int(rng.integers(2, 4))
     spec = ModelSpec((d, *sizes, C), split_index=min(1 + split_at, len(sizes)), dropout_rate=rate)
@@ -502,12 +509,46 @@ def test_trimmed_step_bit_identical_to_full_step(sizes, split_at, rate, lam, see
         test_idx=np.arange(50, 60),
     )
     cfg = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, mmd_weight=lam, n_checkpoints=2)
+    return pool, spec, cfg
+
+
+def trained_and_reference_layers(pool, spec, cfg, seed):
+    """Pairs of (trained, reference) weights: the final ones, then each snapshot's."""
     traj, _ = train_stack([pool], spec, cfg, [seed])[0]
-    final = traj.snapshots[-1]
     ref_final, ref_snaps = full_step_reference(pool, spec, cfg, seed)
-    for got, want in zip([final.layers, *[s.layers for s in traj.snapshots]], [ref_final, *ref_snaps]):
-        for (W, b), (W_ref, b_ref) in zip(got, want, strict=True):
-            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+    got = [traj.snapshots[-1].layers, *[s.layers for s in traj.snapshots]]
+    for layers, ref_layers in zip(got, [ref_final, *ref_snaps], strict=True):
+        for (W, b), (W_ref, b_ref) in zip(layers, ref_layers, strict=True):
+            yield W, W_ref
+            yield b, b_ref
+
+
+step_cases = dict(
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+    split_at=st.integers(0, 1),
+    rate=st.sampled_from([0.0, 0.3, 0.5]),
+    seed=st.integers(0, 2**31),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**step_cases)
+def test_trimmed_step_bit_identical_to_full_step(sizes, split_at, rate, seed):
+    # at lam 0 no pool batch is gathered or run, and with dropout its masks
+    # are drawn and dropped: the same stream consumption as the pool forward
+    pool, spec, cfg = random_step_case(sizes, split_at, rate, 0.0, seed)
+    for got, want in trained_and_reference_layers(pool, spec, cfg, seed):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**step_cases)
+def test_fused_step_close_to_two_pass_step(sizes, split_at, rate, seed):
+    # at lam > 0 one pass over both batches sums each parameter gradient over
+    # 2B rows where the two-pass step adds two B-row sums: the last bits may move
+    pool, spec, cfg = random_step_case(sizes, split_at, rate, 0.5, seed)
+    for got, want in trained_and_reference_layers(pool, spec, cfg, seed):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def skewed_pool(seed, per_class=300, n_lab_per_class=32):
