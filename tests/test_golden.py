@@ -120,7 +120,7 @@ def trained_digest(trained) -> str:
 def scores_digest(result) -> str:
     h = hashlib.sha256()
     for a in (result.scored, result.scores, result.selected):
-        h.update(np.ascontiguousarray(a).tobytes())
+        h.update(a.tobytes())
     return h.hexdigest()
 
 
