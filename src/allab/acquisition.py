@@ -164,13 +164,13 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
         Z_l, _, _ = forward(final, pool.features[labeled])
         min_dist = np.sqrt(sq_dists(Z_u, Z_l, sq_norms(Z_u), sq_norms(Z_l)).min(axis=1))
     else:
-        min_dist = np.full(len(unlabeled), np.inf)
+        min_dist = np.full(len(unlabeled), np.inf, Z_u.dtype)
 
     k = min(budget, len(unlabeled))
     picked_pos: list[int] = []
     pick_dists: list[float] = []
-    # buffers reused by every pick
-    gap, dist_new, masked = np.empty_like(Z_u), np.empty(len(unlabeled)), np.empty(len(unlabeled))
+    # buffers reused by every pick, in the model's dtype
+    gap, dist_new, masked = np.empty_like(Z_u), np.empty_like(min_dist), np.empty_like(min_dist)
     for _ in range(k):
         np.copyto(masked, min_dist)
         masked[picked_pos] = -np.inf

@@ -30,6 +30,10 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
+    """A loaded dataset.  Its features are float64 whatever dtype a model
+    trains in; ``experiment.start_partition`` gives each repeat's cells a
+    float32 copy, standardized or not."""
+
     features: np.ndarray  # (n, d) float64, finite
     labels: np.ndarray  # (n,) int64 in [0, class_count)
     class_count: int
@@ -222,13 +226,20 @@ def synth_blobs(
     )
 
 
-def standardize(X: np.ndarray, stats_rows: np.ndarray) -> np.ndarray:
+# rows of the float64 output block in standardize
+_ROW_BLOCK = 256
+
+
+def standardize(X: np.ndarray, stats_rows: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Per-feature standardization x' = (x - mean) / std of every row of X,
-    as a new array.
+    as a new array of ``dtype``.
 
     Statistics come from the rows ``stats_rows``; std is the population
     convention (divide by n).  Features with zero std are left untouched
-    (neither centered nor scaled).
+    (neither centered nor scaled).  Everything is computed in float64, and
+    the output is written ``_ROW_BLOCK`` rows at a time, so a float32 result
+    is the float64 one rounded (beyond float32's range, to +-inf), and no
+    full float64 copy is ever made beside it.
     """
     # the std is computed in place on a copy of the statistics rows, step for
     # step as ndarray.std does it (so bit for bit), and the copy is freed
@@ -240,6 +251,11 @@ def standardize(X: np.ndarray, stats_rows: np.ndarray) -> np.ndarray:
     std = np.sqrt(src.sum(axis=0) / len(src))  # population: ddof=0
     del src
     constant = std == 0.0
-    scaled = np.subtract(X, np.where(constant, 0.0, mean))
-    scaled /= np.where(constant, 1.0, std)
+    shift, scale = np.where(constant, 0.0, mean), np.where(constant, 1.0, std)
+    scaled = np.empty(X.shape, dtype)
+    block = np.empty((min(_ROW_BLOCK, len(X)), X.shape[1]))
+    for i in range(0, len(X), _ROW_BLOCK):
+        rows = np.subtract(X[i : i + _ROW_BLOCK], shift, out=block[: len(X) - i])
+        rows /= scale
+        scaled[i : i + _ROW_BLOCK] = rows
     return scaled

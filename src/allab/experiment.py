@@ -14,7 +14,9 @@ In each round every stack trains its cells in lockstep with
 ``trainer.train_stack`` (bit for bit what training each cell alone gives),
 then each of its cells is evaluated, acquires its next labels and drops its
 trajectory before the next stack trains.  Every stack runs in the calling
-thread, in the order of ``_stacks``.
+thread, in the order of ``_stacks``.  Each repeat's features are made
+float32 once, when its partition is drawn, and every cell's model trains
+and scores in float32 (``model.ModelSpec.dtype``).
 """
 
 from __future__ import annotations
@@ -83,9 +85,13 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_csv(d.path, d.label_column)
 
 
-def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> PoolState:
+def start_partition(
+    dataset: Dataset, cfg: ExperimentConfig, repeat: int, dtype=np.float32
+) -> PoolState:
     """The repeat's starting partition, standardized if enabled; every
-    method's cell of the repeat starts from it and shares its features.
+    method's cell of the repeat starts from it and shares its features, a
+    ``dtype`` copy of the dataset's (a float64 partition without
+    standardization shares the dataset's array).
 
     Standardization statistics are fitted inside the partition (pool rows or
     initial labeled rows) so the test set never leaks into them.
@@ -100,12 +106,12 @@ def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> Poo
     )
     mode = cfg.dataset.standardize
     if mode == "none":
-        return start
+        return replace(start, features=dataset.features.astype(dtype, copy=False))
     if mode == "pool":
         stats_rows = np.sort(np.concatenate([start.labeled_idx, start.unlabeled_idx]))
     else:  # labeled
         stats_rows = start.labeled_idx
-    return replace(start, features=standardize(dataset.features, stats_rows))
+    return replace(start, features=standardize(dataset.features, stats_rows, dtype))
 
 
 def make_output_dir(cfg: ExperimentConfig) -> Path:
@@ -141,12 +147,15 @@ class _Stack:
 
 def _stacks(cfg: ExperimentConfig, starts: list[PoolState]) -> list[_Stack]:
     """Every (method, repeat) cell, grouped by the model and MMD^2 weight its
-    method's rules give."""
-    layer_sizes, split = cfg.model.resolve(starts[0].features.shape[1], starts[0].class_count)
+    method's rules give.  The models compute in their features' dtype, which
+    ``start_partition`` makes float32."""
+    features = starts[0].features
+    layer_sizes, split = cfg.model.resolve(features.shape[1], starts[0].class_count)
     stacks: dict[tuple[ModelSpec, float], _Stack] = {}
     for method in cfg.methods:
         rules = METHODS[method]
-        spec = ModelSpec(layer_sizes, split, cfg.model.bald_dropout if rules.bald_dropout else 0.0)
+        rate = cfg.model.bald_dropout if rules.bald_dropout else 0.0
+        spec = ModelSpec(layer_sizes, split, rate, features.dtype)
         mmd_weight = cfg.train.mmd_weight if rules.trains_with_mmd else 0.0
         group = stacks.setdefault((spec, mmd_weight), _Stack(spec, mmd_weight, []))
         group.cells.extend(

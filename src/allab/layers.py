@@ -1,6 +1,7 @@
 """Dense layer primitives with analytic gradients.
 
-Matrices are row-major ``numpy`` arrays of 64-bit floats throughout; a batch
+Matrices are row-major ``numpy`` arrays of one float dtype, float64 or
+float32 (``model.ModelSpec.dtype``), which every primitive keeps; a batch
 of n examples with d features is an (n, d) array.  Every operation here is a
 pure function of its inputs (plus an explicitly passed generator for dropout)
 and of the BLAS setup: OpenBLAS sums wide products (a 784-wide GEMM, say) in
@@ -16,7 +17,7 @@ same either way.
 
 Each primitive has one implementation, and the training step, the prediction
 paths and the gradient audit all call it.  The primitives do not check their
-operands: float64 arrays whose shapes chain.  The shapes are checked where
+operands: float arrays of one dtype whose shapes chain.  The shapes are checked where
 they enter the package, once: the parameter shapes when an ``MlpParams`` is
 built, a network's input in ``model.forward``, and each training cell's
 labels (:func:`check_labels`) and feature width once per round.
@@ -162,7 +163,8 @@ def dropout(
 
     ``rng`` is a generator, or a sequence of one generator per cell: R for a
     stack X of shape (R, n, m), one for a 2-D X.  Cell r's mask is then drawn
-    from ``rng[r]`` exactly as ``rng[r].random((n, m))`` would draw it.
+    from ``rng[r]`` exactly as ``rng[r].random((n, m))`` would draw it.  The
+    mask and the output have X's dtype.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -170,7 +172,7 @@ def dropout(
         return X, None
     if rng is None:
         raise ValueError("dropout with rate > 0 requires an rng")
-    mask = dropout_mask(rate, rng, np.empty(X.shape))
+    mask = dropout_mask(rate, rng, np.empty_like(X))
     return X * mask, mask
 
 
@@ -179,13 +181,16 @@ def dropout_mask(
     rng: np.random.Generator | Sequence[np.random.Generator],
     out: np.ndarray,
 ) -> np.ndarray:
-    """:func:`dropout`'s mask, computed in place in ``out`` and returned: each
-    entry is 1/(1-rate) where its draw from ``rng`` is >= rate, else 0."""
+    """:func:`dropout`'s mask, computed in ``out`` and returned: each entry is
+    1/(1-rate) where its draw from ``rng`` is >= rate, else 0.  The draws
+    are float64 whatever ``out``'s dtype (a generator fills float32 only by
+    drawing differently), so a float32 mask keeps the float64 one's entries."""
+    draws = out if out.dtype == np.float64 else np.empty(out.shape)
     if isinstance(rng, np.random.Generator):
-        rng.random(out=out)
+        rng.random(out=draws)
     else:
-        for g, cell in zip(rng, out.reshape(len(rng), *out.shape[-2:]), strict=True):
+        for g, cell in zip(rng, draws.reshape(len(rng), *draws.shape[-2:]), strict=True):
             g.random(out=cell)
-    np.greater_equal(out, rate, out=out)
+    np.greater_equal(draws, rate, out=out)
     out *= 1.0 / (1.0 - rate)
     return out

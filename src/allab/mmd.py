@@ -108,9 +108,12 @@ def mmd2_biased_with_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value and the analytic partials with respect to both batches, in one pass.
 
-    A (..., a, h) and B (..., b, h) are float64 batches, 2-D or stacked.
-    ``sigmas`` holds the m bandwidths in order: floats for 2-D batches, or for
-    a stack (R, 1, 1) arrays, one bandwidth per cell.  The value is a 0-d array, or one value per cell.
+    A (..., a, h) and B (..., b, h) are batches of one float dtype, 2-D or
+    stacked, and every result has that dtype.  ``sigmas`` holds the m
+    bandwidths in order: floats for 2-D batches, or for a stack (R, 1, 1)
+    arrays, one bandwidth per cell; an array or numpy scalar bandwidth of a
+    wider dtype than the batches would widen the results.  The value is a
+    0-d array, or one value per cell.
 
     For a single bandwidth, differentiating the three V-statistic terms gives
 

@@ -24,12 +24,15 @@ max(x, 0), so a NaN feature stays NaN through the network and shows up as a
 non-finite loss; it is not zeroed away.  Data files are checked for
 non-finite cells when they are loaded.
 
-An ``MlpParams`` is a ``ModelSpec`` (layer sizes, split, dropout rate) plus
-one contiguous float64 vector, ``flat``, of every weight and bias; its
+An ``MlpParams`` is a ``ModelSpec`` (layer sizes, split, dropout rate,
+dtype) plus one contiguous vector, ``flat``, of every weight and bias; its
 ``layers`` are (W, b) views into it, so the trainer updates all of them in
-one vectorized step.  The vector's length is checked against the spec when
-it is built, and ``forward`` and ``dropout_probs`` check their input; the
-per-layer math is the ``layers`` primitives, which re-check nothing.
+one vectorized step.  The dtype is float64 unless the spec says float32, as
+the experiment harness's specs do; every array a model's training and
+scoring make then has it.  The vector's length and dtype are checked
+against the spec when it is built, and ``forward`` and ``dropout_probs``
+cast their input to the spec's dtype; the per-layer math is the ``layers``
+primitives, which re-check nothing.
 ``backward`` writes the gradients into an ``MlpParams`` of the same layout
 (see ``zeros_like``).
 
@@ -77,11 +80,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description: layer sizes, feature split, dropout rate."""
+    """Architecture description: layer sizes, feature split, dropout rate, and
+    the float dtype (float64 or float32) the model computes in."""
 
     layer_sizes: tuple[int, ...]
     split_index: int = 1
     dropout_rate: float = 0.0
+    dtype: np.dtype = np.dtype(np.float64)
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
@@ -96,7 +101,10 @@ class ModelSpec:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if np.dtype(self.dtype) not in (np.float64, np.float32):
+            raise ValueError(f"dtype must be float64 or float32, got {self.dtype}")
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        object.__setattr__(self, "dtype", np.dtype(self.dtype))
 
     @property
     def n_params(self) -> int:
@@ -106,20 +114,24 @@ class ModelSpec:
 
 
 class MlpParams:
-    """A model's parameters: its ``spec`` and one contiguous float64 vector.
+    """A model's parameters: its ``spec`` and one contiguous vector of the
+    spec's dtype.
 
     ``flat`` holds layer by layer each W (row-major) and then its b.
     ``layers[i]`` is (W, b), views into ``flat`` with W of shape
     (d_i, d_{i+1}) and b of shape (d_{i+1},), where ``spec.layer_sizes`` is
     (d_0, ..., d_L).  ``flat`` is wrapped, not copied: (P,) for one model,
     (R, P) for a stack of R; a vector of any other length than ``spec``'s
-    parameter count raises DimensionError.  Mutated in place only by the
-    trainer; a :func:`snapshot`'s vector and views are read-only.
+    parameter count, or of another dtype, raises DimensionError.  Mutated in
+    place only by the trainer; a :func:`snapshot`'s vector and views are
+    read-only.
     """
 
     def __init__(self, spec: ModelSpec, flat: np.ndarray):
         if flat.ndim not in (1, 2) or flat.shape[-1] != spec.n_params:
             raise DimensionError(f"parameters {flat.shape} do not fit layer sizes {spec.layer_sizes}")
+        if flat.dtype != spec.dtype:
+            raise DimensionError(f"parameters of dtype {flat.dtype} do not fit a {spec.dtype} model")
         self.spec = spec
         self.flat = flat
         self.layers = _views(flat, spec.layer_sizes)
@@ -164,16 +176,18 @@ class ForwardCache:
 
 
 def init_mlp(spec: ModelSpec, rng: np.random.Generator) -> MlpParams:
-    """Fresh parameters: ReLU-scaled Gaussian weights (variance 2/fan_in), zero biases."""
-    params = MlpParams(spec, np.zeros(spec.n_params))
-    for W, _ in params.layers:
+    """Fresh parameters: ReLU-scaled Gaussian weights (variance 2/fan_in), zero
+    biases.  They are drawn in float64 whatever the spec's dtype, then cast,
+    so a float32 model's are its float64 twin's rounded."""
+    flat = np.zeros(spec.n_params)
+    for W, _ in _views(flat, spec.layer_sizes):
         W[...] = rng.standard_normal(W.shape) * np.sqrt(2.0 / W.shape[0])
-    return params
+    return MlpParams(spec, flat.astype(spec.dtype, copy=False))
 
 
 def _checked_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """X as float64: (n, d_0) for one model, (R, n, d_0) for a stack of R."""
-    X = np.asarray(X, dtype=np.float64)
+    """X in the spec's dtype: (n, d_0) for one model, (R, n, d_0) for a stack of R."""
+    X = np.asarray(X, dtype=params.spec.dtype)
     lead, width = params.flat.shape[:-1], params.spec.layer_sizes[0]
     if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != width:
         raise DimensionError(
@@ -275,7 +289,9 @@ def stack(cells) -> MlpParams:
     ``cells[r].flat``."""
     spec = cells[0].spec
     if any(c.spec != spec for c in cells):
-        raise DimensionError("a stack's cells need the same layer sizes, split and dropout rate")
+        raise DimensionError(
+            "a stack's cells need the same layer sizes, split and dropout rate, and one dtype"
+        )
     return MlpParams(spec, np.stack([c.flat for c in cells]))
 
 
@@ -323,10 +339,10 @@ def dropout_probs(
 
 
 def _dropout_passes(first, later, rate, passes, rng) -> Iterator[np.ndarray]:
-    n = first.shape[0]
-    shared = np.empty(n * max(W.shape[0] for W, _ in later))
+    n, dtype = first.shape[0], first.dtype
+    shared = np.empty(n * max(W.shape[0] for W, _ in later), dtype)
     masks = [shared[: n * W.shape[0]].reshape(n, W.shape[0]) for W, _ in later]
-    pres = [np.empty((n, W.shape[1])) for W, _ in later]
+    pres = [np.empty((n, W.shape[1]), dtype) for W, _ in later]
     for _ in range(passes):
         a = first
         for i, ((W, b), mask, pre) in enumerate(zip(later, masks, pres), start=1):

@@ -47,10 +47,13 @@ numpy call of a step serves all R cells; a single cell needs no stack axis
 and runs on its (P,) vector and 2-D batches.  Each round allocates one
 gradient buffer (``zeros_like``), which the backward pass writes, one
 scratch array for the update, the batch buffer and the head's gradient
-buffer.  Every cell's labels and feature width are checked once per round,
-before step 0, and the kernel bandwidths are resolved once, at the first
-step; the step then calls ``layers.softmax_cross_entropy`` and
-``mmd.mmd2_biased_with_grad``, which check nothing.
+buffer, all in the model spec's dtype, as are the features (cast once per
+round if the pool's are not) and the kernel bandwidths, so a float32 model
+trains in float32 throughout.  Every cell's labels and feature width are
+checked once per round, before step 0, and the kernel bandwidths are
+resolved once, at the first step; the step then calls
+``layers.softmax_cross_entropy`` and ``mmd.mmd2_biased_with_grad``, which
+check nothing.
 """
 
 from __future__ import annotations
@@ -284,7 +287,8 @@ def train_stack(
         np.sort(np.concatenate([idx, np.asarray(pool.unlabeled_idx)]))
         for idx, pool in zip(labeled, pools)
     ]
-    features = [np.asarray(pool.features, dtype=np.float64) for pool in pools]
+    dtype = model_spec.dtype
+    features = [np.asarray(pool.features, dtype=dtype) for pool in pools]
 
     R, B, d = len(pools), config.batch_size, model_spec.layer_sizes[0]
     # several cells are stacked on a leading axis; one cell runs on plain 2-D
@@ -304,12 +308,13 @@ def train_stack(
     lam = config.mmd_weight
     # at lam > 0 one buffer holds each cell's labeled rows, then its pool rows
     n = 2 * B if lam > 0 else B
-    X = np.empty((*lead, n, d))  # the batches, gathered per step
+    X = np.empty((*lead, n, d), dtype)  # the batches, gathered per step
     y_l = np.empty((*lead, B), dtype=np.intp)
     # the head's upstream gradient: the CE's on the labeled rows, 0 on the pool rows
-    dlogits_all = np.zeros((*lead, n, model_spec.layer_sizes[-1]))
+    dlogits_all = np.zeros((*lead, n, model_spec.layer_sizes[-1]), dtype)
     rate = model_spec.dropout_rate
-    # at lam 0 the pool batch's masks are drawn and dropped, keeping the dropout stream in step
+    # at lam 0 the pool batch's masks are drawn and dropped, keeping the
+    # dropout stream in step; float64 buffers, so the draws go straight in
     pool_masks = []
     if lam == 0 and rate > 0:
         pool_masks = [np.empty((*lead, B, h)) for h in model_spec.layer_sizes[1:-1]]
@@ -344,8 +349,11 @@ def train_stack(
             Z_l, Z_p = Z[..., :B, :], Z[..., B:, :]
             if sigmas is None:
                 per_cell = [_resolve_kernel(config, z) for z in Z_p.reshape(R, B, -1)]
-                # a stack's k-th bandwidth is an (R, 1, 1) column, one per cell
-                sigmas = list(np.array(per_cell).T[:, :, None, None]) if lead else per_cell[0]
+                # in the model's dtype, so the MMD^2 term stays in it: a stack's
+                # k-th bandwidth is an (R, 1, 1) column, one per cell, and a
+                # single cell's a scalar, which computes as that column does
+                sigmas = np.array(per_cell, dtype).T
+                sigmas = list(sigmas[:, :, None, None] if lead else sigmas[:, 0])
             m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
             if not np.isfinite(lam * m2).all():
                 raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")

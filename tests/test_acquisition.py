@@ -97,6 +97,30 @@ def test_avg_predict_rows_sum_to_one():
     assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    C=st.integers(2, 100),
+    n_snaps=st.integers(1, 10),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**31),
+)
+def test_float32_probability_rows_pass_the_entropy_check(C, n_snaps, scale, seed):
+    # float32 rows sum to one within float32 rounding, well inside the
+    # 1e-6 entropy_scores allows (over C 2-100 and 1-10 checkpoints the
+    # worst row seen was 2.7e-7 off)
+    rng = derive_rng(seed)
+    spec = ModelSpec((4, 16, C), 1, 0.0, np.float32)
+    snaps = tuple(
+        snapshot(MlpParams(spec, (scale * rng.standard_normal(spec.n_params)).astype(np.float32)))
+        for _ in range(n_snaps)
+    )
+    X = rng.standard_normal((64, 4)).astype(np.float32)
+    for P in (predict_proba(snaps[0], X), avg_predict(CheckpointSet(snaps), X)):
+        assert P.dtype == np.float32
+        assert np.abs(P.sum(axis=1, dtype=np.float64) - 1.0).max() <= 1e-6
+        assert np.isfinite(entropy_scores(P)).all()
+
+
 def test_avg_predict_rejects_empty_trajectory():
     # a trajectory is a CheckpointSet, which cannot be empty
     with pytest.raises(ValueError, match="nonempty"):

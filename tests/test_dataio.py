@@ -352,10 +352,16 @@ def _reference_standardize(X, stats_rows):
 
 
 def _assert_standardize_matches_reference(X, stats_rows):
+    """float64 output is the reference bit for bit, float32 output the
+    reference rounded to float32 (so it is computed in float64), values
+    beyond float32's range included: they round to +-inf, as a cast does."""
     before = X.copy()
     out = standardize(X, stats_rows)
     ref = _reference_standardize(X, stats_rows)
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    with np.errstate(over="ignore"):  # a std of 1e-65 scales a 1e3 entry past 3.4e38
+        narrow, rounded = standardize(X, stats_rows, np.float32), ref.astype(np.float32)
+    assert narrow.dtype == np.float32 and narrow.tobytes() == rounded.tobytes()
     assert X.tobytes() == before.tobytes()
 
 

@@ -60,17 +60,27 @@ def test_build_pool_standardize_modes():
     dataset = load_dataset(cfg)
     raw = dataset.features.copy()
 
-    plain = start_partition(dataset, cfg, 0)
-    assert np.array_equal(plain.features, dataset.features)
+    def partitions(mode):
+        """The float64 partition and the default one, which is its features
+        rounded to float32 (statistics and values computed in float64)."""
+        mode_cfg = replace(cfg, dataset=replace(cfg.dataset, standardize=mode))
+        wide, harness = start_partition(dataset, mode_cfg, 0, np.float64), start_partition(dataset, mode_cfg, 0)
+        assert wide.features.dtype == np.float64 and harness.features.dtype == np.float32
+        assert harness.features.tobytes() == wide.features.astype(np.float32).tobytes()
+        assert np.array_equal(harness.labeled_idx, wide.labeled_idx)
+        return wide
 
-    pooled = start_partition(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="pool")), 0)
+    plain = partitions("none")
+    assert plain.features is dataset.features
+
+    pooled = partitions("pool")
     rows = np.sort(np.concatenate([pooled.labeled_idx, pooled.unlabeled_idx]))
     assert np.abs(pooled.features[rows].mean(axis=0)).max() <= 1e-12
     assert np.abs(pooled.features[rows].std(axis=0) - 1.0).max() <= 1e-12
     # partition identical to the unstandardized build (same rng consumption)
     assert np.array_equal(pooled.labeled_idx, plain.labeled_idx)
 
-    lab = start_partition(dataset, replace(cfg, dataset=replace(cfg.dataset, standardize="labeled")), 0)
+    lab = partitions("labeled")
     assert np.abs(lab.features[lab.labeled_idx].mean(axis=0)).max() <= 1e-12
     assert np.abs(lab.features[lab.labeled_idx].std(axis=0) - 1.0).max() <= 1e-12
     # the dataset's own features are left as they were
@@ -204,6 +214,36 @@ def test_all_methods_run_through_the_harness():
     for g in logs:
         assert 0.0 <= g.test_accuracy <= 1.0
         assert g.wall_time_seconds == 0.0  # reserved field stays zero
+
+
+def test_the_harness_trains_and_scores_in_float32(monkeypatch):
+    # one float32 feature array per repeat, shared by its cells, float32
+    # models, and float32 trajectories handed to every acquisition
+    trained, acquired = [], []
+    real_train_stack, real_acquire = experiment.train_stack, experiment.acquire
+
+    def spy_train_stack(pools, spec, config, seeds):
+        result = real_train_stack(pools, spec, config, seeds)
+        snaps = [s for trajectory, _ in result for s in trajectory.snapshots]
+        trained.append((spec.dtype, [p.features for p in pools], {s.flat.dtype for s in snaps}))
+        return result
+
+    def spy_acquire(method, pool, budget, trajectory, rng, bald_passes):
+        acquired.append((pool.features.dtype, {s.flat.dtype for s in trajectory.snapshots}))
+        return real_acquire(method, pool, budget, trajectory, rng, bald_passes=bald_passes)
+
+    monkeypatch.setattr(experiment, "train_stack", spy_train_stack)
+    monkeypatch.setattr(experiment, "acquire", spy_acquire)
+    doc = {**small_doc(), "methods": ["mpts", "random", "bald", "coreset"], "rounds": 2}
+    run_experiment(parse_config(doc))
+    f32 = np.dtype(np.float32)
+    assert len(trained) == 3 * 2 and len(acquired) == 4 * 2
+    assert all(dtype == f32 and snaps == {f32} for dtype, _, snaps in trained)
+    features = [f for _, cells, _ in trained for f in cells]
+    assert {f.dtype for f in features} == {f32}
+    # made once per repeat: every cell of a repeat, in every round, holds its array
+    assert len({id(f) for f in features}) == 2
+    assert acquired == [(f32, {f32})] * 8
 
 
 def test_score_dumps_written_per_round(tmp_path):

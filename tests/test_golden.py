@@ -5,9 +5,11 @@ same way.  The sha256 digests of ``results.csv`` pin the results: test-set
 accuracies and label counts, which a last-bit change in the parameters
 rarely reaches.  The parameter digests pin the numbers themselves: every
 checkpoint's ``flat`` and ``EpochStats`` of round-0 ``train_stack`` calls on
-bias4's 8-64-64-4 net, seeded as the harness seeds them, and the BALD and
-core-set scores of its dropout model.  A deliberate change to the numerics
-updates them and says why in CHANGES.md.
+bias4's 8-64-64-4 net, built and seeded as the harness builds and seeds
+them, and the BALD and core-set scores of its dropout model, each in
+float32 (the harness's dtype) and float64 (the default).  The gradient
+audit's output is pinned too.  A deliberate change to the numerics updates
+them and says why in CHANGES.md.
 """
 
 import hashlib
@@ -21,8 +23,7 @@ import pytest
 from allab.acquisition import bald_acquire, coreset_acquire
 from allab.cli import main
 from allab.config import parse_config
-from allab.experiment import load_dataset, start_partition
-from allab.model import ModelSpec
+from allab.experiment import _stacks, load_dataset, start_partition
 from allab.seeding import derive_int, derive_rng
 from allab.trainer import train_stack
 from idx_files import make_image_pool
@@ -82,28 +83,52 @@ def test_image784_results_csv_matches_golden_digest(tmp_path):
 
 
 # round 0 of configs/bias4.json's cells, trained as the harness trains them;
-# narrow products, so the bits do not follow OpenBLAS's thread count
+# narrow products, so the bits do not follow OpenBLAS's thread count.  The
+# harness trains in float32; the float64 digests pin the default dtype.
 TRAINED_GOLDEN = {
-    "mmd_stack": "ca1c92393c6d001d8e22de89a05fc56ed5a16907be6a98a0012cd2840837325a",
-    "plain_stack": "7e4c918d19b6c87211f3cd897dc4c8de3505054b7761c91f12bc7ee7644a4a22",
-    "dropout": "e6e12821232844b25d2377e56c9eb40e05c2af0f05b7edab0ce0e3045f882ea1",
+    "float64": {
+        "mmd_stack": "ca1c92393c6d001d8e22de89a05fc56ed5a16907be6a98a0012cd2840837325a",
+        "plain_stack": "7e4c918d19b6c87211f3cd897dc4c8de3505054b7761c91f12bc7ee7644a4a22",
+        "dropout": "e6e12821232844b25d2377e56c9eb40e05c2af0f05b7edab0ce0e3045f882ea1",
+    },
+    "float32": {
+        "mmd_stack": "81d2480a5506b44ca480698faa21ac2808b1b1ec0c2e8014204b27c7cbda77bf",
+        "plain_stack": "86ec3ef45ac7ace040e11f4ebb46e418cfb5e7a85dcdb0996ad6d51daf73c599",
+        "dropout": "6c8a2fb4f7fa0906f1e37fb2eafaa61d16b94b3b61d0e9a6c94d9f82b08a6040",
+    },
 }
 SCORES_GOLDEN = {
-    "bald": "c1c024955a6ffdb932e2bacb648a6e57f339318160ea4a7f10ee9503dac8fee7",
-    "coreset": "62cdacbbdbe386008bf0f02441ec8423f916fc330bbe792b54317444b5230716",
+    "float64": {
+        "bald": "c1c024955a6ffdb932e2bacb648a6e57f339318160ea4a7f10ee9503dac8fee7",
+        "coreset": "62cdacbbdbe386008bf0f02441ec8423f916fc330bbe792b54317444b5230716",
+    },
+    "float32": {
+        "bald": "660f1fc8b8f95ea2bc6920707cb6b2ac0c2535765403dd68f6befa55a14befdf",
+        "coreset": "60017d86bbd6dd0cfc6f820e8a5b4de43c87ce6d6501a689d7829509de1c7878",
+    },
 }
 
+# ``allab gradcheck``'s default output: the audit runs in float64 whatever
+# dtype the harness trains in
+GRADCHECK_GOLDEN = "9feb5b5f0bce2534c4c4762bd9a4be4dd6dad1def2d0fa41ebdfb80e30fd42af"
 
-def bias4_round0(method: str, repeats: int, mmd_weight: float, dropout_rate: float = 0.0):
-    """The pools, spec and ``train_stack`` output of ``method``'s round-0 cells
-    for the first ``repeats`` repeats of configs/bias4.json."""
+
+def bias4_round0(method: str, repeats: int, dtype):
+    """The pools and ``train_stack`` output of ``method``'s round-0 cells for
+    the first ``repeats`` repeats of configs/bias4.json, built as
+    ``run_experiment`` builds them: ``dtype`` partitions (float32 is the
+    harness's), and the stack, spec and MMD^2 weight that ``_stacks`` gives
+    the method."""
     cfg = parse_config(REPO / "configs" / "bias4.json")
+    cfg = replace(cfg, methods=(method,), repeats=repeats)
     dataset = load_dataset(cfg)
-    pools = [start_partition(dataset, cfg, r) for r in range(repeats)]
-    layer_sizes, split = cfg.model.resolve(dataset.features.shape[1], pools[0].class_count)
-    spec = ModelSpec(layer_sizes, split, dropout_rate)
-    seeds = [derive_int(cfg.master_seed, "train", method, r, 0) for r in range(repeats)]
-    trained = train_stack(pools, spec, replace(cfg.train, mmd_weight=mmd_weight), seeds)
+    pools = [start_partition(dataset, cfg, r, dtype) for r in range(repeats)]
+    (group,) = _stacks(cfg, pools)
+    assert group.spec.dtype == dtype
+    seeds = [derive_int(cfg.master_seed, "train", c.method, c.repeat, 0) for c in group.cells]
+    trained = train_stack(
+        [c.pool for c in group.cells], group.spec, replace(cfg.train, mmd_weight=group.mmd_weight), seeds
+    )
     return cfg, pools, trained
 
 
@@ -124,22 +149,45 @@ def scores_digest(result) -> str:
     return h.hexdigest()
 
 
-def test_mmd_stack_parameters_match_golden_digest():
-    _, _, trained = bias4_round0("mpts", 3, mmd_weight=0.1)
-    assert trained_digest(trained) == TRAINED_GOLDEN["mmd_stack"]
+def check_stack(method: str, key: str, dtype):
+    _, _, trained = bias4_round0(method, 3, dtype)
+    assert trained_digest(trained) == TRAINED_GOLDEN[np.dtype(dtype).name][key]
 
 
-def test_plain_stack_parameters_match_golden_digest():
-    _, _, trained = bias4_round0("random", 3, mmd_weight=0.0)
-    assert trained_digest(trained) == TRAINED_GOLDEN["plain_stack"]
-
-
-def test_dropout_model_parameters_and_scores_match_golden_digests():
-    cfg, (pool,), trained = bias4_round0("bald", 1, mmd_weight=0.0, dropout_rate=0.5)
+def check_dropout_model(dtype):
+    cfg, (pool,), trained = bias4_round0("bald", 1, dtype)
     final = trained[0][0].snapshots[-1]
+    assert final.spec.dropout_rate == 0.5
     rng = derive_rng(cfg.master_seed, "acquire", "bald", 0, 0)
     bald = bald_acquire(final, pool, cfg.budget, cfg.model.bald_passes, rng)
     coreset = coreset_acquire(final, pool, cfg.budget)
-    assert trained_digest(trained) == TRAINED_GOLDEN["dropout"]
-    assert scores_digest(bald) == SCORES_GOLDEN["bald"]
-    assert scores_digest(coreset) == SCORES_GOLDEN["coreset"]
+    name = np.dtype(dtype).name
+    assert trained_digest(trained) == TRAINED_GOLDEN[name]["dropout"]
+    assert scores_digest(bald) == SCORES_GOLDEN[name]["bald"]
+    assert scores_digest(coreset) == SCORES_GOLDEN[name]["coreset"]
+
+
+def test_mmd_stack_parameters_match_golden_digest():
+    check_stack("mpts", "mmd_stack", np.float64)
+
+
+def test_plain_stack_parameters_match_golden_digest():
+    check_stack("random", "plain_stack", np.float64)
+
+
+def test_dropout_model_parameters_and_scores_match_golden_digests():
+    check_dropout_model(np.float64)
+
+
+@pytest.mark.parametrize("method, key", [("mpts", "mmd_stack"), ("random", "plain_stack")])
+def test_float32_stack_parameters_match_golden_digest(method, key):
+    check_stack(method, key, np.float32)
+
+
+def test_float32_dropout_model_parameters_and_scores_match_golden_digests():
+    check_dropout_model(np.float32)
+
+
+def test_gradcheck_output_matches_golden_digest(capsys):
+    assert main(["gradcheck"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GRADCHECK_GOLDEN

@@ -261,27 +261,32 @@ def bits(x):
     b=st.integers(1, 40),
     d=st.integers(1, 9),
     bandwidths=st.sampled_from(["one", "three", "list"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**31),
 )
-def test_stacked_value_and_gradient_equal_each_cell_alone(R, a, b, d, bandwidths, seed):
+def test_stacked_value_and_gradient_equal_each_cell_alone(R, a, b, d, bandwidths, dtype, seed):
     # feature-like batches (exact zeros from the ReLU) and a different
     # bandwidth set per cell, as the trainer's median heuristic gives
     rng = np.random.default_rng(seed)
-    A = np.maximum(rng.standard_normal((R, a, d)) * rng.uniform(0.1, 3.0), 0.0)
-    B = np.maximum(rng.standard_normal((R, b, d)) + rng.uniform(-1.0, 1.0), 0.0)
+    A = np.maximum(rng.standard_normal((R, a, d)) * rng.uniform(0.1, 3.0), 0.0).astype(dtype)
+    B = np.maximum(rng.standard_normal((R, b, d)) + rng.uniform(-1.0, 1.0), 0.0).astype(dtype)
     sigmas = rng.uniform(0.05, 20.0, R).tolist()  # floats, as the median heuristic returns
     per_cell = [
         {"one": (s,), "three": (s / 2.0, s, 2.0 * s), "list": (0.5, 2.0)}[bandwidths]
         for s in sigmas
     ]
-    columns = np.array(per_cell).T[:, :, None, None]  # as the trainer
-    value, dA, dB = mmd2_biased_with_grad(A, B, list(columns))
+    # as the trainer: the bandwidths in the batches' dtype, a stack's as
+    # (R, 1, 1) columns and a single cell's as scalars
+    columns = np.array(per_cell, dtype).T
+    value, dA, dB = mmd2_biased_with_grad(A, B, list(columns[:, :, None, None]))
     assert value.shape == (R,)
+    assert value.dtype == dA.dtype == dB.dtype == dtype
     norms = (A * A).sum(axis=-1)
     gram = sq_dists(A, A, norms, norms)  # the symmetric A @ A.T product, per cell
     for r in range(R):
         Ar, Br = A[r].copy(), B[r].copy()
-        v, gA, gB = mmd2_biased_with_grad(Ar, Br, per_cell[r])
+        v, gA, gB = mmd2_biased_with_grad(Ar, Br, list(columns[:, r]))
+        assert v.dtype == gA.dtype == gB.dtype == dtype
         assert bits(value[r]) == bits(v)
         assert np.array_equal(bits(dA[r]), bits(gA))
         assert np.array_equal(bits(dB[r]), bits(gB))

@@ -9,6 +9,7 @@ from allab.errors import DimensionError
 from allab.layers import affine_backward, affine_forward, relu, softmax, softmax_cross_entropy
 from allab.model import (
     CheckpointSet,
+    ForwardCache,
     MlpParams,
     ModelSpec,
     avg_predict,
@@ -574,3 +575,86 @@ def test_a_stack_rejects_cells_of_different_models(split, rate):
     with pytest.raises(DimensionError, match="same layer sizes, split and dropout rate"):
         stack([first, other])
     assert stack([first, first]).spec == first.spec
+
+
+# ---- float32 ---------------------------------------------------------------
+
+def float_dtypes(obj) -> set:
+    """The dtypes of every float array and numpy float scalar in ``obj``,
+    looking into tuples, lists, dicts, forward caches and parameters."""
+    if isinstance(obj, (np.ndarray, np.floating)):
+        return {obj.dtype} if obj.dtype.kind == "f" else set()
+    if isinstance(obj, (tuple, list)):
+        return set().union(*map(float_dtypes, obj))
+    if isinstance(obj, dict):
+        return float_dtypes(list(obj.values()))
+    if isinstance(obj, ForwardCache):
+        return float_dtypes([obj.inputs, obj.activations, obj.dropout_masks])
+    if isinstance(obj, MlpParams):
+        return float_dtypes(obj.flat)
+    return set()
+
+
+def spy_float_dtypes(monkeypatch, module, names) -> list:
+    """Wraps each named function of ``module``; the returned list gets, per
+    call, its name and the float dtypes of its arguments and result."""
+    seen = []
+
+    def spying(fn):
+        def spy(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen.append((fn.__name__, float_dtypes([args, kwargs, result])))
+            return result
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(module, name, spying(getattr(module, name)))
+    return seen
+
+
+def test_float32_model_computes_in_float32(monkeypatch):
+    # a stray float64 array anywhere would widen everything after it, or be
+    # cast back into a float32 output, and keep every value, only slower:
+    # every float array the layer primitives get or give must be float32
+    import allab.model as model
+
+    primitives = (
+        "affine_forward", "affine_backward", "relu", "relu_backward", "dropout", "dropout_mask", "softmax"
+    )
+    seen = spy_float_dtypes(monkeypatch, model, primitives)
+    spec = ModelSpec((3, 5, 4, 2), 1, 0.5, np.float32)
+    params = init_mlp(spec, derive_rng(0))
+    twin = init_mlp(ModelSpec((3, 5, 4, 2), 1, 0.5), derive_rng(0))
+    assert params.flat.dtype == np.float32 and twin.flat.dtype == np.float64
+    assert params.flat.tobytes() == twin.flat.astype(np.float32).tobytes()  # same draws, rounded
+    X = derive_rng(1).standard_normal((6, 3))
+    # a float64 input is cast to the model's dtype
+    Z, logits, cache = forward(params, X, train_mode=True, rng=derive_rng(2))
+    arrays = [Z, logits, *cache.inputs, *cache.activations, *cache.dropout_masks]
+    arrays += [a for pair in backward(params, cache, np.ones_like(logits), dZ=np.ones_like(Z)) for a in pair]
+    snaps = CheckpointSet((snapshot(params), snapshot(params)))
+    arrays += [predict_proba(params, X), avg_predict(snaps, X)]
+    arrays += list(dropout_probs(params, X, 2, derive_rng(3)))
+    assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+    assert {name for name, _ in seen} == set(primitives)
+    assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in seen), seen
+
+    # the dropout stream contract holds in either dtype: float64 draws, so
+    # the same entries kept and the stream left at the same place
+    rng32, rng64 = derive_rng(2), derive_rng(2)
+    _, _, cache32 = forward(params, X, train_mode=True, rng=rng32)
+    _, _, cache64 = forward(twin, X, train_mode=True, rng=rng64)
+    for m32, m64 in zip(cache32.dropout_masks, cache64.dropout_masks, strict=True):
+        assert np.array_equal(m32 != 0, m64 != 0)
+    assert rng32.bit_generator.state == rng64.bit_generator.state
+
+
+def test_params_and_spec_must_agree_on_the_dtype():
+    spec = ModelSpec((2, 3, 1), dtype=np.float32)
+    assert spec.dtype == np.dtype(np.float32) and ModelSpec((2, 3, 1)).dtype == np.dtype(np.float64)
+    with pytest.raises(DimensionError, match="dtype float64 do not fit a float32 model"):
+        MlpParams(spec, np.zeros(13))
+    with pytest.raises(ValueError, match="dtype must be float64 or float32"):
+        ModelSpec((2, 3, 1), dtype=np.float16)
+    with pytest.raises(DimensionError, match="one dtype"):
+        stack([init_mlp(spec, derive_rng(0)), init_mlp(ModelSpec((2, 3, 1)), derive_rng(0))])

@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from allab.dataio import synth_blobs
 from allab.errors import DimensionError, PoolError, TrainingDiverged
 from allab.layers import softmax_cross_entropy
-from allab.mmd import median_heuristic, mmd2_biased_with_grad
+from allab.mmd import median_heuristic, mmd2_biased_with_grad, sq_norms
 from allab.model import CheckpointSet, ModelSpec, backward, forward, init_mlp, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
@@ -26,6 +26,7 @@ from allab.trainer import (
     steps_per_epoch,
     train_stack,
 )
+from test_model import spy_float_dtypes
 
 
 def blob_pool(seed=0, class_count=2, per_class=50, dim=2, separation=4.0, n_test=20):
@@ -448,14 +449,16 @@ class Replay:
         out[...] = next(self.draws)
 
 
-def full_step_reference(pool, spec, cfg, seed):
+def full_step_reference(pool, spec, cfg, seed, thetas=None):
     """The training loop that runs every step in full and in two passes:
     pool-batch forward, kernel and MMD^2 at any weight, and a pool-batch
     backward through the head with zero logit gradient, added to the labeled
     batch's.  The dropout masks follow the stream contract: at weight 0 the
     labeled pass's, then the pool pass's; above it one draw per hidden layer
     over both batches' rows, labeled rows first.  Returns the final and
-    snapshot weights."""
+    snapshot weights, and every step's gradient as one vector (see
+    :func:`flat`).  With ``thetas``, step k starts from the parameter vector
+    ``thetas[k]`` instead of where step k - 1 left them."""
     rng_init = derive_rng(seed, "init")
     rng_batch = derive_rng(seed, "batch")
     rng_drop = derive_rng(seed, "dropout")
@@ -465,8 +468,10 @@ def full_step_reference(pool, spec, cfg, seed):
     B = cfg.batch_size
     spe = steps_per_epoch(len(labeled), B)
     snap_at = set(snapshot_steps(cfg.epochs, spe, cfg.n_checkpoints))
-    sigmas, snaps = None, []
+    sigmas, snaps, step_grads = None, [], []
     for step in range(cfg.epochs * spe):
+        if thetas is not None:
+            params.flat[...] = thetas[step]
         lr = old_cyclic_lr(step, spe, cfg)
         idx_l = rng_batch.choice(labeled, size=B, replace=len(labeled) < B)
         idx_p = rng_batch.choice(both, size=B, replace=len(both) < B)
@@ -486,12 +491,38 @@ def full_step_reference(pool, spec, cfg, seed):
             grads = [(dW + dW2, db + db2) for (dW, db), (dW2, db2) in zip(grads, grads_p)]
         else:
             grads = backward(params, cache_l, dlogits)
+        step_grads.append(flat(grads))
         for (W, b), (dW, db) in zip(params.layers, grads):
             W -= lr * (dW + cfg.weight_decay * W)
             b -= lr * (db + cfg.weight_decay * b)
         if step in snap_at:
             snaps.append([(W.copy(), b.copy()) for W, b in params.layers])
-    return params.layers, snaps
+    return params.layers, snaps, step_grads
+
+
+def recorded_steps(pool, spec, cfg, seed):
+    """Per step of training one cell: the parameter and gradient vectors
+    ``train_stack`` hands ``sgd_step``, and the step's kernel conditioning
+    max ||z||^2 / min sigma^2 over the features of its MMD^2 term (0 at
+    weight 0)."""
+    import allab.trainer as trainer
+
+    steps, kappa = [], [0.0]
+
+    def recording_mmd(A, B, sigmas):
+        z2 = max(float(sq_norms(A).max()), float(sq_norms(B).max()))
+        kappa[0] = z2 / min(float(s) for s in sigmas) ** 2
+        return mmd2_biased_with_grad(A, B, sigmas)
+
+    def recording(params, grad, *args):
+        steps.append((params.flat.copy(), grad.copy(), kappa[0]))
+        return sgd_step(params, grad, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "mmd2_biased_with_grad", recording_mmd)
+        mp.setattr(trainer, "sgd_step", recording)
+        train_stack([pool], spec, cfg, [seed])
+    return steps
 
 
 def random_step_case(sizes, split_at, rate, lam, seed):
@@ -515,7 +546,7 @@ def random_step_case(sizes, split_at, rate, lam, seed):
 def trained_and_reference_layers(pool, spec, cfg, seed):
     """Pairs of (trained, reference) weights: the final ones, then each snapshot's."""
     traj, _ = train_stack([pool], spec, cfg, [seed])[0]
-    ref_final, ref_snaps = full_step_reference(pool, spec, cfg, seed)
+    ref_final, ref_snaps, _ = full_step_reference(pool, spec, cfg, seed)
     got = [traj.snapshots[-1].layers, *[s.layers for s in traj.snapshots]]
     for layers, ref_layers in zip(got, [ref_final, *ref_snaps], strict=True):
         for (W, b), (W_ref, b_ref) in zip(layers, ref_layers, strict=True):
@@ -543,12 +574,63 @@ def test_trimmed_step_bit_identical_to_full_step(sizes, split_at, rate, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(**step_cases)
+# a zero-initialized bias drifts to about 1e-19, a pre-activation sits on
+# the ReLU kink, and a last-bit difference flips its relu_backward mask:
+# the two trajectories part there by 2e-4, while every step's gradients,
+# taken from the same parameters, agree to 1.4e-17
+@example(sizes=[2, 2, 1], split_at=1, rate=0.0, seed=4233)
 def test_fused_step_close_to_two_pass_step(sizes, split_at, rate, seed):
     # at lam > 0 one pass over both batches sums each parameter gradient over
-    # 2B rows where the two-pass step adds two B-row sums: the last bits may move
+    # 2B rows where the two-pass step adds two B-row sums: the last bits may
+    # move, so each step is compared from the parameters train_stack had
     pool, spec, cfg = random_step_case(sizes, split_at, rate, 0.5, seed)
-    for got, want in trained_and_reference_layers(pool, spec, cfg, seed):
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    steps = recorded_steps(pool, spec, cfg, seed)
+    _, _, want = full_step_reference(pool, spec, cfg, seed, thetas=[theta for theta, _, _ in steps])
+    for (_, got, _), grad in zip(steps, want, strict=True):
+        np.testing.assert_allclose(got, grad, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**step_cases, lam=st.sampled_from([0.0, 0.5]))
+def test_float32_step_close_to_float64_step(sizes, split_at, rate, lam, seed):
+    # each float32 step's gradient against the float64 two-pass gradient from
+    # the same parameters and inputs.  Stated tolerance per entry:
+    # 1e-4 * max(1, max |g|) * (1 + kappa).  float32 keeps about 6e-8 of each
+    # product; the kernel's squared distances |a|^2 + |b|^2 - 2 a.b lose
+    # about that much of ||z||^2, which the kernel divides by sigma^2.  Over
+    # 27,600 steps of 2,300 such cases the error stayed under 1.6e-6 *
+    # max(1, max |g|) * (1 + kappa); kappa reached 7e7 where dead ReLU units
+    # made most feature rows equal and the median bandwidth 0.005
+    pool, spec, cfg = random_step_case(sizes, split_at, rate, lam, seed)
+    pool = replace(pool, features=pool.features.astype(np.float32))
+    steps = recorded_steps(pool, replace(spec, dtype=np.float32), cfg, seed)
+    _, _, want = full_step_reference(pool, spec, cfg, seed, thetas=[theta for theta, _, _ in steps])
+    for (theta, got, kappa), grad in zip(steps, want, strict=True):
+        assert theta.dtype == got.dtype == np.float32
+        tol = 1e-4 * max(1.0, np.abs(grad).max()) * (1.0 + kappa)
+        np.testing.assert_allclose(got, grad, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("lam, rate", [(0.1, 0.0), (0.0, 0.5), (0.1, 0.5)])
+@pytest.mark.parametrize("cells", [1, 2])
+def test_float32_training_stays_float32(monkeypatch, lam, rate, cells):
+    # a stray float64 array (a bandwidth column, a mask, a buffer) widens
+    # what it touches and keeps every value, only slower: every float array
+    # into and out of the step's calls must be float32
+    import allab.trainer as trainer
+
+    names = ("forward", "backward", "softmax_cross_entropy", "mmd2_biased_with_grad", "sgd_step")
+    seen = spy_float_dtypes(monkeypatch, trainer, names)
+    pools = [blob_pool(seed=s) for s in range(cells)]
+    pools = [replace(pool, features=pool.features.astype(np.float32)) for pool in pools]
+    spec = ModelSpec((2, 6, 5, 2), 1, rate, np.float32)
+    cfg = TrainConfig(epochs=2, batch_size=16, n_checkpoints=1, mmd_weight=lam, kernel="median3")
+    trained = train_stack(pools, spec, cfg, list(range(cells)))
+    assert {name for name, _ in seen} >= {"forward", "backward", "softmax_cross_entropy", "sgd_step"}
+    assert ("mmd2_biased_with_grad" in {name for name, _ in seen}) == (lam > 0)
+    assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in seen), seen
+    for trajectory, _ in trained:
+        assert all(snap.flat.dtype == np.float32 for snap in trajectory.snapshots)
 
 
 def skewed_pool(seed, per_class=300, n_lab_per_class=32):
@@ -645,7 +727,7 @@ class RecordedStreams:
         return made
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     R=st.integers(1, 4),
     hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
@@ -654,19 +736,25 @@ class RecordedStreams:
     rate=st.sampled_from([0.0, 0.5]),
     kernel=st.sampled_from(["median", "median3", (0.7, 2.0)]),
     shared=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**31),
 )
-def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, kernel, shared, seed):
+def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, kernel, shared, dtype, seed):
     # each cell has its own seed, labeled set and pool size; the features are
-    # one shared array or one standardized copy per cell (as per repeat)
+    # one shared array or one standardized copy per cell (as per repeat), in
+    # the model's dtype (float32 is the harness's)
     rng = derive_rng(seed, "data")
     d, C, n = int(rng.integers(1, 4)), int(rng.integers(2, 4)), 60
-    spec = ModelSpec((d, *hidden, C), split_index=min(1 + split_at, len(hidden)), dropout_rate=rate)
-    base, labels = rng.standard_normal((n, d)), rng.integers(0, C, size=n)
+    spec = ModelSpec(
+        (d, *hidden, C), split_index=min(1 + split_at, len(hidden)), dropout_rate=rate, dtype=dtype
+    )
+    base, labels = rng.standard_normal((n, d)).astype(dtype), rng.integers(0, C, size=n)
     pools = []
     for r in range(R):
         perm = rng.permutation(n)
-        features = base if shared else (base - rng.uniform(-1, 1, d)) * rng.uniform(0.5, 2.0, d)
+        features = base
+        if not shared:
+            features = ((base - rng.uniform(-1, 1, d)) * rng.uniform(0.5, 2.0, d)).astype(dtype)
         pools.append(PoolState(
             features=features, labels=labels, class_count=C, labeled_idx=perm[:20],
             unlabeled_idx=np.sort(perm[20 : 30 + int(rng.integers(0, 21))]), test_idx=perm[50:],
@@ -687,6 +775,7 @@ def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, ke
     for (traj, history), (traj_a, history_a) in zip(stacked, alone, strict=True):
         assert len(traj) == len(traj_a) == 2
         for snap, snap_a in zip(traj.snapshots, traj_a.snapshots):
+            assert snap.flat.dtype == snap_a.flat.dtype == dtype
             assert np.array_equal(bits(snap.flat), bits(snap_a.flat))
             assert not snap.flat.flags.writeable
         assert history == history_a
