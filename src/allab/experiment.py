@@ -15,8 +15,9 @@ In each round every stack trains its cells in lockstep with
 then each of its cells is evaluated, acquires its next labels and drops its
 trajectory before the next stack trains.  Every stack runs in the calling
 thread, in the order of ``_stacks``.  Each repeat's features are made
-float32 once, when its partition is drawn, and every cell's model trains
-and scores in float32 (``model.ModelSpec.dtype``).
+float32 once, when its partition is drawn (without standardization the
+repeats share one float32 copy), and every cell's model trains and scores in
+float32 (``model.ModelSpec.dtype``).
 """
 
 from __future__ import annotations
@@ -85,13 +86,15 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_csv(d.path, d.label_column)
 
 
-def start_partition(
-    dataset: Dataset, cfg: ExperimentConfig, repeat: int, dtype=np.float32
-) -> PoolState:
+# what the harness's models train and score in
+_DTYPE = np.float32
+
+
+def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> PoolState:
     """The repeat's starting partition, standardized if enabled; every
     method's cell of the repeat starts from it and shares its features, a
-    ``dtype`` copy of the dataset's (a float64 partition without
-    standardization shares the dataset's array).
+    float32 copy of the dataset's (without standardization, the dataset's own
+    array if that is float32 already).
 
     Standardization statistics are fitted inside the partition (pool rows or
     initial labeled rows) so the test set never leaks into them.
@@ -106,12 +109,12 @@ def start_partition(
     )
     mode = cfg.dataset.standardize
     if mode == "none":
-        return replace(start, features=dataset.features.astype(dtype, copy=False))
+        return replace(start, features=dataset.features.astype(_DTYPE, copy=False))
     if mode == "pool":
         stats_rows = np.sort(np.concatenate([start.labeled_idx, start.unlabeled_idx]))
     else:  # labeled
         stats_rows = start.labeled_idx
-    return replace(start, features=standardize(dataset.features, stats_rows, dtype))
+    return replace(start, features=standardize(dataset.features, stats_rows, _DTYPE))
 
 
 def make_output_dir(cfg: ExperimentConfig) -> Path:
@@ -147,15 +150,13 @@ class _Stack:
 
 def _stacks(cfg: ExperimentConfig, starts: list[PoolState]) -> list[_Stack]:
     """Every (method, repeat) cell, grouped by the model and MMD^2 weight its
-    method's rules give.  The models compute in their features' dtype, which
-    ``start_partition`` makes float32."""
-    features = starts[0].features
-    layer_sizes, split = cfg.model.resolve(features.shape[1], starts[0].class_count)
+    method's rules give; every model computes in float32."""
+    layer_sizes, split = cfg.model.resolve(starts[0].features.shape[1], starts[0].class_count)
     stacks: dict[tuple[ModelSpec, float], _Stack] = {}
     for method in cfg.methods:
         rules = METHODS[method]
         rate = cfg.model.bald_dropout if rules.bald_dropout else 0.0
-        spec = ModelSpec(layer_sizes, split, rate, features.dtype)
+        spec = ModelSpec(layer_sizes, split, rate, _DTYPE)
         mmd_weight = cfg.train.mmd_weight if rules.trains_with_mmd else 0.0
         group = stacks.setdefault((spec, mmd_weight), _Stack(spec, mmd_weight, []))
         group.cells.extend(
@@ -246,13 +247,16 @@ def run_experiment(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if dataset is None:
         dataset = load_dataset(cfg)
+    if cfg.dataset.standardize == "none":
+        # cast once, so the repeats' partitions share one float32 array
+        dataset = replace(dataset, features=dataset.features.astype(_DTYPE, copy=False))
     # each repeat's partition is drawn once, before any cell trains, so a pool
     # too small for the config, a feature split beyond the default hidden
     # layers or an output directory that cannot be made fails as a
     # ConfigError up front
     starts = [start_partition(dataset, cfg, r) for r in range(cfg.repeats)]
-    # the cells need only their partitions, so with standardize on a dataset
-    # loaded here is freed before any cell trains
+    # the cells need only their float32 partitions, so a dataset loaded here
+    # is freed before any cell trains
     del dataset
     _check_budget(cfg, starts[0])
     stacks = _stacks(cfg, starts)

@@ -111,9 +111,17 @@ def mmd2_biased_with_grad(
     A (..., a, h) and B (..., b, h) are batches of one float dtype, 2-D or
     stacked, and every result has that dtype.  ``sigmas`` holds the m
     bandwidths in order: floats for 2-D batches, or for a stack (R, 1, 1)
-    arrays, one bandwidth per cell; an array or numpy scalar bandwidth of a
-    wider dtype than the batches would widen the results.  The value is a
-    0-d array, or one value per cell.
+    float64 arrays, one bandwidth per cell.  The value is a 0-d array, or one
+    value per cell.
+
+    The term is computed in float64 whatever the batches' dtype, and only
+    its results are rounded to it.  In float32 the squared distances
+    ``|a|^2 + |b|^2 - 2 a.b`` would lose about 6e-8 |z|^2 each, and so would
+    the gradient's ``rowsum(K) A - K @ A``; the kernel divides both by
+    sigma^2, so with a bandwidth far below the feature norms (a small
+    configured one, or a median shrunk by dead units) the float32 gradient
+    is wrong by much more than its rounding.  The (a + b)^2 h-sized products
+    here cost little next to the model's layers.
 
     For a single bandwidth, differentiating the three V-statistic terms gives
 
@@ -126,6 +134,8 @@ def mmd2_biased_with_grad(
     division by 1) is exact.
     Each batch's row norms are computed once for all three distance matrices.
     """
+    dtype = A.dtype
+    A, B = A.astype(np.float64, copy=False), B.astype(np.float64, copy=False)
     a, b = A.shape[-2], B.shape[-2]
     norms_a, norms_b = sq_norms(A), sq_norms(B)
     d2_aa = sq_dists(A, A, norms_a, norms_a)
@@ -157,7 +167,7 @@ def mmd2_biased_with_grad(
         dB += (2.0 / (a * b) * inv_s2) * (col_ab[..., None] * B - K_ab.swapaxes(-1, -2) @ A)
 
     m = len(sigmas)
-    return value / m, dA / m, dB / m
+    return tuple(x.astype(dtype, copy=False) for x in (value / m, dA / m, dB / m))
 
 
 def median_heuristic(Z: np.ndarray) -> float:

@@ -48,10 +48,11 @@ and runs on its (P,) vector and 2-D batches.  Each round allocates one
 gradient buffer (``zeros_like``), which the backward pass writes, one
 scratch array for the update, the batch buffer and the head's gradient
 buffer, all in the model spec's dtype, as are the features (cast once per
-round if the pool's are not) and the kernel bandwidths, so a float32 model
-trains in float32 throughout.  Every cell's labels and feature width are
-checked once per round, before step 0, and the kernel bandwidths are
-resolved once, at the first step; the step then calls
+round if the pool's are not), so a float32 model trains in float32
+throughout but for the MMD^2 term, which computes in float64 and rounds
+its results (see ``mmd.mmd2_biased_with_grad``).  Every cell's labels and
+feature width are checked once per round, before step 0, and the kernel
+bandwidths are resolved once, at the first step; the step then calls
 ``layers.softmax_cross_entropy`` and ``mmd.mmd2_biased_with_grad``, which
 check nothing.
 """
@@ -349,11 +350,8 @@ def train_stack(
             Z_l, Z_p = Z[..., :B, :], Z[..., B:, :]
             if sigmas is None:
                 per_cell = [_resolve_kernel(config, z) for z in Z_p.reshape(R, B, -1)]
-                # in the model's dtype, so the MMD^2 term stays in it: a stack's
-                # k-th bandwidth is an (R, 1, 1) column, one per cell, and a
-                # single cell's a scalar, which computes as that column does
-                sigmas = np.array(per_cell, dtype).T
-                sigmas = list(sigmas[:, :, None, None] if lead else sigmas[:, 0])
+                # a stack's k-th bandwidth is an (R, 1, 1) column, one per cell
+                sigmas = list(np.array(per_cell).T[:, :, None, None]) if lead else per_cell[0]
             m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
             if not np.isfinite(lam * m2).all():
                 raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")

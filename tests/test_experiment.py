@@ -8,6 +8,7 @@ import pytest
 import allab.experiment as experiment
 from allab.acquisition import METHODS
 from allab.config import parse_config
+from allab.dataio import standardize
 from allab.errors import ConfigError, FormatError
 from allab.seeding import derive_int
 from allab.experiment import (
@@ -60,29 +61,34 @@ def test_build_pool_standardize_modes():
     dataset = load_dataset(cfg)
     raw = dataset.features.copy()
 
-    def partitions(mode):
-        """The float64 partition and the default one, which is its features
-        rounded to float32 (statistics and values computed in float64)."""
+    def partition(mode, stats_rows=None):
+        """The float32 partition, whose features are the float64 ones, raw
+        or standardized on ``stats_rows(start)``, rounded; and those float64
+        features."""
         mode_cfg = replace(cfg, dataset=replace(cfg.dataset, standardize=mode))
-        wide, harness = start_partition(dataset, mode_cfg, 0, np.float64), start_partition(dataset, mode_cfg, 0)
-        assert wide.features.dtype == np.float64 and harness.features.dtype == np.float32
-        assert harness.features.tobytes() == wide.features.astype(np.float32).tobytes()
-        assert np.array_equal(harness.labeled_idx, wide.labeled_idx)
-        return wide
+        start = start_partition(dataset, mode_cfg, 0)
+        wide = dataset.features
+        if stats_rows is not None:
+            wide = standardize(dataset.features, stats_rows(start), np.float64)
+        assert start.features.dtype == np.float32
+        assert start.features.tobytes() == wide.astype(np.float32).tobytes()
+        return start, wide
 
-    plain = partitions("none")
-    assert plain.features is dataset.features
+    plain, _ = partition("none")
 
-    pooled = partitions("pool")
-    rows = np.sort(np.concatenate([pooled.labeled_idx, pooled.unlabeled_idx]))
-    assert np.abs(pooled.features[rows].mean(axis=0)).max() <= 1e-12
-    assert np.abs(pooled.features[rows].std(axis=0) - 1.0).max() <= 1e-12
+    def pool_rows(start):
+        return np.sort(np.concatenate([start.labeled_idx, start.unlabeled_idx]))
+
+    pooled, wide = partition("pool", pool_rows)
+    rows = pool_rows(pooled)
+    assert np.abs(wide[rows].mean(axis=0)).max() <= 1e-12
+    assert np.abs(wide[rows].std(axis=0) - 1.0).max() <= 1e-12
     # partition identical to the unstandardized build (same rng consumption)
     assert np.array_equal(pooled.labeled_idx, plain.labeled_idx)
 
-    lab = partitions("labeled")
-    assert np.abs(lab.features[lab.labeled_idx].mean(axis=0)).max() <= 1e-12
-    assert np.abs(lab.features[lab.labeled_idx].std(axis=0) - 1.0).max() <= 1e-12
+    lab, wide = partition("labeled", lambda start: start.labeled_idx)
+    assert np.abs(wide[lab.labeled_idx].mean(axis=0)).max() <= 1e-12
+    assert np.abs(wide[lab.labeled_idx].std(axis=0) - 1.0).max() <= 1e-12
     # the dataset's own features are left as they were
     assert np.array_equal(dataset.features, raw)
 
@@ -216,9 +222,11 @@ def test_all_methods_run_through_the_harness():
         assert g.wall_time_seconds == 0.0  # reserved field stays zero
 
 
-def test_the_harness_trains_and_scores_in_float32(monkeypatch):
-    # one float32 feature array per repeat, shared by its cells, float32
-    # models, and float32 trajectories handed to every acquisition
+@pytest.mark.parametrize("mode, arrays", [("none", 1), ("pool", 2)])
+def test_the_harness_trains_and_scores_in_float32(monkeypatch, mode, arrays):
+    # one float32 feature array per standardized repeat, or one for every
+    # repeat without standardization, shared by the cells; float32 models,
+    # and float32 trajectories handed to every acquisition
     trained, acquired = [], []
     real_train_stack, real_acquire = experiment.train_stack, experiment.acquire
 
@@ -235,14 +243,15 @@ def test_the_harness_trains_and_scores_in_float32(monkeypatch):
     monkeypatch.setattr(experiment, "train_stack", spy_train_stack)
     monkeypatch.setattr(experiment, "acquire", spy_acquire)
     doc = {**small_doc(), "methods": ["mpts", "random", "bald", "coreset"], "rounds": 2}
+    doc["dataset"] = {**doc["dataset"], "standardize": mode}
     run_experiment(parse_config(doc))
     f32 = np.dtype(np.float32)
     assert len(trained) == 3 * 2 and len(acquired) == 4 * 2
     assert all(dtype == f32 and snaps == {f32} for dtype, _, snaps in trained)
     features = [f for _, cells, _ in trained for f in cells]
     assert {f.dtype for f in features} == {f32}
-    # made once per repeat: every cell of a repeat, in every round, holds its array
-    assert len({id(f) for f in features}) == 2
+    # made once: every cell, in every round, holds its repeat's array
+    assert len({id(f) for f in features}) == arrays
     assert acquired == [(f32, {f32})] * 8
 
 

@@ -92,7 +92,7 @@ TRAINED_GOLDEN = {
         "dropout": "e6e12821232844b25d2377e56c9eb40e05c2af0f05b7edab0ce0e3045f882ea1",
     },
     "float32": {
-        "mmd_stack": "81d2480a5506b44ca480698faa21ac2808b1b1ec0c2e8014204b27c7cbda77bf",
+        "mmd_stack": "bdb23f348b195db12adf8175a91690896c1b0ebd99fe42c8f08e53c8a231196f",
         "plain_stack": "86ec3ef45ac7ace040e11f4ebb46e418cfb5e7a85dcdb0996ad6d51daf73c599",
         "dropout": "6c8a2fb4f7fa0906f1e37fb2eafaa61d16b94b3b61d0e9a6c94d9f82b08a6040",
     },
@@ -116,18 +116,23 @@ GRADCHECK_GOLDEN = "9feb5b5f0bce2534c4c4762bd9a4be4dd6dad1def2d0fa41ebdfb80e30fd
 def bias4_round0(method: str, repeats: int, dtype):
     """The pools and ``train_stack`` output of ``method``'s round-0 cells for
     the first ``repeats`` repeats of configs/bias4.json, built as
-    ``run_experiment`` builds them: ``dtype`` partitions (float32 is the
-    harness's), and the stack, spec and MMD^2 weight that ``_stacks`` gives
-    the method."""
+    ``run_experiment`` builds them, in ``dtype``: the harness's float32
+    partitions, or (bias4 is not standardized) the same partitions holding
+    the dataset's float64 features, and the stack, spec and MMD^2 weight
+    that ``_stacks`` gives the method, with the spec in ``dtype``."""
     cfg = parse_config(REPO / "configs" / "bias4.json")
     cfg = replace(cfg, methods=(method,), repeats=repeats)
+    assert cfg.dataset.standardize == "none"
     dataset = load_dataset(cfg)
-    pools = [start_partition(dataset, cfg, r, dtype) for r in range(repeats)]
+    pools = [start_partition(dataset, cfg, r) for r in range(repeats)]
+    if dtype == np.float64:
+        pools = [replace(pool, features=dataset.features) for pool in pools]
     (group,) = _stacks(cfg, pools)
-    assert group.spec.dtype == dtype
+    assert group.spec.dtype == np.float32
+    spec = replace(group.spec, dtype=dtype)
     seeds = [derive_int(cfg.master_seed, "train", c.method, c.repeat, 0) for c in group.cells]
     trained = train_stack(
-        [c.pool for c in group.cells], group.spec, replace(cfg.train, mmd_weight=group.mmd_weight), seeds
+        [c.pool for c in group.cells], spec, replace(cfg.train, mmd_weight=group.mmd_weight), seeds
     )
     return cfg, pools, trained
 

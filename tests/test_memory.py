@@ -5,7 +5,8 @@ The bound is a multiple of the float64 feature array's bytes, measured with
 tracemalloc (numpy reports its array buffers to it).  Loading may hold the
 feature array plus the files' uint8 bytes; standardizing a partition may hold
 the gathered float64 statistics rows or the float32 output and one float64
-row block, not both, plus index arrays.
+row block, not both, plus index arrays; unstandardized repeats share one
+float32 array.
 """
 
 import gc
@@ -30,9 +31,10 @@ FEATURE_BYTES = (N_TRAIN + N_TEST) * 784 * 8
 # with per-split astype/divide/vstack copies, and (X - m) / s built beside the
 # gathered statistics rows, these peaks were 2.0x and 2.7x
 PEAK_BOUND = 1.25
-# the float32 output is 0.5x and the pool's statistics rows 0.625x; a full
-# float64 standardized copy, cast to float32 afterwards, would be 1.5x
-STANDARDIZE_PEAK_BOUND = 0.75
+# a partition's float32 features are 0.5x and the pool's statistics rows
+# 0.625x; a full float64 standardized copy, cast to float32 afterwards, would
+# be 1.5x, and so would a float32 cast per repeat for three repeats
+PARTITION_PEAK_BOUND = 0.75
 
 
 def _image_config(tmp_path):
@@ -89,7 +91,28 @@ def test_standardizing_a_partition_holds_one_more_feature_array(tmp_path):
         start, peak = _traced_peak(start_partition, dataset, mode_cfg, 0)
         assert start.features is not dataset.features
         assert start.features.dtype == np.float32
-        assert peak <= STANDARDIZE_PEAK_BOUND * FEATURE_BYTES, (mode, peak / FEATURE_BYTES)
+        assert peak <= PARTITION_PEAK_BOUND * FEATURE_BYTES, (mode, peak / FEATURE_BYTES)
+
+
+def test_unstandardized_repeats_share_one_float32_array(tmp_path, monkeypatch):
+    # without standardization the run casts the features once, and every
+    # repeat's partition holds that array
+    cfg = _image_config(tmp_path)
+    cfg = replace(cfg, repeats=3, dataset=replace(cfg.dataset, standardize="none"))
+    dataset = load_dataset(cfg)
+    start_partition(dataset, cfg, 0)  # numpy.ma, as above
+    partitioned, real_stacks = [], experiment._stacks
+
+    def measured_stacks(cfg, starts):
+        # the peak traced from the run's start until every repeat is partitioned
+        partitioned.append(([s.features for s in starts], tracemalloc.get_traced_memory()[1]))
+        return real_stacks(cfg, starts)
+
+    monkeypatch.setattr(experiment, "_stacks", measured_stacks)
+    _traced_peak(run_experiment, cfg, 1, None, dataset)
+    ((features, peak),) = partitioned
+    assert len({id(f) for f in features}) == 1 and features[0].dtype == np.float32
+    assert peak <= PARTITION_PEAK_BOUND * FEATURE_BYTES, peak / FEATURE_BYTES
 
 
 def _features_alive_at_training(monkeypatch, loader_module):

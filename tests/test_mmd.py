@@ -275,23 +275,47 @@ def test_stacked_value_and_gradient_equal_each_cell_alone(R, a, b, d, bandwidths
         {"one": (s,), "three": (s / 2.0, s, 2.0 * s), "list": (0.5, 2.0)}[bandwidths]
         for s in sigmas
     ]
-    # as the trainer: the bandwidths in the batches' dtype, a stack's as
-    # (R, 1, 1) columns and a single cell's as scalars
-    columns = np.array(per_cell, dtype).T
-    value, dA, dB = mmd2_biased_with_grad(A, B, list(columns[:, :, None, None]))
+    columns = np.array(per_cell).T[:, :, None, None]  # as the trainer
+    value, dA, dB = mmd2_biased_with_grad(A, B, list(columns))
     assert value.shape == (R,)
     assert value.dtype == dA.dtype == dB.dtype == dtype
     norms = (A * A).sum(axis=-1)
     gram = sq_dists(A, A, norms, norms)  # the symmetric A @ A.T product, per cell
     for r in range(R):
         Ar, Br = A[r].copy(), B[r].copy()
-        v, gA, gB = mmd2_biased_with_grad(Ar, Br, list(columns[:, r]))
+        v, gA, gB = mmd2_biased_with_grad(Ar, Br, per_cell[r])
         assert v.dtype == gA.dtype == gB.dtype == dtype
         assert bits(value[r]) == bits(v)
         assert np.array_equal(bits(dA[r]), bits(gA))
         assert np.array_equal(bits(dB[r]), bits(gB))
         norms_r = (Ar * Ar).sum(axis=-1)
         assert np.array_equal(bits(gram[r]), bits(sq_dists(Ar, Ar, norms_r, norms_r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    R=st.integers(1, 3),
+    a=st.integers(1, 30),
+    b=st.integers(1, 30),
+    d=st.integers(1, 9),
+    offset=st.floats(0.0, 1e3),
+    spread=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**31),
+)
+def test_float32_batches_get_the_float64_results_rounded(R, a, b, d, offset, spread, seed):
+    # features far from the origin, with bandwidths far below their norms
+    # (||z||^2 / sigma^2 up to about 1e13), where float32 distances would
+    # lose every kernel entry: the term computes in float64, so float32
+    # batches get what the same values in float64 give, rounded
+    rng = np.random.default_rng(seed)
+    A = (offset + spread * rng.standard_normal((R, a, d))).astype(np.float32)
+    B = (offset + spread * rng.standard_normal((R, b, d))).astype(np.float32)
+    sigmas = list(spread * rng.uniform(0.5, 2.0, (2, R, 1, 1)))
+    got = mmd2_biased_with_grad(A, B, sigmas)
+    want = mmd2_biased_with_grad(A.astype(np.float64), B.astype(np.float64), sigmas)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == np.float32
+        assert np.array_equal(bits(g), bits(w.astype(np.float32)))
 
 
 def two_matrix_sq_dists(A, B, aa, bb):

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from allab.dataio import synth_blobs
 from allab.errors import DimensionError, PoolError, TrainingDiverged
 from allab.layers import softmax_cross_entropy
-from allab.mmd import median_heuristic, mmd2_biased_with_grad, sq_norms
+from allab.mmd import median_heuristic, mmd2_biased_with_grad
 from allab.model import CheckpointSet, ModelSpec, backward, forward, init_mlp, snapshot
 from allab.pool import PoolState
 from allab.seeding import derive_rng
@@ -26,7 +26,7 @@ from allab.trainer import (
     steps_per_epoch,
     train_stack,
 )
-from test_model import spy_float_dtypes
+from test_model import float_dtypes, spy_float_dtypes
 
 
 def blob_pool(seed=0, class_count=2, per_class=50, dim=2, separation=4.0, n_test=20):
@@ -502,24 +502,16 @@ def full_step_reference(pool, spec, cfg, seed, thetas=None):
 
 def recorded_steps(pool, spec, cfg, seed):
     """Per step of training one cell: the parameter and gradient vectors
-    ``train_stack`` hands ``sgd_step``, and the step's kernel conditioning
-    max ||z||^2 / min sigma^2 over the features of its MMD^2 term (0 at
-    weight 0)."""
+    ``train_stack`` hands ``sgd_step``."""
     import allab.trainer as trainer
 
-    steps, kappa = [], [0.0]
-
-    def recording_mmd(A, B, sigmas):
-        z2 = max(float(sq_norms(A).max()), float(sq_norms(B).max()))
-        kappa[0] = z2 / min(float(s) for s in sigmas) ** 2
-        return mmd2_biased_with_grad(A, B, sigmas)
+    steps = []
 
     def recording(params, grad, *args):
-        steps.append((params.flat.copy(), grad.copy(), kappa[0]))
+        steps.append((params.flat.copy(), grad.copy()))
         return sgd_step(params, grad, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trainer, "mmd2_biased_with_grad", recording_mmd)
         mp.setattr(trainer, "sgd_step", recording)
         train_stack([pool], spec, cfg, [seed])
     return steps
@@ -585,8 +577,8 @@ def test_fused_step_close_to_two_pass_step(sizes, split_at, rate, seed):
     # move, so each step is compared from the parameters train_stack had
     pool, spec, cfg = random_step_case(sizes, split_at, rate, 0.5, seed)
     steps = recorded_steps(pool, spec, cfg, seed)
-    _, _, want = full_step_reference(pool, spec, cfg, seed, thetas=[theta for theta, _, _ in steps])
-    for (_, got, _), grad in zip(steps, want, strict=True):
+    _, _, want = full_step_reference(pool, spec, cfg, seed, thetas=[theta for theta, _ in steps])
+    for (_, got), grad in zip(steps, want, strict=True):
         np.testing.assert_allclose(got, grad, rtol=1e-9, atol=1e-12)
 
 
@@ -594,41 +586,50 @@ def test_fused_step_close_to_two_pass_step(sizes, split_at, rate, seed):
 @given(**step_cases, lam=st.sampled_from([0.0, 0.5]))
 def test_float32_step_close_to_float64_step(sizes, split_at, rate, lam, seed):
     # each float32 step's gradient against the float64 two-pass gradient from
-    # the same parameters and inputs.  Stated tolerance per entry:
-    # 1e-4 * max(1, max |g|) * (1 + kappa).  float32 keeps about 6e-8 of each
-    # product; the kernel's squared distances |a|^2 + |b|^2 - 2 a.b lose
-    # about that much of ||z||^2, which the kernel divides by sigma^2.  Over
-    # 27,600 steps of 2,300 such cases the error stayed under 1.6e-6 *
-    # max(1, max |g|) * (1 + kappa); kappa reached 7e7 where dead ReLU units
-    # made most feature rows equal and the median bandwidth 0.005
+    # the same parameters and inputs, within 2e-3 * max(1, max |g|) per
+    # entry.  The MMD^2 term computes in float64, so what is left is float32
+    # rounding in the layers, which the kernel carries on.  At lam 0.5, over
+    # 96,000 steps of 8,000 such cases, the error stayed under 4.2e-4 *
+    # max(1, max |g|), also where dead ReLU units shrank the median bandwidth
+    # far below the feature norms (max ||z||^2 / sigma^2 up to 7e9)
     pool, spec, cfg = random_step_case(sizes, split_at, rate, lam, seed)
     pool = replace(pool, features=pool.features.astype(np.float32))
     steps = recorded_steps(pool, replace(spec, dtype=np.float32), cfg, seed)
-    _, _, want = full_step_reference(pool, spec, cfg, seed, thetas=[theta for theta, _, _ in steps])
-    for (theta, got, kappa), grad in zip(steps, want, strict=True):
+    _, _, want = full_step_reference(pool, spec, cfg, seed, thetas=[theta for theta, _ in steps])
+    for (theta, got), grad in zip(steps, want, strict=True):
         assert theta.dtype == got.dtype == np.float32
-        tol = 1e-4 * max(1.0, np.abs(grad).max()) * (1.0 + kappa)
-        np.testing.assert_allclose(got, grad, rtol=0, atol=tol)
+        np.testing.assert_allclose(got, grad, rtol=0, atol=2e-3 * max(1.0, np.abs(grad).max()))
 
 
 @pytest.mark.parametrize("lam, rate", [(0.1, 0.0), (0.0, 0.5), (0.1, 0.5)])
 @pytest.mark.parametrize("cells", [1, 2])
 def test_float32_training_stays_float32(monkeypatch, lam, rate, cells):
-    # a stray float64 array (a bandwidth column, a mask, a buffer) widens
-    # what it touches and keeps every value, only slower: every float array
-    # into and out of the step's calls must be float32
+    # a stray float64 array (a mask, a buffer) widens what it touches and
+    # keeps every value, only slower: every float array into and out of the
+    # step's calls must be float32
     import allab.trainer as trainer
 
-    names = ("forward", "backward", "softmax_cross_entropy", "mmd2_biased_with_grad", "sgd_step")
+    names = ("forward", "backward", "softmax_cross_entropy", "sgd_step")
     seen = spy_float_dtypes(monkeypatch, trainer, names)
+    # the MMD^2 term gets float64 bandwidths and computes in float64; the
+    # batches it gets and the value and gradients it gives are float32
+    mmd_seen, real_mmd = [], trainer.mmd2_biased_with_grad
+
+    def spy_mmd(A, B, sigmas):
+        result = real_mmd(A, B, sigmas)
+        mmd_seen.append(float_dtypes([A, B, result]))
+        return result
+
+    monkeypatch.setattr(trainer, "mmd2_biased_with_grad", spy_mmd)
     pools = [blob_pool(seed=s) for s in range(cells)]
     pools = [replace(pool, features=pool.features.astype(np.float32)) for pool in pools]
     spec = ModelSpec((2, 6, 5, 2), 1, rate, np.float32)
     cfg = TrainConfig(epochs=2, batch_size=16, n_checkpoints=1, mmd_weight=lam, kernel="median3")
     trained = train_stack(pools, spec, cfg, list(range(cells)))
-    assert {name for name, _ in seen} >= {"forward", "backward", "softmax_cross_entropy", "sgd_step"}
-    assert ("mmd2_biased_with_grad" in {name for name, _ in seen}) == (lam > 0)
+    assert {name for name, _ in seen} == set(names)
+    assert bool(mmd_seen) == (lam > 0)
     assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in seen), seen
+    assert all(dtypes == {np.dtype(np.float32)} for dtypes in mmd_seen), mmd_seen
     for trajectory, _ in trained:
         assert all(snap.flat.dtype == np.float32 for snap in trajectory.snapshots)
 
