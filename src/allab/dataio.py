@@ -21,6 +21,7 @@ __all__ = [
     "load_mnist",
     "load_csv",
     "synth_blobs",
+    "feature_values",
     "standardize",
 ]
 
@@ -30,15 +31,16 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """A loaded dataset.  Its features are float64 whatever dtype a model
-    trains in; ``experiment.start_partition`` gives each repeat's cells a
-    float32 copy, standardized or not."""
+    """A loaded dataset with feature values ``features / divisor``: uint8 IDX
+    pixels over 255, or float64 CSV and synthetic features over 1.  Each
+    repeat's cells get the values as float32 from ``experiment.start_partition``."""
 
-    features: np.ndarray  # (n, d) float64, finite
+    features: np.ndarray  # (n, d) float64, finite, or uint8 pixels
     labels: np.ndarray  # (n,) int64 in [0, class_count)
     class_count: int
     designated_test_idx: np.ndarray | None = None
     label_names: list[str] | None = None  # original CSV label strings, index = class id
+    divisor: float = 1.0
 
 
 def _read_u32s(raw: bytes, path, offset: int, count: int) -> tuple[int, ...]:
@@ -96,28 +98,25 @@ def _parse_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path=None) -> Dataset:
     """IDX train files plus an optional designated test split, concatenated.
 
-    Each split's pixels are divided by 255 straight into its rows of the one
-    float64 feature array (the uint8 -> float64 cast is exact).
+    The pixels stay one uint8 array, divided by 255 only when a partition's
+    features are made (``Dataset.divisor``).
     """
     pairs = [(images_path, *_parse_idx_pair(images_path, labels_path))]
     if test_images_path is not None:
         pairs.append((test_images_path, *_parse_idx_pair(test_images_path, test_labels_path)))
     n_train, width = pairs[0][1].shape
-    labels = np.concatenate([labels for _, _, labels in pairs])
-    features = np.empty((len(labels), width))
-    at = 0
     for path, pixels, _ in pairs:
         if pixels.shape[1] != width:
             raise FormatError(
                 f"{path}: byte 8: {pixels.shape[1]} pixels per image, the train images have {width}"
             )
-        np.divide(pixels, 255.0, out=features[at:at + len(pixels)])
-        at += len(pixels)
+    labels = np.concatenate([labels for _, _, labels in pairs])
     return Dataset(
-        features=features,
+        features=np.concatenate([pixels for _, pixels, _ in pairs]),
         labels=labels,
         class_count=int(labels.max()) + 1 if len(labels) else 0,
         designated_test_idx=None if len(pairs) == 1 else np.arange(n_train, len(labels)),
+        divisor=255.0,
     )
 
 
@@ -226,36 +225,50 @@ def synth_blobs(
     )
 
 
-# rows of the float64 output block in standardize
+# rows of the float64 block in which standardize and feature_values compute
 _ROW_BLOCK = 256
 
 
-def standardize(X: np.ndarray, stats_rows: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Per-feature standardization x' = (x - mean) / std of every row of X,
-    as a new array of ``dtype``.
+def _write_scaled(X: np.ndarray, divisor: float, shift, scale, dtype) -> np.ndarray:
+    """(X / divisor - shift) / scale as a new ``dtype`` array, computed in float64
+    ``_ROW_BLOCK`` rows at a time: a float32 result is the float64 one rounded
+    (beyond float32's range, to +-inf), and no full float64 copy is made."""
+    out = np.empty(X.shape, dtype)
+    block = np.empty((min(_ROW_BLOCK, len(X)), X.shape[1]))
+    for i in range(0, len(X), _ROW_BLOCK):
+        rows = np.divide(X[i : i + _ROW_BLOCK], divisor, out=block[: len(X) - i])
+        rows -= shift
+        rows /= scale
+        out[i : i + _ROW_BLOCK] = rows
+    return out
+
+
+def feature_values(dataset: Dataset, dtype) -> np.ndarray:
+    """The dataset's feature values, ``features / divisor``, as ``dtype``: its
+    own array when that holds them already, otherwise a new one."""
+    if dataset.features.dtype == dtype and dataset.divisor == 1.0:
+        return dataset.features
+    return _write_scaled(dataset.features, dataset.divisor, 0.0, 1.0, dtype)
+
+
+def standardize(X: np.ndarray, stats_rows: np.ndarray, dtype=np.float64, divisor: float = 1.0) -> np.ndarray:
+    """Per-feature standardization x' = (x - mean) / std of every row of the
+    values X / divisor, as a new array of ``dtype``.
 
     Statistics come from the rows ``stats_rows``; std is the population
     convention (divide by n).  Features with zero std are left untouched
-    (neither centered nor scaled).  Everything is computed in float64, and
-    the output is written ``_ROW_BLOCK`` rows at a time, so a float32 result
-    is the float64 one rounded (beyond float32's range, to +-inf), and no
-    full float64 copy is ever made beside it.
+    (neither centered nor scaled).  X may be uint8 pixels with ``divisor``
+    255; everything is computed in float64, as ``_write_scaled`` does.
     """
-    # the std is computed in place on a copy of the statistics rows, step for
-    # step as ndarray.std does it (so bit for bit), and the copy is freed
-    # before the output is built
-    src = X[np.asarray(stats_rows)]
+    # the std is computed in place on a float64 copy of the statistics rows,
+    # step for step as ndarray.std does it (so bit for bit), and the copy is
+    # freed before the output is built
+    src = np.asarray(X[np.asarray(stats_rows)], np.float64)
+    src /= divisor
     mean = src.mean(axis=0)
     src -= mean
     np.square(src, out=src)
     std = np.sqrt(src.sum(axis=0) / len(src))  # population: ddof=0
     del src
     constant = std == 0.0
-    shift, scale = np.where(constant, 0.0, mean), np.where(constant, 1.0, std)
-    scaled = np.empty(X.shape, dtype)
-    block = np.empty((min(_ROW_BLOCK, len(X)), X.shape[1]))
-    for i in range(0, len(X), _ROW_BLOCK):
-        rows = np.subtract(X[i : i + _ROW_BLOCK], shift, out=block[: len(X) - i])
-        rows /= scale
-        scaled[i : i + _ROW_BLOCK] = rows
-    return scaled
+    return _write_scaled(X, divisor, np.where(constant, 0.0, mean), np.where(constant, 1.0, std), dtype)

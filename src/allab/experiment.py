@@ -32,7 +32,7 @@ import numpy as np
 
 from .acquisition import METHODS, AcquisitionResult, acquire
 from .config import ExperimentConfig, config_to_json
-from .dataio import Dataset, load_csv, load_mnist, standardize, synth_blobs
+from .dataio import Dataset, feature_values, load_csv, load_mnist, standardize, synth_blobs
 from .errors import ConfigError, FormatError, TrainingDiverged
 from .model import CheckpointSet, ModelSpec
 from .pool import PoolState, evaluate, init_pool, label_points
@@ -92,9 +92,9 @@ _DTYPE = np.float32
 
 def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> PoolState:
     """The repeat's starting partition, standardized if enabled; every
-    method's cell of the repeat starts from it and shares its features, a
-    float32 copy of the dataset's (without standardization, the dataset's own
-    array if that is float32 already).
+    method's cell of the repeat starts from it and shares its features, the
+    dataset's feature values as float32 (without standardization, the
+    dataset's own array if that holds them already).
 
     Standardization statistics are fitted inside the partition (pool rows or
     initial labeled rows) so the test set never leaks into them.
@@ -109,12 +109,12 @@ def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> Poo
     )
     mode = cfg.dataset.standardize
     if mode == "none":
-        return replace(start, features=dataset.features.astype(_DTYPE, copy=False))
+        return replace(start, features=feature_values(dataset, _DTYPE))
     if mode == "pool":
         stats_rows = np.sort(np.concatenate([start.labeled_idx, start.unlabeled_idx]))
     else:  # labeled
         stats_rows = start.labeled_idx
-    return replace(start, features=standardize(dataset.features, stats_rows, _DTYPE))
+    return replace(start, features=standardize(dataset.features, stats_rows, _DTYPE, dataset.divisor))
 
 
 def make_output_dir(cfg: ExperimentConfig) -> Path:
@@ -248,8 +248,8 @@ def run_experiment(
     if dataset is None:
         dataset = load_dataset(cfg)
     if cfg.dataset.standardize == "none":
-        # cast once, so the repeats' partitions share one float32 array
-        dataset = replace(dataset, features=dataset.features.astype(_DTYPE, copy=False))
+        # make the float32 values once, so the repeats' partitions share one array
+        dataset = replace(dataset, features=feature_values(dataset, _DTYPE), divisor=1.0)
     # each repeat's partition is drawn once, before any cell trains, so a pool
     # too small for the config, a feature split beyond the default hidden
     # layers or an output directory that cannot be made fails as a

@@ -240,7 +240,7 @@ def _resolve_kernel(config: TrainConfig, first_pool_features: np.ndarray) -> tup
 
 
 def _check_cell(pool, model_spec: ModelSpec) -> np.ndarray:
-    """The pool's labeled indices, once its labels and feature width fit the model."""
+    """The pool's labeled indices, once its labels and its features' width and float dtype fit the model."""
     labeled = np.asarray(pool.labeled_idx)
     if len(labeled) == 0:
         raise PoolError("cannot train with an empty labeled set")
@@ -250,6 +250,8 @@ def _check_cell(pool, model_spec: ModelSpec) -> np.ndarray:
             f"pool features {features.shape} do not match the model's input width "
             f"{model_spec.layer_sizes[0]}"
         )
+    if not np.issubdtype(features.dtype, np.floating):
+        raise DimensionError(f"pool features are {features.dtype}, not floating point")
     check_labels(pool.labels[labeled], model_spec.layer_sizes[-1])
     return labeled
 

@@ -392,11 +392,14 @@ def test_criterion_8_data_formats(tmp_path):
     write_idx_labels(lab_a, labels)
 
     ds = load_mnist(img_a, lab_a)
-    assert np.array_equal(ds.features, pixels.reshape(7, 784) / 255.0)
+    # the pixels are kept as uint8, and their feature values are pixels / 255
+    assert ds.features.dtype == np.uint8 and np.array_equal(ds.features, pixels.reshape(7, 784))
+    values = ds.features / ds.divisor
+    assert values.tobytes() == (pixels.reshape(7, 784) / 255.0).tobytes()
     assert np.array_equal(ds.labels, labels)
     # byte-exact round trip through parse + re-serialize
     img_b, lab_b = tmp_path / "b-images.idx", tmp_path / "b-labels.idx"
-    write_idx_images(img_b, np.rint(ds.features * 255.0).astype(np.uint8).reshape(7, 28, 28))
+    write_idx_images(img_b, np.rint(values * 255.0).astype(np.uint8).reshape(7, 28, 28))
     write_idx_labels(lab_b, ds.labels.astype(np.uint8))
     assert img_b.read_bytes() == img_a.read_bytes()
     assert lab_b.read_bytes() == lab_a.read_bytes()

@@ -39,6 +39,16 @@ def idx_fixture(tmp_path, pixels, labels):
 
 # ---- IDX -------------------------------------------------------------------
 
+def _assert_pixel_features(ds, pixels):
+    """The dataset holds the (n, rows * cols) pixels as uint8, and its feature
+    values, ``features / divisor``, are ``pixels / 255.0`` bit for bit."""
+    pixels = np.asarray(pixels, dtype=np.uint8)
+    pixels = pixels.reshape(len(pixels), np.prod(pixels.shape[1:], dtype=int))
+    assert ds.features.dtype == np.uint8 and ds.features.shape == pixels.shape
+    assert np.array_equal(ds.features, pixels)
+    assert (ds.features / ds.divisor).tobytes() == (pixels / 255.0).tobytes()
+
+
 def test_idx_two_image_fixture(tmp_path):
     pixels = np.array(
         [
@@ -50,7 +60,7 @@ def test_idx_two_image_fixture(tmp_path):
     img, lab = idx_fixture(tmp_path, pixels, [4, 9])
     ds = load_mnist(img, lab)
     assert ds.features.shape == (2, 4)
-    assert np.array_equal(ds.features, pixels.reshape(2, 4) / 255.0)
+    _assert_pixel_features(ds, pixels)
     assert ds.labels.tolist() == [4, 9]
     assert ds.class_count == 10  # max label + 1
 
@@ -66,8 +76,7 @@ def test_idx_roundtrip_through_writers(tmp_path):
     write_idx_labels(out_lab, labels)
     assert out_img.read_bytes() == ref_img.read_bytes()
     assert out_lab.read_bytes() == ref_lab.read_bytes()
-    ds = load_mnist(out_img, out_lab)
-    assert np.array_equal(ds.features * 255.0, pixels.reshape(5, 9).astype(np.float64))
+    _assert_pixel_features(load_mnist(out_img, out_lab), pixels)
 
 
 def test_idx_wrong_magic(tmp_path):
@@ -152,9 +161,13 @@ def _reference_load_mnist(splits):
     )
 
 
-def _assert_same_dataset(got, ref):
-    assert got.features.dtype == ref.features.dtype and got.features.shape == ref.features.shape
-    assert got.features.tobytes() == ref.features.tobytes()
+def _assert_same_dataset(got, ref, splits):
+    """``got`` holds the splits' pixels, and its feature values are the
+    reference's float64 features bit for bit."""
+    _assert_pixel_features(got, np.concatenate([pixels for pixels, _ in splits]))
+    values = got.features / got.divisor
+    assert values.dtype == ref.features.dtype and values.shape == ref.features.shape
+    assert values.tobytes() == ref.features.tobytes()
     assert got.labels.dtype == ref.labels.dtype and got.labels.tolist() == ref.labels.tolist()
     assert got.class_count == ref.class_count
     if ref.designated_test_idx is None:
@@ -189,8 +202,8 @@ def test_mnist_loader_is_bitwise_the_astype_divide_vstack_parse(splits):
             split_dir = Path(d) / str(k)
             split_dir.mkdir()
             paths.extend(idx_fixture(split_dir, pixels, labels))
-        _assert_same_dataset(load_mnist(*paths), _reference_load_mnist(splits))
-        _assert_same_dataset(load_mnist(*paths[:2]), _reference_load_mnist(splits[:1]))
+        _assert_same_dataset(load_mnist(*paths), _reference_load_mnist(splits), splits)
+        _assert_same_dataset(load_mnist(*paths[:2]), _reference_load_mnist(splits[:1]), splits[:1])
 
 
 # ---- CSV -------------------------------------------------------------------
@@ -385,7 +398,12 @@ def test_standardize_is_bitwise_the_std_then_divide_reference(inputs):
 
 def test_standardize_bitwise_on_an_image_sized_pool():
     rng = derive_rng(8)
-    X = np.floor(rng.uniform(0, 256, (600, 784))) / 255.0
-    X[:, :40] = 0.0  # the always-blank border pixels of digit images
-    _assert_standardize_matches_reference(X, np.sort(rng.choice(600, 450, replace=False)))
-    _assert_standardize_matches_reference(X, np.arange(len(X)))
+    pixels = np.floor(rng.uniform(0, 256, (600, 784))).astype(np.uint8)
+    pixels[:, :40] = 0  # the always-blank border pixels of digit images
+    X = pixels / 255.0
+    for stats_rows in (np.sort(rng.choice(600, 450, replace=False)), np.arange(len(X))):
+        _assert_standardize_matches_reference(X, stats_rows)
+        # the uint8 pixels over 255 are standardized as their float64 values are
+        for dtype in (np.float64, np.float32):
+            from_pixels = standardize(pixels, stats_rows, dtype, 255.0)
+            assert from_pixels.tobytes() == standardize(X, stats_rows, dtype).tobytes()

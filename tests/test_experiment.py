@@ -4,13 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import allab.experiment as experiment
 from allab.acquisition import METHODS
 from allab.config import parse_config
-from allab.dataio import standardize
+from allab.dataio import Dataset, standardize
 from allab.errors import ConfigError, FormatError
-from allab.seeding import derive_int
+from allab.seeding import derive_int, derive_rng
 from allab.experiment import (
     RESULTS_HEADER,
     RoundLog,
@@ -91,6 +94,83 @@ def test_build_pool_standardize_modes():
     assert np.abs(wide[lab.labeled_idx].std(axis=0) - 1.0).max() <= 1e-12
     # the dataset's own features are left as they were
     assert np.array_equal(dataset.features, raw)
+
+
+# IDX data keeps its pixels as uint8 and divides them by 255 only when a
+# partition's features are made; every partition must be, bit for bit, what
+# the float64 features pixels / 255.0 gave when the loader divided them
+
+MODES = ("none", "pool", "labeled")
+
+
+def _float64_partition_features(values, start, mode):
+    """``start_partition``'s float32 features computed from float64 feature
+    values as the loader's float64 features were: a cast, or ``(X - m) / s``
+    with ``ndarray.std`` statistics of the partition's rows, rounded."""
+    if mode == "none":
+        return values.astype(np.float32)
+    rows = start.labeled_idx
+    if mode == "pool":
+        rows = np.sort(np.concatenate([start.labeled_idx, start.unlabeled_idx]))
+    mean, std = values[rows].mean(axis=0), values[rows].std(axis=0)
+    constant = std == 0.0
+    return ((values - np.where(constant, 0.0, mean)) / np.where(constant, 1.0, std)).astype(np.float32)
+
+
+def _pixel_and_value_datasets(pixels, labels):
+    """The dataset the IDX loader gives for ``pixels``, and one holding their
+    float64 values, as a CSV or synthetic dataset holds its features."""
+    return (Dataset(pixels, labels, 3, divisor=255.0), Dataset(pixels / 255.0, labels, 3))
+
+
+@st.composite
+def _pixel_columns(draw):
+    """Random uint8 pixels with a constant column and an all-255 column."""
+    n, d = draw(st.integers(12, 40)), draw(st.integers(2, 6))
+    pixels = draw(hnp.arrays(np.uint8, (n, d), elements=st.sampled_from([0, 255]) | st.integers(0, 255)))
+    constant, full = draw(st.permutations(range(d)))[:2]
+    pixels[:, constant] = draw(st.integers(0, 255))
+    pixels[:, full] = 255
+    return pixels, draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pixel_columns())
+def test_pixel_partitions_are_bitwise_the_float64_values_partitions(data):
+    pixels, labels = data
+    before = pixels.copy()
+    raw, values = _pixel_and_value_datasets(pixels, labels)
+    base = replace(parse_config(small_doc()), initial_count=3)
+    for mode in MODES:
+        cfg = replace(base, dataset=replace(base.dataset, standardize=mode))
+        got, ref = start_partition(raw, cfg, 0), start_partition(values, cfg, 0)
+        assert got.labeled_idx.tolist() == ref.labeled_idx.tolist()
+        assert got.unlabeled_idx.tolist() == ref.unlabeled_idx.tolist()
+        expected = _float64_partition_features(values.features, ref, mode).tobytes()
+        assert got.features.dtype == np.float32 and got.features.tobytes() == expected, mode
+        # float64 features (CSV and synthetic data) give the same bits as before
+        assert ref.features.dtype == np.float32 and ref.features.tobytes() == expected, mode
+    assert pixels.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_partitions_pixels_as_their_float64_values(monkeypatch, mode):
+    # run_experiment makes its own float32 array without standardization
+    pixels = derive_rng(5, "pixels").integers(0, 256, (60, 6)).astype(np.uint8)
+    raw, values = _pixel_and_value_datasets(pixels, np.arange(60) % 3)
+    doc = small_doc()
+    cfg = parse_config({**doc, "rounds": 1, "dataset": {**doc["dataset"], "standardize": mode}})
+    partitioned, real_stacks = [], experiment._stacks
+
+    def recording_stacks(cfg, starts):
+        partitioned.append(starts)
+        return real_stacks(cfg, starts)
+
+    monkeypatch.setattr(experiment, "_stacks", recording_stacks)
+    run_experiment(cfg, dataset=raw)
+    ((got, *_),) = partitioned
+    expected = _float64_partition_features(values.features, got, mode)
+    assert got.features.dtype == np.float32 and got.features.tobytes() == expected.tobytes()
 
 
 def test_starting_partition_drawn_once_per_repeat(monkeypatch):

@@ -1,12 +1,13 @@
 """How many copies of a pool's features the loading and partitioning hold,
 and what scoring a pool holds.
 
-The bound is a multiple of the float64 feature array's bytes, measured with
-tracemalloc (numpy reports its array buffers to it).  Loading may hold the
-feature array plus the files' uint8 bytes; standardizing a partition may hold
-the gathered float64 statistics rows or the float32 output and one float64
-row block, not both, plus index arrays; unstandardized repeats share one
-float32 array.
+The bound is a multiple of the bytes of the pool's float64 feature values,
+measured with tracemalloc (numpy reports its array buffers to it).  Loading
+IDX files may hold the files' uint8 bytes and one uint8 copy of the pixels;
+standardizing a partition may hold the gathered float64 statistics rows or
+the float32 output and one float64 row block, not both, plus index arrays;
+unstandardized repeats share one float32 array.  No full float64 array of
+the pixels' values is ever made.
 """
 
 import gc
@@ -16,6 +17,7 @@ import weakref
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from allab import cli, experiment
 from allab.acquisition import bald_acquire, coreset_acquire
@@ -28,13 +30,16 @@ from idx_files import write_idx_images, write_idx_labels
 
 N_TRAIN, N_TEST = 1200, 400
 FEATURE_BYTES = (N_TRAIN + N_TEST) * 784 * 8
-# with per-split astype/divide/vstack copies, and (X - m) / s built beside the
-# gathered statistics rows, these peaks were 2.0x and 2.7x
-PEAK_BOUND = 1.25
+# the file bytes and the uint8 pixels are 0.125x each; loading into one float64
+# array measured 1.13x, with per-split astype/divide/vstack copies 2.0x
+LOAD_PEAK_BOUND = 0.3
 # a partition's float32 features are 0.5x and the pool's statistics rows
 # 0.625x; a full float64 standardized copy, cast to float32 afterwards, would
 # be 1.5x, and so would a float32 cast per repeat for three repeats
 PARTITION_PEAK_BOUND = 0.75
+# from loading to the first training step: a full float64 feature array alone
+# is 1.0x; with the loader's float64 features this measured 1.67x
+RUN_PEAK_BOUND = 1.0
 
 
 def _image_config(tmp_path):
@@ -76,8 +81,8 @@ def _traced_peak(fn, *args):
 def test_loading_holds_one_feature_array(tmp_path):
     cfg = _image_config(tmp_path)
     dataset, peak = _traced_peak(load_dataset, cfg)
-    assert dataset.features.nbytes == FEATURE_BYTES
-    assert peak <= PEAK_BOUND * FEATURE_BYTES, peak / FEATURE_BYTES
+    assert dataset.features.dtype == np.uint8 and dataset.features.nbytes == FEATURE_BYTES // 8
+    assert peak <= LOAD_PEAK_BOUND * FEATURE_BYTES, peak / FEATURE_BYTES
 
 
 def test_standardizing_a_partition_holds_one_more_feature_array(tmp_path):
@@ -113,6 +118,23 @@ def test_unstandardized_repeats_share_one_float32_array(tmp_path, monkeypatch):
     ((features, peak),) = partitioned
     assert len({id(f) for f in features}) == 1 and features[0].dtype == np.float32
     assert peak <= PARTITION_PEAK_BOUND * FEATURE_BYTES, peak / FEATURE_BYTES
+
+
+@pytest.mark.parametrize("mode", ["pool", "labeled", "none"])
+def test_run_builds_no_float64_feature_array_before_training(tmp_path, monkeypatch, mode):
+    cfg = _image_config(tmp_path)
+    cfg = replace(cfg, dataset=replace(cfg.dataset, standardize=mode))
+    start_partition(load_dataset(cfg), cfg, 0)  # numpy.ma, as above
+    peaks, real_train_stack = [], experiment.train_stack
+
+    def measured_train_stack(*args):
+        # the peak traced from the start of loading to the first training step
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return real_train_stack(*args)
+
+    monkeypatch.setattr(experiment, "train_stack", measured_train_stack)
+    _traced_peak(run_experiment, cfg)
+    assert peaks[0] <= RUN_PEAK_BOUND * FEATURE_BYTES, (mode, peaks[0] / FEATURE_BYTES)
 
 
 def _features_alive_at_training(monkeypatch, loader_module):

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from allab.dataio import synth_blobs
+from allab.dataio import Dataset, synth_blobs
 from allab.errors import DimensionError, PoolError, TrainingDiverged
 from allab.layers import softmax_cross_entropy
 from allab.mmd import median_heuristic, mmd2_biased_with_grad
 from allab.model import CheckpointSet, ModelSpec, backward, forward, init_mlp, snapshot
-from allab.pool import PoolState
+from allab.pool import PoolState, init_pool
 from allab.seeding import derive_rng
 from allab.trainer import (
     TrainConfig,
@@ -322,6 +322,15 @@ def test_out_of_range_label_raises_before_step_zero(forbid_steps, bad):
 def test_feature_width_checked_before_step_zero(forbid_steps):
     with pytest.raises(DimensionError, match=r"pool features \(100, 2\) .* input width 3"):
         train_stack([blob_pool()], ModelSpec((3, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1), [0])
+
+
+def test_raw_pixel_features_rejected_before_step_zero(forbid_steps):
+    # init_pool keeps the dataset's own features, which for IDX data are its
+    # uint8 pixels and not their values; only start_partition divides them
+    pixels = derive_rng(4, "pixels").integers(0, 256, (100, 3)).astype(np.uint8)
+    pool = init_pool(Dataset(pixels, np.arange(100) % 2, 2, divisor=255.0), 10, 0.2, derive_rng(5))
+    with pytest.raises(DimensionError, match=r"^pool features are uint8, not floating point$"):
+        train_stack([pool], ModelSpec((3, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1), [0])
 
 
 @pytest.mark.parametrize("lam, rate", [(0.0, 0.0), (0.0, 0.5), (0.1, 0.0), (0.1, 0.5)])
