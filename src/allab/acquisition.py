@@ -15,9 +15,9 @@ Methods:
 evaluated with, and how it picks.  It is the one place per-method rules live.
 
 All entropies are in nats.  Selection is pure top-k on the scores; ties break
-toward the lower pool index.  Scoring holds what it reads: features and
-probabilities come from eval-mode ``model`` calls, which keep no backward
-cache.
+toward the lower pool index.  Scoring holds what it reads: eval-mode ``model``
+calls, which keep no backward cache, read the scored rows of ``pool.features``
+block by block (their ``rows``) instead of copying them out.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _require_unlabeled(pool) -> np.ndarray:
 def entropy_acquire(trajectory: CheckpointSet, pool, budget: int) -> AcquisitionResult:
     """Top-budget by entropy of the checkpoint-averaged prediction."""
     unlabeled = _require_unlabeled(pool)
-    scores = entropy_scores(avg_predict(trajectory, pool.features[unlabeled]))
+    scores = entropy_scores(avg_predict(trajectory, pool.features, unlabeled))
     picks = select_top_k(scores, budget)
     return AcquisitionResult(unlabeled, scores, unlabeled[picks])
 
@@ -138,7 +138,7 @@ def bald_acquire(
     unlabeled = _require_unlabeled(pool)
     prob_sum = np.zeros((len(unlabeled), final.spec.layer_sizes[-1]))
     entropy_sum = np.zeros(len(unlabeled))
-    for P in dropout_probs(final, pool.features[unlabeled], passes, rng):
+    for P in dropout_probs(final, pool.features, passes, rng, unlabeled):
         prob_sum += P
         entropy_sum += entropy_scores(P)
     prob_sum /= passes
@@ -159,9 +159,9 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
         raise ValueError(f"budget must be >= 1, got {budget}")
     unlabeled = _require_unlabeled(pool)
     labeled = np.asarray(pool.labeled_idx)
-    Z_u, _, _ = forward(final, pool.features[unlabeled])
+    Z_u, _, _ = forward(final, pool.features, rows=unlabeled)
     if len(labeled):
-        Z_l, _, _ = forward(final, pool.features[labeled])
+        Z_l, _, _ = forward(final, pool.features, rows=labeled)
         min_dist = np.sqrt(sq_dists(Z_u, Z_l, sq_norms(Z_u), sq_norms(Z_l)).min(axis=1))
     else:
         min_dist = np.full(len(unlabeled), np.inf, Z_u.dtype)

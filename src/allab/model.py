@@ -16,7 +16,7 @@ returns None in the cache's place and draws no dropout, so it holds a layer's
 input and output (and Z), not every layer.  ``predict_proba`` softmaxes its
 logits in place, ``avg_predict`` sums its checkpoints' probabilities into the
 first one's array, and ``dropout_probs`` yields its passes one at a time from
-reused buffers.
+reused buffers.  Given ``rows``, they gather ``X[rows]`` block by block.
 
 The hidden activations are ``layers.relu`` and its gradient
 ``layers.relu_backward``, the same pair the gradient audit checks.  ReLU is
@@ -185,6 +185,35 @@ def init_mlp(spec: ModelSpec, rng: np.random.Generator) -> MlpParams:
     return MlpParams(spec, flat.astype(spec.dtype, copy=False))
 
 
+GATHER_BYTES = 2 << 20  # the most first-layer input a scoring call gathers at once
+
+
+def _row_blocks(n: int, width: int, out_width: int, itemsize: int) -> list[int]:
+    """Bounds of the near-equal blocks n rows are scored in by a (width, out_width)
+    first layer: at most the larger of ``GATHER_BYTES``, 256 rows, 2^21 multiply-adds
+    and 2 * out_width + 1 rows each, and at least half that (see README)."""
+    macs = -(-(2 << 20) // (width * out_width))
+    per = max(256, GATHER_BYTES // (width * itemsize), macs, 2 * out_width + 1)
+    count = max(1, -(-n // per))
+    return [n * i // count for i in range(count + 1)]
+
+
+def _first_affine(params: MlpParams, X: np.ndarray, rows) -> np.ndarray:
+    """``X @ W1 + b1``, or ``X[rows] @ W1 + b1`` of one model gathered block by block."""
+    W1, b1 = params.layers[0]
+    if rows is None:
+        return affine_forward(_checked_input(params, X), W1, b1)
+    if len(rows) and (np.min(rows) < -len(X) or np.max(rows) >= len(X)):
+        raise IndexError(f"rows out of range for {len(X)} rows")  # take's "wrap" would not
+    bounds = _row_blocks(len(rows), *W1.shape, W1.itemsize)
+    out = np.empty((len(rows), W1.shape[1]), W1.dtype)
+    buf = np.empty((bounds[-1] - bounds[-2], *X.shape[1:]), W1.dtype)  # the last block is the longest
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = np.take(X, rows[start:stop], axis=0, out=buf[: stop - start], mode="wrap")
+        affine_forward(_checked_input(params, block), W1, b1, out=out[start:stop])
+    return out
+
+
 def _checked_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
     """X in the spec's dtype: (n, d_0) for one model, (R, n, d_0) for a stack of R."""
     X = np.asarray(X, dtype=params.spec.dtype)
@@ -201,6 +230,7 @@ def forward(
     X: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    rows=None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache | None]:
     """Run the network, returning (Z, logits, cache).
 
@@ -209,14 +239,16 @@ def forward(
     whose bits Z keeps, since later layers write new arrays.  Train mode
     draws the dropout masks and builds the cache :func:`backward` reads; eval
     mode returns None for it.  For a stack, X is (R, n, d_0) and ``rng`` one
-    generator per cell (see ``layers.dropout``).
+    generator per cell (see ``layers.dropout``).  Given ``rows``, eval mode runs on X[rows].
     """
-    a = _checked_input(params, X)
+    if train_mode and rows is not None:
+        raise ValueError("rows selects the input of an eval-mode pass only")
+    a = _checked_input(params, X) if rows is None else None
     spec = params.spec
     cache = ForwardCache() if train_mode else None
     *hidden, (W_out, b_out) = params.layers
     for i, (W, b) in enumerate(hidden, start=1):  # one of them is split_index
-        h = affine_forward(a, W, b)
+        h = _first_affine(params, X, rows) if a is None else affine_forward(a, W, b)
         relu(h, out=h)
         if i == spec.split_index:
             Z = h
@@ -266,9 +298,9 @@ def backward(
     return grads
 
 
-def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """Row-stochastic class probabilities (eval mode, no dropout)."""
-    _, logits, _ = forward(params, X, train_mode=False)
+def predict_proba(params: MlpParams, X: np.ndarray, rows=None) -> np.ndarray:
+    """Row-stochastic class probabilities of X or X[rows] (eval mode, no dropout)."""
+    _, logits, _ = forward(params, X, rows=rows)
     return softmax(logits, out=logits)
 
 
@@ -301,11 +333,11 @@ def cell(params: MlpParams, r: int) -> MlpParams:
     return MlpParams(params.spec, params.flat.reshape(-1, params.flat.shape[-1])[r])
 
 
-def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
-    """Mean class probabilities over every checkpoint in the trajectory."""
+def avg_predict(trajectory: CheckpointSet, X: np.ndarray, rows=None) -> np.ndarray:
+    """Mean class probabilities of X or X[rows] over the trajectory's checkpoints."""
     acc = None
     for snap in trajectory.snapshots:
-        P = predict_proba(snap, X)
+        P = predict_proba(snap, X, rows)
         if acc is None:
             acc = P
         else:
@@ -315,10 +347,10 @@ def avg_predict(trajectory: CheckpointSet, X: np.ndarray) -> np.ndarray:
 
 
 def dropout_probs(
-    params: MlpParams, X: np.ndarray, passes: int, rng: np.random.Generator
+    params: MlpParams, X: np.ndarray, passes: int, rng: np.random.Generator, rows=None
 ) -> Iterator[np.ndarray]:
-    """The (n, C) class probabilities of ``passes`` train-mode dropout passes,
-    one pass at a time.
+    """The (n, C) class probabilities of ``passes`` train-mode dropout passes
+    over X, or over ``X[rows]``, one pass at a time.
 
     Pass t is bit for bit ``softmax`` of the logits of
     ``forward(params, X, train_mode=True, rng=rng)``, and the passes draw the
@@ -331,9 +363,7 @@ def dropout_probs(
     probabilities overwrite the last layer's buffer, which is what is
     yielded.  A caller that keeps a pass must copy it before the next.
     """
-    X = _checked_input(params, X)
-    W1, b1 = params.layers[0]
-    first = affine_forward(X, W1, b1)
+    first = _first_affine(params, X, rows)
     relu(first, out=first)
     return _dropout_passes(first, params.layers[1:], params.spec.dropout_rate, passes, rng)
 

@@ -128,5 +128,5 @@ def evaluate(trajectory: CheckpointSet, pool: PoolState) -> float:
     """
     if len(pool.test_idx) == 0:
         raise PoolError("empty test set")
-    pred = avg_predict(trajectory, pool.features[pool.test_idx]).argmax(axis=1)
+    pred = avg_predict(trajectory, pool.features, pool.test_idx).argmax(axis=1)
     return float((pred == pool.labels[pool.test_idx]).mean())

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allab import acquisition, pool as pool_module
 from allab.acquisition import (
     METHODS,
     acquire,
@@ -23,8 +24,17 @@ from allab.acquisition import (
 )
 from allab.errors import PoolError
 from allab.layers import softmax
-from allab.model import CheckpointSet, MlpParams, ModelSpec, forward, init_mlp, predict_proba, snapshot
-from allab.pool import PoolState
+from allab.model import (
+    CheckpointSet,
+    MlpParams,
+    ModelSpec,
+    dropout_probs,
+    forward,
+    init_mlp,
+    predict_proba,
+    snapshot,
+)
+from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
 
 
@@ -513,6 +523,38 @@ def test_coreset_clamps_budget():
     pool = make_pool(derive_rng(27).standard_normal((6, 2)), labeled=[0, 1])
     result = coreset_acquire(params, pool, 50)
     assert sorted(result.selected.tolist()) == sorted(pool.unlabeled_idx.tolist())
+
+
+# ---- scored rows -----------------------------------------------------------
+
+def test_every_scoring_call_reads_its_rows_as_the_copied_out_selection(monkeypatch):
+    # a 784-wide float32 pool whose selections take several row blocks: every
+    # method and the evaluation give the bits of copying pool.features[idx] out
+    rng = derive_rng(33)
+    n = 3100
+    features = rng.standard_normal((n, 784), dtype=np.float32)
+    labeled = rng.permutation(n)[:700]  # in acquisition order
+    rest = np.setdiff1d(np.arange(n), labeled)
+    pool = PoolState(features, rng.integers(0, 10, n), 10, labeled, rest[:1500], rest[1500:])
+    final = init_mlp(ModelSpec((784, 128, 10), 1, 0.5, np.float32), derive_rng(34))
+    trajectory = CheckpointSet((snapshot(final), snapshot(final)))
+
+    def scored():
+        return [evaluate(trajectory, pool)] + [
+            acquire(method, pool, 5, trajectory, derive_rng(35), bald_passes=3) for method in METHODS
+        ]
+
+    got = scored()
+    monkeypatch.setattr(acquisition, "forward", lambda p, X, rows: forward(p, X[rows]))
+    monkeypatch.setattr(acquisition, "avg_predict", lambda tr, X, rows: avg_predict(tr, X[rows]))
+    monkeypatch.setattr(pool_module, "avg_predict", lambda tr, X, rows: avg_predict(tr, X[rows]))
+    monkeypatch.setattr(acquisition, "dropout_probs",
+                        lambda p, X, passes, rng, rows: dropout_probs(p, X[rows], passes, rng))
+    want = scored()
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:], strict=True):
+        for field in ("scored", "scores", "selected"):
+            assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
 
 
 # ---- dispatcher ------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Network assembly, forward/backward, snapshots, dropout passes."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allab import acquisition
+from allab.acquisition import coreset_acquire
 from allab.errors import DimensionError
 from allab.layers import affine_backward, affine_forward, relu, softmax, softmax_cross_entropy
 from allab.model import (
+    GATHER_BYTES,
     CheckpointSet,
     ForwardCache,
     MlpParams,
@@ -22,7 +27,9 @@ from allab.model import (
     snapshot,
     stack,
     zeros_like,
+    _row_blocks,
 )
+from allab.pool import PoolState
 from allab.seeding import derive_rng
 from allab.trainer import sgd_step
 
@@ -658,3 +665,141 @@ def test_params_and_spec_must_agree_on_the_dtype():
         ModelSpec((2, 3, 1), dtype=np.float16)
     with pytest.raises(DimensionError, match="one dtype"):
         stack([init_mlp(spec, derive_rng(0)), init_mlp(ModelSpec((2, 3, 1)), derive_rng(0))])
+
+
+# ---- scoring selected rows -------------------------------------------------
+# Given rows, the first layer gathers X[rows] block by block; every scoring
+# path must give what copying X[rows] out first gives.
+
+def block_rows(width, out_width, itemsize):
+    """The most rows one block takes, by the rule ``_row_blocks`` documents."""
+    macs = -(-(2 << 20) // (width * out_width))
+    return max(256, GATHER_BYTES // (width * itemsize), macs, 2 * out_width + 1)
+
+
+def test_row_blocks_of_the_image_pool():
+    # a 784-128 float32 layer: 2 MiB of input is 668 rows
+    assert block_rows(784, 128, 4) == 668
+    assert _row_blocks(668, 784, 128, 4) == [0, 668]
+    assert _row_blocks(669, 784, 128, 4) == [0, 334, 669]
+    assert np.diff(_row_blocks(4900, 784, 128, 4)).tolist() == [612, 613] * 4
+    # float64 rows are twice as wide: 334 rows
+    assert _row_blocks(335, 784, 128, 8) == [0, 167, 335]
+
+
+@pytest.mark.parametrize("width, out_width", [(8, 64), (32, 64), (32, 16), (2, 64)])
+def test_a_narrow_selection_is_one_block(width, out_width):
+    # every selection of the narrow benchmark pools, up to 8,000 rows
+    assert _row_blocks(8000, width, out_width, 4) == [0, 8000]
+    assert _row_blocks(8000, width, out_width, 8) == [0, 8000]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 10**6),
+    width=st.integers(1, 4096),
+    out_width=st.integers(1, 512),
+    itemsize=st.sampled_from([4, 8]),
+)
+def test_row_blocks_are_near_equal_and_never_a_short_tail(n, width, out_width, itemsize):
+    bounds = _row_blocks(n, width, out_width, itemsize)
+    sizes = np.diff(bounds)
+    per = block_rows(width, out_width, itemsize)
+    assert bounds[0] == 0 and bounds[-1] == n and len(sizes) == max(1, -(-n // per))
+    assert sizes.max() - sizes.min() <= 1
+    assert sizes.min() >= min(n, 128)
+    if len(sizes) > 1:
+        assert sizes.max() <= per
+        # above OpenBLAS's small-matrix kernel, which sums in another order,
+        # and more rows than columns, which two threads split as the whole
+        assert sizes.min() * width * out_width > 100**3
+        assert sizes.min() > out_width
+
+
+def bitwise_on_this_blas(dtype, out_width):
+    """Whether each row of a blocked first layer is that row of the whole
+    product on OpenBLAS 0.3.31 (README): not for single-unit layers, nor for
+    float64 ones of over 192 units, whose last bits may move."""
+    return out_width > 1 and (dtype == np.float32 or out_width <= 192)
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from([8, 32, 784]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    regime=st.sampled_from(["1-9 rows", "one block", "per - 1", "per", "per + 1"]),
+    negative=st.booleans(),
+    data=st.data(),
+)
+def test_scoring_rows_equals_scoring_the_gathered_rows(width, dtype, regime, negative, data):
+    # narrow inputs make long blocks; their hidden widths stay small so the
+    # (n, h) activations do too
+    first = data.draw(st.integers(1, 256 if width == 784 else 64), label="first hidden width")
+    hidden = [first] + data.draw(st.lists(st.integers(1, 32), max_size=1), label="more hidden")
+    rng = derive_rng(data.draw(st.integers(0, 2**31), label="seed"), "rows")
+    C = int(rng.integers(2, 11))
+    spec = ModelSpec((width, *hidden, C), int(rng.integers(1, len(hidden) + 1)), 0.5, dtype)
+    per = block_rows(width, first, np.dtype(dtype).itemsize)
+    n = {"1-9 rows": int(rng.integers(1, 10)), "one block": int(rng.integers(10, min(per, 3000))),
+         "per - 1": per - 1, "per": per, "per + 1": per + 1}[regime]
+    N = n + int(rng.integers(0, 50))
+    X = rng.standard_normal((N, width)).astype(dtype)
+    rows = rng.permutation(N)[:n]  # unsorted, as acquisition orders its picks
+    if negative:
+        rows[rng.random(n) < 0.5] -= N  # X[rows] reads these from the end
+    params = init_mlp(spec, rng)
+    snaps = []
+    for _ in range(3):
+        params.flat += np.asarray(0.1 * rng.standard_normal(params.flat.shape), dtype)
+        snaps.append(snapshot(params))
+    trajectory, gathered = CheckpointSet(tuple(snaps)), X[rows]
+    assert len(_row_blocks(n, width, first, np.dtype(dtype).itemsize)) == (3 if regime == "per + 1" else 2)
+
+    got = [*forward(params, X, rows=rows)[:2], predict_proba(params, X, rows), avg_predict(trajectory, X, rows)]
+    want = [*forward(params, gathered)[:2], predict_proba(params, gathered), avg_predict(trajectory, gathered)]
+    got_rng, want_rng = derive_rng(7), derive_rng(7)
+    got += [P.copy() for P in dropout_probs(params, X, 3, got_rng, rows)]
+    want += [P.copy() for P in dropout_probs(params, gathered, 3, want_rng)]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if regime != "per + 1" or bitwise_on_this_blas(dtype, first):
+        assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+        # core-set's features, and so its picks and scores, as the gathering code
+        pool = PoolState(X, np.zeros(N, dtype=np.int64), 2, rows[:3], rows[3:], rows[:0])
+        if n > 3:
+            picked = coreset_acquire(params, pool, 3)
+            with mock.patch.object(acquisition, "forward", lambda p, X, rows: forward(p, X[rows])):
+                want_picked = coreset_acquire(params, pool, 3)
+            assert same_bits(picked.selected, want_picked.selected)
+            assert same_bits(picked.scores, want_picked.scores)
+    else:
+        tol = 1e-4 if dtype == np.float32 else 1e-10
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("n", [5, 700])  # one block, and two
+@pytest.mark.parametrize("bad", [800, -801])
+def test_rows_out_of_range_raise_index_error(n, bad):
+    params = init_mlp(ModelSpec((784, 128, 10), 1, 0.5, np.float32), derive_rng(0))
+    X = derive_rng(1).standard_normal((800, 784)).astype(np.float32)
+    rows = np.append(np.arange(n - 1), bad)
+    with pytest.raises(IndexError):
+        forward(params, X, rows=rows)
+    with pytest.raises(IndexError):
+        dropout_probs(params, X, 2, derive_rng(2), rows)
+
+
+def test_rows_are_for_eval_mode():
+    with pytest.raises(ValueError, match="eval-mode"):
+        forward(small_net(), np.ones((4, 3)), train_mode=True, rng=derive_rng(0), rows=np.arange(2))
+
+
+def test_rows_input_width_checked():
+    params = init_mlp(ModelSpec((784, 128, 10), 1, 0.0, np.float32), derive_rng(0))
+    for n in (5, 700):  # one block, and two
+        with pytest.raises(DimensionError):
+            forward(params, np.zeros((800, 783), np.float32), rows=np.arange(n))
