@@ -129,9 +129,8 @@ def mmd2_biased_with_grad(
                +(2 / (a b s^2)) (rowsum(K_AB)_p A_p - (K_AB @ B)_p)
 
     and symmetrically for B with K_AB transposed.  Multi-bandwidth kernels
-    average the per-bandwidth values and gradients, summed in bandwidth
-    order; a single bandwidth needs no running sums, and its average (a
-    division by 1) is exact.
+    average the per-bandwidth values and gradients: every bandwidth adds its
+    terms to sums that start at zero, in bandwidth order.
     Each batch's row norms are computed once for all three distance matrices.
     """
     dtype = A.dtype
@@ -143,27 +142,22 @@ def mmd2_biased_with_grad(
     d2_bb = sq_dists(B, B, norms_b, norms_b)
 
     matrix = (-2, -1)  # the mean over each cell's whole matrix
-    for k, sigma in enumerate(sigmas):
+    value, dA, dB = 0.0, np.zeros_like(A), np.zeros_like(B)
+    for sigma in sigmas:
         neg_inv2s2 = -1.0 / (2.0 * sigma * sigma)
         K_aa = np.exp(d2_aa * neg_inv2s2)
         K_ab = np.exp(d2_ab * neg_inv2s2)
         K_bb = np.exp(d2_bb * neg_inv2s2)
-        v = K_aa.mean(axis=matrix) - 2.0 * K_ab.mean(axis=matrix) + K_bb.mean(axis=matrix)
+        value += K_aa.mean(axis=matrix) - 2.0 * K_ab.mean(axis=matrix) + K_bb.mean(axis=matrix)
 
         inv_s2 = 1.0 / (sigma * sigma)
         row_aa = K_aa.sum(axis=-1)
         row_ab = K_ab.sum(axis=-1)
         col_ab = K_ab.sum(axis=-2)
         row_bb = K_bb.sum(axis=-1)
-        gA = (-2.0 / (a * a) * inv_s2) * (row_aa[..., None] * A - K_aa @ A)
-        gB = (-2.0 / (b * b) * inv_s2) * (row_bb[..., None] * B - K_bb @ B)
-        if k == 0:
-            value, dA, dB = v, gA, gB
-        else:
-            value += v
-            dA += gA
-            dB += gB
+        dA += (-2.0 / (a * a) * inv_s2) * (row_aa[..., None] * A - K_aa @ A)
         dA += (2.0 / (a * b) * inv_s2) * (row_ab[..., None] * A - K_ab @ B)
+        dB += (-2.0 / (b * b) * inv_s2) * (row_bb[..., None] * B - K_bb @ B)
         dB += (2.0 / (a * b) * inv_s2) * (col_ab[..., None] * B - K_ab.swapaxes(-1, -2) @ A)
 
     m = len(sigmas)

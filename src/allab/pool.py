@@ -109,10 +109,9 @@ def label_points(pool: PoolState, indices) -> PoolState:
         return pool
     if len(np.unique(indices)) != len(indices):
         raise PoolError("duplicate indices in labeling request")
-    unlabeled = set(pool.unlabeled_idx.tolist())
-    for i in indices.tolist():
-        if i not in unlabeled:
-            raise PoolError(f"index {i} is not unlabeled")
+    missing = indices[~np.isin(indices, pool.unlabeled_idx)]
+    if len(missing):
+        raise PoolError(f"index {missing[0]} is not unlabeled")
     keep = ~np.isin(pool.unlabeled_idx, indices)
     return replace(
         pool,

@@ -3,7 +3,8 @@
 All randomness in the package flows through numpy's PCG64 generator.  Streams
 for distinct purposes are derived from one master seed by hashing a tag path
 (a purpose string followed by integer indices) into the SeedSequence entropy,
-so parallel and sequential runs consume identical, non-overlapping streams.
+so a cell's streams are the same however the cells are stacked or ordered,
+and distinct streams do not overlap.
 
 Derivation rule: each string component is replaced by the first 8 bytes of its
 SHA-256 digest (big-endian unsigned); integer components are used as-is.  The

@@ -33,7 +33,7 @@ The streams of different cells never mix, so the interleaving of cells
 changes no draw.
 
 Each step runs one forward and one backward pass.  At ``mmd_weight`` > 0
-they run over one (..., 2 * batch, d) buffer, the labeled rows then the pool
+they run over one (R, 2 * batch, d) buffer, the labeled rows then the pool
 rows: the CE reads the first ``batch`` logits, the MMD^2 term compares the
 two halves of Z, and the backward pass takes the CE gradient on the
 labeled rows, zero on the pool rows, and the MMD^2 gradient of both halves
@@ -43,14 +43,13 @@ logged mean MMD^2 is 0.0.
 
 The step works on a stack of R cells' vectors laid out like
 ``MlpParams.flat``, an (R, P) array, and on (R, rows, d) batches, so each
-numpy call of a step serves all R cells; a single cell needs no stack axis
-and runs on its (P,) vector and 2-D batches.  Each round allocates one
-gradient buffer (``zeros_like``), which the backward pass writes, one
-scratch array for the update, the batch buffer and the head's gradient
-buffer, all in the model spec's dtype, as are the features (cast once per
-round if the pool's are not), so a float32 model trains in float32
-throughout but for the MMD^2 term, which computes in float64 and rounds
-its results (see ``mmd.mmd2_biased_with_grad``).  Every cell's labels and
+numpy call of a step serves all R cells, a stack of one included.  Each
+round allocates one gradient buffer (``zeros_like``), which the backward
+pass writes, one scratch array for the update, the batch buffer and the
+head's gradient buffer, all in the model spec's dtype, as are the features
+(cast once per round if the pool's are not), so a float32 model trains in
+float32 throughout but for the MMD^2 term, which computes in float64 and
+rounds its results (see ``mmd.mmd2_biased_with_grad``).  Every cell's labels and
 feature width are checked once per round, before step 0, and the kernel
 bandwidths are resolved once, at the first step; the step then calls
 ``layers.softmax_cross_entropy`` and ``mmd.mmd2_biased_with_grad``, which
@@ -294,13 +293,10 @@ def train_stack(
     features = [np.asarray(pool.features, dtype=dtype) for pool in pools]
 
     R, B, d = len(pools), config.batch_size, model_spec.layer_sizes[0]
-    # several cells are stacked on a leading axis; one cell runs on plain 2-D
-    # arrays, since the stack axis adds a fixed cost to every numpy call
-    lead = (R,) if R > 1 else ()
     rngs_batch = [derive_rng(seed, "batch") for seed in seeds]
     rngs_drop = [derive_rng(seed, "dropout") for seed in seeds]
     inits = [init_mlp(model_spec, derive_rng(seed, "init")) for seed in seeds]
-    params = stack(inits) if lead else inits[0]
+    params = stack(inits)
     cells = [cell(params, r) for r in range(R)]  # views that follow the in-place updates
     grad, scratch = zeros_like(params), np.empty_like(params.flat)
 
@@ -311,25 +307,22 @@ def train_stack(
     lam = config.mmd_weight
     # at lam > 0 one buffer holds each cell's labeled rows, then its pool rows
     n = 2 * B if lam > 0 else B
-    X = np.empty((*lead, n, d), dtype)  # the batches, gathered per step
-    y_l = np.empty((*lead, B), dtype=np.intp)
+    X = np.empty((R, n, d), dtype)  # the batches, gathered per step
+    y_l = np.empty((R, B), dtype=np.intp)
     # the head's upstream gradient: the CE's on the labeled rows, 0 on the pool rows
-    dlogits_all = np.zeros((*lead, n, model_spec.layer_sizes[-1]), dtype)
+    dlogits_all = np.zeros((R, n, model_spec.layer_sizes[-1]), dtype)
     rate = model_spec.dropout_rate
     # at lam 0 the pool batch's masks are drawn and dropped, keeping the
     # dropout stream in step; float64 buffers, so the draws go straight in
     pool_masks = []
     if lam == 0 and rate > 0:
-        pool_masks = [np.empty((*lead, B, h)) for h in model_spec.layer_sizes[1:-1]]
+        pool_masks = [np.empty((R, B, h)) for h in model_spec.layer_sizes[1:-1]]
     # what each cell's draws read and the rows of the batch buffers they fill
-    gather = list(zip(
-        rngs_batch, labeled, both, features, [pool.labels for pool in pools],
-        X.reshape(R, n, d), y_l.reshape(R, B),
-    ))
+    gather = list(zip(rngs_batch, labeled, both, features, [pool.labels for pool in pools], X, y_l))
     sigmas = None  # the bandwidths, frozen at the first pool batch
     snaps: list[list[MlpParams]] = [[] for _ in range(R)]
     history: list[list[EpochStats]] = [[] for _ in range(R)]
-    ce_sum, mmd_sum = np.zeros(lead), np.zeros(lead)
+    ce_sum, mmd_sum = np.zeros(R), np.zeros(R)
     for step, lr in enumerate(rates):
         for rng, cell_labeled, cell_both, cell_features, cell_labels, x, y in gather:
             idx_l = _draw(rng, cell_labeled, B)
@@ -344,25 +337,25 @@ def train_stack(
         Z, logits, cache = forward(params, X, train_mode=True, rng=rngs_drop)
         for mask in pool_masks:
             dropout_mask(rate, rngs_drop, mask)
-        ce, dlogits = softmax_cross_entropy(logits[..., :B, :], y_l)
+        ce, dlogits = softmax_cross_entropy(logits[:, :B, :], y_l)
         if not np.isfinite(ce).all():
             raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
         if lam > 0:
-            Z_l, Z_p = Z[..., :B, :], Z[..., B:, :]
+            Z_l, Z_p = Z[:, :B, :], Z[:, B:, :]
             if sigmas is None:
-                per_cell = [_resolve_kernel(config, z) for z in Z_p.reshape(R, B, -1)]
-                # a stack's k-th bandwidth is an (R, 1, 1) column, one per cell
-                sigmas = list(np.array(per_cell).T[:, :, None, None]) if lead else per_cell[0]
+                per_cell = [_resolve_kernel(config, z) for z in Z_p]
+                # the k-th bandwidth is an (R, 1, 1) column, one per cell
+                sigmas = list(np.array(per_cell).T[:, :, None, None])
             m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
             if not np.isfinite(lam * m2).all():
                 raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
-            dZ = np.concatenate([dZ_l, dZ_p], axis=-2)
+            dZ = np.concatenate([dZ_l, dZ_p], axis=1)
             dZ *= lam
             mmd_sum += m2
         else:
             dZ = None
-        dlogits_all[..., :B, :] = dlogits
+        dlogits_all[:, :B, :] = dlogits
         backward(params, cache, dlogits_all, dZ=dZ, out=grad)
 
         try:
@@ -375,8 +368,8 @@ def train_stack(
 
         ce_sum += ce
         if (step + 1) % spe == 0:
-            ce_mean, mmd_mean = (ce_sum / spe).reshape(R), (mmd_sum / spe).reshape(R)
+            ce_mean, mmd_mean = ce_sum / spe, mmd_sum / spe
             for r in range(R):
                 history[r].append(EpochStats(step // spe, float(ce_mean[r]), float(mmd_mean[r]), lr))
-            ce_sum, mmd_sum = np.zeros(lead), np.zeros(lead)
+            ce_sum, mmd_sum = np.zeros(R), np.zeros(R)
     return [(CheckpointSet(tuple(snaps[r])), history[r]) for r in range(R)]

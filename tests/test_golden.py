@@ -90,11 +90,13 @@ TRAINED_GOLDEN = {
         "mmd_stack": "ca1c92393c6d001d8e22de89a05fc56ed5a16907be6a98a0012cd2840837325a",
         "plain_stack": "7e4c918d19b6c87211f3cd897dc4c8de3505054b7761c91f12bc7ee7644a4a22",
         "dropout": "e6e12821232844b25d2377e56c9eb40e05c2af0f05b7edab0ce0e3045f882ea1",
+        "mmd_cell": "0ebc64f2f4a60e3d8d0347bcf2c119bd93c20afc2e67c2eb35efdb6ddb757f10",
     },
     "float32": {
         "mmd_stack": "bdb23f348b195db12adf8175a91690896c1b0ebd99fe42c8f08e53c8a231196f",
         "plain_stack": "86ec3ef45ac7ace040e11f4ebb46e418cfb5e7a85dcdb0996ad6d51daf73c599",
         "dropout": "6c8a2fb4f7fa0906f1e37fb2eafaa61d16b94b3b61d0e9a6c94d9f82b08a6040",
+        "mmd_cell": "b5fea33c5e4eb6518b7a442aaa4fd2b13704657b32f62bfac2846baf3f1548df",
     },
 }
 SCORES_GOLDEN = {
@@ -154,8 +156,8 @@ def scores_digest(result) -> str:
     return h.hexdigest()
 
 
-def check_stack(method: str, key: str, dtype):
-    _, _, trained = bias4_round0(method, 3, dtype)
+def check_stack(method: str, key: str, dtype, repeats: int = 3):
+    _, _, trained = bias4_round0(method, repeats, dtype)
     assert trained_digest(trained) == TRAINED_GOLDEN[np.dtype(dtype).name][key]
 
 
@@ -178,6 +180,12 @@ def test_mmd_stack_parameters_match_golden_digest():
 
 def test_plain_stack_parameters_match_golden_digest():
     check_stack("random", "plain_stack", np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_cell_mmd_parameters_match_golden_digest(dtype):
+    # a stack of one at lam > 0, as a one-repeat run trains its mpts cells
+    check_stack("mpts", "mmd_cell", dtype, repeats=1)
 
 
 def test_dropout_model_parameters_and_scores_match_golden_digests():

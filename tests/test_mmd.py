@@ -216,11 +216,9 @@ def old_grad_terms(A, B, sigmas):
 
 
 def same_bits(x, y):
-    """Bit-for-bit equality, except that a zero may differ in sign: the old
-    code started its sums from +0.0, which turns an all-zero -0.0 sum into
-    +0.0.  Adding 0.0 maps -0.0 to +0.0 and leaves every other value as is."""
-    x = np.asarray(x, dtype=np.float64) + 0.0
-    y = np.asarray(y, dtype=np.float64) + 0.0
+    """Bit-for-bit equality, signed zeros included: both sum from +0.0."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 

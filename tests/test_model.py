@@ -406,7 +406,7 @@ def test_backward_without_input_dX_equals_full_chain_rule(net, with_dZ):
 
 # ---- snapshots and avg_predict ---------------------------------------------
 
-def test_snapshot_restore_roundtrip():
+def test_snapshot_is_an_equal_copy_that_predicts_alike():
     # a snapshot is MlpParams holding equal copies, and predicts the same bits
     params = small_net(15, sizes=(3, 5, 4, 2), split=2, rate=0.25)
     X = derive_rng(16).standard_normal((5, 3))

@@ -145,6 +145,16 @@ def test_label_points_rejects_double_labeling():
         label_points(pool, [int(pool.unlabeled_idx[0])] * 2)
 
 
+def test_label_points_names_the_first_offending_index_in_request_order():
+    pool = init_pool(toy_dataset(), 10, 0.2, derive_rng(14))
+    labeled, tested = int(pool.labeled_idx[3]), int(pool.test_idx[0])
+    free = int(pool.unlabeled_idx[0])
+    with pytest.raises(PoolError, match=rf"^index {tested} is not unlabeled$"):
+        label_points(pool, [free, tested, labeled])
+    with pytest.raises(PoolError, match=rf"^index {labeled} is not unlabeled$"):
+        label_points(pool, [labeled, free, tested])
+
+
 # ---- evaluate --------------------------------------------------------------
 
 def oracle_model(features, labels, class_count):

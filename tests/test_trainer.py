@@ -275,7 +275,7 @@ def test_non_finite_gradient_raises_and_leaves_params(bad, at):
 
 # ---- one cell --------------------------------------------------------------
 
-def test_train_round_snapshot_count_and_structure():
+def test_one_cell_keeps_n_checkpoints_of_one_shape():
     pool = blob_pool()
     cfg = TrainConfig(epochs=8, batch_size=16, n_checkpoints=3)
     traj, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [0])[0]
@@ -287,7 +287,7 @@ def test_train_round_snapshot_count_and_structure():
         assert [W.shape for W, _ in snap.layers] == shapes
 
 
-def test_train_round_deterministic():
+def test_one_cell_training_is_deterministic():
     pool = blob_pool()
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2)
     a_traj, a_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
@@ -358,7 +358,7 @@ def test_each_step_goes_through_the_traced_entry_points(monkeypatch, lam, rate):
     assert calls == {"forward": steps, "backward": steps, "sgd_step": steps}
 
 
-def test_train_round_empty_labeled_errors():
+def test_empty_labeled_set_is_an_error():
     pool = blob_pool()
     pool.unlabeled_idx = pool.labeled_idx
     pool.labeled_idx = np.empty(0, dtype=np.int64)
@@ -367,7 +367,7 @@ def test_train_round_empty_labeled_errors():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_round_divergence_names_step():
+def test_divergence_names_the_step():
     pool = blob_pool()
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, base_lr=1e12)
     with pytest.raises(TrainingDiverged, match=r"step \d+"):
@@ -511,13 +511,13 @@ def full_step_reference(pool, spec, cfg, seed, thetas=None):
 
 def recorded_steps(pool, spec, cfg, seed):
     """Per step of training one cell: the parameter and gradient vectors
-    ``train_stack`` hands ``sgd_step``."""
+    ``train_stack`` hands ``sgd_step``, as that cell's (P,) vectors."""
     import allab.trainer as trainer
 
     steps = []
 
     def recording(params, grad, *args):
-        steps.append((params.flat.copy(), grad.copy()))
+        steps.append((params.flat.reshape(-1).copy(), grad.reshape(-1).copy()))
         return sgd_step(params, grad, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -664,7 +664,7 @@ def skewed_pool(seed, per_class=300, n_lab_per_class=32):
     )
 
 
-def test_train_round_loss_decreases_with_regularizer():
+def test_ce_and_mmd2_fall_with_the_regularizer():
     # CE and the logged feature discrepancy both end below their first epoch
     for seed in range(5):
         pool = skewed_pool(seed)
