@@ -17,7 +17,7 @@ import numpy as np
 from .layers import (
     affine_backward,
     affine_forward,
-    dropout,
+    dropout_mask,
     relu,
     relu_backward,
     softmax_cross_entropy,
@@ -115,7 +115,7 @@ def _suite_dropout(col: _Collector, rng: np.random.Generator):
     for i in range(21):
         rate = (0.2, 0.5, 0.8)[i % 3]
         X = rng.standard_normal((5, 7))
-        _, mask = dropout(X, rate, rng=derive_rng(1000 + i))
+        mask = dropout_mask(rate, derive_rng(1000 + i), np.empty_like(X))
         V = rng.standard_normal(X.shape)
         loss = lambda: float((X * mask * V).sum())  # mask frozen, only X varies
         col.add("dropout", f"{i}/rate{rate}", V * mask, central_diff(loss, X))

@@ -3,9 +3,10 @@
 Matrices are row-major ``numpy`` arrays of one float dtype, float64 or
 float32 (``model.ModelSpec.dtype``), which every primitive keeps; a batch
 of n examples with d features is an (n, d) array.  Every operation here is a
-pure function of its inputs (plus an explicitly passed generator for dropout)
-and of the BLAS setup: OpenBLAS sums wide products (a 784-wide GEMM, say) in
-an order that depends on its thread count, so their last bits do too.
+pure function of its inputs (plus an explicitly passed generator for
+:func:`dropout_mask`, the one dropout primitive) and of the BLAS setup:
+OpenBLAS sums wide products (a 784-wide GEMM, say) in an order that depends
+on its thread count, so their last bits do too.
 
 The primitives also take a stack: R cells' batches as (R, n, d), with W
 (R, d, m) and b (R, m).  Each cell's slice of the result is bit for bit what
@@ -43,7 +44,6 @@ __all__ = [
     "softmax",
     "softmax_cross_entropy",
     "check_labels",
-    "dropout",
     "dropout_mask",
 ]
 
@@ -149,48 +149,27 @@ def softmax_cross_entropy(
     return loss, dlogits
 
 
-def dropout(
-    X: np.ndarray,
-    rate: float,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout, as a train-mode pass applies it (eval mode skips it).
-
-    Each entry is kept with probability 1-rate and scaled by 1/(1-rate); the
-    returned mask already carries that scale, so the backward pass is
-    ``dX = dY * mask``.  Rate 0 is the identity and consumes no random
-    numbers; the mask is then None.
-
-    ``rng`` is a generator, or a sequence of one generator per cell: R for a
-    stack X of shape (R, n, m), one for a 2-D X.  Cell r's mask is then drawn
-    from ``rng[r]`` exactly as ``rng[r].random((n, m))`` would draw it.  The
-    mask and the output have X's dtype.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return X, None
-    if rng is None:
-        raise ValueError("dropout with rate > 0 requires an rng")
-    mask = dropout_mask(rate, rng, np.empty_like(X))
-    return X * mask, mask
-
-
 def dropout_mask(
     rate: float,
     rng: np.random.Generator | Sequence[np.random.Generator],
     out: np.ndarray,
 ) -> np.ndarray:
-    """:func:`dropout`'s mask, computed in ``out`` and returned: each entry is
-    1/(1-rate) where its draw from ``rng`` is >= rate, else 0.  The draws
-    are float64 whatever ``out``'s dtype (a generator fills float32 only by
-    drawing differently), so a float32 mask keeps the float64 one's entries."""
+    """Inverted dropout's mask, computed in ``out`` and returned: each entry
+    is 1/(1-rate) where its draw is >= rate, else 0, so a train-mode pass
+    applies it as ``h * mask`` and its backward pass as ``dY * mask``.
+
+    ``rng`` is one generator, which fills the whole of ``out`` as
+    ``rng.random(out.shape)`` would, or a list or tuple of one generator per
+    index of ``out``'s leading axis (per cell of a stack), each filling its
+    slice.  The draws are float64 whatever ``out``'s dtype (a generator fills
+    float32 only by drawing differently), so a float32 mask keeps the float64
+    one's entries."""
     draws = out if out.dtype == np.float64 else np.empty(out.shape)
-    if isinstance(rng, np.random.Generator):
-        rng.random(out=draws)
-    else:
-        for g, cell in zip(rng, draws.reshape(len(rng), *draws.shape[-2:]), strict=True):
+    if isinstance(rng, (list, tuple)):
+        for g, cell in zip(rng, draws, strict=True):
             g.random(out=cell)
+    else:
+        rng.random(out=draws)
     np.greater_equal(draws, rate, out=out)
     out *= 1.0 / (1.0 - rate)
     return out

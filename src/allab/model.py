@@ -4,9 +4,11 @@ The network is a stack of affine layers with ReLU after every layer except the
 last.  ``split_index`` counts the layers that form the feature extractor: the
 features Z are the post-ReLU activations after that layer (captured before any
 dropout).  Dropout, when enabled, is applied after each hidden activation in
-train mode only; eval mode is fully deterministic.  ``dropout_probs`` runs
-many train-mode passes (BALD's) with the same results and random draws as
-that many ``forward`` calls, computing the dropout-free first layer once.
+train mode only, as ``h * mask`` with the mask drawn by
+``layers.dropout_mask``, the one dropout primitive; eval mode is fully
+deterministic.  ``dropout_probs`` runs many train-mode passes (BALD's) with
+the same results and random draws as that many ``forward`` calls, computing
+the dropout-free first layer once.
 
 ``forward`` applies each hidden ReLU in place, in both modes.  Train mode
 keeps a ``ForwardCache`` of exactly what ``backward`` reads; ``relu_backward``
@@ -31,8 +33,9 @@ one vectorized step.  The dtype is float64 unless the spec says float32, as
 the experiment harness's specs do; every array a model's training and
 scoring make then has it.  The vector's length and dtype are checked
 against the spec when it is built, and ``forward`` and ``dropout_probs``
-cast their input to the spec's dtype; the per-layer math is the ``layers``
-primitives, which re-check nothing.
+reject input that is not floating point (:func:`check_floating`, the
+trainer's check too) and cast the rest to the spec's dtype; the per-layer
+math is the ``layers`` primitives, which re-check nothing.
 ``backward`` writes the gradients into an ``MlpParams`` of the same layout
 (see ``zeros_like``).
 
@@ -52,13 +55,13 @@ predicts with their mean.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
-from .layers import affine_backward, affine_forward, dropout, dropout_mask, relu, relu_backward, softmax
+from .layers import affine_backward, affine_forward, dropout_mask, relu, relu_backward, softmax
 
 __all__ = [
     "ModelSpec",
@@ -66,6 +69,7 @@ __all__ = [
     "CheckpointSet",
     "ForwardCache",
     "init_mlp",
+    "check_floating",
     "forward",
     "backward",
     "predict_proba",
@@ -203,6 +207,7 @@ def _first_affine(params: MlpParams, X: np.ndarray, rows) -> np.ndarray:
     W1, b1 = params.layers[0]
     if rows is None:
         return affine_forward(_checked_input(params, X), W1, b1)
+    X = check_floating(X)  # before the gather casts it into the buffer
     if len(rows) and (np.min(rows) < -len(X) or np.max(rows) >= len(X)):
         raise IndexError(f"rows out of range for {len(X)} rows")  # take's "wrap" would not
     bounds = _row_blocks(len(rows), *W1.shape, W1.itemsize)
@@ -214,9 +219,18 @@ def _first_affine(params: MlpParams, X: np.ndarray, rows) -> np.ndarray:
     return out
 
 
+def check_floating(X: np.ndarray) -> np.ndarray:
+    """X as an array, once its dtype is floating point: uint8 pixels, say, are
+    not feature values until divided (``dataio.feature_values``)."""
+    X = np.asarray(X)
+    if not np.issubdtype(X.dtype, np.floating):
+        raise DimensionError(f"pool features are {X.dtype}, not floating point")
+    return X
+
+
 def _checked_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
     """X in the spec's dtype: (n, d_0) for one model, (R, n, d_0) for a stack of R."""
-    X = np.asarray(X, dtype=params.spec.dtype)
+    X = check_floating(X).astype(params.spec.dtype, copy=False)
     lead, width = params.flat.shape[:-1], params.spec.layer_sizes[0]
     if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != width:
         raise DimensionError(
@@ -229,7 +243,7 @@ def forward(
     params: MlpParams,
     X: np.ndarray,
     train_mode: bool = False,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     rows=None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache | None]:
     """Run the network, returning (Z, logits, cache).
@@ -239,26 +253,27 @@ def forward(
     whose bits Z keeps, since later layers write new arrays.  Train mode
     draws the dropout masks and builds the cache :func:`backward` reads; eval
     mode returns None for it.  For a stack, X is (R, n, d_0) and ``rng`` one
-    generator per cell (see ``layers.dropout``).  Given ``rows``, eval mode runs on X[rows].
+    generator per cell (see ``layers.dropout_mask``).  Given ``rows``, eval mode runs on X[rows].
     """
     if train_mode and rows is not None:
         raise ValueError("rows selects the input of an eval-mode pass only")
+    rate = params.spec.dropout_rate if train_mode else 0.0
+    if rate > 0 and rng is None:
+        raise ValueError("dropout with rate > 0 requires an rng")
     a = _checked_input(params, X) if rows is None else None
-    spec = params.spec
     cache = ForwardCache() if train_mode else None
     *hidden, (W_out, b_out) = params.layers
     for i, (W, b) in enumerate(hidden, start=1):  # one of them is split_index
         h = _first_affine(params, X, rows) if a is None else affine_forward(a, W, b)
         relu(h, out=h)
-        if i == spec.split_index:
+        if i == params.spec.split_index:
             Z = h
+        mask = dropout_mask(rate, rng, np.empty_like(h)) if rate > 0 else None
         if train_mode:
             cache.inputs.append(a)
             cache.activations.append(h)
-            a, mask = dropout(h, spec.dropout_rate, rng)
             cache.dropout_masks.append(mask)
-        else:
-            a = h
+        a = h if mask is None else h * mask
     if train_mode:
         cache.inputs.append(a)
     return Z, affine_forward(a, W_out, b_out), cache
@@ -376,7 +391,7 @@ def _dropout_passes(first, later, rate, passes, rng) -> Iterator[np.ndarray]:
     for _ in range(passes):
         a = first
         for i, ((W, b), mask, pre) in enumerate(zip(later, masks, pres), start=1):
-            # layers.dropout with its mask and output in the shared buffer
+            # forward's train-mode dropout, its mask and output in the shared buffer
             np.multiply(a, dropout_mask(rate, rng, mask), out=mask)
             a = affine_forward(mask, W, b, out=pre)
             if i < len(later):

@@ -71,6 +71,7 @@ from .model import (
     ModelSpec,
     backward,
     cell,
+    check_floating,
     forward,
     init_mlp,
     snapshot,
@@ -249,8 +250,7 @@ def _check_cell(pool, model_spec: ModelSpec) -> np.ndarray:
             f"pool features {features.shape} do not match the model's input width "
             f"{model_spec.layer_sizes[0]}"
         )
-    if not np.issubdtype(features.dtype, np.floating):
-        raise DimensionError(f"pool features are {features.dtype}, not floating point")
+    check_floating(features)
     check_labels(pool.labels[labeled], model_spec.layer_sizes[-1])
     return labeled
 

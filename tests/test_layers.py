@@ -10,7 +10,7 @@ from allab.layers import (
     affine_backward,
     affine_forward,
     check_labels,
-    dropout,
+    dropout_mask,
     relu,
     relu_backward,
     softmax,
@@ -278,35 +278,20 @@ def test_softmax_ce_mean_reduction():
     assert np.allclose(two[1], np.vstack([one[1], one[1]]) / 2)
 
 
-# ---- dropout ---------------------------------------------------------------
+# ---- dropout masks ---------------------------------------------------------
 
-def test_dropout_rate_zero_identity():
-    X = np.random.default_rng(3).standard_normal((4, 5))
-    Y, mask = dropout(X, 0.0, rng=None)
-    assert np.array_equal(Y, X) and mask is None
-
-
-def test_dropout_kept_entries_scaled():
-    X = np.ones((20, 20))
-    Y, mask = dropout(X, 0.5, rng=np.random.default_rng(5))
-    assert set(np.unique(Y)) <= {0.0, 2.0}
-    assert np.array_equal(Y, X * mask)
+def test_dropout_mask_kept_entries_scaled():
+    out = np.full((20, 20), np.nan)
+    mask = dropout_mask(0.5, np.random.default_rng(5), out)
+    assert mask is out and set(np.unique(mask)) == {0.0, 2.0}
+    want = (np.random.default_rng(5).random((20, 20)) >= 0.5) / 0.5
+    assert np.array_equal(mask, want)
 
 
-def test_dropout_keep_fraction_monte_carlo():
-    X = np.ones((1000, 1000))
-    Y, _ = dropout(X, 0.5, rng=np.random.default_rng(6))
-    keep = (Y != 0).mean()
+def test_dropout_mask_keep_fraction_monte_carlo():
+    mask = dropout_mask(0.5, np.random.default_rng(6), np.empty((1000, 1000)))
+    keep = (mask != 0).mean()
     assert abs(keep - 0.5) <= 0.002
-
-
-def test_dropout_bad_arguments():
-    with pytest.raises(ValueError):
-        dropout(np.ones((2, 2)), 1.0)
-    with pytest.raises(ValueError):
-        dropout(np.ones((2, 2)), -0.1)
-    with pytest.raises(ValueError, match="rate > 0 requires an rng"):
-        dropout(np.ones((2, 2)), 0.5, rng=None)
 
 
 # ---- stacks: one function serves one model and R cells --------------------------
@@ -361,16 +346,32 @@ def test_stacked_bodies_equal_each_slice_alone(R, n, d, m, pad, seed):
 @settings(max_examples=40, deadline=None)
 @given(R=st.integers(1, 4), n=st.integers(1, 10), m=st.integers(1, 6), seed=st.integers(0, 2**31))
 def test_stacked_dropout_draws_each_cell_from_its_own_generator(R, n, m, seed):
-    X = np.random.default_rng(seed).standard_normal((R, n, m))
     gens = [np.random.default_rng([seed, r]) for r in range(R)]
-    out, mask = dropout(X, 0.5, rng=gens)
-    twins = [np.random.default_rng([seed, r]) for r in range(R)]
-    for r, g in enumerate(twins):
-        want, want_mask = dropout(X[r].copy(), 0.5, rng=g)
-        assert np.array_equal(bits(out[r]), bits(want))
-        assert np.array_equal(bits(mask[r]), bits(want_mask))
+    mask = dropout_mask(0.5, gens, np.empty((R, n, m), np.float32))
+    # a tuple is a per-cell sequence too
+    twins = tuple(np.random.default_rng([seed, r]) for r in range(R))
+    assert np.array_equal(bits(dropout_mask(0.5, twins, np.empty((R, n, m), np.float32))), bits(mask))
+    for r in range(R):
+        g = np.random.default_rng([seed, r])
+        want = dropout_mask(0.5, g, np.empty((n, m), np.float32))
+        assert np.array_equal(bits(mask[r]), bits(want))
         assert gens[r].random() == g.random()  # the same amount was drawn
-    # a 2-D batch is one cell: a sequence of one generator draws as that generator
-    one, one_mask = dropout(X[0], 0.5, rng=[np.random.default_rng([seed, 0])])
-    want, want_mask = dropout(X[0], 0.5, rng=np.random.default_rng([seed, 0]))
-    assert np.array_equal(bits(one), bits(want)) and np.array_equal(bits(one_mask), bits(want_mask))
+
+
+class Replay:
+    """Stands in for a dropout generator: ``random(out=...)`` fills ``out``
+    with the next of some numbers already drawn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self, out):
+        out[...] = next(self.draws)
+
+
+def test_dropout_mask_reads_any_non_sequence_as_one_generator():
+    draws = np.random.default_rng(7).random((2, 3, 4))
+    mask = dropout_mask(0.25, Replay([draws]), np.empty((2, 3, 4)))
+    assert np.array_equal(mask, (draws >= 0.25) / 0.75)
+    with pytest.raises(ValueError):  # a sequence needs one generator per leading index
+        dropout_mask(0.25, [Replay([draws[0]])], np.empty((2, 3, 4)))

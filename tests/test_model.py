@@ -29,7 +29,7 @@ from allab.model import (
     zeros_like,
     _row_blocks,
 )
-from allab.pool import PoolState
+from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
 from allab.trainer import sgd_step
 
@@ -189,6 +189,24 @@ def test_forward_feature_layer_before_dropout():
     assert np.array_equal(Z_train, Z_eval)
     assert not np.array_equal(logits_train, logits_eval)  # downstream masks differ
     assert cache.dropout_masks[0] is not None
+
+
+def test_forward_at_rate_zero_passes_activations_on_and_draws_nothing():
+    params = small_net(4, sizes=(3, 6, 5, 2), rate=0.0)
+    rng = derive_rng(6)
+    _, _, cache = forward(params, derive_rng(5).standard_normal((8, 3)), train_mode=True, rng=rng)
+    assert cache.dropout_masks == [None, None]
+    assert cache.inputs[1] is cache.activations[0] and cache.inputs[2] is cache.activations[1]
+    assert rng.bit_generator.state == derive_rng(6).bit_generator.state
+
+
+def test_forward_dropout_needs_an_rng_and_a_rate_below_one():
+    with pytest.raises(ValueError, match="rate > 0 requires an rng"):
+        forward(small_net(rate=0.5), np.ones((2, 3)), train_mode=True)
+    forward(small_net(rate=0.5), np.ones((2, 3)))  # eval mode draws no masks
+    for rate in (1.0, -0.1):
+        with pytest.raises(ValueError, match=r"dropout_rate must be in \[0, 1\)"):
+            ModelSpec((3, 4, 2), 1, rate)
 
 
 def test_forward_dropout_draw_order():
@@ -626,7 +644,7 @@ def test_float32_model_computes_in_float32(monkeypatch):
     import allab.model as model
 
     primitives = (
-        "affine_forward", "affine_backward", "relu", "relu_backward", "dropout", "dropout_mask", "softmax"
+        "affine_forward", "affine_backward", "relu", "relu_backward", "dropout_mask", "softmax"
     )
     seen = spy_float_dtypes(monkeypatch, model, primitives)
     spec = ModelSpec((3, 5, 4, 2), 1, 0.5, np.float32)
@@ -791,6 +809,29 @@ def test_rows_out_of_range_raise_index_error(n, bad):
         forward(params, X, rows=rows)
     with pytest.raises(IndexError):
         dropout_probs(params, X, 2, derive_rng(2), rows)
+
+
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_scoring_rejects_pixels_as_the_trainer_does(with_rows):
+    # uint8 pixels are not feature values until divided by 255: every entry
+    # point raises the trainer's DimensionError, and none scores them raw
+    params = small_net(rate=0.5)
+    pixels = derive_rng(1).integers(0, 256, (6, 3)).astype(np.uint8)
+    rows = np.arange(4) if with_rows else None
+    pool = PoolState(pixels, np.arange(6) % 2, 2, np.arange(2), np.arange(2, 4), np.arange(4, 6))
+    trajectory = CheckpointSet((snapshot(params),))
+    calls = [
+        lambda: forward(params, pixels, rows=rows),
+        lambda: predict_proba(params, pixels, rows),
+        lambda: avg_predict(trajectory, pixels, rows),
+        lambda: list(dropout_probs(params, pixels, 2, derive_rng(2), rows)),
+        lambda: evaluate(trajectory, pool),
+    ]
+    if not with_rows:
+        calls.append(lambda: forward(params, pixels, train_mode=True, rng=derive_rng(2)))
+    for call in calls:
+        with pytest.raises(DimensionError, match=r"^pool features are uint8, not floating point$"):
+            call()
 
 
 def test_rows_are_for_eval_mode():

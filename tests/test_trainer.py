@@ -26,6 +26,7 @@ from allab.trainer import (
     steps_per_epoch,
     train_stack,
 )
+from test_layers import Replay
 from test_model import float_dtypes, spy_float_dtypes
 
 
@@ -447,17 +448,6 @@ def test_lambda_zero_bit_identical_to_plain_ce():
     assert all(h.mean_mmd2 == 0.0 for h in history)  # the term is off, so never evaluated
 
 
-class Replay:
-    """Stands in for a dropout generator: ``random(out=...)`` fills ``out``
-    with the next of some numbers already drawn."""
-
-    def __init__(self, draws):
-        self.draws = iter(draws)
-
-    def random(self, out):
-        out[...] = next(self.draws)
-
-
 def full_step_reference(pool, spec, cfg, seed, thetas=None):
     """The training loop that runs every step in full and in two passes:
     pool-batch forward, kernel and MMD^2 at any weight, and a pool-batch
@@ -487,7 +477,7 @@ def full_step_reference(pool, spec, cfg, seed, thetas=None):
         rng_l = rng_p = rng_drop
         if cfg.mmd_weight > 0 and spec.dropout_rate > 0:
             draws = [rng_drop.random((2 * B, h)) for h in spec.layer_sizes[1:-1]]
-            rng_l, rng_p = [Replay(u[:B] for u in draws)], [Replay(u[B:] for u in draws)]
+            rng_l, rng_p = Replay(u[:B] for u in draws), Replay(u[B:] for u in draws)
         Z_l, logits, cache_l = forward(params, pool.features[idx_l], train_mode=True, rng=rng_l)
         Z_p, _, cache_p = forward(params, pool.features[idx_p], train_mode=True, rng=rng_p)
         if sigmas is None:
