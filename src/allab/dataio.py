@@ -1,13 +1,18 @@
 """Dataset ingestion: MNIST-style IDX files, CSV tables, synthetic blobs.
 
 Parsers reject malformed input with positional diagnostics (byte offsets for
-IDX, row/column numbers for CSV) and never silently truncate.
+IDX, row/column numbers for CSV) and never silently truncate.  IDX files are
+read straight into one preallocated pixel array once their headers check out.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import os
+import stat
 import struct
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,79 +48,73 @@ class Dataset:
     divisor: float = 1.0
 
 
-def _read_u32s(raw: bytes, path, offset: int, count: int) -> tuple[int, ...]:
-    end = offset + 4 * count
-    if end > len(raw):
-        raise FormatError(f"{path}: byte {offset}: truncated header (need {end} bytes)")
-    return struct.unpack_from(f">{count}I", raw, offset)
-
-
-def _read_bytes(path) -> bytes:
+def _open_idx(files: ExitStack, path, magic: int, n_dims: int):
+    """Open an IDX file on ``files`` and read its big-endian header; the
+    magic must match and the file's length must be the header's and the
+    body's.  Returns the file, left at its first body byte, and the dims."""
     try:
-        with open(path, "rb") as f:
-            return f.read()
+        f = files.enter_context(open(path, "rb"))
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):  # a pipe's length is unknown until it is read
+            raise FormatError(f"{path}: not a regular file")
+        head = f.read(4 + 4 * n_dims)
     except OSError as e:
         raise FormatError(f"{path}: cannot read: {e.strerror or e}") from None
-
-
-def _parse_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """One big-endian IDX image/label file pair as (n, rows * cols) uint8
-    pixels, flattened row-major, and int64 labels; the counts must agree."""
-    raw = _read_bytes(images_path)
-    (magic,) = _read_u32s(raw, images_path, 0, 1)
-    if magic != IMAGE_MAGIC:
+    if len(head) < 4:
+        raise FormatError(f"{path}: byte 0: truncated header (need 4 bytes)")
+    (got,) = struct.unpack_from(">I", head)
+    if got != magic:
+        raise FormatError(f"{path}: byte 0: bad magic 0x{got:08x} (expected 0x{magic:08x})")
+    if len(head) < 4 + 4 * n_dims:
+        raise FormatError(f"{path}: byte 4: truncated header (need {4 + 4 * n_dims} bytes)")
+    dims = struct.unpack_from(f">{n_dims}I", head, 4)
+    expected = len(head) + math.prod(dims)  # one byte per pixel or label
+    if st.st_size != expected:
+        what = f"{dims[0]} images of {dims[1]}x{dims[2]}" if n_dims == 3 else f"{dims[0]} labels"
         raise FormatError(
-            f"{images_path}: byte 0: bad magic 0x{magic:08x} (expected 0x{IMAGE_MAGIC:08x})"
+            f"{path}: byte {min(st.st_size, expected)}: "
+            f"expected {expected} bytes for {what}, got {st.st_size}"
         )
-    count, rows, cols = _read_u32s(raw, images_path, 4, 3)
-    expected = 16 + count * rows * cols
-    if len(raw) != expected:
-        raise FormatError(
-            f"{images_path}: byte {min(len(raw), expected)}: "
-            f"expected {expected} bytes for {count} images of {rows}x{cols}, got {len(raw)}"
-        )
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-
-    raw_l = _read_bytes(labels_path)
-    (magic_l,) = _read_u32s(raw_l, labels_path, 0, 1)
-    if magic_l != LABEL_MAGIC:
-        raise FormatError(
-            f"{labels_path}: byte 0: bad magic 0x{magic_l:08x} (expected 0x{LABEL_MAGIC:08x})"
-        )
-    (count_l,) = _read_u32s(raw_l, labels_path, 4, 1)
-    if len(raw_l) != 8 + count_l:
-        raise FormatError(
-            f"{labels_path}: byte {min(len(raw_l), 8 + count_l)}: "
-            f"expected {8 + count_l} bytes for {count_l} labels, got {len(raw_l)}"
-        )
-    if count_l != count:
-        raise FormatError(
-            f"{labels_path}: byte 4: label count {count_l} does not match image count {count}"
-        )
-    return pixels, np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
+    return f, dims
 
 
 def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path=None) -> Dataset:
     """IDX train files plus an optional designated test split, concatenated.
 
-    The pixels stay one uint8 array, divided by 255 only when a partition's
-    features are made (``Dataset.divisor``).
+    Every header and file length is checked (train images, train labels, test
+    images, test labels, then the test width) before each file is read straight
+    into its rows of one uint8 array.  The pixels stay uint8, divided by 255
+    only when a partition's features are made (``Dataset.divisor``).
     """
-    pairs = [(images_path, *_parse_idx_pair(images_path, labels_path))]
-    if test_images_path is not None:
-        pairs.append((test_images_path, *_parse_idx_pair(test_images_path, test_labels_path)))
-    n_train, width = pairs[0][1].shape
-    for path, pixels, _ in pairs:
-        if pixels.shape[1] != width:
-            raise FormatError(
-                f"{path}: byte 8: {pixels.shape[1]} pixels per image, the train images have {width}"
-            )
-    labels = np.concatenate([labels for _, _, labels in pairs])
+    pairs = [(images_path, labels_path), (test_images_path, test_labels_path)]
+    with ExitStack() as files:
+        splits = []  # (images path, images file, labels file, count, width)
+        for img_path, lab_path in pairs[: 1 if test_images_path is None else 2]:
+            img, (count, rows, cols) = _open_idx(files, img_path, IMAGE_MAGIC, 3)
+            lab, (count_l,) = _open_idx(files, lab_path, LABEL_MAGIC, 1)
+            if count_l != count:
+                raise FormatError(
+                    f"{lab_path}: byte 4: label count {count_l} does not match image count {count}"
+                )
+            splits.append((img_path, img, lab, count, rows * cols))
+        width = splits[0][4]
+        for path, _, _, _, w in splits:
+            if w != width:
+                raise FormatError(f"{path}: byte 8: {w} pixels per image, the train images have {width}")
+        pixels = np.empty((sum(split[3] for split in splits), width), dtype=np.uint8)
+        labels = np.empty(len(pixels), dtype=np.uint8)
+        try:
+            for (_, img, lab, count, _), start in zip(splits, (0, splits[0][3])):
+                for f, body in ((img, pixels[start:start + count]), (lab, labels[start:start + count])):
+                    if f.readinto(body) != body.nbytes:  # the file shrank after its length was checked
+                        raise FormatError(f"{f.name}: shorter than its checked length")
+        except OSError as e:
+            raise FormatError(f"{f.name}: cannot read: {e.strerror or e}") from None
     return Dataset(
-        features=np.concatenate([pixels for _, pixels, _ in pairs]),
-        labels=labels,
+        features=pixels,
+        labels=labels.astype(np.int64),
         class_count=int(labels.max()) + 1 if len(labels) else 0,
-        designated_test_idx=None if len(pairs) == 1 else np.arange(n_train, len(labels)),
+        designated_test_idx=None if len(splits) == 1 else np.arange(splits[0][3], len(labels)),
         divisor=255.0,
     )
 

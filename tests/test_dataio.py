@@ -1,8 +1,14 @@
 """Byte-level IDX fixtures, CSV diagnostics, synthetic blob determinism."""
 
+import errno
+import io
+import os
+import re
 import struct
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from allab import dataio
 from allab.dataio import (
     IMAGE_MAGIC,
     Dataset,
@@ -204,6 +211,227 @@ def test_mnist_loader_is_bitwise_the_astype_divide_vstack_parse(splits):
             paths.extend(idx_fixture(split_dir, pixels, labels))
         _assert_same_dataset(load_mnist(*paths), _reference_load_mnist(splits), splits)
         _assert_same_dataset(load_mnist(*paths[:2]), _reference_load_mnist(splits[:1]), splits[:1])
+
+
+def _reference_read_u32s(raw: bytes, path, offset: int, count: int) -> tuple[int, ...]:
+    end = offset + 4 * count
+    if end > len(raw):
+        raise FormatError(f"{path}: byte {offset}: truncated header (need {end} bytes)")
+    return struct.unpack_from(f">{count}I", raw, offset)
+
+
+def _reference_read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read: {e.strerror or e}") from None
+
+
+def _reference_parse_idx_pair(images_path, labels_path):
+    raw = _reference_read_bytes(images_path)
+    (magic,) = _reference_read_u32s(raw, images_path, 0, 1)
+    if magic != IMAGE_MAGIC:
+        raise FormatError(
+            f"{images_path}: byte 0: bad magic 0x{magic:08x} (expected 0x{IMAGE_MAGIC:08x})"
+        )
+    count, rows, cols = _reference_read_u32s(raw, images_path, 4, 3)
+    expected = 16 + count * rows * cols
+    if len(raw) != expected:
+        raise FormatError(
+            f"{images_path}: byte {min(len(raw), expected)}: "
+            f"expected {expected} bytes for {count} images of {rows}x{cols}, got {len(raw)}"
+        )
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
+
+    raw_l = _reference_read_bytes(labels_path)
+    (magic_l,) = _reference_read_u32s(raw_l, labels_path, 0, 1)
+    if magic_l != LABEL_MAGIC:
+        raise FormatError(
+            f"{labels_path}: byte 0: bad magic 0x{magic_l:08x} (expected 0x{LABEL_MAGIC:08x})"
+        )
+    (count_l,) = _reference_read_u32s(raw_l, labels_path, 4, 1)
+    if len(raw_l) != 8 + count_l:
+        raise FormatError(
+            f"{labels_path}: byte {min(len(raw_l), 8 + count_l)}: "
+            f"expected {8 + count_l} bytes for {count_l} labels, got {len(raw_l)}"
+        )
+    if count_l != count:
+        raise FormatError(
+            f"{labels_path}: byte 4: label count {count_l} does not match image count {count}"
+        )
+    return pixels, np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
+
+
+def _reference_parse_mnist(images_path, labels_path, test_images_path=None, test_labels_path=None):
+    """The IDX loader as it was before it read into one preallocated array:
+    each file read whole into ``bytes``, each pair parsed in turn, and the
+    splits concatenated."""
+    pairs = [(images_path, *_reference_parse_idx_pair(images_path, labels_path))]
+    if test_images_path is not None:
+        pairs.append((test_images_path, *_reference_parse_idx_pair(test_images_path, test_labels_path)))
+    n_train, width = pairs[0][1].shape
+    for path, pixels, _ in pairs:
+        if pixels.shape[1] != width:
+            raise FormatError(
+                f"{path}: byte 8: {pixels.shape[1]} pixels per image, the train images have {width}"
+            )
+    labels = np.concatenate([labels for _, _, labels in pairs])
+    return Dataset(
+        features=np.concatenate([pixels for _, pixels, _ in pairs]),
+        labels=labels,
+        class_count=int(labels.max()) + 1 if len(labels) else 0,
+        designated_test_idx=None if len(pairs) == 1 else np.arange(n_train, len(labels)),
+        divisor=255.0,
+    )
+
+
+def _load_closing_every_file(*paths):
+    """``load_mnist(*paths)``, or the FormatError it raised; every file it
+    opened is closed when it returns or raises."""
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    with mock.patch.object(dataio, "open", tracking_open, create=True):
+        try:
+            result = load_mnist(*paths)
+        except FormatError as e:
+            result = e
+    assert opened and all(f.closed for f in opened)
+    return result
+
+
+def _idx_file_bytes(pixels, labels):
+    return (
+        struct.pack(">IIII", IMAGE_MAGIC, *pixels.shape) + pixels.tobytes(),
+        struct.pack(">II", LABEL_MAGIC, len(labels)) + labels.tobytes(),
+    )
+
+
+@st.composite
+def _corrupted_idx_files(draw):
+    """The bytes of a train pair and, half the time, a test pair (of zero
+    images or more, and possibly of another width), with one to three
+    corruptions drawn over any of the files."""
+    shapes = [(draw(st.integers(0, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        same_width = draw(st.booleans())
+        rows, cols = shapes[0][1:] if same_width else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        shapes.append((draw(st.integers(0, 2)), rows, cols))
+    files = []
+    for shape in shapes:
+        pixels = draw(hnp.arrays(np.uint8, shape, elements=_pixel))
+        labels = draw(hnp.arrays(np.uint8, shape[0], elements=st.integers(0, 9)))
+        files.extend(_idx_file_bytes(pixels, labels))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(files) - 1))
+        raw = files[k]
+        kind = draw(st.sampled_from(["truncate", "trailing", "magic", "count"]))
+        if kind == "truncate":
+            raw = raw[:draw(st.integers(0, max(len(raw) - 1, 0)))]
+        elif kind == "trailing":
+            raw = raw + draw(st.binary(min_size=1, max_size=4))
+        else:
+            at = 0 if kind == "magic" else 4
+            word = draw(st.sampled_from([IMAGE_MAGIC, LABEL_MAGIC, 0]) | st.integers(0, 6))
+            raw = raw[:at] + struct.pack(">I", word) + raw[at + 4:]
+        files[k] = raw
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted_idx_files())
+def test_mnist_loader_fails_as_the_whole_file_parse_and_closes_every_file(files):
+    with tempfile.TemporaryDirectory() as d:
+        paths = []
+        for k, raw in enumerate(files):
+            paths.append(Path(d) / f"{k}.idx")
+            paths[-1].write_bytes(raw)
+        got = _load_closing_every_file(*paths)
+        try:
+            ref = _reference_parse_mnist(*paths)
+        except FormatError as e:
+            assert isinstance(got, FormatError) and str(got) == str(e)
+            return
+    assert not isinstance(got, FormatError), got
+    assert got.features.dtype == ref.features.dtype and got.features.shape == ref.features.shape
+    assert got.features.tobytes() == ref.features.tobytes()
+    assert got.labels.dtype == ref.labels.dtype and got.labels.tolist() == ref.labels.tolist()
+    assert (got.class_count, got.divisor) == (ref.class_count, ref.divisor)
+    if ref.designated_test_idx is None:
+        assert got.designated_test_idx is None
+    else:
+        assert got.designated_test_idx.tolist() == ref.designated_test_idx.tolist()
+
+
+def test_idx_directory_cannot_be_read(tmp_path):
+    img, lab = idx_fixture(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path))}: cannot read: Is a directory$"):
+        load_mnist(tmp_path, lab)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path))}: cannot read: Is a directory$"):
+        load_mnist(img, tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("which", [0, 1])
+def test_idx_fifo_is_refused_by_name(tmp_path, which):
+    # a FIFO's length is unknown until it is read to its end, so it cannot
+    # be checked before the pixels are read: it is refused, not truncated
+    paths = list(idx_fixture(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0]))
+    fifo = tmp_path / "fifo.idx"
+    os.mkfifo(fifo)
+    data, paths[which] = paths[which].read_bytes(), fifo
+
+    def write_the_file_into_the_fifo():
+        # the writer then closes, so a loader that read the FIFO would reach
+        # its end and the test would fail instead of hanging
+        try:
+            with open(fifo, "wb") as w:
+                w.write(data)
+        except BrokenPipeError:  # the loader closed its end unread
+            pass
+
+    writer = threading.Thread(target=write_the_file_into_the_fifo, daemon=True)
+    writer.start()
+    got = _load_closing_every_file(*paths)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert isinstance(got, FormatError) and str(got) == f"{fifo}: not a regular file"
+
+
+def test_idx_file_that_shrinks_after_its_check_is_refused(tmp_path, monkeypatch):
+    img, lab = idx_fixture(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+    full_size = img.stat().st_size
+    img.write_bytes(img.read_bytes()[:-1])
+    real_fstat = os.fstat
+
+    def fstat_of_the_full_file(fd):
+        st = real_fstat(fd)
+        if st.st_ino != img.stat().st_ino:
+            return st
+        return os.stat_result(tuple(st)[:6] + (full_size,) + tuple(st)[7:10])
+
+    monkeypatch.setattr(os, "fstat", fstat_of_the_full_file)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(img))}: shorter than its checked length$"):
+        load_mnist(img, lab)
+
+
+def test_idx_read_error_in_a_body_is_a_format_error(tmp_path):
+    img, lab = idx_fixture(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+
+    class FailingBodyReads(io.BufferedReader):
+        def readinto(self, buffer):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def open_failing_body_reads(path, mode):
+        return FailingBodyReads(io.FileIO(path, mode))
+
+    with mock.patch.object(dataio, "open", open_failing_body_reads, create=True):
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(img))}: cannot read: {os.strerror(errno.EIO)}$"):
+            load_mnist(img, lab)
 
 
 # ---- CSV -------------------------------------------------------------------

@@ -3,7 +3,7 @@ and what scoring a pool holds.
 
 The bound is a multiple of the bytes of the pool's float64 feature values,
 measured with tracemalloc (numpy reports its array buffers to it).  Loading
-IDX files may hold the files' uint8 bytes and one uint8 copy of the pixels;
+IDX files holds the uint8 pixels the files are read straight into, and no copy;
 standardizing a partition may hold the gathered float64 statistics rows or
 the float32 output and one float64 row block, not both, plus index arrays;
 unstandardized repeats share one float32 array.  No full float64 array of
@@ -30,9 +30,10 @@ from idx_files import write_idx_images, write_idx_labels
 
 N_TRAIN, N_TEST = 1200, 400
 FEATURE_BYTES = (N_TRAIN + N_TEST) * 784 * 8
-# the file bytes and the uint8 pixels are 0.125x each; loading into one float64
-# array measured 1.13x, with per-split astype/divide/vstack copies 2.0x
-LOAD_PEAK_BOUND = 0.3
+# the uint8 pixels alone are 0.125x, and reading the files straight into them
+# measured 0.128x; reading each file into bytes and concatenating the splits
+# measured 0.25x, one float64 array 1.13x, per-split astype/divide/vstack 2.0x
+LOAD_PEAK_BOUND = 0.15
 # a partition's float32 features are 0.5x and the pool's statistics rows
 # 0.625x; a full float64 standardized copy, cast to float32 afterwards, would
 # be 1.5x, and so would a float32 cast per repeat for three repeats
