@@ -177,7 +177,7 @@ class _Node:
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Parse a config from a JSON file path, JSON string, or pre-loaded dict."""
+    """Parse a config from a UTF-8 JSON file's path, a JSON string, or a pre-loaded dict."""
     if isinstance(source, dict):
         data = source
     else:
@@ -188,10 +188,12 @@ def parse_config(source) -> ExperimentConfig:
                 raise ConfigError(f"malformed JSON: {e}") from None
         else:
             try:
-                with open(source) as f:
+                with open(source, encoding="utf-8") as f:
                     data = json.load(f)
             except OSError as e:
                 raise ConfigError(f"cannot read config: {e}") from None
+            except UnicodeDecodeError as e:
+                raise ConfigError(f"{source}: not UTF-8 text: {e.reason}") from None
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{source}: malformed JSON: {e}") from None
 

@@ -1,8 +1,9 @@
 """Dataset ingestion: MNIST-style IDX files, CSV tables, synthetic blobs.
 
 Parsers reject malformed input with positional diagnostics (byte offsets for
-IDX, row/column numbers for CSV) and never silently truncate.  IDX files are
-read straight into one preallocated pixel array once their headers check out.
+IDX, row/column numbers for CSV) and never silently truncate.  CSV files are
+UTF-8.  IDX files are read straight into one preallocated uint8 pixel array
+once their headers check out; uint8 features are such pixels (``_full_scale``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "LABEL_MAGIC",
     "load_mnist",
     "load_csv",
+    "read_csv_rows",
     "synth_blobs",
     "feature_values",
     "standardize",
@@ -36,16 +38,14 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """A loaded dataset with feature values ``features / divisor``: uint8 IDX
-    pixels over 255, or float64 CSV and synthetic features over 1.  Each
-    repeat's cells get the values as float32 from ``experiment.start_partition``."""
+    """A loaded dataset of float64 CSV or synthetic features, or uint8 IDX pixels
+    (see :func:`feature_values`); ``experiment.start_partition`` makes them float32."""
 
     features: np.ndarray  # (n, d) float64, finite, or uint8 pixels
     labels: np.ndarray  # (n,) int64 in [0, class_count)
     class_count: int
     designated_test_idx: np.ndarray | None = None
     label_names: list[str] | None = None  # original CSV label strings, index = class id
-    divisor: float = 1.0
 
 
 def _open_idx(files: ExitStack, path, magic: int, n_dims: int):
@@ -84,7 +84,7 @@ def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path
     Every header and file length is checked (train images, train labels, test
     images, test labels, then the test width) before each file is read straight
     into its rows of one uint8 array.  The pixels stay uint8, divided by 255
-    only when a partition's features are made (``Dataset.divisor``).
+    only when a partition's features are made (:func:`feature_values`).
     """
     pairs = [(images_path, labels_path), (test_images_path, test_labels_path)]
     with ExitStack() as files:
@@ -115,8 +115,22 @@ def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path
         labels=labels.astype(np.int64),
         class_count=int(labels.max()) + 1 if len(labels) else 0,
         designated_test_idx=None if len(splits) == 1 else np.arange(splits[0][3], len(labels)),
-        divisor=255.0,
     )
+
+
+def read_csv_rows(path) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file; one that cannot be read, is not UTF-8 or breaks
+    the CSV reader (a field over its size limit, say) is a FormatError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            return list(reader)
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text: {e.reason}") from None
+    except csv.Error as e:
+        raise FormatError(f"{path}: line {reader.line_num}: {e}") from None
 
 
 def load_csv(path, label_column: str = "last") -> Dataset:
@@ -127,12 +141,7 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     order; the mapping is kept on the dataset as ``label_names``.  Row/column
     positions in error messages are 1-based, with the header as row 1.
     """
-    try:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            rows = list(reader)
-    except OSError as e:
-        raise FormatError(f"{path}: cannot read: {e.strerror or e}") from None
+    rows = read_csv_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty file")
     header = rows[0]
@@ -228,46 +237,51 @@ def synth_blobs(
 _ROW_BLOCK = 256
 
 
-def _write_scaled(X: np.ndarray, divisor: float, shift, scale, dtype) -> np.ndarray:
-    """(X / divisor - shift) / scale as a new ``dtype`` array, computed in float64
+def _full_scale(X: np.ndarray) -> float:
+    """X's values are X over this: uint8 features are IDX pixels, values pixels / 255."""
+    return 255.0 if X.dtype == np.uint8 else 1.0
+
+
+def _write_scaled(X: np.ndarray, shift, scale, dtype) -> np.ndarray:
+    """(X's values - shift) / scale as a new ``dtype`` array, computed in float64
     ``_ROW_BLOCK`` rows at a time: a float32 result is the float64 one rounded
     (beyond float32's range, to +-inf), and no full float64 copy is made."""
     out = np.empty(X.shape, dtype)
-    block = np.empty((min(_ROW_BLOCK, len(X)), X.shape[1]))
+    block, full = np.empty((min(_ROW_BLOCK, len(X)), X.shape[1])), _full_scale(X)
     for i in range(0, len(X), _ROW_BLOCK):
-        rows = np.divide(X[i : i + _ROW_BLOCK], divisor, out=block[: len(X) - i])
+        rows = np.divide(X[i : i + _ROW_BLOCK], full, out=block[: len(X) - i])
         rows -= shift
         rows /= scale
         out[i : i + _ROW_BLOCK] = rows
     return out
 
 
-def feature_values(dataset: Dataset, dtype) -> np.ndarray:
-    """The dataset's feature values, ``features / divisor``, as ``dtype``: its
-    own array when that holds them already, otherwise a new one."""
-    if dataset.features.dtype == dtype and dataset.divisor == 1.0:
-        return dataset.features
-    return _write_scaled(dataset.features, dataset.divisor, 0.0, 1.0, dtype)
+def feature_values(X: np.ndarray, dtype) -> np.ndarray:
+    """X's feature values as ``dtype`` (uint8 pixels over 255, other features as
+    they are): X itself when it is of that dtype, otherwise a new array."""
+    if X.dtype == dtype:
+        return X
+    return _write_scaled(X, 0.0, 1.0, dtype)
 
 
-def standardize(X: np.ndarray, stats_rows: np.ndarray, dtype=np.float64, divisor: float = 1.0) -> np.ndarray:
-    """Per-feature standardization x' = (x - mean) / std of every row of the
-    values X / divisor, as a new array of ``dtype``.
+def standardize(X: np.ndarray, stats_rows: np.ndarray, dtype) -> np.ndarray:
+    """Per-feature standardization v' = (v - mean) / std of the feature values
+    v of every row of X, as a new array of ``dtype``.
 
     Statistics come from the rows ``stats_rows``; std is the population
     convention (divide by n).  Features with zero std are left untouched
-    (neither centered nor scaled).  X may be uint8 pixels with ``divisor``
-    255; everything is computed in float64, as ``_write_scaled`` does.
+    (neither centered nor scaled).  X may be uint8 pixels; everything is
+    computed in float64, as ``_write_scaled`` does.
     """
     # the std is computed in place on a float64 copy of the statistics rows,
     # step for step as ndarray.std does it (so bit for bit), and the copy is
     # freed before the output is built
     src = np.asarray(X[np.asarray(stats_rows)], np.float64)
-    src /= divisor
+    src /= _full_scale(X)
     mean = src.mean(axis=0)
     src -= mean
     np.square(src, out=src)
     std = np.sqrt(src.sum(axis=0) / len(src))  # population: ddof=0
     del src
     constant = std == 0.0
-    return _write_scaled(X, divisor, np.where(constant, 0.0, mean), np.where(constant, 1.0, std), dtype)
+    return _write_scaled(X, np.where(constant, 0.0, mean), np.where(constant, 1.0, std), dtype)

@@ -16,8 +16,8 @@ then each of its cells is evaluated, acquires its next labels and drops its
 trajectory before the next stack trains.  Every stack runs in the calling
 thread, in the order of ``_stacks``.  Each repeat's features are made
 float32 once, when its partition is drawn (without standardization the
-repeats share one float32 copy), and every cell's model trains and scores in
-float32 (``model.ModelSpec.dtype``).
+repeats share one float32 copy), and so every cell's model trains and
+scores in float32: ``trainer.train_stack`` trains in its features' dtype.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .acquisition import METHODS, AcquisitionResult, acquire
 from .config import ExperimentConfig, config_to_json
-from .dataio import Dataset, feature_values, load_csv, load_mnist, standardize, synth_blobs
+from .dataio import Dataset, feature_values, load_csv, load_mnist, read_csv_rows, standardize, synth_blobs
 from .errors import ConfigError, FormatError, TrainingDiverged
 from .model import CheckpointSet, ModelSpec
 from .pool import PoolState, evaluate, init_pool, label_points
@@ -91,10 +91,9 @@ _DTYPE = np.float32
 
 
 def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> PoolState:
-    """The repeat's starting partition, standardized if enabled; every
-    method's cell of the repeat starts from it and shares its features, the
-    dataset's feature values as float32 (without standardization, the
-    dataset's own array if that holds them already).
+    """The repeat's starting partition, standardized if enabled, whose features
+    every method's cell of the repeat shares: the dataset's feature values as
+    float32 (unstandardized, the dataset's own array when it holds them).
 
     Standardization statistics are fitted inside the partition (pool rows or
     initial labeled rows) so the test set never leaks into them.
@@ -109,12 +108,9 @@ def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> Poo
     )
     mode = cfg.dataset.standardize
     if mode == "none":
-        return replace(start, features=feature_values(dataset, _DTYPE))
-    if mode == "pool":
-        stats_rows = np.sort(np.concatenate([start.labeled_idx, start.unlabeled_idx]))
-    else:  # labeled
-        stats_rows = start.labeled_idx
-    return replace(start, features=standardize(dataset.features, stats_rows, _DTYPE, dataset.divisor))
+        return replace(start, features=feature_values(dataset.features, _DTYPE))
+    stats_rows = start.pool_idx if mode == "pool" else start.labeled_idx
+    return replace(start, features=standardize(dataset.features, stats_rows, _DTYPE))
 
 
 def make_output_dir(cfg: ExperimentConfig) -> Path:
@@ -150,13 +146,13 @@ class _Stack:
 
 def _stacks(cfg: ExperimentConfig, starts: list[PoolState]) -> list[_Stack]:
     """Every (method, repeat) cell, grouped by the model and MMD^2 weight its
-    method's rules give; every model computes in float32."""
+    method's rules give."""
     layer_sizes, split = cfg.model.resolve(starts[0].features.shape[1], starts[0].class_count)
     stacks: dict[tuple[ModelSpec, float], _Stack] = {}
     for method in cfg.methods:
         rules = METHODS[method]
         rate = cfg.model.bald_dropout if rules.bald_dropout else 0.0
-        spec = ModelSpec(layer_sizes, split, rate, _DTYPE)
+        spec = ModelSpec(layer_sizes, split, rate)
         mmd_weight = cfg.train.mmd_weight if rules.trains_with_mmd else 0.0
         group = stacks.setdefault((spec, mmd_weight), _Stack(spec, mmd_weight, []))
         group.cells.extend(
@@ -249,7 +245,7 @@ def run_experiment(
         dataset = load_dataset(cfg)
     if cfg.dataset.standardize == "none":
         # make the float32 values once, so the repeats' partitions share one array
-        dataset = replace(dataset, features=feature_values(dataset, _DTYPE), divisor=1.0)
+        dataset = replace(dataset, features=feature_values(dataset.features, _DTYPE))
     # each repeat's partition is drawn once, before any cell trains, so a pool
     # too small for the config, a feature split beyond the default hidden
     # layers or an output directory that cannot be made fails as a
@@ -289,24 +285,18 @@ def write_results_json(logs: list[RoundLog], cfg: ExperimentConfig, path) -> Non
 def read_results_csv(path) -> list[RoundLog]:
     """Load result rows back; repeat_seed is not stored in the CSV and reads as 0."""
     rows: list[RoundLog] = []
-    try:
-        f = open(path, newline="")
-    except OSError as e:
-        raise FormatError(f"{path}: cannot read: {e.strerror or e}") from None
-    with f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(RESULTS_HEADER):
-            raise FormatError(f"{path}: row 1: expected header {','.join(RESULTS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RESULTS_HEADER):
-                raise FormatError(f"{path}: row {lineno}: expected {len(RESULTS_HEADER)} fields")
-            try:
-                rows.append(
-                    RoundLog(row[0], int(row[1]), 0, int(row[2]), int(row[3]), float(row[4]), float(row[5]))
-                )
-            except ValueError as e:
-                raise FormatError(f"{path}: row {lineno}: {e}") from None
+    table = read_csv_rows(path)
+    if not table or table[0] != list(RESULTS_HEADER):
+        raise FormatError(f"{path}: row 1: expected header {','.join(RESULTS_HEADER)}")
+    for lineno, row in enumerate(table[1:], start=2):
+        if len(row) != len(RESULTS_HEADER):
+            raise FormatError(f"{path}: row {lineno}: expected {len(RESULTS_HEADER)} fields")
+        try:
+            rows.append(
+                RoundLog(row[0], int(row[1]), 0, int(row[2]), int(row[3]), float(row[4]), float(row[5]))
+            )
+        except ValueError as e:
+            raise FormatError(f"{path}: row {lineno}: {e}") from None
     return rows
 
 

@@ -1,7 +1,7 @@
 """Dense layer primitives with analytic gradients.
 
 Matrices are row-major ``numpy`` arrays of one float dtype, float64 or
-float32 (``model.ModelSpec.dtype``), which every primitive keeps; a batch
+float32 (a model's parameter vector's), which every primitive keeps; a batch
 of n examples with d features is an (n, d) array.  Every operation here is a
 pure function of its inputs (plus an explicitly passed generator for
 :func:`dropout_mask`, the one dropout primitive) and of the BLAS setup:

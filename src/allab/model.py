@@ -26,18 +26,15 @@ max(x, 0), so a NaN feature stays NaN through the network and shows up as a
 non-finite loss; it is not zeroed away.  Data files are checked for
 non-finite cells when they are loaded.
 
-An ``MlpParams`` is a ``ModelSpec`` (layer sizes, split, dropout rate,
-dtype) plus one contiguous vector, ``flat``, of every weight and bias; its
-``layers`` are (W, b) views into it, so the trainer updates all of them in
-one vectorized step.  The dtype is float64 unless the spec says float32, as
-the experiment harness's specs do; every array a model's training and
-scoring make then has it.  The vector's length and dtype are checked
-against the spec when it is built, and ``forward`` and ``dropout_probs``
-reject input that is not floating point (:func:`check_floating`, the
-trainer's check too) and cast the rest to the spec's dtype; the per-layer
-math is the ``layers`` primitives, which re-check nothing.
-``backward`` writes the gradients into an ``MlpParams`` of the same layout
-(see ``zeros_like``).
+An ``MlpParams`` is a ``ModelSpec`` (layer sizes, split, dropout rate)
+plus one contiguous float64 or float32 vector, ``flat``, of every weight and
+bias, whose dtype every array the model's training and scoring make has.
+Its ``layers`` are (W, b) views into ``flat``, so the trainer updates all of
+them in one vectorized step.  ``forward`` and ``dropout_probs`` reject input
+that is not floating point (:func:`check_floating`, the trainer's check too)
+and cast the rest to that dtype; the per-layer math is the ``layers``
+primitives, which re-check nothing.  ``backward`` writes the gradients into
+an ``MlpParams`` of the same layout (see ``zeros_like``).
 
 A stack of R cells' parameters is an ``MlpParams`` whose ``flat`` is an
 (R, P) array, one row per cell; its views carry the leading R axis, W as
@@ -45,7 +42,7 @@ A stack of R cells' parameters is an ``MlpParams`` whose ``flat`` is an
 stack on (R, n, d) batches with the same code, since the ``layers``
 primitives take a leading stack axis, and cell r's results are bit for bit
 those of running cell r alone.  ``stack`` builds one from single cells of one
-spec and ``cell`` reads one back.
+spec and dtype, and ``cell`` reads one back.
 
 A checkpoint is an ``MlpParams`` whose vector is a read-only copy, so later
 training steps cannot reach it and anything that writes to it raises.  A
@@ -84,13 +81,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description: layer sizes, feature split, dropout rate, and
-    the float dtype (float64 or float32) the model computes in."""
+    """Architecture description: layer sizes, feature split and dropout rate."""
 
     layer_sizes: tuple[int, ...]
     split_index: int = 1
     dropout_rate: float = 0.0
-    dtype: np.dtype = np.dtype(np.float64)
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
@@ -105,10 +100,7 @@ class ModelSpec:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if np.dtype(self.dtype) not in (np.float64, np.float32):
-            raise ValueError(f"dtype must be float64 or float32, got {self.dtype}")
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        object.__setattr__(self, "dtype", np.dtype(self.dtype))
 
     @property
     def n_params(self) -> int:
@@ -118,24 +110,23 @@ class ModelSpec:
 
 
 class MlpParams:
-    """A model's parameters: its ``spec`` and one contiguous vector of the
-    spec's dtype.
+    """A model's parameters: its ``spec`` and one contiguous vector.
 
-    ``flat`` holds layer by layer each W (row-major) and then its b.
-    ``layers[i]`` is (W, b), views into ``flat`` with W of shape
-    (d_i, d_{i+1}) and b of shape (d_{i+1},), where ``spec.layer_sizes`` is
-    (d_0, ..., d_L).  ``flat`` is wrapped, not copied: (P,) for one model,
-    (R, P) for a stack of R; a vector of any other length than ``spec``'s
-    parameter count, or of another dtype, raises DimensionError.  Mutated in
-    place only by the trainer; a :func:`snapshot`'s vector and views are
-    read-only.
+    ``flat``, float64 or float32 (the model computes in its dtype), holds
+    layer by layer each W (row-major) and then its b.  ``layers[i]`` is
+    (W, b), views into ``flat`` with W of shape (d_i, d_{i+1}) and b of
+    shape (d_{i+1},), where ``spec.layer_sizes`` is (d_0, ..., d_L).
+    ``flat`` is wrapped, not copied: (P,) for one model, (R, P) for a stack
+    of R; a vector of any other length than ``spec``'s parameter count, or
+    of any other dtype, raises DimensionError.  Mutated in place only by the
+    trainer; a :func:`snapshot`'s vector and views are read-only.
     """
 
     def __init__(self, spec: ModelSpec, flat: np.ndarray):
         if flat.ndim not in (1, 2) or flat.shape[-1] != spec.n_params:
             raise DimensionError(f"parameters {flat.shape} do not fit layer sizes {spec.layer_sizes}")
-        if flat.dtype != spec.dtype:
-            raise DimensionError(f"parameters of dtype {flat.dtype} do not fit a {spec.dtype} model")
+        if flat.dtype not in (np.float64, np.float32):
+            raise DimensionError(f"parameters are {flat.dtype}, not float64 or float32")
         self.spec = spec
         self.flat = flat
         self.layers = _views(flat, spec.layer_sizes)
@@ -162,7 +153,7 @@ class CheckpointSet:
     def __post_init__(self):
         if len(self.snapshots) == 0:
             raise ValueError("CheckpointSet must be nonempty")
-        if any(s.spec != self.snapshots[0].spec for s in self.snapshots):
+        if len({(s.spec, s.flat.dtype) for s in self.snapshots}) > 1:
             raise ValueError("snapshots are not structurally identical")
 
     def __len__(self) -> int:
@@ -180,13 +171,12 @@ class ForwardCache:
 
 
 def init_mlp(spec: ModelSpec, rng: np.random.Generator) -> MlpParams:
-    """Fresh parameters: ReLU-scaled Gaussian weights (variance 2/fan_in), zero
-    biases.  They are drawn in float64 whatever the spec's dtype, then cast,
-    so a float32 model's are its float64 twin's rounded."""
+    """Fresh float64 parameters: ReLU-scaled Gaussian weights (variance
+    2/fan_in), zero biases.  A float32 model's are these rounded."""
     flat = np.zeros(spec.n_params)
     for W, _ in _views(flat, spec.layer_sizes):
         W[...] = rng.standard_normal(W.shape) * np.sqrt(2.0 / W.shape[0])
-    return MlpParams(spec, flat.astype(spec.dtype, copy=False))
+    return MlpParams(spec, flat)
 
 
 GATHER_BYTES = 2 << 20  # the most first-layer input a scoring call gathers at once
@@ -229,8 +219,8 @@ def check_floating(X: np.ndarray) -> np.ndarray:
 
 
 def _checked_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """X in the spec's dtype: (n, d_0) for one model, (R, n, d_0) for a stack of R."""
-    X = check_floating(X).astype(params.spec.dtype, copy=False)
+    """X in the parameters' dtype: (n, d_0) for one model, (R, n, d_0) for a stack of R."""
+    X = check_floating(X).astype(params.flat.dtype, copy=False)
     lead, width = params.flat.shape[:-1], params.spec.layer_sizes[0]
     if X.shape[:-2] != lead or X.ndim != len(lead) + 2 or X.shape[-1] != width:
         raise DimensionError(
@@ -332,14 +322,13 @@ def zeros_like(params: MlpParams) -> MlpParams:
 
 
 def stack(cells) -> MlpParams:
-    """The stack of single models of one spec: row r of ``flat`` is a copy of
-    ``cells[r].flat``."""
-    spec = cells[0].spec
-    if any(c.spec != spec for c in cells):
+    """The stack of single models of one spec and dtype: row r of ``flat``
+    is a copy of ``cells[r].flat``."""
+    if len({(c.spec, c.flat.dtype) for c in cells}) > 1:
         raise DimensionError(
             "a stack's cells need the same layer sizes, split and dropout rate, and one dtype"
         )
-    return MlpParams(spec, np.stack([c.flat for c in cells]))
+    return MlpParams(cells[0].spec, np.stack([c.flat for c in cells]))
 
 
 def cell(params: MlpParams, r: int) -> MlpParams:

@@ -34,6 +34,11 @@ class PoolState:
     unlabeled_idx: np.ndarray
     test_idx: np.ndarray
 
+    @property
+    def pool_idx(self) -> np.ndarray:
+        """The pool's rows, labeled and unlabeled, in ascending order."""
+        return np.sort(np.concatenate([self.labeled_idx, self.unlabeled_idx]))
+
 
 def init_pool(
     dataset,

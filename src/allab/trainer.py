@@ -43,13 +43,12 @@ logged mean MMD^2 is 0.0.
 
 The step works on a stack of R cells' vectors laid out like
 ``MlpParams.flat``, an (R, P) array, and on (R, rows, d) batches, so each
-numpy call of a step serves all R cells, a stack of one included.  Each
-round allocates one gradient buffer (``zeros_like``), which the backward
-pass writes, one scratch array for the update, the batch buffer and the
-head's gradient buffer, all in the model spec's dtype, as are the features
-(cast once per round if the pool's are not), so a float32 model trains in
-float32 throughout but for the MMD^2 term, which computes in float64 and
-rounds its results (see ``mmd.mmd2_biased_with_grad``).  Every cell's labels and
+numpy call of a step serves all R cells, a stack of one included.  A stack
+trains in its features' dtype: its float64 initial parameters are cast to it
+once, and each round's gradient buffer (``zeros_like``, written by the
+backward pass), update scratch, batch and head-gradient buffers have it, so
+float32 features train in float32 but for the MMD^2 term, which computes in
+float64 and rounds its results (see ``mmd.mmd2_biased_with_grad``).  Every cell's labels and
 feature width are checked once per round, before step 0, and the kernel
 bandwidths are resolved once, at the first step; the step then calls
 ``layers.softmax_cross_entropy`` and ``mmd.mmd2_biased_with_grad``, which
@@ -239,8 +238,8 @@ def _resolve_kernel(config: TrainConfig, first_pool_features: np.ndarray) -> tup
     return (sigma,)
 
 
-def _check_cell(pool, model_spec: ModelSpec) -> np.ndarray:
-    """The pool's labeled indices, once its labels and its features' width and float dtype fit the model."""
+def _check_cell(pool, model_spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The pool's labeled indices and features, once its labels and features' width and float dtype fit."""
     labeled = np.asarray(pool.labeled_idx)
     if len(labeled) == 0:
         raise PoolError("cannot train with an empty labeled set")
@@ -250,9 +249,9 @@ def _check_cell(pool, model_spec: ModelSpec) -> np.ndarray:
             f"pool features {features.shape} do not match the model's input width "
             f"{model_spec.layer_sizes[0]}"
         )
-    check_floating(features)
+    features = check_floating(features)
     check_labels(pool.labels[labeled], model_spec.layer_sizes[-1])
-    return labeled
+    return labeled, features
 
 
 def train_stack(
@@ -263,40 +262,39 @@ def train_stack(
 ) -> list[tuple[CheckpointSet, list[EpochStats]]]:
     """Train one fresh model per (pool, seed) cell, all cells in lockstep.
 
-    The cells share ``config`` and the pools' labeled sets must have one
-    size, so every cell runs the same steps at the same rates.  Each
-    step draws every cell's batches from the cell's own streams, gathers them
-    into one (R, rows, d) stack and runs the forward pass, loss, MMD^2 term,
-    backward pass and SGD update once for all R cells, each with its own
-    kernel bandwidths.  Returns per cell, in order, bit for bit what training
-    that cell alone (``train_stack([pool], model_spec, config, [seed])[0]``)
-    returns: the checkpoint trajectory (exactly ``n_checkpoints`` snapshots
-    at the documented cycle-end steps) and the per-epoch mean CE / mean
-    MMD^2 / learning-rate history.  The last cycle ends at the last step, so
-    the last checkpoint is the final parameters.  Unless given
-    explicitly, a cell's bandwidths come from the median heuristic on its
-    first pool batch's features, frozen for the whole round.  A cell whose
-    loss, MMD^2 term or gradient goes non-finite stops the whole stack.
+    The cells share ``config`` and the models train in their features' one
+    dtype, float64 or float32; the labeled sets have one size, so all run
+    the same steps.  Each step draws every cell's batches from the cell's own
+    streams, gathers them into one (R, rows, d) stack and runs the forward
+    pass, loss, MMD^2 term, backward pass and SGD update once for all R
+    cells, each with its own kernel bandwidths.  Returns per cell, in order,
+    bit for bit what training that cell alone
+    (``train_stack([pool], model_spec, config, [seed])[0]``) returns: the
+    checkpoint trajectory (exactly ``n_checkpoints`` snapshots at the
+    documented cycle-end steps) and the per-epoch mean CE / mean MMD^2 /
+    learning-rate history.  The last cycle ends at the last step, so the
+    last checkpoint is the final parameters.  Unless given explicitly, a
+    cell's bandwidths come from the median heuristic on its first pool
+    batch's features, frozen for the whole round.  A cell whose loss, MMD^2
+    term or gradient goes non-finite stops the whole stack.
     """
     if len(pools) != len(seeds) or not pools:
         raise ValueError(f"need one seed per pool, got {len(pools)} pools and {len(seeds)} seeds")
-    labeled = [_check_cell(pool, model_spec) for pool in pools]
+    labeled, features = zip(*(_check_cell(pool, model_spec) for pool in pools))
     if len({len(idx) for idx in labeled}) != 1:
         raise ValueError(
             f"the cells of a stack need labeled sets of one size, got {[len(i) for i in labeled]}"
         )
-    both = [
-        np.sort(np.concatenate([idx, np.asarray(pool.unlabeled_idx)]))
-        for idx, pool in zip(labeled, pools)
-    ]
-    dtype = model_spec.dtype
-    features = [np.asarray(pool.features, dtype=dtype) for pool in pools]
+    dtypes = " and ".join(sorted({f.dtype.name for f in features}))
+    if dtypes not in ("float32", "float64"):
+        raise DimensionError(f"a stack's features need one dtype, float64 or float32, got {dtypes}")
+    dtype = features[0].dtype
 
     R, B, d = len(pools), config.batch_size, model_spec.layer_sizes[0]
     rngs_batch = [derive_rng(seed, "batch") for seed in seeds]
     rngs_drop = [derive_rng(seed, "dropout") for seed in seeds]
-    inits = [init_mlp(model_spec, derive_rng(seed, "init")) for seed in seeds]
-    params = stack(inits)
+    params = stack([init_mlp(model_spec, derive_rng(seed, "init")) for seed in seeds])
+    params = MlpParams(model_spec, params.flat.astype(dtype, copy=False))  # frees the float64 draws
     cells = [cell(params, r) for r in range(R)]  # views that follow the in-place updates
     grad, scratch = zeros_like(params), np.empty_like(params.flat)
 
@@ -318,7 +316,8 @@ def train_stack(
     if lam == 0 and rate > 0:
         pool_masks = [np.empty((R, B, h)) for h in model_spec.layer_sizes[1:-1]]
     # what each cell's draws read and the rows of the batch buffers they fill
-    gather = list(zip(rngs_batch, labeled, both, features, [pool.labels for pool in pools], X, y_l))
+    gather = list(zip(rngs_batch, labeled, [p.pool_idx for p in pools], features,
+                      [p.labels for p in pools], X, y_l))
     sigmas = None  # the bandwidths, frozen at the first pool batch
     snaps: list[list[MlpParams]] = [[] for _ in range(R)]
     history: list[list[EpochStats]] = [[] for _ in range(R)]

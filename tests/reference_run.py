@@ -6,12 +6,12 @@ a time instead of in stacks and cell by cell instead of round by round.  For
 each method, repeat and round, in that nesting order:
 
 - the repeat's partition is ``init_pool`` on the ``("pool", repeat)`` stream,
-  and its features are the float64 values ``features / divisor``,
+  and its features are the float64 values (uint8 IDX pixels over 255),
   standardized with the statistics of the partition's pool rows or initial
   labeled rows when ``standardize`` is on, rounded to float32;
 - the cell trains alone, ``train_stack`` with one pool, on the
   ``("train", method, repeat, round)`` seed: only ``mpts`` with ``lambda``
-  and only ``bald`` with the ``bald_dropout`` rate, every model in float32;
+  and only ``bald`` with the ``bald_dropout`` rate, every model in its features' float32;
 - it is evaluated with its whole trajectory (``mpts``) or its last
   checkpoint, and but in the last round it acquires on the
   ``("acquire", method, repeat, round)`` stream and labels its picks.
@@ -47,7 +47,7 @@ def load(cfg):
 def partition_features(dataset, start, mode) -> np.ndarray:
     """The float64 feature values, standardized by the partition's
     statistics rows unless ``mode`` is "none", rounded to float32."""
-    values = dataset.features.astype(np.float64) / dataset.divisor
+    values = dataset.features.astype(np.float64) / (255.0 if dataset.features.dtype == np.uint8 else 1.0)
     if mode != "none":
         rows = np.union1d(start.labeled_idx, start.unlabeled_idx) if mode == "pool" else start.labeled_idx
         mean, std = values[rows].mean(axis=0), values[rows].std(axis=0)
@@ -89,7 +89,7 @@ def reference_run(cfg, score_dir=None) -> list[tuple]:
             pool = replace(pool, features=partition_features(dataset, pool, cfg.dataset.standardize))
             sizes, split = cfg.model.resolve(pool.features.shape[1], pool.class_count)
             rate = cfg.model.bald_dropout if method == "bald" else 0.0
-            spec = ModelSpec(sizes, split, rate, np.float32)
+            spec = ModelSpec(sizes, split, rate)
             train = replace(cfg.train, mmd_weight=cfg.train.mmd_weight if method == "mpts" else 0.0)
             for t in range(cfg.rounds):
                 seed = derive_int(cfg.master_seed, "train", method, repeat, t)

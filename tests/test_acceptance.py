@@ -23,7 +23,7 @@ from allab.acquisition import (
     select_top_k,
 )
 from allab.config import parse_config
-from allab.dataio import load_csv, load_mnist
+from allab.dataio import feature_values, load_csv, load_mnist
 from allab.errors import FormatError
 from allab.experiment import run_experiment
 from allab.gradcheck import run_gradcheck
@@ -394,7 +394,7 @@ def test_criterion_8_data_formats(tmp_path):
     ds = load_mnist(img_a, lab_a)
     # the pixels are kept as uint8, and their feature values are pixels / 255
     assert ds.features.dtype == np.uint8 and np.array_equal(ds.features, pixels.reshape(7, 784))
-    values = ds.features / ds.divisor
+    values = feature_values(ds.features, np.float64)
     assert values.tobytes() == (pixels.reshape(7, 784) / 255.0).tobytes()
     assert np.array_equal(ds.labels, labels)
     # byte-exact round trip through parse + re-serialize

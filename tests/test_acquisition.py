@@ -119,7 +119,7 @@ def test_float32_probability_rows_pass_the_entropy_check(C, n_snaps, scale, seed
     # 1e-6 entropy_scores allows (over C 2-100 and 1-10 checkpoints the
     # worst row seen was 2.7e-7 off)
     rng = derive_rng(seed)
-    spec = ModelSpec((4, 16, C), 1, 0.0, np.float32)
+    spec = ModelSpec((4, 16, C), 1, 0.0)
     snaps = tuple(
         snapshot(MlpParams(spec, (scale * rng.standard_normal(spec.n_params)).astype(np.float32)))
         for _ in range(n_snaps)
@@ -536,7 +536,8 @@ def test_every_scoring_call_reads_its_rows_as_the_copied_out_selection(monkeypat
     labeled = rng.permutation(n)[:700]  # in acquisition order
     rest = np.setdiff1d(np.arange(n), labeled)
     pool = PoolState(features, rng.integers(0, 10, n), 10, labeled, rest[:1500], rest[1500:])
-    final = init_mlp(ModelSpec((784, 128, 10), 1, 0.5, np.float32), derive_rng(34))
+    final = init_mlp(ModelSpec((784, 128, 10), 1, 0.5), derive_rng(34))
+    final = MlpParams(final.spec, final.flat.astype(np.float32))
     trajectory = CheckpointSet((snapshot(final), snapshot(final)))
 
     def scored():

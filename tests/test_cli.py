@@ -406,6 +406,47 @@ def test_curves_out_that_cannot_be_written_exits_2(tmp_path, capsys):
         assert err.startswith(f"config error: --out: cannot write {str(out)!r}: "), err
 
 
+# ---- text inputs that are not UTF-8 or not CSV ------------------------------
+# a UTF-16 file starts with the bytes ff fe, which UTF-8 cannot decode
+
+def test_run_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b"\xff\xfe" + write_config(tmp_path).read_text().encode("utf-16-le"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: not UTF-8 text: invalid start byte\n"
+
+
+def test_run_data_csv_that_is_not_utf8_exits_3(tmp_path, capsys, forbid_training):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"\xff\xfe" + "x1,y\n1.0,0\n2.0,1\n".encode("utf-16-le"))
+    cfg = write_config(tmp_path, dataset={"kind": "csv", "path": str(data)})
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"format error: {data}: not UTF-8 text: invalid start byte\n"
+
+
+def test_curves_on_results_that_are_not_utf8_exits_3(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_bytes(b"\xff\xfe" + "method,repeat\n".encode("utf-16-le"))
+    assert main(["curves", "--results", str(results), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"format error: {results}: not UTF-8 text: invalid start byte\n"
+
+
+@pytest.mark.parametrize("command", ["run", "curves"])
+def test_csv_field_over_the_reader_limit_exits_3(tmp_path, capsys, forbid_training, command):
+    # Python's csv reader refuses a field of over 131,072 characters; here
+    # one on line 3, after a header and one good row
+    path = tmp_path / "table.csv"
+    if command == "run":
+        path.write_text("x1,y\n1.0,0\n" + "1" * 131_073 + ",1\n")
+        argv = ["run", "--config", str(write_config(tmp_path, dataset={"kind": "csv", "path": str(path)}))]
+    else:
+        row = ",0,0,10,0.5,0.0\n"
+        path.write_text("method,repeat,round,labeled_count,accuracy,wall_time_s\nm" + row + "m" * 131_073 + row)
+        argv = ["curves", "--results", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"format error: {path}: line 3: field larger than field limit (131072)\n"
+
+
 # ---- module entry point ----------------------------------------------------
 
 def test_python_dash_m_entry(tmp_path):

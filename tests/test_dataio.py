@@ -21,6 +21,7 @@ from allab.dataio import (
     IMAGE_MAGIC,
     Dataset,
     LABEL_MAGIC,
+    feature_values,
     load_csv,
     load_mnist,
     standardize,
@@ -48,12 +49,13 @@ def idx_fixture(tmp_path, pixels, labels):
 
 def _assert_pixel_features(ds, pixels):
     """The dataset holds the (n, rows * cols) pixels as uint8, and its feature
-    values, ``features / divisor``, are ``pixels / 255.0`` bit for bit."""
+    values, ``feature_values(features, float64)``, are ``pixels / 255.0`` bit
+    for bit."""
     pixels = np.asarray(pixels, dtype=np.uint8)
     pixels = pixels.reshape(len(pixels), np.prod(pixels.shape[1:], dtype=int))
     assert ds.features.dtype == np.uint8 and ds.features.shape == pixels.shape
     assert np.array_equal(ds.features, pixels)
-    assert (ds.features / ds.divisor).tobytes() == (pixels / 255.0).tobytes()
+    assert feature_values(ds.features, np.float64).tobytes() == (pixels / 255.0).tobytes()
 
 
 def test_idx_two_image_fixture(tmp_path):
@@ -172,7 +174,7 @@ def _assert_same_dataset(got, ref, splits):
     """``got`` holds the splits' pixels, and its feature values are the
     reference's float64 features bit for bit."""
     _assert_pixel_features(got, np.concatenate([pixels for pixels, _ in splits]))
-    values = got.features / got.divisor
+    values = feature_values(got.features, np.float64)
     assert values.dtype == ref.features.dtype and values.shape == ref.features.shape
     assert values.tobytes() == ref.features.tobytes()
     assert got.labels.dtype == ref.labels.dtype and got.labels.tolist() == ref.labels.tolist()
@@ -282,7 +284,6 @@ def _reference_parse_mnist(images_path, labels_path, test_images_path=None, test
         labels=labels,
         class_count=int(labels.max()) + 1 if len(labels) else 0,
         designated_test_idx=None if len(pairs) == 1 else np.arange(n_train, len(labels)),
-        divisor=255.0,
     )
 
 
@@ -360,7 +361,7 @@ def test_mnist_loader_fails_as_the_whole_file_parse_and_closes_every_file(files)
     assert got.features.dtype == ref.features.dtype and got.features.shape == ref.features.shape
     assert got.features.tobytes() == ref.features.tobytes()
     assert got.labels.dtype == ref.labels.dtype and got.labels.tolist() == ref.labels.tolist()
-    assert (got.class_count, got.divisor) == (ref.class_count, ref.divisor)
+    assert got.class_count == ref.class_count
     if ref.designated_test_idx is None:
         assert got.designated_test_idx is None
     else:
@@ -556,20 +557,20 @@ def test_blobs_rejects_bad_counts():
 # ---- standardize -----------------------------------------------------------
 
 def test_standardize_hand_fixture_population_std():
-    out = standardize(np.array([[0.0], [2.0]]), np.arange(2))
+    out = standardize(np.array([[0.0], [2.0]]), np.arange(2), np.float64)
     assert out.tolist() == [[-1.0], [1.0]]  # std over n, not n-1
 
 
 def test_standardize_constant_feature_untouched():
-    out = standardize(np.array([[5.0, 1.0], [5.0, 3.0]]), np.arange(2))
+    out = standardize(np.array([[5.0, 1.0], [5.0, 3.0]]), np.arange(2), np.float64)
     assert out[:, 0].tolist() == [5.0, 5.0]
     assert out[:, 1].tolist() == [-1.0, 1.0]
 
 
 def test_standardize_idempotent_on_normalized():
     rng = derive_rng(7)
-    out = standardize(rng.standard_normal((200, 3)) * 4 + 1, np.arange(200))
-    again = standardize(out, np.arange(200))
+    out = standardize(rng.standard_normal((200, 3)) * 4 + 1, np.arange(200), np.float64)
+    again = standardize(out, np.arange(200), np.float64)
     assert np.abs(out.mean(axis=0)).max() <= 1e-12
     assert np.abs(out.std(axis=0) - 1.0).max() <= 1e-12
     assert np.allclose(again, out, atol=1e-12)
@@ -577,7 +578,7 @@ def test_standardize_idempotent_on_normalized():
 
 def test_standardize_stats_rows_subset():
     X = np.array([[0.0], [2.0], [100.0]])
-    out = standardize(X, stats_rows=np.array([0, 1]))
+    out = standardize(X, stats_rows=np.array([0, 1]), dtype=np.float64)
     # statistics from rows {0,1} (mean 1, std 1) applied to every row, including row 2
     assert out.tolist() == [[-1.0], [1.0], [99.0]]
 
@@ -597,7 +598,7 @@ def _assert_standardize_matches_reference(X, stats_rows):
     reference rounded to float32 (so it is computed in float64), values
     beyond float32's range included: they round to +-inf, as a cast does."""
     before = X.copy()
-    out = standardize(X, stats_rows)
+    out = standardize(X, stats_rows, np.float64)
     ref = _reference_standardize(X, stats_rows)
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
     with np.errstate(over="ignore"):  # a std of 1e-65 scales a 1e3 entry past 3.4e38
@@ -633,5 +634,5 @@ def test_standardize_bitwise_on_an_image_sized_pool():
         _assert_standardize_matches_reference(X, stats_rows)
         # the uint8 pixels over 255 are standardized as their float64 values are
         for dtype in (np.float64, np.float32):
-            from_pixels = standardize(pixels, stats_rows, dtype, 255.0)
+            from_pixels = standardize(pixels, stats_rows, dtype)
             assert from_pixels.tobytes() == standardize(X, stats_rows, dtype).tobytes()

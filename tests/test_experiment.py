@@ -118,9 +118,10 @@ def _float64_partition_features(values, start, mode):
 
 
 def _pixel_and_value_datasets(pixels, labels):
-    """The dataset the IDX loader gives for ``pixels``, and one holding their
-    float64 values, as a CSV or synthetic dataset holds its features."""
-    return (Dataset(pixels, labels, 3, divisor=255.0), Dataset(pixels / 255.0, labels, 3))
+    """The dataset the IDX loader gives for ``pixels`` (uint8 features), and
+    one holding their float64 values, as a CSV or synthetic dataset holds its
+    features."""
+    return (Dataset(pixels, labels, 3), Dataset(pixels / 255.0, labels, 3))
 
 
 @st.composite
@@ -313,7 +314,7 @@ def test_the_harness_trains_and_scores_in_float32(monkeypatch, mode, arrays):
     def spy_train_stack(pools, spec, config, seeds):
         result = real_train_stack(pools, spec, config, seeds)
         snaps = [s for trajectory, _ in result for s in trajectory.snapshots]
-        trained.append((spec.dtype, [p.features for p in pools], {s.flat.dtype for s in snaps}))
+        trained.append(([p.features for p in pools], {s.flat.dtype for s in snaps}))
         return result
 
     def spy_acquire(method, pool, budget, trajectory, rng, bald_passes):
@@ -327,8 +328,8 @@ def test_the_harness_trains_and_scores_in_float32(monkeypatch, mode, arrays):
     run_experiment(parse_config(doc))
     f32 = np.dtype(np.float32)
     assert len(trained) == 3 * 2 and len(acquired) == 4 * 2
-    assert all(dtype == f32 and snaps == {f32} for dtype, _, snaps in trained)
-    features = [f for _, cells, _ in trained for f in cells]
+    assert all(snaps == {f32} for _, snaps in trained)
+    features = [f for cells, _ in trained for f in cells]
     assert {f.dtype for f in features} == {f32}
     # made once: every cell, in every round, holds its repeat's array
     assert len({id(f) for f in features}) == arrays

@@ -6,8 +6,9 @@ accuracies and label counts, which a last-bit change in the parameters
 rarely reaches.  The parameter digests pin the numbers themselves: every
 checkpoint's ``flat`` and ``EpochStats`` of round-0 ``train_stack`` calls on
 bias4's 8-64-64-4 net, built and seeded as the harness builds and seeds
-them, and the BALD and core-set scores of its dropout model, each in
-float32 (the harness's dtype) and float64 (the default).  The gradient
+them, and the BALD and core-set scores of its dropout model, each on
+float32 features (the harness's) and on float64 ones (CSV and synthetic
+data's), which train a model of their dtype.  The gradient
 audit's output is pinned too.  A deliberate change to the numerics updates
 them and says why in CHANGES.md.
 """
@@ -84,7 +85,7 @@ def test_image784_results_csv_matches_golden_digest(tmp_path):
 
 # round 0 of configs/bias4.json's cells, trained as the harness trains them;
 # narrow products, so the bits do not follow OpenBLAS's thread count.  The
-# harness trains in float32; the float64 digests pin the default dtype.
+# harness trains in float32; the float64 digests pin float64 features' training.
 TRAINED_GOLDEN = {
     "float64": {
         "mmd_stack": "ca1c92393c6d001d8e22de89a05fc56ed5a16907be6a98a0012cd2840837325a",
@@ -121,7 +122,8 @@ def bias4_round0(method: str, repeats: int, dtype):
     ``run_experiment`` builds them, in ``dtype``: the harness's float32
     partitions, or (bias4 is not standardized) the same partitions holding
     the dataset's float64 features, and the stack, spec and MMD^2 weight
-    that ``_stacks`` gives the method, with the spec in ``dtype``."""
+    that ``_stacks`` gives the method; the models train in the features'
+    dtype."""
     cfg = parse_config(REPO / "configs" / "bias4.json")
     cfg = replace(cfg, methods=(method,), repeats=repeats)
     assert cfg.dataset.standardize == "none"
@@ -130,12 +132,11 @@ def bias4_round0(method: str, repeats: int, dtype):
     if dtype == np.float64:
         pools = [replace(pool, features=dataset.features) for pool in pools]
     (group,) = _stacks(cfg, pools)
-    assert group.spec.dtype == np.float32
-    spec = replace(group.spec, dtype=dtype)
     seeds = [derive_int(cfg.master_seed, "train", c.method, c.repeat, 0) for c in group.cells]
     trained = train_stack(
-        [c.pool for c in group.cells], spec, replace(cfg.train, mmd_weight=group.mmd_weight), seeds
+        [c.pool for c in group.cells], group.spec, replace(cfg.train, mmd_weight=group.mmd_weight), seeds
     )
+    assert {snap.flat.dtype for trajectory, _ in trained for snap in trajectory.snapshots} == {np.dtype(dtype)}
     return cfg, pools, trained
 
 

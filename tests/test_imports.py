@@ -7,8 +7,11 @@ module imports another's underscore-prefixed names: what one module calls of
 another is that module's public function, the one its tests check.  And the
 package itself uses every public name (one in a module's ``__all__``), so
 none exists only for tests.  No module imports a threading or process-pool
-library: a run is one thread.  And a config dataclass's ``__post_init__``
-raises only FieldError, so every broken rule names its field.
+library: a run is one thread.  A config dataclass's ``__post_init__``
+raises only FieldError, so every broken rule names its field.  And neither
+``ModelSpec`` nor ``Dataset`` stores a ``dtype`` or a ``divisor``: a model
+computes in its parameter vector's dtype and uint8 features are pixels over
+255, facts the arrays carry, so no field has to be kept in step with them.
 """
 
 import ast
@@ -128,6 +131,23 @@ def post_inits(tree: ast.Module) -> dict[str, ast.FunctionDef]:
     }
 
 
+ARRAY_FACTS = {"dtype", "divisor"}
+DESCRIPTIONS = {"ModelSpec", "Dataset"}
+
+
+def class_fields(tree: ast.Module, names) -> dict[str, list[str]]:
+    """The annotated fields of each class in ``names`` the module defines."""
+    return {
+        cls.name: [
+            stmt.target.id
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in names
+    }
+
+
 def raises(fn: ast.FunctionDef) -> list[tuple[int, str]]:
     """(line, exception) of every raise in ``fn``, the exception as written
     without its arguments ('' for a bare re-raise)."""
@@ -190,6 +210,15 @@ def test_config_rules_raise_only_field_errors():
     assert other == []
 
 
+def test_model_and_data_descriptions_store_no_array_facts():
+    found = {}
+    for m in MODULES:
+        found.update(class_fields(parse(m), DESCRIPTIONS))
+    assert set(found) == DESCRIPTIONS
+    stored = [f"{cls}.{name}" for cls, fields in sorted(found.items()) for name in fields if name in ARRAY_FACTS]
+    assert stored == []
+
+
 def test_checker_sees_the_violations_it_forbids():
     tree = ast.parse(
         "from .experiment import run_cell\n"
@@ -209,6 +238,9 @@ def test_checker_sees_the_violations_it_forbids():
         "        if self.epochs < 2:\n"
         "            raise FieldError('epochs', 'must be >= 2')\n"
         "        raise ValueError('epochs must be even')\n"
+        "class ModelSpec:\n"
+        "    layer_sizes: tuple\n"
+        "    dtype: object = None\n"
     )
     assert [t for _, t in package_imports(tree)] == [
         "experiment", "cli", "config", "layers", "acquisition"
@@ -221,3 +253,4 @@ def test_checker_sees_the_violations_it_forbids():
     ]
     assert list(post_inits(tree)) == ["TrainConfig"]
     assert raises(post_inits(tree)["TrainConfig"]) == [(16, "FieldError"), (17, "ValueError")]
+    assert class_fields(tree, DESCRIPTIONS) == {"ModelSpec": ["layer_sizes", "dtype"]}

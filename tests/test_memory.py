@@ -23,7 +23,7 @@ from allab import cli, experiment
 from allab.acquisition import bald_acquire, coreset_acquire, entropy_acquire
 from allab.config import parse_config
 from allab.experiment import load_dataset, run_experiment, start_partition
-from allab.model import CheckpointSet, ModelSpec, forward, init_mlp, snapshot
+from allab.model import CheckpointSet, MlpParams, ModelSpec, forward, init_mlp, snapshot
 from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
 from idx_files import write_idx_images, write_idx_labels
@@ -241,7 +241,8 @@ def test_scoring_a_wide_pool_gathers_its_features_block_by_block(score):
     rng = derive_rng(6, "scoring")
     features = rng.standard_normal((n, 784), dtype=np.float32)
     pool = PoolState(features, rng.integers(0, 10, n), 10, np.arange(0), np.arange(n), np.arange(n))
-    final = init_mlp(ModelSpec((784, 128, 10), 1, 0.0, np.float32), derive_rng(7))
+    final = init_mlp(ModelSpec((784, 128, 10), 1, 0.0), derive_rng(7))
+    final = MlpParams(final.spec, final.flat.astype(np.float32))
     trajectory = CheckpointSet((snapshot(final), snapshot(final)))
     call = {"entropy_acquire": lambda: entropy_acquire(trajectory, pool, 10),
             "evaluate": lambda: evaluate(trajectory, pool)}[score]

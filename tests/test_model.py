@@ -647,9 +647,9 @@ def test_float32_model_computes_in_float32(monkeypatch):
         "affine_forward", "affine_backward", "relu", "relu_backward", "dropout_mask", "softmax"
     )
     seen = spy_float_dtypes(monkeypatch, model, primitives)
-    spec = ModelSpec((3, 5, 4, 2), 1, 0.5, np.float32)
-    params = init_mlp(spec, derive_rng(0))
-    twin = init_mlp(ModelSpec((3, 5, 4, 2), 1, 0.5), derive_rng(0))
+    spec = ModelSpec((3, 5, 4, 2), 1, 0.5)
+    params = MlpParams(spec, init_mlp(spec, derive_rng(0)).flat.astype(np.float32))
+    twin = init_mlp(spec, derive_rng(0))
     assert params.flat.dtype == np.float32 and twin.flat.dtype == np.float64
     assert params.flat.tobytes() == twin.flat.astype(np.float32).tobytes()  # same draws, rounded
     X = derive_rng(1).standard_normal((6, 3))
@@ -674,15 +674,26 @@ def test_float32_model_computes_in_float32(monkeypatch):
     assert rng32.bit_generator.state == rng64.bit_generator.state
 
 
-def test_params_and_spec_must_agree_on_the_dtype():
-    spec = ModelSpec((2, 3, 1), dtype=np.float32)
-    assert spec.dtype == np.dtype(np.float32) and ModelSpec((2, 3, 1)).dtype == np.dtype(np.float64)
-    with pytest.raises(DimensionError, match="dtype float64 do not fit a float32 model"):
-        MlpParams(spec, np.zeros(13))
-    with pytest.raises(ValueError, match="dtype must be float64 or float32"):
-        ModelSpec((2, 3, 1), dtype=np.float16)
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, np.uint8, np.complex128])
+def test_params_must_be_float64_or_float32(dtype):
+    with pytest.raises(DimensionError, match=f"parameters are {np.dtype(dtype)}, not float64 or float32"):
+        MlpParams(ModelSpec((2, 3, 1)), np.zeros(13, dtype))
+
+
+def test_a_model_computes_in_its_vectors_dtype_and_a_stack_in_one():
+    # the spec names no dtype: init draws float64, a float32 model is its
+    # vector rounded, and a stack or a trajectory refuses a mix of the two
+    spec = ModelSpec((2, 3, 1))
+    wide = init_mlp(spec, derive_rng(0))
+    narrow = MlpParams(spec, wide.flat.astype(np.float32))
+    X = derive_rng(1).standard_normal((4, 2))
+    assert wide.flat.dtype == np.float64
+    assert predict_proba(wide, X).dtype == np.float64 and predict_proba(narrow, X).dtype == np.float32
+    assert stack([narrow, narrow]).flat.dtype == np.float32
     with pytest.raises(DimensionError, match="one dtype"):
-        stack([init_mlp(spec, derive_rng(0)), init_mlp(ModelSpec((2, 3, 1)), derive_rng(0))])
+        stack([narrow, wide])
+    with pytest.raises(ValueError, match="not structurally identical"):
+        CheckpointSet((snapshot(wide), snapshot(narrow)))
 
 
 # ---- scoring selected rows -------------------------------------------------
@@ -760,7 +771,7 @@ def test_scoring_rows_equals_scoring_the_gathered_rows(width, dtype, regime, neg
     hidden = [first] + data.draw(st.lists(st.integers(1, 32), max_size=1), label="more hidden")
     rng = derive_rng(data.draw(st.integers(0, 2**31), label="seed"), "rows")
     C = int(rng.integers(2, 11))
-    spec = ModelSpec((width, *hidden, C), int(rng.integers(1, len(hidden) + 1)), 0.5, dtype)
+    spec = ModelSpec((width, *hidden, C), int(rng.integers(1, len(hidden) + 1)), 0.5)
     per = block_rows(width, first, np.dtype(dtype).itemsize)
     n = {"1-9 rows": int(rng.integers(1, 10)), "one block": int(rng.integers(10, min(per, 3000))),
          "per - 1": per - 1, "per": per, "per + 1": per + 1}[regime]
@@ -769,7 +780,7 @@ def test_scoring_rows_equals_scoring_the_gathered_rows(width, dtype, regime, neg
     rows = rng.permutation(N)[:n]  # unsorted, as acquisition orders its picks
     if negative:
         rows[rng.random(n) < 0.5] -= N  # X[rows] reads these from the end
-    params = init_mlp(spec, rng)
+    params = MlpParams(spec, init_mlp(spec, rng).flat.astype(dtype, copy=False))
     snaps = []
     for _ in range(3):
         params.flat += np.asarray(0.1 * rng.standard_normal(params.flat.shape), dtype)
@@ -802,7 +813,8 @@ def test_scoring_rows_equals_scoring_the_gathered_rows(width, dtype, regime, neg
 @pytest.mark.parametrize("n", [5, 700])  # one block, and two
 @pytest.mark.parametrize("bad", [800, -801])
 def test_rows_out_of_range_raise_index_error(n, bad):
-    params = init_mlp(ModelSpec((784, 128, 10), 1, 0.5, np.float32), derive_rng(0))
+    params = init_mlp(ModelSpec((784, 128, 10), 1, 0.5), derive_rng(0))
+    params = MlpParams(params.spec, params.flat.astype(np.float32))
     X = derive_rng(1).standard_normal((800, 784)).astype(np.float32)
     rows = np.append(np.arange(n - 1), bad)
     with pytest.raises(IndexError):
@@ -840,7 +852,8 @@ def test_rows_are_for_eval_mode():
 
 
 def test_rows_input_width_checked():
-    params = init_mlp(ModelSpec((784, 128, 10), 1, 0.0, np.float32), derive_rng(0))
+    params = init_mlp(ModelSpec((784, 128, 10), 1, 0.0), derive_rng(0))
+    params = MlpParams(params.spec, params.flat.astype(np.float32))
     for n in (5, 700):  # one block, and two
         with pytest.raises(DimensionError):
             forward(params, np.zeros((800, 783), np.float32), rows=np.arange(n))

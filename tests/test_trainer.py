@@ -329,7 +329,7 @@ def test_raw_pixel_features_rejected_before_step_zero(forbid_steps):
     # init_pool keeps the dataset's own features, which for IDX data are its
     # uint8 pixels and not their values; only start_partition divides them
     pixels = derive_rng(4, "pixels").integers(0, 256, (100, 3)).astype(np.uint8)
-    pool = init_pool(Dataset(pixels, np.arange(100) % 2, 2, divisor=255.0), 10, 0.2, derive_rng(5))
+    pool = init_pool(Dataset(pixels, np.arange(100) % 2, 2), 10, 0.2, derive_rng(5))
     with pytest.raises(DimensionError, match=r"^pool features are uint8, not floating point$"):
         train_stack([pool], ModelSpec((3, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1), [0])
 
@@ -593,7 +593,7 @@ def test_float32_step_close_to_float64_step(sizes, split_at, rate, lam, seed):
     # far below the feature norms (max ||z||^2 / sigma^2 up to 7e9)
     pool, spec, cfg = random_step_case(sizes, split_at, rate, lam, seed)
     pool = replace(pool, features=pool.features.astype(np.float32))
-    steps = recorded_steps(pool, replace(spec, dtype=np.float32), cfg, seed)
+    steps = recorded_steps(pool, spec, cfg, seed)
     _, _, want = full_step_reference(pool, spec, cfg, seed, thetas=[theta for theta, _ in steps])
     for (theta, got), grad in zip(steps, want, strict=True):
         assert theta.dtype == got.dtype == np.float32
@@ -622,7 +622,7 @@ def test_float32_training_stays_float32(monkeypatch, lam, rate, cells):
     monkeypatch.setattr(trainer, "mmd2_biased_with_grad", spy_mmd)
     pools = [blob_pool(seed=s) for s in range(cells)]
     pools = [replace(pool, features=pool.features.astype(np.float32)) for pool in pools]
-    spec = ModelSpec((2, 6, 5, 2), 1, rate, np.float32)
+    spec = ModelSpec((2, 6, 5, 2), 1, rate)
     cfg = TrainConfig(epochs=2, batch_size=16, n_checkpoints=1, mmd_weight=lam, kernel="median3")
     trained = train_stack(pools, spec, cfg, list(range(cells)))
     assert {name for name, _ in seen} == set(names)
@@ -742,12 +742,10 @@ class RecordedStreams:
 def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, kernel, shared, dtype, seed):
     # each cell has its own seed, labeled set and pool size; the features are
     # one shared array or one standardized copy per cell (as per repeat), in
-    # the model's dtype (float32 is the harness's)
+    # the dtype the models train in (float32 is the harness's)
     rng = derive_rng(seed, "data")
     d, C, n = int(rng.integers(1, 4)), int(rng.integers(2, 4)), 60
-    spec = ModelSpec(
-        (d, *hidden, C), split_index=min(1 + split_at, len(hidden)), dropout_rate=rate, dtype=dtype
-    )
+    spec = ModelSpec((d, *hidden, C), split_index=min(1 + split_at, len(hidden)), dropout_rate=rate)
     base, labels = rng.standard_normal((n, d)).astype(dtype), rng.integers(0, C, size=n)
     pools = []
     for r in range(R):
@@ -794,6 +792,38 @@ def test_stack_cells_must_share_everything_but_the_seed():
     short = replace(pool, labeled_idx=pool.labeled_idx[:-1])
     with pytest.raises(ValueError, match=r"labeled sets of one size, got \[80, 79\]"):
         train_stack([pool, short], spec, cfg, [0, 0])
+
+
+@pytest.mark.parametrize("dtypes, named", [
+    ((np.float64, np.float32), "float32 and float64"),
+    ((np.float32, np.float64, np.float64), "float32 and float64"),
+    ((np.float16,), "float16"),
+])
+def test_a_stack_of_mixed_or_unsupported_feature_dtypes_is_refused_before_any_draw(
+    forbid_steps, monkeypatch, dtypes, named
+):
+    import allab.trainer as trainer
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stream was derived")
+
+    monkeypatch.setattr(trainer, "derive_rng", no_draw)
+    pool = blob_pool()
+    pools = [replace(pool, features=pool.features.astype(dtype)) for dtype in dtypes]
+    with pytest.raises(DimensionError, match=rf"^a stack's features need one dtype, float64 or float32, got {named}$"):
+        train_stack(pools, ModelSpec((2, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1), [0] * len(pools))
+
+
+def test_a_model_trains_in_its_features_dtype():
+    # the spec names no dtype: float64 features train a float64 model and
+    # float32 ones a float32 model, from the same draws rounded
+    pool, spec, cfg = blob_pool(), ModelSpec((2, 8, 2)), TrainConfig(epochs=2, n_checkpoints=1)
+    finals = {}
+    for dtype in (np.float64, np.float32):
+        ((trajectory, _),) = train_stack([replace(pool, features=pool.features.astype(dtype))], spec, cfg, [0])
+        assert {snap.flat.dtype for snap in trajectory.snapshots} == {np.dtype(dtype)}
+        finals[dtype] = trajectory.snapshots[-1].flat
+    np.testing.assert_allclose(finals[np.float32], finals[np.float64], rtol=0, atol=1e-5)
 
 
 def test_stack_checks_every_cell_before_step_zero(forbid_steps):
