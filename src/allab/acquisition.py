@@ -13,6 +13,10 @@ Methods:
 
 ``METHODS`` maps each name to its :class:`Method`: how it trains, what it is
 evaluated with, and how it picks.  It is the one place per-method rules live.
+A trajectory is what ``trainer.train_stack`` returns, a read-only (K, P)
+stack of K checkpoints (see ``model``).  The entropy methods score with
+``avg_predict`` over its rows (``entropy`` gets a one-row stack, the final
+model); ``bald`` and ``coreset`` take its last row, ``cell(trajectory, -1)``.
 
 All entropies are in nats.  Selection is pure top-k on the scores; ties break
 toward the lower pool index.  Scoring holds what it reads: eval-mode ``model``
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import PoolError
 from .mmd import sq_dists, sq_norms
-from .model import CheckpointSet, MlpParams, avg_predict, dropout_probs, forward
+from .model import MlpParams, avg_predict, cell, dropout_probs, forward
 
 __all__ = [
     "AcquisitionResult",
@@ -95,8 +99,8 @@ def _require_unlabeled(pool) -> np.ndarray:
     return unlabeled
 
 
-def entropy_acquire(trajectory: CheckpointSet, pool, budget: int) -> AcquisitionResult:
-    """Top-budget by entropy of the checkpoint-averaged prediction."""
+def entropy_acquire(trajectory: MlpParams, pool, budget: int) -> AcquisitionResult:
+    """Top-budget by entropy of the prediction averaged over the trajectory's checkpoints."""
     unlabeled = _require_unlabeled(pool)
     scores = entropy_scores(avg_predict(trajectory, pool.features, unlabeled))
     picks = select_top_k(scores, budget)
@@ -193,7 +197,7 @@ class Method:
     the weight is 0.  ``bald_dropout``: the model carries the configured
     ``bald_dropout`` rate; otherwise it has no dropout.  ``on_trajectory``:
     evaluated and scored with the whole checkpoint trajectory; otherwise with
-    its last checkpoint alone, the final model.  ``pick(pool, budget,
+    its last row alone, the final model.  ``pick(pool, budget,
     trajectory, rng, bald_passes)`` makes one round's acquisition.
     """
 
@@ -209,8 +213,8 @@ METHODS: dict[str, Method] = {
     "mpts": Method(True, False, True, lambda p, k, tr, rng, T: entropy_acquire(tr, p, k)),
     "random": Method(False, False, False, lambda p, k, tr, rng, T: random_acquire(p, k, rng)),
     "entropy": Method(False, False, False, lambda p, k, tr, rng, T: entropy_acquire(tr, p, k)),
-    "bald": Method(False, True, False, lambda p, k, tr, rng, T: bald_acquire(tr.snapshots[-1], p, k, T, rng)),
-    "coreset": Method(False, False, False, lambda p, k, tr, rng, T: coreset_acquire(tr.snapshots[-1], p, k)),
+    "bald": Method(False, True, False, lambda p, k, tr, rng, T: bald_acquire(cell(tr, -1), p, k, T, rng)),
+    "coreset": Method(False, False, False, lambda p, k, tr, rng, T: coreset_acquire(cell(tr, -1), p, k)),
 }
 
 
@@ -218,7 +222,7 @@ def acquire(
     method: str,
     pool,
     budget: int,
-    trajectory: CheckpointSet,
+    trajectory: MlpParams,
     rng: np.random.Generator,
     bald_passes: int = 20,
 ) -> AcquisitionResult:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 unexpected failure or a failed gradient check;
-2 configuration errors; 3 malformed input files; 4 training divergence;
+2 configuration errors, an output file that cannot be written among them;
+3 malformed input files; 4 training divergence;
 5 an invalid pool operation (for example acquiring from an empty pool).
 """
 
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .config import parse_config, config_to_json
 from .errors import ConfigError, FormatError, PoolError, TrainingDiverged
@@ -28,11 +30,17 @@ from .experiment import (
 from .gradcheck import DEFAULT_TOL, run_gradcheck
 
 OUT_ENV = "ALLAB_OUT"  # default output directory when --out is not given
+# what ``allab run`` writes into the output directory once every cell has run;
+# label_names.json only for a CSV dataset whose labels are names
+RUN_OUTPUTS = ("results.csv", "results.json", "resolved_config.json", "label_names.json")
 
 
 def _positive_int(text: str) -> int:
     """An argparse type: an integer >= 1, so a bad count fails before any work."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -73,6 +81,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(path, reason: str) -> ConfigError:
+    return ConfigError(f"$.output_dir: cannot write {str(path)!r}: {reason}")
+
+
+def _check_outputs(out: Path, names) -> None:
+    """Fail before any data is loaded when one of the files the run writes at
+    its end is a directory or may not be written."""
+    for path in (out / name for name in names):
+        if path.is_dir():
+            raise _cannot_write(path, "Is a directory")
+        if not os.access(path if path.exists() else out, os.W_OK):
+            raise _cannot_write(path, "Permission denied")
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
@@ -81,18 +103,22 @@ def _cmd_run(args) -> int:
     if out_override is not None:
         cfg = replace(cfg, output_dir=out_override)
     out = make_output_dir(cfg)
+    _check_outputs(out, RUN_OUTPUTS if cfg.dataset.kind == "csv" else RUN_OUTPUTS[:-1])
 
     loaded = [load_dataset(cfg)]
     label_names = loaded[0].label_names
     # the run gets the only reference, so it frees the raw features once partitioned
     logs = run_experiment(cfg, jobs=args.jobs, progress=print, dataset=loaded.pop())
 
-    write_results_csv(logs, out / "results.csv")
-    write_results_json(logs, cfg, out / "results.json")
-    (out / "resolved_config.json").write_text(config_to_json(cfg))
-    if label_names:
-        mapping = {"class_ids": {name: i for i, name in enumerate(label_names)}}
-        (out / "label_names.json").write_text(json.dumps(mapping, indent=2) + "\n")
+    try:
+        write_results_csv(logs, out / "results.csv")
+        write_results_json(logs, cfg, out / "results.json")
+        (out / "resolved_config.json").write_text(config_to_json(cfg))
+        if label_names:
+            mapping = {"class_ids": {name: i for i, name in enumerate(label_names)}}
+            (out / "label_names.json").write_text(json.dumps(mapping, indent=2) + "\n")
+    except OSError as e:
+        raise _cannot_write(e.filename or out, e.strerror or e) from None
     print(f"wrote {out / 'results.csv'} ({len(logs)} rows)")
     return 0
 

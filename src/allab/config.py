@@ -177,7 +177,8 @@ class _Node:
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Parse a config from a UTF-8 JSON file's path, a JSON string, or a pre-loaded dict."""
+    """Parse a config from a UTF-8 JSON file's path (a leading byte-order mark is
+    dropped, as RFC 8259 allows), a JSON string, or a pre-loaded dict."""
     if isinstance(source, dict):
         data = source
     else:
@@ -188,7 +189,7 @@ def parse_config(source) -> ExperimentConfig:
                 raise ConfigError(f"malformed JSON: {e}") from None
         else:
             try:
-                with open(source, encoding="utf-8") as f:
+                with open(source, encoding="utf-8-sig") as f:
                     data = json.load(f)
             except OSError as e:
                 raise ConfigError(f"cannot read config: {e}") from None

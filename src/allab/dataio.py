@@ -119,10 +119,11 @@ def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path
 
 
 def read_csv_rows(path) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file; one that cannot be read, is not UTF-8 or breaks
-    the CSV reader (a field over its size limit, say) is a FormatError naming it."""
+    """Every row of a UTF-8 CSV file, less a leading byte-order mark; one that cannot
+    be read, is not UTF-8 or breaks the CSV reader (a field over its size limit,
+    say) is a FormatError naming it."""
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
             return list(reader)
     except OSError as e:

@@ -34,7 +34,7 @@ from .acquisition import METHODS, AcquisitionResult, acquire
 from .config import ExperimentConfig, config_to_json
 from .dataio import Dataset, feature_values, load_csv, load_mnist, read_csv_rows, standardize, synth_blobs
 from .errors import ConfigError, FormatError, TrainingDiverged
-from .model import CheckpointSet, ModelSpec
+from .model import MlpParams, ModelSpec
 from .pool import PoolState, evaluate, init_pool, label_points
 from .seeding import derive_int, derive_rng
 from .trainer import train_stack
@@ -169,7 +169,7 @@ def _run_round(
     one evaluate on the held-out test set and (except after the last round)
     acquire ``budget`` new labels.  A cell is evaluated and scored with its
     trajectory when ``acquisition.METHODS`` marks its method ``on_trajectory``,
-    otherwise with the trajectory's last checkpoint, the final model."""
+    otherwise with its last row alone, a (1, P) stack: the final model."""
     started = time.monotonic()
     train = replace(cfg.train, mmd_weight=group.mmd_weight)
     seeds = [derive_int(cfg.master_seed, "train", c.method, c.repeat, t) for c in group.cells]
@@ -181,7 +181,7 @@ def _run_round(
     train_s = time.monotonic() - started
     for c, (trajectory, _) in zip(group.cells, trained):
         if not METHODS[c.method].on_trajectory:
-            trajectory = CheckpointSet(trajectory.snapshots[-1:])
+            trajectory = MlpParams(group.spec, trajectory.flat[-1:])
         evaluated = time.monotonic()
         accuracy = evaluate(trajectory, c.pool)
         c.logs.append(RoundLog(c.method, c.repeat, c.repeat_seed, t, len(c.pool.labeled_idx), accuracy))

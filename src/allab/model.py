@@ -41,13 +41,13 @@ A stack of R cells' parameters is an ``MlpParams`` whose ``flat`` is an
 (R, d_i, d_{i+1}) and b as (R, d_{i+1}).  ``forward`` and ``backward`` run a
 stack on (R, n, d) batches with the same code, since the ``layers``
 primitives take a leading stack axis, and cell r's results are bit for bit
-those of running cell r alone.  ``stack`` builds one from single cells of one
-spec and dtype, and ``cell`` reads one back.
+those of running cell r alone.  ``cell`` reads one cell back, as a view.
 
-A checkpoint is an ``MlpParams`` whose vector is a read-only copy, so later
-training steps cannot reach it and anything that writes to it raises.  A
-``CheckpointSet`` is one training trajectory's checkpoints; ``avg_predict``
-predicts with their mean.
+A training trajectory is a stack too: row k of its (K, P) ``flat`` is
+checkpoint k, a copy the trainer made and marked read-only, so later training
+steps cannot reach it and anything that writes to it raises.
+``avg_predict`` predicts with the mean over its rows, and
+``cell(trajectory, -1)`` is the final model.
 """
 
 from __future__ import annotations
@@ -63,16 +63,13 @@ from .layers import affine_backward, affine_forward, dropout_mask, relu, relu_ba
 __all__ = [
     "ModelSpec",
     "MlpParams",
-    "CheckpointSet",
     "ForwardCache",
     "init_mlp",
     "check_floating",
     "forward",
     "backward",
     "predict_proba",
-    "snapshot",
     "zeros_like",
-    "stack",
     "cell",
     "avg_predict",
     "dropout_probs",
@@ -119,7 +116,7 @@ class MlpParams:
     ``flat`` is wrapped, not copied: (P,) for one model, (R, P) for a stack
     of R; a vector of any other length than ``spec``'s parameter count, or
     of any other dtype, raises DimensionError.  Mutated in place only by the
-    trainer; a :func:`snapshot`'s vector and views are read-only.
+    trainer; a trajectory's vector and views are read-only.
     """
 
     def __init__(self, spec: ModelSpec, flat: np.ndarray):
@@ -142,22 +139,6 @@ def _views(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
         views.append((W, flat[..., at : at + d_out]))
         at += d_out
     return views
-
-
-@dataclass(frozen=True)
-class CheckpointSet:
-    """Ordered parameter snapshots harvested along one training trajectory."""
-
-    snapshots: tuple[MlpParams, ...]
-
-    def __post_init__(self):
-        if len(self.snapshots) == 0:
-            raise ValueError("CheckpointSet must be nonempty")
-        if len({(s.spec, s.flat.dtype) for s in self.snapshots}) > 1:
-            raise ValueError("snapshots are not structurally identical")
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
 
 
 @dataclass
@@ -309,26 +290,9 @@ def predict_proba(params: MlpParams, X: np.ndarray, rows=None) -> np.ndarray:
     return softmax(logits, out=logits)
 
 
-def snapshot(params: MlpParams) -> MlpParams:
-    """One copy of the parameter vector; it and its (W, b) views are read-only."""
-    flat = params.flat.copy()
-    flat.flags.writeable = False  # and so are the views of it
-    return MlpParams(params.spec, flat)
-
-
 def zeros_like(params: MlpParams) -> MlpParams:
     """Zero parameters laid out like ``params``: a gradient buffer for :func:`backward`."""
     return MlpParams(params.spec, np.zeros_like(params.flat))
-
-
-def stack(cells) -> MlpParams:
-    """The stack of single models of one spec and dtype: row r of ``flat``
-    is a copy of ``cells[r].flat``."""
-    if len({(c.spec, c.flat.dtype) for c in cells}) > 1:
-        raise DimensionError(
-            "a stack's cells need the same layer sizes, split and dropout rate, and one dtype"
-        )
-    return MlpParams(cells[0].spec, np.stack([c.flat for c in cells]))
 
 
 def cell(params: MlpParams, r: int) -> MlpParams:
@@ -337,16 +301,18 @@ def cell(params: MlpParams, r: int) -> MlpParams:
     return MlpParams(params.spec, params.flat.reshape(-1, params.flat.shape[-1])[r])
 
 
-def avg_predict(trajectory: CheckpointSet, X: np.ndarray, rows=None) -> np.ndarray:
-    """Mean class probabilities of X or X[rows] over the trajectory's checkpoints."""
-    acc = None
-    for snap in trajectory.snapshots:
-        P = predict_proba(snap, X, rows)
-        if acc is None:
-            acc = P
-        else:
-            acc += P
-    acc /= len(trajectory)
+def avg_predict(trajectory: MlpParams, X: np.ndarray, rows=None) -> np.ndarray:
+    """Mean class probabilities of X or X[rows] over a trajectory, a nonempty
+    (K, P) stack of checkpoints: their probabilities summed in row order into
+    the first one's array, then divided by K."""
+    if trajectory.flat.ndim != 2 or len(trajectory.flat) == 0:
+        raise ValueError(
+            f"a trajectory is a nonempty (K, P) stack, got parameters {trajectory.flat.shape}"
+        )
+    acc = predict_proba(cell(trajectory, 0), X, rows)
+    for k in range(1, len(trajectory.flat)):
+        acc += predict_proba(cell(trajectory, k), X, rows)
+    acc /= len(trajectory.flat)
     return acc
 
 

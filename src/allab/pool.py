@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, PoolError
-from .model import CheckpointSet, avg_predict
+from .model import MlpParams, avg_predict
 
 __all__ = [
     "PoolState",
@@ -59,12 +59,15 @@ def init_pool(
     A split that leaves no test set or no pool, a ``restrict_classes`` id
     outside [0, class_count), or fewer eligible pool points than
     ``initial_count``, is a :class:`ConfigError` naming the config field
-    (``$.dataset.test_fraction``, ``$.bias_classes`` or ``$.initial_count``).
+    (``$.dataset.test_fraction`` or, for an empty designated split,
+    ``$.dataset.test_images_path``; ``$.bias_classes``; ``$.initial_count``).
     """
     n = dataset.features.shape[0]
     all_idx = np.arange(n)
     if dataset.designated_test_idx is not None:
         test_idx = np.sort(np.asarray(dataset.designated_test_idx))
+        if len(test_idx) == 0:
+            raise ConfigError("$.dataset.test_images_path: the designated test split has no rows")
         pool_idx = np.setdiff1d(all_idx, test_idx)
     else:
         n_test = int(round(n * test_fraction))
@@ -125,8 +128,9 @@ def label_points(pool: PoolState, indices) -> PoolState:
     )
 
 
-def evaluate(trajectory: CheckpointSet, pool: PoolState) -> float:
-    """Test-set accuracy of the trajectory's checkpoint-averaged prediction.
+def evaluate(trajectory: MlpParams, pool: PoolState) -> float:
+    """Test-set accuracy of ``avg_predict`` over the trajectory's K checkpoints,
+    the rows of its (K, P) stack; a one-row stack is the final model alone.
 
     Argmax ties resolve to the lowest class index.
     """

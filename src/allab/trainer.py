@@ -9,8 +9,9 @@ independent batch drawn from the whole pool (labeled + unlabeled).  The
 learning rate is constant for the first half of the epochs, then cycles:
 the second half is split into ``n_checkpoints`` near-equal runs of steps,
 the rate decays linearly from ``base_lr`` to ``base_lr * lr_floor_ratio``
-within each run and resets at the next, and parameters are snapshotted at
-the last step of every run.
+within each run and resets at the next.  The parameters after the last step
+of run k are checkpoint k: row k of the trajectory, a read-only
+(n_checkpoints, P) stack (see ``model``).
 
 RNG-consumption contract (what a bit-identical reference must reproduce):
 per step, first the labeled-batch indices are drawn, then the pool-batch
@@ -64,19 +65,7 @@ import numpy as np
 from .errors import DimensionError, FieldError, PoolError, TrainingDiverged, at_least, check_kind, check_kinds
 from .layers import check_labels, dropout_mask, softmax_cross_entropy
 from .mmd import median_heuristic, mmd2_biased_with_grad
-from .model import (
-    CheckpointSet,
-    MlpParams,
-    ModelSpec,
-    backward,
-    cell,
-    check_floating,
-    forward,
-    init_mlp,
-    snapshot,
-    stack,
-    zeros_like,
-)
+from .model import MlpParams, ModelSpec, backward, check_floating, forward, init_mlp, zeros_like
 from .seeding import derive_rng
 
 __all__ = [
@@ -259,7 +248,7 @@ def train_stack(
     model_spec: ModelSpec,
     config: TrainConfig,
     seeds,
-) -> list[tuple[CheckpointSet, list[EpochStats]]]:
+) -> list[tuple[MlpParams, list[EpochStats]]]:
     """Train one fresh model per (pool, seed) cell, all cells in lockstep.
 
     The cells share ``config`` and the models train in their features' one
@@ -270,13 +259,16 @@ def train_stack(
     cells, each with its own kernel bandwidths.  Returns per cell, in order,
     bit for bit what training that cell alone
     (``train_stack([pool], model_spec, config, [seed])[0]``) returns: the
-    checkpoint trajectory (exactly ``n_checkpoints`` snapshots at the
-    documented cycle-end steps) and the per-epoch mean CE / mean MMD^2 /
-    learning-rate history.  The last cycle ends at the last step, so the
-    last checkpoint is the final parameters.  Unless given explicitly, a
-    cell's bandwidths come from the median heuristic on its first pool
-    batch's features, frozen for the whole round.  A cell whose loss, MMD^2
-    term or gradient goes non-finite stops the whole stack.
+    checkpoint trajectory and the per-epoch mean CE / mean MMD^2 /
+    learning-rate history.  The trajectory is a read-only (n_checkpoints, P)
+    stack whose row k is a copy of the parameters after step
+    ``snapshot_steps(...)[k]``; the cells' trajectories are the rows of one
+    (R, n_checkpoints, P) array, filled one column per checkpoint.  The last
+    cycle ends at the last step, so the last row is the final parameters.
+    Unless given explicitly, a cell's bandwidths come from the median
+    heuristic on its first pool batch's features, frozen for the whole
+    round.  A cell whose loss, MMD^2 term or gradient goes non-finite stops
+    the whole stack.
     """
     if len(pools) != len(seeds) or not pools:
         raise ValueError(f"need one seed per pool, got {len(pools)} pools and {len(seeds)} seeds")
@@ -293,14 +285,15 @@ def train_stack(
     R, B, d = len(pools), config.batch_size, model_spec.layer_sizes[0]
     rngs_batch = [derive_rng(seed, "batch") for seed in seeds]
     rngs_drop = [derive_rng(seed, "dropout") for seed in seeds]
-    params = stack([init_mlp(model_spec, derive_rng(seed, "init")) for seed in seeds])
-    params = MlpParams(model_spec, params.flat.astype(dtype, copy=False))  # frees the float64 draws
-    cells = [cell(params, r) for r in range(R)]  # views that follow the in-place updates
+    params = np.stack([init_mlp(model_spec, derive_rng(seed, "init")).flat for seed in seeds])
+    params = MlpParams(model_spec, params.astype(dtype, copy=False))  # frees the float64 draws
     grad, scratch = zeros_like(params), np.empty_like(params.flat)
 
     spe = steps_per_epoch(len(labeled[0]), B)
     rates = lr_schedule(spe, config)
-    snap_at = set(snapshot_steps(config.epochs, spe, config.n_checkpoints))
+    steps = snapshot_steps(config.epochs, spe, config.n_checkpoints)
+    snap_at = {step: k for k, step in enumerate(steps)}  # checkpoint k is copied after step steps[k]
+    trajectories = np.empty((R, config.n_checkpoints, model_spec.n_params), dtype)
 
     lam = config.mmd_weight
     # at lam > 0 one buffer holds each cell's labeled rows, then its pool rows
@@ -319,7 +312,6 @@ def train_stack(
     gather = list(zip(rngs_batch, labeled, [p.pool_idx for p in pools], features,
                       [p.labels for p in pools], X, y_l))
     sigmas = None  # the bandwidths, frozen at the first pool batch
-    snaps: list[list[MlpParams]] = [[] for _ in range(R)]
     history: list[list[EpochStats]] = [[] for _ in range(R)]
     ce_sum, mmd_sum = np.zeros(R), np.zeros(R)
     for step, lr in enumerate(rates):
@@ -362,8 +354,7 @@ def train_stack(
         except TrainingDiverged:
             raise TrainingDiverged(f"non-finite gradient at step {step} (lr={lr:g})") from None
         if step in snap_at:
-            for r in range(R):
-                snaps[r].append(snapshot(cells[r]))
+            trajectories[:, snap_at[step]] = params.flat
 
         ce_sum += ce
         if (step + 1) % spe == 0:
@@ -371,4 +362,5 @@ def train_stack(
             for r in range(R):
                 history[r].append(EpochStats(step // spe, float(ce_mean[r]), float(mmd_mean[r]), lr))
             ce_sum, mmd_sum = np.zeros(R), np.zeros(R)
-    return [(CheckpointSet(tuple(snaps[r])), history[r]) for r in range(R)]
+    trajectories.flags.writeable = False  # and so is every view of it
+    return [(MlpParams(model_spec, trajectories[r]), history[r]) for r in range(R)]

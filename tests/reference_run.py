@@ -29,7 +29,7 @@ import numpy as np
 
 from allab.acquisition import acquire
 from allab.dataio import load_mnist, synth_blobs
-from allab.model import CheckpointSet, ModelSpec
+from allab.model import MlpParams, ModelSpec
 from allab.pool import evaluate, init_pool, label_points
 from allab.seeding import derive_int, derive_rng
 from allab.trainer import train_stack
@@ -95,7 +95,7 @@ def reference_run(cfg, score_dir=None) -> list[tuple]:
                 seed = derive_int(cfg.master_seed, "train", method, repeat, t)
                 ((trajectory, _),) = train_stack([pool], spec, train, [seed])
                 if method != "mpts":
-                    trajectory = CheckpointSet(trajectory.snapshots[-1:])
+                    trajectory = MlpParams(spec, trajectory.flat[-1:])
                 accuracy = evaluate(trajectory, pool)
                 rows.append((method, repeat, pool_seed, t, len(pool.labeled_idx), accuracy, 0.0))
                 if t == cfg.rounds - 1:

@@ -28,11 +28,12 @@ from allab.errors import FormatError
 from allab.experiment import run_experiment
 from allab.gradcheck import run_gradcheck
 from allab.mmd import mmd2_biased
-from allab.model import CheckpointSet, ModelSpec, forward, init_mlp, predict_proba, snapshot
+from allab.model import ModelSpec, cell, forward, init_mlp, predict_proba
 from allab.pool import PoolState
 from allab.seeding import derive_rng
 from allab.trainer import TrainConfig, snapshot_steps, train_stack
 from idx_files import make_image_pool, write_idx_images, write_idx_labels
+from test_model import trajectory_of
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -142,7 +143,7 @@ def test_criterion_3_acquisition_oracles():
         pool = _toy_pool(rng, int(rng.integers(20, 81)), d, C)
         params = init_mlp(ModelSpec((d, 8, C), 1, 0.0), rng)
         budget = int(rng.integers(1, 11))
-        a = entropy_acquire(CheckpointSet((snapshot(params),)), pool, budget)
+        a = entropy_acquire(trajectory_of(params), pool, budget)
         scores = entropy_scores(predict_proba(params, pool.features[pool.unlabeled_idx]))
         assert np.array_equal(a.selected, pool.unlabeled_idx[select_top_k(scores, budget)])
         assert np.array_equal(a.scores, scores)
@@ -365,13 +366,13 @@ def test_criterion_7_checkpoint_schedule():
     assert snapshot_steps(100, 4, 5) == [239, 279, 319, 359, 399]
 
     traj, _ = train_stack([pool], ModelSpec((d, 12, C), split_index=1), cfg, [3])[0]
-    final = traj.snapshots[-1]
-    assert len(traj) == 5
+    final = cell(traj, -1)
+    assert len(traj.flat) == 5
 
     ref_layers, ref_snaps, ref_steps = _ce_only_reference(pool, (d, 12, C), cfg, 3)
     assert ref_steps == [239, 279, 319, 359, 399]
-    for snap, ref in zip(traj.snapshots, ref_snaps):
-        for (W, b), (Wr, br) in zip(snap.layers, ref):
+    for k, ref in enumerate(ref_snaps):
+        for (W, b), (Wr, br) in zip(cell(traj, k).layers, ref):
             assert np.array_equal(W, Wr) and np.array_equal(b, br), \
                 "zero-weight run deviates from the plain-CE reference"
     for (W, b), (Wr, br) in zip(final.layers, ref_layers):

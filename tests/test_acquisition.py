@@ -24,18 +24,10 @@ from allab.acquisition import (
 )
 from allab.errors import PoolError
 from allab.layers import softmax
-from allab.model import (
-    CheckpointSet,
-    MlpParams,
-    ModelSpec,
-    dropout_probs,
-    forward,
-    init_mlp,
-    predict_proba,
-    snapshot,
-)
+from allab.model import MlpParams, ModelSpec, dropout_probs, forward, init_mlp, predict_proba
 from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
+from test_model import trajectory_of
 
 
 def logit_model(W2, dropout_rate=0.0):
@@ -78,14 +70,14 @@ def entropy_loops(P):
 def test_avg_predict_single_snapshot_is_identity():
     params = init_mlp(ModelSpec([3, 5, 4], 1, 0.0), derive_rng(0))
     X = derive_rng(1).standard_normal((6, 3))
-    traj = CheckpointSet((snapshot(params),))
+    traj = trajectory_of(params)
     assert np.array_equal(avg_predict(traj, X), predict_proba(params, X))
 
 
 def test_avg_predict_identical_snapshots_collapse():
     params = init_mlp(ModelSpec([3, 5, 4], 1, 0.0), derive_rng(0))
     X = derive_rng(1).standard_normal((6, 3))
-    traj = CheckpointSet(tuple(snapshot(params) for _ in range(4)))
+    traj = trajectory_of(*[params] * 4)
     assert np.allclose(avg_predict(traj, X), predict_proba(params, X), atol=1e-15)
 
 
@@ -94,7 +86,7 @@ def test_avg_predict_mean_of_opposed_models():
     a = logit_model([[1000.0, 0.0]])
     b = logit_model([[0.0, 1000.0]])
     X = np.array([[1.0]])
-    traj = CheckpointSet((snapshot(a), snapshot(b)))
+    traj = trajectory_of(a, b)
     assert np.array_equal(avg_predict(traj, X), [[0.5, 0.5]])
 
 
@@ -102,7 +94,7 @@ def test_avg_predict_rows_sum_to_one():
     rng = derive_rng(2)
     models = [init_mlp(ModelSpec([4, 6, 3], 1, 0.0), derive_rng(10 + i)) for i in range(3)]
     X = rng.standard_normal((50, 4))
-    traj = CheckpointSet(tuple(snapshot(m) for m in models))
+    traj = trajectory_of(*models)
     P = avg_predict(traj, X)
     assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -120,21 +112,24 @@ def test_float32_probability_rows_pass_the_entropy_check(C, n_snaps, scale, seed
     # worst row seen was 2.7e-7 off)
     rng = derive_rng(seed)
     spec = ModelSpec((4, 16, C), 1, 0.0)
-    snaps = tuple(
-        snapshot(MlpParams(spec, (scale * rng.standard_normal(spec.n_params)).astype(np.float32)))
+    snaps = [
+        MlpParams(spec, (scale * rng.standard_normal(spec.n_params)).astype(np.float32))
         for _ in range(n_snaps)
-    )
+    ]
     X = rng.standard_normal((64, 4)).astype(np.float32)
-    for P in (predict_proba(snaps[0], X), avg_predict(CheckpointSet(snaps), X)):
+    for P in (predict_proba(snaps[0], X), avg_predict(trajectory_of(*snaps), X)):
         assert P.dtype == np.float32
         assert np.abs(P.sum(axis=1, dtype=np.float64) - 1.0).max() <= 1e-6
         assert np.isfinite(entropy_scores(P)).all()
 
 
 def test_avg_predict_rejects_empty_trajectory():
-    # a trajectory is a CheckpointSet, which cannot be empty
-    with pytest.raises(ValueError, match="nonempty"):
-        avg_predict(CheckpointSet(()), np.zeros((1, 2)))
+    # a trajectory is a nonempty (K, P) stack of checkpoints: neither an
+    # empty stack nor one model's (P,) vector
+    spec = ModelSpec([2, 3, 2], 1, 0.0)
+    for flat in (np.empty((0, spec.n_params)), np.zeros(spec.n_params)):
+        with pytest.raises(ValueError, match=r"^a trajectory is a nonempty \(K, P\) stack, got parameters \("):
+            avg_predict(MlpParams(spec, flat), np.zeros((1, 2)))
 
 
 # ---- entropy_scores --------------------------------------------------------
@@ -217,7 +212,7 @@ def test_mpts_single_checkpoint_matches_entropy_method():
     params = init_mlp(ModelSpec([4, 8, 3], 1, 0.0), derive_rng(6))
     X = derive_rng(7).standard_normal((30, 4))
     pool = make_pool(X, labeled=[0, 1, 2], class_count=3)
-    traj = CheckpointSet((snapshot(params),))
+    traj = trajectory_of(params)
     r_mpts = entropy_acquire(traj, pool, 5)
     # the single model's own entropy ranking
     scores = entropy_scores(predict_proba(params, X[pool.unlabeled_idx]))
@@ -232,7 +227,7 @@ def test_mpts_prefers_point_of_maximal_disagreement():
     a = logit_model([[1000.0, 0.0], [800.0, 0.0], [0.0, 800.0]])
     b = logit_model([[0.0, 1000.0], [800.0, 0.0], [0.0, 800.0]])
     pool = make_pool(X)
-    traj = CheckpointSet((snapshot(a), snapshot(b)))
+    traj = trajectory_of(a, b)
     result = entropy_acquire(traj, pool, 1)
     assert result.selected.tolist() == [0]
     expected = entropy_loops((predict_proba(a, X) + predict_proba(b, X)) / 2.0)
@@ -244,7 +239,7 @@ def test_mpts_budget_covers_pool():
     params = init_mlp(ModelSpec([2, 4, 2], 1, 0.0), derive_rng(8))
     X = derive_rng(9).standard_normal((8, 2))
     pool = make_pool(X, labeled=[3])
-    traj = CheckpointSet((snapshot(params),))
+    traj = trajectory_of(params)
     result = entropy_acquire(traj, pool, 99)
     assert sorted(result.selected.tolist()) == sorted(pool.unlabeled_idx.tolist())
 
@@ -252,7 +247,7 @@ def test_mpts_budget_covers_pool():
 def test_mpts_empty_pool_is_an_error():
     params = init_mlp(ModelSpec([2, 4, 2], 1, 0.0), derive_rng(8))
     pool = make_pool(np.zeros((3, 2)), labeled=[0, 1, 2])
-    traj = CheckpointSet((snapshot(params),))
+    traj = trajectory_of(params)
     with pytest.raises(PoolError):
         entropy_acquire(traj, pool, 1)
 
@@ -296,7 +291,7 @@ def test_entropy_uniform_model_degenerates_to_tie_rule():
     # zero weights give identical logits everywhere: first k unlabeled win
     params = MlpParams(ModelSpec((2, 4, 3), 1), np.zeros(2 * 4 + 4 + 4 * 3 + 3))
     pool = make_pool(derive_rng(14).standard_normal((9, 2)), labeled=[4], class_count=3)
-    result = entropy_acquire(CheckpointSet((params,)), pool, 3)
+    result = entropy_acquire(trajectory_of(params), pool, 3)
     assert result.selected.tolist() == pool.unlabeled_idx[:3].tolist()
 
 
@@ -308,7 +303,7 @@ def test_entropy_boundary_point_outranks_interior():
     )
     X = np.array([[0.01], [5.0]])
     pool = make_pool(X)
-    result = entropy_acquire(CheckpointSet((params,)), pool, 1)
+    result = entropy_acquire(trajectory_of(params), pool, 1)
     assert result.selected.tolist() == [0]
     # closed form: H(sigmoid(6x) vs 1-sigmoid(6x))
     for x, score in zip((0.01, 5.0), result.scores):
@@ -538,7 +533,7 @@ def test_every_scoring_call_reads_its_rows_as_the_copied_out_selection(monkeypat
     pool = PoolState(features, rng.integers(0, 10, n), 10, labeled, rest[:1500], rest[1500:])
     final = init_mlp(ModelSpec((784, 128, 10), 1, 0.5), derive_rng(34))
     final = MlpParams(final.spec, final.flat.astype(np.float32))
-    trajectory = CheckpointSet((snapshot(final), snapshot(final)))
+    trajectory = trajectory_of(final, final)
 
     def scored():
         return [evaluate(trajectory, pool)] + [
@@ -563,7 +558,7 @@ def test_every_scoring_call_reads_its_rows_as_the_copied_out_selection(monkeypat
 def test_acquire_routes_every_method():
     params = init_mlp(ModelSpec([2, 4, 2], 1, 0.5), derive_rng(28))
     pool = make_pool(derive_rng(29).standard_normal((15, 2)), labeled=[0, 1])
-    traj = CheckpointSet((snapshot(params),))
+    traj = trajectory_of(params)
     for method in METHODS:
         result = acquire(method, pool, 3, traj, derive_rng(30))
         assert len(result.scored) == len(result.scores)  # each score names its point
@@ -575,6 +570,6 @@ def test_acquire_routes_every_method():
 def test_acquire_unknown_method():
     params = init_mlp(ModelSpec([2, 4, 2], 1, 0.0), derive_rng(31))
     pool = make_pool(np.zeros((4, 2)))
-    traj = CheckpointSet((snapshot(params),))
+    traj = trajectory_of(params)
     with pytest.raises(ValueError, match="margin"):
         acquire("margin", pool, 2, traj, derive_rng(32))

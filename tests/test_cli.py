@@ -8,9 +8,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from allab.cli import OUT_ENV, main
+from allab.config import parse_config
+from allab.dataio import load_csv
+from allab.experiment import read_results_csv
+from idx_files import write_idx_images, write_idx_labels
 
 
 def write_config(tmp_path, **over):
@@ -238,14 +243,45 @@ def test_run_split_index_beyond_default_hidden_exits_2_before_training(
     assert not (tmp_path / "results" / "results.csv").exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
 def test_run_jobs_below_one_exits_2_before_any_work(tmp_path, capsys, forbid_training, jobs):
+    why = "must be an integer, got 'abc'" if jobs == "abc" else f"must be >= 1, got {jobs}"
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exited:
         main(["run", "--config", str(cfg), "--jobs", jobs])
     assert exited.value.code == 2
-    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert f"argument --jobs: {why}\n" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+def test_run_output_file_that_is_a_directory_exits_2_before_loading_data(tmp_path, capsys, monkeypatch):
+    import allab.cli
+
+    def no_loading(cfg):
+        raise AssertionError("data was loaded")
+
+    monkeypatch.setattr(allab.cli, "load_dataset", no_loading)
+    (tmp_path / "results" / "results.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 2
+    blocked = tmp_path / "results" / "results.csv"
+    assert capsys.readouterr().err == f"config error: $.output_dir: cannot write {str(blocked)!r}: Is a directory\n"
+
+
+def test_run_output_file_that_cannot_be_written_at_the_end_exits_2(tmp_path, capsys, monkeypatch):
+    # a directory that takes results.json's place while the cells run
+    import allab.cli
+
+    blocked, real_run = tmp_path / "results" / "results.json", allab.cli.run_experiment
+
+    def run_then_block(*args, **kwargs):
+        logs = real_run(*args, **kwargs)
+        blocked.mkdir()
+        return logs
+
+    monkeypatch.setattr(allab.cli, "run_experiment", run_then_block)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: $.output_dir: cannot write {str(blocked)!r}: Is a directory\n"
 
 
 @pytest.mark.parametrize("under_file", [False, True])
@@ -261,6 +297,20 @@ def test_run_output_directory_that_cannot_be_made_exits_2_before_training(
     assert f"config error: $.output_dir: cannot make directory {str(out)!r}" in captured.err
     assert "unexpected error" not in captured.err
     assert blocker.read_text() == ""
+
+
+def test_run_empty_designated_test_split_exits_2_before_training(tmp_path, capsys, forbid_training):
+    rng = np.random.default_rng(0)
+    paths = {key: tmp_path / f"{key}.idx" for key in ("images", "labels", "test_images", "test_labels")}
+    write_idx_images(paths["images"], rng.integers(0, 256, (40, 2, 2)))
+    write_idx_labels(paths["labels"], np.arange(40) % 2)
+    write_idx_images(paths["test_images"], np.zeros((0, 2, 2)))
+    write_idx_labels(paths["test_labels"], np.zeros(0))
+    dataset = {"kind": "mnist", **{f"{key}_path": str(path) for key, path in paths.items()}}
+    assert main(["run", "--config", str(write_config(tmp_path, dataset=dataset))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: $.dataset.test_images_path: the designated test split has no rows\n"
+    assert not (tmp_path / "results" / "results.csv").exists()
 
 
 def test_run_pool_too_small_in_a_later_repeat_exits_2_before_training(tmp_path, capsys, forbid_training):
@@ -406,8 +456,41 @@ def test_curves_out_that_cannot_be_written_exits_2(tmp_path, capsys):
         assert err.startswith(f"config error: --out: cannot write {str(out)!r}: "), err
 
 
-# ---- text inputs that are not UTF-8 or not CSV ------------------------------
-# a UTF-16 file starts with the bytes ff fe, which UTF-8 cannot decode
+# ---- text inputs: byte-order marks, not UTF-8, not CSV ---------------------
+# a UTF-8 file may start with the byte-order mark ef bb bf, which every text
+# reader drops (RFC 8259 lets a JSON reader ignore it); a UTF-16 file starts
+# with the bytes ff fe, which UTF-8 cannot decode
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_config_with_a_byte_order_mark_parses_as_without(tmp_path):
+    cfg = write_config(tmp_path)
+    plain = parse_config(cfg)
+    cfg.write_bytes(BOM + cfg.read_bytes())
+    assert parse_config(cfg) == plain
+
+
+def test_data_csv_with_a_byte_order_mark_loads_as_without(tmp_path):
+    # the label column first, so the mark would otherwise join its name
+    data, text = tmp_path / "data.csv", b"y,x1\n0,1.0\n1,2.0\n1,3.5\n"
+    data.write_bytes(text)
+    plain = load_csv(data, label_column="y")
+    data.write_bytes(BOM + text)
+    marked = load_csv(data, label_column="y")
+    assert marked.features.tobytes() == plain.features.tobytes()
+    assert marked.labels.tolist() == plain.labels.tolist() == [0, 1, 1]
+
+
+def test_results_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    results = tmp_path / "results.csv"
+    text = b"method,repeat,round,labeled_count,accuracy,wall_time_s\nmpts,0,0,10,0.5,0.0\n"
+    results.write_bytes(text)
+    plain = read_results_csv(results)
+    results.write_bytes(BOM + text)
+    assert read_results_csv(results) == plain
+
+
 
 def test_run_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "config.json"

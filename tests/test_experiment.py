@@ -217,7 +217,7 @@ def test_stacked_round_takes_its_rules_from_the_method_table(monkeypatch):
         return out
 
     def spy_evaluate(predictor, pool):
-        seen.append(len(predictor))
+        seen.append(len(predictor.flat))
         return real_evaluate(predictor, pool)
 
     real_train_stack, real_evaluate = experiment.train_stack, experiment.evaluate
@@ -313,12 +313,11 @@ def test_the_harness_trains_and_scores_in_float32(monkeypatch, mode, arrays):
 
     def spy_train_stack(pools, spec, config, seeds):
         result = real_train_stack(pools, spec, config, seeds)
-        snaps = [s for trajectory, _ in result for s in trajectory.snapshots]
-        trained.append(([p.features for p in pools], {s.flat.dtype for s in snaps}))
+        trained.append(([p.features for p in pools], {trajectory.flat.dtype for trajectory, _ in result}))
         return result
 
     def spy_acquire(method, pool, budget, trajectory, rng, bald_passes):
-        acquired.append((pool.features.dtype, {s.flat.dtype for s in trajectory.snapshots}))
+        acquired.append((pool.features.dtype, {trajectory.flat.dtype}))
         return real_acquire(method, pool, budget, trajectory, rng, bald_passes=bald_passes)
 
     monkeypatch.setattr(experiment, "train_stack", spy_train_stack)

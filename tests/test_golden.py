@@ -25,6 +25,7 @@ from allab.acquisition import bald_acquire, coreset_acquire
 from allab.cli import main
 from allab.config import parse_config
 from allab.experiment import _stacks, load_dataset, start_partition
+from allab.model import cell
 from allab.seeding import derive_int, derive_rng
 from allab.trainer import train_stack
 from idx_files import make_image_pool
@@ -136,15 +137,14 @@ def bias4_round0(method: str, repeats: int, dtype):
     trained = train_stack(
         [c.pool for c in group.cells], group.spec, replace(cfg.train, mmd_weight=group.mmd_weight), seeds
     )
-    assert {snap.flat.dtype for trajectory, _ in trained for snap in trajectory.snapshots} == {np.dtype(dtype)}
+    assert {trajectory.flat.dtype for trajectory, _ in trained} == {np.dtype(dtype)}
     return cfg, pools, trained
 
 
 def trained_digest(trained) -> str:
     h = hashlib.sha256()
     for trajectory, history in trained:
-        for snap in trajectory.snapshots:
-            h.update(snap.flat.tobytes())
+        h.update(trajectory.flat.tobytes())  # checkpoint by checkpoint, a row each
         for s in history:
             h.update(np.array([s.epoch, s.mean_ce, s.mean_mmd2, s.lr]).tobytes())
     return h.hexdigest()
@@ -164,7 +164,7 @@ def check_stack(method: str, key: str, dtype, repeats: int = 3):
 
 def check_dropout_model(dtype):
     cfg, (pool,), trained = bias4_round0("bald", 1, dtype)
-    final = trained[0][0].snapshots[-1]
+    final = cell(trained[0][0], -1)
     assert final.spec.dropout_rate == 0.5
     rng = derive_rng(cfg.master_seed, "acquire", "bald", 0, 0)
     bald = bald_acquire(final, pool, cfg.budget, cfg.model.bald_passes, rng)

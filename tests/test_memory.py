@@ -23,10 +23,11 @@ from allab import cli, experiment
 from allab.acquisition import bald_acquire, coreset_acquire, entropy_acquire
 from allab.config import parse_config
 from allab.experiment import load_dataset, run_experiment, start_partition
-from allab.model import CheckpointSet, MlpParams, ModelSpec, forward, init_mlp, snapshot
+from allab.model import MlpParams, ModelSpec, forward, init_mlp
 from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
 from idx_files import write_idx_images, write_idx_labels
+from test_model import trajectory_of
 
 N_TRAIN, N_TEST = 1200, 400
 FEATURE_BYTES = (N_TRAIN + N_TEST) * 784 * 8
@@ -243,7 +244,7 @@ def test_scoring_a_wide_pool_gathers_its_features_block_by_block(score):
     pool = PoolState(features, rng.integers(0, 10, n), 10, np.arange(0), np.arange(n), np.arange(n))
     final = init_mlp(ModelSpec((784, 128, 10), 1, 0.0), derive_rng(7))
     final = MlpParams(final.spec, final.flat.astype(np.float32))
-    trajectory = CheckpointSet((snapshot(final), snapshot(final)))
+    trajectory = trajectory_of(final, final)
     call = {"entropy_acquire": lambda: entropy_acquire(trajectory, pool, 10),
             "evaluate": lambda: evaluate(trajectory, pool)}[score]
     call()  # numpy's first calls import modules; count arrays, not them

@@ -1,4 +1,4 @@
-"""Network assembly, forward/backward, snapshots, dropout passes."""
+"""Network assembly, forward/backward, trajectories of checkpoints, dropout passes."""
 
 from unittest import mock
 
@@ -13,7 +13,6 @@ from allab.errors import DimensionError
 from allab.layers import affine_backward, affine_forward, relu, softmax, softmax_cross_entropy
 from allab.model import (
     GATHER_BYTES,
-    CheckpointSet,
     ForwardCache,
     MlpParams,
     ModelSpec,
@@ -24,8 +23,6 @@ from allab.model import (
     forward,
     init_mlp,
     predict_proba,
-    snapshot,
-    stack,
     zeros_like,
     _row_blocks,
 )
@@ -38,6 +35,14 @@ from test_layers import fd_grad, rel_err
 
 def small_net(seed=0, sizes=(3, 4, 2), split=1, rate=0.0):
     return init_mlp(ModelSpec(sizes, split, rate), derive_rng(seed))
+
+
+def trajectory_of(*models) -> MlpParams:
+    """A trajectory as the trainer returns one: a read-only (K, P) stack whose
+    row k is a copy of model k's vector."""
+    flat = np.stack([m.flat for m in models])
+    flat.flags.writeable = False
+    return MlpParams(models[0].spec, flat)
 
 
 # ---- spec / init -----------------------------------------------------------
@@ -107,18 +112,22 @@ def test_layers_are_views_of_the_flat_vector(sizes, seed):
 @settings(max_examples=40, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=3, max_size=5), seed=st.integers(0, 2**31))
 def test_snapshot_is_a_read_only_copy_of_the_vector(sizes, seed):
+    # a checkpoint is a row of a read-only trajectory: it, and every view
+    # ``cell`` and ``layers`` make of it, refuse writes
     params = init_mlp(ModelSpec(sizes, 1, 0.0), derive_rng(seed, "init"))
-    snap = snapshot(params)
-    assert np.array_equal(snap.flat.view(np.uint64), params.flat.view(np.uint64))
-    assert snap.spec.layer_sizes == params.spec.layer_sizes
-    assert not np.shares_memory(snap.flat, params.flat)
-    for target in (snap.flat, *(a for pair in snap.layers for a in pair)):
-        assert target.base is snap.flat or target is snap.flat
-        assert not np.shares_memory(target, params.flat)
-        with pytest.raises(ValueError, match="read-only"):
-            target[0] = 5.0
-    params.flat += 1.0  # training the source leaves the snapshot as it was
-    assert not np.array_equal(snap.flat, params.flat)
+    trajectory = trajectory_of(params, params)
+    for k in range(2):
+        snap = cell(trajectory, k)
+        assert np.array_equal(snap.flat.view(np.uint64), params.flat.view(np.uint64))
+        assert snap.spec.layer_sizes == params.spec.layer_sizes
+        assert not np.shares_memory(snap.flat, params.flat)
+        for target in (snap.flat, *(a for pair in snap.layers for a in pair)):
+            assert np.shares_memory(target, trajectory.flat)
+            assert not np.shares_memory(target, params.flat)
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 5.0
+    params.flat += 1.0  # training the source leaves the trajectory as it was
+    assert not np.array_equal(trajectory.flat[0], params.flat)
 
 
 @pytest.mark.parametrize(
@@ -269,7 +278,7 @@ def random_net_and_input(hidden, cells, rate, n, scale, special, seed):
     if cells is None:
         params = init_mlp(spec, rng)
     else:
-        params = stack([init_mlp(spec, rng) for _ in range(cells)])
+        params = MlpParams(spec, np.stack([init_mlp(spec, rng).flat for _ in range(cells)]))
     X = scale * rng.standard_normal(shape)
     if special is not None:  # signed zeros and non-finite values through every layer
         X[rng.random(X.shape) < 0.3] = special
@@ -422,13 +431,13 @@ def test_backward_without_input_dX_equals_full_chain_rule(net, with_dZ):
     assert got is out.layers
 
 
-# ---- snapshots and avg_predict ---------------------------------------------
+# ---- trajectories and avg_predict ------------------------------------------
 
 def test_snapshot_is_an_equal_copy_that_predicts_alike():
-    # a snapshot is MlpParams holding equal copies, and predicts the same bits
+    # a trajectory's row is MlpParams holding equal copies, and predicts the same bits
     params = small_net(15, sizes=(3, 5, 4, 2), split=2, rate=0.25)
     X = derive_rng(16).standard_normal((5, 3))
-    snap = snapshot(params)
+    snap = cell(trajectory_of(params), 0)
     assert isinstance(snap, MlpParams)
     assert (snap.spec.split_index, snap.spec.dropout_rate) == (2, 0.25)
     for (W, b), (Ws, bs) in zip(params.layers, snap.layers, strict=True):
@@ -442,7 +451,7 @@ def test_snapshot_isolated_from_training():
     X = derive_rng(18).standard_normal((6, 3))
     y = derive_rng(19).integers(0, 2, 6)
     before = predict_proba(params, X)
-    snap = snapshot(params)
+    snap = cell(trajectory_of(params), 0)
 
     for _ in range(10):
         _, logits, cache = forward(params, X, train_mode=True)
@@ -456,16 +465,17 @@ def test_snapshot_isolated_from_training():
 
 def test_snapshots_differ_after_nonzero_step():
     params = small_net(20)
-    s1 = snapshot(params)
+    first = MlpParams(params.spec, params.flat.copy())
     sgd_step(params, np.ones_like(params.flat), 0.1, 0.0)
-    s2 = snapshot(params)
+    trajectory = trajectory_of(first, params)
+    s1, s2 = cell(trajectory, 0), cell(trajectory, 1)
     assert not np.array_equal(s1.layers[0][0], s2.layers[0][0])
     # the recorded snapshot moved by exactly -lr * g
     assert np.allclose(s2.layers[0][0], s1.layers[0][0] - 0.1, atol=1e-15)
 
 
 def test_snapshot_arrays_read_only():
-    snap = snapshot(small_net(21))
+    snap = cell(trajectory_of(small_net(21)), 0)
     for W, b in snap.layers:
         for target in (W, b):
             before = target.copy()
@@ -477,7 +487,7 @@ def test_snapshot_arrays_read_only():
 
 
 def test_sgd_step_on_snapshot_raises():
-    snap = snapshot(small_net(24))
+    snap = cell(trajectory_of(small_net(24)), 0)
     kept = [(W.copy(), b.copy()) for W, b in snap.layers]
     with pytest.raises(ValueError, match="read-only"):
         sgd_step(snap, np.ones_like(snap.flat), 0.1, 0.0)
@@ -486,15 +496,15 @@ def test_sgd_step_on_snapshot_raises():
 
 
 def avg_predict_by_copies(trajectory, X):
-    """The old checkpoint average: each snapshot copied back into writable
+    """The old checkpoint average: each checkpoint copied back into writable
     parameters, predicted from by the reference forward, and summed and
     divided into new arrays."""
     acc = None
-    for snap in trajectory.snapshots:
-        params = MlpParams(snap.spec, snap.flat.copy())
+    for row in trajectory.flat:
+        params = MlpParams(trajectory.spec, row.copy())
         P = predict_proba_reference(params, X)
         acc = P if acc is None else acc + P
-    return acc / len(trajectory)
+    return acc / len(trajectory.flat)
 
 
 @settings(max_examples=40, deadline=None)
@@ -514,8 +524,8 @@ def test_avg_predict_on_read_only_snapshots_matches_copies(sizes, n_snaps, n, sc
         for W, b in params.layers:  # move the weights between checkpoints
             W += scale * rng.standard_normal(W.shape)
             b += scale * rng.standard_normal(b.shape)
-        snaps.append(snapshot(params))
-    traj = CheckpointSet(tuple(snaps))
+        snaps.append(MlpParams(params.spec, params.flat.copy()))
+    traj = trajectory_of(*snaps)
     X = scale * rng.standard_normal((n, d))
     got, want = avg_predict(traj, X), avg_predict_by_copies(traj, X)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -573,7 +583,7 @@ def test_dropout_probs_input_width_checked():
 
 def test_a_stack_holds_copies_of_its_cells_and_views_them():
     cells = [init_mlp(ModelSpec((3, 4, 2), 1, 0.0), derive_rng(r)) for r in range(3)]
-    stacked = stack(cells)
+    stacked = MlpParams(cells[0].spec, np.stack([c.flat for c in cells]))
     assert stacked.flat.shape == (3, cells[0].flat.size)
     for (W, b), sizes in zip(stacked.layers, [(3, 4), (4, 2)]):
         assert W.shape == (3, *sizes) and b.shape == (3, sizes[1])
@@ -585,21 +595,8 @@ def test_a_stack_holds_copies_of_its_cells_and_views_them():
         assert np.array_equal(one.flat, c.flat)
         for (W, b), (Wc, bc) in zip(one.layers, c.layers):
             assert np.array_equal(W, Wc) and np.array_equal(b, bc)
-    with pytest.raises(DimensionError, match="same layer sizes"):
-        stack([cells[0], init_mlp(ModelSpec((3, 5, 2), 1, 0.0), derive_rng(0))])
     with pytest.raises(DimensionError, match="does not match first layer"):
         forward(stacked, np.zeros((2, 5, 3)))  # a batch for 2 cells, not 3
-
-
-@pytest.mark.parametrize("split, rate", [(2, 0.0), (1, 0.5), (2, 0.5)])
-def test_a_stack_rejects_cells_of_different_models(split, rate):
-    # same layer sizes, so the cells' vectors have one length; the split or
-    # the dropout rate differs, and a stack has only one of each
-    first = init_mlp(ModelSpec((3, 4, 4, 2), 1, 0.0), derive_rng(0))
-    other = init_mlp(ModelSpec((3, 4, 4, 2), split, rate), derive_rng(1))
-    with pytest.raises(DimensionError, match="same layer sizes, split and dropout rate"):
-        stack([first, other])
-    assert stack([first, first]).spec == first.spec
 
 
 # ---- float32 ---------------------------------------------------------------
@@ -657,8 +654,7 @@ def test_float32_model_computes_in_float32(monkeypatch):
     Z, logits, cache = forward(params, X, train_mode=True, rng=derive_rng(2))
     arrays = [Z, logits, *cache.inputs, *cache.activations, *cache.dropout_masks]
     arrays += [a for pair in backward(params, cache, np.ones_like(logits), dZ=np.ones_like(Z)) for a in pair]
-    snaps = CheckpointSet((snapshot(params), snapshot(params)))
-    arrays += [predict_proba(params, X), avg_predict(snaps, X)]
+    arrays += [predict_proba(params, X), avg_predict(trajectory_of(params, params), X)]
     arrays += list(dropout_probs(params, X, 2, derive_rng(3)))
     assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
     assert {name for name, _ in seen} == set(primitives)
@@ -682,18 +678,15 @@ def test_params_must_be_float64_or_float32(dtype):
 
 def test_a_model_computes_in_its_vectors_dtype_and_a_stack_in_one():
     # the spec names no dtype: init draws float64, a float32 model is its
-    # vector rounded, and a stack or a trajectory refuses a mix of the two
+    # vector rounded, and a stack, a trajectory included, is one array of one dtype
     spec = ModelSpec((2, 3, 1))
     wide = init_mlp(spec, derive_rng(0))
     narrow = MlpParams(spec, wide.flat.astype(np.float32))
     X = derive_rng(1).standard_normal((4, 2))
     assert wide.flat.dtype == np.float64
     assert predict_proba(wide, X).dtype == np.float64 and predict_proba(narrow, X).dtype == np.float32
-    assert stack([narrow, narrow]).flat.dtype == np.float32
-    with pytest.raises(DimensionError, match="one dtype"):
-        stack([narrow, wide])
-    with pytest.raises(ValueError, match="not structurally identical"):
-        CheckpointSet((snapshot(wide), snapshot(narrow)))
+    assert avg_predict(trajectory_of(narrow, narrow), X).dtype == np.float32
+    assert avg_predict(trajectory_of(wide, wide), X).dtype == np.float64
 
 
 # ---- scoring selected rows -------------------------------------------------
@@ -784,8 +777,8 @@ def test_scoring_rows_equals_scoring_the_gathered_rows(width, dtype, regime, neg
     snaps = []
     for _ in range(3):
         params.flat += np.asarray(0.1 * rng.standard_normal(params.flat.shape), dtype)
-        snaps.append(snapshot(params))
-    trajectory, gathered = CheckpointSet(tuple(snaps)), X[rows]
+        snaps.append(MlpParams(spec, params.flat.copy()))
+    trajectory, gathered = trajectory_of(*snaps), X[rows]
     assert len(_row_blocks(n, width, first, np.dtype(dtype).itemsize)) == (3 if regime == "per + 1" else 2)
 
     got = [*forward(params, X, rows=rows)[:2], predict_proba(params, X, rows), avg_predict(trajectory, X, rows)]
@@ -831,7 +824,7 @@ def test_scoring_rejects_pixels_as_the_trainer_does(with_rows):
     pixels = derive_rng(1).integers(0, 256, (6, 3)).astype(np.uint8)
     rows = np.arange(4) if with_rows else None
     pool = PoolState(pixels, np.arange(6) % 2, 2, np.arange(2), np.arange(2, 4), np.arange(4, 6))
-    trajectory = CheckpointSet((snapshot(params),))
+    trajectory = trajectory_of(params)
     calls = [
         lambda: forward(params, pixels, rows=rows),
         lambda: predict_proba(params, pixels, rows),

@@ -5,9 +5,10 @@ import pytest
 
 from allab.dataio import Dataset, synth_blobs
 from allab.errors import ConfigError, PoolError
-from allab.model import CheckpointSet, MlpParams, ModelSpec, init_mlp, snapshot
+from allab.model import MlpParams, ModelSpec, init_mlp
 from allab.pool import PoolState, evaluate, init_pool, label_points
 from allab.seeding import derive_rng
+from test_model import trajectory_of
 
 
 def check_partition(pool: PoolState) -> None:
@@ -171,7 +172,7 @@ def test_evaluate_perfect_predictor():
     n, C = 8, 3
     labels = derive_rng(14).integers(0, C, size=n)
     pool = _eye_pool(n, labels, C)
-    assert evaluate(CheckpointSet((oracle_model(pool.features, labels, C),)), pool) == 1.0
+    assert evaluate(trajectory_of(oracle_model(pool.features, labels, C)), pool) == 1.0
 
 
 def test_evaluate_constant_predictor_on_balanced_set():
@@ -180,7 +181,7 @@ def test_evaluate_constant_predictor_on_balanced_set():
     labels = np.repeat(np.arange(C), n // C)
     pool = _eye_pool(n, labels, C)
     params = MlpParams(ModelSpec((n, 2, C), 1), np.zeros(n * 2 + 2 + 2 * C + C))
-    assert evaluate(CheckpointSet((params,)), pool) == pytest.approx(1.0 / C, abs=1e-15)
+    assert evaluate(trajectory_of(params), pool) == pytest.approx(1.0 / C, abs=1e-15)
 
 
 def test_evaluate_hand_counted_confusion():
@@ -191,14 +192,15 @@ def test_evaluate_hand_counted_confusion():
     taught = labels.copy()
     taught[[2, 5, 8]] = wrong[[2, 5, 8]]
     pool = _eye_pool(n, labels, C)
-    assert evaluate(CheckpointSet((oracle_model(pool.features, taught, C),)), pool) == pytest.approx(0.7)
+    assert evaluate(trajectory_of(oracle_model(pool.features, taught, C)), pool) == pytest.approx(0.7)
 
 
 def test_evaluate_accepts_trajectory():
     n, C = 6, 2
     labels = derive_rng(16).integers(0, C, size=n)
     pool = _eye_pool(n, labels, C)
-    traj = CheckpointSet((snapshot(oracle_model(pool.features, labels, C)),))
+    oracle = oracle_model(pool.features, labels, C)
+    traj = trajectory_of(oracle, oracle)
     assert evaluate(traj, pool) == 1.0
 
 
@@ -206,7 +208,7 @@ def test_evaluate_rejects_empty_test_set():
     pool = _eye_pool(4, np.zeros(4, dtype=np.int64), 2)
     pool.test_idx = np.empty(0, dtype=np.int64)
     with pytest.raises(PoolError):
-        evaluate(CheckpointSet((init_mlp(ModelSpec([4, 3, 2], 1, 0.0), derive_rng(17)),)), pool)
+        evaluate(trajectory_of(init_mlp(ModelSpec([4, 3, 2], 1, 0.0), derive_rng(17))), pool)
 
 
 def _eye_pool(n, labels, class_count):

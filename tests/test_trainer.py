@@ -12,7 +12,7 @@ from allab.dataio import Dataset, synth_blobs
 from allab.errors import DimensionError, PoolError, TrainingDiverged
 from allab.layers import softmax_cross_entropy
 from allab.mmd import median_heuristic, mmd2_biased_with_grad
-from allab.model import CheckpointSet, ModelSpec, backward, forward, init_mlp, snapshot
+from allab.model import ModelSpec, backward, cell, forward, init_mlp
 from allab.pool import PoolState, init_pool
 from allab.seeding import derive_rng
 from allab.trainer import (
@@ -68,16 +68,6 @@ def test_train_config_invariants():
     assert TrainConfig(kernel=[0.5, 1.5]).kernel == (0.5, 1.5)
     with pytest.raises(ValueError, match=r"^kernel: must be .* or a bandwidth list, got array"):
         TrainConfig(kernel=np.array([0.5, 1.5]))  # a list or tuple only, as in JSON
-
-
-def test_checkpoint_set_invariants():
-    s = snapshot(init_mlp(ModelSpec((3, 4, 2), 1, 0.0), derive_rng(0)))
-    other = snapshot(init_mlp(ModelSpec((3, 5, 2), 1, 0.0), derive_rng(0)))
-    assert len(CheckpointSet((s, s))) == 2
-    with pytest.raises(ValueError):
-        CheckpointSet(())
-    with pytest.raises(ValueError):
-        CheckpointSet((s, other))
 
 
 # ---- schedule --------------------------------------------------------------
@@ -280,12 +270,47 @@ def test_one_cell_keeps_n_checkpoints_of_one_shape():
     pool = blob_pool()
     cfg = TrainConfig(epochs=8, batch_size=16, n_checkpoints=3)
     traj, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [0])[0]
-    final = traj.snapshots[-1]
-    assert len(traj) == 3
+    final = cell(traj, -1)
+    assert len(traj.flat) == 3
     assert len(history) == 8
     shapes = [W.shape for W, _ in final.layers]
-    for snap in traj.snapshots:
-        assert [W.shape for W, _ in snap.layers] == shapes
+    for k in range(3):
+        assert [W.shape for W, _ in cell(traj, k).layers] == shapes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cells", [1, 2])
+def test_a_trajectory_is_a_read_only_copy_of_the_parameters_at_the_snapshot_steps(
+    monkeypatch, dtype, cells
+):
+    # the parameters after every step, recorded: row k of a cell's trajectory
+    # is its row of them after step snapshot_steps(...)[k]
+    import allab.trainer as trainer
+
+    real_step, after, trained = trainer.sgd_step, [], []
+
+    def recording_step(params, *args):
+        params = real_step(params, *args)
+        trained[:] = [params.flat]
+        after.append(params.flat.copy())
+        return params
+
+    monkeypatch.setattr(trainer, "sgd_step", recording_step)
+    pools = [blob_pool(seed=s) for s in range(cells)]
+    pools = [replace(pool, features=pool.features.astype(dtype)) for pool in pools]
+    spec, cfg = ModelSpec((2, 8, 2)), TrainConfig(epochs=6, batch_size=16, n_checkpoints=3)
+    result = train_stack(pools, spec, cfg, list(range(cells)))
+    steps = snapshot_steps(6, steps_per_epoch(80, 16), 3)
+    assert len(after) == 6 * steps_per_epoch(80, 16)
+    for r, (traj, _) in enumerate(result):
+        assert traj.flat.shape == (3, spec.n_params)
+        assert traj.flat.dtype == dtype
+        assert np.array_equal(traj.flat, np.stack([after[step][r] for step in steps]))
+        assert not np.shares_memory(traj.flat, trained[0])
+        with pytest.raises(ValueError, match="read-only"):
+            traj.flat[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            cell(traj, -1).layers[0][0][...] = 0.0
 
 
 def test_one_cell_training_is_deterministic():
@@ -293,10 +318,11 @@ def test_one_cell_training_is_deterministic():
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2)
     a_traj, a_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
     b_traj, b_hist = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [5])[0]
-    a_final, b_final = a_traj.snapshots[-1], b_traj.snapshots[-1]
+    a_final, b_final = cell(a_traj, -1), cell(b_traj, -1)
     for (Wa, ba), (Wb, bb) in zip(a_final.layers, b_final.layers):
         assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
-    for sa, sb in zip(a_traj.snapshots, b_traj.snapshots):
+    for k in range(2):
+        sa, sb = cell(a_traj, k), cell(b_traj, k)
         assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(sa.layers, sb.layers))
     assert a_hist == b_hist
 
@@ -440,7 +466,7 @@ def test_lambda_zero_bit_identical_to_plain_ce():
     pool = blob_pool(seed=3)
     cfg = TrainConfig(epochs=6, batch_size=16, n_checkpoints=3, mmd_weight=0.0)
     traj, history = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [11])[0]
-    final = traj.snapshots[-1]
+    final = cell(traj, -1)
     ref = ce_only_reference(pool, (2, 8, 2), cfg, 11)
     for (W, b), (Wr, br) in zip(final.layers, ref.layers):
         assert np.array_equal(W, Wr)
@@ -538,7 +564,7 @@ def trained_and_reference_layers(pool, spec, cfg, seed):
     """Pairs of (trained, reference) weights: the final ones, then each snapshot's."""
     traj, _ = train_stack([pool], spec, cfg, [seed])[0]
     ref_final, ref_snaps, _ = full_step_reference(pool, spec, cfg, seed)
-    got = [traj.snapshots[-1].layers, *[s.layers for s in traj.snapshots]]
+    got = [cell(traj, k).layers for k in (-1, *range(len(traj.flat)))]
     for layers, ref_layers in zip(got, [ref_final, *ref_snaps], strict=True):
         for (W, b), (W_ref, b_ref) in zip(layers, ref_layers, strict=True):
             yield W, W_ref
@@ -630,7 +656,7 @@ def test_float32_training_stays_float32(monkeypatch, lam, rate, cells):
     assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in seen), seen
     assert all(dtypes == {np.dtype(np.float32)} for dtypes in mmd_seen), mmd_seen
     for trajectory, _ in trained:
-        assert all(snap.flat.dtype == np.float32 for snap in trajectory.snapshots)
+        assert trajectory.flat.dtype == np.float32
 
 
 def skewed_pool(seed, per_class=300, n_lab_per_class=32):
@@ -670,7 +696,7 @@ def test_median_kernel_frozen_at_first_batch():
     pool = blob_pool(seed=6)
     cfg = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel="median")
     traj_a, hist_a = train_stack([pool], ModelSpec((2, 8, 2)), cfg, [21])[0]
-    final_a = traj_a.snapshots[-1]
+    final_a = cell(traj_a, -1)
 
     # replay the first step's draws to recover the frozen bandwidth
     from allab.mmd import median_heuristic
@@ -687,7 +713,7 @@ def test_median_kernel_frozen_at_first_batch():
 
     cfg_explicit = TrainConfig(epochs=4, batch_size=16, n_checkpoints=2, kernel=(sigma,))
     traj_b, hist_b = train_stack([pool], ModelSpec((2, 8, 2)), cfg_explicit, [21])[0]
-    final_b = traj_b.snapshots[-1]
+    final_b = cell(traj_b, -1)
     assert hist_a == hist_b
     for (Wa, _), (Wb, _) in zip(final_a.layers, final_b.layers):
         assert np.array_equal(Wa, Wb)
@@ -771,11 +797,10 @@ def test_stack_equals_its_cells_trained_alone(R, hidden, split_at, lam, rate, ke
         alone_streams = streams.take()
 
     for (traj, history), (traj_a, history_a) in zip(stacked, alone, strict=True):
-        assert len(traj) == len(traj_a) == 2
-        for snap, snap_a in zip(traj.snapshots, traj_a.snapshots):
-            assert snap.flat.dtype == snap_a.flat.dtype == dtype
-            assert np.array_equal(bits(snap.flat), bits(snap_a.flat))
-            assert not snap.flat.flags.writeable
+        assert len(traj.flat) == len(traj_a.flat) == 2
+        assert traj.flat.dtype == traj_a.flat.dtype == dtype
+        assert np.array_equal(bits(traj.flat), bits(traj_a.flat))
+        assert not traj.flat.flags.writeable
         assert history == history_a
     # every stream was left where training the cell alone leaves it
     assert stacked_streams.keys() == alone_streams.keys()
@@ -821,8 +846,8 @@ def test_a_model_trains_in_its_features_dtype():
     finals = {}
     for dtype in (np.float64, np.float32):
         ((trajectory, _),) = train_stack([replace(pool, features=pool.features.astype(dtype))], spec, cfg, [0])
-        assert {snap.flat.dtype for snap in trajectory.snapshots} == {np.dtype(dtype)}
-        finals[dtype] = trajectory.snapshots[-1].flat
+        assert trajectory.flat.dtype == np.dtype(dtype)
+        finals[dtype] = trajectory.flat[-1]
     np.testing.assert_allclose(finals[np.float32], finals[np.float64], rtol=0, atol=1e-5)
 
 
