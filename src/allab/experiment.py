@@ -55,6 +55,7 @@ __all__ = [
 
 RESULTS_HEADER = ("method", "repeat", "round", "labeled_count", "accuracy", "wall_time_s")
 CURVES_HEADER = ("method", "round", "labeled_count", "mean_accuracy", "std_accuracy", "repeats")
+SCORES_FILE = "scores_{method}_rep{repeat}_round{t}.csv"  # a cell's round-t scores (dump_scores)
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,10 @@ def make_output_dir(cfg: ExperimentConfig) -> Path:
     except OSError as e:
         raise ConfigError(f"$.output_dir: cannot make directory {str(out)!r}: {e.strerror or e}") from None
     return out
+
+
+def cannot_write(path, reason) -> ConfigError:
+    return ConfigError(f"$.output_dir: cannot write {str(path)!r}: {reason}")
 
 
 @dataclass
@@ -201,16 +206,19 @@ def _run_round(
 
 def _dump_scores(score_dir: Path, method: str, result: AcquisitionResult, repeat: int, t: int):
     """Per-round score trace: one row per scored point, selection flagged."""
-    path = score_dir / f"scores_{method}_rep{repeat}_round{t}.csv"
+    path = score_dir / SCORES_FILE.format(method=method, repeat=repeat, t=t)
     chosen = set(result.selected.tolist())
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["pool_index", "score", "selected"])
-        if len(result.scored):
-            for idx, s in zip(result.scored.tolist(), result.scores.tolist()):
-                w.writerow([idx, s, int(idx in chosen)])
-        else:  # random scores nothing: its picks, with an empty score
-            w.writerows([idx, "", 1] for idx in result.selected.tolist())
+    try:
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["pool_index", "score", "selected"])
+            if len(result.scored):
+                for idx, s in zip(result.scored.tolist(), result.scores.tolist()):
+                    w.writerow([idx, s, int(idx in chosen)])
+            else:  # random scores nothing: its picks, with an empty score
+                w.writerows([idx, "", 1] for idx in result.selected.tolist())
+    except OSError as e:
+        raise cannot_write(path, e.strerror or e) from None
 
 
 def _check_budget(cfg: ExperimentConfig, start: PoolState) -> None:

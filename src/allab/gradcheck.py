@@ -122,16 +122,19 @@ def _suite_dropout(col: _Collector, rng: np.random.Generator):
 
 
 def _suite_mmd(col: _Collector, rng: np.random.Generator):
+    # stacks of R cells of a + b rows, as the trainer passes them; cell r's bandwidths x (1 + r/2)
     kernels = [("single", (1.3,)), ("triple", (0.5, 1.0, 2.0)), ("around", (0.4, 0.8, 1.6))]
-    shapes = [(6, 4, 3), (3, 5, 2), (8, 8, 5), (2, 2, 1), (5, 1, 4), (1, 6, 3), (7, 3, 6)]
+    shapes = [(1, 6, 4, 3), (1, 3, 5, 2), (1, 8, 8, 5), (1, 2, 2, 1), (1, 5, 1, 4), (1, 1, 6, 3),
+              (1, 7, 3, 6), (3, 5, 4, 4)]
     for name, sigmas in kernels:
-        for j, (a, b, d) in enumerate(shapes):
-            A = rng.standard_normal((a, d))
-            B = rng.standard_normal((b, d)) + 0.5
-            loss = lambda: mmd2_biased(A, B, sigmas)
-            _, dA, dB = mmd2_biased_with_grad(A, B, sigmas)
-            col.add("mmd", f"{name}/{j}/dA", dA, central_diff(loss, A))
-            col.add("mmd", f"{name}/{j}/dB", dB, central_diff(loss, B))
+        for j, (R, a, b, d) in enumerate(shapes):
+            Z = rng.standard_normal((R, a + b, d))
+            Z[:, a:] += 0.5
+            per_cell = [tuple(s * (1 + r / 2) for s in sigmas) for r in range(R)]
+            _, dZ = mmd2_biased_with_grad(Z, a, list(np.array(per_cell).T[:, :, None, None]))
+            for r, cell_sigmas in enumerate(per_cell):
+                loss = lambda: mmd2_biased(Z[r, :a], Z[r, a:], cell_sigmas)
+                col.add("mmd", f"{name}/{j}/{r}", dZ[r], central_diff(loss, Z[r]))
 
 
 def _composite_instance(seed: int):
@@ -167,8 +170,8 @@ def _suite_composite(col: _Collector, seed: int):
         Z, logits, cache = forward(params, np.concatenate([X_l, X_p]), train_mode=True)
         dlogits = np.zeros_like(logits)
         _, dlogits[:n] = softmax_cross_entropy(logits[:n], y)
-        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z[:n], Z[n:], sigmas)
-        grads = backward(params, cache, dlogits, dZ=lam * np.concatenate([dZ_l, dZ_p]))
+        _, dZ = mmd2_biased_with_grad(Z, n, sigmas)
+        grads = backward(params, cache, dlogits, dZ=lam * dZ)
         for li, (dW, db) in enumerate(grads):
             col.add("composite", f"{s}/W{li}", dW, central_diff(loss, params.layers[li][0]))
             col.add("composite", f"{s}/b{li}", db, central_diff(loss, params.layers[li][1]))

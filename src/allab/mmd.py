@@ -18,10 +18,8 @@ float rounding:
 Gradients flow to both sample batches, since during training both are produced
 by the same feature extractor.  ``mmd2_biased_with_grad`` is the one value and
 gradient implementation: the trainer calls it every step, and the gradient
-audit checks it against :func:`mmd2_biased`.  It takes the bandwidths
-themselves, as per-cell columns for a stack of R cells' batch pairs (each
-cell's results are bit for bit those of its own 2-D call), and checks
-nothing; the reference functions check their batches.
+audit checks it against :func:`mmd2_biased`.  It checks nothing; the float64
+reference functions check their batches.
 
 Squared distances (:func:`sq_dists`, shared with core-set acquisition and
 the median heuristic) are written over their cross-product matrix, so each
@@ -103,65 +101,55 @@ def mmd2_biased(Z_L: np.ndarray, Z_star: np.ndarray, sigmas: tuple[float, ...]) 
     return float(K_ll.mean() - 2.0 * K_ls.mean() + K_ss.mean())
 
 
-def mmd2_biased_with_grad(
-    A: np.ndarray, B: np.ndarray, sigmas
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value and the analytic partials with respect to both batches, in one pass.
+def mmd2_biased_with_grad(Z: np.ndarray, a: int, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """Value and the analytic gradient with respect to the joint batch, in one pass.
 
-    A (..., a, h) and B (..., b, h) are batches of one float dtype, 2-D or
-    stacked, and every result has that dtype.  ``sigmas`` holds the m
-    bandwidths in order: floats for 2-D batches, or for a stack (R, 1, 1)
-    float64 arrays, one bandwidth per cell.  The value is a 0-d array, or one
-    value per cell.
+    Z (..., a + b, h), 2-D or stacked, holds the a rows of the first batch
+    then the b rows of the second; both results have its float dtype, and
+    the value its leading shape.  ``sigmas`` holds the m bandwidths: floats
+    for a 2-D batch, or (R, 1, 1) float64 arrays, one bandwidth per cell.
 
-    The term is computed in float64 whatever the batches' dtype, and only
-    its results are rounded to it.  In float32 the squared distances
-    ``|a|^2 + |b|^2 - 2 a.b`` would lose about 6e-8 |z|^2 each, and so would
-    the gradient's ``rowsum(K) A - K @ A``; the kernel divides both by
-    sigma^2, so with a bandwidth far below the feature norms (a small
-    configured one, or a median shrunk by dead units) the float32 gradient
-    is wrong by much more than its rounding.  The (a + b)^2 h-sized products
-    here cost little next to the model's layers.
+    The kernel depends only on differences, so the term computes in Z's
+    dtype from each cell's centred rows X and one (a + b)^2 distance matrix.
+    With w = 1/a on the first batch's rows and -1/b on the second's, and K_s
+    the kernel matrix of bandwidth s, the value is sum_s w.K_s w / m, and
+    gradient row p is sum_j M_pj (x_p - x_j) = w_p ((C w)_p x_p - (C @ wX)_p),
+    with M = diag(w) C diag(w) and C = sum_s (-2 / s^2) K_s / m.  Bandwidth
+    coefficients are rounded to the dtype from float64, as a 2-D call's
+    floats are, so each cell's results are bit for bit its own 2-D call's.
 
-    For a single bandwidth, differentiating the three V-statistic terms gives
-
-        dA_p = -(2 / (a^2 s^2)) (rowsum(K_AA)_p A_p - (K_AA @ A)_p)
-               +(2 / (a b s^2)) (rowsum(K_AB)_p A_p - (K_AB @ B)_p)
-
-    and symmetrically for B with K_AB transposed.  Multi-bandwidth kernels
-    average the per-bandwidth values and gradients: every bandwidth adds its
-    terms to sums that start at zero, in bandwidth order.
-    Each batch's row norms are computed once for all three distance matrices.
+    Centring makes the rounding of distances, about (|x_i|^2 + |x_j|^2) eps,
+    and of the gradient, about |M| |x| eps, scale with the batches' spread.
+    Below float64, a cell whose widest centred row's squared norm exceeds
+    2^10 times its smallest squared bandwidth (one frozen while the features
+    were nearly one point, say) gets its rows' float64 results, rounded:
+    divided by s^2, that rounding would reach every entry.
     """
-    dtype = A.dtype
-    A, B = A.astype(np.float64, copy=False), B.astype(np.float64, copy=False)
-    a, b = A.shape[-2], B.shape[-2]
-    norms_a, norms_b = sq_norms(A), sq_norms(B)
-    d2_aa = sq_dists(A, A, norms_a, norms_a)
-    d2_ab = sq_dists(A, B, norms_a, norms_b)
-    d2_bb = sq_dists(B, B, norms_b, norms_b)
-
-    matrix = (-2, -1)  # the mean over each cell's whole matrix
-    value, dA, dB = 0.0, np.zeros_like(A), np.zeros_like(B)
+    dtype = Z.dtype
+    X = Z - Z.mean(axis=-2, keepdims=True)
+    n, m = X.shape[-2], len(sigmas)
+    w = np.full(n, -1.0 / (n - a), dtype)
+    w[:a] = 1.0 / a
+    norms = sq_norms(X)
+    narrow = norms.max(axis=-1) > 2**10 * np.min(sigmas, axis=0).reshape(norms.shape[:-1]) ** 2
+    d2 = sq_dists(X, X, norms, norms)
+    value = C = 0.0
     for sigma in sigmas:
-        neg_inv2s2 = -1.0 / (2.0 * sigma * sigma)
-        K_aa = np.exp(d2_aa * neg_inv2s2)
-        K_ab = np.exp(d2_ab * neg_inv2s2)
-        K_bb = np.exp(d2_bb * neg_inv2s2)
-        value += K_aa.mean(axis=matrix) - 2.0 * K_ab.mean(axis=matrix) + K_bb.mean(axis=matrix)
-
         inv_s2 = 1.0 / (sigma * sigma)
-        row_aa = K_aa.sum(axis=-1)
-        row_ab = K_ab.sum(axis=-1)
-        col_ab = K_ab.sum(axis=-2)
-        row_bb = K_bb.sum(axis=-1)
-        dA += (-2.0 / (a * a) * inv_s2) * (row_aa[..., None] * A - K_aa @ A)
-        dA += (2.0 / (a * b) * inv_s2) * (row_ab[..., None] * A - K_ab @ B)
-        dB += (-2.0 / (b * b) * inv_s2) * (row_bb[..., None] * B - K_bb @ B)
-        dB += (2.0 / (a * b) * inv_s2) * (col_ab[..., None] * B - K_ab.swapaxes(-1, -2) @ A)
-
-    m = len(sigmas)
-    return tuple(x.astype(dtype, copy=False) for x in (value / m, dA / m, dB / m))
+        K = np.exp(d2 * np.asarray(-0.5 * inv_s2, dtype))
+        value += ((K @ w) * w).sum(axis=-1)
+        K *= np.asarray(-2.0 * inv_s2, dtype)
+        C += K
+    wX = X * w[:, None]
+    X *= (C @ w)[..., None]
+    X -= C @ wX
+    X *= w[:, None] / m
+    value /= m
+    if dtype != np.float64 and narrow.any():
+        wide_value, wide_dZ = mmd2_biased_with_grad(Z.astype(np.float64), a, sigmas)
+        value = np.where(narrow, wide_value, value).astype(dtype)
+        X = np.where(narrow[..., None, None], wide_dZ, X).astype(dtype)
+    return value, X
 
 
 def median_heuristic(Z: np.ndarray) -> float:

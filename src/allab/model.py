@@ -166,10 +166,11 @@ GATHER_BYTES = 2 << 20  # the most first-layer input a scoring call gathers at o
 def _row_blocks(n: int, width: int, out_width: int, itemsize: int) -> list[int]:
     """Bounds of the near-equal blocks n rows are scored in by a (width, out_width)
     first layer: at most the larger of ``GATHER_BYTES``, 256 rows, 2^21 multiply-adds
-    and 2 * out_width + 1 rows each, and at least half that (see README)."""
+    and 2 * out_width + 1 rows each, and at least half that; one block for a
+    single-unit layer and a float64 one of over 192 units (see README)."""
     macs = -(-(2 << 20) // (width * out_width))
     per = max(256, GATHER_BYTES // (width * itemsize), macs, 2 * out_width + 1)
-    count = max(1, -(-n // per))
+    count = 1 if out_width == 1 or (itemsize == 8 and out_width > 192) else max(1, -(-n // per))
     return [n * i // count for i in range(count + 1)]
 
 

@@ -36,9 +36,9 @@ changes no draw.
 Each step runs one forward and one backward pass.  At ``mmd_weight`` > 0
 they run over one (R, 2 * batch, d) buffer, the labeled rows then the pool
 rows: the CE reads the first ``batch`` logits, the MMD^2 term compares the
-two halves of Z, and the backward pass takes the CE gradient on the
-labeled rows, zero on the pool rows, and the MMD^2 gradient of both halves
-at Z.  At ``mmd_weight`` 0 only the labeled rows go through the network,
+two halves of Z, taking Z whole, and the backward pass takes the CE
+gradient on the labeled rows, zero on the pool rows, and the MMD^2 gradient
+of both halves at Z.  At ``mmd_weight`` 0 only the labeled rows go through the network,
 and the kernel, the MMD^2 value and its gradient are never computed; the
 logged mean MMD^2 is 0.0.
 
@@ -48,8 +48,8 @@ numpy call of a step serves all R cells, a stack of one included.  A stack
 trains in its features' dtype: its float64 initial parameters are cast to it
 once, and each round's gradient buffer (``zeros_like``, written by the
 backward pass), update scratch, batch and head-gradient buffers have it, so
-float32 features train in float32 but for the MMD^2 term, which computes in
-float64 and rounds its results (see ``mmd.mmd2_biased_with_grad``).  Every cell's labels and
+float32 features train in float32, the MMD^2 term on centred batches
+included (see ``mmd.mmd2_biased_with_grad``).  Every cell's labels and
 feature width are checked once per round, before step 0, and the kernel
 bandwidths are resolved once, at the first step; the step then calls
 ``layers.softmax_cross_entropy`` and ``mmd.mmd2_biased_with_grad``, which
@@ -333,15 +333,13 @@ def train_stack(
             raise TrainingDiverged(f"non-finite CE at step {step} (lr={lr:g})")
 
         if lam > 0:
-            Z_l, Z_p = Z[:, :B, :], Z[:, B:, :]
             if sigmas is None:
-                per_cell = [_resolve_kernel(config, z) for z in Z_p]
+                per_cell = [_resolve_kernel(config, z) for z in Z[:, B:, :]]
                 # the k-th bandwidth is an (R, 1, 1) column, one per cell
                 sigmas = list(np.array(per_cell).T[:, :, None, None])
-            m2, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
+            m2, dZ = mmd2_biased_with_grad(Z, B, sigmas)
             if not np.isfinite(lam * m2).all():
                 raise TrainingDiverged(f"non-finite MMD^2 term at step {step} (lr={lr:g})")
-            dZ = np.concatenate([dZ_l, dZ_p], axis=1)
             dZ *= lam
             mmd_sum += m2
         else:

@@ -284,6 +284,35 @@ def test_run_output_file_that_cannot_be_written_at_the_end_exits_2(tmp_path, cap
     assert err == f"config error: $.output_dir: cannot write {str(blocked)!r}: Is a directory\n"
 
 
+def test_run_score_file_that_is_a_directory_exits_2_before_loading_data(tmp_path, capsys, monkeypatch):
+    import allab.cli
+
+    def no_loading(cfg):
+        raise AssertionError("data was loaded")
+
+    monkeypatch.setattr(allab.cli, "load_dataset", no_loading)
+    blocked = tmp_path / "results" / "scores_entropy_rep0_round0.csv"
+    blocked.mkdir(parents=True)
+    assert main(["run", "--config", str(write_config(tmp_path, dump_scores=True))]) == 2
+    assert capsys.readouterr().err == f"config error: $.output_dir: cannot write {str(blocked)!r}: Is a directory\n"
+
+
+def test_run_score_file_that_cannot_be_written_mid_run_exits_2(tmp_path, capsys, monkeypatch):
+    # a directory that takes a score file's place while the cells run
+    import allab.experiment
+
+    blocked, real_acquire = tmp_path / "results" / "scores_random_rep1_round0.csv", allab.experiment.acquire
+
+    def acquire_then_block(*args, **kwargs):
+        blocked.mkdir(exist_ok=True)
+        return real_acquire(*args, **kwargs)
+
+    monkeypatch.setattr(allab.experiment, "acquire", acquire_then_block)
+    assert main(["run", "--config", str(write_config(tmp_path, dump_scores=True))]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: $.output_dir: cannot write {str(blocked)!r}: Is a directory\n"
+
+
 @pytest.mark.parametrize("under_file", [False, True])
 def test_run_output_directory_that_cannot_be_made_exits_2_before_training(
     tmp_path, capsys, forbid_training, under_file

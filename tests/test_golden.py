@@ -89,16 +89,16 @@ def test_image784_results_csv_matches_golden_digest(tmp_path):
 # harness trains in float32; the float64 digests pin float64 features' training.
 TRAINED_GOLDEN = {
     "float64": {
-        "mmd_stack": "ca1c92393c6d001d8e22de89a05fc56ed5a16907be6a98a0012cd2840837325a",
+        "mmd_stack": "45ae6503b5128d5bae439b5af53195bbdbc63fa53efe998cfeef3bbf342506b0",
         "plain_stack": "7e4c918d19b6c87211f3cd897dc4c8de3505054b7761c91f12bc7ee7644a4a22",
         "dropout": "e6e12821232844b25d2377e56c9eb40e05c2af0f05b7edab0ce0e3045f882ea1",
-        "mmd_cell": "0ebc64f2f4a60e3d8d0347bcf2c119bd93c20afc2e67c2eb35efdb6ddb757f10",
+        "mmd_cell": "10d9c4bf8a6578c7e2b2b07c8119fc20c8b3d13d5e2e0ba6ce3e212ee16ffc4d",
     },
     "float32": {
-        "mmd_stack": "bdb23f348b195db12adf8175a91690896c1b0ebd99fe42c8f08e53c8a231196f",
+        "mmd_stack": "af592d9cbf1d075e66c4c9ba74b5f69703ad5befa789c9369c8a8d70a0678e7f",
         "plain_stack": "86ec3ef45ac7ace040e11f4ebb46e418cfb5e7a85dcdb0996ad6d51daf73c599",
         "dropout": "6c8a2fb4f7fa0906f1e37fb2eafaa61d16b94b3b61d0e9a6c94d9f82b08a6040",
-        "mmd_cell": "b5fea33c5e4eb6518b7a442aaa4fd2b13704657b32f62bfac2846baf3f1548df",
+        "mmd_cell": "078b9b1d1b3850a3861b0c70b75a6725eada0c2a4543d9babd3c16e73a39a0f2",
     },
 }
 SCORES_GOLDEN = {
@@ -114,7 +114,7 @@ SCORES_GOLDEN = {
 
 # ``allab gradcheck``'s default output: the audit runs in float64 whatever
 # dtype the harness trains in
-GRADCHECK_GOLDEN = "9feb5b5f0bce2534c4c4762bd9a4be4dd6dad1def2d0fa41ebdfb80e30fd42af"
+GRADCHECK_GOLDEN = "78634a49c465d8bb4e51e18681236caec0ad72d0d69d373ae75abd8b3d5d5948"
 
 
 def bias4_round0(method: str, repeats: int, dtype):

@@ -509,7 +509,8 @@ def full_step_reference(pool, spec, cfg, seed, thetas=None):
         if sigmas is None:
             sigmas = (median_heuristic(Z_p),)
         _, dlogits = softmax_cross_entropy(logits, pool.labels[idx_l])
-        _, dZ_l, dZ_p = mmd2_biased_with_grad(Z_l, Z_p, sigmas)
+        _, dZ = mmd2_biased_with_grad(np.concatenate([Z_l, Z_p]), B, sigmas)
+        dZ_l, dZ_p = dZ[:B], dZ[B:]
         if cfg.mmd_weight > 0:
             grads = backward(params, cache_l, dlogits, dZ=cfg.mmd_weight * dZ_l)
             grads_p = backward(params, cache_p, np.zeros_like(logits), dZ=cfg.mmd_weight * dZ_p)
@@ -612,11 +613,14 @@ def test_fused_step_close_to_two_pass_step(sizes, split_at, rate, seed):
 def test_float32_step_close_to_float64_step(sizes, split_at, rate, lam, seed):
     # each float32 step's gradient against the float64 two-pass gradient from
     # the same parameters and inputs, within 2e-3 * max(1, max |g|) per
-    # entry.  The MMD^2 term computes in float64, so what is left is float32
-    # rounding in the layers, which the kernel carries on.  At lam 0.5, over
-    # 96,000 steps of 8,000 such cases, the error stayed under 4.2e-4 *
-    # max(1, max |g|), also where dead ReLU units shrank the median bandwidth
-    # far below the feature norms (max ||z||^2 / sigma^2 up to 7e9)
+    # entry.  The MMD^2 term computes in float32 on centred batches, so its
+    # rounding scales with the features' spread, not their norms; a cell
+    # whose median bandwidth froze far below that spread (dead ReLU units at
+    # the first step) computes it in float64.  The rest is float32 rounding
+    # in the layers, which the kernel carries on.  At lam 0.5, over 72,000
+    # steps of 6,000 such cases, the error stayed under 7.2e-5 *
+    # max(1, max |g|); with the term in float32 for every cell, 4 of 2,000
+    # cases went past the bound, the worst to 1.7e-2
     pool, spec, cfg = random_step_case(sizes, split_at, rate, lam, seed)
     pool = replace(pool, features=pool.features.astype(np.float32))
     steps = recorded_steps(pool, spec, cfg, seed)
@@ -636,15 +640,23 @@ def test_float32_training_stays_float32(monkeypatch, lam, rate, cells):
 
     names = ("forward", "backward", "softmax_cross_entropy", "sgd_step")
     seen = spy_float_dtypes(monkeypatch, trainer, names)
-    # the MMD^2 term gets float64 bandwidths and computes in float64; the
-    # batches it gets and the value and gradients it gives are float32
-    mmd_seen, real_mmd = [], trainer.mmd2_biased_with_grad
+    # the MMD^2 term gets float64 bandwidths and, once per step, the
+    # forward pass's own float32 Z, with the 16 labeled rows first; the
+    # value and gradient it gives are float32
+    features, mmd_seen = [], []
+    spied_forward, real_mmd = trainer.forward, trainer.mmd2_biased_with_grad
 
-    def spy_mmd(A, B, sigmas):
-        result = real_mmd(A, B, sigmas)
-        mmd_seen.append(float_dtypes([A, B, result]))
+    def keep_features(*args, **kwargs):
+        result = spied_forward(*args, **kwargs)
+        features.append(result[0])
         return result
 
+    def spy_mmd(Z, a, sigmas):
+        result = real_mmd(Z, a, sigmas)
+        mmd_seen.append((Z is features[-1], a, float_dtypes([Z, result])))
+        return result
+
+    monkeypatch.setattr(trainer, "forward", keep_features)
     monkeypatch.setattr(trainer, "mmd2_biased_with_grad", spy_mmd)
     pools = [blob_pool(seed=s) for s in range(cells)]
     pools = [replace(pool, features=pool.features.astype(np.float32)) for pool in pools]
@@ -652,9 +664,10 @@ def test_float32_training_stays_float32(monkeypatch, lam, rate, cells):
     cfg = TrainConfig(epochs=2, batch_size=16, n_checkpoints=1, mmd_weight=lam, kernel="median3")
     trained = train_stack(pools, spec, cfg, list(range(cells)))
     assert {name for name, _ in seen} == set(names)
-    assert bool(mmd_seen) == (lam > 0)
+    steps = sum(name == "sgd_step" for name, _ in seen)
+    assert len(mmd_seen) == (steps if lam > 0 else 0) and len(features) == steps
     assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in seen), seen
-    assert all(dtypes == {np.dtype(np.float32)} for dtypes in mmd_seen), mmd_seen
+    assert all(call == (True, 16, {np.dtype(np.float32)}) for call in mmd_seen), mmd_seen
     for trajectory, _ in trained:
         assert trajectory.flat.dtype == np.float32
 
