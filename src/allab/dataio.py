@@ -243,17 +243,26 @@ def _full_scale(X: np.ndarray) -> float:
     return 255.0 if X.dtype == np.uint8 else 1.0
 
 
-def _write_scaled(X: np.ndarray, shift, scale, dtype) -> np.ndarray:
-    """(X's values - shift) / scale as a new ``dtype`` array, computed in float64
-    ``_ROW_BLOCK`` rows at a time: a float32 result is the float64 one rounded
-    (beyond float32's range, to +-inf), and no full float64 copy is made."""
-    out = np.empty(X.shape, dtype)
-    block, full = np.empty((min(_ROW_BLOCK, len(X)), X.shape[1])), _full_scale(X)
-    for i in range(0, len(X), _ROW_BLOCK):
-        rows = np.divide(X[i : i + _ROW_BLOCK], full, out=block[: len(X) - i])
-        rows -= shift
-        rows /= scale
-        out[i : i + _ROW_BLOCK] = rows
+def _value_blocks(X: np.ndarray, rows, buf: np.ndarray):
+    """The float64 feature values of X[rows] (of every row of X when rows is
+    None), ``len(buf)`` rows at a time, each block written into buf's leading rows."""
+    full, n = _full_scale(X), len(X) if rows is None else len(rows)
+    for i in range(0, n, len(buf)):
+        part = X[i : i + len(buf)] if rows is None else X[rows[i : i + len(buf)]]
+        yield np.divide(part, full, out=buf[: len(part)])
+
+
+def _write_scaled(X: np.ndarray, shift, scale, dtype, rows=None) -> np.ndarray:
+    """(X[rows]'s values - shift) / scale (every row's when rows is None) as a
+    new ``dtype`` array, computed in float64 ``_ROW_BLOCK`` rows at a time: a
+    float32 result is the float64 one rounded (beyond float32's range, to
+    +-inf), and no full float64 copy is made."""
+    out = np.empty((len(X) if rows is None else len(rows), X.shape[1]), dtype)
+    buf = np.empty((min(_ROW_BLOCK, len(out)), X.shape[1]))
+    for i, block in zip(range(0, len(out), _ROW_BLOCK), _value_blocks(X, rows, buf)):
+        block -= shift
+        block /= scale
+        out[i : i + len(block)] = block
     return out
 
 
@@ -265,24 +274,43 @@ def feature_values(X: np.ndarray, dtype) -> np.ndarray:
     return _write_scaled(X, 0.0, 1.0, dtype)
 
 
-def standardize(X: np.ndarray, stats_rows: np.ndarray, dtype) -> np.ndarray:
+def _column_sums(X: np.ndarray, rows: np.ndarray, buf: np.ndarray, centre=None) -> np.ndarray:
+    """The column sums of the values of X[rows], or of their squared
+    deviations from ``centre``, in float64, bit for bit numpy's axis-0 sum of
+    them all: that sum adds the rows one by one in order, so each block after
+    the first is summed with the running sums as its first row, ``buf[0]``;
+    the blocks are written into ``buf[1:]``."""
+    sums = None
+    for block in _value_blocks(X, rows, buf[1:]):
+        if centre is not None:
+            block -= centre
+            np.square(block, out=block)
+        if sums is not None:
+            buf[0] = sums
+            block = buf[: len(block) + 1]
+        sums = block.sum(axis=0)
+    return sums
+
+
+def standardize(X: np.ndarray, stats_rows: np.ndarray, dtype, rows=None) -> np.ndarray:
     """Per-feature standardization v' = (v - mean) / std of the feature values
-    v of every row of X, as a new array of ``dtype``.
+    v of X's sorted rows ``rows`` (of every row when rows is None), as a new
+    ``(len(rows), d)`` array of ``dtype``.
 
     Statistics come from the rows ``stats_rows``; std is the population
     convention (divide by n).  Features with zero std are left untouched
     (neither centered nor scaled).  X may be uint8 pixels; everything is
     computed in float64, as ``_write_scaled`` does.
     """
-    # the std is computed in place on a float64 copy of the statistics rows,
-    # step for step as ndarray.std does it (so bit for bit), and the copy is
-    # freed before the output is built
-    src = np.asarray(X[np.asarray(stats_rows)], np.float64)
-    src /= _full_scale(X)
-    mean = src.mean(axis=0)
-    src -= mean
-    np.square(src, out=src)
-    std = np.sqrt(src.sum(axis=0) / len(src))  # population: ddof=0
-    del src
+    # the mean and the std are ndarray.std's steps (so its bits), taken in two
+    # passes over float64 blocks of the statistics rows; numpy sums a single
+    # column pairwise, not row by row, so a one-column input is one block.  The
+    # block is freed before the output is built
+    stats_rows = np.asarray(stats_rows)
+    n, d = len(stats_rows), X.shape[1]
+    buf = np.empty((1 + (n if d == 1 else min(_ROW_BLOCK, n)), d))
+    mean = _column_sums(X, stats_rows, buf) / n
+    std = np.sqrt(_column_sums(X, stats_rows, buf, mean) / n)  # population: ddof=0
+    del buf
     constant = std == 0.0
-    return _write_scaled(X, np.where(constant, 0.0, mean), np.where(constant, 1.0, std), dtype)
+    return _write_scaled(X, np.where(constant, 0.0, mean), np.where(constant, 1.0, std), dtype, rows)

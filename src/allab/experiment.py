@@ -15,9 +15,12 @@ In each round every stack trains its cells in lockstep with
 then each of its cells is evaluated, acquires its next labels and drops its
 trajectory before the next stack trains.  Every stack runs in the calling
 thread, in the order of ``_stacks``.  Each repeat's features are made
-float32 once, when its partition is drawn (without standardization the
-repeats share one float32 copy), and so every cell's model trains and
-scores in float32: ``trainer.train_stack`` trains in its features' dtype.
+float32 once, when its partition is drawn: standardized, they are the
+partition's pool and test rows alone, and its indices are positions in
+them; without standardization the repeats share one float32 copy of the
+dataset.  So every cell's model trains and scores in float32:
+``trainer.train_stack`` trains in its features' dtype.  A TrainingDiverged
+from training, evaluation or acquisition names the round and the cells.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -93,11 +97,17 @@ _DTYPE = np.float32
 
 def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> PoolState:
     """The repeat's starting partition, standardized if enabled, whose features
-    every method's cell of the repeat shares: the dataset's feature values as
-    float32 (unstandardized, the dataset's own array when it holds them).
+    every method's cell of the repeat shares.
 
-    Standardization statistics are fitted inside the partition (pool rows or
-    initial labeled rows) so the test set never leaks into them.
+    Unstandardized, the features are the dataset's feature values as float32
+    (the dataset's own array when it holds them) and the indices are dataset
+    rows.  Standardized, they are a float32 array of the partition's pool and
+    test rows alone, in ascending dataset order, with those rows' labels, and
+    the indices are positions in it (``PoolState.dataset_rows`` maps them
+    back); the map is monotone, so every draw, tie-break and pick is the one
+    made on dataset rows.  Standardization statistics are fitted inside the
+    partition (pool rows or initial labeled rows) so the test set never leaks
+    into them.
     """
     start = init_pool(
         dataset,
@@ -111,7 +121,16 @@ def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> Poo
     if mode == "none":
         return replace(start, features=feature_values(dataset.features, _DTYPE))
     stats_rows = start.pool_idx if mode == "pool" else start.labeled_idx
-    return replace(start, features=standardize(dataset.features, stats_rows, _DTYPE))
+    rows = np.union1d(start.pool_idx, start.test_idx)
+    return replace(
+        start,
+        features=standardize(dataset.features, stats_rows, _DTYPE, rows),
+        labels=dataset.labels[rows],
+        labeled_idx=np.searchsorted(rows, start.labeled_idx),
+        unlabeled_idx=np.searchsorted(rows, start.unlabeled_idx),
+        test_idx=np.searchsorted(rows, start.test_idx),
+        dataset_rows=rows,
+    )
 
 
 def make_output_dir(cfg: ExperimentConfig) -> Path:
@@ -178,17 +197,15 @@ def _run_round(
     started = time.monotonic()
     train = replace(cfg.train, mmd_weight=group.mmd_weight)
     seeds = [derive_int(cfg.master_seed, "train", c.method, c.repeat, t) for c in group.cells]
-    try:
+    with _diverged_in(t, group.cells):
         trained = train_stack([c.pool for c in group.cells], group.spec, train, seeds)
-    except TrainingDiverged as e:
-        cells = ", ".join(f"{c.method} rep {c.repeat}" for c in group.cells)
-        raise TrainingDiverged(f"round {t}, {cells}: {e}") from None
     train_s = time.monotonic() - started
     for c, (trajectory, _) in zip(group.cells, trained):
         if not METHODS[c.method].on_trajectory:
             trajectory = MlpParams(group.spec, trajectory.flat[-1:])
         evaluated = time.monotonic()
-        accuracy = evaluate(trajectory, c.pool)
+        with _diverged_in(t, [c]):
+            accuracy = evaluate(trajectory, c.pool)
         c.logs.append(RoundLog(c.method, c.repeat, c.repeat_seed, t, len(c.pool.labeled_idx), accuracy))
         if progress is not None:
             progress(
@@ -198,25 +215,41 @@ def _run_round(
         if t == cfg.rounds - 1:
             continue
         rng = derive_rng(cfg.master_seed, "acquire", c.method, c.repeat, t)
-        result = acquire(c.method, c.pool, cfg.budget, trajectory, rng, bald_passes=cfg.model.bald_passes)
+        with _diverged_in(t, [c]):
+            result = acquire(c.method, c.pool, cfg.budget, trajectory, rng, bald_passes=cfg.model.bald_passes)
         if score_dir is not None:
-            _dump_scores(score_dir, c.method, result, c.repeat, t)
+            _dump_scores(score_dir, c, result, t)
         c.pool = label_points(c.pool, result.selected)
 
 
-def _dump_scores(score_dir: Path, method: str, result: AcquisitionResult, repeat: int, t: int):
-    """Per-round score trace: one row per scored point, selection flagged."""
-    path = score_dir / SCORES_FILE.format(method=method, repeat=repeat, t=t)
-    chosen = set(result.selected.tolist())
+@contextmanager
+def _diverged_in(t: int, cells: list[_Cell]):
+    """Prefix a TrainingDiverged raised inside with round t and the cells."""
+    try:
+        yield
+    except TrainingDiverged as e:
+        names = ", ".join(f"{c.method} rep {c.repeat}" for c in cells)
+        raise TrainingDiverged(f"round {t}, {names}: {e}") from None
+
+
+def _dump_scores(score_dir: Path, c: _Cell, result: AcquisitionResult, t: int):
+    """Cell c's round-t score trace: one row per scored point, selection
+    flagged.  A point's ``pool_index`` is its dataset row, its partition
+    position mapped through ``PoolState.dataset_rows``."""
+    path = score_dir / SCORES_FILE.format(method=c.method, repeat=c.repeat, t=t)
+    scored, selected, rows = result.scored, result.selected, c.pool.dataset_rows
+    if rows is not None:
+        scored, selected = rows[scored], rows[selected]
+    chosen = set(selected.tolist())
     try:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["pool_index", "score", "selected"])
-            if len(result.scored):
-                for idx, s in zip(result.scored.tolist(), result.scores.tolist()):
+            if len(scored):
+                for idx, s in zip(scored.tolist(), result.scores.tolist()):
                     w.writerow([idx, s, int(idx in chosen)])
             else:  # random scores nothing: its picks, with an empty score
-                w.writerows([idx, "", 1] for idx in result.selected.tolist())
+                w.writerows([idx, "", 1] for idx in selected.tolist())
     except OSError as e:
         raise cannot_write(path, e.strerror or e) from None
 

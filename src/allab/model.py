@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, TrainingDiverged
 from .layers import affine_backward, affine_forward, dropout_mask, relu, relu_backward, softmax
 
 __all__ = [
@@ -285,10 +285,24 @@ def backward(
     return grads
 
 
+# scoring's float overflow and invalid results, which the finiteness check reports
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
+def _finite(P: np.ndarray) -> np.ndarray:
+    """P, once every probability is finite: a model whose logits overflow has diverged."""
+    if not np.isfinite(P).all():
+        raise TrainingDiverged("non-finite predictions")
+    return P
+
+
 def predict_proba(params: MlpParams, X: np.ndarray, rows=None) -> np.ndarray:
-    """Row-stochastic class probabilities of X or X[rows] (eval mode, no dropout)."""
-    _, logits, _ = forward(params, X, rows=rows)
-    return softmax(logits, out=logits)
+    """Row-stochastic class probabilities of X or X[rows] (eval mode, no
+    dropout); any non-finite one raises TrainingDiverged."""
+    with np.errstate(**_QUIET):
+        _, logits, _ = forward(params, X, rows=rows)
+        P = softmax(logits, out=logits)
+    return _finite(P)
 
 
 def zeros_like(params: MlpParams) -> MlpParams:
@@ -332,10 +346,12 @@ def dropout_probs(
     input check.  The later layers share one dropout-mask buffer and each
     has one pre-activation buffer; every pass writes into them, and its
     probabilities overwrite the last layer's buffer, which is what is
-    yielded.  A caller that keeps a pass must copy it before the next.
+    yielded.  A caller that keeps a pass must copy it before the next.  A
+    pass with a non-finite probability raises TrainingDiverged.
     """
-    first = _first_affine(params, X, rows)
-    relu(first, out=first)
+    with np.errstate(**_QUIET):
+        first = _first_affine(params, X, rows)
+        relu(first, out=first)
     return _dropout_passes(first, params.layers[1:], params.spec.dropout_rate, passes, rng)
 
 
@@ -345,11 +361,13 @@ def _dropout_passes(first, later, rate, passes, rng) -> Iterator[np.ndarray]:
     masks = [shared[: n * W.shape[0]].reshape(n, W.shape[0]) for W, _ in later]
     pres = [np.empty((n, W.shape[1]), dtype) for W, _ in later]
     for _ in range(passes):
-        a = first
-        for i, ((W, b), mask, pre) in enumerate(zip(later, masks, pres), start=1):
-            # forward's train-mode dropout, its mask and output in the shared buffer
-            np.multiply(a, dropout_mask(rate, rng, mask), out=mask)
-            a = affine_forward(mask, W, b, out=pre)
-            if i < len(later):
-                relu(a, out=a)
-        yield softmax(a, out=a)
+        with np.errstate(**_QUIET):
+            a = first
+            for i, ((W, b), mask, pre) in enumerate(zip(later, masks, pres), start=1):
+                # forward's train-mode dropout, its mask and output in the shared buffer
+                np.multiply(a, dropout_mask(rate, rng, mask), out=mask)
+                a = affine_forward(mask, W, b, out=pre)
+                if i < len(later):
+                    relu(a, out=a)
+            P = softmax(a, out=a)
+        yield _finite(P)

@@ -1,4 +1,4 @@
-"""Pool state: the dataset plus the disjoint labeled/unlabeled/test partition."""
+"""Pool state: a partition's features plus its disjoint labeled/unlabeled/test index sets."""
 
 from __future__ import annotations
 
@@ -21,10 +21,14 @@ __all__ = [
 class PoolState:
     """Features and ground-truth labels with the current index partition.
 
-    labeled_idx records acquisition order (earliest first); unlabeled_idx and
-    test_idx stay in ascending order.  Labels of unlabeled points stand in for
-    the annotation oracle and are only read when a point is moved to the
-    labeled set or the test set is scored.
+    The indices are positions in ``features`` and ``labels``.  labeled_idx
+    records acquisition order (earliest first); unlabeled_idx and test_idx
+    stay in ascending order.  Labels of unlabeled points stand in for the
+    annotation oracle and are only read when a point is moved to the labeled
+    set or the test set is scored.  ``dataset_rows`` is the sorted dataset
+    row of each position when the features hold only some rows (a
+    standardized partition, see ``experiment.start_partition``); when None,
+    position i is dataset row i.
     """
 
     features: np.ndarray
@@ -33,6 +37,7 @@ class PoolState:
     labeled_idx: np.ndarray
     unlabeled_idx: np.ndarray
     test_idx: np.ndarray
+    dataset_rows: np.ndarray | None = None
 
     @property
     def pool_idx(self) -> np.ndarray:

@@ -5,8 +5,10 @@ also exercise the installed console path via ``python -m allab``.
 """
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from allab.config import parse_config
 from allab.dataio import load_csv
 from allab.experiment import read_results_csv
 from idx_files import write_idx_images, write_idx_labels
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, **over):
@@ -125,6 +129,25 @@ def test_run_divergence_exits_4(tmp_path, capsys):
     assert "training diverged: round 0, " in err
     assert "random rep 0" in err and "entropy rep 1" in err
     assert "non-finite" in err
+
+
+def test_run_whose_predictions_overflow_exits_4_in_a_child(tmp_path):
+    # at base_lr 1e3 the weights grow to about 1e20 and stay finite through
+    # training, but the float32 logits overflow when the test set is scored;
+    # the run is a child because tier-1 makes numpy's RuntimeWarning an error
+    doc = json.loads((REPO / "configs" / "smoke.json").read_text())
+    doc["train"]["base_lr"], doc["rounds"], doc["output_dir"] = 1e3, 1, str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "allab", "run", "--config", str(path)], capture_output=True, text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    # no progress line: the cell's row is not taken from its NaN predictions
+    assert proc.stdout == ""
+    assert re.fullmatch(r"training diverged: round 0, (mpts|entropy) rep [01]: non-finite predictions\n",
+                        proc.stderr), proc.stderr
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def test_run_budget_exhausting_pool_exits_2_before_training(tmp_path, capsys):

@@ -585,7 +585,10 @@ def test_standardize_stats_rows_subset():
 
 def _reference_standardize(X, stats_rows):
     """Standardization as it was before the std was computed in place:
-    ``src.std`` on the gathered rows and ``(X - m) / s`` in one expression."""
+    ``src.std`` on the gathered rows of X's values (uint8 pixels over 255)
+    and ``(X - m) / s`` in one expression."""
+    if X.dtype == np.uint8:
+        X = X / 255.0
     src = X[np.asarray(stats_rows)]
     mean = src.mean(axis=0)
     std = src.std(axis=0)
@@ -593,36 +596,59 @@ def _reference_standardize(X, stats_rows):
     return (X - np.where(constant, 0.0, mean)) / np.where(constant, 1.0, std)
 
 
-def _assert_standardize_matches_reference(X, stats_rows):
+def _assert_standardize_matches_reference(X, stats_rows, rows=None):
     """float64 output is the reference bit for bit, float32 output the
     reference rounded to float32 (so it is computed in float64), values
-    beyond float32's range included: they round to +-inf, as a cast does."""
+    beyond float32's range included: they round to +-inf, as a cast does.
+    Given ``rows``, the output is the reference's rows ``rows``."""
     before = X.copy()
-    out = standardize(X, stats_rows, np.float64)
     ref = _reference_standardize(X, stats_rows)
+    if rows is not None:
+        ref = ref[rows]
+    out = standardize(X, stats_rows, np.float64, rows)
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
     with np.errstate(over="ignore"):  # a std of 1e-65 scales a 1e3 entry past 3.4e38
-        narrow, rounded = standardize(X, stats_rows, np.float32), ref.astype(np.float32)
+        narrow, rounded = standardize(X, stats_rows, np.float32, rows), ref.astype(np.float32)
     assert narrow.dtype == np.float32 and narrow.tobytes() == rounded.tobytes()
     assert X.tobytes() == before.tobytes()
 
 
 @st.composite
 def _standardize_inputs(draw):
-    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 12))
-    X = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    """Features of up to 40 rows drawn entry by entry, or seeded float or
+    uint8 pixel features of over one and up to three ``_ROW_BLOCK``s of rows,
+    the statistics taken in blocks of that many; widths from 1, some columns
+    constant, statistics rows with repeats, and sorted rows to write."""
+    d = draw(st.just(1) | st.integers(1, 12))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        X = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+        stats_rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        keep = draw(hnp.arrays(bool, n))
+    else:
+        n = draw(st.integers(dataio._ROW_BLOCK + 1, 3 * dataio._ROW_BLOCK))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if draw(st.booleans()):
+            X = rng.integers(0, 256, (n, d), dtype=np.uint8)
+        else:
+            scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+            X = rng.standard_normal((n, d)) * scale + rng.uniform(-1e3, 1e3, d)
+        count = draw(st.integers(1, 2 * n))
+        stats_rows = draw(st.sampled_from([None, rng.integers(0, n, count).tolist()]))
+        keep = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
     constant = draw(hnp.arrays(bool, d))
     X[:, constant] = X[0, constant]
-    stats_rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-    return X, list(range(n)) if stats_rows is None else stats_rows
+    rows = np.flatnonzero(keep)
+    return X, list(range(n)) if stats_rows is None else stats_rows, rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(_standardize_inputs())
 def test_standardize_is_bitwise_the_std_then_divide_reference(inputs):
-    X, stats_rows = inputs
+    X, stats_rows, rows = inputs
     _assert_standardize_matches_reference(X, stats_rows)
     _assert_standardize_matches_reference(X, stats_rows[:1])
+    _assert_standardize_matches_reference(X, stats_rows, rows)
 
 
 def test_standardize_bitwise_on_an_image_sized_pool():

@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 import allab.experiment as experiment
 from allab.acquisition import METHODS
 from allab.config import parse_config
-from allab.dataio import Dataset, standardize
-from allab.errors import ConfigError, FormatError
+from allab.dataio import Dataset, feature_values, standardize
+from allab.errors import ConfigError, FormatError, TrainingDiverged
 from allab.seeding import derive_int, derive_rng
 from allab.experiment import (
     RESULTS_HEADER,
@@ -154,6 +154,34 @@ def test_pixel_partitions_are_bitwise_the_float64_values_partitions(data):
     assert pixels.tobytes() == before.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(_pixel_columns(), st.sampled_from([None, 8, 20]))
+def test_partition_positions_hold_their_dataset_rows_bit_for_bit(data, pool_size):
+    # a standardized partition holds its pool and test rows alone: position i
+    # is dataset row dataset_rows[i], whose standardized features and label it
+    # holds bit for bit, and its index sets are the dataset rows' positions
+    pixels, labels = data
+    raw = Dataset(pixels, labels, 3)
+    base = replace(parse_config(small_doc()), initial_count=3)
+    for mode in MODES:
+        cfg = replace(base, dataset=replace(base.dataset, standardize=mode, pool_size=pool_size))
+        start = start_partition(raw, cfg, 0)
+        if mode == "none":  # positions are dataset rows, and every row is held
+            plain = start
+            assert start.dataset_rows is None and np.array_equal(start.labels, labels)
+            assert start.features.tobytes() == feature_values(pixels, np.float32).tobytes()
+            continue
+        rows, sets = start.dataset_rows, ("labeled_idx", "unlabeled_idx", "test_idx")
+        assert rows.tolist() == sorted(np.concatenate([getattr(plain, name) for name in sets]).tolist())
+        assert len(start.features) == len(start.labels) == len(rows)
+        full = standardize(pixels, plain.pool_idx if mode == "pool" else plain.labeled_idx, np.float32)
+        for name in sets:
+            at = getattr(start, name)
+            assert rows[at].tolist() == getattr(plain, name).tolist(), (mode, name)
+            assert start.features[at].tobytes() == full[rows[at]].tobytes(), (mode, name)
+            assert start.labels[at].tolist() == labels[rows[at]].tolist(), (mode, name)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_run_partitions_pixels_as_their_float64_values(monkeypatch, mode):
     # run_experiment makes its own float32 array without standardization
@@ -204,6 +232,23 @@ def test_standardized_once_per_repeat(monkeypatch):
     logs = run_experiment(cfg)
     assert len(calls) == cfg.repeats
     assert len(logs) == 2 * cfg.repeats
+
+
+@pytest.mark.parametrize("stage", ["evaluate", "acquire"])
+def test_a_cell_whose_scoring_diverges_is_named_with_its_round(monkeypatch, stage):
+    # one stack of four cells, scored in order: the fifth call is round 1's first cell
+    calls, real = [], getattr(experiment, stage)
+
+    def diverging(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise TrainingDiverged("non-finite predictions")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, stage, diverging)
+    cfg = parse_config({**small_doc(), "methods": ["random", "entropy"]})
+    with pytest.raises(TrainingDiverged, match=r"^round 1, random rep 0: non-finite predictions$"):
+        run_experiment(cfg)
 
 
 def test_stacked_round_takes_its_rules_from_the_method_table(monkeypatch):

@@ -1,10 +1,12 @@
 """The harness's orchestration against a plain loop (``reference_run.py``).
 
-``run_experiment`` partitions each repeat once, standardizes it once, stacks
-cells of one model and MMD^2 weight, and runs round by round.  None of that
-may change a number: over small drawn configs its rows, and with
+``run_experiment`` partitions each repeat once, standardizes it once (into
+an array of the partition's pool and test rows alone, indexed by position),
+stacks cells of one model and MMD^2 weight, and runs round by round.  None
+of that may change a number: over small drawn configs its rows, and with
 ``dump_scores`` its score files, must equal bit for bit those of training,
-evaluating and acquiring each cell alone, method by method.
+evaluating and acquiring each cell alone, method by method, on the whole
+dataset's rows; a score file names dataset rows either way.
 """
 
 import dataclasses
@@ -43,14 +45,16 @@ def idx_pool(tmp_path_factory):
 
 
 def build_config(case, idx_pool, output_dir) -> ExperimentConfig:
-    mode = case["standardize"]
+    mode, pool_size = case["standardize"], case["pool_size"]
     if case["data"] == "synthetic":
-        dataset = DatasetConfig(class_count=3, per_class=20, dim=3, separation=3.0, standardize=mode)
+        dataset = DatasetConfig(class_count=3, per_class=20, dim=3, separation=3.0, standardize=mode,
+                                pool_size=pool_size)
     else:
         test = idx_pool["test"] if case["data"] == "idx with test split" else (None, None)
         dataset = DatasetConfig(
             kind="mnist", images_path=idx_pool["train"][0], labels_path=idx_pool["train"][1],
             test_images_path=test[0], test_labels_path=test[1], standardize=mode,
+            pool_size=pool_size,
         )
     return ExperimentConfig(
         dataset=dataset,
@@ -83,6 +87,9 @@ cases = st.fixed_dictionaries({
     "hidden": st.sampled_from([(5,), (4, 3)]),
     "seed": st.integers(0, 2**16),
     "dump_scores": st.booleans(),
+    # 30 is below every pool here (38 to 48 rows), so a standardized
+    # partition leaves rows out and its positions are not dataset rows
+    "pool_size": st.sampled_from([None, 30]),
 })
 
 # every method, two repeats, three rounds and lambda > 0 on pixels left
@@ -90,6 +97,7 @@ cases = st.fixed_dictionaries({
 EVERY_RULE = {
     "methods": list(METHODS), "repeats": 2, "rounds": 3, "lambda": 0.1, "standardize": "none",
     "data": "idx", "bias": False, "kernel": "median", "hidden": (5,), "seed": 0, "dump_scores": True,
+    "pool_size": None,
 }
 
 
@@ -98,6 +106,10 @@ EVERY_RULE = {
 @example(case=EVERY_RULE)
 @example(case={**EVERY_RULE, "standardize": "pool", "data": "synthetic", "bias": True,
                "kernel": "median3", "hidden": (4, 3)})
+# standardized IDX partitions of a subsampled pool: every score file maps
+# partition positions back to dataset rows
+@example(case={**EVERY_RULE, "standardize": "pool", "pool_size": 30})
+@example(case={**EVERY_RULE, "standardize": "labeled", "data": "idx with test split", "pool_size": 30})
 def test_run_equals_the_plain_loop_bit_for_bit(idx_pool, case):
     with tempfile.TemporaryDirectory() as tmp:
         out, ref = Path(tmp) / "run", Path(tmp) / "reference"
