@@ -65,7 +65,8 @@ class AcquisitionResult:
 
 
 def entropy_scores(P: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each probability row, in nats; 0*ln 0 counts as 0."""
+    """Shannon entropy of each probability row, in nats; 0*ln 0 counts as 0.
+    A row that does not sum to 1 within 1e-6, or has a negative entry, raises ValueError."""
     P = np.asarray(P, dtype=np.float64)
     sums = P.sum(axis=1)
     # NaN sums fail too, and so does a row with a negative entry
@@ -75,8 +76,16 @@ def entropy_scores(P: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"row {i} is not a probability vector (sums to {float(sums[i])}, least entry {float(P[i].min())})"
         )
+    return _entropy(P)
+
+
+def _entropy(P: np.ndarray, terms: np.ndarray | None = None) -> np.ndarray:
+    """-sum(P ln P) of each row of P, unchecked, in float64 whatever P's dtype: the terms are made in
+    place (in ``terms``, an (n, C) float64 buffer, if given) as bit for bit ``np.where(P > 0, P ln P, 0)``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(P > 0, P * np.log(P), 0.0)
+        terms = np.log(P, out=terms, dtype=np.float64)
+        terms *= P
+    terms[~(P > 0)] = 0.0
     return -terms.sum(axis=1)
 
 
@@ -133,7 +142,9 @@ def bald_acquire(
     no more than one pass is held at a time.  They are bit for bit the means
     over a stack of every pass, as numpy sums a stack's outer axis in order,
     except for a lone unlabeled point: numpy sums a single column pairwise,
-    so its score may differ in the last bit (its pick cannot).
+    so its score may differ in the last bit (its pick cannot).  A pass's
+    entropy is unchecked, as ``dropout_probs`` found it finite; the
+    probability check runs once, on the mean.
     """
     if final.spec.dropout_rate <= 0:
         raise ValueError("bald_acquire requires a model with dropout_rate > 0")
@@ -141,10 +152,10 @@ def bald_acquire(
         raise ValueError(f"bald_acquire needs at least 2 passes, got {passes}")
     unlabeled = _require_unlabeled(pool)
     prob_sum = np.zeros((len(unlabeled), final.spec.layer_sizes[-1]))
-    entropy_sum = np.zeros(len(unlabeled))
+    entropy_sum, terms = np.zeros(len(unlabeled)), np.empty_like(prob_sum)
     for P in dropout_probs(final, pool.features, passes, rng, unlabeled):
         prob_sum += P
-        entropy_sum += entropy_scores(P)
+        entropy_sum += _entropy(P, terms)
     prob_sum /= passes
     entropy_sum /= passes
     scores = entropy_scores(prob_sum) - entropy_sum

@@ -32,6 +32,7 @@ Gradient conventions:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -104,11 +105,13 @@ def relu_backward(X: np.ndarray, dY: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise class probabilities, each row shifted by its max so exp cannot overflow.
 
-    Written into ``out`` when one is given (it may be ``logits``).
+    Written into ``out`` when one is given (it may be ``logits``).  The row max is taken down a
+    contiguous copy of the transpose, since numpy is slow along short rows; a max is exact in any order.
     """
-    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    row_max = np.ascontiguousarray(logits.swapaxes(-1, -2)).max(axis=-2)
+    e = np.subtract(logits, row_max[..., None], out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -149,6 +152,9 @@ def softmax_cross_entropy(
     return loss, dlogits
 
 
+_DRAW_BLOCK = 16384  # float64 draws per block of a mask of another dtype: 128 KiB
+
+
 def dropout_mask(
     rate: float,
     rng: np.random.Generator | Sequence[np.random.Generator],
@@ -163,13 +169,25 @@ def dropout_mask(
     index of ``out``'s leading axis (per cell of a stack), each filling its
     slice.  The draws are float64 whatever ``out``'s dtype (a generator fills
     float32 only by drawing differently), so a float32 mask keeps the float64
-    one's entries."""
-    draws = out if out.dtype == np.float64 else np.empty(out.shape)
-    if isinstance(rng, (list, tuple)):
-        for g, cell in zip(rng, draws, strict=True):
-            g.random(out=cell)
+    one's entries.  A float64 ``out`` is drawn in place, any other through one
+    reused block of whole rows, at most ``_DRAW_BLOCK`` draws or one row, in C
+    order: the same numbers in the same order, and each generator ends in the
+    same state."""
+    stacked = isinstance(rng, (list, tuple))
+    cells = zip(rng, out, strict=True) if stacked else [(rng, out)]
+    if out.dtype == np.float64:
+        for g, draws in cells:
+            g.random(out=draws)
+        np.greater_equal(out, rate, out=out)
     else:
-        rng.random(out=draws)
-    np.greater_equal(draws, rate, out=out)
+        width = out.shape[-1]  # the block holds no more rows than one generator fills
+        block_rows = min(math.prod(out.shape[stacked:-1]), _DRAW_BLOCK // max(1, width))
+        block = np.empty((max(1, block_rows), width))
+        for g, target in cells:
+            rows = target.reshape(-1, width, copy=False)
+            for start in range(0, len(rows), len(block)):
+                draws = block[: len(rows) - start]
+                g.random(out=draws)
+                np.greater_equal(draws, rate, out=rows[start : start + len(block)])
     out *= 1.0 / (1.0 - rate)
     return out

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from allab import acquisition, pool as pool_module
 from allab.acquisition import (
@@ -172,6 +173,24 @@ def test_entropy_bounds_on_random_rows():
     assert np.all(H >= 0.0)
     assert np.all(H <= np.log(7.0) + 1e-12)
     assert np.allclose(H, entropy_loops(P), atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_in_place_entropy_terms_equal_the_where_form(data, shape, dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    P = data.draw(hnp.arrays(dtype, shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, float(tiny), float(4 * tiny), 1.0]),
+        st.floats(0, 1, width=np.finfo(dtype).bits),
+        st.floats(-1, 0, width=np.finfo(dtype).bits),  # unchecked: not P > 0 gives 0
+    )))
+    P64 = P.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = -np.where(P64 > 0, P64 * np.log(P64), 0.0).sum(axis=1)
+    assert acquisition._entropy(P).tobytes() == want.tobytes()
+    terms = np.full(shape, np.nan)
+    assert acquisition._entropy(P, terms).tobytes() == want.tobytes()
 
 
 # ---- select_top_k ----------------------------------------------------------

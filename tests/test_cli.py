@@ -4,15 +4,21 @@ Runs ``main(argv)`` in-process (capsys captures output); a couple of cases
 also exercise the installed console path via ``python -m allab``.
 """
 
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from allab import acquisition, pool
 from allab.cli import OUT_ENV, main
 from allab.config import parse_config
 from allab.dataio import load_csv
@@ -148,6 +154,45 @@ def test_run_whose_predictions_overflow_exits_4_in_a_child(tmp_path):
     assert re.fullmatch(r"training diverged: round 0, (mpts|entropy) rep [01]: non-finite predictions\n",
                         proc.stderr), proc.stderr
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_lr=st.floats(-3.0, 4.0))
+@example(log_lr=-3.0).via("trains and scores")
+@example(log_lr=2.0).via("the test set's float32 logits overflow after training")
+@example(log_lr=4.0).via("the CE overflows in training")
+def test_any_learning_rate_exits_0_with_finite_predictions_or_4_naming_a_round(log_lr):
+    # base_lr log-uniform in [1e-3, 1e4]: a run either scores with finite
+    # probabilities throughout or stops as a divergence; never a NaN accuracy
+    # and never "unexpected error".  In process, so numpy's warnings are
+    # silenced here and the finiteness checks alone report an overflow.
+    returned = []
+
+    def spy(avg_predict):
+        def wrapped(*args, **kwargs):
+            P = avg_predict(*args, **kwargs)
+            returned.append(bool(np.isfinite(P).all()))
+            return P
+        return wrapped
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            np.errstate(all="ignore"), contextlib.redirect_stderr(io.StringIO()) as err:
+        for module in (acquisition, pool):
+            mp.setattr(module, "avg_predict", spy(module.avg_predict))
+        cfg = write_config(
+            Path(tmp), methods=["mpts", "bald"], repeats=1,
+            dataset={"kind": "synthetic", "class_count": 3, "per_class": 30, "dim": 4, "separation": 5.0},
+            train={"epochs": 4, "batch_size": 8, "n_checkpoints": 2, "base_lr": 10.0 ** log_lr, "lambda": 0.1},
+            model={"hidden": [16]},
+        )
+        code = main(["run", "--config", str(cfg)])
+    message = err.getvalue()
+    assert code in (0, 4), message
+    assert all(returned)
+    if code == 0:
+        assert returned
+    else:
+        assert re.fullmatch(r"training diverged: round \d+, (mpts|bald) rep 0: non-finite .*\n", message), message
 
 
 def test_run_budget_exhausting_pool_exits_2_before_training(tmp_path, capsys):

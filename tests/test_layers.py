@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from allab import layers
 from allab.layers import (
     affine_backward,
     affine_forward,
@@ -232,6 +233,32 @@ def test_out_buffers_give_the_allocating_bits(logits, seed):
     assert np.array_equal(bits(in_place), bits(softmax_inline(logits)))
 
 
+def softmax_row_max_form(logits):
+    """softmax as it was before its row max came from the transpose."""
+    e = np.subtract(logits, logits.max(axis=1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.sampled_from([1, 2, 10, 100]), n=st.integers(1, 12),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_softmax_bit_identical_to_the_row_max_form(data, width, n, dtype):
+    # the row max picks either zero among ±0; subtracting either from x gives
+    # the same exp, so the probabilities keep their bits
+    logits = data.draw(hnp.arrays(dtype, (n, width), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -104.0]),
+        st.floats(allow_nan=False, allow_infinity=False, width=np.finfo(dtype).bits),
+    )))
+    with np.errstate(all="ignore"):  # inf - inf, NaN rows, overflowing spreads
+        want = softmax_row_max_form(logits)
+        assert softmax(logits).tobytes() == want.tobytes()
+        in_place = logits.copy()
+        assert softmax(in_place, out=in_place) is in_place
+        assert in_place.tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e308 - -1e308 overflows to inf
 def test_softmax_extreme_rows():
     logits = np.array([[1e308, -1e308, 0.0], [-1e308, -1e308, -1e308], [1000.0, 999.0, 0.0]])
@@ -327,6 +354,7 @@ def test_stacked_bodies_equal_each_slice_alone(R, n, d, m, pad, seed):
     affine_backward(X, W, dY, False, out=written)
     blocked = relu_backward(Y, dY)
     loss, dlogits = softmax_cross_entropy(Y, labels)
+    probs = softmax(Y)
 
     for r in range(R):
         Xr, Wr, br, dYr = (a[r].copy() for a in (X, W, b, dY))
@@ -337,7 +365,7 @@ def test_stacked_bodies_equal_each_slice_alone(R, n, d, m, pad, seed):
             (Y[r], Yr), (dX[r], dXr), (dW[r], dWr), (db[r], dbr),
             (written[0][r], dWr), (written[1][r], dbr),
             (blocked[r], relu_backward(Yr, dYr)),
-            (loss[r], loss_r), (dlogits[r], dlogits_r),
+            (loss[r], loss_r), (dlogits[r], dlogits_r), (probs[r], softmax(Yr)),
         ]
         for got, want in pairs:
             assert np.array_equal(bits(got), bits(want))
@@ -359,19 +387,68 @@ def test_stacked_dropout_draws_each_cell_from_its_own_generator(R, n, m, seed):
 
 
 class Replay:
-    """Stands in for a dropout generator: ``random(out=...)`` fills ``out``
-    with the next of some numbers already drawn."""
+    """Stands in for a dropout generator: each ``random(out=...)`` fills
+    ``out`` with the next ``out.size`` numbers of one flat stream drawn
+    beforehand, the given arrays' entries in C order."""
 
     def __init__(self, draws):
-        self.draws = iter(draws)
+        self.stream = np.concatenate([np.zeros(0)] + [np.ravel(u) for u in draws])
+        self.used = 0
 
     def random(self, out):
-        out[...] = next(self.draws)
+        out[...] = self.stream[self.used : self.used + out.size].reshape(out.shape)
+        self.used += out.size
 
 
 def test_dropout_mask_reads_any_non_sequence_as_one_generator():
     draws = np.random.default_rng(7).random((2, 3, 4))
     mask = dropout_mask(0.25, Replay([draws]), np.empty((2, 3, 4)))
     assert np.array_equal(mask, (draws >= 0.25) / 0.75)
+    # a float32 mask spanning several draw blocks reads the stream block by block
+    wide = np.random.default_rng(8).random((7 * layers._DRAW_BLOCK // 20 + 7, 10))
+    replay = Replay([wide])
+    mask = dropout_mask(0.25, replay, np.empty(wide.shape, np.float32))
+    assert replay.used == wide.size
+    assert np.array_equal(mask, (wide >= 0.25).astype(np.float32) * np.float32(1 / 0.75))
     with pytest.raises(ValueError):  # a sequence needs one generator per leading index
         dropout_mask(0.25, [Replay([draws[0]])], np.empty((2, 3, 4)))
+
+
+def whole_array_mask(rate, rng, out):
+    """dropout_mask as it was before drawing block by block: every draw of
+    ``out`` in one float64 array, then compared into ``out``."""
+    draws = np.empty(out.shape)
+    if isinstance(rng, list):
+        for g, cell in zip(rng, draws, strict=True):
+            g.random(out=cell)
+    else:
+        rng.random(out=draws)
+    np.greater_equal(draws, rate, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from([1, 3, 10, 64, 1000, layers._DRAW_BLOCK, layers._DRAW_BLOCK + 1]),
+    # a mask of about half, one, one-plus-a-row or several blocks' draws
+    blocks=st.sampled_from([0.5, 1.0, 2.0, 3.5]),
+    extra_rows=st.integers(-1, 1),
+    cells=st.sampled_from([None, 1, 3]),  # None: one generator for the whole mask
+    dtype=st.sampled_from([np.float32, np.float64]),
+    rate=st.sampled_from([0.1, 0.5, 0.9]),
+    seed=st.integers(0, 2**31),
+)
+def test_blocked_dropout_mask_is_the_whole_array_draw(width, blocks, extra_rows, cells, dtype, rate, seed):
+    block_rows = max(1, layers._DRAW_BLOCK // width)
+    n = max(1, int(blocks * block_rows) + extra_rows)
+    shape = (n, width) if cells is None else (cells, n, width)
+    gens = lambda: (np.random.default_rng(seed) if cells is None
+                    else [np.random.default_rng([seed, r]) for r in range(cells)])
+    got_rng, want_rng = gens(), gens()
+    got = dropout_mask(rate, got_rng, np.full(shape, np.nan, dtype))
+    want = whole_array_mask(rate, want_rng, np.full(shape, np.nan, dtype))
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    listed = (lambda r: [r]) if cells is None else list
+    for g, h in zip(listed(got_rng), listed(want_rng)):
+        assert g.random() == h.random()  # each generator drew as much
