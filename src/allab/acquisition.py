@@ -8,8 +8,8 @@ Methods:
     bald     - mutual information between prediction and dropout masks,
                estimated from T stochastic forward passes, consumed one pass
                at a time into running sums
-    coreset  - greedy k-center in the final model's feature space, from one
-               |unlabeled| x |labeled| distance matrix
+    coreset  - greedy k-center in the final model's feature space, from its
+               |unlabeled| x |labeled| distances, one row block at a time
 
 ``METHODS`` maps each name to its :class:`Method`: how it trains, what it is
 evaluated with, and how it picks.  It is the one place per-method rules live.
@@ -21,7 +21,8 @@ model); ``bald`` and ``coreset`` take its last row, ``cell(trajectory, -1)``.
 All entropies are in nats.  Selection is pure top-k on the scores; ties break
 toward the lower pool index.  Scoring holds what it reads: eval-mode ``model``
 calls, which keep no backward cache, read the scored rows of ``pool.features``
-block by block (their ``rows``) instead of copying them out.
+block by block (their ``rows``), holding only BALD's first layer and core-set's
+features, which they reuse, as (n, hidden) arrays.
 """
 
 from __future__ import annotations
@@ -67,15 +68,14 @@ class AcquisitionResult:
 def entropy_scores(P: np.ndarray) -> np.ndarray:
     """Shannon entropy of each probability row, in nats; 0*ln 0 counts as 0.
     A row that does not sum to 1 within 1e-6, or has a negative entry, raises ValueError."""
-    P = np.asarray(P, dtype=np.float64)
-    sums = P.sum(axis=1)
+    P = np.asarray(P)
+    sums = P.sum(axis=1, dtype=np.float64)
     # NaN sums fail too, and so does a row with a negative entry
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6) | (P < 0).any(axis=1))
     if bad.size:
         i = bad[0]
-        raise ValueError(
-            f"row {i} is not a probability vector (sums to {float(sums[i])}, least entry {float(P[i].min())})"
-        )
+        least = P[i].astype(np.float64).min()  # the float64 row's, to the sign of a zero
+        raise ValueError(f"row {i} is not a probability vector (sums to {sums[i]}, least entry {least})")
     return _entropy(P)
 
 
@@ -177,7 +177,7 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
     Z_u, _, _ = forward(final, pool.features, rows=unlabeled)
     if len(labeled):
         Z_l, _, _ = forward(final, pool.features, rows=labeled)
-        min_dist = np.sqrt(sq_dists(Z_u, Z_l, sq_norms(Z_u), sq_norms(Z_l)).min(axis=1))
+        min_dist = _min_dists(Z_u, Z_l)
     else:
         min_dist = np.full(len(unlabeled), np.inf, Z_u.dtype)
 
@@ -198,6 +198,19 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
         np.minimum(min_dist, dist_new, out=min_dist)
     selected = unlabeled[np.array(picked_pos)]
     return AcquisitionResult(selected, np.array(pick_dists), selected)
+
+
+def _min_dists(Z_u: np.ndarray, Z_l: np.ndarray) -> np.ndarray:
+    """Each row of Z_u's least distance to Z_l, by near-equal row blocks of at most the larger of 256
+    rows and 2^21 multiply-adds, whose products are those rows of the whole, as in ``model._row_blocks``."""
+    n, (m, h) = len(Z_u), Z_l.shape
+    per = max(256, -(-(2 << 20) // (h * m)))
+    count = 1 if m == 1 or (Z_u.itemsize == 8 and m > 192) else max(1, -(-n // per))
+    bounds = [n * i // count for i in range(count + 1)]
+    norms_u, norms_l, least = sq_norms(Z_u), sq_norms(Z_l), np.empty(n, Z_u.dtype)
+    for start, stop in zip(bounds[:-1], bounds[1:]):  # one block's distances alive at a time
+        sq_dists(Z_u[start:stop], Z_l, norms_u[start:stop], norms_l).min(axis=1, out=least[start:stop])
+    return np.sqrt(least, out=least)
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def start_partition(dataset: Dataset, cfg: ExperimentConfig, repeat: int) -> Poo
     if mode == "none":
         return replace(start, features=feature_values(dataset.features, _DTYPE))
     stats_rows = start.pool_idx if mode == "pool" else start.labeled_idx
-    rows = np.union1d(start.pool_idx, start.test_idx)
+    rows = np.sort(np.concatenate([start.pool_idx, start.test_idx]))  # disjoint
     return replace(
         start,
         features=standardize(dataset.features, stats_rows, _DTYPE, rows),

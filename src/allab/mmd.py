@@ -167,8 +167,10 @@ def median_heuristic(Z: np.ndarray) -> float:
         return 1.0
     norms = sq_norms(Z)
     d2 = sq_dists(Z, Z, norms, norms)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
+    # np.median's bits without its numpy.ma import: a NaN sorts last, and (x + x) / 2 is x
+    m = n * (n - 1) // 2
+    part = np.partition(np.sqrt(d2[np.triu_indices(n, k=1)]), [(m - 1) // 2, m // 2, m - 1])
+    med = float(part[-1] if np.isnan(part[-1]) else (part[(m - 1) // 2] + part[m // 2]) / 2.0)
     if med <= 0.0:
         return 1.0
     return med

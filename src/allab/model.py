@@ -16,9 +16,9 @@ reads an activation's sign, which is its pre-activation's.  Scoring keeps no
 training state: an eval-mode ``forward`` (prediction, core-set features)
 returns None in the cache's place and draws no dropout, so it holds a layer's
 input and output (and Z), not every layer.  ``predict_proba`` softmaxes its
-logits in place, ``avg_predict`` sums its checkpoints' probabilities into the
-first one's array, and ``dropout_probs`` yields its passes one at a time from
-reused buffers.  Given ``rows``, they gather ``X[rows]`` block by block.
+logits in place, and ``dropout_probs`` yields its passes one at a time from
+reused buffers.  Given ``rows``, they run ``X[rows]`` through one gather loop:
+block by block, through all that is scored of it (every checkpoint's network).
 
 The hidden activations are ``layers.relu`` and its gradient
 ``layers.relu_backward``, the same pair the gradient audit checks.  ReLU is
@@ -174,21 +174,28 @@ def _row_blocks(n: int, width: int, out_width: int, itemsize: int) -> list[int]:
     return [n * i // count for i in range(count + 1)]
 
 
-def _first_affine(params: MlpParams, X: np.ndarray, rows) -> np.ndarray:
-    """``X @ W1 + b1``, or ``X[rows] @ W1 + b1`` of one model gathered block by block."""
-    W1, b1 = params.layers[0]
+def _by_blocks(params: MlpParams, X: np.ndarray, rows, score) -> tuple[np.ndarray, ...]:
+    """``score(X)``, or ``score`` of X[rows] gathered block by block (``_row_blocks``)
+    into one buffer, the arrays it returns per block filling one (len(rows), ...) each."""
     if rows is None:
-        return affine_forward(_checked_input(params, X), W1, b1)
+        return score(_checked_input(params, X))
     X = check_floating(X)  # before the gather casts it into the buffer
     if len(rows) and (np.min(rows) < -len(X) or np.max(rows) >= len(X)):
         raise IndexError(f"rows out of range for {len(X)} rows")  # take's "wrap" would not
+    W1 = params.layers[0][0]
     bounds = _row_blocks(len(rows), *W1.shape, W1.itemsize)
-    out = np.empty((len(rows), W1.shape[1]), W1.dtype)
-    buf = np.empty((bounds[-1] - bounds[-2], *X.shape[1:]), W1.dtype)  # the last block is the longest
+    # the longest block; zeroed, as take casts into it from a copy of its contents
+    buf = np.zeros((bounds[-1] - bounds[-2], *X.shape[1:]), W1.dtype)
+    outs = ()
     for start, stop in zip(bounds[:-1], bounds[1:]):
         block = np.take(X, rows[start:stop], axis=0, out=buf[: stop - start], mode="wrap")
-        affine_forward(_checked_input(params, block), W1, b1, out=out[start:stop])
-    return out
+        parts = score(_checked_input(params, block))
+        if len(bounds) == 2:
+            return parts
+        outs = outs or tuple(np.empty((len(rows), *part.shape[1:]), part.dtype) for part in parts)
+        for out, part in zip(outs, parts):
+            out[start:stop] = part
+    return outs
 
 
 def check_floating(X: np.ndarray) -> np.ndarray:
@@ -229,14 +236,16 @@ def forward(
     """
     if train_mode and rows is not None:
         raise ValueError("rows selects the input of an eval-mode pass only")
+    if rows is not None:
+        return (*_by_blocks(params, X, rows, lambda block: forward(params, block)[:2]), None)
     rate = params.spec.dropout_rate if train_mode else 0.0
     if rate > 0 and rng is None:
         raise ValueError("dropout with rate > 0 requires an rng")
-    a = _checked_input(params, X) if rows is None else None
+    a = _checked_input(params, X)
     cache = ForwardCache() if train_mode else None
     *hidden, (W_out, b_out) = params.layers
     for i, (W, b) in enumerate(hidden, start=1):  # one of them is split_index
-        h = _first_affine(params, X, rows) if a is None else affine_forward(a, W, b)
+        h = affine_forward(a, W, b)
         relu(h, out=h)
         if i == params.spec.split_index:
             Z = h
@@ -296,11 +305,11 @@ def _finite(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def predict_proba(params: MlpParams, X: np.ndarray, rows=None) -> np.ndarray:
-    """Row-stochastic class probabilities of X or X[rows] (eval mode, no
-    dropout); any non-finite one raises TrainingDiverged."""
+def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    """Row-stochastic class probabilities of X (eval mode, no dropout), its
+    logits softmaxed in place; any non-finite one raises TrainingDiverged."""
     with np.errstate(**_QUIET):
-        _, logits, _ = forward(params, X, rows=rows)
+        _, logits, _ = forward(params, X)
         P = softmax(logits, out=logits)
     return _finite(P)
 
@@ -318,15 +327,20 @@ def cell(params: MlpParams, r: int) -> MlpParams:
 
 def avg_predict(trajectory: MlpParams, X: np.ndarray, rows=None) -> np.ndarray:
     """Mean class probabilities of X or X[rows] over a trajectory, a nonempty
-    (K, P) stack of checkpoints: their probabilities summed in row order into
-    the first one's array, then divided by K."""
+    (K, P) stack of checkpoints: each block of rows runs through every one in
+    row order, their probabilities summed into the first one's, then divided by K."""
     if trajectory.flat.ndim != 2 or len(trajectory.flat) == 0:
         raise ValueError(
             f"a trajectory is a nonempty (K, P) stack, got parameters {trajectory.flat.shape}"
         )
-    acc = predict_proba(cell(trajectory, 0), X, rows)
-    for k in range(1, len(trajectory.flat)):
-        acc += predict_proba(cell(trajectory, k), X, rows)
+
+    def summed(block):
+        acc = predict_proba(cell(trajectory, 0), block)
+        for k in range(1, len(trajectory.flat)):
+            acc += predict_proba(cell(trajectory, k), block)
+        return (acc,)
+
+    (acc,) = _by_blocks(cell(trajectory, 0), X, rows, summed)
     acc /= len(trajectory.flat)
     return acc
 
@@ -349,9 +363,9 @@ def dropout_probs(
     yielded.  A caller that keeps a pass must copy it before the next.  A
     pass with a non-finite probability raises TrainingDiverged.
     """
-    with np.errstate(**_QUIET):
-        first = _first_affine(params, X, rows)
-        relu(first, out=first)
+    W1, b1 = params.layers[0]
+    with np.errstate(**_QUIET):  # the first layer, its ReLU in place
+        (first,) = _by_blocks(params, X, rows, lambda x: (relu(h := affine_forward(x, W1, b1), out=h),))
     return _dropout_passes(first, params.layers[1:], params.spec.dropout_rate, passes, rng)
 
 

@@ -73,7 +73,7 @@ def init_pool(
         test_idx = np.sort(np.asarray(dataset.designated_test_idx))
         if len(test_idx) == 0:
             raise ConfigError("$.dataset.test_images_path: the designated test split has no rows")
-        pool_idx = np.setdiff1d(all_idx, test_idx)
+        pool_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
     else:
         n_test = int(round(n * test_fraction))
         if not 0 < n_test < n:
@@ -82,7 +82,7 @@ def init_pool(
                 f"{n_test}, which leaves no pool or no test set"
             )
         test_idx = np.sort(rng.choice(all_idx, size=n_test, replace=False))
-        pool_idx = np.setdiff1d(all_idx, test_idx)
+        pool_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
 
     if pool_size is not None and pool_size < len(pool_idx):
         pool_idx = np.sort(rng.choice(pool_idx, size=pool_size, replace=False))
@@ -101,7 +101,7 @@ def init_pool(
             f"$.initial_count: {initial_count} exceeds the {len(candidates)} eligible pool points"
         )
     labeled = np.sort(rng.choice(candidates, size=initial_count, replace=False))
-    unlabeled = np.setdiff1d(pool_idx, labeled)
+    unlabeled = np.setdiff1d(pool_idx, labeled, assume_unique=True)
     return PoolState(
         features=dataset.features,
         labels=dataset.labels,
@@ -120,7 +120,7 @@ def label_points(pool: PoolState, indices) -> PoolState:
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         return pool
-    if len(np.unique(indices)) != len(indices):
+    if (np.diff(np.sort(indices)) == 0).any():
         raise PoolError("duplicate indices in labeling request")
     missing = indices[~np.isin(indices, pool.unlabeled_idx)]
     if len(missing):

@@ -5,6 +5,8 @@ test dictate the exact logits a model produces, so expected scores come from
 closed forms or explicit loops rather than from the code under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from allab.acquisition import (
 )
 from allab.errors import PoolError
 from allab.layers import softmax
+from allab.mmd import sq_dists, sq_norms
 from allab.model import MlpParams, ModelSpec, dropout_probs, forward, init_mlp, predict_proba
 from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
@@ -191,6 +194,40 @@ def test_in_place_entropy_terms_equal_the_where_form(data, shape, dtype):
     assert acquisition._entropy(P).tobytes() == want.tobytes()
     terms = np.full(shape, np.nan)
     assert acquisition._entropy(P, terms).tobytes() == want.tobytes()
+
+
+def entropy_scores_from_a_float64_copy(P):
+    """entropy_scores as it was: P copied to float64, then checked and scored."""
+    P = np.asarray(P, dtype=np.float64)
+    sums = P.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6) | (P < 0).any(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"row {i} is not a probability vector (sums to {float(sums[i])}, least entry {float(P[i].min())})"
+        )
+    return acquisition._entropy(P)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 12), st.integers(1, 300)),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_entropy_scores_equal_the_float64_copy_form(data, shape, dtype):
+    # rows that pass the check, skewed toward one entry, then a share of
+    # their entries set to a zero, a subnormal, a negative entry or NaN
+    rng = derive_rng(data.draw(st.integers(0, 2**31), label="seed"), "entropy")
+    P = rng.random(shape) ** data.draw(st.sampled_from([1, 8, 40]), label="skew")
+    P = (P / P.sum(axis=1, keepdims=True)).astype(dtype)
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    special = data.draw(st.sampled_from([0.0, -0.0, tiny, 4 * tiny, -tiny, -1e-3, np.nan]), label="special")
+    P[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.05, 0.5]), label="share")] = special
+    try:
+        want = entropy_scores_from_a_float64_copy(P)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            entropy_scores(P)
+    else:
+        assert entropy_scores(P).tobytes() == want.tobytes()
 
 
 # ---- select_top_k ----------------------------------------------------------
@@ -513,6 +550,23 @@ def test_coreset_bitwise_equal_to_allocating_loop(n, n_labeled, budget, duplicat
     dists, selected = coreset_allocating(params, pool, budget)
     assert result.selected.tolist() == selected.tolist()
     assert np.array_equal(result.scores.view(np.uint64), dists.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    m=st.integers(1, 400),
+    h=st.sampled_from([1, 2, 8, 64, 128]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**31),
+)
+def test_blocked_min_distances_equal_the_whole_matrix(n, m, h, dtype, seed):
+    # ReLU features, zeros and ties among them, as a model's Z
+    rng = derive_rng(seed, "min dists")
+    Z_u = np.maximum(rng.standard_normal((n, h)), 0.0).astype(dtype)
+    Z_l = np.maximum(rng.standard_normal((m, h)), 0.0).astype(dtype)
+    whole = np.sqrt(sq_dists(Z_u, Z_l, sq_norms(Z_u), sq_norms(Z_l)).min(axis=1))
+    assert acquisition._min_dists(Z_u, Z_l).tobytes() == whole.tobytes()
 
 
 def test_coreset_picks_farthest_point():

@@ -644,3 +644,17 @@ def test_python_dash_m_entry(tmp_path):
     assert help_proc.returncode == 0
     for sub in ("run", "gradcheck", "curves"):
         assert sub in help_proc.stdout
+
+
+def test_a_run_never_imports_numpy_ma(tmp_path):
+    # numpy's setdiff1d, union1d, unique and median import numpy.ma (about
+    # 1.25 MB and 10 ms) on first use; a run calls none of them
+    code = (
+        "import sys\n"
+        "from allab.cli import main\n"
+        f"assert main(['run', '--config', {str(REPO / 'configs' / 'smoke.json')!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

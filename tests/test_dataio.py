@@ -616,7 +616,7 @@ def _assert_standardize_matches_reference(X, stats_rows, rows=None):
 @st.composite
 def _standardize_inputs(draw):
     """Features of up to 40 rows drawn entry by entry, or seeded float or
-    uint8 pixel features of over one and up to three ``_ROW_BLOCK``s of rows,
+    uint8 pixel features spanning three to eight ``_ROW_BLOCK``s of rows,
     the statistics taken in blocks of that many; widths from 1, some columns
     constant, statistics rows with repeats, and sorted rows to write."""
     d = draw(st.just(1) | st.integers(1, 12))
@@ -626,7 +626,7 @@ def _standardize_inputs(draw):
         stats_rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
         keep = draw(hnp.arrays(bool, n))
     else:
-        n = draw(st.integers(dataio._ROW_BLOCK + 1, 3 * dataio._ROW_BLOCK))
+        n = draw(st.integers(2 * dataio._ROW_BLOCK + 1, 8 * dataio._ROW_BLOCK))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         if draw(st.booleans()):
             X = rng.integers(0, 256, (n, d), dtype=np.uint8)

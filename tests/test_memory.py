@@ -24,7 +24,7 @@ from allab import cli, experiment
 from allab.acquisition import bald_acquire, coreset_acquire, entropy_acquire
 from allab.config import parse_config
 from allab.experiment import load_dataset, run_experiment, start_partition
-from allab.model import MlpParams, ModelSpec, forward, init_mlp
+from allab.model import MlpParams, ModelSpec, avg_predict, forward, init_mlp
 from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
 from idx_files import write_idx_images, write_idx_labels
@@ -36,13 +36,14 @@ FEATURE_BYTES = (N_TRAIN + N_TEST) * 784 * 8
 # measured 0.128x; reading each file into bytes and concatenating the splits
 # measured 0.25x, one float64 array 1.13x, per-split astype/divide/vstack 2.0x
 LOAD_PEAK_BOUND = 0.15
-# a float32 copy of every row is 0.5x, and a float64 row block 0.16x;
-# standardizing a partition of 1,000 pool and 400 test rows measured 0.644x
-# (0.4375x of output), three unstandardized repeats 0.667x; gathering the
-# pool's statistics rows into one float64 array measured 0.705x, a full
-# float64 standardized copy cast to float32 afterwards would be 1.5x, and so
-# would a float32 cast per repeat for three repeats
-PARTITION_PEAK_BOUND = 0.7
+# a float32 copy of every row is 0.5x, and a float64 row block of 32 rows
+# 0.02x; standardizing a partition of 1,000 pool and 400 test rows measured
+# 0.473x (0.4375x of output), three unstandardized repeats 0.527x; with
+# 256-row blocks (0.16x) they measured 0.644x and 0.667x, gathering the pool's
+# statistics rows into one float64 array 0.705x, a full float64 standardized
+# copy cast to float32 afterwards would be 1.5x, and so would a float32 cast
+# per repeat for three repeats
+PARTITION_PEAK_BOUND = 0.55
 # scoring every row of a 784-wide float32 pool, over the selection's feature
 # bytes: the first layer's (n, 128) output is 0.16x and one gathered row block
 # 0.13x (measured 0.32x); copying the selection out first measured 1.20x
@@ -98,8 +99,8 @@ def test_loading_holds_one_feature_array(tmp_path):
 def test_standardizing_a_partition_holds_one_more_feature_array(tmp_path):
     cfg = _image_config(tmp_path)
     dataset = load_dataset(cfg)
-    # numpy imports numpy.ma at its first np.unique call, which init_pool
-    # makes; partition once first, so the peaks count arrays, not modules
+    # numpy's first calls import modules; partition once first, so the peaks
+    # count arrays, not modules
     start_partition(dataset, cfg, 0)
     for mode in ("pool", "labeled"):
         mode_cfg = replace(cfg, dataset=replace(cfg.dataset, standardize=mode))
@@ -116,7 +117,7 @@ def test_unstandardized_repeats_share_one_float32_array(tmp_path, monkeypatch):
     cfg = _image_config(tmp_path)
     cfg = replace(cfg, repeats=3, dataset=replace(cfg.dataset, standardize="none"))
     dataset = load_dataset(cfg)
-    start_partition(dataset, cfg, 0)  # numpy.ma, as above
+    start_partition(dataset, cfg, 0)  # numpy's imports, as above
     partitioned, real_stacks = [], experiment._stacks
 
     def measured_stacks(cfg, starts):
@@ -249,12 +250,39 @@ def test_float32_bald_holds_no_float64_draw_array():
 
 
 def test_coreset_holds_one_distance_matrix():
-    final = init_mlp(ModelSpec((4, 8, 2), 1, 0.0), derive_rng(5))
     pool = _scoring_pool(3000, 1000, 4)
-    matrix_bytes = 3000 * 1000 * 8  # |U| x |L| float64
-    _, peak = _traced_peak(coreset_acquire, final, pool, 3)
-    # with the norm sums and the cross products in two full matrices it was 2x
-    assert peak <= 1.25 * matrix_bytes, peak / matrix_bytes
+    for dtype in (np.float32, np.float64):
+        final = init_mlp(ModelSpec((4, 8, 2), 1, 0.0), derive_rng(5))
+        final = MlpParams(final.spec, final.flat.astype(dtype))
+        # float32: 12 blocks of 250 rows; float64 over 192 labeled points: one block
+        rows = 250 if dtype == np.float32 else 3000
+        itemsize = np.dtype(dtype).itemsize
+        block_bytes = rows * 1000 * itemsize  # a block of the |U| x |L| matrix
+        sums_bytes = min(rows, 256) * 1000 * itemsize  # sq_dists' block of norm sums
+        _, peak = _traced_peak(coreset_acquire, final, pool, 3)
+        # measured 2.23x of a float32 block and 1.10x of the float64 matrix; the
+        # whole float32 matrix measured 13.2x of a block, and with the norm sums
+        # and the cross products in two full matrices it was twice the whole
+        assert peak <= 1.5 * block_bytes + sums_bytes, (dtype, peak / block_bytes)
+
+
+def test_scoring_a_trajectory_holds_one_gather_block_and_no_hidden_array():
+    n, hidden = 4900, 128
+    rng = derive_rng(8, "scoring")
+    features = rng.standard_normal((n, 784), dtype=np.float32)
+    spec = ModelSpec((784, hidden, 10), 1, 0.0)
+    trajectory = trajectory_of(
+        *(MlpParams(spec, init_mlp(spec, derive_rng(9, k)).flat.astype(np.float32)) for k in range(3))
+    )
+    rows = rng.permutation(n)
+    avg_predict(trajectory, features, rows)  # numpy's first calls import modules
+    _, peak = _traced_peak(avg_predict, trajectory, features, rows)
+    gather_bytes = 613 * 784 * 4  # the longest of 8 blocks of 612 or 613 rows
+    hidden_bytes = n * hidden * 4  # one (n, hidden) activation
+    # a gather block, then a block's activations and the (n, 10) output,
+    # measured the block and 0.25x of the activation; a whole first layer per
+    # checkpoint beside the block measured the block and 1.09x
+    assert peak <= gather_bytes + hidden_bytes // 2, (peak - gather_bytes) / hidden_bytes
 
 
 @pytest.mark.parametrize("score", ["entropy_acquire", "evaluate"])

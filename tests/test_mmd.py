@@ -382,3 +382,16 @@ def test_median_matches_brute_force_scan():
     ]
     assert len(dists) == 9 * 8 // 2
     assert median_heuristic(Z) == pytest.approx(float(np.median(dists)), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), d=st.integers(1, 3))
+def test_median_heuristic_is_np_median_to_the_last_bit(data, n, d):
+    # distances that tie, are zero, inf or NaN, with odd and even pair counts
+    Z = data.draw(hnp.arrays(np.float64, (n, d), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, np.nan]), st.floats(-1e3, 1e3))))
+    with np.errstate(invalid="ignore", over="ignore"):
+        d2 = sq_dists(Z, Z, sq_norms(Z), sq_norms(Z))
+        want = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+        got = median_heuristic(Z)
+    assert np.float64(got).tobytes() == np.float64(1.0 if want <= 0.0 else want).tobytes()
