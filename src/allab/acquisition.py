@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PoolError
 from .mmd import sq_dists, sq_norms
-from .model import MlpParams, avg_predict, cell, dropout_probs, forward
+from .model import MlpParams, avg_predict, cell, dropout_probs, forward, row_blocks
 
 __all__ = [
     "AcquisitionResult",
@@ -201,14 +201,10 @@ def coreset_acquire(final: MlpParams, pool, budget: int) -> AcquisitionResult:
 
 
 def _min_dists(Z_u: np.ndarray, Z_l: np.ndarray) -> np.ndarray:
-    """Each row of Z_u's least distance to Z_l, by near-equal row blocks of at most the larger of 256
-    rows and 2^21 multiply-adds, whose products are those rows of the whole, as in ``model._row_blocks``."""
-    n, (m, h) = len(Z_u), Z_l.shape
-    per = max(256, -(-(2 << 20) // (h * m)))
-    count = 1 if m == 1 or (Z_u.itemsize == 8 and m > 192) else max(1, -(-n // per))
-    bounds = [n * i // count for i in range(count + 1)]
-    norms_u, norms_l, least = sq_norms(Z_u), sq_norms(Z_l), np.empty(n, Z_u.dtype)
-    for start, stop in zip(bounds[:-1], bounds[1:]):  # one block's distances alive at a time
+    """Each row of Z_u's least distance to Z_l, one block of its rows (``row_blocks``) at a time."""
+    bounds = row_blocks(len(Z_u), *Z_l.shape[::-1], Z_u.itemsize, floor_bytes=0)
+    norms_u, norms_l, least = sq_norms(Z_u), sq_norms(Z_l), np.empty(len(Z_u), Z_u.dtype)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         sq_dists(Z_u[start:stop], Z_l, norms_u[start:stop], norms_l).min(axis=1, out=least[start:stop])
     return np.sqrt(least, out=least)
 

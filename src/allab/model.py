@@ -15,10 +15,10 @@ keeps a ``ForwardCache`` of exactly what ``backward`` reads; ``relu_backward``
 reads an activation's sign, which is its pre-activation's.  Scoring keeps no
 training state: an eval-mode ``forward`` (prediction, core-set features)
 returns None in the cache's place and draws no dropout, so it holds a layer's
-input and output (and Z), not every layer.  ``predict_proba`` softmaxes its
-logits in place, and ``dropout_probs`` yields its passes one at a time from
-reused buffers.  Given ``rows``, they run ``X[rows]`` through one gather loop:
-block by block, through all that is scored of it (every checkpoint's network).
+input and output (and Z), not every layer.  ``avg_predict`` softmaxes logits
+in place, and ``dropout_probs`` yields its passes one at a time from reused
+buffers.  Given ``rows``, they run ``X[rows]`` through one gather loop, a group
+of blocks at a time through all that is scored of it (every checkpoint's net).
 
 The hidden activations are ``layers.relu`` and its gradient
 ``layers.relu_backward``, the same pair the gradient audit checks.  ReLU is
@@ -68,7 +68,7 @@ __all__ = [
     "check_floating",
     "forward",
     "backward",
-    "predict_proba",
+    "row_blocks",
     "zeros_like",
     "cell",
     "avg_predict",
@@ -163,34 +163,56 @@ def init_mlp(spec: ModelSpec, rng: np.random.Generator) -> MlpParams:
 GATHER_BYTES = 2 << 20  # the most first-layer input a scoring call gathers at once
 
 
-def _row_blocks(n: int, width: int, out_width: int, itemsize: int) -> list[int]:
-    """Bounds of the near-equal blocks n rows are scored in by a (width, out_width)
-    first layer: at most the larger of ``GATHER_BYTES``, 256 rows, 2^21 multiply-adds
-    and 2 * out_width + 1 rows each, and at least half that; one block for a
-    single-unit layer and a float64 one of over 192 units (see README)."""
+def _block_rows(width: int, out_width: int, itemsize: int, floor_bytes: int) -> int:
+    """The most rows a block of a (width, out_width) product takes: the larger of ``floor_bytes``
+    of input, 256 rows, 2^21 multiply-adds and 2 * out_width + 1 rows; any n (one block) for a
+    single-unit product and a float64 one of over 192 units (see README)."""
+    if out_width == 1 or (itemsize == 8 and out_width > 192):
+        return 1 << 62
     macs = -(-(2 << 20) // (width * out_width))
-    per = max(256, GATHER_BYTES // (width * itemsize), macs, 2 * out_width + 1)
-    count = 1 if out_width == 1 or (itemsize == 8 and out_width > 192) else max(1, -(-n // per))
+    return max(256, floor_bytes // (width * itemsize), macs, 2 * out_width + 1)
+
+
+def row_blocks(
+    n: int, width: int, out_width: int, itemsize: int, floor_bytes: int = GATHER_BYTES
+) -> list[int]:
+    """Bounds of the near-equal blocks, of at most ``_block_rows`` rows and at least half that,
+    in which n rows of a (width, out_width) product are taken: each gives those rows of the
+    whole product."""
+    count = max(1, -(-n // _block_rows(width, out_width, itemsize, floor_bytes)))
     return [n * i // count for i in range(count + 1)]
 
 
-def _by_blocks(params: MlpParams, X: np.ndarray, rows, score) -> tuple[np.ndarray, ...]:
-    """``score(X)``, or ``score`` of X[rows] gathered block by block (``_row_blocks``)
-    into one buffer, the arrays it returns per block filling one (len(rows), ...) each."""
+def _by_groups(params: MlpParams, X: np.ndarray, rows, score) -> tuple[np.ndarray, ...]:
+    """``score(first)``, ``first(p)`` being model p's first pre-activation ``X @ W1 + b1``, or that
+    of a group of X[rows]'s blocks (``row_blocks``), each gathered into one buffer in turn.  A group
+    is at least the least block of every later layer's product, so the arrays ``score`` returns per
+    group, filling one (len(rows), ...) each, are bit for bit those of all of X[rows]."""
     if rows is None:
-        return score(_checked_input(params, X))
+        return score(lambda p: affine_forward(_checked_input(p, X), *p.layers[0]))
     X = check_floating(X)  # before the gather casts it into the buffer
     if len(rows) and (np.min(rows) < -len(X) or np.max(rows) >= len(X)):
         raise IndexError(f"rows out of range for {len(X)} rows")  # take's "wrap" would not
     W1 = params.layers[0][0]
-    bounds = _row_blocks(len(rows), *W1.shape, W1.itemsize)
+    bounds = row_blocks(len(rows), *W1.shape, W1.itemsize)
+    least = max(-(-_block_rows(*W.shape, W.itemsize, 0) // 2) for W, _ in params.layers[1:])
+    count = max(1, (len(bounds) - 1) // -(-least // max(1, bounds[1])))  # bounds[1]: the least
+    groups = [bounds[(len(bounds) - 1) * i // count] for i in range(count + 1)]
     # the longest block; zeroed, as take casts into it from a copy of its contents
-    buf = np.zeros((bounds[-1] - bounds[-2], *X.shape[1:]), W1.dtype)
-    outs = ()
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        block = np.take(X, rows[start:stop], axis=0, out=buf[: stop - start], mode="wrap")
-        parts = score(_checked_input(params, block))
-        if len(bounds) == 2:
+    buf, outs = np.zeros((bounds[-1] - bounds[-2], *X.shape[1:]), W1.dtype), ()
+
+    def first(p):
+        W, b = p.layers[0]
+        h = np.empty((stop - start, W.shape[1]), W.dtype)
+        for a, z in zip(bounds[:-1], bounds[1:]):
+            if start <= a < stop:  # a block of the group
+                block = np.take(X, rows[a:z], axis=0, out=buf[: z - a], mode="wrap")
+                affine_forward(_checked_input(p, block), W, b, out=h[a - start : z - start])
+        return h
+
+    for start, stop in zip(groups[:-1], groups[1:]):
+        parts = score(first)
+        if count == 1:
             return parts
         outs = outs or tuple(np.empty((len(rows), *part.shape[1:]), part.dtype) for part in parts)
         for out, part in zip(outs, parts):
@@ -236,28 +258,33 @@ def forward(
     """
     if train_mode and rows is not None:
         raise ValueError("rows selects the input of an eval-mode pass only")
-    if rows is not None:
-        return (*_by_blocks(params, X, rows, lambda block: forward(params, block)[:2]), None)
-    rate = params.spec.dropout_rate if train_mode else 0.0
+    if not train_mode:
+        return (*_by_groups(params, X, rows, lambda first: _network(params, first(params))), None)
+    rate = params.spec.dropout_rate
     if rate > 0 and rng is None:
         raise ValueError("dropout with rate > 0 requires an rng")
-    a = _checked_input(params, X)
-    cache = ForwardCache() if train_mode else None
+    X, cache = _checked_input(params, X), ForwardCache()
+    return (*_network(params, affine_forward(X, *params.layers[0]), rate, rng, cache, X), cache)
+
+
+def _network(params: MlpParams, h, rate=0.0, rng=None, cache=None, a=None) -> tuple[np.ndarray, ...]:
+    """Z and logits from h, the first layer's fresh pre-activation of input ``a``,
+    with dropout at ``rate`` after each hidden ReLU and ``cache`` filled if given."""
     *hidden, (W_out, b_out) = params.layers
     for i, (W, b) in enumerate(hidden, start=1):  # one of them is split_index
-        h = affine_forward(a, W, b)
+        h = affine_forward(a, W, b) if i > 1 else h
         relu(h, out=h)
         if i == params.spec.split_index:
             Z = h
         mask = dropout_mask(rate, rng, np.empty_like(h)) if rate > 0 else None
-        if train_mode:
+        if cache is not None:
             cache.inputs.append(a)
             cache.activations.append(h)
             cache.dropout_masks.append(mask)
         a = h if mask is None else h * mask
-    if train_mode:
+    if cache is not None:
         cache.inputs.append(a)
-    return Z, affine_forward(a, W_out, b_out), cache
+    return Z, affine_forward(a, W_out, b_out)
 
 
 def backward(
@@ -306,12 +333,9 @@ def _finite(P: np.ndarray) -> np.ndarray:
 
 
 def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """Row-stochastic class probabilities of X (eval mode, no dropout), its
-    logits softmaxed in place; any non-finite one raises TrainingDiverged."""
-    with np.errstate(**_QUIET):
-        _, logits, _ = forward(params, X)
-        P = softmax(logits, out=logits)
-    return _finite(P)
+    """Row-stochastic class probabilities of X (eval mode, no dropout), ``avg_predict``
+    of a one-model trajectory; any non-finite one raises TrainingDiverged."""
+    return avg_predict(MlpParams(params.spec, params.flat[None]), X)
 
 
 def zeros_like(params: MlpParams) -> MlpParams:
@@ -334,13 +358,15 @@ def avg_predict(trajectory: MlpParams, X: np.ndarray, rows=None) -> np.ndarray:
             f"a trajectory is a nonempty (K, P) stack, got parameters {trajectory.flat.shape}"
         )
 
-    def summed(block):
-        acc = predict_proba(cell(trajectory, 0), block)
-        for k in range(1, len(trajectory.flat)):
-            acc += predict_proba(cell(trajectory, k), block)
+    def summed(first):  # each checkpoint's logits softmaxed in place, then checked
+        with np.errstate(**_QUIET):
+            for k in range(len(trajectory.flat)):
+                logits = _network(cell(trajectory, k), first(cell(trajectory, k)))[1]  # Z freed
+                P = _finite(softmax(logits, out=logits))
+                acc = P if k == 0 else np.add(acc, P, out=acc)
         return (acc,)
 
-    (acc,) = _by_blocks(cell(trajectory, 0), X, rows, summed)
+    (acc,) = _by_groups(cell(trajectory, 0), X, rows, summed)
     acc /= len(trajectory.flat)
     return acc
 
@@ -363,9 +389,8 @@ def dropout_probs(
     yielded.  A caller that keeps a pass must copy it before the next.  A
     pass with a non-finite probability raises TrainingDiverged.
     """
-    W1, b1 = params.layers[0]
     with np.errstate(**_QUIET):  # the first layer, its ReLU in place
-        (first,) = _by_blocks(params, X, rows, lambda x: (relu(h := affine_forward(x, W1, b1), out=h),))
+        (first,) = _by_groups(params, X, rows, lambda first: (relu(h := first(params), out=h),))
     return _dropout_passes(first, params.layers[1:], params.spec.dropout_rate, passes, rng)
 
 

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -560,6 +560,10 @@ def test_coreset_bitwise_equal_to_allocating_loop(n, n_labeled, budget, duplicat
     dtype=st.sampled_from([np.float32, np.float64]),
     seed=st.integers(0, 2**31),
 )
+# more labeled points than a block's rows but for the 2 * m + 1 floor, and many blocks
+@example(n=257, m=192, h=128, dtype=np.float64, seed=0)
+@example(n=257, m=192, h=128, dtype=np.float32, seed=0)
+@example(n=3000, m=150, h=128, dtype=np.float32, seed=1)
 def test_blocked_min_distances_equal_the_whole_matrix(n, m, h, dtype, seed):
     # ReLU features, zeros and ties among them, as a model's Z
     rng = derive_rng(seed, "min dists")

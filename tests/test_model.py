@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allab import acquisition
+from allab import acquisition, model
 from allab.acquisition import coreset_acquire
 from allab.errors import DimensionError, TrainingDiverged
 from allab.layers import affine_backward, affine_forward, relu, softmax, softmax_cross_entropy
@@ -23,8 +23,8 @@ from allab.model import (
     forward,
     init_mlp,
     predict_proba,
+    row_blocks,
     zeros_like,
-    _row_blocks,
 )
 from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
@@ -647,7 +647,6 @@ def test_float32_model_computes_in_float32(monkeypatch):
     # a stray float64 array anywhere would widen everything after it, or be
     # cast back into a float32 output, and keep every value, only slower:
     # every float array the layer primitives get or give must be float32
-    import allab.model as model
 
     primitives = (
         "affine_forward", "affine_backward", "relu", "relu_backward", "dropout_mask", "softmax"
@@ -699,13 +698,12 @@ def test_a_model_computes_in_its_vectors_dtype_and_a_stack_in_one():
 
 
 # ---- scoring selected rows -------------------------------------------------
-# Given rows, X[rows] is gathered block by block and each block is run through
-# all that is scored of it: every scoring path gives what copying each block
-# of X[rows] out and scoring it alone gives, and its first layer what copying
-# all of X[rows] out gives.
+# Given rows, X[rows] is gathered block by block and run through the network
+# in groups of blocks; every scoring path must give what copying X[rows] out
+# first gives.
 
 def block_rows(width, out_width, itemsize):
-    """The most rows one block takes, by the rule ``_row_blocks`` documents."""
+    """The most rows one block takes, by the rule ``row_blocks`` documents."""
     macs = -(-(2 << 20) // (width * out_width))
     return max(256, GATHER_BYTES // (width * itemsize), macs, 2 * out_width + 1)
 
@@ -713,18 +711,18 @@ def block_rows(width, out_width, itemsize):
 def test_row_blocks_of_the_image_pool():
     # a 784-128 float32 layer: 2 MiB of input is 668 rows
     assert block_rows(784, 128, 4) == 668
-    assert _row_blocks(668, 784, 128, 4) == [0, 668]
-    assert _row_blocks(669, 784, 128, 4) == [0, 334, 669]
-    assert np.diff(_row_blocks(4900, 784, 128, 4)).tolist() == [612, 613] * 4
+    assert row_blocks(668, 784, 128, 4) == [0, 668]
+    assert row_blocks(669, 784, 128, 4) == [0, 334, 669]
+    assert np.diff(row_blocks(4900, 784, 128, 4)).tolist() == [612, 613] * 4
     # float64 rows are twice as wide: 334 rows
-    assert _row_blocks(335, 784, 128, 8) == [0, 167, 335]
+    assert row_blocks(335, 784, 128, 8) == [0, 167, 335]
 
 
 @pytest.mark.parametrize("width, out_width", [(8, 64), (32, 64), (32, 16), (2, 64)])
 def test_a_narrow_selection_is_one_block(width, out_width):
     # every selection of the narrow benchmark pools, up to 8,000 rows
-    assert _row_blocks(8000, width, out_width, 4) == [0, 8000]
-    assert _row_blocks(8000, width, out_width, 8) == [0, 8000]
+    assert row_blocks(8000, width, out_width, 4) == [0, 8000]
+    assert row_blocks(8000, width, out_width, 8) == [0, 8000]
 
 
 @settings(max_examples=200, deadline=None)
@@ -735,7 +733,7 @@ def test_a_narrow_selection_is_one_block(width, out_width):
     itemsize=st.sampled_from([4, 8]),
 )
 def test_row_blocks_are_near_equal_and_never_a_short_tail(n, width, out_width, itemsize):
-    bounds = _row_blocks(n, width, out_width, itemsize)
+    bounds = row_blocks(n, width, out_width, itemsize)
     sizes = np.diff(bounds)
     per = block_rows(width, out_width, itemsize)
     whole = one_block(itemsize, out_width)
@@ -751,7 +749,7 @@ def test_row_blocks_are_near_equal_and_never_a_short_tail(n, width, out_width, i
 
 
 def one_block(itemsize, out_width):
-    """Whether ``_row_blocks`` scores every row in one block: for single-unit
+    """Whether ``row_blocks`` scores every row in one block: for single-unit
     first layers and float64 ones of over 192 units, where a row of a block's
     product can differ in its last bits from that row of the whole product
     on OpenBLAS 0.3.31 (README)."""
@@ -766,7 +764,7 @@ def same_bits(got, want):
 @given(
     width=st.sampled_from([8, 32, 784]),
     dtype=st.sampled_from([np.float32, np.float64]),
-    regime=st.sampled_from(["1-9 rows", "one block", "per - 1", "per", "per + 1"]),
+    regime=st.sampled_from(["1-9 rows", "one block", "per - 1", "per", "per + 1", "3-8 blocks"]),
     negative=st.booleans(),
     data=st.data(),
 )
@@ -782,7 +780,8 @@ def test_scoring_rows_equals_scoring_the_gathered_rows(width, dtype, regime, neg
     itemsize = np.dtype(dtype).itemsize
     per = block_rows(width, first, itemsize)
     n = {"1-9 rows": int(rng.integers(1, 10)), "one block": int(rng.integers(10, min(per, 3000))),
-         "per - 1": per - 1, "per": per, "per + 1": per + 1}[regime]
+         "per - 1": per - 1, "per": per, "per + 1": per + 1,
+         "3-8 blocks": int(rng.integers(2 * per + 1, 8 * per + 1)) if width == 784 else per + 1}[regime]
     N = n + int(rng.integers(0, 50))
     X = rng.standard_normal((N, width)).astype(dtype)
     rows = rng.permutation(N)[:n]  # unsorted, as acquisition orders its picks
@@ -794,37 +793,45 @@ def test_scoring_rows_equals_scoring_the_gathered_rows(width, dtype, regime, neg
         params.flat += np.asarray(0.1 * rng.standard_normal(params.flat.shape), dtype)
         snaps.append(MlpParams(spec, params.flat.copy()))
     trajectory, gathered = trajectory_of(*snaps), X[rows]
-    assert len(_row_blocks(n, width, first, itemsize)) == (
-        3 if regime == "per + 1" and not one_block(itemsize, first) else 2)
-
-    def by_copied_blocks(score, copied):
-        bounds = _row_blocks(len(copied), width, first, itemsize)
-        parts = [score(copied[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-        return [np.concatenate(arrays) for arrays in zip(*parts)]
-
-    def blockwise_forward(p, X, rows):
-        return (*by_copied_blocks(lambda block: forward(p, block)[:2], X[rows]), None)
+    blocks = len(row_blocks(n, width, first, itemsize)) - 1
+    if one_block(itemsize, first):
+        assert blocks == 1
+    else:
+        assert blocks == {"per + 1": 2, "3-8 blocks": -(-n // per) if width == 784 else 2}.get(regime, 1)
 
     got = [*forward(params, X, rows=rows)[:2], avg_predict(trajectory, X, rows)]
-    want = by_copied_blocks(
-        lambda block: [*forward(params, block)[:2], avg_predict(trajectory, block)], gathered)
+    want = [*forward(params, gathered)[:2], avg_predict(trajectory, gathered)]
     got_rng, want_rng = derive_rng(7), derive_rng(7)
     got += [P.copy() for P in dropout_probs(params, X, 3, got_rng, rows)]
     want += [P.copy() for P in dropout_probs(params, gathered, 3, want_rng)]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
-    # scored whole, the later layers' products may differ in their last bits:
-    # measured up to 9e-7 in a float32 probability and 4e-16 in a float64 one
-    whole = avg_predict(trajectory, gathered)
-    assert np.abs(got[2] - whole).max(initial=0.0) <= 100 * np.finfo(dtype).eps
     # core-set's features, and so its picks and scores, as the gathering code
     pool = PoolState(X, np.zeros(N, dtype=np.int64), 2, rows[:3], rows[3:], rows[:0])
     if n > 3:
         picked = coreset_acquire(params, pool, 3)
-        with mock.patch.object(acquisition, "forward", blockwise_forward):
+        with mock.patch.object(acquisition, "forward", lambda p, X, rows: forward(p, X[rows])):
             want_picked = coreset_acquire(params, pool, 3)
         assert same_bits(picked.selected, want_picked.selected)
         assert same_bits(picked.scores, want_picked.scores)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sizes", [(784, 128, 10), (784, 192, 128, 5), (784, 160, 3)])
+def test_scoring_in_groups_of_blocks_equals_scoring_the_gathered_rows(sizes, dtype):
+    # 4,900 image rows run through the later layers in two to five groups,
+    # each at least the least block of every later product; heads of few
+    # classes are where smaller groups moved bits
+    spec = ModelSpec(sizes, len(sizes) - 2, 0.0)
+    rng = derive_rng(3, "groups")
+    X = rng.standard_normal((5000, 784)).astype(dtype)
+    rows = rng.permutation(5000)[:4900]
+    snaps = [MlpParams(spec, init_mlp(spec, derive_rng(4, k)).flat.astype(dtype)) for k in range(3)]
+    with mock.patch.object(model, "_network", wraps=model._network) as network:
+        got = [*forward(snaps[0], X, rows=rows)[:2], avg_predict(trajectory_of(*snaps), X, rows)]
+    assert 0 < max(call.args[1].shape[0] for call in network.call_args_list) < 4900
+    want = [*forward(snaps[0], X[rows])[:2], avg_predict(trajectory_of(*snaps), X[rows])]
+    assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_gathering_into_the_models_dtype_reads_no_stale_bits():
