@@ -21,8 +21,8 @@ model); ``bald`` and ``coreset`` take its last row, ``cell(trajectory, -1)``.
 All entropies are in nats.  Selection is pure top-k on the scores; ties break
 toward the lower pool index.  Scoring holds what it reads: eval-mode ``model``
 calls, which keep no backward cache, read the scored rows of ``pool.features``
-block by block (their ``rows``), holding only BALD's first layer and core-set's
-features, which they reuse, as (n, hidden) arrays.
+block by block (their ``rows``), holding only BALD's layer outputs (no mask)
+and core-set's features, which they reuse, as (n, hidden) arrays.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ def random_acquire(pool, budget: int, rng: np.random.Generator) -> AcquisitionRe
     return AcquisitionResult(unlabeled[:0], np.empty(0), picks)
 
 
+_ENTROPY_ROWS = 1024  # rows per block of a BALD pass's float64 entropy terms
+
+
 def bald_acquire(
     final: MlpParams,
     pool,
@@ -143,8 +146,8 @@ def bald_acquire(
     over a stack of every pass, as numpy sums a stack's outer axis in order,
     except for a lone unlabeled point: numpy sums a single column pairwise,
     so its score may differ in the last bit (its pick cannot).  A pass's
-    entropy is unchecked, as ``dropout_probs`` found it finite; the
-    probability check runs once, on the mean.
+    entropy, unchecked as ``dropout_probs`` found it finite, goes by row
+    blocks; the probability check runs once, on the mean.
     """
     if final.spec.dropout_rate <= 0:
         raise ValueError("bald_acquire requires a model with dropout_rate > 0")
@@ -152,10 +155,12 @@ def bald_acquire(
         raise ValueError(f"bald_acquire needs at least 2 passes, got {passes}")
     unlabeled = _require_unlabeled(pool)
     prob_sum = np.zeros((len(unlabeled), final.spec.layer_sizes[-1]))
-    entropy_sum, terms = np.zeros(len(unlabeled)), np.empty_like(prob_sum)
+    entropy_sum, terms = np.zeros(len(unlabeled)), np.empty_like(prob_sum[:_ENTROPY_ROWS])
     for P in dropout_probs(final, pool.features, passes, rng, unlabeled):
         prob_sum += P
-        entropy_sum += _entropy(P, terms)
+        for start in range(0, len(P), _ENTROPY_ROWS):
+            block = P[start : start + _ENTROPY_ROWS]
+            entropy_sum[start : start + len(block)] += _entropy(block, terms[: len(block)])
     prob_sum /= passes
     entropy_sum /= passes
     scores = entropy_scores(prob_sum) - entropy_sum

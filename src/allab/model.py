@@ -17,8 +17,8 @@ training state: an eval-mode ``forward`` (prediction, core-set features)
 returns None in the cache's place and draws no dropout, so it holds a layer's
 input and output (and Z), not every layer.  ``avg_predict`` softmaxes logits
 in place, and ``dropout_probs`` yields its passes one at a time from reused
-buffers.  Given ``rows``, they run ``X[rows]`` through one gather loop, a group
-of blocks at a time through all that is scored of it (every checkpoint's net).
+buffers and mask blocks.  Given ``rows``, they run ``X[rows]`` through one
+gather loop, a group of blocks at a time through all that is scored of it.
 
 The hidden activations are ``layers.relu`` and its gradient
 ``layers.relu_backward``, the same pair the gradient audit checks.  ReLU is
@@ -383,11 +383,13 @@ def dropout_probs(
     (at rate 0 ``forward`` draws nothing).  Dropout acts only after each
     hidden ReLU, so the first layer's ``relu(X @ W1 + b1)`` is the same in
     every pass; it is computed once, when this is called, together with the
-    input check.  The later layers share one dropout-mask buffer and each
-    has one pre-activation buffer; every pass writes into them, and its
-    probabilities overwrite the last layer's buffer, which is what is
-    yielded.  A caller that keeps a pass must copy it before the next.  A
-    pass with a non-finite probability raises TrainingDiverged.
+    input check.  Each later layer has one pre-activation buffer, and draws
+    and applies its mask a row block at a time, in row order, in one shared
+    block buffer: the blocks ``row_blocks`` gives the first later product
+    with no input floor, which runs block by block and keeps each row's bits.
+    Probabilities overwrite the last buffer, which is yielded; a caller that
+    keeps a pass must copy it before the next.  A pass with a non-finite
+    probability raises TrainingDiverged.
     """
     with np.errstate(**_QUIET):  # the first layer, its ReLU in place
         (first,) = _by_groups(params, X, rows, lambda first: (relu(h := first(params), out=h),))
@@ -396,16 +398,21 @@ def dropout_probs(
 
 def _dropout_passes(first, later, rate, passes, rng) -> Iterator[np.ndarray]:
     n, dtype = first.shape[0], first.dtype
-    shared = np.empty(n * max(W.shape[0] for W, _ in later), dtype)
-    masks = [shared[: n * W.shape[0]].reshape(n, W.shape[0]) for W, _ in later]
+    bounds = row_blocks(n, *later[0][0].shape, first.itemsize, floor_bytes=0)  # the first later product's
+    block = np.empty((bounds[-1] - bounds[-2]) * max(len(W) for W, _ in later), dtype)  # the longest
     pres = [np.empty((n, W.shape[1]), dtype) for W, _ in later]
     for _ in range(passes):
         with np.errstate(**_QUIET):
             a = first
-            for i, ((W, b), mask, pre) in enumerate(zip(later, masks, pres), start=1):
-                # forward's train-mode dropout, its mask and output in the shared buffer
-                np.multiply(a, dropout_mask(rate, rng, mask), out=mask)
-                a = affine_forward(mask, W, b, out=pre)
+            for i, ((W, b), pre) in enumerate(zip(later, pres), start=1):
+                # forward's train-mode dropout, its mask drawn and applied a row block at a time
+                for start, stop in zip(bounds[:-1], bounds[1:]):
+                    mask = dropout_mask(rate, rng, block[: (stop - start) * len(W)].reshape(-1, len(W)))
+                    if i == 1:  # the first layer's output, which every pass reads
+                        affine_forward(np.multiply(a[start:stop], mask, out=mask), W, b, out=pre[start:stop])
+                    else:
+                        a[start:stop] *= mask
+                a = pre if i == 1 else affine_forward(a, W, b, out=pre)
                 if i < len(later):
                     relu(a, out=a)
             P = softmax(a, out=a)

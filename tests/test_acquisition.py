@@ -33,6 +33,8 @@ from allab.pool import PoolState, evaluate
 from allab.seeding import derive_rng
 from test_model import trajectory_of
 
+ENTROPY_ROWS = acquisition._ENTROPY_ROWS
+
 
 def logit_model(W2, dropout_rate=0.0):
     """Two-layer net whose logits for one-hot input e_i are W2[i] (W1 = I)."""
@@ -422,7 +424,8 @@ def test_bald_matches_brute_force_replay():
     hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
     rate=st.sampled_from([1e-9, 0.1, 0.5, 0.9]),
     passes=st.integers(2, 25),
-    n=st.integers(2, 30),
+    # one block of entropy terms, or two to four
+    n=st.one_of(st.integers(2, 30), st.integers(ENTROPY_ROWS + 1, 4 * ENTROPY_ROWS)),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),  # 1e3 saturates rows to exact 0s and 1s
     seed=st.integers(0, 2**31),
 )

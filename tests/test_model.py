@@ -575,6 +575,33 @@ def test_dropout_probs_equals_forward_per_pass(hidden, rate, n, passes, scale, s
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        (6, 256, 40),  # one later layer, the head: 256-row blocks
+        (6, 128, 64, 5),  # two
+        (6, 96, 100, 16, 3),  # three
+        (6, 64, 200, 4),  # float64 over 192 units: one block; float32: 401-row blocks
+    ],
+)
+def test_dropout_probs_across_mask_blocks_equals_forward_per_pass(sizes, dtype):
+    n = 900  # the selection: 3 or 4 blocks of the first later product, or one
+    rng = derive_rng(sum(sizes), "init")
+    params = init_mlp(ModelSpec(sizes, 1, 0.5), rng)
+    params = MlpParams(params.spec, params.flat.astype(dtype))
+    X = rng.standard_normal((n + 100, sizes[0]))
+    rows = rng.permutation(n + 100)[:n]
+    W2 = params.layers[1][0]
+    blocks = len(row_blocks(n, *W2.shape, W2.itemsize, floor_bytes=0)) - 1
+    assert blocks == 1 if dtype == np.float64 and W2.shape[1] > 192 else blocks >= 3
+    got_rng, want_rng = derive_rng(7, "dropout"), derive_rng(7, "dropout")
+    want = dropout_probs_reference(params, X[rows], 3, want_rng)
+    got = np.stack([P.copy() for P in dropout_probs(params, X, 3, got_rng, rows)])
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (64, 33)])
 def test_random_into_buffer_draws_as_random_of_shape(shape):
     into, fresh = derive_rng(5), derive_rng(5)
